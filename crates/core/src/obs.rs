@@ -675,6 +675,13 @@ pub struct QuerySnapshot {
     pub results: usize,
     /// Negative result tuples emitted so far.
     pub deleted: usize,
+    /// Of those emissions (both kinds), how many the host's result logs
+    /// still hold — the number a window bound applies to.
+    pub log_retained: usize,
+    /// Emissions already freed from the logs (delivered and expired; see
+    /// `MultiQueryEngine::release_delivered`). `results + deleted` stays
+    /// cumulative: it is always `log_retained + log_released`.
+    pub log_released: usize,
     /// Attributed per-epoch latency (nanos; shared-operator cost divided
     /// by fan-out share). Empty below [`ObsLevel::Timing`].
     pub latency: HistogramSummary,
@@ -687,12 +694,15 @@ impl QuerySnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"record\":\"query\",\"query\":{},\"results\":{},\"deleted\":{},\
+             \"log_retained\":{},\"log_released\":{},\
              \"latency_epochs\":{},\"latency_p50_nanos\":{},\"latency_p99_nanos\":{},\
              \"latency_p999_nanos\":{},\"latency_max_nanos\":{},\
              \"emission_epochs\":{},\"emissions_p50\":{},\"emissions_p99\":{},\"emissions_max\":{}}}",
             self.query,
             self.results,
             self.deleted,
+            self.log_retained,
+            self.log_released,
             self.latency.count,
             self.latency.p50,
             self.latency.p99,
@@ -702,6 +712,14 @@ impl QuerySnapshot {
             self.emissions.p50,
             self.emissions.p99,
             self.emissions.max,
+        )
+    }
+
+    /// One CSV row matching [`MetricsSnapshot::query_csv_header`].
+    pub fn to_csv(&self) -> String {
+        format!(
+            "{},{},{},{},{}",
+            self.query, self.results, self.deleted, self.log_retained, self.log_released
         )
     }
 }
@@ -766,14 +784,29 @@ impl MetricsSnapshot {
          nodes_settled,nodes_improved,heap_pushes,edges_scanned"
     }
 
-    /// The per-operator table as CSV (header + one row per live
-    /// operator). Exec totals and per-query histograms are JSONL-only.
+    /// The CSV header of the per-query table in [`MetricsSnapshot::to_csv`].
+    pub fn query_csv_header() -> &'static str {
+        "query,results,deleted,log_retained,log_released"
+    }
+
+    /// The snapshot as CSV: the per-operator table (header + one row per
+    /// live operator), then — on a multi-query host — the per-query
+    /// emission/log table under its own header. Exec totals and per-query
+    /// histograms are JSONL-only.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(Self::csv_header());
         out.push('\n');
         for op in &self.operators {
             out.push_str(&op.to_csv());
             out.push('\n');
+        }
+        if !self.queries.is_empty() {
+            out.push_str(Self::query_csv_header());
+            out.push('\n');
+            for q in &self.queries {
+                out.push_str(&q.to_csv());
+                out.push('\n');
+            }
         }
         out
     }
@@ -1007,6 +1040,8 @@ mod tests {
                 query: 0,
                 results: 4,
                 deleted: 0,
+                log_retained: 3,
+                log_released: 1,
                 latency: HistogramSummary::default(),
                 emissions: HistogramSummary::default(),
             }],
@@ -1019,9 +1054,13 @@ mod tests {
         assert!(jsonl.contains("\"record\":\"exec\""));
         assert!(jsonl.contains("\"record\":\"operator\""));
         assert!(jsonl.contains("\"record\":\"query\""));
+        assert!(jsonl.contains("\"log_retained\":3,\"log_released\":1"));
         let csv = snap.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.starts_with("node,name,"));
+        let rows: Vec<&str> = csv.lines().collect();
+        assert_eq!(rows.len(), 4, "operator table + query table");
+        assert!(rows[0].starts_with("node,name,"));
+        assert_eq!(rows[2], MetricsSnapshot::query_csv_header());
+        assert_eq!(rows[3], "0,4,0,3,1");
     }
 
     #[test]

@@ -222,6 +222,7 @@ impl MultiQueryEngine {
                 base: 0,
                 base_del: 0,
                 drained: 0,
+                drained_del: 0,
                 choice,
                 query: query.clone(),
                 sketch_baseline: self.flow.sketch().snapshot_masses(),
@@ -539,7 +540,7 @@ impl MultiQueryEngine {
     /// requires [`ObsLevel::Timing`].
     pub fn explain_analyze(&self, id: QueryId) -> Option<String> {
         let reg = self.registry.get(id)?;
-        let (results, deleted) = self.registry.log(id).unwrap_or((&[], &[]));
+        let log = self.registry.log_counts(id)?;
         let mut out = format!(
             "== explain analyze {id} (obs={}) ==\nplan: {}\n{}\n",
             self.opts.obs.name(),
@@ -550,10 +551,13 @@ impl MultiQueryEngine {
         let lat = reg.latency_hist.summary();
         let emi = reg.emission_hist.summary();
         out.push_str(&format!(
-            "results={} deleted={} latency: epochs={} p50={} p99={} max={}\n\
+            "results={} deleted={} log_retained={} log_released={} \
+             latency: epochs={} p50={} p99={} max={}\n\
              emissions: epochs={} p50={} p99={} max={}\n",
-            results.len(),
-            deleted.len(),
+            log.results,
+            log.deleted,
+            log.retained,
+            log.released(),
             lat.count,
             fmt_nanos(lat.p50),
             fmt_nanos(lat.p99),
@@ -577,11 +581,13 @@ impl MultiQueryEngine {
             .into_iter()
             .filter_map(|id| {
                 let reg = self.registry.get(id)?;
-                let (results, deleted) = self.registry.log(id)?;
+                let log = self.registry.log_counts(id)?;
                 Some(QuerySnapshot {
                     query: id.0,
-                    results: results.len(),
-                    deleted: deleted.len(),
+                    results: log.results,
+                    deleted: log.deleted,
+                    log_retained: log.retained,
+                    log_released: log.released(),
                     latency: reg.latency_hist.summary(),
                     emissions: reg.emission_hist.summary(),
                 })
@@ -750,7 +756,9 @@ impl MultiQueryEngine {
     /// point, tagged with the root's **canonical output label** (route-
     /// once emission defers per-query answer tagging to
     /// [`drain`](MultiQueryEngine::drain) / `process` pairs, which clone
-    /// anyway).
+    /// anyway). On a host that calls
+    /// [`release_delivered`](MultiQueryEngine::release_delivered) the view
+    /// holds the retained tail only.
     pub fn results(&self, id: QueryId) -> &[Sgt] {
         self.registry.log(id).map_or(&[], |(results, _)| results)
     }
@@ -768,6 +776,46 @@ impl MultiQueryEngine {
     pub fn drain(&mut self, id: QueryId) -> Vec<Sgt> {
         let timed = self.opts.obs.timing();
         self.registry.drain(id, timed)
+    }
+
+    /// The borrowing form of [`drain`](MultiQueryEngine::drain) for hosts
+    /// that forward results instead of keeping them: visits `id`'s
+    /// undelivered result inserts (`is_delete = false`) and then its
+    /// undelivered negative tuples (`true`), each in emission order, and
+    /// advances both cursors. Nothing is cloned, so the sgts carry the
+    /// root's canonical output label rather than the query's answer tag
+    /// (as in [`results`](MultiQueryEngine::results)).
+    pub fn for_each_undelivered(&mut self, id: QueryId, visit: impl FnMut(bool, &Sgt)) {
+        let timed = self.opts.obs.timing();
+        self.registry.for_each_undelivered(id, timed, visit);
+    }
+
+    /// Frees result-log history no reader can still need, so a forwarding
+    /// host holds O(window + undelivered) results instead of every result
+    /// since boot. Per root, the log **prefix** is released whose entries
+    /// are both
+    ///
+    /// * delivered to every subscriber of that root — passed by its
+    ///   [`drain`](MultiQueryEngine::drain) cursor (inserts) and its
+    ///   [`for_each_undelivered`](MultiQueryEngine::for_each_undelivered)
+    ///   cursor (negative tuples; `drain` alone never advances it), and
+    /// * expired at the host's event time (`interval.exp <= now()`), so
+    ///   they contribute to no `answer_at(id, t)` with `t >= now()` and a
+    ///   twin registering later could only ever have seen them as dead
+    ///   history.
+    ///
+    /// Afterwards [`results`](MultiQueryEngine::results),
+    /// [`deleted_results`](MultiQueryEngine::deleted_results) and
+    /// `answer_at(id, t < now())` see the retained tail only; drains,
+    /// `answer_at(id, t >= now())` and the cumulative counts in
+    /// [`metrics_snapshot`](MultiQueryEngine::metrics_snapshot) are
+    /// unaffected. This is a call, not an option, because only the host
+    /// knows whether anything else still reads the full logs; a caller
+    /// that never makes it keeps them whole. Cost is amortised O(1) per
+    /// released result plus O(roots) per call. Returns the number of
+    /// entries released.
+    pub fn release_delivered(&mut self) -> usize {
+        self.registry.release_delivered(self.now)
     }
 
     /// The distinct answer pairs of `id` valid at `t`, per its emitted

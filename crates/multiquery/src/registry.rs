@@ -10,7 +10,7 @@
 //! sinking was the dominant fleet-scaling tax.
 
 use crate::chooser::SubplanChoice;
-use crate::sink::{FamilyDedup, FamilyVariant, RootSink, SinkDedup};
+use crate::sink::{FamilyDedup, FamilyVariant, ResultLog, RootSink, SinkDedup};
 use sgq_core::algebra::SgaExpr;
 use sgq_core::engine::{sink_batch, sink_result, EngineOptions, SinkScratch};
 use sgq_core::obs::LogHistogram;
@@ -59,6 +59,9 @@ pub(crate) struct Registration {
     pub base_del: usize,
     /// Drain cursor: absolute index into the root sink's insert log.
     pub drained: usize,
+    /// Like `drained`, for the deleted-results log (advanced only by
+    /// [`Registry::for_each_undelivered`]; `drain` covers inserts only).
+    pub drained_del: usize,
     /// The register-time shared-vs-dedicated planning outcome.
     pub choice: SubplanChoice,
     /// The source query, kept so drift-aware replanning can re-register
@@ -127,14 +130,15 @@ impl Registry {
         match &mut self.sinks[root] {
             Some(sink) => {
                 sink.subscribers.push((id, reg.answer));
-                reg.base = sink.results.len();
-                reg.base_del = sink.deleted.len();
+                reg.base = sink.results.end();
+                reg.base_del = sink.deleted.end();
             }
             slot @ None => {
                 *slot = Some(RootSink::new((id, reg.answer), family_key));
             }
         }
         reg.drained = reg.base;
+        reg.drained_del = reg.base_del;
         for &n in &reg.nodes {
             *self.refcount.entry(n).or_insert(0) += 1;
         }
@@ -143,14 +147,23 @@ impl Registry {
     }
 
     /// Rewinds a suppressed registration's cursors to the start of its
-    /// root's log (catch-up: the shared history *is* this query's
-    /// history, so it appears in the first drain).
+    /// root's retained log (catch-up: the shared history *is* this
+    /// query's history, so it appears in the first drain). On a host that
+    /// never releases that is everything since the root was created;
+    /// after a release it is the live tail — every result still valid at
+    /// the release watermark is in it.
     pub fn grant_full_history(&mut self, id: QueryId) {
-        if let Some(reg) = self.entries.get_mut(&id.0) {
-            reg.base = 0;
-            reg.base_del = 0;
-            reg.drained = 0;
-        }
+        let Registry { entries, sinks, .. } = self;
+        let Some(reg) = entries.get_mut(&id.0) else {
+            return;
+        };
+        let Some(sink) = sinks.get(reg.root).and_then(|s| s.as_ref()) else {
+            return;
+        };
+        reg.base = sink.results.head();
+        reg.base_del = sink.deleted.head();
+        reg.drained = reg.base;
+        reg.drained_del = reg.base_del;
     }
 
     /// Enrols `root`'s sink in the subsuming-dedup family for its
@@ -260,19 +273,53 @@ impl Registry {
         self.entries.iter().map(|(&id, r)| (QueryId(id), r))
     }
 
-    /// `id`'s view of its root sink's logs: `(inserts, deletes)` from its
-    /// join point on, tagged with the root's canonical output label.
+    /// `id`'s view of its root sink's logs: the retained `(inserts,
+    /// deletes)` from its join point on, tagged with the root's canonical
+    /// output label.
     pub fn log(&self, id: QueryId) -> Option<(&[Sgt], &[Sgt])> {
         let reg = self.entries.get(&id.0)?;
         let sink = self.sinks.get(reg.root)?.as_ref()?;
-        Some((&sink.results[reg.base..], &sink.deleted[reg.base_del..]))
+        Some((sink.results.from(reg.base), sink.deleted.from(reg.base_del)))
     }
 
     /// Absolute log lengths of `id`'s root sink.
     pub fn log_lens(&self, id: QueryId) -> Option<(usize, usize)> {
         let reg = self.entries.get(&id.0)?;
         let sink = self.sinks.get(reg.root)?.as_ref()?;
-        Some((sink.results.len(), sink.deleted.len()))
+        Some((sink.results.end(), sink.deleted.end()))
+    }
+
+    /// `id`'s emission accounting: what it emitted since its join point
+    /// and how much of that its root's logs still hold.
+    pub fn log_counts(&self, id: QueryId) -> Option<LogCounts> {
+        let reg = self.entries.get(&id.0)?;
+        let sink = self.sinks.get(reg.root)?.as_ref()?;
+        let (results, deleted) = (&sink.results, &sink.deleted);
+        Some(LogCounts {
+            results: results.end() - reg.base,
+            deleted: deleted.end() - reg.base_del,
+            retained: results.from(reg.base).len() + deleted.from(reg.base_del).len(),
+        })
+    }
+
+    /// Advances one of `id`'s delivery cursors — the deleted-results
+    /// log's when `deletes`, else the insert log's — to the log end and
+    /// returns the entries it passed over.
+    fn take(&mut self, id: QueryId, deletes: bool) -> &[Sgt] {
+        let Some(reg) = self.entries.get_mut(&id.0) else {
+            return &[];
+        };
+        let Some(sink) = self.sinks.get(reg.root).and_then(|s| s.as_ref()) else {
+            return &[];
+        };
+        let (log, cursor) = if deletes {
+            (&sink.deleted, &mut reg.drained_del)
+        } else {
+            (&sink.results, &mut reg.drained)
+        };
+        let fresh = log.from(*cursor);
+        *cursor = log.end();
+        fresh
     }
 
     /// Drains `id`'s undelivered results (since the previous drain),
@@ -280,26 +327,66 @@ impl Registry {
     /// the routing phase under timing observability.
     pub fn drain(&mut self, id: QueryId, timed: bool) -> Vec<Sgt> {
         let t0 = timed.then(Instant::now);
-        let Registry { entries, sinks, .. } = self;
-        let Some(reg) = entries.get_mut(&id.0) else {
+        let Some(answer) = self.entries.get(&id.0).map(|reg| reg.answer) else {
             return Vec::new();
         };
-        let Some(sink) = sinks.get(reg.root).and_then(|s| s.as_ref()) else {
-            return Vec::new();
-        };
-        let out = sink.results[reg.drained..]
+        let out = self
+            .take(id, false)
             .iter()
             .map(|s| {
                 let mut s = s.clone();
-                s.label = reg.answer;
+                s.label = answer;
                 s
             })
             .collect();
-        reg.drained = sink.results.len();
         if let Some(t0) = t0 {
             self.route_nanos += t0.elapsed().as_nanos() as u64;
         }
         out
+    }
+
+    /// The borrowing drain: visits `id`'s undelivered inserts
+    /// (`is_delete = false`), then its undelivered negative tuples
+    /// (`true`), each in emission order, advancing both cursors. The
+    /// sgts are the log's own — tagged with the root's canonical output
+    /// label, not re-labelled — so nothing is cloned.
+    pub fn for_each_undelivered(
+        &mut self,
+        id: QueryId,
+        timed: bool,
+        mut visit: impl FnMut(bool, &Sgt),
+    ) {
+        let t0 = timed.then(Instant::now);
+        for deletes in [false, true] {
+            self.take(id, deletes)
+                .iter()
+                .for_each(|s| visit(deletes, s));
+        }
+        if let Some(t0) = t0 {
+            self.route_nanos += t0.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Releases, per root sink, the log prefix that every subscriber has
+    /// been handed (drain cursors) **and** that is expired at `now`
+    /// (`exp <= now`: it contributes to no `answer_at(t >= now)`, and a
+    /// twin registering later could only ever see it as dead history).
+    /// Returns the number of entries released.
+    pub fn release_delivered(&mut self, now: Timestamp) -> usize {
+        let Registry { entries, sinks, .. } = self;
+        let mut released = 0;
+        for sink in sinks.iter_mut().flatten() {
+            // A live sink has at least one subscriber; the slowest one
+            // bounds what may go.
+            let slowest = |cursor: fn(&Registration) -> usize| {
+                let cursors = sink.subscribers.iter().map(|(q, _)| cursor(&entries[q]));
+                cursors.min().unwrap_or(0)
+            };
+            let (ins, del) = (slowest(|r| r.drained), slowest(|r| r.drained_del));
+            released += release_prefix(&mut sink.results, ins, now)
+                + release_prefix(&mut sink.deleted, del, now);
+        }
+        released
     }
 
     /// Routes an emission batch of `node` into its root sink **once**:
@@ -327,16 +414,12 @@ impl Registry {
         };
         let timed = opts.obs.timing();
         let t0 = timed.then(Instant::now);
-        let (before_ins, before_del) = (sink.results.len(), sink.deleted.len());
+        let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
+        let (before_ins, before_del) = (results.len(), deleted.len());
         match &mut sink.dedup {
-            SinkDedup::Private(map) => sink_batch(
-                opts,
-                map,
-                &mut sink.results,
-                &mut sink.deleted,
-                batch,
-                &mut self.scratch,
-            ),
+            SinkDedup::Private(map) => {
+                sink_batch(opts, map, results, deleted, batch, &mut self.scratch)
+            }
             SinkDedup::Family(family) => {
                 let mut variant = FamilyVariant {
                     family: &mut self.families[*family],
@@ -345,8 +428,8 @@ impl Registry {
                 sink_batch(
                     opts,
                     &mut variant,
-                    &mut sink.results,
-                    &mut sink.deleted,
+                    results,
+                    deleted,
                     batch,
                     &mut self.scratch,
                 );
@@ -358,12 +441,12 @@ impl Registry {
         }
         if let Some((inserts, deletes)) = collect.as_mut() {
             for &(q, answer) in &sink.subscribers {
-                for s in &sink.results[before_ins..] {
+                for s in &results[before_ins..] {
                     let mut s = s.clone();
                     s.label = answer;
                     inserts.push((QueryId(q), s));
                 }
-                for s in &sink.deleted[before_del..] {
+                for s in &deleted[before_del..] {
                     let mut s = s.clone();
                     s.label = answer;
                     deletes.push((QueryId(q), s));
@@ -385,22 +468,15 @@ impl Registry {
         let Some(Some(sink)) = self.sinks.get_mut(reg.root) else {
             return;
         };
+        let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
         match &mut sink.dedup {
-            SinkDedup::Private(map) => {
-                sink_result(opts, map, &mut sink.results, &mut sink.deleted, delta)
-            }
+            SinkDedup::Private(map) => sink_result(opts, map, results, deleted, delta),
             SinkDedup::Family(family) => {
                 let mut variant = FamilyVariant {
                     family: &mut self.families[*family],
                     slot: reg.root as u32,
                 };
-                sink_result(
-                    opts,
-                    &mut variant,
-                    &mut sink.results,
-                    &mut sink.deleted,
-                    delta,
-                )
+                sink_result(opts, &mut variant, results, deleted, delta)
             }
         }
     }
@@ -457,10 +533,10 @@ impl Registry {
             let Some(sink) = sinks.get(reg.root).and_then(|s| s.as_ref()) else {
                 continue;
             };
-            let emitted =
-                (sink.results.len() - reg.obs_results) + (sink.deleted.len() - reg.obs_deleted);
-            reg.obs_results = sink.results.len();
-            reg.obs_deleted = sink.deleted.len();
+            let (end, end_del) = (sink.results.end(), sink.deleted.end());
+            let emitted = (end - reg.obs_results) + (end_del - reg.obs_deleted);
+            reg.obs_results = end;
+            reg.obs_deleted = end_del;
             if emitted > 0 {
                 reg.emission_hist.record(emitted as u64);
             }
@@ -479,6 +555,35 @@ impl Registry {
             }
         }
     }
+}
+
+/// One query's emission accounting (see [`Registry::log_counts`]).
+pub(crate) struct LogCounts {
+    /// Result inserts emitted since the query's join point.
+    pub results: usize,
+    /// Negative result tuples emitted since the query's join point.
+    pub deleted: usize,
+    /// How many of those (both logs) the root sink still holds.
+    pub retained: usize,
+}
+
+impl LogCounts {
+    /// Emissions already freed from the logs.
+    pub fn released(&self) -> usize {
+        self.results + self.deleted - self.retained
+    }
+}
+
+/// Releases `log`'s prefix of entries below the `delivered` cursor that
+/// are expired at `now`; returns how many.
+fn release_prefix(log: &mut ResultLog, delivered: usize, now: Timestamp) -> usize {
+    let head = log.head();
+    let n = log.from(head)[..delivered.saturating_sub(head)]
+        .iter()
+        .take_while(|s| s.interval.exp <= now)
+        .count();
+    log.release_to(head + n);
+    n
 }
 
 /// Per-query emission buffer: `(query, result)` pairs, as returned by

@@ -34,14 +34,78 @@ use sgq_core::algebra::SgaExpr;
 use sgq_core::engine::{CoverageEntry, PairDedup};
 use sgq_types::{FxHashMap, Interval, IntervalSet, Label, Sgt, Timestamp, VertexId};
 
+/// One emission log of a root sink: append-only at the tail, releasable
+/// at the head.
+///
+/// Positions are **absolute** — entry `i` is the `i`-th sgt this log ever
+/// accepted — so the cursors registrations hold (`base`, `drained`,
+/// `obs_*`) stay valid across a release. [`ResultLog::release_to`] only
+/// moves the logical head; the released prefix is physically removed once
+/// it is at least as long as the live remainder, so every compaction moves
+/// no more entries than it frees (amortised O(1) per released result, and
+/// never a per-epoch memmove of the live window).
+#[derive(Default)]
+pub(crate) struct ResultLog {
+    buf: Vec<Sgt>,
+    /// Absolute position of the first retained entry (= entries released).
+    head: usize,
+    /// Released entries still physically at the front of `buf`.
+    dead: usize,
+}
+
+impl ResultLog {
+    /// Absolute position of the first retained entry.
+    pub fn head(&self) -> usize {
+        self.head
+    }
+
+    /// Absolute position one past the last entry (= entries ever accepted).
+    pub fn end(&self) -> usize {
+        self.head + self.buf.len() - self.dead
+    }
+
+    /// The retained entries at absolute positions `from..`; positions
+    /// before the head are gone, so the view starts at the head instead.
+    pub fn from(&self, from: usize) -> &[Sgt] {
+        &self.buf[self.dead + from.saturating_sub(self.head)..]
+    }
+
+    /// The append end, for the sink delivery loops (which push only).
+    pub fn tail(&mut self) -> &mut Vec<Sgt> {
+        &mut self.buf
+    }
+
+    /// Releases every entry before absolute position `upto`.
+    pub fn release_to(&mut self, upto: usize) {
+        debug_assert!(upto <= self.end(), "release past the log end");
+        if upto <= self.head {
+            return;
+        }
+        self.dead += upto - self.head;
+        self.head = upto;
+        if self.dead >= self.buf.len() - self.dead {
+            self.buf.drain(..self.dead);
+            self.dead = 0;
+            // A burst (catch-up, a lagging subscriber) must not pin its
+            // high-water allocation for the life of the host.
+            if self.buf.capacity() > 4 * self.buf.len().max(MIN_LOG_CAPACITY) {
+                self.buf.shrink_to(2 * self.buf.len().max(MIN_LOG_CAPACITY));
+            }
+        }
+    }
+}
+
+/// Log allocations at or below this many entries are never shrunk.
+const MIN_LOG_CAPACITY: usize = 1024;
+
 /// One shared result sink per subscribed dataflow root: the emission log
 /// every subscriber of that root reads through its own cursors.
 pub(crate) struct RootSink {
     /// Emitted result inserts, in emission order, tagged with the root's
     /// canonical output label (per-query answer tags are applied lazily).
-    pub results: Vec<Sgt>,
+    pub results: ResultLog,
     /// Emitted negative result tuples.
-    pub deleted: Vec<Sgt>,
+    pub deleted: ResultLog,
     /// Duplicate-suppression state (private map or family membership).
     pub dedup: SinkDedup,
     /// `(query id, answer label)` per subscriber, registration order —
@@ -55,8 +119,8 @@ pub(crate) struct RootSink {
 impl RootSink {
     pub fn new(subscriber: (u64, Label), family_key: Option<SgaExpr>) -> RootSink {
         RootSink {
-            results: Vec::new(),
-            deleted: Vec::new(),
+            results: ResultLog::default(),
+            deleted: ResultLog::default(),
             dedup: SinkDedup::Private(FxHashMap::default()),
             subscribers: vec![subscriber],
             family_key,
@@ -225,6 +289,51 @@ mod tests {
 
     fn key(a: u64, b: u64) -> (VertexId, VertexId) {
         (VertexId(a), VertexId(b))
+    }
+
+    /// Positions stay absolute across releases, views never reach behind
+    /// the head, and the dead prefix is compacted away before it outgrows
+    /// the live entries.
+    #[test]
+    fn result_log_releases_its_prefix_in_place() {
+        let entry = |i: u64| Sgt::edge(VertexId(i), VertexId(i), Label(0), iv(i, i + 1));
+        let mut log = ResultLog::default();
+        for i in 0..10 {
+            log.tail().push(entry(i));
+        }
+        assert_eq!((log.head(), log.end()), (0, 10));
+
+        log.release_to(3); // 3 dead < 7 live: logical only
+        assert_eq!((log.head(), log.end(), log.buf.len()), (3, 10, 10));
+        assert_eq!(log.from(0), log.from(3), "nothing before the head");
+        assert_eq!(log.from(5)[0], entry(5));
+        log.release_to(2); // behind the head: no-op
+        assert_eq!(log.head(), 3);
+
+        log.release_to(6); // 6 dead >= 4 live: compacted
+        assert_eq!((log.head(), log.end(), log.buf.len()), (6, 10, 4));
+        log.tail().push(entry(10));
+        assert_eq!(log.end(), 11);
+        assert_eq!(log.from(9), &[entry(9), entry(10)]);
+
+        // A long run: the physical log never exceeds twice the live part.
+        for i in 11..5_000u64 {
+            log.tail().push(entry(i));
+            log.release_to(log.end().saturating_sub(100));
+            assert!(log.buf.len() <= 2 * (log.end() - log.head()).max(1));
+        }
+        assert_eq!(log.from(0).first(), Some(&entry(4_900)));
+        log.release_to(log.end());
+        assert!(log.from(0).is_empty() && log.buf.is_empty());
+
+        // A burst's allocation is given back once the burst is released.
+        for i in 0..100_000 {
+            log.tail().push(entry(i));
+        }
+        assert!(log.buf.capacity() >= 100_000);
+        log.release_to(log.end() - 10);
+        assert_eq!(log.from(0).len(), 10);
+        assert!(log.buf.capacity() <= 4 * MIN_LOG_CAPACITY);
     }
 
     /// A family accept sequence matches the same sequence against a

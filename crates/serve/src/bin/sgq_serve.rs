@@ -33,7 +33,7 @@ usage:
   --metrics          append metrics snapshots here (.csv selects CSV, else JSONL);
                      a final snapshot is always written on shutdown
   --metrics-every-ms periodic snapshot interval (default: shutdown-only)
-  --trace            write the structured lifecycle trace (JSONL) on shutdown
+  --trace            stream the structured lifecycle trace (JSONL) to FILE
   --explicit-deletes accept DELETE frames (runs without duplicate suppression)
   --buffer           default per-subscription result-buffer capacity (frames)
   --retention        catch-up horizon in ticks for late registrations";

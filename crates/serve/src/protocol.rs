@@ -299,6 +299,33 @@ fn put_edge(buf: &mut Vec<u8>, e: &WireEdge) {
     put_str(buf, &e.label);
 }
 
+/// Bytes in one complete `RESULT` frame, length prefix included (every
+/// field is fixed-width): what lets a host cut a buffer of back-to-back
+/// result frames at a frame boundary without parsing it.
+pub const RESULT_FRAME_LEN: usize = 4 + 2 + 8 + 1 + 4 * 8;
+
+/// Appends one complete `RESULT` frame to `buf` — the bytes of
+/// [`Message::Result`]`.encode()` without a `Vec` per frame, so a host
+/// can lay all results of an epoch out back to back.
+pub fn encode_result_into(
+    buf: &mut Vec<u8>,
+    query: u64,
+    delete: bool,
+    src: u64,
+    trg: u64,
+    ts: u64,
+    exp: u64,
+) {
+    buf.extend_from_slice(&(RESULT_FRAME_LEN as u32 - 4).to_be_bytes());
+    buf.extend_from_slice(&[PROTOCOL_VERSION, 0x84]);
+    buf.extend_from_slice(&query.to_be_bytes());
+    buf.push(delete as u8);
+    buf.extend_from_slice(&src.to_be_bytes());
+    buf.extend_from_slice(&trg.to_be_bytes());
+    buf.extend_from_slice(&ts.to_be_bytes());
+    buf.extend_from_slice(&exp.to_be_bytes());
+}
+
 impl Message {
     /// The message's type byte on the wire.
     pub fn type_byte(&self) -> u8 {
@@ -329,6 +356,19 @@ impl Message {
     /// Encodes the message as one complete frame (length prefix
     /// included), ready to write to a socket.
     pub fn encode(&self) -> Vec<u8> {
+        if let Message::Result {
+            query,
+            delete,
+            src,
+            trg,
+            ts,
+            exp,
+        } = *self
+        {
+            let mut frame = Vec::with_capacity(RESULT_FRAME_LEN);
+            encode_result_into(&mut frame, query, delete, src, trg, ts, exp);
+            return frame;
+        }
         let mut body = vec![PROTOCOL_VERSION, self.type_byte()];
         match self {
             Message::Hello { client } => put_str(&mut body, client),
@@ -364,21 +404,7 @@ impl Message {
                 body.extend_from_slice(&query.to_be_bytes());
                 body.push(*ok as u8);
             }
-            Message::Result {
-                query,
-                delete,
-                src,
-                trg,
-                ts,
-                exp,
-            } => {
-                body.extend_from_slice(&query.to_be_bytes());
-                body.push(*delete as u8);
-                body.extend_from_slice(&src.to_be_bytes());
-                body.extend_from_slice(&trg.to_be_bytes());
-                body.extend_from_slice(&ts.to_be_bytes());
-                body.extend_from_slice(&exp.to_be_bytes());
-            }
+            Message::Result { .. } => unreachable!("encoded above"),
             Message::Dropped { query, count } => {
                 body.extend_from_slice(&query.to_be_bytes());
                 body.extend_from_slice(&count.to_be_bytes());

@@ -26,7 +26,8 @@
 //! processed and routed.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -35,14 +36,15 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sgq_core::engine::EngineOptions;
-use sgq_core::obs::JsonlTraceSink;
+use sgq_core::obs::{TraceEvent, TraceSink};
 use sgq_multiquery::{MultiQueryEngine, QueryId};
 use sgq_query::{parse_program, SgqQuery, WindowSpec};
 use sgq_types::Sge;
 
 use crate::protocol::{
-    read_message, Backpressure, Message, WireEdge, ERR_BAD_QUERY, ERR_MALFORMED, ERR_NOT_SUPPORTED,
-    ERR_OUT_OF_ORDER, ERR_SLOW_CONSUMER, ERR_UNKNOWN_QUERY,
+    encode_result_into, read_message, Backpressure, Message, WireEdge, ERR_BAD_QUERY,
+    ERR_MALFORMED, ERR_NOT_SUPPORTED, ERR_OUT_OF_ORDER, ERR_SLOW_CONSUMER, ERR_UNKNOWN_QUERY,
+    RESULT_FRAME_LEN,
 };
 
 /// Host configuration (all knobs the `sgq-serve` binary exposes as
@@ -63,7 +65,9 @@ pub struct ServeConfig {
     /// Metrics dump path. Snapshots are **appended**; a `.csv` extension
     /// selects `MetricsSnapshot::to_csv`, anything else JSONL.
     pub metrics_path: Option<String>,
-    /// Structured lifecycle trace (JSONL), written on shutdown.
+    /// Structured lifecycle trace (JSONL): created at spawn, streamed as
+    /// events happen, flushed on graceful shutdown. `None` records
+    /// nothing.
     pub trace_path: Option<String>,
     /// Accept explicit `DELETE` frames (§6.2.5). Runs the engine with
     /// `suppress_duplicates = false` so insert/delete emissions cancel
@@ -114,8 +118,21 @@ enum Command {
 
 enum Entry {
     Control(Vec<u8>),
-    /// A result frame counted against its subscription's cap.
-    Result(u64, Vec<u8>),
+    /// `frames` back-to-back result frames of one subscription, counted
+    /// against its cap until the writer takes them.
+    Results {
+        query: u64,
+        frames: u32,
+        bytes: Vec<u8>,
+    },
+}
+
+impl Entry {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Entry::Control(bytes) | Entry::Results { bytes, .. } => bytes,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -144,8 +161,14 @@ impl Outbox {
         })
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, OutboxInner> {
+        self.inner
+            .lock()
+            .expect("no thread panics while holding the outbox lock")
+    }
+
     fn push_control(&self, frame: Vec<u8>) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         if g.closed {
             return;
         }
@@ -153,51 +176,70 @@ impl Outbox {
         self.cv.notify_one();
     }
 
-    /// Enqueues a result frame unless the subscription's buffer is full.
-    /// Returns `false` when at capacity (the caller applies the policy).
-    fn push_result(&self, query: u64, frame: Vec<u8>, cap: u32) -> bool {
-        let mut g = self.inner.lock().unwrap();
+    /// Enqueues `bytes` — whole result frames of one subscription, back
+    /// to back — as **one** entry, as far as the subscription's buffer
+    /// has room: the chunk is cut at the cap, exactly where per-frame
+    /// pushes would have started to be refused. Returns how many frames
+    /// were accepted (the caller applies the policy to the rest).
+    fn push_results(&self, query: u64, mut bytes: Vec<u8>, cap: u32) -> usize {
+        debug_assert_eq!(bytes.len() % RESULT_FRAME_LEN, 0, "whole frames only");
+        let frames = bytes.len() / RESULT_FRAME_LEN;
+        let mut g = self.lock();
         if g.closed {
             // A closing connection accepts-and-discards: the Disconnect
             // command is already in flight.
-            return true;
+            return frames;
         }
         let count = g.per_query.entry(query).or_insert(0);
-        if *count >= cap {
-            return false;
+        let accepted = frames.min(cap.saturating_sub(*count) as usize);
+        if accepted == 0 {
+            return 0;
         }
-        *count += 1;
-        g.queue.push_back(Entry::Result(query, frame));
+        *count += accepted as u32;
+        if accepted < frames {
+            bytes.truncate(accepted * RESULT_FRAME_LEN);
+            bytes.shrink_to_fit();
+        }
+        g.queue.push_back(Entry::Results {
+            query,
+            frames: accepted as u32,
+            bytes,
+        });
         self.cv.notify_one();
-        true
+        accepted
     }
 
     fn close(&self) {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         g.closed = true;
         self.cv.notify_all();
     }
 
-    /// Blocks for the next frame; `None` once closed and drained.
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            if let Some(e) = g.queue.pop_front() {
-                return Some(match e {
-                    Entry::Control(f) => f,
-                    Entry::Result(q, f) => {
-                        if let Some(c) = g.per_query.get_mut(&q) {
-                            *c = c.saturating_sub(1);
-                        }
-                        f
-                    }
-                });
-            }
+    /// Blocks until something is queued, then moves **everything** queued
+    /// into `taken` (which must be empty) under one lock, returning the
+    /// result frames' budget to their subscriptions. `false` once closed
+    /// and drained.
+    fn take_all(&self, taken: &mut VecDeque<Entry>) -> bool {
+        let mut g = self.lock();
+        while g.queue.is_empty() {
             if g.closed {
-                return None;
+                return false;
             }
-            g = self.cv.wait(g).unwrap();
+            g = self
+                .cv
+                .wait(g)
+                .expect("no thread panics while holding the outbox lock");
         }
+        let inner = &mut *g;
+        std::mem::swap(&mut inner.queue, taken);
+        for e in taken.iter() {
+            if let Entry::Results { query, frames, .. } = e {
+                if let Some(c) = inner.per_query.get_mut(query) {
+                    *c = c.saturating_sub(*frames);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -222,13 +264,20 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Command>();
+        // Opened here so an unwritable trace path fails the spawn, not the
+        // shutdown of a host that has been tracing into the void.
+        let trace = cfg
+            .trace_path
+            .as_deref()
+            .map(TraceFile::create)
+            .transpose()?;
 
         let engine = {
             let cfg = cfg.clone();
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
                 .name("sgq-serve-engine".into())
-                .spawn(move || EngineLoop::new(cfg, shutdown).run(rx))?
+                .spawn(move || EngineLoop::new(cfg, shutdown, trace).run(rx))?
         };
 
         let accept = {
@@ -313,11 +362,25 @@ fn spawn_connection(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>) 
     Ok(())
 }
 
+/// A writer keeps its coalescing buffer across wakeups unless one burst
+/// grew it past this many bytes.
+const WRITER_BUF_KEEP: usize = 1 << 20;
+
 fn writer_loop(mut stream: TcpStream, outbox: Arc<Outbox>) {
-    while let Some(frame) = outbox.pop() {
-        if stream.write_all(&frame).is_err() {
+    let mut taken = VecDeque::new();
+    let mut buf = Vec::new();
+    while outbox.take_all(&mut taken) {
+        // Everything queued since the last wakeup goes out in one write.
+        buf.clear();
+        for e in taken.drain(..) {
+            buf.extend_from_slice(e.bytes());
+        }
+        if stream.write_all(&buf).is_err() {
             outbox.close();
             break;
+        }
+        if buf.capacity() > WRITER_BUF_KEEP {
+            buf = Vec::new();
         }
     }
     let _ = stream.flush();
@@ -393,12 +456,43 @@ fn reader_loop(
 // Engine thread
 // ---------------------------------------------------------------------
 
+/// The `--trace` file: lifecycle events streamed as JSON lines. Shared
+/// between the sink installed on the engine and the loop, which flushes it
+/// on graceful shutdown.
+#[derive(Clone)]
+struct TraceFile(Arc<Mutex<BufWriter<File>>>);
+
+impl TraceFile {
+    fn create(path: &str) -> io::Result<TraceFile> {
+        Ok(TraceFile(Arc::new(Mutex::new(BufWriter::new(
+            File::create(path)?,
+        )))))
+    }
+
+    fn flush(&self) -> io::Result<()> {
+        self.0
+            .lock()
+            .expect("no thread panics while holding the trace lock")
+            .flush()
+    }
+}
+
+impl TraceSink for TraceFile {
+    fn event(&mut self, ev: &TraceEvent) {
+        let mut out = self
+            .0
+            .lock()
+            .expect("no thread panics while holding the trace lock");
+        // A full disk must not take the host down; the flush on shutdown
+        // reports what the stream could not.
+        let _ = writeln!(out, "{}", ev.to_json());
+    }
+}
+
 struct Subscription {
     conn: ConnId,
     policy: Backpressure,
     cap: u32,
-    /// Cursor into `deleted_results(id)` — `drain` covers inserts only.
-    deleted_cursor: usize,
     /// Result frames dropped since the last `DROPPED` report
     /// (drop-newest policy).
     dropped: u64,
@@ -408,7 +502,7 @@ struct EngineLoop {
     cfg: ServeConfig,
     shutdown: Arc<AtomicBool>,
     engine: MultiQueryEngine,
-    trace: JsonlTraceSink,
+    trace: Option<TraceFile>,
     conns: HashMap<ConnId, Arc<Outbox>>,
     /// Ordered so result routing visits queries deterministically.
     subs: BTreeMap<QueryId, Subscription>,
@@ -421,7 +515,7 @@ struct EngineLoop {
 }
 
 impl EngineLoop {
-    fn new(cfg: ServeConfig, shutdown: Arc<AtomicBool>) -> EngineLoop {
+    fn new(cfg: ServeConfig, shutdown: Arc<AtomicBool>, trace: Option<TraceFile>) -> EngineLoop {
         let mut opts = EngineOptions::default();
         if cfg.explicit_deletes {
             opts.suppress_duplicates = false;
@@ -430,8 +524,9 @@ impl EngineLoop {
         if let Some(h) = cfg.retention {
             engine.set_retention_horizon(h);
         }
-        let trace = JsonlTraceSink::new();
-        engine.set_trace_sink(Box::new(trace.clone()));
+        if let Some(trace) = &trace {
+            engine.set_trace_sink(Box::new(trace.clone()));
+        }
         EngineLoop {
             cfg,
             shutdown,
@@ -633,7 +728,6 @@ impl EngineLoop {
                 conn,
                 policy,
                 cap,
-                deleted_cursor: 0,
                 dropped: 0,
             },
         );
@@ -734,48 +828,47 @@ impl EngineLoop {
         self.route_results();
     }
 
-    /// Drains every subscription's cursors and pushes result frames,
-    /// applying the backpressure policy on full buffers.
+    /// Forwards every subscription's undelivered results — all RESULT
+    /// frames of one (epoch, subscription) as one outbox entry — applying
+    /// the backpressure policy on full buffers, then lets the engine free
+    /// the history nobody can need any more.
     fn route_results(&mut self) {
         let mut evict: Vec<ConnId> = Vec::new();
-        let qids: Vec<QueryId> = self.subs.keys().copied().collect();
-        for id in qids {
-            let fresh = self.engine.drain(id);
-            let deleted: Vec<_> = {
-                let sub = &self.subs[&id];
-                self.engine.deleted_results(id)[sub.deleted_cursor..].to_vec()
-            };
-            let sub = self.subs.get_mut(&id).unwrap();
-            sub.deleted_cursor += deleted.len();
+        for (&id, sub) in self.subs.iter_mut() {
+            let mut chunk = Vec::new();
+            self.engine.for_each_undelivered(id, |delete, sgt| {
+                encode_result_into(
+                    &mut chunk,
+                    id.0,
+                    delete,
+                    sgt.src.0,
+                    sgt.trg.0,
+                    sgt.interval.ts,
+                    sgt.interval.exp,
+                );
+            });
+            if chunk.is_empty() {
+                continue;
+            }
             let Some(outbox) = self.conns.get(&sub.conn) else {
                 continue;
             };
-            let inserts = fresh.iter().map(|s| (false, s));
-            let deletes = deleted.iter().map(|s| (true, s));
-            for (del, sgt) in inserts.chain(deletes) {
-                let frame = Message::Result {
-                    query: id.0,
-                    delete: del,
-                    src: sgt.src.0,
-                    trg: sgt.trg.0,
-                    ts: sgt.interval.ts,
-                    exp: sgt.interval.exp,
-                }
-                .encode();
-                if !outbox.push_result(id.0, frame, sub.cap) {
-                    match sub.policy {
-                        Backpressure::DropNewest => sub.dropped += 1,
-                        Backpressure::Disconnect => {
-                            evict.push(sub.conn);
-                            break;
-                        }
-                    }
+            let frames = chunk.len() / RESULT_FRAME_LEN;
+            let accepted = outbox.push_results(id.0, chunk, sub.cap);
+            if accepted < frames {
+                match sub.policy {
+                    Backpressure::DropNewest => sub.dropped += (frames - accepted) as u64,
+                    Backpressure::Disconnect => evict.push(sub.conn),
                 }
             }
         }
         for conn in evict {
             self.drop_connection(conn, Some("slow consumer"));
         }
+        // Everything routed above is delivered as far as the engine is
+        // concerned (queued, dropped-and-counted, or its connection is
+        // gone): what is also expired at the watermark can go.
+        self.engine.release_delivered();
     }
 
     /// Emits `DROPPED` reports for lossy subscriptions (at barriers).
@@ -850,8 +943,10 @@ impl EngineLoop {
         self.flush_epoch();
         self.report_drops();
         self.dump_metrics();
-        if let Some(path) = &self.cfg.trace_path {
-            let _ = self.trace.write_to(path);
+        if let Some(trace) = &self.trace {
+            if let Err(e) = trace.flush() {
+                eprintln!("sgq-serve: trace file incomplete: {e}");
+            }
         }
         let conns: Vec<ConnId> = self.conns.keys().copied().collect();
         for conn in conns {
@@ -873,30 +968,98 @@ impl EngineLoop {
 mod tests {
     use super::*;
 
+    /// `n` result rows with distinguishable fields.
+    fn rows(n: u64) -> Vec<(bool, u64, u64, u64, u64)> {
+        (0..n)
+            .map(|i| (i % 3 == 0, i, i + 100, i * 7, i * 7 + 600))
+            .collect()
+    }
+
+    fn chunk(query: u64, rows: &[(bool, u64, u64, u64, u64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for &(delete, src, trg, ts, exp) in rows {
+            encode_result_into(&mut buf, query, delete, src, trg, ts, exp);
+        }
+        buf
+    }
+
+    /// What the per-frame outbox put on the socket for the same rows.
+    fn per_frame(query: u64, rows: &[(bool, u64, u64, u64, u64)]) -> Vec<u8> {
+        rows.iter()
+            .flat_map(|&(delete, src, trg, ts, exp)| {
+                Message::Result {
+                    query,
+                    delete,
+                    src,
+                    trg,
+                    ts,
+                    exp,
+                }
+                .encode()
+            })
+            .collect()
+    }
+
+    fn take_bytes(outbox: &Outbox) -> Option<Vec<u8>> {
+        let mut taken = VecDeque::new();
+        outbox
+            .take_all(&mut taken)
+            .then(|| taken.iter().flat_map(|e| e.bytes().to_vec()).collect())
+    }
+
     #[test]
     fn outbox_bounds_results_but_not_control() {
         let outbox = Outbox::new();
-        // Cap 2: third result frame is refused.
-        assert!(outbox.push_result(7, vec![1], 2));
-        assert!(outbox.push_result(7, vec![2], 2));
-        assert!(!outbox.push_result(7, vec![3], 2));
+        let r = rows(6);
+        // Cap 2: a third frame is refused, whether it comes alone or as
+        // the tail of a chunk.
+        assert_eq!(outbox.push_results(7, chunk(7, &r[..1]), 2), 1);
+        assert_eq!(outbox.push_results(7, chunk(7, &r[1..4]), 2), 1);
+        assert_eq!(outbox.push_results(7, chunk(7, &r[4..5]), 2), 0);
         // A different subscription has its own budget.
-        assert!(outbox.push_result(8, vec![4], 2));
+        assert_eq!(outbox.push_results(8, chunk(8, &r[..1]), 2), 1);
         // Control frames bypass the cap.
         outbox.push_control(vec![5]);
-        // Popping frees budget.
-        assert_eq!(outbox.pop(), Some(vec![1]));
-        assert!(outbox.push_result(7, vec![6], 2));
+        // Taking frees budget.
+        let mut expect = per_frame(7, &r[..2]);
+        expect.extend(per_frame(8, &r[..1]));
+        expect.push(5);
+        assert_eq!(take_bytes(&outbox), Some(expect));
+        assert_eq!(outbox.push_results(7, chunk(7, &r[..2]), 2), 2);
         outbox.close();
-        // Drain the rest, then None.
-        let mut rest = Vec::new();
-        while let Some(f) = outbox.pop() {
-            rest.push(f);
-        }
-        assert_eq!(rest, vec![vec![2], vec![4], vec![5], vec![6]]);
-        assert!(outbox.pop().is_none());
+        // Drain the rest, then nothing.
+        assert_eq!(take_bytes(&outbox), Some(per_frame(7, &r[..2])));
+        assert_eq!(take_bytes(&outbox), None);
         // Closed outboxes accept-and-discard.
-        assert!(outbox.push_result(7, vec![9], 2));
-        assert!(outbox.pop().is_none());
+        assert_eq!(outbox.push_results(7, chunk(7, &r), 2), 6);
+        assert_eq!(take_bytes(&outbox), None);
+    }
+
+    /// The chunked outbox puts the same bytes on the socket as one entry
+    /// per frame did, including when a chunk is cut at the subscription
+    /// cap and control frames are queued around it.
+    #[test]
+    fn chunked_outbox_preserves_the_byte_stream() {
+        let r = rows(10);
+        assert_eq!(chunk(3, &r), per_frame(3, &r));
+        assert_eq!(chunk(3, &r).len(), 10 * RESULT_FRAME_LEN);
+
+        let pong = Message::Pong { token: 9 }.encode();
+        let bye = Message::Bye {
+            reason: "shutdown".into(),
+        }
+        .encode();
+        let outbox = Outbox::new();
+        outbox.push_control(pong.clone());
+        // Room for 4 of query 3's 10 frames; query 4 fits whole.
+        assert_eq!(outbox.push_results(3, chunk(3, &r), 4), 4);
+        assert_eq!(outbox.push_results(4, chunk(4, &r[..3]), 4), 3);
+        outbox.push_control(bye.clone());
+
+        let mut expect = pong;
+        expect.extend(per_frame(3, &r[..4]));
+        expect.extend(per_frame(4, &r[..3]));
+        expect.extend(bye);
+        assert_eq!(take_bytes(&outbox), Some(expect));
     }
 }
