@@ -2,14 +2,14 @@
 //! measured at shards ∈ {1, 2, 4} × workers ∈ {1, 4}.
 //!
 //! Each measured configuration hosts `VARIANT_DAYS.len()` window-size
-//! variants of query Qn on one [`MultiQueryEngine`] (the same
-//! parameter-sweep fleets as `BENCH_parallel`), ingesting the stream
+//! variants of query Qn on one [`MultiQueryEngine`] (a parameter-sweep
+//! fleet: same query text, several window sizes), ingesting the stream
 //! through the drain-only batch path at batch size 256. With `shards >
 //! 1` every label's WSCANs — and the operator closure reachable only
 //! from them — execute whole epochs as independent shard-subgraph jobs,
-//! synchronizing only at the recorded cross-shard merge points, so
-//! unlike per-level dispatch the shards never wait for each other
-//! between levels.
+//! synchronizing only at the recorded cross-shard merge points. The
+//! `shards = 1` rows run the serial sweep; their `workers = 4` variant
+//! adds only the parallel purge.
 //!
 //! Alongside wall clock, the JSON rows record the shard-shape counters
 //! (`shard_subgraphs` = populated shard groups, `merge_points`,
@@ -36,7 +36,7 @@ use sgq_datagen::workloads::Dataset;
 use sgq_multiquery::MultiQueryEngine;
 use std::time::{Duration, Instant};
 
-/// Ingestion batch size (matches `BENCH_parallel`).
+/// Ingestion batch size.
 const BATCH: usize = 256;
 /// Timed passes per configuration; best is reported.
 const PASSES: usize = 2;

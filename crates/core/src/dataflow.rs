@@ -29,14 +29,12 @@
 //! graph (recomputed whenever `lower`/`retire` change it): level 0 holds
 //! the sources, and every other node sits one past its deepest producer.
 //! Nodes inside one level never exchange data within an epoch — a dataflow
-//! edge always crosses to a strictly higher level — so a level's ready
-//! nodes (those holding unconsumed deliveries) are independent units of
-//! work. With [`EngineOptions::workers`] > 1 they are dispatched onto a
-//! persistent worker pool (the private `pool` module); either way, outputs are
-//! published in ascending node-id order within the level, so the emitted
-//! result stream and every inbox arrival order are **identical at any
-//! worker count** (the serial sweep is literally the `workers = 1` case of
-//! the same schedule).
+//! edge always crosses to a strictly higher level — so when a level runs,
+//! every input its nodes will see this epoch has already arrived. The
+//! serial sweep runs each level's ready nodes (those holding unconsumed
+//! deliveries) in ascending node-id order on the calling thread and
+//! publishes their outputs in that order; that order *is* the determinism
+//! contract every other execution shape reproduces.
 //!
 //! Level computation relies on the lowering invariant that children are
 //! created before parents: every edge points from a lower node id to a
@@ -44,22 +42,26 @@
 //!
 //! ## Label-sharded execution
 //!
-//! Per-level dispatch still barriers the whole graph at every level: the
-//! narrow operators of one plan wait for the widest level of another.
-//! With [`EngineOptions::shards`] > 1 the WSCAN leaves are additionally
-//! partitioned **by edge label** into shard groups, and each shard's
+//! With [`EngineOptions::shards`] > 1 the WSCAN leaves are partitioned
+//! **by edge label** into shard groups, and each shard's
 //! **shard-subgraph** — the closure of operators reachable *only* from
 //! its labels, computed over the same pruned successor lists the schedule
 //! rebuild maintains — executes a whole epoch (all of its levels, no
-//! inter-shard barrier) as one `ShardJob` on the worker pool. Operators
-//! whose inputs span shards are explicit **merge points**: they sit at
-//! known levels, so after the shard jobs complete the scheduler thread
-//! replays the recorded shard emissions and executes the merge points
-//! interleaved in the serial schedule order (levels ascending, node ids
-//! ascending within a level). Sink call order, inbox arrival orders, and
-//! the deterministic [`ExecStats`] counters are therefore **bit-identical
-//! at any `(shards, workers)` combination** — the sharding-determinism
-//! proptests and the CI matrix enforce exactly that.
+//! inter-shard barrier) as one `ShardJob`: inline on the calling thread,
+//! or with [`EngineOptions::workers`] > 1 on a persistent worker pool
+//! (the private `pool` module). Operators whose inputs span shards are
+//! explicit **merge points**: they sit at known levels, so after the
+//! shard jobs complete the scheduler thread replays the recorded shard
+//! emissions and executes the merge points interleaved in the serial
+//! schedule order (levels ascending, node ids ascending within a level).
+//! Sink call order, inbox arrival orders, and the deterministic
+//! [`ExecStats`] counters are therefore **bit-identical at any `(shards,
+//! workers)` combination** — the sharding-determinism proptests and the
+//! CI matrix enforce exactly that. Epochs too small to be worth the job
+//! assembly (or active on fewer than two shards) take the serial sweep.
+//!
+//! The pool's only other client is [`Dataflow::purge`], which reclaims
+//! runs of direct-approach operators in parallel when `workers > 1`.
 
 use crate::algebra::SgaExpr;
 use crate::engine::{DispatchMode, EngineOptions, PathImpl, PatternImpl};
@@ -69,18 +71,19 @@ use crate::physical::pattern::{CompiledPattern, PatternOp};
 use crate::physical::simple::{FilterOp, UnionOp, WScanOp};
 use crate::physical::wcoj::WcojPatternOp;
 use crate::physical::{negpath::NegPathOp, spath::SPathOp, Delta, DeltaBatch, PhysicalOp};
-use crate::pool::{LevelJob, PurgeJob, ShardJob, ShardPlan, WorkerPool};
+use crate::pool::{PurgeJob, ShardJob, ShardPlan, WorkerPool};
 use crate::sketch::{self, Rebalancer, StreamSketch};
 use sgq_types::{FxHashMap, FxHashSet, Label, SharedDeltaBatch, Timestamp};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Minimum total deltas queued across a level's ready nodes before the
-/// level is dispatched onto the worker pool; below this, the channel
-/// round-trip and thread wake-ups cost more than the operator work and
-/// the level runs inline. Purely a performance gate — results are
-/// identical either way, so any value preserves determinism.
-const PARALLEL_MIN_DELTAS: u64 = 16;
+/// Minimum deltas seeded into an epoch before it is routed through the
+/// shard-subgraph executor; below this, assembling the jobs (and, with a
+/// pool, the queue round-trip and thread wake-ups) costs more than the
+/// operator work and the epoch takes the serial sweep. Purely a
+/// performance gate — results are identical either way, so any value
+/// preserves determinism.
+const SHARD_MIN_DELTAS: u64 = 16;
 
 /// One completed shard job's replay state: the shard topology plus a
 /// cursor over its recorded emissions, consumed strictly in (level, id)
@@ -168,14 +171,15 @@ pub struct Dataflow {
     /// Per-shard sweep nanos accumulated since the last rebalance check —
     /// the measured hot-shard signal. Reset after every check.
     shard_nanos_window: Vec<u64>,
-    /// Per-shard sweep nanos of the most recent sharded epoch (feeds the
-    /// explain-analyze shard-share column). Zeroed on serial epochs.
+    /// Per-shard sweep nanos of the most recent epoch (feeds the
+    /// explain-analyze shard-share column): all zeros when that epoch
+    /// took the serial sweep.
     shard_nanos_last: Vec<u64>,
     /// Cumulative per-shard sweep nanos since construction.
     shard_nanos_total: Vec<u64>,
-    /// Worker threads for parallel level dispatch, spawned lazily on the
-    /// first level wide enough to use them (`None` until then, and always
-    /// `None` when `opts.workers <= 1`).
+    /// Worker threads for shard jobs and parallel purge runs, spawned
+    /// lazily on the first dispatch that uses them (`None` until then,
+    /// and always `None` when `opts.workers <= 1`).
     pool: Option<WorkerPool>,
     stats: ExecStats,
     /// Per-node observability stats (parallel to `nodes`); written only at
@@ -641,10 +645,10 @@ impl Dataflow {
             .count()
     }
 
-    /// Per-shard sweep nanos of the most recent sharded epoch, indexed by
-    /// shard id (all zeros after a serial epoch; empty when sharding is
-    /// disabled). Wall-clock observability — never part of the
-    /// determinism contract.
+    /// Per-shard sweep nanos of the most recent epoch, indexed by shard id
+    /// (all zeros when that epoch took the serial sweep; empty when
+    /// sharding is disabled). Wall-clock observability — never part of
+    /// the determinism contract.
     pub fn shard_nanos_last(&self) -> &[u64] {
         &self.shard_nanos_last
     }
@@ -969,70 +973,40 @@ impl Dataflow {
 
     /// The epoch sweep, driven by the explicit level schedule: levels run
     /// in depth order, and within a level the ready nodes run in ascending
-    /// node-id order — serially on the calling thread, or (with
-    /// `workers > 1` and at least two ready nodes) on the worker pool.
-    /// Every edge crosses to a strictly higher level, so when a level runs
-    /// all of its inputs for this epoch are present, and nodes within it
-    /// share no data. Each node consumes its inbox segments in arrival
-    /// order, one [`PhysicalOp::on_batch`] call per segment, and publishes
-    /// a single combined output batch that each successor receives by
-    /// reference.
-    ///
-    /// Publication is *always* in ascending node order within the level
-    /// (the pool's merge step re-sorts completions), so inbox arrival
-    /// orders, sink call order, and therefore results are identical at any
-    /// worker count.
+    /// node-id order on the calling thread (unless the epoch qualifies for
+    /// the shard-subgraph executor, which reproduces the same order). Every
+    /// edge crosses to a strictly higher level, so when a level runs all of
+    /// its inputs for this epoch are present. Each node consumes its inbox
+    /// segments in arrival order, one [`PhysicalOp::on_batch`] call per
+    /// segment, and publishes a single combined output batch that each
+    /// successor receives by reference.
     fn run_epoch(&mut self, now: Timestamp, mut sink: impl FnMut(usize, &DeltaBatch)) {
         debug_assert!(!self.schedule_dirty);
         if self.try_run_epoch_sharded(now, &mut sink) {
             return;
         }
+        // A serial epoch has no per-shard split to report (the slice is
+        // empty when sharding is disabled).
+        self.shard_nanos_last.fill(0);
         for lvl in 0..self.ready.len() {
             if self.ready[lvl].is_empty() {
                 continue;
             }
-            // Level timing only matters when a pool exists to occupy;
-            // the serial hot path (per-tuple `process` sweeps a level per
-            // cascade step) skips the clock reads entirely.
-            let started = (self.opts.workers > 1).then(Instant::now);
             let mut nodes = std::mem::take(&mut self.ready[lvl]);
             // Ready order is publish order, not id order; restore the
             // deterministic schedule order.
             nodes.sort_unstable();
             self.stats.levels_run += 1;
             self.stats.max_level_width = self.stats.max_level_width.max(nodes.len());
-            // The per-tuple ablation keeps its historical serial loop;
-            // trickle levels stay inline (see [`PARALLEL_MIN_DELTAS`]).
-            let parallel = self.opts.workers > 1
-                && nodes.len() > 1
-                && self.opts.dispatch == DispatchMode::Epoch
-                && nodes
-                    .iter()
-                    .flat_map(|&n| self.inboxes[n].iter())
-                    .map(|(_, b)| b.len() as u64)
-                    .sum::<u64>()
-                    >= PARALLEL_MIN_DELTAS;
             if self.trace.is_some() {
                 self.emit_trace(TraceEvent::LevelDispatch {
                     epoch: self.stats.epochs,
                     level: lvl,
                     width: nodes.len(),
-                    parallel,
                 });
             }
-            if parallel {
-                self.run_level_parallel(&nodes, now, &mut sink);
-            } else {
-                for &n in &nodes {
-                    self.run_node(n, now, &mut sink);
-                }
-            }
-            if let Some(started) = started {
-                let nanos = started.elapsed().as_nanos() as u64;
-                self.stats.level_nanos += nanos;
-                if parallel {
-                    self.stats.parallel_nanos += nanos;
-                }
+            for &n in &nodes {
+                self.run_node(n, now, &mut sink);
             }
             nodes.clear();
             self.ready[lvl] = nodes; // keep the allocation
@@ -1042,7 +1016,7 @@ impl Dataflow {
     /// Routes the epoch through the shard-subgraph executor when label
     /// sharding is enabled and the epoch is worth it: at least two shards
     /// hold ready work (otherwise there is nothing to overlap) and the
-    /// seeded delta volume clears [`PARALLEL_MIN_DELTAS`] (trickle epochs
+    /// seeded delta volume clears [`SHARD_MIN_DELTAS`] (trickle epochs
     /// stay on the plain level sweep). Pure dispatch policy — both paths
     /// produce bit-identical observable effects — so any gate preserves
     /// determinism. Returns whether the sharded path ran.
@@ -1067,7 +1041,7 @@ impl Dataflow {
                     .sum::<u64>();
             }
         }
-        if active.count_ones() < 2 || deltas < PARALLEL_MIN_DELTAS {
+        if active.count_ones() < 2 || deltas < SHARD_MIN_DELTAS {
             return false;
         }
         self.run_epoch_sharded(now, sink);
@@ -1193,9 +1167,7 @@ impl Dataflow {
         // Merge pass 1: restore every operator and inbox allocation and
         // accumulate counters before anything can unwind, so a panicking
         // operator leaves the arena structurally intact.
-        for v in &mut self.shard_nanos_last {
-            *v = 0;
-        }
+        self.shard_nanos_last.fill(0);
         let mut shard_ready = vec![0u64; depth];
         let mut replays: Vec<ShardReplay> = Vec::with_capacity(done.len());
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
@@ -1244,9 +1216,9 @@ impl Dataflow {
             }
         }
         if let Some(p) = panic {
-            // Abandon the epoch cleanly before unwinding (see
-            // `run_level_parallel`): drop every pending delivery so a
-            // host that catches the panic cannot replay half an epoch.
+            // Abandon the epoch cleanly before unwinding: drop every
+            // pending delivery, so a host that catches the panic and
+            // keeps the engine cannot replay half an epoch into the next.
             for lvl in 0..depth {
                 self.ready[lvl].clear();
             }
@@ -1384,96 +1356,6 @@ impl Dataflow {
             self.spare.push(out);
         } else {
             self.publish(n, out, sink);
-        }
-    }
-
-    /// Runs one level's ready nodes on the worker pool. Each node's
-    /// operator and inbox segments are moved into a job, executed on
-    /// whichever worker picks it up, and merged back — operator restored,
-    /// stats accumulated, output published — in ascending node order, so
-    /// the observable effects are exactly the serial sweep's.
-    fn run_level_parallel(
-        &mut self,
-        nodes: &[usize],
-        now: Timestamp,
-        sink: &mut impl FnMut(usize, &DeltaBatch),
-    ) {
-        let mut jobs = Vec::with_capacity(nodes.len());
-        for (idx, &n) in nodes.iter().enumerate() {
-            debug_assert!(!self.retired[n], "ready nodes are live");
-            jobs.push(LevelJob {
-                idx,
-                node: n,
-                op: std::mem::replace(&mut self.nodes[n].op, Box::new(Tombstone)),
-                segs: std::mem::take(&mut self.inboxes[n]),
-                out: self.spare.pop().unwrap_or_default(),
-                now,
-                invocations: 0,
-                dispatched: 0,
-                timed: self.opts.obs.timing(),
-                nanos: 0,
-                panic: None,
-            });
-        }
-        self.stats.parallel_levels += 1;
-        self.stats.parallel_node_runs += jobs.len() as u64;
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.opts.workers));
-        }
-        let done = self
-            .pool
-            .as_ref()
-            .expect("pool just ensured")
-            .run_level(jobs);
-        // Merge pass 1: restore every operator and recycle consumed
-        // segments before anything can unwind, so a panicking operator
-        // leaves the arena structurally intact.
-        let mut outs: Vec<(usize, DeltaBatch)> = Vec::with_capacity(done.len());
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for mut job in done {
-            self.nodes[job.node].op = job.op;
-            for (_, batch) in job.segs.drain(..) {
-                self.recycle_shared(batch);
-            }
-            self.inboxes[job.node] = job.segs; // keep the allocation
-            self.stats.operator_invocations += job.invocations;
-            self.stats.deltas_dispatched += job.dispatched;
-            if self.opts.obs.counting() {
-                let os = &mut self.op_stats[job.node];
-                os.invocations += job.invocations;
-                os.deltas_in += job.dispatched;
-                os.deltas_out += job.out.len() as u64;
-                os.batch_nanos += job.nanos;
-                if self.profile_epochs && job.nanos > 0 {
-                    self.epoch_profile.push((job.node, job.nanos));
-                }
-            }
-            if let Some(p) = job.panic.take() {
-                panic.get_or_insert(p);
-            } else {
-                outs.push((job.node, job.out));
-            }
-        }
-        if let Some(p) = panic {
-            // Abandon the epoch cleanly before unwinding: deeper levels
-            // may already hold deliveries (ready lists + inboxes) from
-            // earlier publishes. A host that catches the panic and keeps
-            // the engine must not replay half an epoch into the next one.
-            for lvl in 0..self.ready.len() {
-                for n in std::mem::take(&mut self.ready[lvl]) {
-                    self.inboxes[n].clear();
-                }
-            }
-            std::panic::resume_unwind(p);
-        }
-        // Merge pass 2: publish in ascending node order — `outs` preserves
-        // the ready list's sorted order, so this is the serial order.
-        for (n, out) in outs {
-            if out.is_empty() {
-                self.spare.push(out);
-            } else {
-                self.publish(n, out, sink);
-            }
         }
     }
 
@@ -1851,6 +1733,26 @@ mod tests {
         plan_canonical(&SgqQuery::new(p, WindowSpec::sliding(10)))
     }
 
+    fn edge(i: u64, l: Label) -> Delta {
+        Delta::Insert(sgq_types::Sgt::edge(
+            sgq_types::VertexId(i % 5),
+            sgq_types::VertexId((i + 1) % 5),
+            l,
+            sgq_types::Interval::new(0, 10),
+        ))
+    }
+
+    /// One epoch of forty inserts alternating between two labels: both
+    /// shards of a two-label join are active and the shard gate clears.
+    fn alternating_epoch(a: Label, b: Label) -> Vec<(Label, Delta)> {
+        (0..40u64)
+            .map(|i| {
+                let l = if i % 2 == 0 { a } else { b };
+                (l, edge(i, l))
+            })
+            .collect()
+    }
+
     #[test]
     fn lowering_is_memoized_across_plans() {
         let mut flow = Dataflow::new(EngineOptions::default());
@@ -1940,61 +1842,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial_results() {
-        // One shared stream, two window variants: level 0 is two WSCANs
-        // wide, so workers = 3 exercises the pool; outputs must be
-        // bit-identical to the serial sweep (same epoch, same graph).
-        // Sharding pinned off: this test asserts on the *level*-parallel
-        // dispatch, which the sharded path would otherwise absorb when
-        // the suite runs under SGQ_SHARDS > 1.
-        let build = |workers: usize| {
-            let mut flow = Dataflow::new(EngineOptions {
-                workers,
-                shards: 1,
-                ..Default::default()
-            });
-            let p = plan("Ans(x, y) <- a(x, z), b(z, y).");
-            let root = flow.lower(&p.expr);
-            (flow, p, root)
-        };
-        let run = |workers: usize| {
-            let (mut flow, p, root) = build(workers);
-            let a = p.labels.get("a").unwrap();
-            let b = p.labels.get("b").unwrap();
-            let mut emitted: Vec<(usize, Delta)> = Vec::new();
-            let epoch: Vec<(Label, Delta)> = (0..40u64)
-                .map(|i| {
-                    let l = if i % 2 == 0 { a } else { b };
-                    (
-                        l,
-                        Delta::Insert(sgq_types::Sgt::edge(
-                            sgq_types::VertexId(i % 5),
-                            sgq_types::VertexId((i + 1) % 5),
-                            l,
-                            sgq_types::Interval::new(0, 10),
-                        )),
-                    )
-                })
-                .collect();
-            flow.ingest_epoch(epoch, 0, |n, batch| {
-                for d in batch.iter() {
-                    emitted.push((n, d.clone()));
-                }
-            });
-            (emitted, root, flow.exec_stats())
-        };
-        let (serial, _, s_stats) = run(1);
-        let (parallel, _, p_stats) = run(3);
-        assert_eq!(serial, parallel, "emission streams must be identical");
-        assert_eq!(
-            s_stats.determinism_fingerprint(),
-            p_stats.determinism_fingerprint()
-        );
-        assert!(p_stats.parallel_levels > 0, "the pool actually ran");
-        assert!(s_stats.parallel_levels == 0, "serial sweep stays serial");
-    }
-
-    #[test]
     fn shard_closures_partition_by_label() {
         let mut flow = Dataflow::new(EngineOptions {
             shards: 2,
@@ -2055,8 +1902,8 @@ mod tests {
 
     #[test]
     fn sharded_sweep_matches_serial_results() {
-        // The same epoch as `parallel_sweep_matches_serial_results`, run
-        // at (shards, workers) ∈ {(1,1), (2,1), (2,3)}: emission streams
+        // One epoch, alternating two labels into a join, run at
+        // (shards, workers) ∈ {(1,1), (2,1), (2,3)}: emission streams
         // and determinism fingerprints must be bit-identical, and the
         // sharded configurations must actually take the sharded path.
         let run = |shards: usize, workers: usize| {
@@ -2070,21 +1917,7 @@ mod tests {
             let a = p.labels.get("a").unwrap();
             let b = p.labels.get("b").unwrap();
             let mut emitted: Vec<(usize, Delta)> = Vec::new();
-            let epoch: Vec<(Label, Delta)> = (0..40u64)
-                .map(|i| {
-                    let l = if i % 2 == 0 { a } else { b };
-                    (
-                        l,
-                        Delta::Insert(sgq_types::Sgt::edge(
-                            sgq_types::VertexId(i % 5),
-                            sgq_types::VertexId((i + 1) % 5),
-                            l,
-                            sgq_types::Interval::new(0, 10),
-                        )),
-                    )
-                })
-                .collect();
-            flow.ingest_epoch(epoch, 0, |n, batch| {
+            flow.ingest_epoch(alternating_epoch(a, b), 0, |n, batch| {
                 for d in batch.iter() {
                     emitted.push((n, d.clone()));
                 }
@@ -2111,6 +1944,28 @@ mod tests {
             h_stats.cross_shard_deliveries > 0,
             "the join merged across shards"
         );
+    }
+
+    #[test]
+    fn serial_fallback_epoch_clears_the_shard_share() {
+        let mut flow = Dataflow::new(EngineOptions {
+            shards: 2,
+            ..Default::default()
+        });
+        let p = plan("Ans(x, y) <- a(x, z), b(z, y).");
+        let _root = flow.lower(&p.expr);
+        let a = p.labels.get("a").unwrap();
+        let b = p.labels.get("b").unwrap();
+        flow.ingest_epoch(alternating_epoch(a, b), 0, |_, _| {});
+        assert_eq!(flow.exec_stats().shard_epochs, 1, "took the sharded path");
+        // One delta is under the shard gate: the serial sweep runs, and
+        // the previous epoch's split must not linger.
+        flow.ingest(a, edge(7, a), 0, |_, _| {});
+        assert_eq!(flow.exec_stats().shard_epochs, 1, "took the serial sweep");
+        assert_eq!(flow.shard_nanos_last(), [0, 0]);
+        let rendered = flow.explain_expr(&p.expr);
+        assert!(rendered.contains("shard="), "{rendered}");
+        assert!(!rendered.contains("shard_share="), "{rendered}");
     }
 
     #[test]

@@ -128,19 +128,21 @@ pub struct EngineOptions {
     pub purge_period: Option<u64>,
     /// Executor delivery granularity (see [`DispatchMode`]).
     pub dispatch: DispatchMode,
-    /// Worker threads for the level-scheduled epoch sweep. `1` (the
-    /// default) runs every level on the calling thread — exactly the
-    /// serial executor, preserving the [`DispatchMode::Tuple`] ablation's
-    /// cost model. Values > 1 dispatch each level's ready nodes onto a
-    /// persistent pool of that many threads; per-node outputs are merged
-    /// back in deterministic node order, so **results are identical at
-    /// any worker count** (asserted by the parallel-determinism
-    /// proptests). The default honours the `SGQ_WORKERS` environment
-    /// variable, which is how CI runs the whole suite at several worker
-    /// counts without touching test code.
+    /// Worker threads for the two kinds of work the executor hands to its
+    /// pool: the per-epoch shard-subgraph jobs (when [`shards`] > 1) and
+    /// runs of direct-approach operator purges. `1` (the default) spawns no
+    /// pool and runs both on the calling thread. The epoch sweep itself is
+    /// always serial at `shards = 1`, whatever the worker count. Pool jobs
+    /// are merged back in deterministic node order, so **results are
+    /// identical at any worker count** (asserted by the sharding- and
+    /// purge-determinism proptests). The default honours the
+    /// `SGQ_WORKERS` environment variable, which is how CI runs the whole
+    /// suite at several worker counts without touching test code.
+    ///
+    /// [`shards`]: EngineOptions::shards
     pub workers: usize,
     /// Label shards for the shard-subgraph executor. `1` (the default)
-    /// disables sharding: every epoch runs the plain level-ordered sweep.
+    /// disables sharding: every epoch runs the serial level-ordered sweep.
     /// Values > 1 partition the WSCAN leaves by edge label into that many
     /// shard groups; each shard's reachable-only-from-its-labels operator
     /// closure (its **shard-subgraph**) executes a whole epoch — all of

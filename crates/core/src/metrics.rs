@@ -28,25 +28,11 @@ pub struct ExecStats {
     /// Largest single epoch seeded, in input deltas.
     pub max_epoch_input: usize,
     /// Schedule levels executed (levels with at least one ready node).
-    /// Deterministic: identical across worker counts.
+    /// Deterministic: identical across worker and shard counts.
     pub levels_run: u64,
-    /// Widest level executed, in ready nodes — the upper bound on how many
-    /// workers one level can occupy. Deterministic across worker counts.
+    /// Widest level executed, in ready nodes. Deterministic across worker
+    /// and shard counts.
     pub max_level_width: usize,
-    /// Levels whose ready nodes were dispatched onto the worker pool
-    /// (workers > 1 and ≥ 2 ready nodes). **Not** part of the determinism
-    /// contract — it depends on `EngineOptions::workers`.
-    pub parallel_levels: u64,
-    /// Operator runs executed on worker-pool threads (worker occupancy
-    /// numerator). Not part of the determinism contract.
-    pub parallel_node_runs: u64,
-    /// Wall-clock nanoseconds spent executing schedule levels across all
-    /// epochs — collected only when `workers > 1` (the serial hot path
-    /// skips the clock reads). Timing, never deterministic.
-    pub level_nanos: u64,
-    /// Wall-clock nanoseconds of `level_nanos` spent in pool-dispatched
-    /// levels. Timing, never deterministic.
-    pub parallel_nanos: u64,
     /// Epochs executed through the label-sharded path (shard-subgraph
     /// jobs plus the scheduler-thread merge replay). Depends on
     /// `EngineOptions::shards` — **not** part of the determinism contract.
@@ -93,24 +79,6 @@ impl ExecStats {
         self.input_deltas as f64 / self.epochs as f64
     }
 
-    /// Mean ready nodes per pool-dispatched level — the parallelism the
-    /// schedule actually exposed when the pool was used.
-    pub fn mean_parallel_width(&self) -> f64 {
-        if self.parallel_levels == 0 {
-            return 0.0;
-        }
-        self.parallel_node_runs as f64 / self.parallel_levels as f64
-    }
-
-    /// Fraction of `workers` slots a pool-dispatched level kept busy on
-    /// average (`mean_parallel_width / workers`, capped at 1.0).
-    pub fn worker_occupancy(&self, workers: usize) -> f64 {
-        if workers == 0 {
-            return 0.0;
-        }
-        (self.mean_parallel_width() / workers as f64).min(1.0)
-    }
-
     /// Mean shard-subgraph jobs per sharded epoch — the inter-shard
     /// parallelism the label partition actually exposed.
     pub fn mean_shard_width(&self) -> f64 {
@@ -130,12 +98,12 @@ impl ExecStats {
     }
 
     /// The counters guaranteed identical across worker **and shard** counts
-    /// for the same input — what the parallel- and sharding-determinism
-    /// tests compare. Excludes the pool-shape counters (`parallel_*`), the
-    /// shard-shape counters (`shard_*`, `cross_shard_deliveries`,
-    /// `parallel_purge_ops`, `rebalances`) and wall-clock timings, which
-    /// legitimately vary with `EngineOptions::workers` /
-    /// `EngineOptions::shards` / `EngineOptions::adaptive`.
+    /// for the same input — what the sharding- and purge-determinism tests
+    /// compare. Excludes the dispatch-shape counters (`shard_*`,
+    /// `cross_shard_deliveries`, `parallel_purge_ops`, `rebalances`) and
+    /// wall-clock timings, which legitimately vary with
+    /// `EngineOptions::workers` / `EngineOptions::shards` /
+    /// `EngineOptions::adaptive`.
     pub fn determinism_fingerprint(&self) -> [u64; 9] {
         [
             self.epochs,
@@ -270,30 +238,6 @@ mod tests {
         let zero = ExecStats::default();
         assert_eq!(zero.deltas_per_invocation(), 0.0);
         assert_eq!(zero.mean_epoch_input(), 0.0);
-    }
-
-    #[test]
-    fn parallel_ratios_and_fingerprint() {
-        let s = ExecStats {
-            epochs: 4,
-            parallel_levels: 5,
-            parallel_node_runs: 15,
-            parallel_nanos: 1_000,
-            level_nanos: 2_000,
-            ..Default::default()
-        };
-        assert!((s.mean_parallel_width() - 3.0).abs() < 1e-9);
-        assert!((s.worker_occupancy(4) - 0.75).abs() < 1e-9);
-        assert_eq!(s.worker_occupancy(0), 0.0);
-        assert_eq!(ExecStats::default().mean_parallel_width(), 0.0);
-        // Pool shape and timings are excluded from the fingerprint: two
-        // runs differing only in worker count fingerprint identically.
-        let mut t = s;
-        t.parallel_levels = 0;
-        t.parallel_node_runs = 0;
-        t.parallel_nanos = 0;
-        t.level_nanos = 999;
-        assert_eq!(s.determinism_fingerprint(), t.determinism_fingerprint());
     }
 
     #[test]

@@ -339,8 +339,6 @@ pub enum TraceEvent {
         level: usize,
         /// Ready nodes executed.
         width: usize,
-        /// Whether the level ran on the worker pool.
-        parallel: bool,
     },
     /// One shard-subgraph job was dispatched for the epoch.
     ShardJob {
@@ -453,9 +451,8 @@ impl TraceEvent {
                 epoch,
                 level,
                 width,
-                parallel,
             } => format!(
-                "{{\"event\":\"level_dispatch\",\"epoch\":{epoch},\"level\":{level},\"width\":{width},\"parallel\":{parallel}}}"
+                "{{\"event\":\"level_dispatch\",\"epoch\":{epoch},\"level\":{level},\"width\":{width}}}"
             ),
             TraceEvent::ShardJob {
                 epoch,
@@ -752,7 +749,7 @@ impl MetricsSnapshot {
             "{{\"record\":\"exec\",\"obs\":\"{}\",\"epochs\":{},\"input_deltas\":{},\
              \"operator_invocations\":{},\"deltas_dispatched\":{},\"deltas_emitted\":{},\
              \"fanout_deliveries\":{},\"levels_run\":{},\"shard_epochs\":{},\
-             \"level_nanos\":{},\"shard_nanos\":{},\"state_entries\":{}}}\n",
+             \"shard_nanos\":{},\"state_entries\":{}}}\n",
             self.level.name(),
             self.exec.epochs,
             self.exec.input_deltas,
@@ -762,7 +759,6 @@ impl MetricsSnapshot {
             self.exec.fanout_deliveries,
             self.exec.levels_run,
             self.exec.shard_epochs,
-            self.exec.level_nanos,
             self.exec.shard_nanos,
             self.state_entries,
         );
@@ -957,7 +953,6 @@ mod tests {
                 epoch: 1,
                 level: 0,
                 width: 2,
-                parallel: false,
             },
             TraceEvent::ShardJob {
                 epoch: 1,
@@ -1051,7 +1046,15 @@ mod tests {
         for line in jsonl.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
-        assert!(jsonl.contains("\"record\":\"exec\""));
+        assert_eq!(
+            jsonl.lines().next(),
+            Some(
+                "{\"record\":\"exec\",\"obs\":\"timing\",\"epochs\":3,\"input_deltas\":12,\
+                 \"operator_invocations\":0,\"deltas_dispatched\":0,\"deltas_emitted\":0,\
+                 \"fanout_deliveries\":0,\"levels_run\":0,\"shard_epochs\":0,\
+                 \"shard_nanos\":0,\"state_entries\":7}"
+            )
+        );
         assert!(jsonl.contains("\"record\":\"operator\""));
         assert!(jsonl.contains("\"record\":\"query\""));
         assert!(jsonl.contains("\"log_retained\":3,\"log_released\":1"));

@@ -1,12 +1,10 @@
-//! A small persistent worker pool for the level-scheduled epoch sweep,
-//! shard-subgraph execution, and parallel state reclamation.
+//! A small persistent worker pool for shard-subgraph execution and
+//! parallel state reclamation.
 //!
-//! The dataflow executor ([`crate::dataflow::Dataflow`]) has three kinds
-//! of embarrassingly parallel work, each shipped to the pool as one
+//! The dataflow executor ([`crate::dataflow::Dataflow`]) has two kinds of
+//! embarrassingly parallel work, each shipped to the pool as one
 //! [`PoolJob`] variant:
 //!
-//! * [`LevelJob`] — one node's operator runs for the current schedule
-//!   level (nodes inside a level never exchange data);
 //! * [`ShardJob`] — one **shard-subgraph's whole epoch**: every level of
 //!   the operator closure reachable only from one label shard's WSCANs,
 //!   swept internally with no inter-shard barrier (shards never exchange
@@ -25,12 +23,12 @@
 //! **Shard affinity.** Each worker owns a pinned queue in addition to the
 //! shared one. Shard jobs are pinned to worker `shard % workers`, so a
 //! given shard-subgraph's operators are swept by the *same* thread epoch
-//! after epoch and their state stays hot in one cache domain; level and
-//! purge jobs go to the shared queue that any idle worker drains. Workers
-//! prefer their pinned queue over the shared one. Pinning only chooses
-//! *which thread runs a job*, never what the job computes, and the
-//! indexed merge below erases completion order — so affinity is invisible
-//! to the determinism contract.
+//! after epoch and their state stays hot in one cache domain; purge jobs
+//! go to the shared queue that any idle worker drains. Workers prefer
+//! their pinned queue over the shared one. Pinning only chooses *which
+//! thread runs a job*, never what the job computes, and the indexed merge
+//! below erases completion order — so affinity is invisible to the
+//! determinism contract.
 //!
 //! Determinism is the caller's contract, and the pool is designed not to
 //! break it: a job carries everything it needs (operators, moved out of
@@ -38,7 +36,9 @@
 //! workers never touch shared executor state, and the caller merges
 //! completed jobs back in ascending `idx` order regardless of which
 //! worker finished first. Completion *order* is the only nondeterministic
-//! thing here, and it is erased by the indexed merge.
+//! thing here, and it is erased by the indexed merge. The operators
+//! travel *with* their job — each is owned by exactly one thread at a
+//! time, which is why [`PhysicalOp`] requires `Send` but not `Sync`.
 
 use crate::obs::OpStats;
 use crate::physical::{Delta, DeltaBatch, PhysicalOp, SharedDeltaBatch};
@@ -49,61 +49,6 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// One node's work for the current level, shipped to a worker thread and
-/// back. The operator travels *with* the job — each node is owned by
-/// exactly one thread at a time, which is why [`PhysicalOp`] requires
-/// `Send` but not `Sync`.
-pub(crate) struct LevelJob {
-    /// Slot in the level's ready list (ascending node order); the merge
-    /// step uses it to erase completion-order nondeterminism.
-    pub idx: usize,
-    /// Node id in the dataflow arena.
-    pub node: usize,
-    /// The operator, moved out of its arena slot for the level.
-    pub op: Box<dyn PhysicalOp>,
-    /// The node's inbox segments for this epoch, in arrival order. Kept
-    /// (emptied of meaning, not allocation) for the caller to recycle.
-    pub segs: Vec<(usize, SharedDeltaBatch)>,
-    /// Output buffer, drawn from the caller's recycling pool.
-    pub out: DeltaBatch,
-    /// The epoch's opening event-time watermark.
-    pub now: Timestamp,
-    /// `on_batch` calls performed (merged into `ExecStats`).
-    pub invocations: u64,
-    /// Deltas handed to the operator (merged into `ExecStats`).
-    pub dispatched: u64,
-    /// Whether to clock the run (observability at `ObsLevel::Timing`).
-    pub timed: bool,
-    /// Wall-clock nanos spent in the run when `timed` (merged into the
-    /// node's [`OpStats`] by the caller).
-    pub nanos: u64,
-    /// A panic the operator raised on the worker thread, carried back so
-    /// the caller can resume it on the executor thread.
-    pub panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl LevelJob {
-    /// Runs the operator over its segments — on whichever thread owns the
-    /// job — filling `out` and the stats counters. An operator panic is
-    /// captured into `self.panic` instead of unwinding the worker.
-    pub fn run(&mut self) {
-        let started = self.timed.then(Instant::now);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            for (port, batch) in &self.segs {
-                self.dispatched += batch.len() as u64;
-                self.invocations += 1;
-                self.op.on_batch(*port, batch, self.now, &mut self.out);
-            }
-        }));
-        if let Some(started) = started {
-            self.nanos = started.elapsed().as_nanos() as u64;
-        }
-        if let Err(payload) = result {
-            self.panic = Some(payload);
-        }
-    }
-}
 
 /// The immutable topology of one shard-subgraph: the operator closure
 /// reachable only from one label shard's WSCANs, precomputed at schedule
@@ -289,11 +234,9 @@ impl PurgeJob {
 }
 
 /// The unit of pool dispatch: every parallel work kind the executor
-/// ships. One queue serves all three, so a single persistent pool covers
-/// level sweeps, shard-subgraph epochs, and purge reclamation.
+/// ships. One queue set serves both, so a single persistent pool covers
+/// shard-subgraph epochs and purge reclamation.
 pub(crate) enum PoolJob {
-    /// One node's operator runs for the current level.
-    Level(LevelJob),
     /// One shard-subgraph's whole epoch.
     Shard(ShardJob),
     /// One direct-approach operator's state reclamation.
@@ -303,7 +246,6 @@ pub(crate) enum PoolJob {
 impl PoolJob {
     fn run(&mut self) {
         match self {
-            PoolJob::Level(j) => j.run(),
             PoolJob::Shard(j) => j.run(),
             PoolJob::Purge(j) => j.run(),
         }
@@ -311,7 +253,6 @@ impl PoolJob {
 
     fn idx(&self) -> usize {
         match self {
-            PoolJob::Level(j) => j.idx,
             PoolJob::Shard(j) => j.idx,
             PoolJob::Purge(j) => j.idx,
         }
@@ -400,7 +341,7 @@ impl WorkerPool {
     /// Dispatches a batch of jobs and blocks until every one completed,
     /// returning them ordered by their `idx` slot — completion order
     /// never leaks to the caller. Shard jobs are pinned to worker
-    /// `shard % workers`; everything else lands on the shared queue.
+    /// `shard % workers`; purge jobs land on the shared queue.
     fn run_jobs(&self, jobs: Vec<PoolJob>) -> Vec<PoolJob> {
         let n = jobs.len();
         let mut done: Vec<Option<PoolJob>> = Vec::new();
@@ -414,7 +355,7 @@ impl WorkerPool {
                         let w = s.shard % self.workers;
                         q.pinned[w].push_back(job);
                     }
-                    _ => q.shared.push_back(job),
+                    PoolJob::Purge(_) => q.shared.push_back(job),
                 }
             }
             cvar.notify_all();
@@ -433,18 +374,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Dispatches one level's node jobs, returning them in ascending
-    /// `idx` (node) order.
-    pub fn run_level(&self, jobs: Vec<LevelJob>) -> Vec<LevelJob> {
-        self.run_jobs(jobs.into_iter().map(PoolJob::Level).collect())
-            .into_iter()
-            .map(|j| match j {
-                PoolJob::Level(j) => j,
-                _ => unreachable!("level dispatch returns level jobs"),
-            })
-            .collect()
-    }
-
     /// Dispatches one epoch's shard-subgraph jobs, returning them in
     /// ascending `idx` (shard) order.
     pub fn run_shards(&self, jobs: Vec<ShardJob>) -> Vec<ShardJob> {
@@ -452,7 +381,7 @@ impl WorkerPool {
             .into_iter()
             .map(|j| match j {
                 PoolJob::Shard(j) => j,
-                _ => unreachable!("shard dispatch returns shard jobs"),
+                PoolJob::Purge(_) => unreachable!("shard dispatch returns shard jobs"),
             })
             .collect()
     }
@@ -464,7 +393,7 @@ impl WorkerPool {
             .into_iter()
             .map(|j| match j {
                 PoolJob::Purge(j) => j,
-                _ => unreachable!("purge dispatch returns purge jobs"),
+                PoolJob::Shard(_) => unreachable!("purge dispatch returns purge jobs"),
             })
             .collect()
     }

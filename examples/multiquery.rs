@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --example multiquery
-//! SGQ_WORKERS=4 cargo run --example multiquery   # parallel epoch sweep
+//! SGQ_SHARDS=2 SGQ_WORKERS=2 cargo run --example multiquery   # label shards on a worker pool
 //! ```
 
 use s_graffito::prelude::*;

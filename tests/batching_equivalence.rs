@@ -272,24 +272,28 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-epoch determinism: the level-scheduled executor must produce
-// **bit-identical** result logs — not merely equal coverage — and
-// identical deterministic ExecStats counters at every worker count. Two
-// of the tested plans have multi-node levels (two WSCANs at level 0), so
-// `workers = 4` genuinely exercises the worker-pool dispatch and its
-// ascending-node-order merge.
+// Parallel-purge determinism: at `shards = 1` the epoch sweep is serial
+// at every worker count, and `workers > 1` only moves runs of
+// direct-approach purges onto the pool. Result logs must stay
+// **bit-identical** — not merely equal in coverage — and so must the
+// deterministic ExecStats counters. Every plan below holds at least two
+// stateful direct operators (PATH and PATTERN), so a reclamation that
+// finds both non-empty is dispatched to the workers; the fixed-stream
+// test after the proptests pins that the dispatch really happens.
 // ---------------------------------------------------------------------
+
+const MULTI_STATE_PLANS: [&str; 3] = [PLANS[2], PATH_HEAVY_PLANS[1], PATH_HEAVY_PLANS[2]];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn engine_parallel_identical_append_only(
+    fn engine_parallel_purge_identical_append_only(
         evs in events(60, false),
         cuts in prop::collection::vec(0usize..60, 0..8),
         plan_idx in 0usize..3,
     ) {
-        let q = query(PLANS[plan_idx]);
+        let q = query(MULTI_STATE_PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
         let serial = run_batched_with(&q, &ops, &cuts, opts_workers(false, 1));
         let parallel = run_batched_with(&q, &ops, &cuts, opts_workers(false, 4));
@@ -297,12 +301,12 @@ proptest! {
     }
 
     #[test]
-    fn engine_parallel_identical_with_deletions(
+    fn engine_parallel_purge_identical_with_deletions(
         evs in events(50, true),
         cuts in prop::collection::vec(0usize..50, 0..8),
         plan_idx in 0usize..3,
     ) {
-        let q = query(PLANS[plan_idx]);
+        let q = query(MULTI_STATE_PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
         let serial = run_batched_with(&q, &ops, &cuts, opts_workers(true, 1));
         let parallel = run_batched_with(&q, &ops, &cuts, opts_workers(true, 4));
@@ -310,7 +314,7 @@ proptest! {
     }
 
     #[test]
-    fn multiquery_parallel_identical(
+    fn multiquery_parallel_purge_identical(
         evs in events(50, false),
         cuts in prop::collection::vec(0usize..50, 0..8),
     ) {
@@ -363,6 +367,44 @@ proptest! {
             drained.exec_stats().determinism_fingerprint()
         );
     }
+}
+
+/// The whole contract of `workers` at `shards = 1`, on a fixed dense
+/// stream over the Q7-shaped plan (two PATHs, two PATTERNs): the pool runs
+/// purges and nothing else, so every executor counter except
+/// `parallel_purge_ops` — not only the determinism fingerprint — equals
+/// the single-threaded engine's, and the logs are bit-identical.
+#[test]
+fn workers_at_one_shard_change_only_the_purge_dispatch() {
+    let q = query(PATH_HEAVY_PLANS[2]);
+    let labels = label_vec(&q);
+    let ops: Vec<(Sge, bool)> = (0..4 * SPAN)
+        .map(|x| {
+            let sge = Sge::new(
+                VertexId(x % 11),
+                VertexId((x + 3) % 11),
+                labels[(x % 3) as usize],
+                x / 4,
+            );
+            (sge, false)
+        })
+        .collect();
+    let run = |workers: usize| {
+        let options = EngineOptions {
+            shards: 1,
+            workers,
+            ..opts(false)
+        };
+        run_batched_with(&q, &ops, &[7, 19, 40, 41, 130, 222], options)
+    };
+    let (serial, pooled) = (run(1), run(4));
+    assert!(!serial.results().is_empty());
+    assert_eq!(serial.results(), pooled.results(), "insert log");
+    assert_eq!(serial.deleted_results(), pooled.deleted_results());
+    let mut stats = pooled.exec_stats();
+    assert!(stats.parallel_purge_ops > 0, "the pool purged nothing");
+    stats.parallel_purge_ops = 0;
+    assert_eq!(stats, serial.exec_stats());
 }
 
 // ---------------------------------------------------------------------
