@@ -824,12 +824,32 @@ impl Dataflow {
     /// `now` is the event-time watermark the epoch opened at (the
     /// timestamp of its first delta): callers advance time *before*
     /// ingesting, so within the epoch no grid-aligned interval changes its
-    /// expired-ness and per-tuple/batched watermark checks agree.
+    /// expired-ness.
+    ///
+    /// Under [`DispatchMode::Tuple`] every input delta is swept as its own
+    /// epoch, in arrival order — the same thing as calling
+    /// [`Dataflow::ingest`] once per delta.
     pub fn ingest_epoch(
         &mut self,
         epoch: impl IntoIterator<Item = (Label, Delta)>,
         now: Timestamp,
-        sink: impl FnMut(usize, &DeltaBatch),
+        mut sink: impl FnMut(usize, &DeltaBatch),
+    ) -> usize {
+        if self.opts.dispatch == DispatchMode::Tuple {
+            return epoch
+                .into_iter()
+                .map(|input| self.sweep(std::iter::once(input), now, &mut sink))
+                .sum();
+        }
+        self.sweep(epoch, now, &mut sink)
+    }
+
+    /// Seeds `epoch` into the source inboxes and runs one sweep.
+    fn sweep(
+        &mut self,
+        epoch: impl IntoIterator<Item = (Label, Delta)>,
+        now: Timestamp,
+        sink: &mut impl FnMut(usize, &DeltaBatch),
     ) -> usize {
         debug_assert!(self.seeds.is_empty());
         self.ensure_schedule();
@@ -941,24 +961,6 @@ impl Dataflow {
             self.recycle(batch);
             return;
         }
-        if self.opts.dispatch == DispatchMode::Tuple {
-            // Tuple-at-a-time reference (ablation baseline): one singleton
-            // delivery per (delta, successor), each a deep copy — the
-            // pre-batching executor's cost model.
-            for i in 0..self.nodes[n].succs.len() {
-                let (succ, port) = self.nodes[n].succs[i];
-                if self.inboxes[succ].is_empty() {
-                    self.ready[self.level_of[succ]].push(succ);
-                }
-                for d in batch.iter() {
-                    self.inboxes[succ].push((port, DeltaBatch::single(d.clone()).into_shared()));
-                    self.stats.fanout_deliveries += 1;
-                }
-            }
-            sink(n, &batch);
-            self.recycle(batch);
-            return;
-        }
         let shared = batch.into_shared();
         for i in 0..self.nodes[n].succs.len() {
             let (succ, port) = self.nodes[n].succs[i];
@@ -1025,7 +1027,7 @@ impl Dataflow {
         now: Timestamp,
         sink: &mut impl FnMut(usize, &DeltaBatch),
     ) -> bool {
-        if self.shard_plans.is_empty() || self.opts.dispatch != DispatchMode::Epoch {
+        if self.shard_plans.is_empty() {
             return false;
         }
         let mut active = 0u64;
@@ -1317,23 +1319,11 @@ impl Dataflow {
         // The serial hot path stays clock-free below `ObsLevel::Timing`.
         let obs = self.opts.obs;
         let started = obs.timing().then(Instant::now);
-        let mut invocations = 0u64;
+        let invocations = segs.len() as u64;
         let mut dispatched = 0u64;
         for (port, batch) in segs.drain(..) {
             dispatched += batch.len() as u64;
-            if self.opts.dispatch == DispatchMode::Tuple {
-                // Reference executor: one `on_delta` call per tuple
-                // (inline emissions, no batch-aware inner loops).
-                invocations += batch.len() as u64;
-                for d in batch.iter() {
-                    self.nodes[n]
-                        .op
-                        .on_delta(port, d.clone(), now, out.as_mut_vec());
-                }
-            } else {
-                invocations += 1;
-                self.nodes[n].op.on_batch(port, &batch, now, &mut out);
-            }
+            self.nodes[n].op.on_batch(port, &batch, now, &mut out);
             self.recycle_shared(batch);
         }
         self.stats.deltas_dispatched += dispatched;
@@ -1709,8 +1699,6 @@ impl PhysicalOp for Tombstone {
     fn name(&self) -> String {
         "RETIRED".to_string()
     }
-
-    fn on_delta(&mut self, _port: usize, _delta: Delta, _now: Timestamp, _out: &mut Vec<Delta>) {}
 
     fn on_batch(
         &mut self,

@@ -37,18 +37,18 @@ pub enum PathImpl {
     NegativeTuple,
 }
 
-/// Delivery-loop granularity of the executor.
+/// How many input deltas one sweep of the dataflow carries. Operators
+/// run the same code either way: a single delta is a batch of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// Epoch-batched delivery (default): operators consume accumulated
-    /// per-port batches once per epoch; fan-out shares batches by
-    /// reference.
+    /// One sweep per ingested epoch (default): operators consume their
+    /// accumulated per-port batches once per epoch.
     #[default]
     Epoch,
-    /// Tuple-at-a-time reference: every delta is delivered as its own
-    /// singleton batch and every successor receives a fresh deep copy —
-    /// the pre-batching executor's cost model, kept for the
-    /// `BENCH_batching` ablation baseline.
+    /// One sweep per input delta: `Dataflow::ingest_epoch` cuts every
+    /// epoch it is handed into singleton epochs, so a multi-edge
+    /// [`Engine::process_batch`] executes like a loop of
+    /// [`Engine::process`] calls. Answers equal `Epoch`'s.
     Tuple,
 }
 
@@ -359,8 +359,9 @@ impl Engine {
     /// delivered so insert/delete emissions still cancel exactly.
     ///
     /// The batch must be timestamp-ordered (a stream segment, Def. 4).
-    /// Results are equivalent to the per-tuple path: identical coalesced
-    /// coverage, with within-epoch emission order the only difference.
+    /// Results are equivalent to feeding the same sges one
+    /// [`Engine::process`] call at a time: identical coalesced coverage,
+    /// with the chunking of emissions the only difference.
     pub fn process_batch(&mut self, batch: &[Sge]) -> Vec<Sgt> {
         let Some(last) = batch.last() else {
             return Vec::new();
@@ -714,15 +715,16 @@ impl Engine {
         let mut stats = RunStats::default();
         let started = Instant::now();
         let mut slide_started = Instant::now();
-        let mut last_boundary_seen = self.next_boundary;
         for &sge in stream {
+            let boundary_before = self.next_boundary;
             self.process(sge);
             stats.edges += 1;
-            if self.next_boundary != last_boundary_seen {
+            // The first tuple of a fresh engine only places the boundary
+            // grid (`None → Some`): nothing was crossed, so no sample.
+            if boundary_before.is_some() && self.next_boundary != boundary_before {
                 // One or more slide boundaries were crossed by this tuple.
                 stats.slide_latencies.push(slide_started.elapsed());
                 slide_started = Instant::now();
-                last_boundary_seen = self.next_boundary;
                 stats.peak_state = stats.peak_state.max(self.state_size());
             }
         }
@@ -769,44 +771,6 @@ impl Engine {
             }
             epoch = Some(e);
             batch.push(sge);
-        }
-        flush(self, &mut batch, &mut stats);
-        stats.elapsed = started.elapsed();
-        stats.results = self.results.len() as u64;
-        stats.deletions = self.deleted_results.len() as u64;
-        stats.peak_state = stats.peak_state.max(self.state_size());
-        stats
-    }
-
-    /// Drives the engine over an ordered stream in fixed-**count** batches
-    /// of `batch_size` sges, each fed through [`Engine::process_batch`]
-    /// (the batching-ablation axis: batch size 1 is per-tuple execution
-    /// through the same code path). Latencies are recorded per batch.
-    pub fn run_batched_count<'a, I: IntoIterator<Item = &'a Sge>>(
-        &mut self,
-        stream: I,
-        batch_size: usize,
-    ) -> RunStats {
-        let batch_size = batch_size.max(1);
-        let mut stats = RunStats::default();
-        let started = Instant::now();
-        let mut batch: Vec<Sge> = Vec::with_capacity(batch_size);
-        let flush = |engine: &mut Self, batch: &mut Vec<Sge>, stats: &mut RunStats| {
-            if batch.is_empty() {
-                return;
-            }
-            let batch_started = Instant::now();
-            engine.process_batch(batch);
-            stats.slide_latencies.push(batch_started.elapsed());
-            stats.edges += batch.len() as u64;
-            stats.peak_state = stats.peak_state.max(engine.state_size());
-            batch.clear();
-        };
-        for &sge in stream {
-            batch.push(sge);
-            if batch.len() >= batch_size {
-                flush(self, &mut batch, &mut stats);
-            }
         }
         flush(self, &mut batch, &mut stats);
         stats.elapsed = started.elapsed();
@@ -1272,8 +1236,16 @@ mod tests {
         let stats = e.run(&stream);
         assert_eq!(stats.edges, 40);
         assert!(stats.results > 0);
-        assert!(!stats.slide_latencies.is_empty());
+        // Ticks 0..40 at slide 2 cross the boundaries 2, 4, …, 38: 19
+        // samples plus the tail. The first tuple only places the grid.
+        assert_eq!(stats.slide_latencies.len(), 20);
         assert!(stats.throughput() > 0.0);
+
+        // `run_batched` samples per flushed epoch, not per boundary.
+        let mut e = Engine::from_query(&q);
+        let stats = e.run_batched(&stream, 4);
+        assert_eq!(stats.edges, 40);
+        assert_eq!(stats.slide_latencies.len(), 10);
     }
 
     #[test]

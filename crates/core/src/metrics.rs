@@ -15,15 +15,14 @@ pub struct ExecStats {
     pub epochs: u64,
     /// Input deltas seeded into source (WSCAN) inboxes.
     pub input_deltas: u64,
-    /// `PhysicalOp::on_batch` calls (one per delivered batch segment —
-    /// per-tuple execution pays one per delta instead).
+    /// `PhysicalOp::on_batch` calls (one per delivered batch segment).
     pub operator_invocations: u64,
     /// Total deltas handed to operators across all invocations.
     pub deltas_dispatched: u64,
     /// Total deltas emitted by operators.
     pub deltas_emitted: u64,
-    /// Batch deliveries to successor inboxes (each is one `Arc` clone; the
-    /// per-tuple executor paid one deep sgt clone per delta instead).
+    /// Batch deliveries to successor inboxes (each is one `Arc` clone,
+    /// whatever the batch holds).
     pub fanout_deliveries: u64,
     /// Largest single epoch seeded, in input deltas.
     pub max_epoch_input: usize,
@@ -62,21 +61,12 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Mean deltas handled per operator invocation — the dispatch
-    /// amortisation factor (1.0 ≡ tuple-at-a-time).
+    /// amortisation factor (1.0 when every epoch is a single delta).
     pub fn deltas_per_invocation(&self) -> f64 {
         if self.operator_invocations == 0 {
             return 0.0;
         }
         self.deltas_dispatched as f64 / self.operator_invocations as f64
-    }
-
-    /// Mean input deltas per epoch (the effective batch size after
-    /// ingestion dedup and boundary chunking).
-    pub fn mean_epoch_input(&self) -> f64 {
-        if self.epochs == 0 {
-            return 0.0;
-        }
-        self.input_deltas as f64 / self.epochs as f64
     }
 
     /// Mean shard-subgraph jobs per sharded epoch — the inter-shard
@@ -234,10 +224,8 @@ mod tests {
             ..Default::default()
         };
         assert!((s.deltas_per_invocation() - 25.0).abs() < 1e-9);
-        assert!((s.mean_epoch_input() - 25.0).abs() < 1e-9);
         let zero = ExecStats::default();
         assert_eq!(zero.deltas_per_invocation(), 0.0);
-        assert_eq!(zero.mean_epoch_input(), 0.0);
     }
 
     #[test]

@@ -99,8 +99,7 @@ impl ObsLevel {
 /// field stays zero at [`ObsLevel::Off`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// `on_batch` calls (one per delivered inbox segment; the per-tuple
-    /// ablation pays one per delta instead).
+    /// `on_batch` calls (one per delivered inbox segment).
     pub invocations: u64,
     /// Deltas handed to the operator across all invocations.
     pub deltas_in: u64,
@@ -142,7 +141,7 @@ impl OpStats {
 }
 
 /// Traversal counters of the frontier-at-once PATH expansion (S-PATH's
-/// bulk epoch pass and the shared re-derivation Dijkstra). Unlike
+/// insert-run pass and the shared re-derivation Dijkstra). Unlike
 /// [`OpStats`], these are **always on**: they count deterministic
 /// algorithmic work (not wall clock), are maintained by the operators
 /// themselves, and are read at snapshot time through
@@ -154,8 +153,8 @@ pub struct FrontierStats {
     /// most once per epoch at its final expiry).
     pub nodes_settled: u64,
     /// Interval improvements applied (Expand / Propagate / ts-coalesce).
-    /// On the per-tuple path a node improved k times in one epoch counts
-    /// k; the bulk pass collapses the chain, so settled ≤ improved.
+    /// A node's expiry settles once per pass but its start can still
+    /// widen afterwards, so settled ≤ improved.
     pub nodes_improved: u64,
     /// Candidates pushed onto a priority frontier.
     pub heap_pushes: u64,
@@ -177,9 +176,9 @@ impl FrontierStats {
         *self == FrontierStats::default()
     }
 
-    /// Settles per improvement — 1.0 on the per-tuple path (every
-    /// improvement is its own expansion), < 1.0 when the bulk pass
-    /// collapsed improvement chains (0.0 when nothing was improved).
+    /// Settles per improvement — 1.0 when no node was improved twice in
+    /// one pass, lower when settled nodes were revisited (0.0 when nothing
+    /// was improved).
     pub fn settle_ratio(&self) -> f64 {
         if self.nodes_improved == 0 {
             return 0.0;

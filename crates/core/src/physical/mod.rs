@@ -30,47 +30,32 @@ pub(crate) const fn assert_send<T: Send>() {}
 
 /// A push-based physical operator.
 ///
-/// The executor is **epoch-batched**: the scheduler accumulates each
-/// node's input deltas into per-port [`DeltaBatch`]es and invokes
-/// [`PhysicalOp::on_batch`] once per delivered batch, so dispatch is
-/// amortised over the epoch instead of paid per tuple. `on_batch` must be
-/// non-blocking: it processes the input batch and appends any output
-/// deltas to `out`. `now` is the event-time watermark the epoch opened at
-/// (the timestamp of its first driving sge); operators may use it to skip
-/// expired state. Engines chunk epochs at slide boundaries, so within one
-/// batch no grid-aligned validity interval changes its expired-ness — the
-/// per-tuple and batched watermark checks agree.
+/// [`PhysicalOp::on_batch`] is the **only** way data enters an operator.
+/// The executor accumulates each node's input deltas into per-port
+/// [`DeltaBatch`]es and calls it once per delivered batch; a single
+/// arriving tuple is a batch of one and runs the same code. `on_batch`
+/// must be non-blocking: it processes the input batch and appends any
+/// output deltas to `out`. `now` is the event-time watermark the epoch
+/// opened at (the timestamp of its first driving sge); operators may use
+/// it to skip expired state. Engines chunk epochs at slide boundaries, so
+/// within one batch no grid-aligned validity interval changes its
+/// expired-ness.
 ///
-/// [`PhysicalOp::on_delta`] remains the per-tuple entry point; the default
-/// `on_batch` adapts it, so a tuple-at-a-time operator participates in
-/// batched epochs unchanged (and batch-aware operators stay reviewable
-/// against their per-tuple form).
-///
-/// Operators are **`Send`**: the executor's level-scheduled sweep may move
-/// an operator (with all of its state — S-PATH forests, hash-join tables,
-/// WCOJ buffers) onto a worker-pool thread for the duration of one level
-/// and back. No operator state is shared between threads — each node is
-/// owned by exactly one thread at a time, and input batches cross the
-/// boundary as `Arc`-shared immutable [`DeltaBatch`]es — so `Sync` is not
-/// required. Every operator in this module asserts `Send` at compile time
-/// next to its definition (the audit the parallel executor relies on).
+/// Operators are **`Send`**: the executor moves an operator (with all of
+/// its state — S-PATH forests, hash-join tables, WCOJ buffers) onto a
+/// worker-pool thread in exactly two situations, for the duration of one
+/// shard job (`shards > 1`) or of one run of direct-approach purges
+/// (`workers > 1`), and back. No operator state is shared between threads
+/// — each node is owned by exactly one thread at a time, and input
+/// batches cross the boundary as `Arc`-shared immutable [`DeltaBatch`]es
+/// — so `Sync` is not required. Every operator in this module asserts
+/// `Send` at compile time next to its definition.
 pub trait PhysicalOp: Send {
     /// Operator name for plan display and metrics.
     fn name(&self) -> String;
 
-    /// Processes one delta arriving on `port`.
-    fn on_delta(&mut self, port: usize, delta: Delta, now: Timestamp, out: &mut Vec<Delta>);
-
     /// Processes a batch of deltas arriving on `port`, in arrival order.
-    ///
-    /// The default adapter replays the batch through [`PhysicalOp::on_delta`];
-    /// operators override it where a batch-aware inner loop pays (grouped
-    /// hash-join probes, merged window inserts, buffer reuse).
-    fn on_batch(&mut self, port: usize, batch: &DeltaBatch, now: Timestamp, out: &mut DeltaBatch) {
-        for d in batch.iter() {
-            self.on_delta(port, d.clone(), now, out.as_mut_vec());
-        }
-    }
+    fn on_batch(&mut self, port: usize, batch: &DeltaBatch, now: Timestamp, out: &mut DeltaBatch);
 
     /// Physically reclaims state expired at `watermark` (direct approach).
     ///
@@ -105,4 +90,19 @@ pub trait PhysicalOp: Send {
     fn frontier_stats(&self) -> Option<crate::obs::FrontierStats> {
         None
     }
+}
+
+/// Test helper: pushes one delta through [`PhysicalOp::on_batch`] as a
+/// singleton batch and appends the operator's output to `out`.
+#[cfg(test)]
+pub(crate) fn push_one(
+    op: &mut dyn PhysicalOp,
+    port: usize,
+    delta: Delta,
+    now: Timestamp,
+    out: &mut Vec<Delta>,
+) {
+    let mut emitted = DeltaBatch::new();
+    op.on_batch(port, &DeltaBatch::single(delta), now, &mut emitted);
+    out.extend(emitted);
 }

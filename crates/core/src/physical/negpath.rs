@@ -270,16 +270,6 @@ impl PhysicalOp for NegPathOp {
         true // expiry processing at window movement is the [57] algorithm
     }
 
-    fn on_delta(&mut self, _port: usize, delta: Delta, now: Timestamp, out: &mut Vec<Delta>) {
-        match &delta {
-            Delta::Insert(s) => self.on_insert(s, now, out),
-            Delta::Delete(s) => {
-                self.adj.remove(s.src, s.label, s.trg, s.interval);
-                self.invalidate_edge(Edge::new(s.src, s.trg, s.label), now, out, true);
-            }
-        }
-    }
-
     fn on_batch(
         &mut self,
         _port: usize,
@@ -371,6 +361,7 @@ impl PhysicalOp for NegPathOp {
 
 #[cfg(test)]
 mod tests {
+    use super::super::push_one;
     use super::*;
 
     const RLP: Label = Label(0);
@@ -390,7 +381,7 @@ mod tests {
         let mut op = plus_op();
         let mut out = Vec::new();
         let feed = |op: &mut NegPathOp, out: &mut Vec<Delta>, s, t, ts, exp| {
-            op.on_delta(0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
+            push_one(op, 0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
         };
         // x=0, z=1, u=2, y=3, w=4, t=5, v=6, s=7 (as in the S-PATH test).
         feed(&mut op, &mut out, 0, 1, 23, 31);
@@ -422,7 +413,7 @@ mod tests {
         let mut op = plus_op();
         let mut out = Vec::new();
         let feed = |op: &mut NegPathOp, out: &mut Vec<Delta>, s, t, ts, exp| {
-            op.on_delta(0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
+            push_one(op, 0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
         };
         feed(&mut op, &mut out, 0, 1, 23, 31);
         feed(&mut op, &mut out, 1, 2, 24, 32);
@@ -459,8 +450,20 @@ mod tests {
         let mut spa = SPathOp::new(&Regex::plus(Regex::label(RLP)), Label(9));
         let (mut o1, mut o2) = (Vec::new(), Vec::new());
         for &(s, t, ts) in &edges {
-            neg.on_delta(0, Delta::Insert(sgt(s, t, ts, ts + 100)), ts, &mut o1);
-            spa.on_delta(0, Delta::Insert(sgt(s, t, ts, ts + 100)), ts, &mut o2);
+            push_one(
+                &mut neg,
+                0,
+                Delta::Insert(sgt(s, t, ts, ts + 100)),
+                ts,
+                &mut o1,
+            );
+            push_one(
+                &mut spa,
+                0,
+                Delta::Insert(sgt(s, t, ts, ts + 100)),
+                ts,
+                &mut o2,
+            );
         }
         let pairs = |v: &Vec<Delta>| {
             let mut p: Vec<(VertexId, VertexId)> = v
@@ -482,12 +485,12 @@ mod tests {
         // otherwise the emitted multiset over-counts (regression test).
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 100)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 4, 1, 101)), 1, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(1, 3, 2, 102)), 2, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(3, 4, 3, 103)), 3, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 100)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 4, 1, 101)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 3, 2, 102)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(3, 4, 3, 103)), 3, &mut out);
         out.clear();
-        op.on_delta(0, Delta::Delete(sgt(1, 2, 0, 100)), 4, &mut out);
+        push_one(&mut op, 0, Delta::Delete(sgt(1, 2, 0, 100)), 4, &mut out);
         // Count (1,4) emissions: one retraction of [1,100), one insert of
         // the re-derivation [3,102).
         let of_14: Vec<&Delta> = out
@@ -505,10 +508,10 @@ mod tests {
     fn explicit_delete_emits_negative_results() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 3, 1, 25)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 3, 1, 25)), 1, &mut out);
         out.clear();
-        op.on_delta(0, Delta::Delete(sgt(1, 2, 0, 30)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Delete(sgt(1, 2, 0, 30)), 2, &mut out);
         let dels: Vec<_> = out.iter().filter(|d| d.is_delete()).collect();
         assert_eq!(dels.len(), 2); // (1,2) and (1,3) invalidated
     }

@@ -384,8 +384,8 @@ impl PatternOp {
             let other_bucket = other.map.get(key);
             // Delete-only groups must not materialise an own-side bucket:
             // a retraction for a binding this side never stored is a no-op
-            // there (matching the per-tuple `Table::remove`), not an empty
-            // bucket that lingers until the next amortised purge. They
+            // there, not an empty bucket that lingers until the next
+            // amortised purge. They
             // still probe the other side for their negative join results.
             let has_insert = order[i..j]
                 .iter()
@@ -451,12 +451,6 @@ impl PhysicalOp for PatternOp {
             self.spec.input_vars.len(),
             self.spec.label
         )
-    }
-
-    fn on_delta(&mut self, port: usize, delta: Delta, now: Timestamp, out: &mut Vec<Delta>) {
-        let mut batch_out = DeltaBatch::new();
-        self.on_batch(port, &DeltaBatch::single(delta), now, &mut batch_out);
-        out.extend(batch_out);
     }
 
     fn on_batch(&mut self, port: usize, batch: &DeltaBatch, _now: Timestamp, out: &mut DeltaBatch) {
@@ -531,6 +525,8 @@ impl PhysicalOp for PatternOp {
 
 #[cfg(test)]
 mod tests {
+    use super::super::push_one;
+    use super::super::wcoj::WcojPatternOp;
     use super::*;
     use crate::algebra::Pos;
 
@@ -543,15 +539,37 @@ mod tests {
         )
     }
 
+    /// Both PATTERN implementations over one spec: every case below pins
+    /// the hash-join tree and the WCOJ alternative to the same output.
+    fn both(spec: CompiledPattern, suppress: bool) -> [Box<dyn PhysicalOp>; 2] {
+        [
+            Box::new(PatternOp::new(spec.clone(), suppress)),
+            Box::new(WcojPatternOp::new(spec, suppress)),
+        ]
+    }
+
     /// Two-input join: d(x, z) ← a(x, y), b(y, z).
-    fn two_way() -> PatternOp {
+    fn two_way(suppress: bool) -> [Box<dyn PhysicalOp>; 2] {
         let spec = CompiledPattern::compile(
             2,
             &[(Pos::trg(0), Pos::src(1))],
             (Pos::src(0), Pos::trg(1)),
             Label(9),
         );
-        PatternOp::new(spec, true)
+        both(spec, suppress)
+    }
+
+    /// Feeds `(port, delta, now)` inputs in order; returns the emissions.
+    fn feed(op: &mut dyn PhysicalOp, inputs: Vec<(usize, Delta, u64)>) -> Vec<Delta> {
+        let mut out = Vec::new();
+        for (port, delta, now) in inputs {
+            push_one(op, port, delta, now, &mut out);
+        }
+        out
+    }
+
+    fn ins(src: u64, trg: u64, l: u32, ts: u64, exp: u64) -> Delta {
+        Delta::Insert(sgt(src, trg, l, ts, exp))
     }
 
     fn inserts(out: &[Delta]) -> Vec<(u64, u64, Interval)> {
@@ -581,70 +599,78 @@ mod tests {
 
     #[test]
     fn symmetric_join_both_arrival_orders() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert!(out.is_empty());
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 2, 12)), 2, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
-
-        // Reverse order in a fresh operator.
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 2, 12)), 2, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 3, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
+        for mut op in two_way(true) {
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            assert!(out.is_empty(), "{}", op.name());
+            let out = feed(op.as_mut(), vec![(1, ins(2, 3, 1, 2, 12), 2)]);
+            assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
+        }
+        // Reverse order in fresh operators.
+        for mut op in two_way(true) {
+            let out = feed(
+                op.as_mut(),
+                vec![(1, ins(2, 3, 1, 2, 12), 2), (0, ins(1, 2, 0, 0, 10), 3)],
+            );
+            assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
+        }
     }
 
     #[test]
     fn disjoint_intervals_do_not_join() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 5)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 7, 12)), 7, &mut out);
-        assert!(
-            out.is_empty(),
-            "validity intervals must intersect (Def. 19)"
-        );
+        for mut op in two_way(true) {
+            let out = feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 5), 0), (1, ins(2, 3, 1, 7, 12), 7)],
+            );
+            assert!(
+                out.is_empty(),
+                "{}: validity intervals must intersect (Def. 19)",
+                op.name()
+            );
+        }
     }
 
     #[test]
     fn covered_duplicate_is_suppressed() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 10)), 0, &mut out);
-        assert_eq!(out.len(), 1);
-        out.clear();
-        // Same edge again with a covered validity: no output, no state blowup.
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 3, 8)), 3, &mut out);
-        assert!(out.is_empty());
+        for mut op in two_way(true) {
+            let out = feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
+            );
+            assert_eq!(out.len(), 1, "{}", op.name());
+            // Same edge again with a covered validity: no output, no state
+            // blowup.
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 3, 8), 3)]);
+            assert!(out.is_empty(), "{}", op.name());
+        }
     }
 
     #[test]
     fn extension_bounded_by_partner_is_suppressed() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 10)), 0, &mut out);
-        out.clear();
-        // Re-insert of `a` with a longer validity — but the result is still
-        // capped by `b`'s [0,10), which was already emitted: suppressed.
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 5, 20)), 5, &mut out);
-        assert!(out.is_empty());
+        for mut op in two_way(true) {
+            feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
+            );
+            // Re-insert of `a` with a longer validity — but the result is
+            // still capped by `b`'s [0,10), which was already emitted.
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 5, 20), 5)]);
+            assert!(out.is_empty(), "{}", op.name());
+        }
     }
 
     #[test]
     fn interval_extension_reemits_coalesced() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 30)), 0, &mut out);
-        out.clear();
-        // `b` is valid until 30, so extending `a` extends the result; the
-        // emission carries the coalesced interval (Def. 11).
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 5, 20)), 5, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 3, Interval::new(0, 20))]);
+        for mut op in two_way(true) {
+            feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 30), 0)],
+            );
+            // `b` is valid until 30, so extending `a` extends the result;
+            // the emission carries the coalesced interval (Def. 11).
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 5, 20), 5)]);
+            assert_eq!(inserts(&out), vec![(1, 3, Interval::new(0, 20))]);
+        }
     }
 
     #[test]
@@ -661,77 +687,78 @@ mod tests {
             (Pos::src(0), Pos::src(1)),
             Label(10),
         );
-        let mut op = PatternOp::new(spec, true);
-        let mut out = Vec::new();
-        // Vertices: u=0, v=1, b=2, y=3, c=4, a=5 (Figure 3 with 24h window).
-        // likes (label 0): (y,a)@[28,52), (u,b)@[29,53), (u,c)@[30,54)
-        // posts (label 1): (v,b)@[10,34), (v,c)@[17,41), (u,a)@[22,46)
-        // FP    (label 2): follows path (u,v)@[7,31), (y,u)@[13,37),
-        //                  (y,v)@[13,31) (two-hop path).
-        for (port, s) in [
-            (1, sgt(1, 2, 1, 10, 34)),
-            (2, sgt(0, 1, 2, 7, 31)),
-            (2, sgt(3, 0, 2, 13, 37)),
-            (2, sgt(3, 1, 2, 13, 31)),
-            (1, sgt(1, 4, 1, 17, 41)),
-            (1, sgt(0, 5, 1, 22, 46)),
-            (0, sgt(3, 5, 0, 28, 52)),
-            (0, sgt(0, 2, 0, 29, 53)),
-            (0, sgt(0, 4, 0, 30, 54)),
-        ] {
-            op.on_delta(port, Delta::Insert(s), 0, &mut out);
+        for mut op in both(spec, true) {
+            // Vertices: u=0, v=1, b=2, y=3, c=4, a=5 (Figure 3 with 24h
+            // window).
+            // likes (label 0): (y,a)@[28,52), (u,b)@[29,53), (u,c)@[30,54)
+            // posts (label 1): (v,b)@[10,34), (v,c)@[17,41), (u,a)@[22,46)
+            // FP    (label 2): follows path (u,v)@[7,31), (y,u)@[13,37),
+            //                  (y,v)@[13,31) (two-hop path).
+            let out = feed(
+                op.as_mut(),
+                vec![
+                    (1, ins(1, 2, 1, 10, 34), 0),
+                    (2, ins(0, 1, 2, 7, 31), 0),
+                    (2, ins(3, 0, 2, 13, 37), 0),
+                    (2, ins(3, 1, 2, 13, 31), 0),
+                    (1, ins(1, 4, 1, 17, 41), 0),
+                    (1, ins(0, 5, 1, 22, 46), 0),
+                    (0, ins(3, 5, 0, 28, 52), 0),
+                    (0, ins(0, 2, 0, 29, 53), 0),
+                    (0, ins(0, 4, 0, 30, 54), 0),
+                ],
+            );
+            // Example 6 expects (y,RL,u)@[28,37) and (u,RL,v)@[29,31) after
+            // coalescing the two (u,v) derivations [29,31) and [30,31).
+            let res = inserts(&out);
+            assert!(res.contains(&(3, 0, Interval::new(28, 37))), "{res:?}");
+            assert!(res.contains(&(0, 1, Interval::new(29, 31))), "{res:?}");
+            // The second (u,v) derivation [30,31) is covered ⇒ suppressed.
+            assert_eq!(res.len(), 2, "{}: {res:?}", op.name());
         }
-        // Example 6 expects (y,RL,u)@[28,37) and (u,RL,v)@[29,31) after
-        // coalescing the two (u,v) derivations [29,31) and [30,31).
-        let res = inserts(&out);
-        assert!(res.contains(&(3, 0, Interval::new(28, 37))), "{res:?}");
-        assert!(res.contains(&(0, 1, Interval::new(29, 31))), "{res:?}");
-        // The second (u,v) derivation [30,31) is covered ⇒ suppressed.
-        assert_eq!(res.len(), 2, "{res:?}");
     }
 
     #[test]
     fn negative_tuple_cancels_result() {
-        let mut op = PatternOp::new(
-            CompiledPattern::compile(
-                2,
-                &[(Pos::trg(0), Pos::src(1))],
-                (Pos::src(0), Pos::trg(1)),
-                Label(9),
-            ),
-            false, // suppression off in deletion pipelines
-        );
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out).len(), 1);
-        out.clear();
-        op.on_delta(0, Delta::Delete(sgt(1, 2, 0, 0, 10)), 5, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].is_delete());
-        assert_eq!(out[0].sgt().src, VertexId(1));
-        assert_eq!(out[0].sgt().trg, VertexId(3));
+        // Suppression off, as in deletion pipelines.
+        for mut op in two_way(false) {
+            let out = feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
+            );
+            assert_eq!(inserts(&out).len(), 1, "{}", op.name());
+            let out = feed(
+                op.as_mut(),
+                vec![(0, Delta::Delete(sgt(1, 2, 0, 0, 10)), 5)],
+            );
+            assert_eq!(out.len(), 1, "{}", op.name());
+            assert!(out[0].is_delete());
+            assert_eq!(out[0].sgt().src, VertexId(1));
+            assert_eq!(out[0].sgt().trg, VertexId(3));
+        }
     }
 
     #[test]
     fn purge_reclaims_expired_state() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(5, 6, 1, 0, 10)), 0, &mut out);
-        assert_eq!(op.state_size(), 2);
-        op.purge(10, &mut Vec::new());
-        assert_eq!(op.state_size(), 0);
+        for mut op in two_way(true) {
+            feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(5, 6, 1, 0, 10), 0)],
+            );
+            assert_eq!(op.state_size(), 2, "{}", op.name());
+            op.purge(10, &mut Vec::new());
+            assert_eq!(op.state_size(), 0, "{}", op.name());
+        }
     }
 
     #[test]
     fn single_input_projection() {
         // d(y, x) ← a(x, y): swap endpoints via a 1-input pattern.
         let spec = CompiledPattern::compile(1, &[], (Pos::trg(0), Pos::src(0)), Label(9));
-        let mut op = PatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(2, 1, Interval::new(0, 10))]);
+        for mut op in both(spec, true) {
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            assert_eq!(inserts(&out), vec![(2, 1, Interval::new(0, 10))]);
+        }
     }
 
     #[test]
@@ -743,22 +770,24 @@ mod tests {
             (Pos::src(0), Pos::trg(0)),
             Label(9),
         );
-        let mut op = PatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert!(out.is_empty());
-        op.on_delta(0, Delta::Insert(sgt(3, 3, 0, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(3, 3, Interval::new(0, 10))]);
+        for mut op in both(spec, true) {
+            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            assert!(out.is_empty(), "{}", op.name());
+            let out = feed(op.as_mut(), vec![(0, ins(3, 3, 0, 0, 10), 0)]);
+            assert_eq!(inserts(&out), vec![(3, 3, Interval::new(0, 10))]);
+        }
     }
 
     #[test]
     fn cross_product_when_no_shared_vars() {
         // d(x, w) ← a(x, y), b(z, w): no join key.
         let spec = CompiledPattern::compile(2, &[], (Pos::src(0), Pos::trg(1)), Label(9));
-        let mut op = PatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(7, 8, 1, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 8, Interval::new(0, 10))]);
+        for mut op in both(spec, true) {
+            let out = feed(
+                op.as_mut(),
+                vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(7, 8, 1, 0, 10), 0)],
+            );
+            assert_eq!(inserts(&out), vec![(1, 8, Interval::new(0, 10))]);
+        }
     }
 }

@@ -51,10 +51,6 @@ impl PhysicalOp for WScanOp {
         format!("WSCAN[T={},β={}]", self.window, self.slide)
     }
 
-    fn on_delta(&mut self, _port: usize, delta: Delta, _now: Timestamp, out: &mut Vec<Delta>) {
-        out.extend(self.map(&delta));
-    }
-
     fn on_batch(
         &mut self,
         _port: usize,
@@ -88,13 +84,6 @@ impl PhysicalOp for FilterOp {
         format!("FILTER[{:?}]", self.preds)
     }
 
-    fn on_delta(&mut self, _port: usize, delta: Delta, _now: Timestamp, out: &mut Vec<Delta>) {
-        let s = delta.sgt();
-        if self.preds.iter().all(|p| p.eval(s)) {
-            out.push(delta);
-        }
-    }
-
     fn on_batch(
         &mut self,
         _port: usize,
@@ -102,8 +91,7 @@ impl PhysicalOp for FilterOp {
         _now: Timestamp,
         out: &mut DeltaBatch,
     ) {
-        // Clone only the survivors (the per-tuple adapter would clone every
-        // delta before filtering).
+        // Clone only the survivors.
         for d in batch.iter() {
             if self.preds.iter().all(|p| p.eval(d.sgt())) {
                 out.push(d.clone());
@@ -148,10 +136,6 @@ impl PhysicalOp for UnionOp {
         format!("UNION[{:?}]", self.label)
     }
 
-    fn on_delta(&mut self, _port: usize, delta: Delta, _now: Timestamp, out: &mut Vec<Delta>) {
-        out.push(self.map(&delta));
-    }
-
     fn on_batch(
         &mut self,
         _port: usize,
@@ -167,6 +151,7 @@ impl PhysicalOp for UnionOp {
 
 #[cfg(test)]
 mod tests {
+    use super::super::push_one;
     use super::*;
     use sgq_types::{Interval, VertexId};
 
@@ -179,7 +164,7 @@ mod tests {
         // Figure 3: a 24h window maps t=7 to [7, 31).
         let mut op = WScanOp::new(24, 1);
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(0, 1, 0, 7)), 7, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(0, 1, 0, 7)), 7, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sgt().interval, Interval::new(7, 31));
     }
@@ -188,7 +173,7 @@ mod tests {
     fn wscan_slide_alignment() {
         let mut op = WScanOp::new(30, 10);
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(0, 1, 0, 17)), 17, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(0, 1, 0, 17)), 17, &mut out);
         assert_eq!(out[0].sgt().interval, Interval::new(17, 40));
     }
 
@@ -196,7 +181,7 @@ mod tests {
     fn wscan_maps_deletes_too() {
         let mut op = WScanOp::new(24, 1);
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Delete(sgt(0, 1, 0, 7)), 9, &mut out);
+        push_one(&mut op, 0, Delta::Delete(sgt(0, 1, 0, 7)), 9, &mut out);
         assert!(out[0].is_delete());
         assert_eq!(out[0].sgt().interval, Interval::new(7, 31));
     }
@@ -205,9 +190,9 @@ mod tests {
     fn filter_drops_non_matching() {
         let mut op = FilterOp::new(vec![FilterPred::SrcEqTrg]);
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 0)), 0, &mut out);
         assert!(out.is_empty());
-        op.on_delta(0, Delta::Insert(sgt(3, 3, 0, 0)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(3, 3, 0, 0)), 0, &mut out);
         assert_eq!(out.len(), 1);
     }
 
@@ -215,7 +200,7 @@ mod tests {
     fn union_relabels_edges() {
         let mut op = UnionOp::new(Label(9));
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 5)), 5, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 5)), 5, &mut out);
         let s = out[0].sgt();
         assert_eq!(s.label, Label(9));
         match &s.payload {
@@ -237,7 +222,7 @@ mod tests {
         );
         let mut op = UnionOp::new(Label(9));
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(s), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(s), 0, &mut out);
         assert_eq!(out[0].sgt().label, Label(9));
         assert_eq!(out[0].sgt().payload, Payload::Path(p));
     }

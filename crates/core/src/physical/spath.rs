@@ -38,13 +38,11 @@ pub struct SPathOp {
     /// last derivation edge only — used by the path-materialisation
     /// ablation bench.
     emit_paths: bool,
-    /// Batch mode: defer emissions to the end of the insert run, so a node
-    /// improved several times within one epoch emits **once**, with its
-    /// final coalesced interval (and one path materialisation). `false`
-    /// on the per-tuple path — emissions happen inline, exactly as before.
-    defer: bool,
-    /// Accepting nodes improved during the current deferred run, in
+    /// Accepting nodes improved during the current insert run, in
     /// first-improvement order (kept ordered for deterministic output).
+    /// They are emitted when the run ends, so a node improved several
+    /// times within one run emits **once**, with its final coalesced
+    /// interval (and one path materialisation).
     dirty: Vec<(TreeId, NodeIdx)>,
     dirty_set: FxHashSet<(TreeId, NodeIdx)>,
     /// Per-epoch bulk-load record: the admitted epoch edges with final
@@ -62,16 +60,6 @@ pub struct SPathOp {
     rescratch: RederiveScratch,
     /// Always-on traversal counters (see [`FrontierStats`]).
     stats: FrontierStats,
-}
-
-/// A pending tree extension (the explicit-stack form of the paper's
-/// recursive Expand/Propagate).
-struct Ext {
-    parent: NodeIdx,
-    v: VertexId,
-    state: StateId,
-    edge: Edge,
-    edge_iv: Interval,
 }
 
 /// A bulk-pass candidate: a potential derivation of `(v, state)` through
@@ -130,7 +118,6 @@ impl SPathOp {
             adj: Adjacency::new(),
             forest,
             emit_paths: true,
-            defer: false,
             dirty: Vec::new(),
             dirty_set: FxHashSet::default(),
             epoch: EpochLoad::default(),
@@ -167,172 +154,31 @@ impl SPathOp {
         )));
     }
 
-    /// Reports an accepting-node improvement: inline on the per-tuple
-    /// path, deferred to the end of the insert run in batch mode.
+    /// Records an accepting-node improvement of the current insert run;
+    /// [`SPathOp::flush_dirty`] emits it when the run ends.
     ///
-    /// Deferral is sound because within an epoch a node's interval only
-    /// grows by coalescing (Propagate merges `[min ts, max exp)` of
-    /// meeting intervals), so the final emission covers every intermediate
-    /// claim — and in-epoch intervals cannot expire (window expiries are
-    /// slide-grid-aligned and epochs never cross a boundary). Dirty nodes
-    /// are never removed mid-run: `remove_subtree` only claims expired
-    /// nodes, and an improved node's expiry lies beyond the epoch.
-    fn note_emit(&mut self, tree: TreeId, node: NodeIdx, out: &mut Vec<Delta>) {
-        if self.defer {
-            if self.dirty_set.insert((tree, node)) {
-                self.dirty.push((tree, node));
-            }
-        } else {
-            self.emit(tree, node, out);
+    /// Emitting once per run is sound because within an epoch a node's
+    /// interval only grows by coalescing (Propagate merges `[min ts, max
+    /// exp)` of meeting intervals), so the final emission covers every
+    /// intermediate claim — and in-epoch intervals cannot expire (window
+    /// expiries are slide-grid-aligned and epochs never cross a boundary).
+    /// Dirty nodes are never removed mid-run: `remove_subtree` only claims
+    /// expired nodes, and an improved node's expiry lies beyond the epoch.
+    fn mark_dirty(&mut self, tree: TreeId, node: NodeIdx) {
+        if self.dirty_set.insert((tree, node)) {
+            self.dirty.push((tree, node));
         }
     }
 
-    /// Emits every deferred improvement once, with its final interval.
-    fn flush_deferred(&mut self, out: &mut Vec<Delta>) {
+    /// Emits every node the insert run improved once, with its final
+    /// interval.
+    fn flush_dirty(&mut self, out: &mut Vec<Delta>) {
         for i in 0..self.dirty.len() {
             let (tree, node) = self.dirty[i];
             self.emit(tree, node, out);
         }
         self.dirty.clear();
         self.dirty_set.clear();
-    }
-
-    /// Processes all pending extensions of one tree to fixpoint.
-    fn extend_all(
-        &mut self,
-        tree: TreeId,
-        mut stack: Vec<Ext>,
-        now: Timestamp,
-        out: &mut Vec<Delta>,
-    ) {
-        while let Some(ext) = stack.pop() {
-            let parent_iv = self.forest.tree(tree).node(ext.parent).interval;
-            let child_iv = parent_iv.intersect(&ext.edge_iv);
-            if child_iv.is_empty() || child_iv.expired_at(now) {
-                continue;
-            }
-            let existing = self.forest.tree(tree).get(ext.v, ext.state);
-            let node = match existing {
-                Some(idx) => {
-                    let cur = self.forest.tree(tree).node(idx).interval;
-                    if cur.expired_at(now) {
-                        // Expired nodes are treated as absent (§6.2.4):
-                        // reclaim the stale subtree, then expand fresh.
-                        self.forest.remove_subtree(tree, idx);
-                        let idx = self
-                            .forest
-                            .tree_mut(tree)
-                            .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                        self.forest.index_node(tree, ext.v, ext.state);
-                        idx
-                    } else if child_iv.exp <= cur.exp {
-                        // No expiry improvement. A meeting derivation that
-                        // starts earlier still widens the coalesced claim
-                        // leftwards: the canonical node interval is the
-                        // least fixpoint (min ts over meeting candidates,
-                        // max exp), which makes the final tree state — and
-                        // the emitted tuple — independent of within-epoch
-                        // arrival order (the bulk pass relies on this).
-                        // The derivation edge is *not* reparented: the
-                        // max-expiry segment is unchanged. Anything else:
-                        // line 18, prune.
-                        if cur.meets(&child_iv) && child_iv.ts < cur.ts {
-                            self.forest.tree_mut(tree).node_mut(idx).interval =
-                                Interval::new(child_iv.ts, cur.exp);
-                            idx
-                        } else {
-                            continue;
-                        }
-                    } else {
-                        // Propagate: coalesce (min ts, max exp) and reparent.
-                        // In append-only streams the live node always meets
-                        // the new derivation; after explicit deletions the
-                        // intervals may be disjoint, in which case the new
-                        // derivation replaces the old claim (a hull would
-                        // over-claim the gap).
-                        let merged = if cur.meets(&child_iv) {
-                            Interval::new(cur.ts.min(child_iv.ts), child_iv.exp)
-                        } else {
-                            child_iv
-                        };
-                        let t = self.forest.tree_mut(tree);
-                        t.node_mut(idx).interval = merged;
-                        t.reparent(idx, ext.parent, ext.edge);
-                        idx
-                    }
-                }
-                None => {
-                    // Expand: create the node as a child of the parent.
-                    let idx = self
-                        .forest
-                        .tree_mut(tree)
-                        .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                    self.forest.index_node(tree, ext.v, ext.state);
-                    idx
-                }
-            };
-            self.stats.nodes_improved += 1;
-            if self.dfa.is_accepting(ext.state) {
-                self.note_emit(tree, node, out);
-            }
-            // Traverse the snapshot graph onwards (Expand/Propagate lines 8+).
-            let node_iv = self.forest.tree(tree).node(node).interval;
-            for (l2, q) in self.dfa.transitions_from(ext.state) {
-                for entry in self.adj.out(ext.v, l2) {
-                    self.stats.edges_scanned += 1;
-                    let e_iv = entry.interval;
-                    if node_iv.intersect(&e_iv).is_empty() {
-                        continue;
-                    }
-                    stack.push(Ext {
-                        parent: node,
-                        v: entry.other,
-                        state: q,
-                        edge: Edge::new(ext.v, entry.other, l2),
-                        edge_iv: e_iv,
-                    });
-                }
-            }
-        }
-    }
-
-    fn on_insert(&mut self, s: &Sgt, now: Timestamp, out: &mut Vec<Delta>) {
-        let (u, v, l) = (s.src, s.trg, s.label);
-        if self.dfa.transitions_on(l).is_empty() {
-            return;
-        }
-        // Adjacency upsert with max-expiry coalescing; a covered re-insert
-        // cannot produce new derivations.
-        let Some(stored_iv) = self.adj.insert(u, l, v, s.interval) else {
-            return;
-        };
-        let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(l).to_vec();
-        for (from, to) in transitions {
-            if from == self.dfa.start() {
-                // Lines 7–8: make sure T_u exists so the probe finds it.
-                self.forest.ensure_tree(u);
-            }
-            // Lines 14–19: every tree containing (u, from) can extend.
-            for tree in self.forest.trees_with(u, from) {
-                let parent = self
-                    .forest
-                    .tree(tree)
-                    .get(u, from)
-                    .expect("inverted index is consistent");
-                self.extend_all(
-                    tree,
-                    vec![Ext {
-                        parent,
-                        v,
-                        state: to,
-                        edge: Edge::new(u, v, l),
-                        edge_iv: stored_iv,
-                    }],
-                    now,
-                    out,
-                );
-            }
-        }
     }
 
     /// Frontier-at-once execution of one contiguous insert run (the epoch's
@@ -342,19 +188,18 @@ impl SPathOp {
     /// tree from all epoch edges incident to current tree nodes; (3) run
     /// one monotone maximin-Dijkstra pass per tree, settling each
     /// product-graph node at most once per epoch at its final (widest)
-    /// expiry — the k re-expansions of a per-tuple improvement chain
-    /// collapse into one settle.
+    /// expiry; (4) emit each improved accepting node once. A run of one
+    /// edge is the paper's Expand/Propagate for that edge.
     ///
-    /// Equivalence with the per-tuple baseline: within one epoch every
-    /// window-assigned interval shares the same grid-aligned expiry, so a
-    /// node's per-tuple claims coalesce into exactly the least-fixpoint
-    /// interval the bulk pass settles with (min ts over meeting
-    /// derivations, max exp — see the ts-widening rule in
-    /// [`SPathOp::extend_all`]); deferred emission then makes the final
-    /// tuple per node identical on both paths.
+    /// The result does not depend on where a stream is cut into runs:
+    /// within one epoch every window-assigned interval shares the same
+    /// grid-aligned expiry, and a node's canonical interval is the least
+    /// fixpoint of the merge lattice (min ts over meeting derivations, max
+    /// exp — the ts-widening arm of [`SPathOp::bulk_expand_tree`]), which
+    /// the tests hold against the paper's per-tuple algorithm.
     fn bulk_insert_run(&mut self, run: &[Delta], now: Timestamp, out: &mut Vec<Delta>) {
         // (1) Bulk-load. Labels without DFA transitions never contribute
-        // and are not stored (exactly as on the per-tuple path).
+        // and are not stored.
         let mut epoch = std::mem::take(&mut self.epoch);
         epoch.clear();
         self.adj.bulk_insert(
@@ -367,8 +212,8 @@ impl SPathOp {
             &mut epoch,
         );
 
-        // (2) Trees for start-transition edges, in admitted-arrival order —
-        // TreeId assignment matches the serial baseline.
+        // (2) Trees for start-transition edges, in admitted-arrival order,
+        // so TreeId assignment does not depend on the run split.
         for &(edge, _) in epoch.edges() {
             if self
                 .dfa
@@ -427,25 +272,20 @@ impl SPathOp {
             while j < seeds.len() && seeds[j].0 == tree {
                 j += 1;
             }
-            self.bulk_expand_tree(tree, &seeds[i..j], now, out);
+            self.bulk_expand_tree(tree, &seeds[i..j], now);
             i = j;
         }
         seeds.clear();
         self.seeds = seeds;
         self.epoch = epoch;
+        self.flush_dirty(out);
     }
 
     /// One monotone maximin-Dijkstra pass over `tree`: candidates pop in
     /// decreasing-expiry order, so a node's expiry settles at most once
     /// per epoch; equal-or-smaller-expiry follow-ups can still widen its
     /// ts leftwards (coalescing), which cascades without reparenting.
-    fn bulk_expand_tree(
-        &mut self,
-        tree: TreeId,
-        seeds: &[(TreeId, BulkCand)],
-        now: Timestamp,
-        out: &mut Vec<Delta>,
-    ) {
+    fn bulk_expand_tree(&mut self, tree: TreeId, seeds: &[(TreeId, BulkCand)], now: Timestamp) {
         let mut heap = std::mem::take(&mut self.frontier);
         let mut settled = std::mem::take(&mut self.settled);
         heap.clear();
@@ -510,7 +350,7 @@ impl SPathOp {
                 self.stats.nodes_settled += 1;
             }
             if self.dfa.is_accepting(c.state) {
-                self.note_emit(tree, idx, out);
+                self.mark_dirty(tree, idx);
             }
             // Successor scan over the complete epoch graph.
             let node_iv = self.forest.tree(tree).node(idx).interval;
@@ -614,37 +454,19 @@ impl PhysicalOp for SPathOp {
         format!("S-PATH[→{:?}]", self.label)
     }
 
-    fn on_delta(&mut self, _port: usize, delta: Delta, now: Timestamp, out: &mut Vec<Delta>) {
-        match &delta {
-            Delta::Insert(s) => self.on_insert(s, now, out),
-            Delta::Delete(s) => self.on_delete(s, now, out),
-        }
-    }
-
     fn on_batch(&mut self, _port: usize, batch: &DeltaBatch, now: Timestamp, out: &mut DeltaBatch) {
-        // Frontier-at-once epoch execution ([`SPathOp::bulk_insert_run`]):
-        // each maximal run of contiguous inserts is bulk-loaded into the
-        // window adjacency and expanded with one seeded maximin-Dijkstra
-        // pass per affected tree, settling each product-graph node at most
-        // once per epoch. Emissions stay deferred ([`SPathOp::note_emit`])
-        // so a node improved k times in one epoch emits one tuple with its
-        // final coalesced interval.
-        //
-        // Explicit deletions flush the deferred run first and emit inline
-        // (negative tuples must cancel exactly what was emitted), then
-        // re-derive serially per delete — batching across delete events
-        // would change the emission log the per-tuple baseline pins.
+        // Each maximal run of contiguous inserts is one frontier pass
+        // ([`SPathOp::bulk_insert_run`]) that emits when it ends, so every
+        // emission of the run precedes the next deletion. Explicit
+        // deletions emit inline (negative tuples must cancel exactly what
+        // was emitted) and re-derive serially, one delete at a time.
         let out = out.as_mut_vec();
         let deltas = batch.as_slice();
-        self.defer = true;
         let mut i = 0;
         while i < deltas.len() {
             match &deltas[i] {
                 Delta::Delete(s) => {
-                    self.flush_deferred(out);
-                    self.defer = false;
                     self.on_delete(s, now, out);
-                    self.defer = true;
                     i += 1;
                 }
                 Delta::Insert(_) => {
@@ -657,8 +479,6 @@ impl PhysicalOp for SPathOp {
                 }
             }
         }
-        self.flush_deferred(out);
-        self.defer = false;
     }
 
     /// Direct approach: expired nodes/edges are dropped with no traversal
@@ -683,8 +503,164 @@ pub use super::rederive::Change as PathChange;
 
 #[cfg(test)]
 mod tests {
+    use super::super::push_one;
     use super::*;
     use sgq_automata::Regex;
+    use sgq_types::{time::window_interval, IntervalSet};
+    use std::collections::BTreeMap;
+
+    /// A pending tree extension (the explicit-stack form of the paper's
+    /// recursive Expand/Propagate).
+    struct Ext {
+        parent: NodeIdx,
+        v: VertexId,
+        state: StateId,
+        edge: Edge,
+        edge_iv: Interval,
+    }
+
+    /// The paper's per-tuple algorithm as printed (§6.2.4, Algorithms
+    /// S-PATH, Expand and Propagate): one depth-first fixpoint per arriving
+    /// edge, emitting at every improvement. Nothing outside this module
+    /// runs it; it is the reference [`SPathOp::bulk_insert_run`] is
+    /// compared against.
+    impl SPathOp {
+        fn reference_insert(&mut self, s: &Sgt, now: Timestamp, out: &mut Vec<Delta>) {
+            let (u, v, l) = (s.src, s.trg, s.label);
+            if self.dfa.transitions_on(l).is_empty() {
+                return;
+            }
+            // Adjacency upsert with max-expiry coalescing; a covered
+            // re-insert cannot produce new derivations.
+            let Some(stored_iv) = self.adj.insert(u, l, v, s.interval) else {
+                return;
+            };
+            let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(l).to_vec();
+            for (from, to) in transitions {
+                if from == self.dfa.start() {
+                    // Lines 7–8: make sure T_u exists so the probe finds it.
+                    self.forest.ensure_tree(u);
+                }
+                // Lines 14–19: every tree containing (u, from) can extend.
+                for tree in self.forest.trees_with(u, from) {
+                    let parent = self
+                        .forest
+                        .tree(tree)
+                        .get(u, from)
+                        .expect("inverted index is consistent");
+                    self.extend_all(
+                        tree,
+                        vec![Ext {
+                            parent,
+                            v,
+                            state: to,
+                            edge: Edge::new(u, v, l),
+                            edge_iv: stored_iv,
+                        }],
+                        now,
+                        out,
+                    );
+                }
+            }
+        }
+
+        /// Processes all pending extensions of one tree to fixpoint.
+        fn extend_all(
+            &mut self,
+            tree: TreeId,
+            mut stack: Vec<Ext>,
+            now: Timestamp,
+            out: &mut Vec<Delta>,
+        ) {
+            while let Some(ext) = stack.pop() {
+                let parent_iv = self.forest.tree(tree).node(ext.parent).interval;
+                let child_iv = parent_iv.intersect(&ext.edge_iv);
+                if child_iv.is_empty() || child_iv.expired_at(now) {
+                    continue;
+                }
+                let existing = self.forest.tree(tree).get(ext.v, ext.state);
+                let node = match existing {
+                    Some(idx) => {
+                        let cur = self.forest.tree(tree).node(idx).interval;
+                        if cur.expired_at(now) {
+                            // Expired nodes are treated as absent (§6.2.4):
+                            // reclaim the stale subtree, then expand fresh.
+                            self.forest.remove_subtree(tree, idx);
+                            let idx = self
+                                .forest
+                                .tree_mut(tree)
+                                .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
+                            self.forest.index_node(tree, ext.v, ext.state);
+                            idx
+                        } else if child_iv.exp <= cur.exp {
+                            // No expiry improvement. A meeting derivation
+                            // that starts earlier still widens the coalesced
+                            // claim leftwards: the canonical node interval is
+                            // the least fixpoint (min ts over meeting
+                            // candidates, max exp), which makes the final
+                            // tree state independent of arrival order. The
+                            // derivation edge is *not* reparented: the
+                            // max-expiry segment is unchanged. Anything else:
+                            // line 18, prune.
+                            if cur.meets(&child_iv) && child_iv.ts < cur.ts {
+                                self.forest.tree_mut(tree).node_mut(idx).interval =
+                                    Interval::new(child_iv.ts, cur.exp);
+                                idx
+                            } else {
+                                continue;
+                            }
+                        } else {
+                            // Propagate: coalesce (min ts, max exp) and
+                            // reparent. In append-only streams the live node
+                            // always meets the new derivation; after explicit
+                            // deletions the intervals may be disjoint, in
+                            // which case the new derivation replaces the old
+                            // claim (a hull would over-claim the gap).
+                            let merged = if cur.meets(&child_iv) {
+                                Interval::new(cur.ts.min(child_iv.ts), child_iv.exp)
+                            } else {
+                                child_iv
+                            };
+                            let t = self.forest.tree_mut(tree);
+                            t.node_mut(idx).interval = merged;
+                            t.reparent(idx, ext.parent, ext.edge);
+                            idx
+                        }
+                    }
+                    None => {
+                        // Expand: create the node as a child of the parent.
+                        let idx = self
+                            .forest
+                            .tree_mut(tree)
+                            .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
+                        self.forest.index_node(tree, ext.v, ext.state);
+                        idx
+                    }
+                };
+                if self.dfa.is_accepting(ext.state) {
+                    self.emit(tree, node, out);
+                }
+                // Traverse the snapshot graph onwards (Expand/Propagate
+                // lines 8+).
+                let node_iv = self.forest.tree(tree).node(node).interval;
+                for (l2, q) in self.dfa.transitions_from(ext.state) {
+                    for entry in self.adj.out(ext.v, l2) {
+                        let e_iv = entry.interval;
+                        if node_iv.intersect(&e_iv).is_empty() {
+                            continue;
+                        }
+                        stack.push(Ext {
+                            parent: node,
+                            v: entry.other,
+                            state: q,
+                            edge: Edge::new(ext.v, entry.other, l2),
+                            edge_iv: e_iv,
+                        });
+                    }
+                }
+            }
+        }
+    }
 
     const RLP: Label = Label(0);
 
@@ -710,7 +686,7 @@ mod tests {
     fn single_edge_result() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 5, 15)), 5, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 5, 15)), 5, &mut out);
         assert_eq!(results(&out), vec![(1, 2, Interval::new(5, 15))]);
     }
 
@@ -718,8 +694,8 @@ mod tests {
     fn two_hop_path_materialised() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 10)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 3, 2, 12)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 10)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 3, 2, 12)), 2, &mut out);
         let res = results(&out);
         // (1,2)@[0,10), then (2,3)@[2,12) and (1,3)@[2,10).
         assert!(res.contains(&(1, 3, Interval::new(2, 10))), "{res:?}");
@@ -747,7 +723,7 @@ mod tests {
         let mut op = plus_op();
         let mut out = Vec::new();
         let feed = |op: &mut SPathOp, out: &mut Vec<Delta>, s, t, ts, exp| {
-            op.on_delta(0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
+            push_one(op, 0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
         };
         feed(&mut op, &mut out, 0, 1, 23, 31); // x→z
         feed(&mut op, &mut out, 1, 2, 24, 32); // z→u
@@ -800,10 +776,10 @@ mod tests {
     fn no_improvement_is_pruned() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 20)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 20)), 0, &mut out);
         out.clear();
         // Alternative derivation with smaller expiry: ignored entirely.
-        op.on_delta(0, Delta::Insert(sgt(3, 2, 1, 5)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(3, 2, 1, 5)), 1, &mut out);
         // Creates T_3 and (3,2) result, but does not touch T_1's node for 2.
         let t1 = op.forest().tree_of_root(VertexId(1)).unwrap();
         let tree = op.forest().tree(t1);
@@ -817,8 +793,8 @@ mod tests {
     fn cycle_terminates_and_reports_self_pairs() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 10)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 1, 1, 11)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 10)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 1, 1, 11)), 1, &mut out);
         let res = results(&out);
         assert!(res.contains(&(1, 1, Interval::new(1, 10))), "{res:?}");
         assert!(res.contains(&(2, 2, Interval::new(1, 10))), "{res:?}");
@@ -835,9 +811,9 @@ mod tests {
         let mk = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 10))
         };
-        op.on_delta(0, Delta::Insert(mk(1, 2, a, 0)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(mk(2, 3, b, 1)), 1, &mut out);
-        op.on_delta(0, Delta::Insert(mk(3, 4, b, 2)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Insert(mk(1, 2, a, 0)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(mk(2, 3, b, 1)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(mk(3, 4, b, 2)), 2, &mut out);
         let res = results(&out);
         assert_eq!(res, vec![(1, 3, Interval::new(1, 10))]);
     }
@@ -847,13 +823,13 @@ mod tests {
         let mut op = plus_op();
         let mut out = Vec::new();
         // Two parallel 2-hop routes 1→2→4 and 1→3→4; tree picks max expiry.
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 4, 1, 25)), 1, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(1, 3, 2, 40)), 2, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(3, 4, 3, 35)), 3, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 4, 1, 25)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 3, 2, 40)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(3, 4, 3, 35)), 3, &mut out);
         out.clear();
         // Node (4,·) in T_1 now has exp 35 via 3. Delete edge 3→4.
-        op.on_delta(0, Delta::Delete(sgt(3, 4, 3, 35)), 4, &mut out);
+        push_one(&mut op, 0, Delta::Delete(sgt(3, 4, 3, 35)), 4, &mut out);
         // Re-derived through 2→4 with exp 25; emits delete+insert for (1,4).
         let t1 = op.forest().tree_of_root(VertexId(1)).unwrap();
         let tree = op.forest().tree(t1);
@@ -871,10 +847,10 @@ mod tests {
     fn deletion_without_alternative_removes_node() {
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(2, 3, 1, 25)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 3, 1, 25)), 1, &mut out);
         out.clear();
-        op.on_delta(0, Delta::Delete(sgt(1, 2, 0, 30)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Delete(sgt(1, 2, 0, 30)), 2, &mut out);
         let t1 = op.forest().tree_of_root(VertexId(1)).unwrap();
         let tree = op.forest().tree(t1);
         assert!(tree.get(VertexId(2), 1).is_none());
@@ -894,8 +870,8 @@ mod tests {
         let e = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 50))
         };
-        op.on_delta(0, Delta::Insert(e(1, 2, a, 0)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(e(2, 3, b, 1)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(e(1, 2, a, 0)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(e(2, 3, b, 1)), 1, &mut out);
         let pairs: Vec<(u64, u64)> = results(&out).iter().map(|&(s, t, _)| (s, t)).collect();
         assert!(pairs.contains(&(1, 2)));
         assert!(pairs.contains(&(2, 3)));
@@ -913,10 +889,10 @@ mod tests {
         let e = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 50))
         };
-        op.on_delta(0, Delta::Insert(e(5, 6, b, 0)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(e(5, 6, b, 0)), 0, &mut out);
         assert!(results(&out).is_empty(), "bare b is not in L(a b?)");
-        op.on_delta(0, Delta::Insert(e(1, 2, a, 1)), 1, &mut out);
-        op.on_delta(0, Delta::Insert(e(2, 3, b, 2)), 2, &mut out);
+        push_one(&mut op, 0, Delta::Insert(e(1, 2, a, 1)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(e(2, 3, b, 2)), 2, &mut out);
         let pairs: Vec<(u64, u64)> = results(&out).iter().map(|&(s, t, _)| (s, t)).collect();
         assert_eq!(pairs, vec![(1, 2), (1, 3)]);
     }
@@ -926,8 +902,8 @@ mod tests {
         // A self-loop produces the (v, v) pair and composes with others.
         let mut op = plus_op();
         let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(2, 2, 0, 50)), 0, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 1, 40)), 1, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 2, 0, 50)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 1, 40)), 1, &mut out);
         let pairs: Vec<(u64, u64)> = results(&out).iter().map(|&(s, t, _)| (s, t)).collect();
         assert!(pairs.contains(&(2, 2)), "{pairs:?}");
         assert!(pairs.contains(&(1, 2)), "{pairs:?}");
@@ -940,7 +916,13 @@ mod tests {
         let mut op = plus_op();
         let mut out = Vec::new();
         for i in 0..50u64 {
-            op.on_delta(0, Delta::Insert(sgt(i, i + 1, i, i + 20)), i, &mut out);
+            push_one(
+                &mut op,
+                0,
+                Delta::Insert(sgt(i, i + 1, i, i + 20)),
+                i,
+                &mut out,
+            );
         }
         let before = op.state_size();
         op.purge(60, &mut Vec::new());
@@ -949,15 +931,15 @@ mod tests {
 
     #[test]
     fn coalesced_interval_not_arrival_order_determines_emission() {
-        // Epoch-boundary improvement-order regression: node 4's canonical
-        // interval is the least fixpoint of the merge lattice (min ts over
-        // meeting derivations, max exp) — NOT a function of which
-        // derivation arrived last. Pre-epoch, 2→4@[1,30) offers node 4
-        // (cur [8,20)) no expiry improvement but an earlier meeting ts, so
-        // the claim widens to [2,20). The epoch then raises the expiry
+        // The hand-written case of the differential below: node 4's
+        // canonical interval is the least fixpoint of the merge lattice
+        // (min ts over meeting derivations, max exp) — NOT a function of
+        // which derivation arrived last. Pre-epoch, 2→4@[1,30) offers node
+        // 4 (cur [8,20)) no expiry improvement but an earlier meeting ts,
+        // so the claim widens to [2,20). The epoch then raises the expiry
         // through BOTH the 1→2→4 chain (exp 30) and the fresh 3→4 edge
-        // (exp 36); serial sees them in arrival order, bulk settles
-        // max-expiry-first — both must end at exactly [2,36).
+        // (exp 36); the reference sees them in arrival order, the frontier
+        // pass settles max-expiry-first — both must end at exactly [2,36).
         let pre = [
             sgt(1, 2, 2, 20),
             sgt(1, 3, 9, 30),
@@ -966,17 +948,23 @@ mod tests {
         ];
         let epoch = [sgt(1, 2, 12, 36), sgt(1, 3, 13, 36), sgt(3, 4, 15, 36)];
 
-        let mut serial = plus_op();
+        let mut reference = plus_op();
         let mut bulk = plus_op();
-        let mut s_out = Vec::new();
+        let mut r_out = Vec::new();
         let mut b_out = Vec::new();
         for s in &pre {
-            serial.on_delta(0, Delta::Insert(s.clone()), s.interval.ts, &mut s_out);
-            bulk.on_delta(0, Delta::Insert(s.clone()), s.interval.ts, &mut b_out);
+            reference.reference_insert(s, s.interval.ts, &mut r_out);
+            push_one(
+                &mut bulk,
+                0,
+                Delta::Insert(s.clone()),
+                s.interval.ts,
+                &mut b_out,
+            );
         }
-        s_out.clear();
+        r_out.clear();
         for s in &epoch {
-            serial.on_delta(0, Delta::Insert(s.clone()), 12, &mut s_out);
+            reference.reference_insert(s, 12, &mut r_out);
         }
         let mut batch = DeltaBatch::default();
         for s in &epoch {
@@ -990,10 +978,10 @@ mod tests {
             let tree = op.forest().tree(t1);
             tree.node(tree.get(VertexId(4), 1).unwrap()).interval
         };
-        assert_eq!(node4(&serial), Interval::new(2, 36));
+        assert_eq!(node4(&reference), Interval::new(2, 36));
         assert_eq!(node4(&bulk), Interval::new(2, 36));
-        // Serial's last (1,4) claim and bulk's single deferred emission
-        // carry the same coalesced interval.
+        // The reference's last (1,4) claim and the frontier pass's single
+        // emission carry the same coalesced interval.
         let last_14 = |out: &[Delta]| {
             out.iter()
                 .rev()
@@ -1003,7 +991,7 @@ mod tests {
                 .map(|d| d.sgt().interval)
                 .unwrap()
         };
-        assert_eq!(last_14(&s_out), Interval::new(2, 36));
+        assert_eq!(last_14(&r_out), Interval::new(2, 36));
         assert_eq!(last_14(b_batch.as_slice()), Interval::new(2, 36));
         assert_eq!(
             b_batch
@@ -1013,12 +1001,124 @@ mod tests {
                     && d.sgt().trg == VertexId(4))
                 .count(),
             1,
-            "bulk emits each improved node once per epoch"
+            "an insert run emits each improved node once"
         );
-        // Counter invariant: bulk settles each node at most once per
+        // Counter invariant: each node settles at most once per
         // improvement chain.
         let f = bulk.frontier_stats().unwrap();
         assert!(f.nodes_settled <= f.nodes_improved, "{f:?}");
         assert!(f.nodes_settled > 0);
+    }
+
+    /// Live tree state as `(root, v, state) → interval`. Nodes expired at
+    /// `now` are skipped: both algorithms treat them as absent, and which
+    /// of them still physically lingers depends on traversal order.
+    fn live_nodes(op: &SPathOp, now: Timestamp) -> BTreeMap<(u64, u64, StateId), Interval> {
+        let mut nodes = BTreeMap::new();
+        for id in op.forest().tree_ids() {
+            let tree = op.forest().tree(id);
+            for i in tree.iter_live() {
+                let n = tree.node(i);
+                if !n.interval.expired_at(now) {
+                    nodes.insert((tree.root.0, n.v.0, n.state), n.interval);
+                }
+            }
+        }
+        nodes
+    }
+
+    /// Per-pair coalesced coverage of the emitted insertions.
+    fn emitted_coverage(out: &[Delta]) -> BTreeMap<(u64, u64), Vec<Interval>> {
+        let mut map: BTreeMap<(u64, u64), IntervalSet> = BTreeMap::new();
+        for d in out {
+            assert!(!d.is_delete(), "append-only input emits no negatives");
+            let s = d.sgt();
+            map.entry((s.src.0, s.trg.0))
+                .or_default()
+                .insert(s.interval);
+        }
+        map.into_iter()
+            .map(|(k, set)| (k, set.intervals().to_vec()))
+            .collect()
+    }
+
+    #[test]
+    fn frontier_pass_matches_per_tuple_reference_on_random_epochs() {
+        // Operator-level differential: random edge sequences × random epoch
+        // cuts (never across a slide boundary, as the engines guarantee),
+        // the paper's per-tuple reference vs `on_batch`. After every epoch
+        // the live tree nodes carry equal intervals, and at the end every
+        // pair's emitted coverage is equal.
+        const WINDOW: u64 = 12;
+        const SLIDE: u64 = 4;
+        let (a, b) = (Label(0), Label(1));
+        let regexes = [
+            Regex::plus(Regex::label(a)),
+            Regex::concat(vec![Regex::label(a), Regex::star(Regex::label(b))]),
+            Regex::plus(Regex::alt(vec![Regex::label(a), Regex::label(b)])),
+        ];
+        // Runs one epoch through `on_batch`, opening at its first edge.
+        let flush = |op: &mut SPathOp, epoch: DeltaBatch, out: &mut Vec<Delta>| {
+            let now = epoch.as_slice()[0].sgt().interval.ts;
+            let mut emitted = DeltaBatch::new();
+            op.on_batch(0, &epoch, now, &mut emitted);
+            out.extend(emitted);
+        };
+        for seed in 0..120u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let regex = &regexes[(seed % 3) as usize];
+            let mut reference = SPathOp::new(regex, Label(9));
+            let mut bulk = SPathOp::new(regex, Label(9));
+            let (mut r_out, mut b_out) = (Vec::new(), Vec::new());
+            let mut epoch = DeltaBatch::new();
+            let mut t = 0u64;
+            for _ in 0..60 {
+                let advanced = t + next(3);
+                // Close the epoch at a slide boundary (always) or at a
+                // random cut; purge on about half of the boundaries, as
+                // reclamation is amortised in the engines.
+                let crosses = advanced / SLIDE != t / SLIDE;
+                if !epoch.is_empty() && (crosses || next(3) == 0) {
+                    flush(&mut bulk, std::mem::take(&mut epoch), &mut b_out);
+                    assert_eq!(
+                        live_nodes(&reference, t),
+                        live_nodes(&bulk, t),
+                        "seed {seed} t {t}"
+                    );
+                }
+                if crosses && next(2) == 0 {
+                    let boundary = advanced / SLIDE * SLIDE;
+                    reference.purge(boundary, &mut Vec::new());
+                    bulk.purge(boundary, &mut Vec::new());
+                }
+                t = advanced;
+                let label = if next(3) == 0 { b } else { a };
+                let s = Sgt::edge(
+                    VertexId(next(7)),
+                    VertexId(next(7)),
+                    label,
+                    window_interval(t, WINDOW, SLIDE),
+                );
+                reference.reference_insert(&s, t, &mut r_out);
+                epoch.push(Delta::Insert(s));
+            }
+            flush(&mut bulk, epoch, &mut b_out);
+            assert_eq!(
+                live_nodes(&reference, t),
+                live_nodes(&bulk, t),
+                "seed {seed}"
+            );
+            assert_eq!(
+                emitted_coverage(&r_out),
+                emitted_coverage(&b_out),
+                "seed {seed}"
+            );
+        }
     }
 }

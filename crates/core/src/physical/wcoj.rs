@@ -353,17 +353,11 @@ impl PhysicalOp for WcojPatternOp {
         )
     }
 
-    fn on_delta(&mut self, port: usize, delta: Delta, now: Timestamp, out: &mut Vec<Delta>) {
-        let mut batch_out = DeltaBatch::new();
-        self.on_batch(port, &DeltaBatch::single(delta), now, &mut batch_out);
-        out.extend(batch_out);
-    }
-
     fn on_batch(&mut self, port: usize, batch: &DeltaBatch, _now: Timestamp, out: &mut DeltaBatch) {
         let (sv, tv) = self.spec.input_vars[port];
         // The pending-atom template and enumeration buffers are set up once
         // per batch: each delta's generic join starts from the same atom
-        // set, so per-tuple execution re-derived them needlessly.
+        // set.
         let template: Vec<Atom> = self
             .spec
             .input_vars
@@ -435,6 +429,10 @@ impl PhysicalOp for WcojPatternOp {
 
 #[cfg(test)]
 mod tests {
+    // The cases shared with the hash-join tree (joins in both arrival
+    // orders, suppression, Example 6, negative tuples, purge, projections)
+    // run over both implementations in `pattern.rs`'s tests.
+    use super::super::push_one;
     use super::*;
     use crate::algebra::Pos;
 
@@ -447,16 +445,6 @@ mod tests {
         )
     }
 
-    fn two_way() -> WcojPatternOp {
-        let spec = CompiledPattern::compile(
-            2,
-            &[(Pos::trg(0), Pos::src(1))],
-            (Pos::src(0), Pos::trg(1)),
-            sgq_types::Label(9),
-        );
-        WcojPatternOp::new(spec, true)
-    }
-
     fn inserts(out: &[Delta]) -> Vec<(u64, u64, Interval)> {
         out.iter()
             .filter(|d| !d.is_delete())
@@ -465,148 +453,6 @@ mod tests {
                 (s.src.0, s.trg.0, s.interval)
             })
             .collect()
-    }
-
-    #[test]
-    fn symmetric_join_both_arrival_orders() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert!(out.is_empty());
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 2, 12)), 2, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
-
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 2, 12)), 2, &mut out);
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 3, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
-    }
-
-    #[test]
-    fn disjoint_intervals_do_not_join() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 5)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 7, 12)), 7, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn covered_duplicate_is_suppressed() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 10)), 0, &mut out);
-        assert_eq!(out.len(), 1);
-        out.clear();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 3, 8)), 3, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn example6_triangle() {
-        // recentLiker triangle of Example 6 — same fixture as the hash-join
-        // tree test, so both PATTERN implementations are pinned to the
-        // paper's expected output.
-        let spec = CompiledPattern::compile(
-            3,
-            &[
-                (Pos::trg(0), Pos::trg(1)),
-                (Pos::src(0), Pos::src(2)),
-                (Pos::src(1), Pos::trg(2)),
-            ],
-            (Pos::src(0), Pos::src(1)),
-            sgq_types::Label(10),
-        );
-        let mut op = WcojPatternOp::new(spec, true);
-        let mut out = Vec::new();
-        for (port, s) in [
-            (1, sgt(1, 2, 1, 10, 34)),
-            (2, sgt(0, 1, 2, 7, 31)),
-            (2, sgt(3, 0, 2, 13, 37)),
-            (2, sgt(3, 1, 2, 13, 31)),
-            (1, sgt(1, 4, 1, 17, 41)),
-            (1, sgt(0, 5, 1, 22, 46)),
-            (0, sgt(3, 5, 0, 28, 52)),
-            (0, sgt(0, 2, 0, 29, 53)),
-            (0, sgt(0, 4, 0, 30, 54)),
-        ] {
-            op.on_delta(port, Delta::Insert(s), 0, &mut out);
-        }
-        let res = inserts(&out);
-        assert!(res.contains(&(3, 0, Interval::new(28, 37))), "{res:?}");
-        assert!(res.contains(&(0, 1, Interval::new(29, 31))), "{res:?}");
-        assert_eq!(res.len(), 2, "{res:?}");
-    }
-
-    #[test]
-    fn negative_tuple_cancels_result() {
-        let spec = CompiledPattern::compile(
-            2,
-            &[(Pos::trg(0), Pos::src(1))],
-            (Pos::src(0), Pos::trg(1)),
-            sgq_types::Label(9),
-        );
-        let mut op = WcojPatternOp::new(spec, false);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(2, 3, 1, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out).len(), 1);
-        out.clear();
-        op.on_delta(0, Delta::Delete(sgt(1, 2, 0, 0, 10)), 5, &mut out);
-        assert_eq!(out.len(), 1);
-        assert!(out[0].is_delete());
-        assert_eq!(out[0].sgt().src, VertexId(1));
-        assert_eq!(out[0].sgt().trg, VertexId(3));
-    }
-
-    #[test]
-    fn purge_reclaims_expired_state() {
-        let mut op = two_way();
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(5, 6, 1, 0, 10)), 0, &mut out);
-        assert_eq!(op.state_size(), 2);
-        op.purge(10, &mut Vec::new());
-        assert_eq!(op.state_size(), 0);
-    }
-
-    #[test]
-    fn single_input_projection() {
-        let spec =
-            CompiledPattern::compile(1, &[], (Pos::trg(0), Pos::src(0)), sgq_types::Label(9));
-        let mut op = WcojPatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(2, 1, Interval::new(0, 10))]);
-    }
-
-    #[test]
-    fn self_loop_constraint() {
-        let spec = CompiledPattern::compile(
-            1,
-            &[(Pos::src(0), Pos::trg(0))],
-            (Pos::src(0), Pos::trg(0)),
-            sgq_types::Label(9),
-        );
-        let mut op = WcojPatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        assert!(out.is_empty());
-        op.on_delta(0, Delta::Insert(sgt(3, 3, 0, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(3, 3, Interval::new(0, 10))]);
-    }
-
-    #[test]
-    fn cross_product_when_no_shared_vars() {
-        let spec =
-            CompiledPattern::compile(2, &[], (Pos::src(0), Pos::trg(1)), sgq_types::Label(9));
-        let mut op = WcojPatternOp::new(spec, true);
-        let mut out = Vec::new();
-        op.on_delta(0, Delta::Insert(sgt(1, 2, 0, 0, 10)), 0, &mut out);
-        op.on_delta(1, Delta::Insert(sgt(7, 8, 1, 0, 10)), 0, &mut out);
-        assert_eq!(inserts(&out), vec![(1, 8, Interval::new(0, 10))]);
     }
 
     #[test]
@@ -632,10 +478,10 @@ mod tests {
             (1, sgt(2, 3, 0, 0, 10)),
             (2, sgt(3, 4, 0, 0, 10)),
         ] {
-            op.on_delta(port, Delta::Insert(s), 0, &mut out);
+            push_one(&mut op, port, Delta::Insert(s), 0, &mut out);
         }
         assert!(out.is_empty());
-        op.on_delta(3, Delta::Insert(sgt(4, 1, 0, 0, 10)), 0, &mut out);
+        push_one(&mut op, 3, Delta::Insert(sgt(4, 1, 0, 0, 10)), 0, &mut out);
         // The same edges also feed the other ports in a real plan; here only
         // one assignment per port exists, so exactly one result.
         assert_eq!(inserts(&out), vec![(1, 4, Interval::new(0, 10))]);

@@ -102,8 +102,8 @@ impl DeltaBatch {
         &self.deltas
     }
 
-    /// Mutable access to the underlying vector (the adapter surface for
-    /// per-tuple operator code that appends to a `Vec<Delta>`).
+    /// Mutable access to the underlying vector (for operator code that
+    /// appends to a `Vec<Delta>`).
     pub fn as_mut_vec(&mut self) -> &mut Vec<Delta> {
         &mut self.deltas
     }

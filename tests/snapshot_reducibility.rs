@@ -4,10 +4,12 @@
 //! input — checked across query shapes, window configurations, and both
 //! PATH implementations, on randomized streams.
 
+mod common;
+
+use common::{oracle_answer_at, windowed_sgt};
 use s_graffito::datagen::uniform_stream;
 use s_graffito::prelude::*;
-use s_graffito::query::oracle;
-use s_graffito::types::{Edge, FxHashSet, InputStream, SnapshotGraph};
+use s_graffito::types::{Edge, FxHashSet, InputStream};
 
 /// Runs `program_text` over a random stream and checks Def. 14 at every
 /// instant in `[0, horizon)`.
@@ -31,12 +33,7 @@ fn check(
     let mut windowed: Vec<Sgt> = Vec::new();
     for sge in &stream {
         engine.process(*sge);
-        windowed.push(Sgt::edge(
-            sge.src,
-            sge.trg,
-            sge.label,
-            window.interval_for(sge.t),
-        ));
+        windowed.push(windowed_sgt(sge, window));
     }
 
     // Window movement is time-driven: drive event time to the horizon so
@@ -45,8 +42,7 @@ fn check(
     let horizon = span + window.size + 2;
     engine.advance_time(horizon);
     for t in 0..horizon {
-        let snap = SnapshotGraph::at_time(t, &windowed);
-        let expect = oracle::evaluate_answer(&program, &snap);
+        let expect = oracle_answer_at(&program, &windowed, t);
         let got = engine.answer_at(t);
         assert_eq!(
             got, expect,
