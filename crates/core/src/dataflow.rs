@@ -1608,6 +1608,15 @@ impl Dataflow {
             .collect()
     }
 
+    /// The [`PathCensus`](crate::physical::PathCensus) of every live PATH
+    /// operator, by node id.
+    pub fn path_censuses(&self) -> Vec<(usize, crate::physical::PathCensus)> {
+        (0..self.nodes.len())
+            .filter(|&n| !self.retired[n])
+            .filter_map(|n| Some((n, self.nodes[n].op.path_census()?)))
+            .collect()
+    }
+
     /// Sums the frontier traversal counters of every live PATH operator
     /// (nodes settled / improved, heap pushes, edges scanned). Zero when
     /// the flow holds no traversal operator.

@@ -6,8 +6,21 @@
 //! max-expiry interval is stored: inputs arrive in timestamp order, so an
 //! older disjoint interval is necessarily expired and can be replaced
 //! (§6.2.4, coalescing with `max` aggregation over expiry).
+//!
+//! The maps hold what the window holds. Every write of an entry's
+//! interval — insert, coalesce, replace, and the truncation of an explicit
+//! deletion — files the edge under its new expiry in an
+//! `ExpiryIndex` (see [`super::forest`]); [`Adjacency::purge`] pops the
+//! due keys and visits those edges only, under the same stale-handle
+//! rule as the forest (a popped edge is dropped iff it is stored and
+//! expired *now*). A bucket that loses its last entry leaves its map at
+//! once, whether a purge or a deletion emptied it, and survivors keep
+//! their order within a bucket — traversal order is part of the
+//! operator's deterministic output.
 
+use super::forest::ExpiryIndex;
 use sgq_types::{Edge, FxHashMap, Interval, Label, Timestamp, VertexId};
+use std::collections::hash_map::Entry;
 
 // Send audit: PATH-operator window state (owned hash maps of Copy entries).
 const _: () = super::assert_send::<Adjacency>();
@@ -51,12 +64,32 @@ pub struct AdjEntry {
     pub interval: Interval,
 }
 
+type Buckets = FxHashMap<(VertexId, Label), Vec<AdjEntry>>;
+
+/// Occupancy of an [`Adjacency`], for asserting that it tracks the window
+/// (`tests/bounded_state.rs`). Computed by a full scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdjacencyCensus {
+    /// Stored edges ([`Adjacency::size`]).
+    pub edges: usize,
+    /// `(vertex, label)` buckets of the outgoing map.
+    pub out_buckets: usize,
+    /// `(vertex, label)` buckets of the incoming map.
+    pub inc_buckets: usize,
+    /// Buckets holding no entry, both maps (always zero).
+    pub empty_buckets: usize,
+    /// Expiry handles not yet popped by a purge.
+    pub expiry_handles: usize,
+}
+
 /// Outgoing and incoming adjacency with per-edge coalesced intervals.
 #[derive(Debug, Default)]
 pub struct Adjacency {
-    out: FxHashMap<(VertexId, Label), Vec<AdjEntry>>,
-    inc: FxHashMap<(VertexId, Label), Vec<AdjEntry>>,
+    out: Buckets,
+    inc: Buckets,
+    /// Stored edges (= entries of `out` = entries of `inc`).
     edges: usize,
+    expiry: ExpiryIndex<Edge>,
 }
 
 impl Adjacency {
@@ -75,40 +108,43 @@ impl Adjacency {
         trg: VertexId,
         iv: Interval,
     ) -> Option<Interval> {
-        let stored = Self::upsert(&mut self.out, (src, label), trg, iv);
-        if stored.is_some() {
-            Self::upsert(&mut self.inc, (trg, label), src, iv);
-            if stored == Some(iv) {
-                // Entirely new or replaced (not merged): count conservatively.
-                self.edges += 1;
-            }
+        let (stored, old_exp) = Self::upsert(&mut self.out, (src, label), trg, iv)?;
+        Self::upsert(&mut self.inc, (trg, label), src, iv);
+        if old_exp.is_none() {
+            self.edges += 1;
         }
-        stored
+        if old_exp != Some(stored.exp) {
+            self.expiry.register(stored.exp, Edge::new(src, trg, label));
+        }
+        Some(stored)
     }
 
+    /// Returns the stored interval and the expiry it replaced (`None` for
+    /// a new entry), or `None` if `iv` is covered.
     fn upsert(
-        map: &mut FxHashMap<(VertexId, Label), Vec<AdjEntry>>,
+        map: &mut Buckets,
         key: (VertexId, Label),
         other: VertexId,
         iv: Interval,
-    ) -> Option<Interval> {
+    ) -> Option<(Interval, Option<Timestamp>)> {
         let bucket = map.entry(key).or_default();
         if let Some(e) = bucket.iter_mut().find(|e| e.other == other) {
             if iv.ts >= e.interval.ts && iv.exp <= e.interval.exp {
                 return None; // covered
             }
+            let old_exp = e.interval.exp;
             e.interval = if e.interval.meets(&iv) {
                 e.interval.hull(&iv) // coalesce (Def. 11)
             } else {
                 iv // the old disjoint interval is expired: replace
             };
-            return Some(e.interval);
+            return Some((e.interval, Some(old_exp)));
         }
         bucket.push(AdjEntry {
             other,
             interval: iv,
         });
-        Some(iv)
+        Some((iv, None))
     }
 
     /// Bulk-loads one epoch's insert run **before any traversal**, so the
@@ -141,27 +177,45 @@ impl Adjacency {
     /// Removes `iv` from the stored edge (explicit deletion). The stored
     /// interval is truncated; if nothing remains the edge is dropped.
     pub fn remove(&mut self, src: VertexId, label: Label, trg: VertexId, iv: Interval) {
-        let drop = |map: &mut FxHashMap<(VertexId, Label), Vec<AdjEntry>>,
-                    key: (VertexId, Label),
-                    other: VertexId| {
-            if let Some(bucket) = map.get_mut(&key) {
-                if let Some(p) = bucket.iter().position(|e| e.other == other) {
-                    let e = &mut bucket[p];
-                    // Truncate: keep the part of the stored interval outside
-                    // [iv.ts, iv.exp); keep the later piece if split.
-                    let left = Interval::new(e.interval.ts, iv.ts.min(e.interval.exp));
-                    let right = Interval::new(iv.exp.max(e.interval.ts), e.interval.exp);
-                    let keep = if !right.is_empty() { right } else { left };
-                    if keep.is_empty() {
-                        bucket.swap_remove(p);
-                    } else {
-                        e.interval = keep;
-                    }
-                }
-            }
+        let Some((old_exp, kept)) = Self::truncate(&mut self.out, (src, label), trg, iv) else {
+            return;
         };
-        drop(&mut self.out, (src, label), trg);
-        drop(&mut self.inc, (trg, label), src);
+        Self::truncate(&mut self.inc, (trg, label), src, iv);
+        match kept {
+            None => self.edges -= 1,
+            Some(k) if k.exp != old_exp => {
+                self.expiry.register(k.exp, Edge::new(src, trg, label));
+            }
+            Some(_) => {}
+        }
+    }
+
+    /// Cuts `iv` out of the entry `key → other`. Returns the entry's old
+    /// expiry and what is left of it (`None`: dropped), or `None` if there
+    /// is no such entry.
+    fn truncate(
+        map: &mut Buckets,
+        key: (VertexId, Label),
+        other: VertexId,
+        iv: Interval,
+    ) -> Option<(Timestamp, Option<Interval>)> {
+        let bucket = map.get_mut(&key)?;
+        let p = bucket.iter().position(|e| e.other == other)?;
+        let stored = bucket[p].interval;
+        // Keep the part of the stored interval outside [iv.ts, iv.exp);
+        // keep the later piece if split.
+        let left = Interval::new(stored.ts, iv.ts.min(stored.exp));
+        let right = Interval::new(iv.exp.max(stored.ts), stored.exp);
+        let keep = if !right.is_empty() { right } else { left };
+        if keep.is_empty() {
+            bucket.swap_remove(p);
+            if bucket.is_empty() {
+                map.remove(&key);
+            }
+            return Some((stored.exp, None));
+        }
+        bucket[p].interval = keep;
+        Some((stored.exp, Some(keep)))
     }
 
     /// Outgoing edges of `v` with label `l`.
@@ -190,16 +244,72 @@ impl Adjacency {
         })
     }
 
-    /// Collects edges fully expired at `watermark` (for negative-tuple
-    /// expiry processing).
-    pub fn expired_at(&self, watermark: Timestamp) -> Vec<(VertexId, Label, VertexId, Interval)> {
-        self.iter()
-            .filter(|(_, _, _, iv)| iv.expired_at(watermark))
-            .collect()
+    /// Drops expired entries (direct approach), visiting only the edges
+    /// filed at or below `watermark`.
+    pub fn purge(&mut self, watermark: Timestamp) {
+        while let Some(due) = self.expiry.pop_due(watermark) {
+            for edge in due {
+                let (out, inc) = ((edge.src, edge.label), (edge.trg, edge.label));
+                if Self::drop_if_expired(&mut self.out, out, edge.trg, watermark) {
+                    let mirrored = Self::drop_if_expired(&mut self.inc, inc, edge.src, watermark);
+                    debug_assert!(mirrored, "out and inc mirror each other");
+                    self.edges -= 1;
+                }
+            }
+        }
+        debug_assert_eq!(
+            self.edges,
+            self.out.values().map(Vec::len).sum::<usize>(),
+            "maintained edge count drifted"
+        );
     }
 
-    /// Drops expired entries (direct approach).
-    pub fn purge(&mut self, watermark: Timestamp) {
+    /// Removes the entry `key → other` if it is stored and expired at
+    /// `watermark`, keeping the bucket's order; says whether it did.
+    fn drop_if_expired(
+        map: &mut Buckets,
+        key: (VertexId, Label),
+        other: VertexId,
+        watermark: Timestamp,
+    ) -> bool {
+        let Entry::Occupied(mut bucket) = map.entry(key) else {
+            return false;
+        };
+        let entries = bucket.get_mut();
+        let Some(p) = entries
+            .iter()
+            .position(|e| e.other == other && e.interval.expired_at(watermark))
+        else {
+            return false;
+        };
+        entries.remove(p);
+        if entries.is_empty() {
+            bucket.remove();
+        }
+        true
+    }
+
+    /// Number of stored edges.
+    pub fn size(&self) -> usize {
+        self.edges
+    }
+
+    /// Counts buckets and pending handles (full scan).
+    pub fn census(&self) -> AdjacencyCensus {
+        let empty = |m: &Buckets| m.values().filter(|b| b.is_empty()).count();
+        AdjacencyCensus {
+            edges: self.edges,
+            out_buckets: self.out.len(),
+            inc_buckets: self.inc.len(),
+            empty_buckets: empty(&self.out) + empty(&self.inc),
+            expiry_handles: self.expiry.pending(),
+        }
+    }
+
+    /// The purge this module replaced: `retain` over both whole maps.
+    /// Kept as the reference of the differential tests.
+    #[cfg(test)]
+    pub(crate) fn purge_by_retain(&mut self, watermark: Timestamp) {
         for map in [&mut self.out, &mut self.inc] {
             map.retain(|_, bucket| {
                 bucket.retain(|e| !e.interval.expired_at(watermark));
@@ -207,11 +317,15 @@ impl Adjacency {
             });
         }
         self.edges = self.out.values().map(Vec::len).sum();
+        while self.expiry.pop_due(watermark).is_some() {}
     }
 
-    /// Approximate number of stored edges.
-    pub fn size(&self) -> usize {
-        self.out.values().map(Vec::len).sum()
+    /// Both maps with buckets in stored order, keys sorted.
+    #[cfg(test)]
+    pub(crate) fn buckets(
+        &self,
+    ) -> [std::collections::BTreeMap<(VertexId, Label), Vec<AdjEntry>>; 2] {
+        [&self.out, &self.inc].map(|m| m.iter().map(|(k, b)| (*k, b.clone())).collect())
     }
 }
 
@@ -280,16 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_at_lists_expired_edges() {
-        let mut a = Adjacency::new();
-        a.insert(v(1), L, v(2), Interval::new(0, 5));
-        a.insert(v(2), L, v(3), Interval::new(0, 9));
-        let exp = a.expired_at(6);
-        assert_eq!(exp.len(), 1);
-        assert_eq!(exp[0].0, v(1));
-    }
-
-    #[test]
     fn bulk_insert_records_final_intervals_once() {
         let mut a = Adjacency::new();
         a.insert(v(1), L, v(2), Interval::new(0, 10));
@@ -313,6 +417,89 @@ mod tests {
         assert_eq!(a.interval_of(v(1), L, v(3)), Some(Interval::new(4, 16)));
         load.clear();
         assert!(load.edges().is_empty());
+    }
+
+    #[test]
+    fn size_is_a_maintained_count_of_stored_edges() {
+        let mut a = Adjacency::new();
+        a.insert(v(1), L, v(2), Interval::new(0, 10));
+        a.insert(v(1), L, v(3), Interval::new(0, 6));
+        a.insert(v(4), L, v(2), Interval::new(1, 6));
+        assert_eq!(a.size(), 3);
+        a.insert(v(1), L, v(2), Interval::new(5, 20)); // coalesce
+        a.insert(v(1), L, v(2), Interval::new(6, 8)); // covered
+        assert_eq!(a.size(), 3);
+        a.remove(v(1), L, v(2), Interval::new(0, 4)); // truncate
+        assert_eq!(a.size(), 3);
+        a.remove(v(1), L, v(2), Interval::new(0, 100)); // drop
+        assert_eq!(a.size(), 2);
+        a.remove(v(1), L, v(2), Interval::new(0, 100)); // absent
+        assert_eq!(a.size(), 2);
+        a.purge(6);
+        assert_eq!(a.size(), 0);
+        a.insert(v(1), L, v(3), Interval::new(7, 17)); // re-arrival
+        assert_eq!(a.size(), 1);
+        assert_eq!(a.census().edges, a.iter().count());
+    }
+
+    #[test]
+    fn emptied_buckets_leave_the_maps_at_once() {
+        let mut a = Adjacency::new();
+        a.insert(v(1), L, v(2), Interval::new(0, 10));
+        a.insert(v(3), L, v(4), Interval::new(0, 5));
+        a.remove(v(1), L, v(2), Interval::new(0, 10));
+        let c = a.census();
+        assert_eq!((c.out_buckets, c.inc_buckets, c.empty_buckets), (1, 1, 0));
+        a.purge(5);
+        let c = a.census();
+        assert_eq!((c.out_buckets, c.inc_buckets, c.expiry_handles), (0, 0, 1));
+        a.purge(10);
+        assert_eq!(a.census().expiry_handles, 0, "the deleted edge's handle");
+    }
+
+    #[test]
+    fn purge_honours_a_handle_only_if_the_edge_is_expired_now() {
+        let mut a = Adjacency::new();
+        a.insert(v(1), L, v(2), Interval::new(0, 5));
+        a.insert(v(1), L, v(2), Interval::new(3, 9)); // coalesced past 5
+        a.insert(v(1), L, v(3), Interval::new(0, 5));
+        a.remove(v(1), L, v(3), Interval::new(0, 5));
+        a.insert(v(1), L, v(3), Interval::new(4, 12)); // gone and back
+        a.insert(v(1), L, v(4), Interval::new(2, 20));
+        a.remove(v(1), L, v(4), Interval::new(4, 20)); // truncated to [2, 4)
+        a.purge(5);
+        assert_eq!(a.interval_of(v(1), L, v(2)), Some(Interval::new(0, 9)));
+        assert_eq!(a.interval_of(v(1), L, v(3)), Some(Interval::new(4, 12)));
+        assert_eq!(a.interval_of(v(1), L, v(4)), None);
+        assert_eq!(a.size(), 2);
+    }
+
+    #[test]
+    fn index_purge_equals_retain_bucket_for_bucket() {
+        let build = || {
+            let mut a = Adjacency::new();
+            for (s, t, ts, exp) in [
+                (1, 2, 0, 4),
+                (1, 3, 0, 8),
+                (1, 4, 1, 4),
+                (1, 5, 1, 12),
+                (2, 5, 2, 8),
+                (3, 5, 2, 4),
+                (1, 3, 3, 12),
+            ] {
+                a.insert(v(s), L, v(t), Interval::new(ts, exp));
+            }
+            a.remove(v(1), L, v(5), Interval::new(6, 12));
+            a
+        };
+        let (mut by_index, mut by_retain) = (build(), build());
+        for w in [4, 6, 8, 12] {
+            by_index.purge(w);
+            by_retain.purge_by_retain(w);
+            assert_eq!(by_index.buckets(), by_retain.buckets(), "watermark {w}");
+            assert_eq!(by_index.census(), by_retain.census(), "watermark {w}");
+        }
+        assert_eq!(by_index.size(), 0);
     }
 
     #[test]

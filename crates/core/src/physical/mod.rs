@@ -90,6 +90,22 @@ pub trait PhysicalOp: Send {
     fn frontier_stats(&self) -> Option<crate::obs::FrontierStats> {
         None
     }
+
+    /// Slot and index occupancy of a PATH operator's window state; `None`
+    /// for every other operator. Counted by a full scan — what
+    /// `tests/bounded_state.rs` holds against the window, not a metric.
+    fn path_census(&self) -> Option<PathCensus> {
+        None
+    }
+}
+
+/// What a PATH operator holds: its Δ-PATH forest and its window adjacency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathCensus {
+    /// The spanning forest.
+    pub forest: forest::ForestCensus,
+    /// The window adjacency.
+    pub adjacency: adjacency::AdjacencyCensus,
 }
 
 /// Test helper: pushes one delta through [`PhysicalOp::on_batch`] as a

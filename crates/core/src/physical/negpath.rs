@@ -18,7 +18,7 @@
 use super::adjacency::Adjacency;
 use super::forest::Forest;
 use super::rederive::{rederive_in, RederiveScratch, RevDfa};
-use super::{Delta, PhysicalOp};
+use super::{Delta, PathCensus, PhysicalOp};
 use crate::obs::FrontierStats;
 use sgq_automata::{Dfa, Regex, StateId};
 use sgq_types::{Edge, Interval, Label, Payload, Sgt, Timestamp, VertexId};
@@ -110,24 +110,15 @@ impl NegPathOp {
                 Some(idx) => {
                     if self.forest.tree(tree).node(idx).interval.expired_at(now) {
                         self.forest.remove_subtree(tree, idx);
-                        let idx = self
-                            .forest
-                            .tree_mut(tree)
-                            .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                        self.forest.index_node(tree, ext.v, ext.state);
-                        idx
+                        self.forest
+                            .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv)
                     } else {
                         continue; // present ⇒ skip (no Propagate in [57])
                     }
                 }
-                None => {
-                    let idx = self
-                        .forest
-                        .tree_mut(tree)
-                        .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                    self.forest.index_node(tree, ext.v, ext.state);
-                    idx
-                }
+                None => self
+                    .forest
+                    .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv),
             };
             self.stats.nodes_improved += 1;
             if self.dfa.is_accepting(ext.state) {
@@ -165,7 +156,7 @@ impl NegPathOp {
             if from == self.dfa.start() {
                 self.forest.ensure_tree(u);
             }
-            for tree in self.forest.trees_with(u, from) {
+            for tree in self.forest.trees_with(u, from).collect::<Vec<_>>() {
                 let parent = self
                     .forest
                     .tree(tree)
@@ -199,8 +190,7 @@ impl NegPathOp {
     ) {
         let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(edge.label).to_vec();
         for (_, to) in transitions {
-            let trees = self.forest.trees_with(edge.trg, to);
-            for tree in trees {
+            for tree in self.forest.trees_with(edge.trg, to).collect::<Vec<_>>() {
                 let Some(idx) = self.forest.tree(tree).get(edge.trg, to) else {
                     continue;
                 };
@@ -356,6 +346,13 @@ impl PhysicalOp for NegPathOp {
 
     fn frontier_stats(&self) -> Option<FrontierStats> {
         Some(self.stats)
+    }
+
+    fn path_census(&self) -> Option<PathCensus> {
+        Some(PathCensus {
+            forest: self.forest.census(),
+            adjacency: self.adj.census(),
+        })
     }
 }
 

@@ -220,11 +220,8 @@ pub fn rederive_in(
         marked.remove(&c.child);
         stats.nodes_settled += 1;
         stats.nodes_improved += 1;
-        {
-            let t = forest.tree_mut(tree);
-            t.node_mut(c.child).interval = c.iv;
-            t.reparent(c.child, c.parent, c.edge);
-        }
+        forest.set_interval(tree, c.child, c.iv);
+        forest.reparent(tree, c.child, c.parent, c.edge);
         // The settled node can now parent its still-marked out-neighbours.
         let (v, state, iv) = {
             let n = forest.tree(tree).node(c.child);
@@ -307,19 +304,9 @@ mod tests {
         let t = forest.ensure_tree(v(1));
         let root = forest.tree(t).root_idx();
         let s1 = dfa.delta(dfa.start(), L).unwrap();
-        let n2 = forest
-            .tree_mut(t)
-            .insert_child(root, v(2), s1, e(1, 2), Interval::new(0, 30));
-        let n3 = forest
-            .tree_mut(t)
-            .insert_child(root, v(3), s1, e(1, 3), Interval::new(2, 40));
-        let _n4 = forest
-            .tree_mut(t)
-            .insert_child(n3, v(4), s1, e(3, 4), Interval::new(3, 35));
-        forest.index_node(t, v(2), s1);
-        forest.index_node(t, v(3), s1);
-        forest.index_node(t, v(4), s1);
-        let _ = n2;
+        forest.insert_child(t, root, v(2), s1, e(1, 2), Interval::new(0, 30));
+        let n3 = forest.insert_child(t, root, v(3), s1, e(1, 3), Interval::new(2, 40));
+        forest.insert_child(t, n3, v(4), s1, e(3, 4), Interval::new(3, 35));
         (forest, adj, dfa, rev, t)
     }
 
@@ -359,11 +346,7 @@ mod tests {
         adj.insert(v(5), L, v(4), Interval::new(0, 45));
         let s1 = dfa.delta(dfa.start(), L).unwrap();
         let root = forest.tree(t).root_idx();
-        let n5 = forest
-            .tree_mut(t)
-            .insert_child(root, v(5), s1, e(1, 5), Interval::new(0, 50));
-        forest.index_node(t, v(5), s1);
-        let _ = n5;
+        forest.insert_child(t, root, v(5), s1, e(1, 5), Interval::new(0, 50));
         adj.remove(v(3), L, v(4), Interval::new(3, 35));
         let n4 = forest.tree(t).get(v(4), s1).unwrap();
         let changes = rederive(&mut forest, t, vec![n4], &adj, &dfa, &rev, 5);
@@ -378,11 +361,7 @@ mod tests {
         // Extend: 4→6 as a child of 4.
         adj.insert(v(4), L, v(6), Interval::new(4, 28));
         let n4 = forest.tree(t).get(v(4), s1).unwrap();
-        let n6 = forest
-            .tree_mut(t)
-            .insert_child(n4, v(6), s1, e(4, 6), Interval::new(4, 28));
-        forest.index_node(t, v(6), s1);
-        let _ = n6;
+        forest.insert_child(t, n4, v(6), s1, e(4, 6), Interval::new(4, 28));
         // Delete 3→4: both 4 and 6 must re-derive through 2.
         adj.remove(v(3), L, v(4), Interval::new(3, 35));
         let changes = rederive(&mut forest, t, vec![n4], &adj, &dfa, &rev, 5);

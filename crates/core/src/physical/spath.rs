@@ -16,7 +16,7 @@
 use super::adjacency::{Adjacency, EpochLoad};
 use super::forest::{Forest, NodeIdx, TreeId};
 use super::rederive::{rederive_in, RederiveScratch, RevDfa};
-use super::{Delta, DeltaBatch, PhysicalOp};
+use super::{Delta, DeltaBatch, PathCensus, PhysicalOp};
 use crate::obs::FrontierStats;
 use sgq_automata::{Dfa, Regex, StateId};
 use sgq_types::{Edge, FxHashSet, Interval, Label, Payload, Sgt, Timestamp, VertexId};
@@ -58,6 +58,8 @@ pub struct SPathOp {
     seeds: Vec<(TreeId, BulkCand)>,
     /// Scratch for deletion-triggered re-derivation passes.
     rescratch: RederiveScratch,
+    /// The trees one deletion disconnects, in root-vertex order.
+    cut: Vec<(VertexId, TreeId, NodeIdx)>,
     /// Always-on traversal counters (see [`FrontierStats`]).
     stats: FrontierStats,
 }
@@ -125,6 +127,7 @@ impl SPathOp {
             settled: FxHashSet::default(),
             seeds: Vec::new(),
             rescratch: RederiveScratch::default(),
+            cut: Vec::new(),
             stats: FrontierStats::default(),
         }
     }
@@ -212,8 +215,9 @@ impl SPathOp {
             &mut epoch,
         );
 
-        // (2) Trees for start-transition edges, in admitted-arrival order,
-        // so TreeId assignment does not depend on the run split.
+        // (2) Trees for start-transition edges, before any seeding, so
+        // the probe below finds them. Which slot a tree gets (a recycled
+        // one if any) shows in nothing the operator emits.
         for &(edge, _) in epoch.edges() {
             if self
                 .dfa
@@ -232,20 +236,11 @@ impl SPathOp {
         let mut seeds = std::mem::take(&mut self.seeds);
         seeds.clear();
         for &(edge, stored) in epoch.edges() {
-            let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(edge.label).to_vec();
-            for (from, to) in transitions {
+            for &(from, to) in self.dfa.transitions_on(edge.label) {
                 for tree in self.forest.trees_with(edge.src, from) {
-                    let parent = self
-                        .forest
-                        .tree(tree)
-                        .get(edge.src, from)
-                        .expect("inverted index is consistent");
-                    let iv = self
-                        .forest
-                        .tree(tree)
-                        .node(parent)
-                        .interval
-                        .intersect(&stored);
+                    let t = self.forest.tree(tree);
+                    let parent = t.get(edge.src, from).expect("inverted index is consistent");
+                    let iv = t.node(parent).interval.intersect(&stored);
                     if iv.is_empty() || iv.expired_at(now) {
                         continue;
                     }
@@ -262,9 +257,10 @@ impl SPathOp {
                 }
             }
         }
-        // Deterministic tree order; the stable sort keeps each tree's
-        // seeds in arrival order.
-        seeds.sort_by_key(|&(t, _)| t);
+        // Trees in root-vertex order — a function of the input alone,
+        // whichever recycled slot a tree sits in; the stable sort keeps
+        // each tree's seeds in arrival order.
+        seeds.sort_by_key(|&(t, _)| self.forest.tree(t).root);
         let mut i = 0;
         while i < seeds.len() {
             let tree = seeds[i].0;
@@ -304,12 +300,10 @@ impl SPathOp {
                         // Expired nodes are treated as absent (§6.2.4):
                         // reclaim the stale subtree, then expand fresh.
                         self.forest.remove_subtree(tree, idx);
-                        let idx = self
-                            .forest
-                            .tree_mut(tree)
-                            .insert_child(c.parent, c.v, c.state, c.edge, c.iv);
-                        self.forest.index_node(tree, c.v, c.state);
-                        Some(idx)
+                        Some(
+                            self.forest
+                                .insert_child(tree, c.parent, c.v, c.state, c.edge, c.iv),
+                        )
                     } else if c.iv.exp > cur.exp {
                         // Settle: Propagate with the final expiry.
                         let merged = if cur.meets(&c.iv) {
@@ -317,30 +311,25 @@ impl SPathOp {
                         } else {
                             c.iv
                         };
-                        let t = self.forest.tree_mut(tree);
-                        t.node_mut(idx).interval = merged;
-                        t.reparent(idx, c.parent, c.edge);
+                        self.forest.set_interval(tree, idx, merged);
+                        self.forest.reparent(tree, idx, c.parent, c.edge);
                         Some(idx)
                     } else if cur.meets(&c.iv) && c.iv.ts < cur.ts {
                         // ts-widen only: the settled max-expiry derivation
                         // stays (no reparent); the coalesced claim grows
                         // leftwards and cascades to successors.
-                        self.forest.tree_mut(tree).node_mut(idx).interval =
-                            Interval::new(c.iv.ts, cur.exp);
+                        self.forest
+                            .set_interval(tree, idx, Interval::new(c.iv.ts, cur.exp));
                         Some(idx)
                     } else {
                         None // no improvement — prune (line 18)
                     }
                 }
-                None => {
-                    // Expand.
-                    let idx = self
-                        .forest
-                        .tree_mut(tree)
-                        .insert_child(c.parent, c.v, c.state, c.edge, c.iv);
-                    self.forest.index_node(tree, c.v, c.state);
-                    Some(idx)
-                }
+                // Expand.
+                None => Some(
+                    self.forest
+                        .insert_child(tree, c.parent, c.v, c.state, c.edge, c.iv),
+                ),
             };
             let Some(idx) = applied else {
                 continue;
@@ -395,15 +384,20 @@ impl SPathOp {
         let (u, v, l) = (s.src, s.trg, s.label);
         let edge = Edge::new(u, v, l);
         self.adj.remove(u, l, v, s.interval);
-        let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(l).to_vec();
-        for (_, to) in &transitions {
-            for tree in self.forest.trees_with(v, *to) {
-                let Some(idx) = self.forest.tree(tree).get(v, *to) else {
-                    continue;
-                };
-                if self.forest.tree(tree).node(idx).edge != Some(edge) {
-                    continue; // not a tree edge — no structural change
-                }
+        // The trees whose node at `v` hangs on this edge (anywhere else it
+        // is a non-tree edge — no structural change), in root-vertex
+        // order. Trees re-derive independently, so the list is complete
+        // before the first pass.
+        let mut cut = std::mem::take(&mut self.cut);
+        for &(_, to) in self.dfa.transitions_on(l) {
+            cut.clear();
+            cut.extend(self.forest.trees_with(v, to).filter_map(|tree| {
+                let t = self.forest.tree(tree);
+                let idx = t.get(v, to)?;
+                (t.node(idx).edge == Some(edge)).then_some((t.root, tree, idx))
+            }));
+            cut.sort_unstable();
+            for &(_, tree, idx) in &cut {
                 let changes = rederive_in(
                     &mut self.rescratch,
                     &mut self.stats,
@@ -446,6 +440,7 @@ impl SPathOp {
                 }
             }
         }
+        self.cut = cut;
     }
 }
 
@@ -495,6 +490,13 @@ impl PhysicalOp for SPathOp {
     fn frontier_stats(&self) -> Option<FrontierStats> {
         Some(self.stats)
     }
+
+    fn path_census(&self) -> Option<PathCensus> {
+        Some(PathCensus {
+            forest: self.forest.census(),
+            adjacency: self.adj.census(),
+        })
+    }
 }
 
 /// Helper used by tests and the negative-tuple operator: a `Change` is
@@ -503,6 +505,7 @@ pub use super::rederive::Change as PathChange;
 
 #[cfg(test)]
 mod tests {
+    use super::super::forest::ForestCensus;
     use super::super::push_one;
     use super::*;
     use sgq_automata::Regex;
@@ -542,7 +545,7 @@ mod tests {
                     self.forest.ensure_tree(u);
                 }
                 // Lines 14–19: every tree containing (u, from) can extend.
-                for tree in self.forest.trees_with(u, from) {
+                for tree in self.forest.trees_with(u, from).collect::<Vec<_>>() {
                     let parent = self
                         .forest
                         .tree(tree)
@@ -586,12 +589,9 @@ mod tests {
                             // Expired nodes are treated as absent (§6.2.4):
                             // reclaim the stale subtree, then expand fresh.
                             self.forest.remove_subtree(tree, idx);
-                            let idx = self
-                                .forest
-                                .tree_mut(tree)
-                                .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                            self.forest.index_node(tree, ext.v, ext.state);
-                            idx
+                            self.forest.insert_child(
+                                tree, ext.parent, ext.v, ext.state, ext.edge, child_iv,
+                            )
                         } else if child_iv.exp <= cur.exp {
                             // No expiry improvement. A meeting derivation
                             // that starts earlier still widens the coalesced
@@ -603,8 +603,11 @@ mod tests {
                             // max-expiry segment is unchanged. Anything else:
                             // line 18, prune.
                             if cur.meets(&child_iv) && child_iv.ts < cur.ts {
-                                self.forest.tree_mut(tree).node_mut(idx).interval =
-                                    Interval::new(child_iv.ts, cur.exp);
+                                self.forest.set_interval(
+                                    tree,
+                                    idx,
+                                    Interval::new(child_iv.ts, cur.exp),
+                                );
                                 idx
                             } else {
                                 continue;
@@ -621,21 +624,15 @@ mod tests {
                             } else {
                                 child_iv
                             };
-                            let t = self.forest.tree_mut(tree);
-                            t.node_mut(idx).interval = merged;
-                            t.reparent(idx, ext.parent, ext.edge);
+                            self.forest.set_interval(tree, idx, merged);
+                            self.forest.reparent(tree, idx, ext.parent, ext.edge);
                             idx
                         }
                     }
-                    None => {
-                        // Expand: create the node as a child of the parent.
-                        let idx = self
-                            .forest
-                            .tree_mut(tree)
-                            .insert_child(ext.parent, ext.v, ext.state, ext.edge, child_iv);
-                        self.forest.index_node(tree, ext.v, ext.state);
-                        idx
-                    }
+                    // Expand: create the node as a child of the parent.
+                    None => self
+                        .forest
+                        .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv),
                 };
                 if self.dfa.is_accepting(ext.state) {
                     self.emit(tree, node, out);
@@ -659,6 +656,21 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    impl SPathOp {
+        /// `purge` as it was before the expiry index: walks every tree,
+        /// `retain`s both adjacency maps.
+        fn purge_by_walk(&mut self, watermark: Timestamp) {
+            self.adj.purge_by_retain(watermark);
+            self.forest.purge_by_walk(watermark);
+        }
+
+        /// `purge` with tree retirement left out (the mutation).
+        fn purge_keeping_empty_trees(&mut self, watermark: Timestamp) {
+            self.adj.purge(watermark);
+            self.forest.purge_keeping_empty_trees(watermark);
         }
     }
 
@@ -1120,5 +1132,182 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+    /// Every node slot that is alive, expired or not:
+    /// `(root, v, state) → interval`.
+    fn all_nodes(op: &SPathOp) -> BTreeMap<(u64, u64, StateId), Interval> {
+        live_nodes(op, 0)
+    }
+
+    #[test]
+    fn a_tree_emptied_by_a_deletion_is_retired_by_the_next_purge_not_before() {
+        let mut op = plus_op();
+        let mut out = Vec::new();
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 0, 30)), 0, &mut out);
+        push_one(&mut op, 0, Delta::Insert(sgt(2, 3, 1, 30)), 1, &mut out);
+        op.purge(1, &mut Vec::new());
+        let t1 = op.forest().tree_of_root(VertexId(1)).unwrap();
+        push_one(&mut op, 0, Delta::Delete(sgt(1, 2, 0, 30)), 2, &mut out);
+        // T_1 is root-only now, and still there: the same epoch may refill it.
+        assert_eq!(op.forest().tree(t1).live_nodes(), 0);
+        assert_eq!(op.forest().tree_of_root(VertexId(1)), Some(t1));
+        assert_eq!(op.forest().census().root_only_trees, 1);
+        op.purge(2, &mut Vec::new());
+        assert_eq!(op.forest().tree_of_root(VertexId(1)), None);
+        assert_eq!(op.forest().census().root_only_trees, 0);
+        // T_2 (2→3) is untouched; the root's return starts from nothing.
+        assert!(op.forest().tree_of_root(VertexId(2)).is_some());
+        out.clear();
+        push_one(&mut op, 0, Delta::Insert(sgt(1, 2, 3, 30)), 3, &mut out);
+        let pairs: Vec<(u64, u64)> = results(&out).iter().map(|&(s, t, _)| (s, t)).collect();
+        assert_eq!(pairs, vec![(1, 2), (1, 3)]);
+        assert_eq!(op.state_size(), 2 + 3);
+    }
+
+    #[test]
+    fn index_purge_matches_the_walk_it_replaced_on_random_streams() {
+        // Twin operators fed the same random epochs (random cuts, never
+        // across a slide boundary), append-only and with explicit
+        // deletions; one purges through the expiry indexes, the other by
+        // the full walk / `retain`. After every purge the two hold the
+        // same nodes, sizes and adjacency buckets, entry for entry, and
+        // they emit the same deltas in the same order throughout.
+        const WINDOW: u64 = 12;
+        const SLIDE: u64 = 4;
+        let (a, b) = (Label(0), Label(1));
+        let regexes = [
+            Regex::plus(Regex::label(a)),
+            Regex::concat(vec![Regex::label(a), Regex::star(Regex::label(b))]),
+            Regex::plus(Regex::alt(vec![Regex::label(a), Regex::label(b)])),
+        ];
+        let (mut purges, mut slots, mut minted) = (0, 0, 0);
+        for seed in 0..160u64 {
+            let deletions = seed % 2 == 1;
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let regex = &regexes[(seed % 3) as usize];
+            let mut live = SPathOp::new(regex, Label(9));
+            let mut twin = SPathOp::new(regex, Label(9));
+            let (mut l_out, mut t_out) = (DeltaBatch::new(), DeltaBatch::new());
+            let mut epoch = DeltaBatch::new();
+            let mut inserted: Vec<Sgt> = Vec::new();
+            let mut t = 0u64;
+            // Fresh vertex ids arrive all along, so trees retire and
+            // their slots are reused within one run.
+            let mut fresh = 100u64;
+            for step in 0..90 {
+                let advanced = t + next(3);
+                let crosses = advanced / SLIDE != t / SLIDE;
+                if !epoch.is_empty() && (crosses || next(3) == 0) {
+                    let now = epoch.as_slice()[0].sgt().interval.ts.max(t / SLIDE * SLIDE);
+                    live.on_batch(0, &epoch, now, &mut l_out);
+                    twin.on_batch(0, &epoch, now, &mut t_out);
+                    epoch = DeltaBatch::new();
+                }
+                if crosses && next(3) != 0 {
+                    let boundary = advanced / SLIDE * SLIDE;
+                    live.purge(boundary, &mut Vec::new());
+                    twin.purge_by_walk(boundary);
+                    purges += 1;
+                    let at = format!("seed {seed} step {step} purge({boundary})");
+                    assert_eq!(all_nodes(&live), all_nodes(&twin), "{at}");
+                    assert_eq!(live.forest.size(), twin.forest.size(), "{at}");
+                    assert_eq!(live.adj.size(), twin.adj.size(), "{at}");
+                    assert_eq!(live.adj.buckets(), twin.adj.buckets(), "{at}");
+                    assert_eq!(live.forest.census(), twin.forest.census(), "{at}");
+                    assert_eq!(live.adj.census(), twin.adj.census(), "{at}");
+                    assert_eq!(live.forest.census().root_only_trees, 0, "{at}");
+                }
+                t = advanced;
+                if deletions && !inserted.is_empty() && next(4) == 0 {
+                    let victim = inserted.swap_remove(next(inserted.len() as u64) as usize);
+                    epoch.push(Delta::Delete(victim));
+                    continue;
+                }
+                let src = if next(4) == 0 {
+                    fresh += 1;
+                    fresh
+                } else {
+                    next(7)
+                };
+                let label = if next(3) == 0 { b } else { a };
+                let s = Sgt::edge(
+                    VertexId(src),
+                    VertexId(next(7)),
+                    label,
+                    window_interval(t, WINDOW, SLIDE),
+                );
+                inserted.push(s.clone());
+                epoch.push(Delta::Insert(s));
+            }
+            live.on_batch(0, &epoch, t, &mut l_out);
+            twin.on_batch(0, &epoch, t, &mut t_out);
+            assert_eq!(l_out.as_slice(), t_out.as_slice(), "seed {seed}");
+            assert_eq!(all_nodes(&live), all_nodes(&twin), "seed {seed}");
+            if seed % 3 == 2 {
+                // Under `(a|b)+` every minted source roots a tree of its own.
+                slots += live.forest.census().tree_slots as u64;
+                minted += fresh - 100;
+            }
+        }
+        assert!(purges > 1000, "{purges}");
+        assert!(slots < minted, "slots were recycled: {slots} for {minted}");
+    }
+
+    #[test]
+    fn skipping_retirement_breaks_the_window_bound() {
+        // The mutation `tests/bounded_state.rs` must catch, run where it
+        // can be compiled in: k fresh roots per slide, 40 windows. With
+        // retirement the forest's slots and maps stop growing after the
+        // first window; without it they grow with the stream.
+        const WINDOW: u64 = 40;
+        const SLIDE: u64 = 10;
+        const FRESH: u64 = 5;
+        let run = |retire: bool| {
+            let mut op = plus_op();
+            let mut sizes = Vec::new();
+            for slide in 0..(40 * WINDOW / SLIDE) {
+                let now = slide * SLIDE;
+                if retire {
+                    op.purge(now, &mut Vec::new());
+                } else {
+                    op.purge_keeping_empty_trees(now);
+                }
+                sizes.push(op.forest().census());
+                let mut epoch = DeltaBatch::new();
+                for k in 0..FRESH {
+                    let iv = window_interval(now + k, WINDOW, SLIDE);
+                    let fresh = 1_000 + slide * FRESH + k;
+                    epoch.push(Delta::Insert(Sgt::edge(
+                        VertexId(fresh),
+                        VertexId(k),
+                        RLP,
+                        iv,
+                    )));
+                }
+                op.on_batch(0, &epoch, now, &mut DeltaBatch::new());
+            }
+            sizes
+        };
+        let bounded = |sizes: &[ForestCensus]| {
+            let live_window = (FRESH * WINDOW / SLIDE) as usize;
+            sizes.iter().all(|c| {
+                c.tree_slots <= 2 * live_window
+                    && c.by_root <= live_window
+                    && c.inverted_keys <= 2 * live_window + FRESH as usize
+                    && c.root_only_trees == 0
+            })
+        };
+        assert!(bounded(&run(true)));
+        let kept = run(false);
+        assert!(!bounded(&kept));
+        let last = kept.last().unwrap();
+        assert_eq!(last.tree_slots as u64, 40 * WINDOW / SLIDE * FRESH - FRESH);
+        assert_eq!(last.live_nodes as u64, FRESH * WINDOW / SLIDE - FRESH);
     }
 }

@@ -570,6 +570,12 @@ impl MultiQueryEngine {
         Some(out)
     }
 
+    /// Slot and index occupancy of every live PATH operator, by node id
+    /// (see [`sgq_core::physical::PathCensus`]).
+    pub fn path_censuses(&self) -> Vec<(usize, sgq_core::physical::PathCensus)> {
+        self.flow.path_censuses()
+    }
+
     /// A point-in-time [`MetricsSnapshot`] of the host: executor counters,
     /// one operator record per live node in the shared dataflow, and one
     /// query record per registration (latency/emission histogram

@@ -7,17 +7,27 @@
 //! the borrowing cursor and releases, `twin` uses the cloning `drain` plus a
 //! caller-side cursor over `deleted_results` and never releases — the
 //! surface every other suite (and the in-process benchmark mirror) reads.
+//!
+//! Sections (d) and (e) hold **operator state** to the same standard: the
+//! Δ-PATH forest and window adjacency of a PATH operator — tree and node
+//! slots, `by_root`, the inverted index, adjacency buckets, pending
+//! expiry handles — are bounded by the window's content after every
+//! purge, on a stream that mints vertex ids without end.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use proptest::prelude::*;
+use s_graffito::automata::Regex;
+use s_graffito::core::physical::spath::SPathOp;
+use s_graffito::core::physical::{PathCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
-use s_graffito::datagen::{so_stream, SoConfig};
+use s_graffito::datagen::{snb_stream, so_stream, SnbConfig, SoConfig};
 use s_graffito::multiquery::{MultiQueryEngine, QueryId};
 use s_graffito::prelude::*;
 use s_graffito::serve::client::Client;
 use s_graffito::serve::server::{ServeConfig, Server};
-use s_graffito::types::{Sge, VertexId};
+use s_graffito::types::time::window_interval;
+use s_graffito::types::{Delta, DeltaBatch, Interval, Sge, VertexId};
 
 /// One routed result as a subscriber sees it:
 /// `(is_delete, src, trg, ts, exp)`.
@@ -375,22 +385,34 @@ fn a2q_batch(slide: &[(u64, u64, &'static str, u64)], a2q: Label) -> Vec<Sge> {
         .collect()
 }
 
-/// What the window bound allows a log to hold right after a slide's
-/// drain + release: whatever was emitted in the last `W + slide` ticks
-/// (everything older is delivered and expired).
-struct EmissionWindow(VecDeque<(u64, usize)>);
+/// A sliding sum: what was counted in the last `horizon` ticks. With
+/// `horizon = W + slide` it is what the window bound allows to be held
+/// right after a slide's drain + release (everything older is delivered
+/// and expired) or purge (everything older was written with an expiry the
+/// purge has popped).
+struct EmissionWindow {
+    horizon: u64,
+    counts: VecDeque<(u64, usize)>,
+}
 
 impl EmissionWindow {
-    fn allowed(&mut self, now: u64, emitted: usize) -> usize {
-        self.0.push_back((now, emitted));
-        while self
-            .0
-            .front()
-            .is_some_and(|&(t, _)| t + SOAK_WINDOW + SOAK_SLIDE <= now)
-        {
-            self.0.pop_front();
+    fn new(horizon: u64) -> Self {
+        EmissionWindow {
+            horizon,
+            counts: VecDeque::new(),
         }
-        self.0.iter().map(|&(_, n)| n).sum()
+    }
+
+    fn allowed(&mut self, now: u64, emitted: usize) -> usize {
+        self.counts.push_back((now, emitted));
+        while self
+            .counts
+            .front()
+            .is_some_and(|&(t, _)| t + self.horizon <= now)
+        {
+            self.counts.pop_front();
+        }
+        self.counts.iter().map(|&(_, n)| n).sum()
     }
 }
 
@@ -410,7 +432,7 @@ fn soak_retained_log_stays_within_the_window_bound() {
     let a2q = live.labels().get("a2q").unwrap();
 
     let (mut live_rows, mut twin_rows, mut cursor) = (Vec::new(), Vec::new(), 0);
-    let mut window = EmissionWindow(VecDeque::new());
+    let mut window = EmissionWindow::new(SOAK_WINDOW + SOAK_SLIDE);
     let mut peak_retained = 0;
     for slide in soak_slides() {
         let batch = a2q_batch(&slide, a2q);
@@ -467,7 +489,7 @@ fn soak_over_the_wire_is_bit_identical_and_bounded() {
     let a2q = twin.labels().get("a2q").unwrap();
 
     let (mut twin_rows, mut cursor) = (Vec::new(), 0);
-    let mut window = EmissionWindow(VecDeque::new());
+    let mut window = EmissionWindow::new(SOAK_WINDOW + SOAK_SLIDE);
     let mut allowed = 0;
     for slide in soak_slides() {
         // The host discards the labels Q1 does not reference (§7.2.1).
@@ -508,4 +530,342 @@ fn soak_over_the_wire_is_bit_identical_and_bounded() {
     );
     server.shutdown();
     server.join();
+}
+
+// ---------------------------------------------------------------------
+// (d) operator state: the Δ-PATH index holds what the window holds
+// ---------------------------------------------------------------------
+
+const OP_SLIDE: u64 = 8;
+const OP_WINDOW: u64 = 10 * OP_SLIDE;
+const OP_WINDOWS: u64 = 42;
+/// Source vertices never seen before, per slide (each roots a tree).
+const OP_FRESH: u64 = 4;
+/// Edges per slide among the recurring population of `OP_POPULATION`.
+const OP_RECURRING: u64 = 6;
+const OP_POPULATION: u64 = 12;
+/// What the size of the state is held against, sampled when a slide's
+/// input is in and nothing of it has expired yet.
+#[derive(Default, Clone, Copy)]
+struct Content {
+    trees: usize,
+    nodes: usize,
+    edges: usize,
+}
+
+/// Checks one post-purge census against the window's content. `peak` is
+/// the largest content any slide has held (slots are high-water marks: a
+/// slot freed by a purge is reused, not returned), `node_writes` /
+/// `edge_writes` the interval writes of the slides that can still have a
+/// handle pending.
+fn assert_window_bounded(
+    at: &str,
+    c: &PathCensus,
+    peak: Content,
+    node_writes: usize,
+    edge_writes: usize,
+) {
+    let (f, a) = (&c.forest, &c.adjacency);
+    // Exact, whatever the stream.
+    assert_eq!(
+        f.root_only_trees, 0,
+        "{at}: a root-only tree outlived a purge"
+    );
+    assert_eq!(f.by_root, f.live_trees, "{at}: {f:?}");
+    assert_eq!(f.inverted_empty, 0, "{at}: {f:?}");
+    assert_eq!(f.retire_candidates, 0, "{at}: {f:?}");
+    assert_eq!(a.empty_buckets, 0, "{at}: {a:?}");
+    assert!(
+        f.inverted_keys <= f.live_nodes + f.live_trees,
+        "{at}: {f:?}"
+    );
+    assert!(
+        a.out_buckets <= a.edges && a.inc_buckets <= a.edges,
+        "{at}: {a:?}"
+    );
+    // Slots: at most the most trees / twice the most nodes ever live at once.
+    assert!(
+        f.tree_slots <= peak.trees,
+        "{at}: {f:?}, peak trees {}",
+        peak.trees
+    );
+    assert!(
+        f.node_slots <= 2 * (peak.nodes + peak.trees),
+        "{at}: {f:?}, peak nodes {} in {} trees",
+        peak.nodes,
+        peak.trees
+    );
+    assert!(
+        a.edges <= peak.edges,
+        "{at}: {a:?}, peak edges {}",
+        peak.edges
+    );
+    // Pending handles: one per interval write of the last W + β ticks.
+    assert!(
+        f.expiry_handles <= node_writes,
+        "{at}: {f:?}, {node_writes} node writes"
+    );
+    assert!(
+        a.expiry_handles <= edge_writes,
+        "{at}: {a:?}, {edge_writes} edge writes"
+    );
+}
+
+/// The sizes that must not follow the stream's length.
+fn footprint(c: &PathCensus) -> [usize; 8] {
+    let (f, a) = (&c.forest, &c.adjacency);
+    [
+        f.tree_slots,
+        f.node_slots,
+        f.by_root,
+        f.inverted_keys,
+        f.expiry_handles,
+        a.out_buckets + a.inc_buckets,
+        a.expiry_handles,
+        a.edges + f.live_nodes,
+    ]
+}
+
+/// Drives `a+` through `SPathOp` for `OP_WINDOWS` windows: per slide
+/// `OP_FRESH` edges from never-seen sources plus `OP_RECURRING` edges
+/// among a fixed population, in two epochs; with `deletions`, two of the
+/// window's edges are deleted per slide. After **every** purge the census
+/// is held against the window's content, every stored interval is live,
+/// and no size at the end exceeds what the second window reached by more
+/// than half.
+fn drive_spath_and_hold_the_bound(deletions: bool) {
+    let a = Label(0);
+    let mut op = SPathOp::new(&Regex::plus(Regex::label(a)), Label(9));
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let mut minted = 1_000u64;
+    let mut in_window: VecDeque<Sgt> = VecDeque::new();
+    let mut peak = Content::default();
+    // An interval written in the slide at `base` expires by `base + W`.
+    let horizon = OP_WINDOW + OP_SLIDE;
+    let (mut node_writes, mut edge_writes) =
+        (EmissionWindow::new(horizon), EmissionWindow::new(horizon));
+    let mut improved_before = 0;
+    let mut second_window = [0usize; 8];
+    let mut last = [0usize; 8];
+    let mut out = DeltaBatch::new();
+    for slide in 0..OP_WINDOWS * OP_WINDOW / OP_SLIDE {
+        let base = slide * OP_SLIDE;
+        let mut ops: Vec<Delta> = Vec::new();
+        for k in 0..OP_FRESH + OP_RECURRING {
+            let t = base + k * OP_SLIDE / (OP_FRESH + OP_RECURRING);
+            let src = if k % 2 == 0 && k / 2 < OP_FRESH {
+                minted += 1;
+                minted
+            } else {
+                next(OP_POPULATION)
+            };
+            let s = Sgt::edge(
+                VertexId(src),
+                VertexId(next(OP_POPULATION)),
+                a,
+                window_interval(t, OP_WINDOW, OP_SLIDE),
+            );
+            in_window.push_back(s.clone());
+            ops.push(Delta::Insert(s));
+            if deletions && k % 5 == 4 {
+                let victim = in_window.remove(next(in_window.len() as u64) as usize);
+                ops.push(Delta::Delete(victim.unwrap()));
+            }
+        }
+        let writes = ops.len();
+        let cut = 1 + next(writes as u64 - 1) as usize;
+        for epoch in [&ops[..cut], &ops[cut..]] {
+            let mut batch = DeltaBatch::new();
+            epoch.iter().for_each(|d| batch.push(d.clone()));
+            let now = epoch[0].sgt().interval.ts.max(base);
+            op.on_batch(0, &batch, now, &mut out);
+            out = DeltaBatch::new();
+        }
+        let c = op.path_census().unwrap();
+        peak.trees = peak.trees.max(c.forest.live_trees);
+        peak.nodes = peak.nodes.max(c.forest.live_nodes);
+        peak.edges = peak.edges.max(c.adjacency.edges);
+        let improved = op.frontier_stats().unwrap().nodes_improved as usize;
+        let node_writes = node_writes.allowed(base, improved - improved_before);
+        let edge_writes = edge_writes.allowed(base, writes);
+        improved_before = improved;
+
+        let watermark = base + OP_SLIDE;
+        op.purge(watermark, &mut Vec::new());
+        while in_window
+            .front()
+            .is_some_and(|s| s.interval.exp <= watermark)
+        {
+            in_window.pop_front();
+        }
+        let c = op.path_census().unwrap();
+        let at = format!("deletions={deletions} purge({watermark})");
+        assert_window_bounded(&at, &c, peak, node_writes, edge_writes);
+        assert_eq!(
+            c.forest.live_nodes + c.adjacency.edges,
+            op.state_size(),
+            "{at}"
+        );
+        let forest = op.forest();
+        for t in forest.tree_ids() {
+            let tree = forest.tree(t);
+            assert!(tree.live_nodes() > 0, "{at}: root-only tree {t}");
+            for i in tree.iter_live() {
+                let iv: Interval = tree.node(i).interval;
+                assert!(!iv.expired_at(watermark), "{at}: tree {t} holds {iv:?}");
+            }
+        }
+        let window = watermark / OP_WINDOW;
+        last = footprint(&c);
+        if window == 2 {
+            for (peak, now) in second_window.iter_mut().zip(last) {
+                *peak = (*peak).max(now);
+            }
+        }
+    }
+    assert!(minted - 1_000 >= 40 * OP_FRESH * OP_WINDOW / OP_SLIDE);
+    for (i, (then, now)) in second_window.iter().zip(last).enumerate() {
+        assert!(
+            2 * now <= 3 * then,
+            "deletions={deletions}: size #{i} was at most {then} in window 2 and is {now} \
+             after window {OP_WINDOWS}: {second_window:?} -> {last:?}"
+        );
+    }
+}
+
+#[test]
+fn spath_state_is_bounded_by_the_window_append_only() {
+    drive_spath_and_hold_the_bound(false);
+}
+
+#[test]
+fn spath_state_is_bounded_by_the_window_under_explicit_deletions() {
+    drive_spath_and_hold_the_bound(true);
+}
+
+// ---------------------------------------------------------------------
+// (e) long soak: a fleet's PATH operators and the process stop growing
+// ---------------------------------------------------------------------
+
+const FLEET_EDGES: usize = 1_050_000;
+const FLEET_SLIDE: u64 = 50;
+const FLEET_WINDOW: u64 = 20 * FLEET_SLIDE;
+/// Slides between two census checks.
+const FLEET_CHECK_EVERY: u64 = 100;
+
+/// Resident set of this process, MB (`VmRSS` of `/proc/self/status`).
+fn rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with("VmRSS:"))
+        .expect("VmRSS");
+    let kb: f64 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|v| v.parse().ok())
+        .expect("VmRSS in kB");
+    kb / 1024.0
+}
+
+/// More than 10⁶ SNB edges (about a thousand windows) through a host with
+/// the Q1–Q7 fleet, routed and released like the serve loop does. Every
+/// `FLEET_CHECK_EVERY` slides each PATH operator's census is held against
+/// its own window content, and against what it held during the first ten
+/// windows; the process's resident set must not follow the stream either.
+/// Release build: `cargo test --release --test bounded_state -- --ignored`.
+#[test]
+#[ignore = "long soak; CI's check job runs it in release"]
+fn soak_fleet_path_state_and_rss_stop_growing() {
+    let mut live = host(true);
+    let ids: Vec<QueryId> = (1..=7)
+        .map(|n| {
+            live.register(&SgqQuery::new(
+                workloads::query(n, Dataset::Snb),
+                WindowSpec::new(FLEET_WINDOW, FLEET_SLIDE),
+            ))
+        })
+        .collect();
+    let raw = snb_stream(&SnbConfig::new(2_000, FLEET_EDGES));
+    let stream = s_graffito::datagen::resolve(&raw, live.labels());
+    drop(raw);
+    assert!(stream.sges().len() >= 1_000_000, "{}", stream.sges().len());
+
+    // Per PATH operator (by node id): its footprint's peak over the first
+    // ten windows, and the most it has been seen to hold.
+    let mut early: std::collections::BTreeMap<usize, [usize; 8]> = Default::default();
+    let mut peak: std::collections::BTreeMap<usize, Content> = Default::default();
+    let (mut rss_early, mut checks, mut next_check) = (0.0f64, 0, FLEET_CHECK_EVERY);
+    for batch in stream.sges().chunks(256) {
+        live.ingest_batch(batch);
+        for &id in &ids {
+            live.for_each_undelivered(id, |_, _| {});
+        }
+        live.release_delivered();
+        let slide = live.now() / FLEET_SLIDE;
+        if slide < next_check {
+            continue;
+        }
+        next_check = slide + FLEET_CHECK_EVERY;
+        // Content first (nothing of this slide has been purged away), then
+        // the census of what a purge leaves.
+        let before = live.path_censuses();
+        live.purge_all(slide * FLEET_SLIDE);
+        let window = slide * FLEET_SLIDE / FLEET_WINDOW;
+        let censuses = live.path_censuses();
+        assert!(censuses.len() >= 4, "the fleet has PATH operators");
+        for ((node, held), (_, c)) in before.iter().zip(&censuses) {
+            let p = peak.entry(*node).or_default();
+            p.trees = p.trees.max(held.forest.live_trees);
+            p.nodes = p.nodes.max(held.forest.live_nodes);
+            p.edges = p.edges.max(held.adjacency.edges);
+            let at = format!("operator {node}, window {window}");
+            let (f, a) = (&c.forest, &c.adjacency);
+            // Handles: every live entry has one, and an entry is rewritten
+            // a bounded number of times while it is in the window.
+            assert_window_bounded(
+                &at,
+                c,
+                Content {
+                    // Sampled every hundredth slide, so not the true peak.
+                    trees: 2 * p.trees + 16,
+                    nodes: 2 * p.nodes + 16,
+                    edges: 2 * p.edges + 16,
+                },
+                4 * (p.nodes + p.trees) + 64,
+                4 * p.edges + 64,
+            );
+            let now = footprint(c);
+            let then = early.entry(*node).or_default();
+            if window <= 10 {
+                for (e, n) in then.iter_mut().zip(now) {
+                    *e = (*e).max(n);
+                }
+            } else {
+                for (i, (e, n)) in then.iter().zip(now).enumerate() {
+                    assert!(
+                        n <= 2 * e + 64,
+                        "{at}: size #{i} is {n}, it peaked at {e} in the first ten windows \
+                         ({f:?}, {a:?})"
+                    );
+                }
+            }
+        }
+        if window <= 10 {
+            rss_early = rss_mb();
+        }
+        checks += 1;
+    }
+    assert!(checks >= 100, "{checks} checks");
+    let rss_end = rss_mb();
+    assert!(
+        rss_early > 0.0 && rss_end <= rss_early + 24.0,
+        "resident set grew from {rss_early:.1} MB (window 10) to {rss_end:.1} MB"
+    );
 }
