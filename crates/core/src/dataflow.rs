@@ -1637,7 +1637,9 @@ impl Dataflow {
     /// explain-analyze body shared by [`Engine`](crate::engine::Engine)
     /// and the multi-query host. Counter fields read zero below
     /// [`ObsLevel::Counters`]; timing fields appear only once non-zero
-    /// (i.e. under [`ObsLevel::Timing`]).
+    /// (i.e. under [`ObsLevel::Timing`]). A PATH operator's line also
+    /// carries `bytes=`, the heap its forest and adjacency reserve
+    /// (a census scan, at every level).
     pub fn explain_expr(&self, expr: &SgaExpr) -> String {
         let mut out = String::new();
         self.explain_rec(expr, 0, &mut out);
@@ -1674,6 +1676,10 @@ impl Dataflow {
                     os.selectivity(),
                     node.op.state_size(),
                 );
+                if let Some(c) = node.op.path_census() {
+                    let bytes = c.forest.reserved_bytes + c.adjacency.reserved_bytes;
+                    let _ = write!(out, " bytes={bytes}");
+                }
                 if os.batch_nanos > 0 {
                     let _ = write!(out, " time={}", fmt_nanos(os.batch_nanos));
                 }

@@ -7,6 +7,12 @@
 //! older disjoint interval is necessarily expired and can be replaced
 //! (§6.2.4, coalescing with `max` aggregation over expiry).
 //!
+//! Each `(vertex, label)` bucket holds its one entry inline — most
+//! buckets have one — and moves to a heap list only from the second, so a
+//! singleton costs its hash slot and no allocation. Buckets keep
+//! insertion order; a purge removes in order, and survivors keep their
+//! order — traversal order is part of the operator's deterministic output.
+//!
 //! The maps hold what the window holds. Every write of an entry's
 //! interval — insert, coalesce, replace, and the truncation of an explicit
 //! deletion — files the edge under its new expiry in an
@@ -14,13 +20,13 @@
 //! due keys and visits those edges only, under the same stale-handle
 //! rule as the forest (a popped edge is dropped iff it is stored and
 //! expired *now*). A bucket that loses its last entry leaves its map at
-//! once, whether a purge or a deletion emptied it, and survivors keep
-//! their order within a bucket — traversal order is part of the
-//! operator's deterministic output.
+//! once, whether a purge or a deletion emptied it, and one left with a
+//! single entry moves it back inline.
 
-use super::forest::ExpiryIndex;
+use super::forest::{table_bytes, ExpiryIndex};
 use sgq_types::{Edge, FxHashMap, Interval, Label, Timestamp, VertexId};
 use std::collections::hash_map::Entry;
+use std::mem::size_of;
 
 // Send audit: PATH-operator window state (owned hash maps of Copy entries).
 const _: () = super::assert_send::<Adjacency>();
@@ -64,7 +70,63 @@ pub struct AdjEntry {
     pub interval: Interval,
 }
 
-type Buckets = FxHashMap<(VertexId, Label), Vec<AdjEntry>>;
+/// The entries of one `(vertex, label)`, in insertion order: inline
+/// while there is one.
+#[derive(Debug, Clone)]
+enum Bucket {
+    One(AdjEntry),
+    Many(Vec<AdjEntry>),
+}
+
+impl Bucket {
+    fn as_slice(&self) -> &[AdjEntry] {
+        match self {
+            Bucket::One(e) => std::slice::from_ref(e),
+            Bucket::Many(es) => es,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [AdjEntry] {
+        match self {
+            Bucket::One(e) => std::slice::from_mut(e),
+            Bucket::Many(es) => es,
+        }
+    }
+
+    fn push(&mut self, e: AdjEntry) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![*first, e]),
+            Bucket::Many(es) => es.push(e),
+        }
+    }
+
+    /// Removes entry `p` — by swapping the last one into its place when
+    /// `swap`, else keeping the order. Says whether the bucket is empty.
+    fn remove(&mut self, p: usize, swap: bool) -> bool {
+        let Bucket::Many(es) = self else {
+            return true;
+        };
+        if swap {
+            es.swap_remove(p);
+        } else {
+            es.remove(p);
+        }
+        if let [last] = es[..] {
+            *self = Bucket::One(last);
+        }
+        false
+    }
+
+    /// Heap bytes beyond the bucket's hash slot.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Bucket::One(_) => 0,
+            Bucket::Many(es) => es.capacity() * size_of::<AdjEntry>(),
+        }
+    }
+}
+
+type Buckets = FxHashMap<(VertexId, Label), Bucket>;
 
 /// Occupancy of an [`Adjacency`], for asserting that it tracks the window
 /// (`tests/bounded_state.rs`). Computed by a full scan.
@@ -80,6 +142,20 @@ pub struct AdjacencyCensus {
     pub empty_buckets: usize,
     /// Expiry handles not yet popped by a purge.
     pub expiry_handles: usize,
+    /// Heap bytes reserved by both maps (`(K, V)` plus one control byte
+    /// per bucket), their entry lists and the expiry index.
+    pub reserved_bytes: usize,
+}
+
+#[cfg(test)]
+impl AdjacencyCensus {
+    /// The census without its byte count (see `ForestCensus::occupancy`).
+    pub(crate) fn occupancy(self) -> Self {
+        AdjacencyCensus {
+            reserved_bytes: 0,
+            ..self
+        }
+    }
 }
 
 /// Outgoing and incoming adjacency with per-edge coalesced intervals.
@@ -127,8 +203,18 @@ impl Adjacency {
         other: VertexId,
         iv: Interval,
     ) -> Option<(Interval, Option<Timestamp>)> {
-        let bucket = map.entry(key).or_default();
-        if let Some(e) = bucket.iter_mut().find(|e| e.other == other) {
+        let new = AdjEntry {
+            other,
+            interval: iv,
+        };
+        let bucket = match map.entry(key) {
+            Entry::Occupied(b) => b.into_mut(),
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(new));
+                return Some((iv, None));
+            }
+        };
+        if let Some(e) = bucket.as_mut_slice().iter_mut().find(|e| e.other == other) {
             if iv.ts >= e.interval.ts && iv.exp <= e.interval.exp {
                 return None; // covered
             }
@@ -140,10 +226,7 @@ impl Adjacency {
             };
             return Some((e.interval, Some(old_exp)));
         }
-        bucket.push(AdjEntry {
-            other,
-            interval: iv,
-        });
+        bucket.push(new);
         Some((iv, None))
     }
 
@@ -200,38 +283,37 @@ impl Adjacency {
         iv: Interval,
     ) -> Option<(Timestamp, Option<Interval>)> {
         let bucket = map.get_mut(&key)?;
-        let p = bucket.iter().position(|e| e.other == other)?;
-        let stored = bucket[p].interval;
+        let entries = bucket.as_mut_slice();
+        let p = entries.iter().position(|e| e.other == other)?;
+        let stored = entries[p].interval;
         // Keep the part of the stored interval outside [iv.ts, iv.exp);
         // keep the later piece if split.
         let left = Interval::new(stored.ts, iv.ts.min(stored.exp));
         let right = Interval::new(iv.exp.max(stored.ts), stored.exp);
         let keep = if !right.is_empty() { right } else { left };
         if keep.is_empty() {
-            bucket.swap_remove(p);
-            if bucket.is_empty() {
+            if bucket.remove(p, true) {
                 map.remove(&key);
             }
             return Some((stored.exp, None));
         }
-        bucket[p].interval = keep;
+        entries[p].interval = keep;
         Some((stored.exp, Some(keep)))
     }
 
     /// Outgoing edges of `v` with label `l`.
     pub fn out(&self, v: VertexId, l: Label) -> &[AdjEntry] {
-        self.out.get(&(v, l)).map_or(&[], Vec::as_slice)
+        self.out.get(&(v, l)).map_or(&[], Bucket::as_slice)
     }
 
     /// Incoming edges of `v` with label `l`.
     pub fn inc(&self, v: VertexId, l: Label) -> &[AdjEntry] {
-        self.inc.get(&(v, l)).map_or(&[], Vec::as_slice)
+        self.inc.get(&(v, l)).map_or(&[], Bucket::as_slice)
     }
 
     /// The stored interval of edge `(src, l, trg)`, if present.
     pub fn interval_of(&self, src: VertexId, l: Label, trg: VertexId) -> Option<Interval> {
-        self.out
-            .get(&(src, l))?
+        self.out(src, l)
             .iter()
             .find(|e| e.other == trg)
             .map(|e| e.interval)
@@ -240,7 +322,10 @@ impl Adjacency {
     /// Iterates over all live edges as `(src, label, trg, interval)`.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, Label, VertexId, Interval)> + '_ {
         self.out.iter().flat_map(|(&(src, l), bucket)| {
-            bucket.iter().map(move |e| (src, l, e.other, e.interval))
+            bucket
+                .as_slice()
+                .iter()
+                .map(move |e| (src, l, e.other, e.interval))
         })
     }
 
@@ -259,7 +344,7 @@ impl Adjacency {
         }
         debug_assert_eq!(
             self.edges,
-            self.out.values().map(Vec::len).sum::<usize>(),
+            self.out.values().map(|b| b.as_slice().len()).sum::<usize>(),
             "maintained edge count drifted"
         );
     }
@@ -275,15 +360,15 @@ impl Adjacency {
         let Entry::Occupied(mut bucket) = map.entry(key) else {
             return false;
         };
-        let entries = bucket.get_mut();
-        let Some(p) = entries
+        let Some(p) = bucket
+            .get()
+            .as_slice()
             .iter()
             .position(|e| e.other == other && e.interval.expired_at(watermark))
         else {
             return false;
         };
-        entries.remove(p);
-        if entries.is_empty() {
+        if bucket.get_mut().remove(p, false) {
             bucket.remove();
         }
         true
@@ -294,15 +379,20 @@ impl Adjacency {
         self.edges
     }
 
-    /// Counts buckets and pending handles (full scan).
+    /// Counts buckets, pending handles and reserved bytes (full scan).
     pub fn census(&self) -> AdjacencyCensus {
-        let empty = |m: &Buckets| m.values().filter(|b| b.is_empty()).count();
+        let empty = |m: &Buckets| m.values().filter(|b| b.as_slice().is_empty()).count();
+        let bytes = |m: &Buckets| {
+            table_bytes::<(VertexId, Label), Bucket>(m.capacity())
+                + m.values().map(Bucket::heap_bytes).sum::<usize>()
+        };
         AdjacencyCensus {
             edges: self.edges,
             out_buckets: self.out.len(),
             inc_buckets: self.inc.len(),
             empty_buckets: empty(&self.out) + empty(&self.inc),
             expiry_handles: self.expiry.pending(),
+            reserved_bytes: bytes(&self.out) + bytes(&self.inc) + self.expiry.reserved_bytes(),
         }
     }
 
@@ -311,12 +401,18 @@ impl Adjacency {
     #[cfg(test)]
     pub(crate) fn purge_by_retain(&mut self, watermark: Timestamp) {
         for map in [&mut self.out, &mut self.inc] {
-            map.retain(|_, bucket| {
-                bucket.retain(|e| !e.interval.expired_at(watermark));
-                !bucket.is_empty()
+            map.retain(|_, bucket| match bucket {
+                Bucket::One(e) => !e.interval.expired_at(watermark),
+                Bucket::Many(es) => {
+                    es.retain(|e| !e.interval.expired_at(watermark));
+                    if let [one] = es[..] {
+                        *bucket = Bucket::One(one);
+                    }
+                    !bucket.as_slice().is_empty()
+                }
             });
         }
-        self.edges = self.out.values().map(Vec::len).sum();
+        self.edges = self.out.values().map(|b| b.as_slice().len()).sum();
         while self.expiry.pop_due(watermark).is_some() {}
     }
 
@@ -325,7 +421,7 @@ impl Adjacency {
     pub(crate) fn buckets(
         &self,
     ) -> [std::collections::BTreeMap<(VertexId, Label), Vec<AdjEntry>>; 2] {
-        [&self.out, &self.inc].map(|m| m.iter().map(|(k, b)| (*k, b.clone())).collect())
+        [&self.out, &self.inc].map(|m| m.iter().map(|(k, b)| (*k, b.as_slice().to_vec())).collect())
     }
 }
 
@@ -497,7 +593,11 @@ mod tests {
             by_index.purge(w);
             by_retain.purge_by_retain(w);
             assert_eq!(by_index.buckets(), by_retain.buckets(), "watermark {w}");
-            assert_eq!(by_index.census(), by_retain.census(), "watermark {w}");
+            assert_eq!(
+                by_index.census().occupancy(),
+                by_retain.census().occupancy(),
+                "watermark {w}"
+            );
         }
         assert_eq!(by_index.size(), 0);
     }

@@ -9,59 +9,90 @@
 //! following parent pointers. Both PATH implementations (S-PATH §6.2.4 and
 //! the negative-tuple variant of \[57\] §6.2.3) share this structure.
 //!
+//! # Layout
+//!
+//! Every tree's nodes live in **one node slab** per forest, with an
+//! intrusive free list; one hash map from `(tree, vertex, state)` to slab
+//! index replaces a per-tree index. A tree is a root vertex and its root
+//! node's slot, nothing else, so a tree slot never keeps capacity that
+//! one of its former occupants needed. The inverted index maps each
+//! `(vertex, state)` to a sorted tree list held inline while it has one
+//! tree — nearly all of them — so a singleton costs no allocation.
+//!
 //! # What the window bounds
 //!
-//! Every structure here is sized by what the window holds, not by what
-//! the stream has ever carried:
+//! Entries follow the window; bytes follow the most the window has held
+//! at once, across the whole forest (a freed slab slot or hash bucket is
+//! reused by the next node of *any* tree, never returned).
+//! [`ForestCensus::reserved_bytes`] counts them.
 //!
 //! * **Purge costs what expires.** Every write of a node interval goes
 //!   through [`Forest::insert_child`] or [`Forest::set_interval`], which
 //!   file a `(tree, node)` handle under the new expiry in an
 //!   `ExpiryIndex`. [`Forest::purge`] pops the keys at or below the
 //!   watermark and looks at nothing else. Handles are never cancelled:
-//!   one is honoured only if its slot holds a live node that is expired
-//!   *now*. A handle whose node was improved, removed, or whose slot (or
-//!   whose whole tree slot) was reused therefore costs one check — and if
-//!   the slot's new occupant happens to be expired as well, reclaiming it
-//!   is correct for that occupant. No generation counter is needed, and
-//!   the purge reclaims exactly the nodes a top-down walk of every tree
-//!   would (children never outlive parents, so the expired nodes and
-//!   their subtrees are the same set).
+//!   one is honoured only if its slab slot holds a live node *of that
+//!   tree* that is expired *now*. A handle whose node was improved,
+//!   removed, or whose slot (or whose whole tree slot) was reused
+//!   therefore costs one check — and if the slot's new occupant in the
+//!   same tree happens to be expired as well, reclaiming it is correct for
+//!   that occupant. No generation counter is needed, and the purge
+//!   reclaims exactly the nodes a top-down walk of every tree would
+//!   (children never outlive parents, so the expired nodes and their
+//!   subtrees are the same set).
 //! * **Empty trees are retired, their slots recycled.** A tree left with
 //!   nothing but its root loses its `by_root` and inverted-index entries
-//!   and its slot goes on a free list that [`Forest::ensure_tree`] pops
-//!   first (arena allocations travel with the slot). After any purge no
-//!   root-only tree exists. Retirement happens **only inside
-//!   [`Forest::purge`]**: between purges operators hold `TreeId`s in
-//!   their seed and dirty lists, and a tree emptied mid-epoch (explicit
-//!   deletion, stale-subtree reclaim) is routinely refilled by the same
-//!   epoch. Such a tree — and every newly created one, which may never
-//!   receive a child — is noted on a candidate list the next purge
-//!   drains, so finding the empty trees never means visiting all trees.
-//!   A root that returns after retirement gets a fresh tree.
+//!   and its root's slab slot, and its tree slot goes on a free list that
+//!   [`Forest::ensure_tree`] pops first. After any purge no root-only
+//!   tree exists. Retirement happens **only inside [`Forest::purge`]**:
+//!   between purges operators hold `TreeId`s in their seed and dirty
+//!   lists, and a tree emptied mid-epoch (explicit deletion, stale-subtree
+//!   reclaim) is routinely refilled by the same epoch. Such a tree — and
+//!   every newly created one, which may never receive a child — is noted
+//!   on a candidate list the next purge drains, so finding the empty trees
+//!   never means visiting all trees. A root that returns after retirement
+//!   gets a fresh tree.
 
 use sgq_automata::StateId;
-use sgq_types::{Edge, FxHashMap, FxHashSet, Interval, PathSeq, Timestamp, VertexId};
+use sgq_types::{Edge, FxHashMap, Interval, Label, PathSeq, Timestamp, VertexId};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 
-// Send audit: the forest arena is PATH-operator state and travels with its
-// operator onto worker-pool threads. `PathSeq` payloads are `Arc`-shared
-// (`Send + Sync`), tree/node links and expiry handles are plain indexes.
+// Send audit: the forest is PATH-operator state and travels with its
+// operator onto worker-pool threads. Everything in it is owned; tree and
+// node links and expiry handles are plain indexes.
 const _: () = super::assert_send::<Forest>();
 
-/// Index of a node inside its tree's arena.
+// The layout's point: a node is 56 bytes (it was 80 while it carried its
+// derivation edge), a tree slot 16 (88 while it owned an arena).
+const _: () = assert!(size_of::<Node>() <= 56);
+const _: () = assert!(size_of::<Tree>() <= 16);
+
+/// Index of a node in its forest's node slab.
 pub type NodeIdx = u32;
 
 /// Sentinel parent for roots.
 pub const NO_PARENT: NodeIdx = u32::MAX;
 
-/// Sentinel for absent sibling/child links.
+/// Sentinel for absent sibling/child links and the end of the free list.
 const NIL: NodeIdx = u32::MAX;
 
-/// A tree identifier (index into the forest arena). Slots are recycled:
-/// an id is only meaningful until the next [`Forest::purge`].
+/// A tree identifier (index into the forest's tree slots). Slots are
+/// recycled: an id is only meaningful until the next [`Forest::purge`].
 pub type TreeId = u32;
+
+/// Bytes a hash table with `capacity` reserves: one `(K, V)` slot and one
+/// control byte per bucket. Buckets are a power of two at most 7/8 full;
+/// tombstones lower the capacity a table reports, so this is a floor.
+pub(super) fn table_bytes<K, V>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => 0,
+        c if c < 8 => (c + 1).next_power_of_two(),
+        c => (c * 8 / 7).next_power_of_two(),
+    };
+    buckets * (size_of::<(K, V)>() + 1)
+}
 
 /// Handles filed under the expiry they were written with: what a purge
 /// has to look at. Window expiries sit on the slide grid, so the map holds
@@ -97,102 +128,405 @@ impl<H> ExpiryIndex<H> {
     pub(super) fn pending(&self) -> usize {
         self.due.values().map(Vec::len).sum()
     }
+
+    /// Bytes reserved: one `(key, list)` per key (B-tree node overhead
+    /// not counted) plus each list's capacity.
+    pub(super) fn reserved_bytes(&self) -> usize {
+        self.due.len() * size_of::<(Timestamp, Vec<H>)>()
+            + self
+                .due
+                .values()
+                .map(|hs| hs.capacity() * size_of::<H>())
+                .sum::<usize>()
+    }
 }
 
 /// A spanning-tree node `(v, state)` with its materialised path segment's
-/// validity and tree links.
+/// validity and tree links: one slot of the forest's node slab.
 ///
 /// Children are an intrusive doubly-linked sibling list
 /// (`first_child`/`next_sib`/`prev_sib`) rather than a per-node `Vec`, so
 /// Expand/Propagate never touch the allocator and `reparent` unlinks in
-/// O(1) instead of scanning the old parent's child list.
+/// O(1) instead of scanning the old parent's child list. A free slot links
+/// the slab's free list through `next_sib`.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Graph vertex.
     pub v: VertexId,
-    /// DFA state `δ*(s₀, path label)`.
-    pub state: StateId,
     /// Validity of the materialised (max-expiry) path segment.
     pub interval: Interval,
+    /// DFA state `δ*(s₀, path label)`.
+    pub state: StateId,
+    /// Label of the derivation edge `(parent.v, v)`; meaningless for a
+    /// root. [`TreeView::edge`] rebuilds the edge.
+    pub label: Label,
     /// Parent node, or [`NO_PARENT`] for the root.
     pub parent: NodeIdx,
-    /// The edge from the parent's vertex to `v` (None for the root).
-    pub edge: Option<Edge>,
+    /// The tree the slot belongs to while it is alive.
+    tree: TreeId,
     /// Head of the intrusive child list.
     first_child: NodeIdx,
-    /// Next sibling under the same parent.
+    /// Next sibling under the same parent (next free slot when freed).
     next_sib: NodeIdx,
     /// Previous sibling under the same parent.
     prev_sib: NodeIdx,
-    /// False once removed (arena slots are recycled via the free list).
+    /// False once removed (the slot is on the free list).
     pub alive: bool,
 }
 
-/// One spanning tree `T_x`. Read-only from outside: every mutation goes
-/// through [`Forest`], which keeps the inverted index, the size counter
-/// and the expiry index in step.
-#[derive(Debug)]
-pub struct Tree {
-    /// The root vertex `x`.
-    pub root: VertexId,
-    /// Node arena; empty while the tree's slot is retired.
-    nodes: Vec<Node>,
-    index: FxHashMap<(VertexId, StateId), NodeIdx>,
-    free: Vec<NodeIdx>,
+/// One spanning tree `T_x` in its slot: the root vertex and the root's
+/// slab index ([`NIL`] while the slot is retired).
+#[derive(Debug, Clone, Copy)]
+struct Tree {
+    root: VertexId,
+    root_node: NodeIdx,
 }
 
-impl Tree {
-    fn new(root: VertexId, start_state: StateId) -> Self {
-        let mut tree = Tree {
-            root,
-            nodes: Vec::new(),
-            index: FxHashMap::default(),
-            free: Vec::new(),
-        };
-        tree.reset(root, start_state);
-        tree
-    }
+/// A borrowed, read-only view of one tree of a [`Forest`]. Every mutation
+/// goes through [`Forest`], which keeps the indexes, the size counter and
+/// the expiry index in step.
+#[derive(Clone, Copy)]
+pub struct TreeView<'a> {
+    /// The root vertex `x`.
+    pub root: VertexId,
+    id: TreeId,
+    root_idx: NodeIdx,
+    forest: &'a Forest,
+}
 
-    /// Re-roots a retired (or new) slot at `root`, keeping allocations.
-    fn reset(&mut self, root: VertexId, start_state: StateId) {
-        self.clear();
-        self.root = root;
-        self.nodes.push(Node {
-            v: root,
-            state: start_state,
-            // The root is the empty path at x: always valid (Def. 21).
-            interval: Interval::new(0, sgq_types::TS_MAX),
-            parent: NO_PARENT,
-            edge: None,
-            first_child: NIL,
-            next_sib: NIL,
-            prev_sib: NIL,
-            alive: true,
-        });
-        self.index.insert((root, start_state), 0);
-    }
-
-    /// Empties the arena (a retired slot holds no node, so every stale
-    /// expiry handle into it fails its liveness check).
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.index.clear();
-        self.free.clear();
-    }
-
-    /// The root node index (always 0).
+impl<'a> TreeView<'a> {
+    /// The root's node index.
     pub fn root_idx(&self) -> NodeIdx {
-        0
+        self.root_idx
     }
 
     /// Looks up the node for `(v, state)`.
     pub fn get(&self, v: VertexId, state: StateId) -> Option<NodeIdx> {
-        self.index.get(&(v, state)).copied()
+        self.forest.index.get(&(self.id, v, state)).copied()
     }
 
     /// Borrowed node access.
-    pub fn node(&self, i: NodeIdx) -> &Node {
-        &self.nodes[i as usize]
+    pub fn node(&self, i: NodeIdx) -> &'a Node {
+        &self.forest.nodes[i as usize]
+    }
+
+    /// The derivation edge of node `i`: from its parent's vertex to its
+    /// own (`None` for the root).
+    pub fn edge(&self, i: NodeIdx) -> Option<Edge> {
+        let n = self.node(i);
+        (n.parent != NO_PARENT).then(|| Edge::new(self.node(n.parent).v, n.v, n.label))
+    }
+
+    /// Iterates over the direct children of `node`.
+    pub fn children(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + 'a {
+        let nodes = &self.forest.nodes;
+        let mut cur = nodes[node as usize].first_child;
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let out = cur;
+            cur = nodes[cur as usize].next_sib;
+            Some(out)
+        })
+    }
+
+    /// Reconstructs the materialised path from the root to `node` by
+    /// following parent pointers (cost O(path length), §6.2.4).
+    pub fn path_to(&self, node: NodeIdx) -> PathSeq {
+        let mut edges = Vec::new();
+        let mut cur = node;
+        while let Some(e) = self.edge(cur) {
+            edges.push(e);
+            cur = self.node(cur).parent;
+        }
+        edges.reverse();
+        PathSeq::new(edges)
+    }
+
+    /// Live non-root node count (a walk of the tree).
+    pub fn live_nodes(&self) -> usize {
+        self.iter_live().count() - 1
+    }
+
+    /// Whether the tree holds nothing but its root.
+    fn is_root_only(&self) -> bool {
+        self.node(self.root_idx).first_child == NIL
+    }
+
+    /// Iterates over live node indexes in pre-order, root first, by
+    /// threading through parent and sibling links (no allocation).
+    pub fn iter_live(&self) -> impl Iterator<Item = NodeIdx> + 'a {
+        let (nodes, root) = (&self.forest.nodes, self.root_idx);
+        std::iter::successors(Some(root), move |&i| {
+            let first = nodes[i as usize].first_child;
+            if first != NIL {
+                return Some(first);
+            }
+            let mut cur = i;
+            while cur != root {
+                let n = &nodes[cur as usize];
+                if n.next_sib != NIL {
+                    return Some(n.next_sib);
+                }
+                cur = n.parent;
+            }
+            None
+        })
+    }
+}
+
+/// The trees holding one `(vertex, state)`: ascending, inline while there
+/// is one.
+#[derive(Debug)]
+enum TreeSet {
+    One(TreeId),
+    Many(Vec<TreeId>),
+}
+
+impl TreeSet {
+    fn as_slice(&self) -> &[TreeId] {
+        match self {
+            TreeSet::One(t) => std::slice::from_ref(t),
+            TreeSet::Many(ts) => ts,
+        }
+    }
+
+    fn insert(&mut self, t: TreeId) {
+        match self {
+            TreeSet::One(u) if *u == t => {}
+            TreeSet::One(u) => {
+                *self = TreeSet::Many(if *u < t { vec![*u, t] } else { vec![t, *u] });
+            }
+            TreeSet::Many(ts) => {
+                if let Err(at) = ts.binary_search(&t) {
+                    ts.insert(at, t);
+                }
+            }
+        }
+    }
+
+    /// Drops `t`; says whether the set is empty now.
+    fn remove(&mut self, t: TreeId) -> bool {
+        match self {
+            TreeSet::One(u) => *u == t,
+            TreeSet::Many(ts) => {
+                if let Ok(at) = ts.binary_search(&t) {
+                    ts.remove(at);
+                }
+                if let [last] = ts[..] {
+                    *self = TreeSet::One(last);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Occupancy of a [`Forest`]'s slots and indexes, for asserting that they
+/// track the window and not the stream (`tests/bounded_state.rs`).
+/// Computed by a full scan: a test and diagnostics surface, not a metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForestCensus {
+    /// Tree slots ever allocated (live + retired).
+    pub tree_slots: usize,
+    /// Trees with a root (`tree_slots` minus the free list).
+    pub live_trees: usize,
+    /// Live trees holding nothing but their root — zero after a purge.
+    pub root_only_trees: usize,
+    /// Node slab slots, roots and free slots included.
+    pub node_slots: usize,
+    /// Live non-root nodes ([`Forest::size`]).
+    pub live_nodes: usize,
+    /// Entries of the root → tree map (equals `live_trees`).
+    pub by_root: usize,
+    /// Keys of the inverted index.
+    pub inverted_keys: usize,
+    /// Inverted-index keys whose tree set is empty (always zero).
+    pub inverted_empty: usize,
+    /// Expiry handles not yet popped by a purge.
+    pub expiry_handles: usize,
+    /// Trees noted for the next purge's retirement check.
+    pub retire_candidates: usize,
+    /// Heap bytes reserved by every container the forest owns: capacity
+    /// times slot size, hash tables at `(K, V)` plus one control byte per
+    /// bucket.
+    pub reserved_bytes: usize,
+}
+
+#[cfg(test)]
+impl ForestCensus {
+    /// The census without its byte count, which also depends on the order
+    /// entries were removed in (hash tombstones): what twins fed the same
+    /// operations but purged differently compare.
+    pub(crate) fn occupancy(self) -> Self {
+        ForestCensus {
+            reserved_bytes: 0,
+            ..self
+        }
+    }
+}
+
+/// The Δ-PATH forest with its inverted index from `(vertex, state)` to the
+/// trees containing that node (Def. 22: "a hash-based inverted index …
+/// enabling quick look-up to locate all spanning trees that contain a
+/// particular vertex-state pair").
+#[derive(Debug)]
+pub struct Forest {
+    /// Tree slots; a retired one has no root node and sits in
+    /// `free_trees`.
+    trees: Vec<Tree>,
+    free_trees: Vec<TreeId>,
+    by_root: FxHashMap<VertexId, TreeId>,
+    /// The node slab shared by all trees, and its free list's head.
+    nodes: Vec<Node>,
+    free_nodes: NodeIdx,
+    /// `(tree, vertex, state)` → slab index, for every live node.
+    index: FxHashMap<(TreeId, VertexId, StateId), NodeIdx>,
+    inverted: FxHashMap<(VertexId, StateId), TreeSet>,
+    start_state: StateId,
+    /// Live non-root nodes across all trees.
+    live_nodes: usize,
+    expiry: ExpiryIndex<(TreeId, NodeIdx)>,
+    /// Trees that were root-only at some point since the last purge.
+    maybe_empty: Vec<TreeId>,
+    /// Scratch of `remove_subtree`.
+    stack: Vec<NodeIdx>,
+}
+
+impl Forest {
+    /// Creates an empty forest for a DFA with the given start state.
+    pub fn new(start_state: StateId) -> Self {
+        Forest {
+            trees: Vec::new(),
+            free_trees: Vec::new(),
+            by_root: FxHashMap::default(),
+            nodes: Vec::new(),
+            free_nodes: NIL,
+            index: FxHashMap::default(),
+            inverted: FxHashMap::default(),
+            start_state,
+            live_nodes: 0,
+            expiry: ExpiryIndex::default(),
+            maybe_empty: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Returns the tree rooted at `x`, creating it if absent (Algorithm
+    /// S-PATH lines 7–8). A new tree takes a retired slot if there is one.
+    pub fn ensure_tree(&mut self, x: VertexId) -> TreeId {
+        if let Some(&t) = self.by_root.get(&x) {
+            return t;
+        }
+        let id = self.free_trees.pop().unwrap_or_else(|| {
+            self.trees.push(Tree {
+                root: x,
+                root_node: NIL,
+            });
+            (self.trees.len() - 1) as TreeId
+        });
+        // The root is the empty path at x: always valid (Def. 21).
+        let always = Interval::new(0, sgq_types::TS_MAX);
+        let root = self.alloc_node(id, NO_PARENT, x, self.start_state, Label(0), always);
+        self.trees[id as usize] = Tree {
+            root: x,
+            root_node: root,
+        };
+        self.by_root.insert(x, id);
+        // It may never get a child (a late, already expired edge).
+        self.maybe_empty.push(id);
+        id
+    }
+
+    /// The tree rooted at `x`, if any.
+    pub fn tree_of_root(&self, x: VertexId) -> Option<TreeId> {
+        self.by_root.get(&x).copied()
+    }
+
+    /// Trees containing node `(v, state)` — the `ExpandableTrees` probe —
+    /// in ascending slot order, which carries no meaning: callers whose
+    /// output order matters sort by root vertex.
+    pub fn trees_with(&self, v: VertexId, state: StateId) -> impl Iterator<Item = TreeId> + '_ {
+        self.inverted
+            .get(&(v, state))
+            .map_or(&[][..], TreeSet::as_slice)
+            .iter()
+            .copied()
+    }
+
+    /// Borrowed view of tree `t`.
+    pub fn tree(&self, t: TreeId) -> TreeView<'_> {
+        let tree = self.trees[t as usize];
+        debug_assert!(tree.root_node != NIL, "tree {t} is retired");
+        TreeView {
+            root: tree.root,
+            id: t,
+            root_idx: tree.root_node,
+            forest: self,
+        }
+    }
+
+    /// Takes a slab slot (the free list first) for a new node of tree `t`
+    /// under `parent`, and indexes it.
+    fn alloc_node(
+        &mut self,
+        t: TreeId,
+        parent: NodeIdx,
+        v: VertexId,
+        state: StateId,
+        label: Label,
+        interval: Interval,
+    ) -> NodeIdx {
+        let node = Node {
+            v,
+            interval,
+            state,
+            label,
+            parent,
+            tree: t,
+            first_child: NIL,
+            next_sib: NIL,
+            prev_sib: NIL,
+            alive: true,
+        };
+        let idx = if self.free_nodes != NIL {
+            let idx = self.free_nodes;
+            self.free_nodes = self.nodes[idx as usize].next_sib;
+            self.nodes[idx as usize] = node;
+            idx
+        } else {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as NodeIdx
+        };
+        let fresh = self.index.insert((t, v, state), idx).is_none();
+        debug_assert!(fresh, "node already present");
+        match self.inverted.entry((v, state)) {
+            Entry::Occupied(mut trees) => trees.get_mut().insert(t),
+            Entry::Vacant(slot) => {
+                slot.insert(TreeSet::One(t));
+            }
+        }
+        if parent != NO_PARENT {
+            self.link_child(parent, idx);
+        }
+        idx
+    }
+
+    /// Unindexes a node and puts its slot on the free list.
+    fn free_node(&mut self, t: TreeId, i: NodeIdx) {
+        let n = &mut self.nodes[i as usize];
+        let key = (n.v, n.state);
+        n.alive = false;
+        n.first_child = NIL;
+        n.next_sib = self.free_nodes;
+        self.free_nodes = i;
+        self.index.remove(&(t, key.0, key.1));
+        if let Entry::Occupied(mut trees) = self.inverted.entry(key) {
+            if trees.get_mut().remove(t) {
+                trees.remove();
+            }
+        }
     }
 
     /// Links `idx` at the head of `parent`'s child list.
@@ -225,238 +559,20 @@ impl Tree {
         n.next_sib = NIL;
     }
 
-    /// Iterates over the direct children of `node`.
-    pub fn children(&self, node: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
-        let mut cur = self.nodes[node as usize].first_child;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let out = cur;
-            cur = self.nodes[cur as usize].next_sib;
-            Some(out)
-        })
-    }
-
-    fn insert_child(
-        &mut self,
-        parent: NodeIdx,
-        v: VertexId,
-        state: StateId,
-        edge: Edge,
-        interval: Interval,
-    ) -> NodeIdx {
-        debug_assert!(self.get(v, state).is_none(), "node already present");
-        let node = Node {
-            v,
-            state,
-            interval,
-            parent,
-            edge: Some(edge),
-            first_child: NIL,
-            next_sib: NIL,
-            prev_sib: NIL,
-            alive: true,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = node;
-                i
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as NodeIdx
-            }
-        };
-        self.link_child(parent, idx);
-        self.index.insert((v, state), idx);
-        idx
-    }
-
-    fn reparent(&mut self, node: NodeIdx, new_parent: NodeIdx, edge: Edge) {
-        self.unlink_child(node);
-        self.nodes[node as usize].parent = new_parent;
-        self.nodes[node as usize].edge = Some(edge);
-        self.link_child(new_parent, node);
-    }
-
-    /// Removes the subtree rooted at `node`, appending every removed
-    /// `(vertex, state)` pair to `removed`. `stack` is caller-owned
-    /// scratch, left empty.
-    fn remove_subtree(
-        &mut self,
-        node: NodeIdx,
-        removed: &mut Vec<(VertexId, StateId)>,
-        stack: &mut Vec<NodeIdx>,
-    ) {
-        // Detach from the parent first.
-        self.unlink_child(node);
-        stack.push(node);
-        while let Some(i) = stack.pop() {
-            if !self.nodes[i as usize].alive {
-                continue;
-            }
-            let mut c = self.nodes[i as usize].first_child;
-            while c != NIL {
-                stack.push(c);
-                c = self.nodes[c as usize].next_sib;
-            }
-            let n = &mut self.nodes[i as usize];
-            n.alive = false;
-            n.first_child = NIL;
-            let key = (n.v, n.state);
-            self.index.remove(&key);
-            removed.push(key);
-            self.free.push(i);
-        }
-    }
-
-    /// Reconstructs the materialised path from the root to `node` by
-    /// following parent pointers (cost O(path length), §6.2.4).
-    pub fn path_to(&self, node: NodeIdx) -> PathSeq {
-        let mut edges = Vec::new();
-        let mut cur = node;
-        while cur != NO_PARENT {
-            let n = &self.nodes[cur as usize];
-            if let Some(e) = n.edge {
-                edges.push(e);
-            }
-            cur = n.parent;
-        }
-        edges.reverse();
-        PathSeq::new(edges)
-    }
-
-    /// Live non-root node count.
-    pub fn live_nodes(&self) -> usize {
-        self.index.len().saturating_sub(1)
-    }
-
-    /// Iterates over live node indexes (including the root).
-    pub fn iter_live(&self) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.index.values().copied()
-    }
-}
-
-/// Occupancy of a [`Forest`]'s slots and indexes, for asserting that they
-/// track the window and not the stream (`tests/bounded_state.rs`).
-/// Computed by a full scan: a test and diagnostics surface, not a metric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForestCensus {
-    /// Tree slots ever allocated (live + retired).
-    pub tree_slots: usize,
-    /// Trees with a root (`tree_slots` minus the free list).
-    pub live_trees: usize,
-    /// Live trees holding nothing but their root — zero after a purge.
-    pub root_only_trees: usize,
-    /// Arena slots across live trees, roots and freed slots included.
-    pub node_slots: usize,
-    /// Live non-root nodes ([`Forest::size`]).
-    pub live_nodes: usize,
-    /// Entries of the root → tree map (equals `live_trees`).
-    pub by_root: usize,
-    /// Keys of the inverted index.
-    pub inverted_keys: usize,
-    /// Inverted-index keys whose tree set is empty (always zero).
-    pub inverted_empty: usize,
-    /// Expiry handles not yet popped by a purge.
-    pub expiry_handles: usize,
-    /// Trees noted for the next purge's retirement check.
-    pub retire_candidates: usize,
-}
-
-/// The Δ-PATH forest with its inverted index from `(vertex, state)` to the
-/// trees containing that node (Def. 22: "a hash-based inverted index …
-/// enabling quick look-up to locate all spanning trees that contain a
-/// particular vertex-state pair").
-#[derive(Debug, Default)]
-pub struct Forest {
-    /// Tree slab; a retired slot holds an empty arena and sits in
-    /// `free_trees`.
-    trees: Vec<Tree>,
-    free_trees: Vec<TreeId>,
-    by_root: FxHashMap<VertexId, TreeId>,
-    inverted: FxHashMap<(VertexId, StateId), FxHashSet<TreeId>>,
-    start_state: StateId,
-    /// Live non-root nodes across all trees.
-    live_nodes: usize,
-    expiry: ExpiryIndex<(TreeId, NodeIdx)>,
-    /// Trees that were root-only at some point since the last purge.
-    maybe_empty: Vec<TreeId>,
-    /// Scratch of `remove_subtree`.
-    removed: Vec<(VertexId, StateId)>,
-    stack: Vec<NodeIdx>,
-}
-
-impl Forest {
-    /// Creates an empty forest for a DFA with the given start state.
-    pub fn new(start_state: StateId) -> Self {
-        Forest {
-            start_state,
-            ..Default::default()
-        }
-    }
-
-    /// Returns the tree rooted at `x`, creating it if absent (Algorithm
-    /// S-PATH lines 7–8). A new tree takes a retired slot if there is one.
-    pub fn ensure_tree(&mut self, x: VertexId) -> TreeId {
-        if let Some(&t) = self.by_root.get(&x) {
-            return t;
-        }
-        let id = match self.free_trees.pop() {
-            Some(id) => {
-                self.trees[id as usize].reset(x, self.start_state);
-                id
-            }
-            None => {
-                self.trees.push(Tree::new(x, self.start_state));
-                (self.trees.len() - 1) as TreeId
-            }
-        };
-        self.by_root.insert(x, id);
-        self.inverted
-            .entry((x, self.start_state))
-            .or_default()
-            .insert(id);
-        // It may never get a child (a late, already expired edge).
-        self.maybe_empty.push(id);
-        id
-    }
-
-    /// The tree rooted at `x`, if any.
-    pub fn tree_of_root(&self, x: VertexId) -> Option<TreeId> {
-        self.by_root.get(&x).copied()
-    }
-
-    /// Trees containing node `(v, state)` — the `ExpandableTrees` probe.
-    /// The order is the inverted index's and carries no meaning; callers
-    /// whose output order matters sort by root vertex.
-    pub fn trees_with(&self, v: VertexId, state: StateId) -> impl Iterator<Item = TreeId> + '_ {
-        self.inverted
-            .get(&(v, state))
-            .into_iter()
-            .flat_map(|set| set.iter().copied())
-    }
-
-    /// Borrowed tree access.
-    pub fn tree(&self, t: TreeId) -> &Tree {
-        &self.trees[t as usize]
-    }
-
-    /// Inserts `(v, state)` into tree `t` as a child of `parent` with the
-    /// given derivation edge and interval (Algorithm Expand), returning
-    /// its index.
+    /// Inserts `(v, state)` into tree `t` as a child of `parent`, derived
+    /// through an edge labelled `label` with the given interval (Algorithm
+    /// Expand), returning its index.
     pub fn insert_child(
         &mut self,
         t: TreeId,
         parent: NodeIdx,
         v: VertexId,
         state: StateId,
-        edge: Edge,
+        label: Label,
         interval: Interval,
     ) -> NodeIdx {
-        let idx = self.trees[t as usize].insert_child(parent, v, state, edge, interval);
-        self.inverted.entry((v, state)).or_default().insert(t);
+        debug_assert!(self.nodes[parent as usize].tree == t, "parent in tree");
+        let idx = self.alloc_node(t, parent, v, state, label, interval);
         self.live_nodes += 1;
         self.expiry.register(interval.exp, (t, idx));
         idx
@@ -465,8 +581,8 @@ impl Forest {
     /// Overwrites the interval of a non-root node. The node's earlier
     /// handle stays filed under the old expiry and will fail its check.
     pub fn set_interval(&mut self, t: TreeId, node: NodeIdx, interval: Interval) {
-        let n = &mut self.trees[t as usize].nodes[node as usize];
-        debug_assert!(n.alive && n.parent != NO_PARENT, "live non-root node");
+        let n = &mut self.nodes[node as usize];
+        debug_assert!(n.alive && n.tree == t && n.parent != NO_PARENT);
         let moved = n.interval.exp != interval.exp;
         n.interval = interval;
         // A ts-only widening is already filed under this expiry.
@@ -475,42 +591,49 @@ impl Forest {
         }
     }
 
-    /// Re-attaches `node` under `new_parent` with a new derivation edge
-    /// (Algorithm Propagate line 2).
-    pub fn reparent(&mut self, t: TreeId, node: NodeIdx, new_parent: NodeIdx, edge: Edge) {
-        self.trees[t as usize].reparent(node, new_parent, edge);
+    /// Re-attaches `node` under `new_parent`, derived through an edge
+    /// labelled `label` (Algorithm Propagate line 2).
+    pub fn reparent(&mut self, t: TreeId, node: NodeIdx, new_parent: NodeIdx, label: Label) {
+        debug_assert!(self.nodes[node as usize].tree == t);
+        debug_assert!(self.nodes[new_parent as usize].tree == t);
+        self.unlink_child(node);
+        let n = &mut self.nodes[node as usize];
+        n.parent = new_parent;
+        n.label = label;
+        self.link_child(new_parent, node);
     }
 
     /// Removes the subtree at the non-root `node` of tree `t`, maintaining
-    /// the inverted index. Returns the number of nodes removed. A tree
-    /// this leaves root-only is retired by the next [`Forest::purge`],
-    /// not here.
+    /// the indexes. Returns the number of nodes removed. A tree this
+    /// leaves root-only is retired by the next [`Forest::purge`], not
+    /// here.
     pub fn remove_subtree(&mut self, t: TreeId, node: NodeIdx) -> usize {
-        debug_assert!(node != self.trees[t as usize].root_idx(), "roots retire");
-        let mut removed = std::mem::take(&mut self.removed);
-        self.trees[t as usize].remove_subtree(node, &mut removed, &mut self.stack);
-        for key in &removed {
-            self.unindex(*key, t);
+        debug_assert!(
+            self.nodes[node as usize].parent != NO_PARENT,
+            "roots retire"
+        );
+        debug_assert!(self.nodes[node as usize].tree == t);
+        self.unlink_child(node);
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(node);
+        let mut count = 0;
+        while let Some(i) = stack.pop() {
+            // Children are pushed before their parent's slot is freed, so
+            // the sibling links read here are still the tree's.
+            let mut c = self.nodes[i as usize].first_child;
+            while c != NIL {
+                stack.push(c);
+                c = self.nodes[c as usize].next_sib;
+            }
+            self.free_node(t, i);
+            count += 1;
         }
-        let count = removed.len();
+        self.stack = stack;
         self.live_nodes -= count;
-        removed.clear();
-        self.removed = removed;
-        if self.trees[t as usize].live_nodes() == 0 {
+        if self.tree(t).is_root_only() {
             self.maybe_empty.push(t);
         }
         count
-    }
-
-    /// Drops `t` from the inverted entry of `key`, and the entry with its
-    /// last tree.
-    fn unindex(&mut self, key: (VertexId, StateId), t: TreeId) {
-        if let Entry::Occupied(mut trees) = self.inverted.entry(key) {
-            trees.get_mut().remove(&t);
-            if trees.get().is_empty() {
-                trees.remove();
-            }
-        }
     }
 
     /// Reclaims every node whose interval expired at `watermark` (the
@@ -525,8 +648,8 @@ impl Forest {
         self.reclaim_expired(watermark);
         self.retire_empty();
         debug_assert_eq!(
-            self.live_nodes,
-            self.trees.iter().map(Tree::live_nodes).sum::<usize>(),
+            self.live_nodes + self.by_root.len(),
+            self.index.len(),
             "maintained node count drifted"
         );
     }
@@ -534,10 +657,10 @@ impl Forest {
     fn reclaim_expired(&mut self, watermark: Timestamp) {
         while let Some(due) = self.expiry.pop_due(watermark) {
             for (t, i) in due {
-                let expired = self.trees[t as usize]
+                let expired = self
                     .nodes
                     .get(i as usize)
-                    .is_some_and(|n| n.alive && n.interval.expired_at(watermark));
+                    .is_some_and(|n| n.alive && n.tree == t && n.interval.expired_at(watermark));
                 if expired {
                     self.remove_subtree(t, i);
                 }
@@ -546,18 +669,18 @@ impl Forest {
     }
 
     /// Retires the candidates that are still root-only: drops their
-    /// `by_root` and inverted entries and frees their slots.
+    /// `by_root` and inverted entries, frees their root's slab slot and
+    /// their tree slot.
     fn retire_empty(&mut self) {
         while let Some(t) = self.maybe_empty.pop() {
-            let tree = &mut self.trees[t as usize];
-            // Retired already (0 nodes) or refilled since it was noted.
-            if tree.index.len() != 1 {
+            let Tree { root, root_node } = self.trees[t as usize];
+            // Retired already, or refilled since it was noted.
+            if root_node == NIL || !self.tree(t).is_root_only() {
                 continue;
             }
-            let root = tree.root;
-            tree.clear();
+            self.free_node(t, root_node);
+            self.trees[t as usize].root_node = NIL;
             self.by_root.remove(&root);
-            self.unindex((root, self.start_state), t);
             self.free_trees.push(t);
         }
     }
@@ -569,23 +692,45 @@ impl Forest {
 
     /// Iterates over the ids of live trees, ascending.
     pub fn tree_ids(&self) -> impl Iterator<Item = TreeId> + '_ {
-        (0..self.trees.len() as TreeId).filter(|&t| !self.trees[t as usize].nodes.is_empty())
+        (0..self.trees.len() as TreeId).filter(|&t| self.trees[t as usize].root_node != NIL)
     }
 
-    /// Counts slots and index entries (full scan).
+    /// Counts slots, index entries and reserved bytes (full scan).
     pub fn census(&self) -> ForestCensus {
-        let live = || self.trees.iter().filter(|t| !t.nodes.is_empty());
+        let live = || self.tree_ids().map(|t| self.tree(t));
+        let inverted_lists: usize = self
+            .inverted
+            .values()
+            .map(|s| match s {
+                TreeSet::One(_) => 0,
+                TreeSet::Many(ts) => ts.capacity() * size_of::<TreeId>(),
+            })
+            .sum();
+        let lists =
+            self.free_trees.capacity() + self.maybe_empty.capacity() + self.stack.capacity();
         ForestCensus {
             tree_slots: self.trees.len(),
             live_trees: live().count(),
-            root_only_trees: live().filter(|t| t.live_nodes() == 0).count(),
-            node_slots: live().map(|t| t.nodes.len()).sum(),
+            root_only_trees: live().filter(TreeView::is_root_only).count(),
+            node_slots: self.nodes.len(),
             live_nodes: self.live_nodes,
             by_root: self.by_root.len(),
             inverted_keys: self.inverted.len(),
-            inverted_empty: self.inverted.values().filter(|s| s.is_empty()).count(),
+            inverted_empty: self
+                .inverted
+                .values()
+                .filter(|s| s.as_slice().is_empty())
+                .count(),
             expiry_handles: self.expiry.pending(),
             retire_candidates: self.maybe_empty.len(),
+            reserved_bytes: self.trees.capacity() * size_of::<Tree>()
+                + self.nodes.capacity() * size_of::<Node>()
+                + lists * size_of::<u32>()
+                + table_bytes::<VertexId, TreeId>(self.by_root.capacity())
+                + table_bytes::<(TreeId, VertexId, StateId), NodeIdx>(self.index.capacity())
+                + table_bytes::<(VertexId, StateId), TreeSet>(self.inverted.capacity())
+                + inverted_lists
+                + self.expiry.reserved_bytes(),
         }
     }
 
@@ -595,7 +740,7 @@ impl Forest {
     pub(crate) fn purge_by_walk(&mut self, watermark: Timestamp) {
         for t in self.tree_ids().collect::<Vec<_>>() {
             let mut expired: Vec<NodeIdx> = Vec::new();
-            let tree = &self.trees[t as usize];
+            let tree = self.tree(t);
             let mut stack = vec![tree.root_idx()];
             while let Some(i) = stack.pop() {
                 if tree.node(i).interval.expired_at(watermark) {
@@ -624,24 +769,29 @@ impl Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgq_types::Label;
 
     fn v(i: u64) -> VertexId {
         VertexId(i)
     }
 
+    const L: Label = Label(0);
+
     fn e(s: u64, t: u64) -> Edge {
-        Edge::new(v(s), v(t), Label(0))
+        Edge::new(v(s), v(t), L)
+    }
+
+    fn root(f: &Forest, t: TreeId) -> NodeIdx {
+        f.tree(t).root_idx()
     }
 
     fn iv(ts: u64, exp: u64) -> Interval {
         Interval::new(ts, exp)
     }
 
-    /// A tree rooted at `root` with one child `(child, 1)`.
-    fn tree_with_child(f: &mut Forest, root: u64, child: u64, interval: Interval) -> TreeId {
-        let t = f.ensure_tree(v(root));
-        f.insert_child(t, 0, v(child), 1, e(root, child), interval);
+    /// A tree rooted at `r` with one child `(child, 1)`.
+    fn tree_with_child(f: &mut Forest, r: u64, child: u64, interval: Interval) -> TreeId {
+        let t = f.ensure_tree(v(r));
+        f.insert_child(t, root(f, t), v(child), 1, L, interval);
         t
     }
 
@@ -659,8 +809,8 @@ mod tests {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
         let root = f.tree(t).root_idx();
-        let n2 = f.insert_child(t, root, v(2), 1, e(1, 2), iv(0, 10));
-        let n3 = f.insert_child(t, n2, v(3), 1, e(2, 3), iv(2, 8));
+        let n2 = f.insert_child(t, root, v(2), 1, L, iv(0, 10));
+        let n3 = f.insert_child(t, n2, v(3), 1, L, iv(2, 8));
         let p = f.tree(t).path_to(n3);
         assert_eq!(p.edges(), &[e(1, 2), e(2, 3)]);
         assert_eq!(p.src(), v(1));
@@ -672,8 +822,8 @@ mod tests {
     fn remove_subtree_cleans_index() {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
-        let n2 = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 10));
-        f.insert_child(t, n2, v(3), 1, e(2, 3), iv(0, 10));
+        let n2 = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 10));
+        f.insert_child(t, n2, v(3), 1, L, iv(0, 10));
         assert_eq!(f.remove_subtree(t, n2), 2);
         assert!(f.tree(t).get(v(2), 1).is_none());
         assert!(f.tree(t).get(v(3), 1).is_none());
@@ -685,9 +835,9 @@ mod tests {
     fn arena_slots_are_recycled() {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
-        let n2 = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 10));
+        let n2 = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 10));
         f.remove_subtree(t, n2);
-        let n3 = f.insert_child(t, 0, v(3), 1, e(1, 3), iv(0, 10));
+        let n3 = f.insert_child(t, root(&f, t), v(3), 1, L, iv(0, 10));
         assert_eq!(n2, n3, "freed slot reused");
     }
 
@@ -695,13 +845,13 @@ mod tests {
     fn reparent_moves_children_lists() {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
-        let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 10));
-        let b = f.insert_child(t, 0, v(3), 1, e(1, 3), iv(0, 10));
-        let c = f.insert_child(t, a, v(4), 1, e(2, 4), iv(0, 10));
-        f.reparent(t, c, b, e(3, 4));
+        let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 10));
+        let b = f.insert_child(t, root(&f, t), v(3), 1, L, iv(0, 10));
+        let c = f.insert_child(t, a, v(4), 1, L, iv(0, 10));
+        f.reparent(t, c, b, L);
         assert_eq!(f.tree(t).children(a).count(), 0);
         assert_eq!(f.tree(t).children(b).collect::<Vec<_>>(), vec![c]);
-        assert_eq!(f.tree(t).node(c).edge, Some(e(3, 4)));
+        assert_eq!(f.tree(t).edge(c), Some(e(3, 4)));
         let p = f.tree(t).path_to(c);
         assert_eq!(p.edges(), &[e(1, 3), e(3, 4)]);
     }
@@ -710,9 +860,9 @@ mod tests {
     fn purge_removes_expired_subtrees() {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
-        let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 5));
-        f.insert_child(t, a, v(3), 1, e(2, 3), iv(0, 4));
-        let c = f.insert_child(t, 0, v(4), 1, e(1, 4), iv(0, 9));
+        let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 5));
+        f.insert_child(t, a, v(3), 1, L, iv(0, 4));
+        let c = f.insert_child(t, root(&f, t), v(4), 1, L, iv(0, 9));
         f.purge(5);
         assert!(f.tree(t).get(v(2), 1).is_none());
         assert!(f.tree(t).get(v(3), 1).is_none());
@@ -725,7 +875,7 @@ mod tests {
     fn a_root_with_live_children_is_never_retired() {
         let mut f = Forest::new(0);
         let t = tree_with_child(&mut f, 1, 2, iv(0, 2_000_000));
-        f.insert_child(t, 0, v(3), 1, e(1, 3), iv(0, 10));
+        f.insert_child(t, root(&f, t), v(3), 1, L, iv(0, 10));
         f.purge(1_000_000);
         assert_eq!(f.tree_of_root(v(1)), Some(t));
         assert!(f.tree(t).get(v(1), 0).is_some());
@@ -757,8 +907,8 @@ mod tests {
     fn a_returning_root_gets_a_fresh_empty_tree() {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
-        let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 5));
-        f.insert_child(t, a, v(3), 1, e(2, 3), iv(0, 5));
+        let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 5));
+        f.insert_child(t, a, v(3), 1, L, iv(0, 5));
         f.purge(5);
         assert_eq!(f.tree_of_root(v(1)), None);
         let again = f.ensure_tree(v(1));
@@ -791,7 +941,7 @@ mod tests {
         assert_eq!(f.tree_of_root(v(1)), Some(t));
         assert_eq!(f.trees_with(v(1), 0).collect::<Vec<_>>(), vec![t]);
         // Refilled before the purge: the candidate note is void.
-        f.insert_child(t, 0, v(5), 1, e(1, 5), iv(2, 60));
+        f.insert_child(t, root(&f, t), v(5), 1, L, iv(2, 60));
         f.purge(2);
         assert_eq!(f.tree_of_root(v(1)), Some(t));
         let n = f.tree(t).get(v(5), 1).unwrap();
@@ -805,12 +955,12 @@ mod tests {
         let mut f = Forest::new(0);
         let t = f.ensure_tree(v(1));
         // Improved: the handle under 5 is stale, the node lives to 20.
-        let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 5));
+        let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 5));
         f.set_interval(t, a, iv(0, 20));
         // Removed and its slot reused by a longer-lived node.
-        let b = f.insert_child(t, 0, v(3), 1, e(1, 3), iv(0, 5));
+        let b = f.insert_child(t, root(&f, t), v(3), 1, L, iv(0, 5));
         f.remove_subtree(t, b);
-        let c = f.insert_child(t, 0, v(4), 1, e(1, 4), iv(0, 30));
+        let c = f.insert_child(t, root(&f, t), v(4), 1, L, iv(0, 30));
         assert_eq!(b, c);
         // A whole tree retired, its slot reused with a longer-lived node.
         let t2 = tree_with_child(&mut f, 8, 9, iv(0, 4));
@@ -834,9 +984,9 @@ mod tests {
         assert_eq!(f.size(), 0);
         let t = f.ensure_tree(v(1));
         assert_eq!(f.size(), 0, "roots do not count");
-        let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 10));
-        let b = f.insert_child(t, a, v(3), 1, e(2, 3), iv(0, 6));
-        f.insert_child(t, b, v(4), 1, e(3, 4), iv(0, 6));
+        let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 10));
+        let b = f.insert_child(t, a, v(3), 1, L, iv(0, 6));
+        f.insert_child(t, b, v(4), 1, L, iv(0, 6));
         assert_eq!(f.size(), 3);
         f.set_interval(t, a, iv(0, 12));
         assert_eq!(f.size(), 3, "an improvement is not a new entry");
@@ -859,10 +1009,10 @@ mod tests {
         let build = || {
             let mut f = Forest::new(0);
             let t = f.ensure_tree(v(1));
-            let a = f.insert_child(t, 0, v(2), 1, e(1, 2), iv(0, 9));
-            let b = f.insert_child(t, a, v(3), 1, e(2, 3), iv(1, 6));
-            f.insert_child(t, b, v(4), 1, e(3, 4), iv(2, 6));
-            f.insert_child(t, a, v(5), 1, e(2, 5), iv(2, 9));
+            let a = f.insert_child(t, root(&f, t), v(2), 1, L, iv(0, 9));
+            let b = f.insert_child(t, a, v(3), 1, L, iv(1, 6));
+            f.insert_child(t, b, v(4), 1, L, iv(2, 6));
+            f.insert_child(t, a, v(5), 1, L, iv(2, 9));
             tree_with_child(&mut f, 6, 7, iv(0, 3));
             f.set_interval(t, b, iv(1, 7));
             f
@@ -884,7 +1034,11 @@ mod tests {
             by_index.purge(w);
             by_walk.purge_by_walk(w);
             assert_eq!(live(&by_index), live(&by_walk), "watermark {w}");
-            assert_eq!(by_index.census(), by_walk.census(), "watermark {w}");
+            assert_eq!(
+                by_index.census().occupancy(),
+                by_walk.census().occupancy(),
+                "watermark {w}"
+            );
         }
         assert_eq!(by_index.census().live_trees, 0);
     }

@@ -16,7 +16,7 @@
 //!   S-PATH's direct approach avoids.
 
 use super::adjacency::Adjacency;
-use super::forest::Forest;
+use super::forest::{Forest, NodeIdx, TreeId, NO_PARENT};
 use super::rederive::{rederive_in, RederiveScratch, RevDfa};
 use super::{Delta, PathCensus, PhysicalOp};
 use crate::obs::FrontierStats;
@@ -42,7 +42,7 @@ pub struct NegPathOp {
 }
 
 struct Ext {
-    parent: super::forest::NodeIdx,
+    parent: NodeIdx,
     v: VertexId,
     state: StateId,
     edge: Edge,
@@ -73,18 +73,13 @@ impl NegPathOp {
         &self.forest
     }
 
-    fn emit(
-        &self,
-        tree: super::forest::TreeId,
-        node: super::forest::NodeIdx,
-        out: &mut Vec<Delta>,
-    ) {
+    fn emit(&self, tree: TreeId, node: NodeIdx, out: &mut Vec<Delta>) {
         let t = self.forest.tree(tree);
         let n = t.node(node);
         let payload = if self.emit_paths {
             Payload::Path(t.path_to(node))
         } else {
-            Payload::Edge(n.edge.expect("non-root node has an edge"))
+            Payload::Edge(t.edge(node).expect("non-root node has an edge"))
         };
         out.push(Delta::Insert(Sgt::with_payload(
             t.root, n.v, self.label, n.interval, payload,
@@ -95,7 +90,7 @@ impl NegPathOp {
     /// (re-)inserted.
     fn extend_all(
         &mut self,
-        tree: super::forest::TreeId,
+        tree: TreeId,
         mut stack: Vec<Ext>,
         now: Timestamp,
         out: &mut Vec<Delta>,
@@ -110,15 +105,26 @@ impl NegPathOp {
                 Some(idx) => {
                     if self.forest.tree(tree).node(idx).interval.expired_at(now) {
                         self.forest.remove_subtree(tree, idx);
-                        self.forest
-                            .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv)
+                        self.forest.insert_child(
+                            tree,
+                            ext.parent,
+                            ext.v,
+                            ext.state,
+                            ext.edge.label,
+                            child_iv,
+                        )
                     } else {
                         continue; // present ⇒ skip (no Propagate in [57])
                     }
                 }
-                None => self
-                    .forest
-                    .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv),
+                None => self.forest.insert_child(
+                    tree,
+                    ext.parent,
+                    ext.v,
+                    ext.state,
+                    ext.edge.label,
+                    child_iv,
+                ),
             };
             self.stats.nodes_improved += 1;
             if self.dfa.is_accepting(ext.state) {
@@ -194,7 +200,7 @@ impl NegPathOp {
                 let Some(idx) = self.forest.tree(tree).get(edge.trg, to) else {
                     continue;
                 };
-                if self.forest.tree(tree).node(idx).edge != Some(edge) {
+                if self.forest.tree(tree).edge(idx) != Some(edge) {
                     continue; // non-tree edge: "does not require any modification"
                 }
                 let changes = rederive_in(
@@ -291,22 +297,26 @@ impl PhysicalOp for NegPathOp {
     /// re-derived answers when it undoes expirations).
     fn purge(&mut self, watermark: Timestamp, out: &mut Vec<Delta>) {
         self.adj.purge(watermark);
-        for tree in self.forest.tree_ids().collect::<Vec<_>>() {
-            // Top-most expired nodes: their whole subtrees re-derive.
-            let roots: Vec<super::forest::NodeIdx> = {
-                let t = self.forest.tree(tree);
-                t.iter_live()
-                    .filter(|&i| {
-                        let n = t.node(i);
-                        n.parent != super::forest::NO_PARENT
-                            && n.interval.expired_at(watermark)
-                            && !t.node(n.parent).interval.expired_at(watermark)
-                    })
-                    .collect()
-            };
-            if roots.is_empty() {
-                continue;
-            }
+        // Top-most expired nodes — their whole subtrees re-derive — in
+        // `(root, v, state)` order: a function of the live window, not of
+        // which slots its trees and nodes happen to occupy.
+        let mut expired: Vec<(VertexId, VertexId, StateId, TreeId, NodeIdx)> = Vec::new();
+        for tree in self.forest.tree_ids() {
+            let t = self.forest.tree(tree);
+            expired.extend(t.iter_live().filter_map(|i| {
+                let n = t.node(i);
+                (n.parent != NO_PARENT
+                    && n.interval.expired_at(watermark)
+                    && !t.node(n.parent).interval.expired_at(watermark))
+                .then_some((t.root, n.v, n.state, tree, i))
+            }));
+        }
+        expired.sort_unstable();
+        let mut roots = Vec::new();
+        for of_tree in expired.chunk_by(|a, b| a.3 == b.3) {
+            let tree = of_tree[0].3;
+            roots.clear();
+            roots.extend(of_tree.iter().map(|e| e.4));
             // One seeded maximin pass re-derives all m invalidated
             // subtree roots together (shared frontier, shared scratch).
             let changes = rederive_in(
@@ -320,8 +330,6 @@ impl PhysicalOp for NegPathOp {
                 &self.rev,
                 watermark,
             );
-            let root = self.forest.tree(tree).root;
-            let _ = root;
             for ch in changes {
                 if !self.dfa.is_accepting(ch.state) {
                     continue;
@@ -499,6 +507,84 @@ mod tests {
         assert_eq!(of_14[0].sgt().interval, Interval::new(1, 100));
         assert!(!of_14[1].is_delete());
         assert_eq!(of_14[1].sgt().interval, Interval::new(3, 102));
+    }
+
+    #[test]
+    fn purge_output_does_not_depend_on_slot_history() {
+        // `recycled` first grows and retires five trees on roots that never
+        // return, so the shared roots below land in recycled tree and node
+        // slots, in another order than `fresh` gives them. Each shared tree
+        // loses two subtrees at t = 40 that re-derive through a longer-lived
+        // sibling; the continuations must come out in one order.
+        let (mut fresh, mut recycled) = (plus_op(), plus_op());
+        let mut sink = Vec::new();
+        for r in 100..105 {
+            push_one(
+                &mut recycled,
+                0,
+                Delta::Insert(sgt(r, r + 50, r - 100, 10)),
+                r - 100,
+                &mut sink,
+            );
+        }
+        recycled.purge(10, &mut sink);
+        assert_eq!(recycled.forest().census().live_trees, 0);
+        let (mut f_out, mut r_out) = (Vec::new(), Vec::new());
+        let mut ts = 10;
+        for root in [500, 200, 400] {
+            // root → a → b and root → d → e expire at 40; root → c → b and
+            // root → f → e hold to 60 but arrive after b and e exist.
+            let [a, b, c, d, e, f] = [1, 2, 3, 4, 5, 6].map(|k| root + k);
+            for (s, t, exp) in [
+                (root, d, 40),
+                (d, e, 60),
+                (root, a, 40),
+                (a, b, 60),
+                (root, c, 60),
+                (c, b, 60),
+                (root, f, 60),
+                (f, e, 60),
+            ] {
+                push_one(
+                    &mut fresh,
+                    0,
+                    Delta::Insert(sgt(s, t, ts, exp)),
+                    ts,
+                    &mut f_out,
+                );
+                push_one(
+                    &mut recycled,
+                    0,
+                    Delta::Insert(sgt(s, t, ts, exp)),
+                    ts,
+                    &mut r_out,
+                );
+                ts += 1;
+            }
+        }
+        assert_eq!(f_out, r_out);
+        f_out.clear();
+        r_out.clear();
+        fresh.purge(40, &mut f_out);
+        recycled.purge(40, &mut r_out);
+        let pairs: Vec<(u64, u64)> = f_out
+            .iter()
+            .map(|d| (d.sgt().src.0, d.sgt().trg.0))
+            .collect();
+        // Roots ascending; within a tree, the order one pass over the
+        // expired subtree roots `[a, d]` (sorted by vertex) settles them in.
+        assert_eq!(
+            pairs,
+            [
+                (200, 205),
+                (200, 202),
+                (400, 405),
+                (400, 402),
+                (500, 505),
+                (500, 502)
+            ]
+        );
+        assert_eq!(f_out, r_out);
     }
 
     #[test]

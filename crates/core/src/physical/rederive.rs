@@ -69,6 +69,9 @@ pub struct Change {
 struct Candidate {
     iv: Interval,
     child: NodeIdx,
+    /// The child's DFA state: with `edge` (whose target is the child's
+    /// vertex) it names the child without its slab index.
+    state: StateId,
     parent: NodeIdx,
     edge: Edge,
 }
@@ -87,15 +90,16 @@ impl PartialOrd for Candidate {
 impl Ord for Candidate {
     fn cmp(&self, other: &Self) -> Ordering {
         // Max-heap on expiry (the maximin objective), ties on larger span,
-        // then on (node, edge) so pop order — and with it the settled
-        // parent/edge choice among equal-expiry alternatives — is a pure
-        // function of the candidate set, not of heap insertion order.
+        // then on (edge, child state) so pop order — and with it the
+        // settled parent/edge choice among equal-expiry alternatives — is
+        // a pure function of the candidate set: not of heap insertion
+        // order, nor of which slab slots the nodes occupy.
         self.iv
             .exp
             .cmp(&other.iv.exp)
             .then_with(|| other.iv.ts.cmp(&self.iv.ts))
-            .then_with(|| other.child.cmp(&self.child))
             .then_with(|| other.edge.cmp(&self.edge))
+            .then_with(|| other.state.cmp(&self.state))
     }
 }
 
@@ -204,6 +208,7 @@ pub fn rederive_in(
                     heap.push(Candidate {
                         iv: cand,
                         child: idx,
+                        state,
                         parent: pidx,
                         edge: Edge::new(entry.other, v, l),
                     });
@@ -221,7 +226,7 @@ pub fn rederive_in(
         stats.nodes_settled += 1;
         stats.nodes_improved += 1;
         forest.set_interval(tree, c.child, c.iv);
-        forest.reparent(tree, c.child, c.parent, c.edge);
+        forest.reparent(tree, c.child, c.parent, c.edge.label);
         // The settled node can now parent its still-marked out-neighbours.
         let (v, state, iv) = {
             let n = forest.tree(tree).node(c.child);
@@ -242,6 +247,7 @@ pub fn rederive_in(
                     heap.push(Candidate {
                         iv: cand,
                         child: cidx,
+                        state: q,
                         parent: c.child,
                         edge: Edge::new(v, entry.other, l2),
                     });
@@ -286,10 +292,6 @@ mod tests {
         VertexId(i)
     }
 
-    fn e(s: u64, t: u64) -> Edge {
-        Edge::new(v(s), v(t), L)
-    }
-
     /// Builds a (l+)-DFA, a diamond 1→{2,3}→4 adjacency, and a tree that
     /// currently derives 4 through 3.
     fn setup() -> (Forest, Adjacency, Dfa, RevDfa, TreeId) {
@@ -304,9 +306,9 @@ mod tests {
         let t = forest.ensure_tree(v(1));
         let root = forest.tree(t).root_idx();
         let s1 = dfa.delta(dfa.start(), L).unwrap();
-        forest.insert_child(t, root, v(2), s1, e(1, 2), Interval::new(0, 30));
-        let n3 = forest.insert_child(t, root, v(3), s1, e(1, 3), Interval::new(2, 40));
-        forest.insert_child(t, n3, v(4), s1, e(3, 4), Interval::new(3, 35));
+        forest.insert_child(t, root, v(2), s1, L, Interval::new(0, 30));
+        let n3 = forest.insert_child(t, root, v(3), s1, L, Interval::new(2, 40));
+        forest.insert_child(t, n3, v(4), s1, L, Interval::new(3, 35));
         (forest, adj, dfa, rev, t)
     }
 
@@ -346,12 +348,45 @@ mod tests {
         adj.insert(v(5), L, v(4), Interval::new(0, 45));
         let s1 = dfa.delta(dfa.start(), L).unwrap();
         let root = forest.tree(t).root_idx();
-        forest.insert_child(t, root, v(5), s1, e(1, 5), Interval::new(0, 50));
+        forest.insert_child(t, root, v(5), s1, L, Interval::new(0, 50));
         adj.remove(v(3), L, v(4), Interval::new(3, 35));
         let n4 = forest.tree(t).get(v(4), s1).unwrap();
         let changes = rederive(&mut forest, t, vec![n4], &adj, &dfa, &rev, 5);
         // Maximin: via 5 gives exp 45 > via 2's 25.
         assert_eq!(changes[0].new_interval.unwrap().exp, 45);
+    }
+
+    #[test]
+    fn equal_interval_ties_do_not_depend_on_slab_slots() {
+        // M = 5 hangs on the deleted edge 1→5 with children A = 3 and
+        // B = 7. A re-derives through 2; B through 4 or through A (3→7),
+        // every candidate at the same interval. B's new parent must not
+        // depend on which of A and B sits in the lower slab slot.
+        let dfa = Dfa::from_regex(&Regex::plus(Regex::label(L)));
+        let rev = RevDfa::build(&dfa);
+        let s1 = dfa.delta(dfa.start(), L).unwrap();
+        let iv = Interval::new(0, 50);
+        let mut adj = Adjacency::new();
+        for (s, t) in [(1, 2), (1, 4), (2, 3), (4, 7), (3, 7), (5, 3), (5, 7)] {
+            adj.insert(v(s), L, v(t), iv);
+        }
+        let parents = |children: [u64; 2]| {
+            let mut forest = Forest::new(dfa.start());
+            let t = forest.ensure_tree(v(1));
+            let root = forest.tree(t).root_idx();
+            forest.insert_child(t, root, v(2), s1, L, iv);
+            forest.insert_child(t, root, v(4), s1, L, iv);
+            let m = forest.insert_child(t, root, v(5), s1, L, iv);
+            for c in children {
+                forest.insert_child(t, m, v(c), s1, L, iv);
+            }
+            rederive(&mut forest, t, vec![m], &adj, &dfa, &rev, 5);
+            let tree = forest.tree(t);
+            let parent_of = |x| tree.node(tree.node(tree.get(v(x), s1).unwrap()).parent).v;
+            (parent_of(3), parent_of(7))
+        };
+        assert_eq!(parents([3, 7]), (v(2), v(3)));
+        assert_eq!(parents([7, 3]), (v(2), v(3)));
     }
 
     #[test]
@@ -361,7 +396,7 @@ mod tests {
         // Extend: 4→6 as a child of 4.
         adj.insert(v(4), L, v(6), Interval::new(4, 28));
         let n4 = forest.tree(t).get(v(4), s1).unwrap();
-        forest.insert_child(t, n4, v(6), s1, e(4, 6), Interval::new(4, 28));
+        forest.insert_child(t, n4, v(6), s1, L, Interval::new(4, 28));
         // Delete 3→4: both 4 and 6 must re-derive through 2.
         adj.remove(v(3), L, v(4), Interval::new(3, 35));
         let changes = rederive(&mut forest, t, vec![n4], &adj, &dfa, &rev, 5);

@@ -150,7 +150,7 @@ impl SPathOp {
         let payload = if self.emit_paths {
             Payload::Path(t.path_to(node))
         } else {
-            Payload::Edge(n.edge.expect("non-root accepting node has an edge"))
+            Payload::Edge(t.edge(node).expect("non-root accepting node has an edge"))
         };
         out.push(Delta::Insert(Sgt::with_payload(
             t.root, n.v, self.label, n.interval, payload,
@@ -300,10 +300,14 @@ impl SPathOp {
                         // Expired nodes are treated as absent (§6.2.4):
                         // reclaim the stale subtree, then expand fresh.
                         self.forest.remove_subtree(tree, idx);
-                        Some(
-                            self.forest
-                                .insert_child(tree, c.parent, c.v, c.state, c.edge, c.iv),
-                        )
+                        Some(self.forest.insert_child(
+                            tree,
+                            c.parent,
+                            c.v,
+                            c.state,
+                            c.edge.label,
+                            c.iv,
+                        ))
                     } else if c.iv.exp > cur.exp {
                         // Settle: Propagate with the final expiry.
                         let merged = if cur.meets(&c.iv) {
@@ -312,7 +316,7 @@ impl SPathOp {
                             c.iv
                         };
                         self.forest.set_interval(tree, idx, merged);
-                        self.forest.reparent(tree, idx, c.parent, c.edge);
+                        self.forest.reparent(tree, idx, c.parent, c.edge.label);
                         Some(idx)
                     } else if cur.meets(&c.iv) && c.iv.ts < cur.ts {
                         // ts-widen only: the settled max-expiry derivation
@@ -326,10 +330,12 @@ impl SPathOp {
                     }
                 }
                 // Expand.
-                None => Some(
-                    self.forest
-                        .insert_child(tree, c.parent, c.v, c.state, c.edge, c.iv),
-                ),
+                None => {
+                    Some(
+                        self.forest
+                            .insert_child(tree, c.parent, c.v, c.state, c.edge.label, c.iv),
+                    )
+                }
             };
             let Some(idx) = applied else {
                 continue;
@@ -394,7 +400,7 @@ impl SPathOp {
             cut.extend(self.forest.trees_with(v, to).filter_map(|tree| {
                 let t = self.forest.tree(tree);
                 let idx = t.get(v, to)?;
-                (t.node(idx).edge == Some(edge)).then_some((t.root, tree, idx))
+                (t.edge(idx) == Some(edge)).then_some((t.root, tree, idx))
             }));
             cut.sort_unstable();
             for &(_, tree, idx) in &cut {
@@ -590,7 +596,12 @@ mod tests {
                             // reclaim the stale subtree, then expand fresh.
                             self.forest.remove_subtree(tree, idx);
                             self.forest.insert_child(
-                                tree, ext.parent, ext.v, ext.state, ext.edge, child_iv,
+                                tree,
+                                ext.parent,
+                                ext.v,
+                                ext.state,
+                                ext.edge.label,
+                                child_iv,
                             )
                         } else if child_iv.exp <= cur.exp {
                             // No expiry improvement. A meeting derivation
@@ -625,14 +636,19 @@ mod tests {
                                 child_iv
                             };
                             self.forest.set_interval(tree, idx, merged);
-                            self.forest.reparent(tree, idx, ext.parent, ext.edge);
+                            self.forest.reparent(tree, idx, ext.parent, ext.edge.label);
                             idx
                         }
                     }
                     // Expand: create the node as a child of the parent.
-                    None => self
-                        .forest
-                        .insert_child(tree, ext.parent, ext.v, ext.state, ext.edge, child_iv),
+                    None => self.forest.insert_child(
+                        tree,
+                        ext.parent,
+                        ext.v,
+                        ext.state,
+                        ext.edge.label,
+                        child_iv,
+                    ),
                 };
                 if self.dfa.is_accepting(ext.state) {
                     self.emit(tree, node, out);
@@ -1219,8 +1235,10 @@ mod tests {
                     assert_eq!(live.forest.size(), twin.forest.size(), "{at}");
                     assert_eq!(live.adj.size(), twin.adj.size(), "{at}");
                     assert_eq!(live.adj.buckets(), twin.adj.buckets(), "{at}");
-                    assert_eq!(live.forest.census(), twin.forest.census(), "{at}");
-                    assert_eq!(live.adj.census(), twin.adj.census(), "{at}");
+                    let (lf, tf) = (live.forest.census(), twin.forest.census());
+                    assert_eq!(lf.occupancy(), tf.occupancy(), "{at}");
+                    let (la, ta) = (live.adj.census(), twin.adj.census());
+                    assert_eq!(la.occupancy(), ta.occupancy(), "{at}");
                     assert_eq!(live.forest.census().root_only_trees, 0, "{at}");
                 }
                 t = advanced;

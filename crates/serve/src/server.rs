@@ -516,7 +516,13 @@ struct EngineLoop {
 
 impl EngineLoop {
     fn new(cfg: ServeConfig, shutdown: Arc<AtomicBool>, trace: Option<TraceFile>) -> EngineLoop {
-        let mut opts = EngineOptions::default();
+        // A RESULT frame carries `(src, trg, ts, exp)` only, so S-PATH
+        // results need no materialised path payload: walking the tree and
+        // allocating the edge list for every result would be thrown away.
+        let mut opts = EngineOptions {
+            materialize_paths: false,
+            ..EngineOptions::default()
+        };
         if cfg.explicit_deletes {
             opts.suppress_duplicates = false;
         }

@@ -18,6 +18,8 @@ use std::collections::{BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use s_graffito::automata::Regex;
+use s_graffito::core::physical::adjacency::AdjEntry;
+use s_graffito::core::physical::forest::Node;
 use s_graffito::core::physical::spath::SPathOp;
 use s_graffito::core::physical::{PathCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
@@ -553,11 +555,18 @@ struct Content {
     edges: usize,
 }
 
+/// Bytes a PATH operator may reserve per byte of the most content it has
+/// held at once, counted as one slab [`Node`] per live node or root and
+/// one [`AdjEntry`] per direction per live edge. The rest is each node's
+/// index and inverted-index entries, hash tables at most 7/8 full and
+/// grown by doubling, `Vec`s grown by doubling, and pending expiry handles.
+const RESERVED_PER_LIVE_BYTE: usize = 8;
+
 /// Checks one post-purge census against the window's content. `peak` is
-/// the largest content any slide has held (slots are high-water marks: a
-/// slot freed by a purge is reused, not returned), `node_writes` /
-/// `edge_writes` the interval writes of the slides that can still have a
-/// handle pending.
+/// the largest content any slide has held (slots and capacity are
+/// high-water marks: a slot freed by a purge is reused, not returned),
+/// `node_writes` / `edge_writes` the interval writes of the slides that
+/// can still have a handle pending.
 fn assert_window_bounded(
     at: &str,
     c: &PathCensus,
@@ -597,6 +606,21 @@ fn assert_window_bounded(
     );
     assert!(
         a.edges <= peak.edges,
+        "{at}: {a:?}, peak edges {}",
+        peak.edges
+    );
+    // Bytes: capacity follows the whole operator's peak, not the sum of
+    // what each recycled slot once held.
+    let node_bytes = (peak.nodes + peak.trees) * std::mem::size_of::<Node>();
+    let edge_bytes = 2 * peak.edges * std::mem::size_of::<AdjEntry>();
+    assert!(
+        f.reserved_bytes <= RESERVED_PER_LIVE_BYTE * node_bytes,
+        "{at}: {f:?}, peak nodes {} in {} trees",
+        peak.nodes,
+        peak.trees
+    );
+    assert!(
+        a.reserved_bytes <= RESERVED_PER_LIVE_BYTE * edge_bytes,
         "{at}: {a:?}, peak edges {}",
         peak.edges
     );
@@ -749,6 +773,65 @@ fn spath_state_is_bounded_by_the_window_under_explicit_deletions() {
     drive_spath_and_hold_the_bound(true);
 }
 
+/// Inserts `edges` as one epoch at `now` and folds the content it leaves
+/// into `peak`.
+fn insert_epoch(op: &mut SPathOp, edges: &[(u64, u64, Interval)], now: u64, peak: &mut Content) {
+    let mut batch = DeltaBatch::new();
+    for &(s, t, iv) in edges {
+        batch.push(Delta::Insert(Sgt::edge(
+            VertexId(s),
+            VertexId(t),
+            Label(0),
+            iv,
+        )));
+    }
+    op.on_batch(0, &batch, now, &mut DeltaBatch::new());
+    let c = op.path_census().unwrap();
+    peak.trees = peak.trees.max(c.forest.live_trees);
+    peak.nodes = peak.nodes.max(c.forest.live_nodes);
+    peak.edges = peak.edges.max(c.adjacency.edges);
+}
+
+/// Capacity must not be a per-slot high-water mark. Each round a root
+/// never seen before grows a tree of `BIG` nodes that expires before the
+/// next round; the purge retires it, and a one-node tree that outlives
+/// the run takes its slot, so the next big tree needs another slot. After
+/// every purge the operator's reserved bytes are held against the most
+/// it ever held live at once — one big tree and the small ones — however
+/// many slots have held a big tree.
+#[test]
+fn a_retired_big_tree_leaves_no_capacity_in_its_slot() {
+    const BIG: u64 = 1_000;
+    const ROUNDS: u64 = 12;
+    const ROUND: u64 = 100;
+    let mut op = SPathOp::new(&Regex::plus(Regex::label(Label(0))), Label(9));
+    let mut peak = Content::default();
+    let mut edges = 0;
+    for round in 0..ROUNDS {
+        let (base, hub) = (round * ROUND, 1_000_000 + round);
+        let star: Vec<_> = (0..BIG)
+            .map(|k| {
+                let leaf = 2_000_000 + round * BIG + k;
+                (hub, leaf, Interval::new(base, base + ROUND))
+            })
+            .collect();
+        insert_epoch(&mut op, &star, base, &mut peak);
+        op.purge(base + ROUND, &mut Vec::new());
+        assert_eq!(op.forest().tree_of_root(VertexId(hub)), None, "retired");
+        let (src, trg) = (3_000_000 + round, 4_000_000 + round);
+        let small = [(src, trg, Interval::new(base + ROUND, u64::MAX))];
+        insert_epoch(&mut op, &small, base + ROUND, &mut peak);
+        op.purge(base + ROUND, &mut Vec::new());
+        edges += star.len() + small.len();
+        let c = op.path_census().unwrap();
+        // The small tree took the big one's slot; the next big one opens
+        // a new slot.
+        assert_eq!(c.forest.tree_slots as u64, round + 1);
+        let writes = op.frontier_stats().unwrap().nodes_improved as usize;
+        assert_window_bounded(&format!("round {round}"), &c, peak, writes, edges);
+    }
+}
+
 // ---------------------------------------------------------------------
 // (e) long soak: a fleet's PATH operators and the process stop growing
 // ---------------------------------------------------------------------
@@ -778,8 +861,11 @@ fn rss_mb() -> f64 {
 /// the Q1–Q7 fleet, routed and released like the serve loop does. Every
 /// `FLEET_CHECK_EVERY` slides each PATH operator's census is held against
 /// its own window content, and against what it held during the first ten
-/// windows; the process's resident set must not follow the stream either.
-/// Release build: `cargo test --release --test bounded_state -- --ignored`.
+/// windows; the fleet's reserved PATH bytes must stay within half again
+/// of what they were at window 10, and the process's resident set must not
+/// follow the stream either. Prints both at window 10 and at the end.
+/// Release build: `cargo test --release --test bounded_state -- --ignored
+/// --nocapture`.
 #[test]
 #[ignore = "long soak; CI's check job runs it in release"]
 fn soak_fleet_path_state_and_rss_stop_growing() {
@@ -802,6 +888,8 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
     let mut early: std::collections::BTreeMap<usize, [usize; 8]> = Default::default();
     let mut peak: std::collections::BTreeMap<usize, Content> = Default::default();
     let (mut rss_early, mut checks, mut next_check) = (0.0f64, 0, FLEET_CHECK_EVERY);
+    // The fleet's PATH state in bytes, at window 10 and now.
+    let (mut bytes_early, mut bytes) = (0usize, 0usize);
     for batch in stream.sges().chunks(256) {
         live.ingest_batch(batch);
         for &id in &ids {
@@ -857,13 +945,25 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
                 }
             }
         }
+        bytes = censuses
+            .iter()
+            .map(|(_, c)| c.forest.reserved_bytes + c.adjacency.reserved_bytes)
+            .sum();
         if window <= 10 {
             rss_early = rss_mb();
+            bytes_early = bytes;
+        } else {
+            assert!(
+                2 * bytes <= 3 * bytes_early,
+                "window {window}: PATH state reserves {bytes} B, {bytes_early} B at window 10"
+            );
         }
         checks += 1;
     }
     assert!(checks >= 100, "{checks} checks");
     let rss_end = rss_mb();
+    println!("window 10: PATH reserved_bytes={bytes_early} VmRSS={rss_early:.1} MB");
+    println!("end:       PATH reserved_bytes={bytes} VmRSS={rss_end:.1} MB");
     assert!(
         rss_early > 0.0 && rss_end <= rss_early + 24.0,
         "resident set grew from {rss_early:.1} MB (window 10) to {rss_end:.1} MB"
