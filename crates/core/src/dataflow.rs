@@ -1617,6 +1617,15 @@ impl Dataflow {
             .collect()
     }
 
+    /// The [`PatternCensus`](crate::physical::PatternCensus) of every live
+    /// hash-join PATTERN operator, by node id.
+    pub fn pattern_censuses(&self) -> Vec<(usize, crate::physical::PatternCensus)> {
+        (0..self.nodes.len())
+            .filter(|&n| !self.retired[n])
+            .filter_map(|n| Some((n, self.nodes[n].op.pattern_census()?)))
+            .collect()
+    }
+
     /// Sums the frontier traversal counters of every live PATH operator
     /// (nodes settled / improved, heap pushes, edges scanned). Zero when
     /// the flow holds no traversal operator.
@@ -1637,8 +1646,8 @@ impl Dataflow {
     /// explain-analyze body shared by [`Engine`](crate::engine::Engine)
     /// and the multi-query host. Counter fields read zero below
     /// [`ObsLevel::Counters`]; timing fields appear only once non-zero
-    /// (i.e. under [`ObsLevel::Timing`]). A PATH operator's line also
-    /// carries `bytes=`, the heap its forest and adjacency reserve
+    /// (i.e. under [`ObsLevel::Timing`]). A PATH or hash-join PATTERN
+    /// operator's line also carries `bytes=`, the heap its state reserves
     /// (a census scan, at every level).
     pub fn explain_expr(&self, expr: &SgaExpr) -> String {
         let mut out = String::new();
@@ -1676,8 +1685,12 @@ impl Dataflow {
                     os.selectivity(),
                     node.op.state_size(),
                 );
-                if let Some(c) = node.op.path_census() {
-                    let bytes = c.forest.reserved_bytes + c.adjacency.reserved_bytes;
+                let bytes = match (node.op.path_census(), node.op.pattern_census()) {
+                    (Some(c), _) => Some(c.forest.reserved_bytes + c.adjacency.reserved_bytes),
+                    (_, Some(c)) => Some(c.reserved_bytes),
+                    _ => None,
+                };
+                if let Some(bytes) = bytes {
                     let _ = write!(out, " bytes={bytes}");
                 }
                 if os.batch_nanos > 0 {

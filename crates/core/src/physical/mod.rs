@@ -20,6 +20,7 @@ pub mod wcoj;
 
 use sgq_types::Timestamp;
 
+pub use pattern::PatternCensus;
 pub use sgq_types::{Delta, DeltaBatch, SharedDeltaBatch};
 
 /// Compile-time `Send` audit: each operator (and state-holding helper)
@@ -95,6 +96,13 @@ pub trait PhysicalOp: Send {
     /// for every other operator. Counted by a full scan — what
     /// `tests/bounded_state.rs` holds against the window, not a metric.
     fn path_census(&self) -> Option<PathCensus> {
+        None
+    }
+
+    /// Row, key and dedup occupancy of a hash-join PATTERN operator's
+    /// state; `None` for every other operator (the WCOJ alternative
+    /// included). A full scan, like [`PhysicalOp::path_census`].
+    fn pattern_census(&self) -> Option<PatternCensus> {
         None
     }
 }

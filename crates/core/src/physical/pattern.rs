@@ -7,16 +7,46 @@
 //! the top. The join tree follows the predicate order of the PATTERN, as in
 //! the paper's prototype (Figure 8, right).
 //!
-//! State follows the direct approach: per (key, binding) the operator keeps
-//! an [`IntervalSet`]; expired intervals are skipped naturally (interval
-//! intersection with a live probe tuple is empty) and reclaimed by `purge`.
-//! Fully-covered re-insertions are suppressed (set semantics / coalescing,
-//! Def. 11). Negative tuples (§6.2.5) remove intervals and probe the
-//! opposite table symmetrically, which cancels prior emissions exactly.
+//! State follows the direct approach: per stored binding the operator
+//! keeps an [`IntervalSet`]; expired intervals are skipped naturally
+//! (interval intersection with a live probe tuple is empty) and reclaimed
+//! by `purge`. Fully-covered re-insertions are suppressed (set semantics /
+//! coalescing, Def. 11). Negative tuples (§6.2.5) remove intervals and
+//! probe the opposite table symmetrically, which cancels prior emissions
+//! exactly; a binding they leave with no validity is freed at once.
+//!
+//! # Layout
+//!
+//! Each side of each stage is one flat `Table` of fixed-width rows: a
+//! row is one binding's values in that side's variable layout, held in
+//! one arena per table, with its validity alongside (inline while it is a
+//! single interval) and a free list of row slots. Two open-addressing
+//! indexes over row ids hash the values where they lie in the arena: the
+//! **key index** maps a join key to the first of that key's rows, which
+//! are chained in insertion order, and the **binding index** maps a row's
+//! values to its slot, for coalescing and negative tuples. A hash is never
+//! trusted alone — every hit is checked against the arena — and nothing
+//! is allocated per binding or per key. A probe walks the key's chain, so
+//! its output order is the order rows arrived in, whatever slots they
+//! happen to occupy.
+//!
+//! # Purge
+//!
+//! Every write of a row's validity files the row id under the merged
+//! interval's expiry in an `ExpiryIndex`; [`PatternOp::purge`] pops the
+//! due ids and looks at nothing else. A popped id is a hint: the row's own
+//! validity, after dropping what has expired, decides whether the row
+//! goes, so ids of extended, freed or reused slots are harmless. Output
+//! dedup pairs are filed and purged the same way. A purge therefore costs
+//! what expires, not what is held.
 
+use super::forest::{table_bytes, ExpiryIndex};
 use super::{Delta, DeltaBatch, PhysicalOp};
 use crate::algebra::{Pos, Side};
+use sgq_types::hash::FxHasher;
 use sgq_types::{Edge, FxHashMap, Interval, IntervalSet, Label, Payload, Sgt, Timestamp, VertexId};
+use std::hash::Hasher;
+use std::mem::size_of;
 
 // Send audit: the symmetric-hash-join stage tables and emission dedup
 // state are owned; sgt payloads inside them are `Arc`-shared.
@@ -92,97 +122,412 @@ impl CompiledPattern {
     }
 }
 
-/// Per-stage join plan computed once at operator construction.
+/// Per-stage join plan computed once at operator construction (the join
+/// keys' positions live in the stage's two tables).
 #[derive(Debug, Clone)]
 struct StagePlan {
-    /// Indices into the left layout forming the join key.
-    left_key: Vec<usize>,
-    /// Indices into the right layout forming the join key (same var order).
-    right_key: Vec<usize>,
     /// For each output var: (from_left, index in that side's layout).
     out_from: Vec<(bool, usize)>,
 }
 
-/// A join-key bucket: binding values → validity. Hashed rather than a
-/// flat entry list so high-fanout keys (an S-PATH input keyed by its
-/// source vertex can hold hundreds of `(x, y)` bindings per `x`) insert
-/// and coalesce in O(1) instead of a linear scan per arriving delta.
-type Bucket = FxHashMap<Box<[VertexId]>, IntervalSet>;
+/// End of a free list, and the row of a vacant index slot.
+const NIL: u32 = u32::MAX;
 
-/// One side of a symmetric hash join: key → entries of (values, validity).
+/// Fx over a key's or a row's words, in order. A stage's two tables list
+/// their key positions in the same variable order, so one hash of a key
+/// locates it in either table.
+fn hash_words(words: impl IntoIterator<Item = VertexId>) -> u64 {
+    let mut h = FxHasher::default();
+    for w in words {
+        h.write_u64(w.0);
+    }
+    h.finish()
+}
+
+/// One slot of a [`RowIndex`]: a row id and the upper half of its hash.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    row: u32,
+}
+
+const VACANT: Slot = Slot { tag: 0, row: NIL };
+
+/// An open-addressing index over row ids: linear probing, at most 3/4
+/// full, deletion by backward shift (no tombstones). A slot keeps the
+/// upper 32 bits of the row's 64-bit hash, which pick its home slot and
+/// filter probes; the caller confirms every hit that passes the filter
+/// against the arena, so colliding hashes only cost a comparison.
 #[derive(Debug, Default)]
+struct RowIndex {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl RowIndex {
+    fn tag(hash: u64) -> u32 {
+        (hash >> 32) as u32
+    }
+
+    /// The slot of the row filed under `hash` that `is` accepts.
+    fn find(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let tag = Self::tag(hash);
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let s = self.slots[i];
+            if s.row == NIL {
+                return None;
+            }
+            if s.tag == tag && is(s.row) {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Files `row` under `hash`; the caller has checked it is absent.
+    fn insert(&mut self, hash: u64, row: u32) {
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            let cap = (2 * self.slots.len()).max(8);
+            let old = std::mem::replace(&mut self.slots, vec![VACANT; cap]);
+            old.into_iter()
+                .filter(|s| s.row != NIL)
+                .for_each(|s| self.place(s));
+        }
+        self.place(Slot {
+            tag: Self::tag(hash),
+            row,
+        });
+        self.len += 1;
+    }
+
+    fn place(&mut self, s: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut i = s.tag as usize & mask;
+        while self.slots[i].row != NIL {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = s;
+    }
+
+    /// Empties slot `hole`, shifting back the entries after it that may
+    /// fill it, so no probe chain is broken.
+    fn remove(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slots[j];
+            if s.row == NIL {
+                break;
+            }
+            // `s` may move into the hole iff the hole lies on its probe
+            // path, i.e. no further from its home than `j` is.
+            let home = s.tag as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = s;
+                hole = j;
+            }
+        }
+        self.slots[hole] = VACANT;
+        self.len -= 1;
+    }
+
+    fn rows(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().map(|s| s.row).filter(|&r| r != NIL)
+    }
+}
+
+/// A row slot's validity and its links in its key's chain: a circular
+/// doubly-linked list in insertion order, so the first row's `prev` is
+/// the last. A free slot has an empty set and links the free list
+/// through `next`.
+#[derive(Debug)]
+struct Row {
+    set: IntervalSet,
+    next: u32,
+    prev: u32,
+}
+
+/// One side of a symmetric hash join: fixed-width rows in one arena,
+/// chained per join key (see the module docs).
+#[derive(Debug)]
 struct Table {
-    map: FxHashMap<Box<[VertexId]>, Bucket>,
-    entries: usize,
+    /// Values per row, and the positions of the join key within a row.
+    width: usize,
+    key_pos: Vec<usize>,
+    /// Row `r`'s values: `vals[r * width..][..width]`.
+    vals: Vec<VertexId>,
+    rows: Vec<Row>,
+    /// Head of the free list of row slots.
+    free: u32,
+    /// Join key → the key's first row.
+    keys: RowIndex,
+    /// Row values → row.
+    bindings: RowIndex,
+    expiry: ExpiryIndex<u32>,
+    /// Live rows (a maintained count).
+    live: usize,
+    /// Expiry handles ever filed.
+    writes: usize,
 }
 
 impl Table {
-    /// Inserts (or extends) an entry in a pre-located bucket; returns
-    /// `None` if the interval was fully covered (duplicate suppressed)
-    /// when `suppress` is on. `entries` is the owning table's size counter
-    /// (split out so batch loops can hold the bucket across deltas).
-    fn bucket_insert(
-        bucket: &mut Bucket,
-        entries: &mut usize,
+    fn new(width: usize, key_pos: Vec<usize>) -> Self {
+        Table {
+            width,
+            key_pos,
+            vals: Vec::new(),
+            rows: Vec::new(),
+            free: NIL,
+            keys: RowIndex::default(),
+            bindings: RowIndex::default(),
+            expiry: ExpiryIndex::default(),
+            live: 0,
+            writes: 0,
+        }
+    }
+
+    fn vals(&self, r: u32) -> &[VertexId] {
+        &self.vals[r as usize * self.width..][..self.width]
+    }
+
+    fn key_words(&self, r: u32) -> impl Iterator<Item = VertexId> + '_ {
+        let vals = self.vals(r);
+        self.key_pos.iter().map(move |&p| vals[p])
+    }
+
+    /// The first row of `key` (hash `hk`), or [`NIL`].
+    fn first(&self, key: &[VertexId], hk: u64) -> u32 {
+        self.keys
+            .find(hk, |r| self.key_words(r).eq(key.iter().copied()))
+            .map_or(NIL, |s| self.keys.slots[s].row)
+    }
+
+    /// The slot of the binding index holding `vals` (hash `hb`).
+    fn binding(&self, vals: &[VertexId], hb: u64) -> Option<usize> {
+        self.bindings.find(hb, |r| self.vals(r) == vals)
+    }
+
+    fn file(&mut self, exp: Timestamp, r: u32) {
+        self.expiry.register(exp, r);
+        self.writes += 1;
+    }
+
+    /// Adds `iv` to the binding `vals`, whose key is `key` (hash `hk`):
+    /// extends its row, or takes a slot for a new row at the end of the
+    /// key's chain. Returns the interval now covering `iv`, or `None` if
+    /// it was covered already and `suppress` is on.
+    fn insert(
+        &mut self,
+        key: &[VertexId],
+        hk: u64,
         vals: &[VertexId],
         iv: Interval,
         suppress: bool,
     ) -> Option<Interval> {
-        if let Some(set) = bucket.get_mut(vals) {
-            if suppress && set.covers(&iv) {
+        let hb = hash_words(vals.iter().copied());
+        if let Some(slot) = self.binding(vals, hb) {
+            let r = self.bindings.slots[slot].row;
+            let set = &mut self.rows[r as usize].set;
+            let covered = set.covers(&iv);
+            if suppress && covered {
                 return None;
             }
-            return set.insert(iv);
+            let merged = set.insert(iv).expect("non-empty interval");
+            if !covered {
+                self.file(merged.exp, r);
+            }
+            return Some(merged);
         }
-        let mut set = IntervalSet::new();
-        set.insert(iv);
-        bucket.insert(vals.into(), set);
-        *entries += 1;
+        let first = self.first(key, hk);
+        let r = self.alloc(vals, iv);
+        self.bindings.insert(hb, r);
+        if first == NIL {
+            self.keys.insert(hk, r);
+        } else {
+            let last = self.rows[first as usize].prev;
+            self.rows[last as usize].next = r;
+            self.rows[first as usize].prev = r;
+            let row = &mut self.rows[r as usize];
+            (row.prev, row.next) = (last, first);
+        }
+        self.file(iv.exp, r);
         Some(iv)
     }
 
-    /// Removes an interval from a pre-located bucket's entry (negative
-    /// tuple).
-    fn bucket_remove(bucket: &mut Bucket, vals: &[VertexId], iv: Interval) {
-        if let Some(set) = bucket.get_mut(vals) {
-            set.remove(iv);
+    /// A slot for a new row holding `vals` valid over `iv`, linked to
+    /// itself alone.
+    fn alloc(&mut self, vals: &[VertexId], iv: Interval) -> u32 {
+        self.live += 1;
+        let reuse = self.free != NIL;
+        let r = if reuse {
+            self.free
+        } else {
+            u32::try_from(self.rows.len())
+                .ok()
+                .filter(|&r| r != NIL)
+                .expect("a table holds fewer than 2^32 - 1 rows")
+        };
+        let row = Row {
+            set: IntervalSet::from_interval(iv),
+            next: r,
+            prev: r,
+        };
+        if reuse {
+            self.free = self.rows[r as usize].next;
+            self.rows[r as usize] = row;
+            self.vals[r as usize * self.width..][..self.width].copy_from_slice(vals);
+        } else {
+            self.rows.push(row);
+            self.vals.extend_from_slice(vals);
         }
+        r
     }
 
-    /// Probes a pre-located bucket's entries whose validity overlaps `iv`,
-    /// calling `f(vals, overlap-interval)` per live interval.
-    fn bucket_probe(bucket: &Bucket, iv: Interval, mut f: impl FnMut(&[VertexId], Interval)) {
-        for (vals, set) in bucket {
-            for stored in set.overlapping(&iv) {
-                let meet = stored.intersect(&iv);
-                if !meet.is_empty() {
-                    f(vals, meet);
-                }
+    /// Removes `iv` from the binding `vals` (negative tuple), freeing its
+    /// row if nothing is left.
+    fn remove(&mut self, hk: u64, vals: &[VertexId], iv: Interval) {
+        let hb = hash_words(vals.iter().copied());
+        if let Some(slot) = self.binding(vals, hb) {
+            let r = self.bindings.slots[slot].row;
+            self.rows[r as usize].set.remove(iv);
+            if self.rows[r as usize].set.is_empty() {
+                self.drop_row(r, slot, hk);
             }
         }
     }
 
-    fn purge(&mut self, watermark: Timestamp) {
-        self.map.retain(|_, bucket| {
-            bucket.retain(|_, set| {
-                set.purge_expired(watermark);
-                !set.is_empty()
-            });
-            !bucket.is_empty()
-        });
-        self.entries = self.map.values().map(Bucket::len).sum();
+    /// Unindexes the emptied row `r` (binding slot `slot`, key hash `hk`),
+    /// unlinks it from its key's chain — dropping the key with its last
+    /// row — and puts its slot on the free list.
+    fn drop_row(&mut self, r: u32, slot: usize, hk: u64) {
+        self.bindings.remove(slot);
+        let Row { next, prev, .. } = self.rows[r as usize];
+        self.rows[prev as usize].next = next;
+        self.rows[next as usize].prev = prev;
+        if let Some(first) = self.keys.find(hk, |x| x == r) {
+            if next == r {
+                self.keys.remove(first);
+            } else {
+                self.keys.slots[first].row = next;
+            }
+        }
+        self.rows[r as usize].next = self.free;
+        self.free = r;
+        self.live -= 1;
     }
 
-    fn size(&self) -> usize {
-        self.entries
+    /// Calls `f(values, overlap)` for every interval overlapping `iv` of
+    /// every row in the chain that starts at `first`, in insertion order.
+    fn probe(&self, first: u32, iv: Interval, mut f: impl FnMut(&[VertexId], Interval)) {
+        if first == NIL {
+            return;
+        }
+        let mut r = first;
+        loop {
+            let row = &self.rows[r as usize];
+            for stored in row.set.overlapping(&iv) {
+                let meet = stored.intersect(&iv);
+                if !meet.is_empty() {
+                    f(self.vals(r), meet);
+                }
+            }
+            r = row.next;
+            if r == first {
+                break;
+            }
+        }
     }
+
+    /// Drops what expired at `watermark` from every row a due handle
+    /// names, and frees the rows left empty.
+    fn purge(&mut self, watermark: Timestamp) {
+        while let Some(due) = self.expiry.pop_due(watermark) {
+            for r in due {
+                let set = &mut self.rows[r as usize].set;
+                if set.is_empty() {
+                    continue; // a free slot
+                }
+                set.purge_expired(watermark);
+                if !set.is_empty() {
+                    continue; // extended, or reused by a later binding
+                }
+                let hb = hash_words(self.vals(r).iter().copied());
+                let hk = hash_words(self.key_words(r));
+                let slot = self
+                    .bindings
+                    .find(hb, |x| x == r)
+                    .expect("live rows are indexed");
+                self.drop_row(r, slot, hk);
+            }
+        }
+    }
+
+    /// Adds this table's occupancy and bytes to `c` (walks every chain).
+    fn census(&self, c: &mut PatternCensus) {
+        for first in self.keys.rows() {
+            let mut r = first;
+            loop {
+                let row = &self.rows[r as usize];
+                c.rows += 1;
+                c.empty_rows += usize::from(row.set.is_empty());
+                c.reserved_bytes += row.set.heap_bytes();
+                r = row.next;
+                if r == first {
+                    break;
+                }
+            }
+        }
+        c.row_slots += self.rows.len();
+        c.keys += self.keys.len;
+        c.expiry_handles += self.expiry.pending();
+        c.interval_writes += self.writes;
+        c.reserved_bytes += self.vals.capacity() * size_of::<VertexId>()
+            + self.rows.capacity() * size_of::<Row>()
+            + (self.keys.slots.capacity() + self.bindings.slots.capacity()) * size_of::<Slot>()
+            + self.key_pos.capacity() * size_of::<usize>()
+            + self.expiry.reserved_bytes();
+    }
+}
+
+/// What a hash-join PATTERN operator holds: its stage tables and its
+/// output dedup. Counted by a full scan — what `tests/bounded_state.rs`
+/// holds against the window, not a metric.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PatternCensus {
+    /// Rows reachable from the key indexes of all stage tables (equals
+    /// [`PhysicalOp::state_size`]).
+    pub rows: usize,
+    /// Row slots ever allocated (live + free).
+    pub row_slots: usize,
+    /// Distinct join keys over all tables.
+    pub keys: usize,
+    /// Reachable rows with an empty validity (always zero).
+    pub empty_rows: usize,
+    /// Output `(src, trg)` pairs held for coalescing.
+    pub dedup_pairs: usize,
+    /// Dedup pairs with an empty set (always zero).
+    pub dedup_empty: usize,
+    /// Expiry handles not yet popped by a purge (tables and dedup).
+    pub expiry_handles: usize,
+    /// Expiry handles ever filed: one per interval write.
+    pub interval_writes: usize,
+    /// Heap bytes reserved by every container the operator owns: capacity
+    /// times slot size, hash tables at `(K, V)` plus one control byte per
+    /// bucket.
+    pub reserved_bytes: usize,
 }
 
 /// A pending binding tuple inside the join tree (its stage is tracked by
 /// the level loop). Values live in the level's flat buffer as a
 /// `[start, start + len)` range, so tuples flow between stages without a
-/// per-tuple heap allocation; owned copies are made only when a new
-/// binding is stored in a join table.
+/// per-tuple heap allocation; a new binding is copied into a table's
+/// arena when it is stored.
 struct Work {
     start: u32,
     len: u32,
@@ -203,13 +548,15 @@ pub struct PatternOp {
     state: Vec<(Table, Table)>, // (left, right) per stage
     /// Output coalescing state (set semantics); bypassed for deletes.
     out_dedup: FxHashMap<(VertexId, VertexId), IntervalSet>,
+    dedup_expiry: ExpiryIndex<(VertexId, VertexId)>,
+    dedup_writes: usize,
     /// Positions of the output (src, trg) in the final layout.
     out_pos: (usize, usize),
     suppress: bool,
 }
 
 impl PatternOp {
-    /// Builds the operator and its left-deep stage plans.
+    /// Builds the operator, its left-deep stage plans and their tables.
     pub fn new(spec: CompiledPattern, suppress: bool) -> Self {
         let n = spec.input_vars.len();
         let leaf_layout = |i: usize| -> Vec<VarId> {
@@ -222,6 +569,7 @@ impl PatternOp {
         };
 
         let mut stages = Vec::new();
+        let mut state = Vec::new();
         let mut layout = leaf_layout(0);
         for i in 1..n {
             let right_layout = leaf_layout(i);
@@ -251,12 +599,12 @@ impl PatternOp {
                     None => (false, right_layout.iter().position(|x| x == v).unwrap()),
                 })
                 .collect();
+            state.push((
+                Table::new(layout.len(), left_key),
+                Table::new(right_layout.len(), right_key),
+            ));
             layout = out_layout;
-            stages.push(StagePlan {
-                left_key,
-                right_key,
-                out_from,
-            });
+            stages.push(StagePlan { out_from });
         }
 
         let out_pos = (
@@ -269,12 +617,13 @@ impl PatternOp {
                 .position(|&v| v == spec.output.1)
                 .expect("output trg var bound"),
         );
-        let state = stages.iter().map(|_| Default::default()).collect();
         PatternOp {
             spec,
             stages,
             state,
             out_dedup: FxHashMap::default(),
+            dedup_expiry: ExpiryIndex::default(),
+            dedup_writes: 0,
             out_pos,
             suppress,
         }
@@ -292,7 +641,14 @@ impl PatternOp {
             )
         };
         if delete {
-            self.out_dedup.entry((src, trg)).or_default().remove(iv);
+            // A pair never emitted (suppression off) or already purged
+            // has nothing to retract from.
+            if let Some(set) = self.out_dedup.get_mut(&(src, trg)) {
+                set.remove(iv);
+                if set.is_empty() {
+                    self.out_dedup.remove(&(src, trg));
+                }
+            }
             out.push(Delta::Delete(mk(iv)));
             return;
         }
@@ -303,6 +659,8 @@ impl PatternOp {
             }
             // Emit the coalesced interval (Def. 11).
             let merged = set.insert(iv).expect("non-empty interval");
+            self.dedup_expiry.register(merged.exp, (src, trg));
+            self.dedup_writes += 1;
             out.push(Delta::Insert(mk(merged)));
         } else {
             out.push(Delta::Insert(mk(iv)));
@@ -340,8 +698,8 @@ impl PatternOp {
     ///
     /// Tuples are grouped by join key with a stable sort (same-key
     /// arrivals keep their relative order, so insert/delete runs on one
-    /// binding stay meaningful); each group locates its own-side bucket
-    /// and the opposite bucket once.
+    /// binding stay meaningful); each group hashes its key once and
+    /// locates the opposite side's chain once.
     fn level(
         &mut self,
         stage: usize,
@@ -350,17 +708,19 @@ impl PatternOp {
         buf: &[VertexId],
     ) -> (Vec<Work>, Vec<VertexId>) {
         let plan = &self.stages[stage];
-        let key_idx = if from_left {
-            &plan.left_key
+        let suppress = self.suppress;
+        let (left, right) = &mut self.state[stage];
+        let (own, other) = if from_left {
+            (left, right)
         } else {
-            &plan.right_key
+            (right, left)
         };
         // Flat key buffer: key `i` lives at `key_buf[i*klen..(i+1)*klen]`.
-        let klen = key_idx.len();
+        let klen = own.key_pos.len();
         let mut key_buf: Vec<VertexId> = Vec::with_capacity(works.len() * klen);
         for w in works {
             let vals = w.vals(buf);
-            key_buf.extend(key_idx.iter().map(|&ki| vals[ki]));
+            key_buf.extend(own.key_pos.iter().map(|&ki| vals[ki]));
         }
         let key_of = |i: usize| &key_buf[i * klen..(i + 1) * klen];
         let mut order: Vec<u32> = (0..works.len() as u32).collect();
@@ -368,12 +728,6 @@ impl PatternOp {
 
         let mut next: Vec<Work> = Vec::new();
         let mut next_buf: Vec<VertexId> = Vec::new();
-        let (left, right) = &mut self.state[stage];
-        let (own, other) = if from_left {
-            (left, right)
-        } else {
-            (right, left)
-        };
         let mut i = 0;
         while i < order.len() {
             let key = key_of(order[i] as usize);
@@ -381,62 +735,38 @@ impl PatternOp {
             while j < order.len() && key_of(order[j] as usize) == key {
                 j += 1;
             }
-            let other_bucket = other.map.get(key);
-            // Delete-only groups must not materialise an own-side bucket:
-            // a retraction for a binding this side never stored is a no-op
-            // there, not an empty bucket that lingers until the next
-            // amortised purge. They
-            // still probe the other side for their negative join results.
-            let has_insert = order[i..j]
-                .iter()
-                .any(|&w_idx| !works[w_idx as usize].delete);
-            if has_insert && !own.map.contains_key(key) {
-                own.map.insert(key.into(), Bucket::default());
-            }
-            let mut own_bucket = own.map.get_mut(key);
+            let hk = hash_words(key.iter().copied());
+            let other_first = other.first(key, hk);
             for &w_idx in &order[i..j] {
                 let w = &works[w_idx as usize];
                 let vals = w.vals(buf);
                 if w.delete {
-                    if let Some(bucket) = own_bucket.as_deref_mut() {
-                        Table::bucket_remove(bucket, vals, w.iv);
-                    }
-                } else if Table::bucket_insert(
-                    own_bucket
-                        .as_deref_mut()
-                        .expect("insert groups own a bucket"),
-                    &mut own.entries,
-                    vals,
-                    w.iv,
-                    self.suppress,
-                )
-                .is_none()
-                {
+                    // Still probes the other side for its negative results.
+                    own.remove(hk, vals, w.iv);
+                } else if own.insert(key, hk, vals, w.iv, suppress).is_none() {
                     continue; // fully covered: no new results possible
                 }
-                if let Some(other_bucket) = other_bucket {
-                    Table::bucket_probe(other_bucket, w.iv, |ovals, meet| {
-                        let (lvals, rvals) = if from_left {
-                            (vals, ovals)
+                other.probe(other_first, w.iv, |ovals, meet| {
+                    let (lvals, rvals) = if from_left {
+                        (vals, ovals)
+                    } else {
+                        (ovals, vals)
+                    };
+                    let start = next_buf.len() as u32;
+                    next_buf.extend(plan.out_from.iter().map(|&(ls, pos)| {
+                        if ls {
+                            lvals[pos]
                         } else {
-                            (ovals, vals)
-                        };
-                        let start = next_buf.len() as u32;
-                        next_buf.extend(plan.out_from.iter().map(|&(ls, pos)| {
-                            if ls {
-                                lvals[pos]
-                            } else {
-                                rvals[pos]
-                            }
-                        }));
-                        next.push(Work {
-                            start,
-                            len: plan.out_from.len() as u32,
-                            iv: meet,
-                            delete: w.delete,
-                        });
+                            rvals[pos]
+                        }
+                    }));
+                    next.push(Work {
+                        start,
+                        len: plan.out_from.len() as u32,
+                        iv: meet,
+                        delete: w.delete,
                     });
-                }
+                });
             }
             i = j;
         }
@@ -512,19 +842,48 @@ impl PhysicalOp for PatternOp {
             l.purge(watermark);
             r.purge(watermark);
         }
-        self.out_dedup.retain(|_, set| {
-            set.purge_expired(watermark);
-            !set.is_empty()
-        });
+        while let Some(due) = self.dedup_expiry.pop_due(watermark) {
+            for pair in due {
+                if let Some(set) = self.out_dedup.get_mut(&pair) {
+                    set.purge_expired(watermark);
+                    if set.is_empty() {
+                        self.out_dedup.remove(&pair);
+                    }
+                }
+            }
+        }
     }
 
     fn state_size(&self) -> usize {
-        self.state.iter().map(|(l, r)| l.size() + r.size()).sum()
+        self.state.iter().map(|(l, r)| l.live + r.live).sum()
+    }
+
+    fn pattern_census(&self) -> Option<PatternCensus> {
+        let mut c = PatternCensus {
+            dedup_pairs: self.out_dedup.len(),
+            dedup_empty: self.out_dedup.values().filter(|s| s.is_empty()).count(),
+            expiry_handles: self.dedup_expiry.pending(),
+            interval_writes: self.dedup_writes,
+            reserved_bytes: table_bytes::<(VertexId, VertexId), IntervalSet>(
+                self.out_dedup.capacity(),
+            ) + self
+                .out_dedup
+                .values()
+                .map(IntervalSet::heap_bytes)
+                .sum::<usize>()
+                + self.dedup_expiry.reserved_bytes(),
+            ..Default::default()
+        };
+        for (l, r) in &self.state {
+            l.census(&mut c);
+            r.census(&mut c);
+        }
+        Some(c)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::push_one;
     use super::super::wcoj::WcojPatternOp;
     use super::*;
@@ -788,6 +1147,191 @@ mod tests {
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(7, 8, 1, 0, 10), 0)],
             );
             assert_eq!(inserts(&out), vec![(1, 8, Interval::new(0, 10))]);
+        }
+    }
+
+    /// `d(x, y) ← a(x, y), b(x, y)`: the join key is the whole row, so a
+    /// collision of row hashes is a collision of key hashes too.
+    fn same_pair(suppress: bool) -> PatternOp {
+        let spec = CompiledPattern::compile(
+            2,
+            &[(Pos::src(0), Pos::src(1)), (Pos::trg(0), Pos::trg(1))],
+            (Pos::src(0), Pos::trg(0)),
+            Label(9),
+        );
+        PatternOp::new(spec, suppress)
+    }
+
+    fn census(op: &PatternOp) -> PatternCensus {
+        op.pattern_census().expect("hash-join PATTERN has a census")
+    }
+
+    fn pairs(out: &[Delta]) -> Vec<(bool, u64, u64, Interval)> {
+        out.iter()
+            .map(|d| {
+                let s = d.sgt();
+                (d.is_delete(), s.src.0, s.trg.0, s.interval)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bindings_with_equal_fx_hashes_stay_distinct_rows() {
+        // One Fx step is `h' = (rotl(h, 5) ^ w) · K` with K odd, so two
+        // 2-word rows hash alike iff `rotl(a0·K, 5) ^ a1 == rotl(b0·K, 5) ^
+        // b1`: pick `b0`, solve for `b1`.
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let (a0, a1, b0) = (3u64, 4u64, 5u64);
+        let b1 = (a0.wrapping_mul(K)).rotate_left(5) ^ a1 ^ (b0.wrapping_mul(K)).rotate_left(5);
+        let (a, b) = ([VertexId(a0), VertexId(a1)], [VertexId(b0), VertexId(b1)]);
+        assert_eq!(hash_words(a), hash_words(b), "constructed collision");
+        assert_ne!(a, b);
+
+        let mut op = same_pair(false);
+        let out = feed(
+            &mut op,
+            vec![
+                (0, ins(a0, a1, 0, 0, 10), 0),
+                (0, ins(b0, b1, 0, 0, 20), 0),
+                (1, ins(a0, a1, 1, 0, 10), 0),
+                (1, ins(b0, b1, 1, 5, 20), 5),
+            ],
+        );
+        // Probed: each binding meets only itself.
+        assert_eq!(
+            pairs(&out),
+            vec![
+                (false, a0, a1, Interval::new(0, 10)),
+                (false, b0, b1, Interval::new(5, 20)),
+            ]
+        );
+        let c = census(&op);
+        assert_eq!((c.rows, c.keys, c.empty_rows), (4, 4, 0), "{c:?}");
+        // Coalesced: extending `a` extends a's row and joins a's partner.
+        let out = feed(&mut op, vec![(0, ins(a0, a1, 0, 5, 15), 5)]);
+        assert_eq!(pairs(&out), vec![(false, a0, a1, Interval::new(5, 10))]);
+        assert_eq!(census(&op).rows, 4);
+        // A negative tuple on `b` retracts b's result and frees b's row only.
+        let out = feed(&mut op, vec![(1, Delta::Delete(sgt(b0, b1, 1, 5, 20)), 6)]);
+        assert_eq!(pairs(&out), vec![(true, b0, b1, Interval::new(5, 20))]);
+        let c = census(&op);
+        assert_eq!((c.rows, c.keys, c.row_slots), (3, 3, 4), "{c:?}");
+        // Purged: a's right row expires at 10, a's left at 15, b's at 20.
+        op.purge(10, &mut Vec::new());
+        assert_eq!((census(&op).rows, op.state_size()), (2, 2));
+        op.purge(15, &mut Vec::new());
+        assert_eq!((census(&op).rows, op.state_size()), (1, 1));
+        let out = feed(&mut op, vec![(1, ins(b0, b1, 1, 16, 30), 16)]);
+        assert_eq!(pairs(&out), vec![(false, b0, b1, Interval::new(16, 20))]);
+        let out = feed(&mut op, vec![(1, ins(a0, a1, 1, 16, 30), 16)]);
+        assert!(out.is_empty(), "a's left row is gone: {out:?}");
+        op.purge(30, &mut Vec::new());
+        let c = census(&op);
+        assert_eq!((c.rows, c.keys, c.expiry_handles), (0, 0, 0), "{c:?}");
+    }
+
+    #[test]
+    fn equal_live_content_emits_equal_sequences_whatever_the_slot_history() {
+        // `fresh` has only ever held the live rows; `recycled` held and
+        // purged others first, so the same rows sit in other slots.
+        let [mut fresh, mut recycled] = [0, 1].map(|_| {
+            let spec = CompiledPattern::compile(
+                2,
+                &[(Pos::trg(0), Pos::src(1))],
+                (Pos::src(0), Pos::trg(1)),
+                Label(9),
+            );
+            PatternOp::new(spec, true)
+        });
+        for (i, x) in [7u64, 1, 4, 9, 2].into_iter().enumerate() {
+            let exp = 10 + 10 * (i as u64 % 2);
+            feed(&mut recycled, vec![(0, ins(x, 50 + x % 2, 0, 0, exp), 0)]);
+        }
+        recycled.purge(10, &mut Vec::new());
+        recycled.purge(20, &mut Vec::new());
+        assert_eq!(recycled.state_size(), 0);
+        assert_eq!(census(&recycled).row_slots, 5);
+
+        let live: Vec<_> = [3u64, 8, 5, 1, 6, 2]
+            .into_iter()
+            .map(|x| (0, ins(x, 77, 0, 20, 40), 20))
+            .collect();
+        let probe = vec![(1, ins(77, 99, 1, 21, 40), 21)];
+        let mut outs = Vec::new();
+        for op in [&mut fresh, &mut recycled] {
+            feed(op, live.clone());
+            outs.push(pairs(&feed(op, probe.clone())));
+        }
+        assert_eq!(outs[0], outs[1]);
+        // A probe meets its key's rows in the order they arrived.
+        let srcs: Vec<u64> = outs[0].iter().map(|&(_, s, _, _)| s).collect();
+        assert_eq!(srcs, vec![3, 8, 5, 1, 6, 2]);
+    }
+
+    /// Five inserts that join one partner, then negative tuples for them
+    /// and for as many bindings never stored on the left (which still
+    /// retract their join with the partner) and ten never stored on the
+    /// right (which meet nothing): ten retractions, five of pairs never
+    /// emitted. Suppression off, as in deletion pipelines.
+    pub(crate) fn retractions() -> [Vec<(usize, Delta, u64)>; 2] {
+        let inserts = (0..5u64)
+            .map(|k| (0, ins(k, 100, 0, 0, 30), 0))
+            .chain([(1, ins(100, 7, 1, 0, 30), 0)])
+            .collect();
+        let deletes = (0..10u64)
+            .flat_map(|k| {
+                [
+                    (0, Delta::Delete(sgt(k, 100, 0, 0, 30)), 1),
+                    (1, Delta::Delete(sgt(200 + k, k, 1, 0, 30)), 1),
+                ]
+            })
+            .collect();
+        [inserts, deletes]
+    }
+
+    #[test]
+    fn negative_tuples_leave_no_dedup_pairs_without_suppression() {
+        let spec = CompiledPattern::compile(
+            2,
+            &[(Pos::trg(0), Pos::src(1))],
+            (Pos::src(0), Pos::trg(1)),
+            Label(9),
+        );
+        let mut op = PatternOp::new(spec, false);
+        let [inserts, deletes] = retractions();
+        assert_eq!(feed(&mut op, inserts).len(), 5);
+        let out = feed(&mut op, deletes);
+        assert!(out.iter().all(Delta::is_delete));
+        assert_eq!(out.len(), 10);
+        // Before any purge: no retraction left a slot behind.
+        let c = census(&op);
+        assert_eq!((c.dedup_pairs, c.rows), (0, 1), "{c:?}");
+    }
+
+    #[test]
+    fn row_index_keeps_every_chain_whole_through_removals() {
+        // Tags near `u32::MAX` home on the last slots at every table size,
+        // so the chains wrap around the end and backward shifts cross it.
+        let hash = |r: u32| u64::from(u32::MAX - r % 5) << 32;
+        let (mut idx, mut live) = (RowIndex::default(), Vec::new());
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for row in 0..600u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            if live.is_empty() || !rng.is_multiple_of(3) {
+                idx.insert(hash(row), row);
+                live.push(row);
+            } else {
+                let gone = live.swap_remove((rng % live.len() as u64) as usize);
+                let slot = idx.find(hash(gone), |x| x == gone).expect("indexed");
+                idx.remove(slot);
+            }
+            assert_eq!(idx.len, live.len());
+        }
+        for row in 0..600 {
+            let found = idx.find(hash(row), |x| x == row).is_some();
+            assert_eq!(found, live.contains(&row), "row {row}");
         }
     }
 }

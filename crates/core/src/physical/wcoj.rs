@@ -32,8 +32,10 @@ const _: () = super::assert_send::<WcojPatternOp>();
 
 /// One port's windowed edge index: forward (`src → (trg, validity)`) and
 /// reverse (`trg → (src, validity)`) adjacency with full [`IntervalSet`]s,
-/// mirroring the hash-join [`Table`](super::pattern) state exactly so the
-/// two PATTERN implementations emit identical streams.
+/// the same validity state the hash-join tables keep per row, so the two
+/// PATTERN implementations emit the same results. It is an ablation
+/// target: it purges by `retain` over everything it holds, where the
+/// hash-join tables purge through an expiry index.
 #[derive(Debug, Default)]
 struct PortIndex {
     fwd: FxHashMap<VertexId, Vec<(VertexId, IntervalSet)>>,
@@ -231,7 +233,14 @@ impl WcojPatternOp {
             )
         };
         if delete {
-            self.out_dedup.entry((src, trg)).or_default().remove(iv);
+            // A pair never emitted (suppression off) or already purged
+            // has nothing to retract from.
+            if let Some(set) = self.out_dedup.get_mut(&(src, trg)) {
+                set.remove(iv);
+                if set.is_empty() {
+                    self.out_dedup.remove(&(src, trg));
+                }
+            }
             out.push(Delta::Delete(mk(iv)));
             return;
         }
@@ -485,5 +494,23 @@ mod tests {
         // The same edges also feed the other ports in a real plan; here only
         // one assignment per port exists, so exactly one result.
         assert_eq!(inserts(&out), vec![(1, 4, Interval::new(0, 10))]);
+    }
+
+    #[test]
+    fn negative_tuples_leave_no_dedup_pairs_without_suppression() {
+        let spec = CompiledPattern::compile(
+            2,
+            &[(Pos::trg(0), Pos::src(1))],
+            (Pos::src(0), Pos::trg(1)),
+            sgq_types::Label(9),
+        );
+        let mut op = WcojPatternOp::new(spec, false);
+        let [inserts, deletes] = super::super::pattern::tests::retractions();
+        let mut out = Vec::new();
+        for (port, delta, now) in inserts.into_iter().chain(deletes) {
+            push_one(&mut op, port, delta, now, &mut out);
+        }
+        assert_eq!(out.iter().filter(|d| d.is_delete()).count(), 10);
+        assert!(op.out_dedup.is_empty(), "{:?}", op.out_dedup);
     }
 }

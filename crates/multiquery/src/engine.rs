@@ -576,6 +576,12 @@ impl MultiQueryEngine {
         self.flow.path_censuses()
     }
 
+    /// Row, key and dedup occupancy of every live hash-join PATTERN
+    /// operator, by node id (see [`sgq_core::physical::PatternCensus`]).
+    pub fn pattern_censuses(&self) -> Vec<(usize, sgq_core::physical::PatternCensus)> {
+        self.flow.pattern_censuses()
+    }
+
     /// A point-in-time [`MetricsSnapshot`] of the host: executor counters,
     /// one operator record per live node in the shared dataflow, and one
     /// query record per registration (latency/emission histogram

@@ -6,18 +6,41 @@
 //! pairwise disjoint, non-adjacent intervals. [`IntervalSet`] maintains that
 //! normal form under insertion and answers validity/overlap queries.
 //!
-//! Sets are tiny in practice (almost always one interval — a re-inserted
-//! edge extends the previous interval), so a sorted `Vec` beats tree
-//! structures here.
+//! Sets are tiny in practice: a re-inserted edge extends the previous
+//! interval, so nearly every set holds exactly one. That interval is held
+//! inline — a set costs its 24 bytes and no allocation — and only a set
+//! with two or more members keeps them in a sorted `Vec`.
 
 use crate::time::{Interval, Timestamp};
 
+// Inline storage must not grow the set past the `Vec` it replaced: every
+// join row, sink-dedup entry and `out_dedup` pair holds one.
+const _: () = assert!(std::mem::size_of::<IntervalSet>() == 24);
+
 /// A normalised set of disjoint, non-adjacent, non-empty intervals kept
 /// sorted by start time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct IntervalSet {
-    ivs: Vec<Interval>,
+    repr: Repr,
 }
+
+/// `Many` always holds at least two intervals: a set that shrinks to one
+/// or none goes back inline, so each set has exactly one representation.
+#[derive(Debug, Clone, Default)]
+enum Repr {
+    #[default]
+    Empty,
+    One(Interval),
+    Many(Vec<Interval>),
+}
+
+impl PartialEq for IntervalSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.intervals() == other.intervals()
+    }
+}
+
+impl Eq for IntervalSet {}
 
 impl IntervalSet {
     /// Creates an empty set.
@@ -39,47 +62,82 @@ impl IntervalSet {
         if iv.is_empty() {
             return None;
         }
+        let ivs = match &mut self.repr {
+            Repr::Empty => {
+                self.repr = Repr::One(iv);
+                return Some(iv);
+            }
+            Repr::One(x) => {
+                if x.exp < iv.ts || iv.exp < x.ts {
+                    let (a, b) = if x.ts < iv.ts { (*x, iv) } else { (iv, *x) };
+                    self.repr = Repr::Many(vec![a, b]);
+                    return Some(iv);
+                }
+                *x = Interval::new(iv.ts.min(x.ts), iv.exp.max(x.exp));
+                return Some(*x);
+            }
+            Repr::Many(ivs) => ivs,
+        };
         // Find the range of existing intervals that meet `iv`.
-        let start = self.ivs.partition_point(|x| x.exp < iv.ts);
-        let end = self.ivs[start..]
+        let start = ivs.partition_point(|x| x.exp < iv.ts);
+        let end = ivs[start..]
             .iter()
             .position(|x| x.ts > iv.exp)
-            .map_or(self.ivs.len(), |p| start + p);
+            .map_or(ivs.len(), |p| start + p);
         if start == end {
-            self.ivs.insert(start, iv);
+            ivs.insert(start, iv);
             return Some(iv);
         }
-        let merged = Interval::new(
-            iv.ts.min(self.ivs[start].ts),
-            iv.exp.max(self.ivs[end - 1].exp),
-        );
-        self.ivs.drain(start + 1..end);
-        self.ivs[start] = merged;
+        let merged = Interval::new(iv.ts.min(ivs[start].ts), iv.exp.max(ivs[end - 1].exp));
+        ivs.drain(start + 1..end);
+        ivs[start] = merged;
+        self.normalise();
         Some(merged)
     }
 
     /// Removes every instant of `iv` from the set (used for explicit
-    /// deletions via negative tuples, §6.2.5). Splits intervals as needed.
+    /// deletions via negative tuples, §6.2.5). Splits intervals as needed,
+    /// in place.
     pub fn remove(&mut self, iv: Interval) {
-        if iv.is_empty() || self.ivs.is_empty() {
+        if iv.is_empty() {
             return;
         }
-        let mut out = Vec::with_capacity(self.ivs.len() + 1);
-        for &x in &self.ivs {
-            if x.exp <= iv.ts || x.ts >= iv.exp {
-                out.push(x);
-                continue;
+        // The members `iv` meets: `[start, end)`.
+        let ivs = self.intervals();
+        let start = ivs.partition_point(|x| x.exp <= iv.ts);
+        let end = start + ivs[start..].iter().take_while(|x| x.ts < iv.exp).count();
+        if start == end {
+            return;
+        }
+        // What survives of them: the head of the first, the tail of the last.
+        let left = Interval::new(ivs[start].ts, iv.ts);
+        let right = Interval::new(iv.exp, ivs[end - 1].exp);
+        let pieces = [left, right].into_iter().filter(|p| !p.is_empty());
+        match &mut self.repr {
+            Repr::Many(ivs) => {
+                ivs.splice(start..end, pieces);
             }
-            let left = Interval::new(x.ts, iv.ts.min(x.exp));
-            let right = Interval::new(iv.exp.max(x.ts), x.exp);
-            if !left.is_empty() {
-                out.push(left);
-            }
-            if !right.is_empty() {
-                out.push(right);
+            repr => {
+                let pieces: Vec<Interval> = pieces.collect();
+                *repr = match pieces[..] {
+                    [] => Repr::Empty,
+                    [one] => Repr::One(one),
+                    _ => Repr::Many(pieces),
+                };
             }
         }
-        self.ivs = out;
+        self.normalise();
+    }
+
+    /// Puts a `Many` set that shrank below two members back inline.
+    fn normalise(&mut self) {
+        if let Repr::Many(ivs) = &self.repr {
+            match ivs[..] {
+                [] => self.repr = Repr::Empty,
+                [one] => self.repr = Repr::One(one),
+                _ => {}
+            }
+        }
     }
 
     /// Whether a single member fully covers `iv` (an insert of `iv` would
@@ -88,22 +146,23 @@ impl IntervalSet {
         if iv.is_empty() {
             return true;
         }
-        let i = self.ivs.partition_point(|x| x.exp < iv.exp);
-        self.ivs
-            .get(i)
-            .is_some_and(|x| x.ts <= iv.ts && iv.exp <= x.exp)
+        let ivs = self.intervals();
+        let i = ivs.partition_point(|x| x.exp < iv.exp);
+        ivs.get(i).is_some_and(|x| x.ts <= iv.ts && iv.exp <= x.exp)
     }
 
     /// Whether any member contains instant `t`.
     pub fn contains(&self, t: Timestamp) -> bool {
-        let i = self.ivs.partition_point(|x| x.exp <= t);
-        self.ivs.get(i).is_some_and(|x| x.contains(t))
+        let ivs = self.intervals();
+        let i = ivs.partition_point(|x| x.exp <= t);
+        ivs.get(i).is_some_and(|x| x.contains(t))
     }
 
     /// Iterates over members of the set that overlap `iv`.
     pub fn overlapping<'a>(&'a self, iv: &'a Interval) -> impl Iterator<Item = Interval> + 'a {
-        let start = self.ivs.partition_point(|x| x.exp <= iv.ts);
-        self.ivs[start..]
+        let ivs = self.intervals();
+        let start = ivs.partition_point(|x| x.exp <= iv.ts);
+        ivs[start..]
             .iter()
             .take_while(move |x| x.ts < iv.exp)
             .copied()
@@ -112,34 +171,61 @@ impl IntervalSet {
     /// Drops every interval that has fully expired at `t` (direct approach:
     /// `exp <= t`). Returns how many intervals were dropped.
     pub fn purge_expired(&mut self, t: Timestamp) -> usize {
-        let before = self.ivs.len();
-        self.ivs.retain(|x| !x.expired_at(t));
-        before - self.ivs.len()
+        match &mut self.repr {
+            Repr::Empty => 0,
+            Repr::One(x) => {
+                if !x.expired_at(t) {
+                    return 0;
+                }
+                self.repr = Repr::Empty;
+                1
+            }
+            Repr::Many(ivs) => {
+                let before = ivs.len();
+                ivs.retain(|x| !x.expired_at(t));
+                let dropped = before - ivs.len();
+                self.normalise();
+                dropped
+            }
+        }
     }
 
     /// Largest expiry over all members, or `None` if empty.
     pub fn max_exp(&self) -> Option<Timestamp> {
-        self.ivs.last().map(|x| x.exp)
+        self.intervals().last().map(|x| x.exp)
     }
 
     /// The members, sorted by start.
     pub fn intervals(&self) -> &[Interval] {
-        &self.ivs
+        match &self.repr {
+            Repr::Empty => &[],
+            Repr::One(x) => std::slice::from_ref(x),
+            Repr::Many(ivs) => ivs,
+        }
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.ivs.is_empty()
+        matches!(self.repr, Repr::Empty)
     }
 
     /// Number of disjoint intervals.
     pub fn len(&self) -> usize {
-        self.ivs.len()
+        self.intervals().len()
+    }
+
+    /// Heap bytes the set reserves beyond its own 24: zero unless it holds
+    /// two or more intervals.
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Many(ivs) => ivs.capacity() * std::mem::size_of::<Interval>(),
+            _ => 0,
+        }
     }
 
     /// Total number of instants covered.
     pub fn covered(&self) -> u64 {
-        self.ivs.iter().map(|x| x.len()).sum()
+        self.intervals().iter().map(|x| x.len()).sum()
     }
 }
 
@@ -271,5 +357,19 @@ mod tests {
     fn max_exp_is_last() {
         let s: IntervalSet = [iv(5, 8), iv(0, 3)].into_iter().collect();
         assert_eq!(s.max_exp(), Some(8));
+    }
+
+    #[test]
+    fn a_single_interval_is_held_inline() {
+        let mut s = IntervalSet::from_interval(iv(0, 10));
+        assert_eq!(s.heap_bytes(), 0);
+        s.remove(iv(3, 6));
+        assert!(s.heap_bytes() > 0, "two members spill to the heap");
+        s.insert(iv(3, 6));
+        assert_eq!((s.intervals(), s.heap_bytes()), (&[iv(0, 10)][..], 0));
+        s.insert(iv(20, 30));
+        s.purge_expired(10);
+        assert_eq!((s.intervals(), s.heap_bytes()), (&[iv(20, 30)][..], 0));
+        assert_eq!(s, IntervalSet::from_interval(iv(20, 30)));
     }
 }

@@ -8,20 +8,24 @@
 //! caller-side cursor over `deleted_results` and never releases — the
 //! surface every other suite (and the in-process benchmark mirror) reads.
 //!
-//! Sections (d) and (e) hold **operator state** to the same standard: the
+//! Sections (d)–(f) hold **operator state** to the same standard: the
 //! Δ-PATH forest and window adjacency of a PATH operator — tree and node
 //! slots, `by_root`, the inverted index, adjacency buckets, pending
-//! expiry handles — are bounded by the window's content after every
-//! purge, on a stream that mints vertex ids without end.
+//! expiry handles — and a hash-join PATTERN's join tables and output
+//! dedup — row slots, keys, dedup pairs, pending expiry handles, bytes —
+//! are bounded by the window's content after every purge, on a stream
+//! that mints vertex ids without end.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use s_graffito::automata::Regex;
+use s_graffito::core::algebra::Pos;
 use s_graffito::core::physical::adjacency::AdjEntry;
 use s_graffito::core::physical::forest::Node;
+use s_graffito::core::physical::pattern::{CompiledPattern, PatternOp};
 use s_graffito::core::physical::spath::SPathOp;
-use s_graffito::core::physical::{PathCensus, PhysicalOp};
+use s_graffito::core::physical::{PathCensus, PatternCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
 use s_graffito::datagen::{snb_stream, so_stream, SnbConfig, SoConfig};
 use s_graffito::multiquery::{MultiQueryEngine, QueryId};
@@ -29,7 +33,7 @@ use s_graffito::prelude::*;
 use s_graffito::serve::client::Client;
 use s_graffito::serve::server::{ServeConfig, Server};
 use s_graffito::types::time::window_interval;
-use s_graffito::types::{Delta, DeltaBatch, Interval, Sge, VertexId};
+use s_graffito::types::{Delta, DeltaBatch, Interval, IntervalSet, Sge, VertexId};
 
 /// One routed result as a subscriber sees it:
 /// `(is_delete, src, trg, ts, exp)`.
@@ -833,7 +837,8 @@ fn a_retired_big_tree_leaves_no_capacity_in_its_slot() {
 }
 
 // ---------------------------------------------------------------------
-// (e) long soak: a fleet's PATH operators and the process stop growing
+// (e) long soak: a fleet's PATH and PATTERN operators and the process
+//     stop growing
 // ---------------------------------------------------------------------
 
 const FLEET_EDGES: usize = 1_050_000;
@@ -861,9 +866,10 @@ fn rss_mb() -> f64 {
 /// the Q1–Q7 fleet, routed and released like the serve loop does. Every
 /// `FLEET_CHECK_EVERY` slides each PATH operator's census is held against
 /// its own window content, and against what it held during the first ten
-/// windows; the fleet's reserved PATH bytes must stay within half again
-/// of what they were at window 10, and the process's resident set must not
-/// follow the stream either. Prints both at window 10 and at the end.
+/// windows; the fleet's reserved PATH bytes, and its reserved PATTERN
+/// bytes, must each stay within half again of what they were at window
+/// 10, and the process's resident set must not follow the stream either.
+/// Prints all three at window 10 and at the end.
 /// Release build: `cargo test --release --test bounded_state -- --ignored
 /// --nocapture`.
 #[test]
@@ -888,8 +894,9 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
     let mut early: std::collections::BTreeMap<usize, [usize; 8]> = Default::default();
     let mut peak: std::collections::BTreeMap<usize, Content> = Default::default();
     let (mut rss_early, mut checks, mut next_check) = (0.0f64, 0, FLEET_CHECK_EVERY);
-    // The fleet's PATH state in bytes, at window 10 and now.
+    // The fleet's PATH and PATTERN state in bytes, at window 10 and now.
     let (mut bytes_early, mut bytes) = (0usize, 0usize);
+    let (mut pattern_bytes_early, mut pattern_bytes) = (0usize, 0usize);
     for batch in stream.sges().chunks(256) {
         live.ingest_batch(batch);
         for &id in &ids {
@@ -949,23 +956,269 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             .iter()
             .map(|(_, c)| c.forest.reserved_bytes + c.adjacency.reserved_bytes)
             .sum();
+        let patterns = live.pattern_censuses();
+        assert!(!patterns.is_empty(), "the fleet has PATTERN operators");
+        for (node, c) in &patterns {
+            let at = format!("PATTERN operator {node}, window {window}");
+            assert_eq!((c.empty_rows, c.dedup_empty), (0, 0), "{at}: {c:?}");
+            assert!(c.keys <= c.rows, "{at}: {c:?}");
+        }
+        pattern_bytes = patterns.iter().map(|(_, c)| c.reserved_bytes).sum();
         if window <= 10 {
             rss_early = rss_mb();
             bytes_early = bytes;
+            pattern_bytes_early = pattern_bytes;
         } else {
             assert!(
                 2 * bytes <= 3 * bytes_early,
                 "window {window}: PATH state reserves {bytes} B, {bytes_early} B at window 10"
+            );
+            assert!(
+                2 * pattern_bytes <= 3 * pattern_bytes_early,
+                "window {window}: PATTERN state reserves {pattern_bytes} B, \
+                 {pattern_bytes_early} B at window 10"
             );
         }
         checks += 1;
     }
     assert!(checks >= 100, "{checks} checks");
     let rss_end = rss_mb();
-    println!("window 10: PATH reserved_bytes={bytes_early} VmRSS={rss_early:.1} MB");
-    println!("end:       PATH reserved_bytes={bytes} VmRSS={rss_end:.1} MB");
+    println!(
+        "window 10: PATH reserved_bytes={bytes_early} \
+         PATTERN reserved_bytes={pattern_bytes_early} VmRSS={rss_early:.1} MB"
+    );
+    println!(
+        "end:       PATH reserved_bytes={bytes} \
+         PATTERN reserved_bytes={pattern_bytes} VmRSS={rss_end:.1} MB"
+    );
     assert!(
         rss_early > 0.0 && rss_end <= rss_early + 24.0,
         "resident set grew from {rss_early:.1} MB (window 10) to {rss_end:.1} MB"
     );
+}
+
+// ---------------------------------------------------------------------
+// (f) operator state: PATTERN join tables and output dedup hold what the
+//     window holds
+// ---------------------------------------------------------------------
+
+/// What [`PATTERN_RESERVED_PER_ROW_BYTE`] is a multiple of: a join row of
+/// the widest stage in these tests (four vertex ids, Q5's last left
+/// table) with its validity and its two chain links, and an output dedup
+/// pair with its validity.
+const PATTERN_ROW_BYTES: usize =
+    4 * std::mem::size_of::<VertexId>() + std::mem::size_of::<IntervalSet>() + 8;
+const DEDUP_PAIR_BYTES: usize =
+    2 * std::mem::size_of::<VertexId>() + std::mem::size_of::<IntervalSet>();
+/// Bytes a PATTERN operator may reserve per byte of the most rows and
+/// dedup pairs it has held at once. The rest is two 8-byte index slots
+/// per row at most 3/4 full and grown by doubling, `Vec`s grown by
+/// doubling, the dedup hash table, and one pending expiry handle per
+/// interval write of the last window in per-expiry lists.
+const PATTERN_RESERVED_PER_ROW_BYTE: usize = 8;
+
+/// The two shapes of join tree the bound is held on.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// SNB Q5: `knows(x, y), hasCreator(m1, x), hasCreator(m2, y),
+    /// replyOf(m2, m1) → (m1, m2)` — three stages, keys of width one and
+    /// two, the same `hasCreator` rows feeding two right tables.
+    Q5,
+    /// `a(x, y), b(y, z) → (x, z)` with most `a` edges into one hub `y`:
+    /// one key holding a window's worth of rows.
+    HighFanout,
+}
+
+fn pattern_op(shape: Shape, suppress: bool) -> PatternOp {
+    let spec = match shape {
+        Shape::Q5 => CompiledPattern::compile(
+            4,
+            &[
+                (Pos::src(0), Pos::trg(1)),
+                (Pos::trg(0), Pos::trg(2)),
+                (Pos::src(2), Pos::src(3)),
+                (Pos::src(1), Pos::trg(3)),
+            ],
+            (Pos::src(1), Pos::src(2)),
+            Label(9),
+        ),
+        Shape::HighFanout => CompiledPattern::compile(
+            2,
+            &[(Pos::trg(0), Pos::src(1))],
+            (Pos::src(0), Pos::trg(1)),
+            Label(9),
+        ),
+    };
+    PatternOp::new(spec, suppress)
+}
+
+/// Checks one post-purge census against the most rows and dedup pairs
+/// the operator has held and the interval writes that can still have a
+/// handle pending.
+fn assert_pattern_bounded(at: &str, c: &PatternCensus, peak: (usize, usize), writes: usize) {
+    let (rows, dedup) = peak;
+    assert_eq!(c.empty_rows, 0, "{at}: an empty row outlived a purge");
+    assert_eq!(c.dedup_empty, 0, "{at}: {c:?}");
+    assert!(c.keys <= c.rows, "{at}: {c:?}");
+    assert!(c.row_slots <= 2 * rows, "{at}: {c:?}, peak rows {rows}");
+    let held = rows * PATTERN_ROW_BYTES + dedup * DEDUP_PAIR_BYTES;
+    assert!(
+        c.reserved_bytes <= PATTERN_RESERVED_PER_ROW_BYTE * held,
+        "{at}: {c:?}, peak rows {rows}, dedup pairs {dedup}"
+    );
+    assert!(
+        c.expiry_handles <= writes,
+        "{at}: {c:?}, {writes} interval writes"
+    );
+}
+
+/// Drives `shape` for `OP_WINDOWS` windows of inputs that mint vertex ids
+/// without end, in two epochs per slide; with `deletions` (suppression
+/// off, as in deletion pipelines) two of the window's edges per port are
+/// deleted per slide. After **every** purge the census is held against
+/// the most the operator has held, and no size at the end exceeds what
+/// the first ten windows reached by more than half (the joins are bursty:
+/// their content settles later than a PATH operator's).
+fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
+    let mut op = pattern_op(shape, !deletions);
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |n: u64| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng % n
+    };
+    let mut minted = 1_000u64;
+    // Messages of the last window (Q5's replies point at them).
+    let mut messages: VecDeque<u64> = VecDeque::new();
+    let ports = match shape {
+        Shape::Q5 => 4,
+        Shape::HighFanout => 2,
+    };
+    let mut in_window: Vec<VecDeque<Sgt>> = vec![VecDeque::new(); ports];
+    let (mut peak, mut writes_before) = ((0, 0), 0);
+    let mut writes = EmissionWindow::new(OP_WINDOW + OP_SLIDE);
+    let mut first_windows = [0usize; 5];
+    let mut last = [0usize; 5];
+    for slide in 0..OP_WINDOWS * OP_WINDOW / OP_SLIDE {
+        let base = slide * OP_SLIDE;
+        let mut edges: Vec<(usize, u64, u64)> = Vec::new();
+        match shape {
+            Shape::Q5 => {
+                // Persons: a recurring population and one newcomer.
+                minted += 1;
+                let newcomer = minted;
+                let person = |k: u64| if k == 0 { newcomer } else { k };
+                for _ in 0..6 {
+                    edges.push((0, person(next(OP_POPULATION)), person(next(OP_POPULATION))));
+                }
+                for _ in 0..4 {
+                    minted += 1;
+                    let creator = person(next(OP_POPULATION));
+                    edges.push((1, minted, creator));
+                    edges.push((2, minted, creator));
+                    if !messages.is_empty() {
+                        let parent = messages[next(messages.len() as u64) as usize];
+                        edges.push((3, minted, parent));
+                    }
+                    messages.push_back(minted);
+                }
+                while messages.len() > 4 * (OP_WINDOW / OP_SLIDE) as usize {
+                    messages.pop_front();
+                }
+            }
+            Shape::HighFanout => {
+                const HUB: u64 = 0;
+                for k in 0..14 {
+                    minted += 1;
+                    let y = if k < 12 { HUB } else { 1 + next(OP_POPULATION) };
+                    edges.push((0, minted, y));
+                }
+                for k in 0..3 {
+                    let y = if k < 2 { HUB } else { 1 + next(OP_POPULATION) };
+                    minted += 1;
+                    edges.push((1, y, if k == 0 { minted } else { next(OP_POPULATION) }));
+                }
+            }
+        }
+        let mut ops: Vec<(usize, Delta)> = Vec::new();
+        for (k, &(port, src, trg)) in edges.iter().enumerate() {
+            let t = base + k as u64 * OP_SLIDE / edges.len() as u64;
+            let s = Sgt::edge(
+                VertexId(src),
+                VertexId(trg),
+                Label(port as u32),
+                window_interval(t, OP_WINDOW, OP_SLIDE),
+            );
+            in_window[port].push_back(s.clone());
+            ops.push((port, Delta::Insert(s)));
+        }
+        if deletions {
+            for (port, live) in in_window.iter_mut().enumerate() {
+                for _ in 0..2 {
+                    if let Some(victim) = live.remove(next(live.len() as u64 + 1) as usize) {
+                        ops.push((port, Delta::Delete(victim)));
+                    }
+                }
+            }
+        }
+        let cut = 1 + next(ops.len() as u64 - 1) as usize;
+        for epoch in [&ops[..cut], &ops[cut..]] {
+            for port in 0..ports {
+                let mut batch = DeltaBatch::new();
+                for (_, d) in epoch.iter().filter(|(p, _)| *p == port) {
+                    batch.push(d.clone());
+                }
+                if !batch.is_empty() {
+                    op.on_batch(port, &batch, base, &mut DeltaBatch::new());
+                }
+            }
+            let c = op.pattern_census().unwrap();
+            peak = (peak.0.max(c.rows), peak.1.max(c.dedup_pairs));
+        }
+        let c = op.pattern_census().unwrap();
+        let writes = writes.allowed(base, c.interval_writes - writes_before);
+        writes_before = c.interval_writes;
+
+        let watermark = base + OP_SLIDE;
+        op.purge(watermark, &mut Vec::new());
+        for live in &mut in_window {
+            while live.front().is_some_and(|s| s.interval.exp <= watermark) {
+                live.pop_front();
+            }
+        }
+        let c = op.pattern_census().unwrap();
+        let at = format!("{shape:?} deletions={deletions} purge({watermark})");
+        assert_pattern_bounded(&at, &c, peak, writes);
+        assert_eq!(c.rows, op.state_size(), "{at}");
+        last = [c.row_slots, c.keys, c.rows, c.dedup_pairs, c.expiry_handles];
+        if watermark <= 10 * OP_WINDOW {
+            for (then, now) in first_windows.iter_mut().zip(last) {
+                *then = (*then).max(now);
+            }
+        }
+    }
+    assert!(
+        peak.0 > 0 && (deletions || peak.1 > 0),
+        "{shape:?}: {peak:?}"
+    );
+    for (i, (then, now)) in first_windows.iter().zip(last).enumerate() {
+        assert!(
+            2 * now <= 3 * then,
+            "{shape:?} deletions={deletions}: size #{i} was at most {then} in the first ten \
+             windows and is {now} after window {OP_WINDOWS}: {first_windows:?} -> {last:?}"
+        );
+    }
+}
+
+#[test]
+fn pattern_state_is_bounded_by_the_window_q5_shape() {
+    drive_pattern_and_hold_the_bound(Shape::Q5, false);
+    drive_pattern_and_hold_the_bound(Shape::Q5, true);
+}
+
+#[test]
+fn pattern_state_is_bounded_by_the_window_high_fanout_key() {
+    drive_pattern_and_hold_the_bound(Shape::HighFanout, false);
+    drive_pattern_and_hold_the_bound(Shape::HighFanout, true);
 }

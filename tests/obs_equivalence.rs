@@ -372,17 +372,19 @@ fn explain_analyze_reports_live_counters_under_timing() {
     // real work with measured time.
     assert!(rendered.contains("inv="), "{rendered}");
     assert!(rendered.contains("time="), "{rendered}");
-    // The PATH operator's line reports its state in bytes too; no other
-    // operator's does.
+    // The PATH and PATTERN operators' lines report their state in bytes
+    // too; no other operator's does.
     assert!(rendered.contains("S-PATH"), "{rendered}");
+    assert!(rendered.contains("PATTERN["), "{rendered}");
     for line in rendered.lines().filter(|l| l.contains(" state=")) {
+        let stateful = line.contains("S-PATH") || line.contains("PATTERN[");
         let bytes = line.split(" bytes=").nth(1).map(|r| r.split(' ').next());
         match bytes {
             Some(Some(n)) => {
-                assert!(line.contains("S-PATH"), "{line}");
+                assert!(stateful, "{line}");
                 assert!(n.parse::<usize>().unwrap() > 0, "{line}");
             }
-            _ => assert!(!line.contains("S-PATH"), "{line}"),
+            _ => assert!(!stateful, "{line}"),
         }
     }
     let snap = engine.metrics_snapshot();
