@@ -7,30 +7,49 @@
 //! older disjoint interval is necessarily expired and can be replaced
 //! (§6.2.4, coalescing with `max` aggregation over expiry).
 //!
-//! Each `(vertex, label)` bucket holds its one entry inline — most
-//! buckets have one — and moves to a heap list only from the second, so a
-//! singleton costs its hash slot and no allocation. Buckets keep
-//! insertion order; a purge removes in order, and survivors keep their
-//! order — traversal order is part of the operator's deterministic output.
+//! # Layout
 //!
-//! The maps hold what the window holds. Every write of an entry's
-//! interval — insert, coalesce, replace, and the truncation of an explicit
-//! deletion — files the edge under its new expiry in an
-//! `ExpiryIndex` (see [`super::forest`]); [`Adjacency::purge`] pops the
-//! due keys and visits those edges only, under the same stale-handle
-//! rule as the forest (a popped edge is dropped iff it is stored and
-//! expired *now*). A bucket that loses its last entry leaves its map at
-//! once, whether a purge or a deletion emptied it, and one left with a
-//! single entry moves it back inline.
+//! Each stored edge is **one row** of an arena with a free list: its two
+//! ends, its label, its interval — held once — and two pairs of links.
+//! The links chain the row into the **out-chain** of `(src, label)` and
+//! the **in-chain** of `(trg, label)`, circular and doubly linked, and two
+//! open-addressing indexes over row ids (`physical/row_index.rs`) map each
+//! key to the first row of its chain; a hit is always checked against the
+//! row. [`Adjacency::out`] and [`Adjacency::inc`] walk a chain. Nothing is
+//! allocated per edge or per key.
+//!
+//! Chains keep insertion order, and traversal order is part of the
+//! operator's deterministic output, so removals keep the orders a list
+//! per key would: a purge unlinks in place (survivors keep their order),
+//! and an edge an explicit deletion drops takes the last row of each of
+//! its chains into its place — a list's `swap_remove`, in each direction.
+//!
+//! # What the window bounds
+//!
+//! The rows hold what the window holds; bytes follow the most edges it
+//! has held at once (a freed row or index slot is reused, never
+//! returned): a 56-byte row per edge, an 8-byte slot per live key and
+//! direction at most 3/4 full, and a 4-byte expiry handle per interval
+//! write not yet popped. Every write of an edge's interval — insert,
+//! coalesce, replace, and the truncation of an explicit deletion — files
+//! its row id under the new expiry in an `ExpiryIndex` (see
+//! [`super::forest`]); [`Adjacency::purge`] pops the due keys and visits
+//! those rows only. A popped id is honoured iff its row is stored and
+//! expired *now*, so the id of a row that was extended, dropped or reused
+//! costs one check. A key whose chain loses its last row leaves its index
+//! at once, whether a purge or a deletion emptied it.
 
-use super::forest::{table_bytes, ExpiryIndex};
+use super::forest::ExpiryIndex;
+use super::row_index::{hash_words, RowIndex, NIL};
 use sgq_types::{Edge, FxHashMap, Interval, Label, Timestamp, VertexId};
-use std::collections::hash_map::Entry;
 use std::mem::size_of;
 
-// Send audit: PATH-operator window state (owned hash maps of Copy entries).
+// Send audit: PATH-operator window state (owned arenas of Copy rows).
 const _: () = super::assert_send::<Adjacency>();
 const _: () = super::assert_send::<EpochLoad>();
+
+// One row per window edge, its interval held once.
+const _: () = assert!(size_of::<EdgeRow>() <= 56);
 
 /// Operator-owned scratch for one epoch's bulk adjacency load: the
 /// admitted epoch edges (those whose stored interval actually changed)
@@ -61,7 +80,7 @@ impl EpochLoad {
     }
 }
 
-/// One stored edge occurrence.
+/// One stored edge as a traversal meets it from one of its ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdjEntry {
     /// The neighbour vertex.
@@ -70,63 +89,46 @@ pub struct AdjEntry {
     pub interval: Interval,
 }
 
-/// The entries of one `(vertex, label)`, in insertion order: inline
-/// while there is one.
+/// The direction whose chain a row's `ends[OUT]`, the source, keys.
+const OUT: usize = 0;
+/// The direction whose chain a row's `ends[INC]`, the target, keys.
+const INC: usize = 1;
+
+/// A row's place in one chain.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    next: u32,
+    prev: u32,
+}
+
+const UNLINKED: Link = Link {
+    next: NIL,
+    prev: NIL,
+};
+
+/// One stored edge and its links: `links[d]` places it in the chain of
+/// `(ends[d], label)`, circular in insertion order, so a chain's first
+/// row's `prev` is its last. A free row has no `prev` in its out-link and
+/// links the free list through `next`.
 #[derive(Debug, Clone)]
-enum Bucket {
-    One(AdjEntry),
-    Many(Vec<AdjEntry>),
+struct EdgeRow {
+    /// `[src, trg]`.
+    ends: [VertexId; 2],
+    /// Coalesced validity.
+    interval: Interval,
+    label: Label,
+    links: [Link; 2],
 }
 
-impl Bucket {
-    fn as_slice(&self) -> &[AdjEntry] {
-        match self {
-            Bucket::One(e) => std::slice::from_ref(e),
-            Bucket::Many(es) => es,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [AdjEntry] {
-        match self {
-            Bucket::One(e) => std::slice::from_mut(e),
-            Bucket::Many(es) => es,
-        }
-    }
-
-    fn push(&mut self, e: AdjEntry) {
-        match self {
-            Bucket::One(first) => *self = Bucket::Many(vec![*first, e]),
-            Bucket::Many(es) => es.push(e),
-        }
-    }
-
-    /// Removes entry `p` — by swapping the last one into its place when
-    /// `swap`, else keeping the order. Says whether the bucket is empty.
-    fn remove(&mut self, p: usize, swap: bool) -> bool {
-        let Bucket::Many(es) = self else {
-            return true;
-        };
-        if swap {
-            es.swap_remove(p);
-        } else {
-            es.remove(p);
-        }
-        if let [last] = es[..] {
-            *self = Bucket::One(last);
-        }
-        false
-    }
-
-    /// Heap bytes beyond the bucket's hash slot.
-    fn heap_bytes(&self) -> usize {
-        match self {
-            Bucket::One(_) => 0,
-            Bucket::Many(es) => es.capacity() * size_of::<AdjEntry>(),
-        }
+impl EdgeRow {
+    fn is_free(&self) -> bool {
+        self.links[OUT].prev == NIL
     }
 }
 
-type Buckets = FxHashMap<(VertexId, Label), Bucket>;
+fn key_hash(v: VertexId, l: Label) -> u64 {
+    hash_words([v.0, u64::from(l.0)])
+}
 
 /// Occupancy of an [`Adjacency`], for asserting that it tracks the window
 /// (`tests/bounded_state.rs`). Computed by a full scan.
@@ -134,16 +136,19 @@ type Buckets = FxHashMap<(VertexId, Label), Bucket>;
 pub struct AdjacencyCensus {
     /// Stored edges ([`Adjacency::size`]).
     pub edges: usize,
-    /// `(vertex, label)` buckets of the outgoing map.
-    pub out_buckets: usize,
-    /// `(vertex, label)` buckets of the incoming map.
-    pub inc_buckets: usize,
-    /// Buckets holding no entry, both maps (always zero).
-    pub empty_buckets: usize,
+    /// Row slots ever allocated (stored + free).
+    pub row_slots: usize,
+    /// `(src, label)` keys of the out index.
+    pub out_keys: usize,
+    /// `(trg, label)` keys of the in index.
+    pub inc_keys: usize,
+    /// Rows the out-chains reach (equals `edges`).
+    pub out_rows: usize,
+    /// Rows the in-chains reach (equals `edges`).
+    pub inc_rows: usize,
     /// Expiry handles not yet popped by a purge.
     pub expiry_handles: usize,
-    /// Heap bytes reserved by both maps (`(K, V)` plus one control byte
-    /// per bucket), their entry lists and the expiry index.
+    /// Heap bytes reserved by the rows, both indexes and the expiry index.
     pub reserved_bytes: usize,
 }
 
@@ -159,19 +164,75 @@ impl AdjacencyCensus {
 }
 
 /// Outgoing and incoming adjacency with per-edge coalesced intervals.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Adjacency {
-    out: Buckets,
-    inc: Buckets,
-    /// Stored edges (= entries of `out` = entries of `inc`).
+    rows: Vec<EdgeRow>,
+    /// Head of the free list of rows.
+    free: u32,
+    /// Per direction, `(end, label)` → the first row of its chain.
+    index: [RowIndex; 2],
+    /// Stored edges (a maintained count).
     edges: usize,
-    expiry: ExpiryIndex<Edge>,
+    expiry: ExpiryIndex<u32>,
+}
+
+impl Default for Adjacency {
+    fn default() -> Self {
+        Adjacency {
+            rows: Vec::new(),
+            free: NIL,
+            index: Default::default(),
+            edges: 0,
+            expiry: ExpiryIndex::default(),
+        }
+    }
 }
 
 impl Adjacency {
     /// Creates an empty adjacency.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The index slot of the chain of `(v, l)` in direction `d`.
+    fn head(&self, d: usize, v: VertexId, l: Label) -> Option<usize> {
+        self.index[d].find(key_hash(v, l), |r| {
+            let row = &self.rows[r as usize];
+            row.ends[d] == v && row.label == l
+        })
+    }
+
+    /// The rows of `(v, l)`'s chain in direction `d`, in order.
+    fn chain(&self, d: usize, v: VertexId, l: Label) -> impl Iterator<Item = u32> + '_ {
+        let first = self.head(d, v, l).map_or(NIL, |s| self.index[d].row(s));
+        let mut cur = first;
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let r = cur;
+            cur = self.rows[r as usize].links[d].next;
+            if cur == first {
+                cur = NIL;
+            }
+            Some(r)
+        })
+    }
+
+    fn entries(&self, d: usize, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.chain(d, v, l).map(move |r| {
+            let row = &self.rows[r as usize];
+            AdjEntry {
+                other: row.ends[1 - d],
+                interval: row.interval,
+            }
+        })
+    }
+
+    /// The row of edge `(src, l, trg)`.
+    fn find(&self, src: VertexId, l: Label, trg: VertexId) -> Option<u32> {
+        self.chain(OUT, src, l)
+            .find(|&r| self.rows[r as usize].ends[INC] == trg)
     }
 
     /// Inserts (or coalesces) an edge occurrence. Returns the stored
@@ -184,50 +245,122 @@ impl Adjacency {
         trg: VertexId,
         iv: Interval,
     ) -> Option<Interval> {
-        let (stored, old_exp) = Self::upsert(&mut self.out, (src, label), trg, iv)?;
-        Self::upsert(&mut self.inc, (trg, label), src, iv);
-        if old_exp.is_none() {
-            self.edges += 1;
-        }
-        if old_exp != Some(stored.exp) {
-            self.expiry.register(stored.exp, Edge::new(src, trg, label));
-        }
-        Some(stored)
-    }
-
-    /// Returns the stored interval and the expiry it replaced (`None` for
-    /// a new entry), or `None` if `iv` is covered.
-    fn upsert(
-        map: &mut Buckets,
-        key: (VertexId, Label),
-        other: VertexId,
-        iv: Interval,
-    ) -> Option<(Interval, Option<Timestamp>)> {
-        let new = AdjEntry {
-            other,
-            interval: iv,
-        };
-        let bucket = match map.entry(key) {
-            Entry::Occupied(b) => b.into_mut(),
-            Entry::Vacant(slot) => {
-                slot.insert(Bucket::One(new));
-                return Some((iv, None));
-            }
-        };
-        if let Some(e) = bucket.as_mut_slice().iter_mut().find(|e| e.other == other) {
-            if iv.ts >= e.interval.ts && iv.exp <= e.interval.exp {
+        if let Some(r) = self.find(src, label, trg) {
+            let stored = &mut self.rows[r as usize].interval;
+            if iv.ts >= stored.ts && iv.exp <= stored.exp {
                 return None; // covered
             }
-            let old_exp = e.interval.exp;
-            e.interval = if e.interval.meets(&iv) {
-                e.interval.hull(&iv) // coalesce (Def. 11)
+            let old_exp = stored.exp;
+            *stored = if stored.meets(&iv) {
+                stored.hull(&iv) // coalesce (Def. 11)
             } else {
                 iv // the old disjoint interval is expired: replace
             };
-            return Some((e.interval, Some(old_exp)));
+            let stored = *stored;
+            if stored.exp != old_exp {
+                self.expiry.register(stored.exp, r);
+            }
+            return Some(stored);
         }
-        bucket.push(new);
-        Some((iv, None))
+        let r = self.alloc(EdgeRow {
+            ends: [src, trg],
+            interval: iv,
+            label,
+            links: [UNLINKED; 2],
+        });
+        self.link_last(OUT, r);
+        self.link_last(INC, r);
+        self.edges += 1;
+        self.expiry.register(iv.exp, r);
+        Some(iv)
+    }
+
+    /// A slot for `row`, the free list first.
+    fn alloc(&mut self, row: EdgeRow) -> u32 {
+        if self.free != NIL {
+            let r = self.free;
+            self.free = self.rows[r as usize].links[OUT].next;
+            self.rows[r as usize] = row;
+            return r;
+        }
+        let r = u32::try_from(self.rows.len())
+            .ok()
+            .filter(|&r| r != NIL)
+            .expect("an adjacency holds fewer than 2^32 - 1 edges");
+        self.rows.push(row);
+        r
+    }
+
+    /// Puts the unchained row `r` on the free list.
+    fn free_row(&mut self, r: u32) {
+        self.rows[r as usize].links[OUT] = Link {
+            next: self.free,
+            prev: NIL,
+        };
+        self.free = r;
+        self.edges -= 1;
+    }
+
+    /// Appends row `r` to its chain in direction `d`.
+    fn link_last(&mut self, d: usize, r: u32) {
+        let (v, l) = (self.rows[r as usize].ends[d], self.rows[r as usize].label);
+        let Some(slot) = self.head(d, v, l) else {
+            self.index[d].insert(key_hash(v, l), r);
+            self.rows[r as usize].links[d] = Link { next: r, prev: r };
+            return;
+        };
+        let first = self.index[d].row(slot);
+        let last = self.rows[first as usize].links[d].prev;
+        self.rows[last as usize].links[d].next = r;
+        self.rows[first as usize].links[d].prev = r;
+        self.rows[r as usize].links[d] = Link {
+            next: first,
+            prev: last,
+        };
+    }
+
+    /// Takes row `r` out of its chain in direction `d`, keeping the order
+    /// of the rest, and drops the key with its last row.
+    fn unlink(&mut self, d: usize, r: u32) {
+        let row = &self.rows[r as usize];
+        let (Link { next, prev }, v, l) = (row.links[d], row.ends[d], row.label);
+        if let Some(slot) = self.index[d].find(key_hash(v, l), |x| x == r) {
+            if next == r {
+                self.index[d].remove(slot);
+                return;
+            }
+            self.index[d].set_row(slot, next);
+        }
+        self.rows[prev as usize].links[d].next = next;
+        self.rows[next as usize].links[d].prev = prev;
+    }
+
+    /// Takes row `r` out of its chain in direction `d` the way a list's
+    /// `swap_remove` would: the chain's last row takes its place.
+    fn swap_out(&mut self, d: usize, r: u32) {
+        let (v, l) = (self.rows[r as usize].ends[d], self.rows[r as usize].label);
+        let slot = self.head(d, v, l).expect("stored rows are chained");
+        let first = self.index[d].row(slot);
+        let last = self.rows[first as usize].links[d].prev;
+        if last == r {
+            self.unlink(d, r);
+            return;
+        }
+        // `last` is not the first row (the chain holds `r` too), so
+        // unlinking it leaves the index alone.
+        self.unlink(d, last);
+        let Link { next, prev } = self.rows[r as usize].links[d];
+        let (next, prev) = if next == r {
+            (last, last)
+        } else {
+            (next, prev)
+        };
+        self.rows[last as usize].links[d] = Link { next, prev };
+        self.rows[prev as usize].links[d].next = last;
+        self.rows[next as usize].links[d].prev = last;
+        if first == r {
+            self.index[d].set_row(slot, last);
+        }
     }
 
     /// Bulk-loads one epoch's insert run **before any traversal**, so the
@@ -260,118 +393,91 @@ impl Adjacency {
     /// Removes `iv` from the stored edge (explicit deletion). The stored
     /// interval is truncated; if nothing remains the edge is dropped.
     pub fn remove(&mut self, src: VertexId, label: Label, trg: VertexId, iv: Interval) {
-        let Some((old_exp, kept)) = Self::truncate(&mut self.out, (src, label), trg, iv) else {
+        let Some(r) = self.find(src, label, trg) else {
             return;
         };
-        Self::truncate(&mut self.inc, (trg, label), src, iv);
-        match kept {
-            None => self.edges -= 1,
-            Some(k) if k.exp != old_exp => {
-                self.expiry.register(k.exp, Edge::new(src, trg, label));
-            }
-            Some(_) => {}
-        }
-    }
-
-    /// Cuts `iv` out of the entry `key → other`. Returns the entry's old
-    /// expiry and what is left of it (`None`: dropped), or `None` if there
-    /// is no such entry.
-    fn truncate(
-        map: &mut Buckets,
-        key: (VertexId, Label),
-        other: VertexId,
-        iv: Interval,
-    ) -> Option<(Timestamp, Option<Interval>)> {
-        let bucket = map.get_mut(&key)?;
-        let entries = bucket.as_mut_slice();
-        let p = entries.iter().position(|e| e.other == other)?;
-        let stored = entries[p].interval;
+        let stored = self.rows[r as usize].interval;
         // Keep the part of the stored interval outside [iv.ts, iv.exp);
         // keep the later piece if split.
         let left = Interval::new(stored.ts, iv.ts.min(stored.exp));
         let right = Interval::new(iv.exp.max(stored.ts), stored.exp);
         let keep = if !right.is_empty() { right } else { left };
         if keep.is_empty() {
-            if bucket.remove(p, true) {
-                map.remove(&key);
-            }
-            return Some((stored.exp, None));
+            self.swap_out(OUT, r);
+            self.swap_out(INC, r);
+            self.free_row(r);
+            return;
         }
-        entries[p].interval = keep;
-        Some((stored.exp, Some(keep)))
+        self.rows[r as usize].interval = keep;
+        if keep.exp != stored.exp {
+            self.expiry.register(keep.exp, r);
+        }
     }
 
-    /// Outgoing edges of `v` with label `l`.
-    pub fn out(&self, v: VertexId, l: Label) -> &[AdjEntry] {
-        self.out.get(&(v, l)).map_or(&[], Bucket::as_slice)
+    /// Outgoing edges of `v` with label `l`, in insertion order.
+    pub fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.entries(OUT, v, l)
     }
 
-    /// Incoming edges of `v` with label `l`.
-    pub fn inc(&self, v: VertexId, l: Label) -> &[AdjEntry] {
-        self.inc.get(&(v, l)).map_or(&[], Bucket::as_slice)
+    /// Incoming edges of `v` with label `l`, in insertion order.
+    pub fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.entries(INC, v, l)
     }
 
     /// The stored interval of edge `(src, l, trg)`, if present.
     pub fn interval_of(&self, src: VertexId, l: Label, trg: VertexId) -> Option<Interval> {
-        self.out(src, l)
-            .iter()
-            .find(|e| e.other == trg)
-            .map(|e| e.interval)
+        self.find(src, l, trg)
+            .map(|r| self.rows[r as usize].interval)
     }
 
     /// Iterates over all live edges as `(src, label, trg, interval)`.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, Label, VertexId, Interval)> + '_ {
-        self.out.iter().flat_map(|(&(src, l), bucket)| {
-            bucket
-                .as_slice()
-                .iter()
-                .map(move |e| (src, l, e.other, e.interval))
-        })
+        self.rows
+            .iter()
+            .filter(|row| !row.is_free())
+            .map(|row| (row.ends[OUT], row.label, row.ends[INC], row.interval))
     }
 
-    /// Drops expired entries (direct approach), visiting only the edges
-    /// filed at or below `watermark`.
+    /// Drops expired edges (direct approach), visiting only the rows filed
+    /// at or below `watermark`.
     pub fn purge(&mut self, watermark: Timestamp) {
         while let Some(due) = self.expiry.pop_due(watermark) {
-            for edge in due {
-                let (out, inc) = ((edge.src, edge.label), (edge.trg, edge.label));
-                if Self::drop_if_expired(&mut self.out, out, edge.trg, watermark) {
-                    let mirrored = Self::drop_if_expired(&mut self.inc, inc, edge.src, watermark);
-                    debug_assert!(mirrored, "out and inc mirror each other");
-                    self.edges -= 1;
+            for r in due {
+                let row = &self.rows[r as usize];
+                if row.is_free() || !row.interval.expired_at(watermark) {
+                    continue; // extended, dropped, or reused by a later edge
                 }
+                self.drop_row(r);
             }
         }
         debug_assert_eq!(
+            self.chained(OUT),
             self.edges,
-            self.out.values().map(|b| b.as_slice().len()).sum::<usize>(),
             "maintained edge count drifted"
+        );
+        debug_assert_eq!(
+            self.chained(INC),
+            self.edges,
+            "out and in chains mirror each other"
         );
     }
 
-    /// Removes the entry `key → other` if it is stored and expired at
-    /// `watermark`, keeping the bucket's order; says whether it did.
-    fn drop_if_expired(
-        map: &mut Buckets,
-        key: (VertexId, Label),
-        other: VertexId,
-        watermark: Timestamp,
-    ) -> bool {
-        let Entry::Occupied(mut bucket) = map.entry(key) else {
-            return false;
-        };
-        let Some(p) = bucket
-            .get()
-            .as_slice()
-            .iter()
-            .position(|e| e.other == other && e.interval.expired_at(watermark))
-        else {
-            return false;
-        };
-        if bucket.get_mut().remove(p, false) {
-            bucket.remove();
-        }
-        true
+    /// Rows the chains of direction `d` reach (a full scan).
+    fn chained(&self, d: usize) -> usize {
+        self.index[d]
+            .rows()
+            .map(|first| {
+                let row = &self.rows[first as usize];
+                self.chain(d, row.ends[d], row.label).count()
+            })
+            .sum()
+    }
+
+    /// Drops row `r`, keeping the order of both its chains.
+    fn drop_row(&mut self, r: u32) {
+        self.unlink(OUT, r);
+        self.unlink(INC, r);
+        self.free_row(r);
     }
 
     /// Number of stored edges.
@@ -379,55 +485,59 @@ impl Adjacency {
         self.edges
     }
 
-    /// Counts buckets, pending handles and reserved bytes (full scan).
+    /// Counts keys, chained rows, pending handles and reserved bytes (full
+    /// scan).
     pub fn census(&self) -> AdjacencyCensus {
-        let empty = |m: &Buckets| m.values().filter(|b| b.as_slice().is_empty()).count();
-        let bytes = |m: &Buckets| {
-            table_bytes::<(VertexId, Label), Bucket>(m.capacity())
-                + m.values().map(Bucket::heap_bytes).sum::<usize>()
-        };
         AdjacencyCensus {
             edges: self.edges,
-            out_buckets: self.out.len(),
-            inc_buckets: self.inc.len(),
-            empty_buckets: empty(&self.out) + empty(&self.inc),
+            row_slots: self.rows.len(),
+            out_keys: self.index[OUT].len(),
+            inc_keys: self.index[INC].len(),
+            out_rows: self.chained(OUT),
+            inc_rows: self.chained(INC),
             expiry_handles: self.expiry.pending(),
-            reserved_bytes: bytes(&self.out) + bytes(&self.inc) + self.expiry.reserved_bytes(),
+            reserved_bytes: self.rows.capacity() * size_of::<EdgeRow>()
+                + self.index[OUT].reserved_bytes()
+                + self.index[INC].reserved_bytes()
+                + self.expiry.reserved_bytes(),
         }
     }
 
-    /// The purge this module replaced: `retain` over both whole maps.
-    /// Kept as the reference of the differential tests.
+    /// The purge this module replaced: a scan of every row. Kept as the
+    /// reference of the differential tests.
     #[cfg(test)]
     pub(crate) fn purge_by_retain(&mut self, watermark: Timestamp) {
-        for map in [&mut self.out, &mut self.inc] {
-            map.retain(|_, bucket| match bucket {
-                Bucket::One(e) => !e.interval.expired_at(watermark),
-                Bucket::Many(es) => {
-                    es.retain(|e| !e.interval.expired_at(watermark));
-                    if let [one] = es[..] {
-                        *bucket = Bucket::One(one);
-                    }
-                    !bucket.as_slice().is_empty()
-                }
-            });
+        for r in 0..self.rows.len() as u32 {
+            let row = &self.rows[r as usize];
+            if !row.is_free() && row.interval.expired_at(watermark) {
+                self.drop_row(r);
+            }
         }
-        self.edges = self.out.values().map(|b| b.as_slice().len()).sum();
         while self.expiry.pop_due(watermark).is_some() {}
     }
 
-    /// Both maps with buckets in stored order, keys sorted.
+    /// Both directions' chains in stored order, keys sorted.
     #[cfg(test)]
     pub(crate) fn buckets(
         &self,
     ) -> [std::collections::BTreeMap<(VertexId, Label), Vec<AdjEntry>>; 2] {
-        [&self.out, &self.inc].map(|m| m.iter().map(|(k, b)| (*k, b.as_slice().to_vec())).collect())
+        [OUT, INC].map(|d| {
+            self.index[d]
+                .rows()
+                .map(|first| {
+                    let row = &self.rows[first as usize];
+                    let key = (row.ends[d], row.label);
+                    (key, self.entries(d, key.0, key.1).collect())
+                })
+                .collect()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn v(i: u64) -> VertexId {
         VertexId(i)
@@ -442,8 +552,8 @@ mod tests {
             a.insert(v(1), L, v(2), Interval::new(0, 10)),
             Some(Interval::new(0, 10))
         );
-        assert_eq!(a.out(v(1), L).len(), 1);
-        assert_eq!(a.inc(v(2), L).len(), 1);
+        assert_eq!(a.out(v(1), L).count(), 1);
+        assert_eq!(a.inc(v(2), L).count(), 1);
         assert_eq!(a.interval_of(v(1), L, v(2)), Some(Interval::new(0, 10)));
     }
 
@@ -539,16 +649,19 @@ mod tests {
     }
 
     #[test]
-    fn emptied_buckets_leave_the_maps_at_once() {
+    fn emptied_chains_leave_the_indexes_at_once() {
         let mut a = Adjacency::new();
         a.insert(v(1), L, v(2), Interval::new(0, 10));
         a.insert(v(3), L, v(4), Interval::new(0, 5));
         a.remove(v(1), L, v(2), Interval::new(0, 10));
         let c = a.census();
-        assert_eq!((c.out_buckets, c.inc_buckets, c.empty_buckets), (1, 1, 0));
+        assert_eq!(
+            (c.out_keys, c.inc_keys, c.out_rows, c.inc_rows),
+            (1, 1, 1, 1)
+        );
         a.purge(5);
         let c = a.census();
-        assert_eq!((c.out_buckets, c.inc_buckets, c.expiry_handles), (0, 0, 1));
+        assert_eq!((c.out_keys, c.inc_keys, c.expiry_handles), (0, 0, 1));
         a.purge(10);
         assert_eq!(a.census().expiry_handles, 0, "the deleted edge's handle");
     }
@@ -610,6 +723,211 @@ mod tests {
         assert_eq!(a.interval_of(v(1), L, v(2)), Some(Interval::new(4, 10)));
         a.remove(v(1), L, v(2), Interval::new(0, 100));
         assert!(a.interval_of(v(1), L, v(2)).is_none());
-        assert!(a.inc(v(2), L).is_empty());
+        assert!(a.inc(v(2), L).next().is_none());
+    }
+
+    /// The layout this module replaced, as the model of the chains: one
+    /// list per `(end, label)` and direction, appended to in arrival
+    /// order; a purge removes in place, a dropping deletion swap-removes.
+    #[derive(Default)]
+    struct Lists([BTreeMap<(VertexId, Label), Vec<AdjEntry>>; 2]);
+
+    impl Lists {
+        fn position(&self, d: usize, key: (VertexId, Label), other: VertexId) -> Option<usize> {
+            self.0[d].get(&key)?.iter().position(|e| e.other == other)
+        }
+
+        fn set(&mut self, src: VertexId, l: Label, trg: VertexId, iv: Interval) {
+            for (d, key, other) in [(0, (src, l), trg), (1, (trg, l), src)] {
+                let p = self.position(d, key, other).expect("stored");
+                self.0[d].get_mut(&key).unwrap()[p].interval = iv;
+            }
+        }
+
+        fn insert(
+            &mut self,
+            src: VertexId,
+            l: Label,
+            trg: VertexId,
+            iv: Interval,
+        ) -> Option<Interval> {
+            let Some(p) = self.position(0, (src, l), trg) else {
+                for (d, key, other) in [(0, (src, l), trg), (1, (trg, l), src)] {
+                    let interval = iv;
+                    self.0[d]
+                        .entry(key)
+                        .or_default()
+                        .push(AdjEntry { other, interval });
+                }
+                return Some(iv);
+            };
+            let stored = self.0[0][&(src, l)][p].interval;
+            if iv.ts >= stored.ts && iv.exp <= stored.exp {
+                return None;
+            }
+            let new = if stored.meets(&iv) {
+                stored.hull(&iv)
+            } else {
+                iv
+            };
+            self.set(src, l, trg, new);
+            Some(new)
+        }
+
+        fn remove(&mut self, src: VertexId, l: Label, trg: VertexId, iv: Interval) {
+            let Some(p) = self.position(0, (src, l), trg) else {
+                return;
+            };
+            let stored = self.0[0][&(src, l)][p].interval;
+            let left = Interval::new(stored.ts, iv.ts.min(stored.exp));
+            let right = Interval::new(iv.exp.max(stored.ts), stored.exp);
+            let keep = if !right.is_empty() { right } else { left };
+            if !keep.is_empty() {
+                self.set(src, l, trg, keep);
+                return;
+            }
+            for (d, key, other) in [(0, (src, l), trg), (1, (trg, l), src)] {
+                let p = self.position(d, key, other).expect("stored");
+                let list = self.0[d].get_mut(&key).unwrap();
+                list.swap_remove(p);
+                if list.is_empty() {
+                    self.0[d].remove(&key);
+                }
+            }
+        }
+
+        fn purge(&mut self, watermark: Timestamp) {
+            for dir in &mut self.0 {
+                dir.retain(|_, list| {
+                    list.retain(|e| !e.interval.expired_at(watermark));
+                    !list.is_empty()
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn chains_keep_list_order_under_deletions_purges_and_row_reuse() {
+        // Two hubs with a window's worth of neighbours each way, so every
+        // chain is long; explicit deletions of random edges (truncating or
+        // dropping them) and purges run between inserts, and dropped rows
+        // are reused by later edges.
+        let (a_label, b_label) = (Label(0), Label(1));
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut a, mut lists) = (Adjacency::new(), Lists::default());
+        let (mut now, mut made, mut dropped, mut longest) = (0u64, 0usize, 0usize, 0);
+        for step in 0..4_000 {
+            match next(10) {
+                0..=5 => {
+                    let hub = v(next(2));
+                    let spoke = v(10 + next(40));
+                    let (src, trg) = if next(2) == 0 {
+                        (hub, spoke)
+                    } else {
+                        (spoke, hub)
+                    };
+                    let l = if next(8) == 0 { b_label } else { a_label };
+                    let iv = Interval::new(now, now + 1 + next(80));
+                    made += usize::from(a.interval_of(src, l, trg).is_none());
+                    assert_eq!(
+                        a.insert(src, l, trg, iv),
+                        lists.insert(src, l, trg, iv),
+                        "step {step}"
+                    );
+                }
+                6 => {
+                    let stored: Vec<_> = a.iter().collect();
+                    if stored.is_empty() {
+                        continue;
+                    }
+                    let (src, l, trg, iv) = stored[next(stored.len() as u64) as usize];
+                    // Mostly the whole interval (a drop), else a piece of it.
+                    let cut = if next(3) == 0 {
+                        Interval::new(iv.ts, iv.ts + 1 + next(iv.exp - iv.ts))
+                    } else {
+                        iv
+                    };
+                    let edges = a.size();
+                    a.remove(src, l, trg, cut);
+                    lists.remove(src, l, trg, cut);
+                    dropped += edges - a.size();
+                }
+                _ => {
+                    now += 1 + next(3);
+                    a.purge(now);
+                    lists.purge(now);
+                }
+            }
+            assert_eq!(a.buckets(), lists.0, "step {step}");
+            let c = a.census();
+            assert_eq!(
+                (c.out_rows, c.inc_rows),
+                (c.edges, c.edges),
+                "step {step}: {c:?}"
+            );
+            assert_eq!(c.edges, a.iter().count(), "step {step}");
+            assert_eq!(c.out_keys, lists.0[0].len(), "step {step}");
+            assert_eq!(c.inc_keys, lists.0[1].len(), "step {step}");
+            let chains = lists.0.iter().flat_map(|d| d.values());
+            longest = chains.map(Vec::len).fold(longest, usize::max);
+        }
+        assert!(dropped > 200, "{dropped} dropped by deletions");
+        assert!(a.census().row_slots * 8 < made, "rows reused: {made} made");
+        assert!(longest >= 12, "a hub's chain grew to {longest}");
+    }
+
+    #[test]
+    fn keys_with_equal_hashes_keep_distinct_chains() {
+        // `(a, l)` and `(b, m)` hash alike (see the forest's test of the
+        // same name for the construction); each is used as the source key
+        // of two edges and the target key of one.
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let mut k_inv = K;
+        for _ in 0..6 {
+            k_inv = k_inv.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(k_inv)));
+        }
+        let (x, l, m) = (3u64, Label(1), Label(2));
+        let y = ((x.wrapping_mul(K)).rotate_left(5) ^ u64::from(l.0) ^ u64::from(m.0))
+            .rotate_right(5)
+            .wrapping_mul(k_inv);
+        assert_eq!(
+            key_hash(v(x), l),
+            key_hash(v(y), m),
+            "constructed collision"
+        );
+
+        let mut a = Adjacency::new();
+        let iv = |exp| Interval::new(0, exp);
+        a.insert(v(x), l, v(7), iv(10));
+        a.insert(v(y), m, v(8), iv(20));
+        a.insert(v(x), l, v(9), iv(20));
+        a.insert(v(y), m, v(9), iv(10));
+        a.insert(v(5), l, v(x), iv(10));
+        a.insert(v(6), m, v(y), iv(20));
+        let others =
+            |it: &mut dyn Iterator<Item = AdjEntry>| it.map(|e| e.other.0).collect::<Vec<_>>();
+        assert_eq!(others(&mut a.out(v(x), l)), [7, 9]);
+        assert_eq!(others(&mut a.out(v(y), m)), [8, 9]);
+        assert_eq!(others(&mut a.inc(v(x), l)), [5]);
+        assert_eq!(others(&mut a.inc(v(y), m)), [6]);
+        assert!(a.out(v(x), m).next().is_none() && a.out(v(y), l).next().is_none());
+        // Dropping `x`'s first edge leaves `y`'s chain whole.
+        a.remove(v(x), l, v(7), iv(10));
+        assert_eq!(others(&mut a.out(v(x), l)), [9]);
+        assert_eq!(others(&mut a.out(v(y), m)), [8, 9]);
+        a.purge(10);
+        assert_eq!(others(&mut a.out(v(x), l)), [9]);
+        assert_eq!(others(&mut a.out(v(y), m)), [8]);
+        assert_eq!(others(&mut a.inc(v(x), l)), Vec::<u64>::new());
+        assert_eq!(others(&mut a.inc(v(y), m)), [6]);
+        a.purge(20);
+        let c = a.census();
+        assert_eq!((c.edges, c.out_keys, c.inc_keys), (0, 0, 0), "{c:?}");
     }
 }

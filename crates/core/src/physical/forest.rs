@@ -12,18 +12,32 @@
 //! # Layout
 //!
 //! Every tree's nodes live in **one node slab** per forest, with an
-//! intrusive free list; one hash map from `(tree, vertex, state)` to slab
-//! index replaces a per-tree index. A tree is a root vertex and its root
-//! node's slot, nothing else, so a tree slot never keeps capacity that
-//! one of its former occupants needed. The inverted index maps each
-//! `(vertex, state)` to a sorted tree list held inline while it has one
-//! tree — nearly all of them — so a singleton costs no allocation.
+//! intrusive free list. One open-addressing index over slab ids
+//! (`physical/row_index.rs`) maps each `(vertex, state)` to the first of its
+//! nodes, and the nodes of one `(vertex, state)` — one per tree holding it
+//! — are chained through a link inside the node, in ascending tree id.
+//! That chain is the paper's inverted index: [`Forest::trees_with`] walks
+//! it and hands out each tree's node with its tree, and
+//! [`TreeView::get`] is the same walk, stopped at the tree asked for.
+//! Roots are nodes `(x, s₀)` like any other, so [`Forest::tree_of_root`]
+//! is a walk of the `(x, s₀)` chain. A lookup, a link and an unlink
+//! therefore cost a walk of at most the trees holding their key: a hub
+//! vertex that K trees reach costs O(K) per probe. On the SO-like `a2q*`
+//! stream (3 000 users, W = 2 000, one DFA state, so every root shares
+//! its chain) the longest chain seen was 30 nodes and the chain a node
+//! sits in held 2.2 on average ([`ForestCensus::longest_chain`] reports
+//! the first). A tree slot is its root's slab id
+//! and nothing else, so it never keeps capacity one of its former
+//! occupants needed. Nothing is allocated per node, per key or per tree.
 //!
 //! # What the window bounds
 //!
 //! Entries follow the window; bytes follow the most the window has held
-//! at once, across the whole forest (a freed slab slot or hash bucket is
-//! reused by the next node of *any* tree, never returned).
+//! at once, across the whole forest (a freed slab slot or index slot is
+//! reused by the next node of *any* tree, never returned): a 56-byte slab
+//! node per live node or root, an 8-byte index slot per live
+//! `(vertex, state)` at most 3/4 full, a 4-byte tree slot per live tree,
+//! and an 8-byte expiry handle per interval write not yet popped.
 //! [`ForestCensus::reserved_bytes`] counts them.
 //!
 //! * **Purge costs what expires.** Every write of a node interval goes
@@ -41,8 +55,8 @@
 //!   (children never outlive parents, so the expired nodes and their
 //!   subtrees are the same set).
 //! * **Empty trees are retired, their slots recycled.** A tree left with
-//!   nothing but its root loses its `by_root` and inverted-index entries
-//!   and its root's slab slot, and its tree slot goes on a free list that
+//!   nothing but its root loses its root node — and with it its entry in
+//!   the `(x, s₀)` chain — and its tree slot goes on a free list that
 //!   [`Forest::ensure_tree`] pops first. After any purge no root-only
 //!   tree exists. Retirement happens **only inside [`Forest::purge`]**:
 //!   between purges operators hold `TreeId`s in their seed and dirty
@@ -53,9 +67,9 @@
 //!   never means visiting all trees. A root that returns after retirement
 //!   gets a fresh tree.
 
+use super::row_index::{hash_words, RowIndex, NIL};
 use sgq_automata::StateId;
-use sgq_types::{Edge, FxHashMap, Interval, Label, PathSeq, Timestamp, VertexId};
-use std::collections::hash_map::Entry;
+use sgq_types::{Edge, Interval, Label, PathSeq, Timestamp, VertexId};
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
@@ -64,10 +78,9 @@ use std::mem::size_of;
 // node links and expiry handles are plain indexes.
 const _: () = super::assert_send::<Forest>();
 
-// The layout's point: a node is 56 bytes (it was 80 while it carried its
-// derivation edge), a tree slot 16 (88 while it owned an arena).
+// The layout's point: a node, its `(vertex, state)` chain link included,
+// is 56 bytes.
 const _: () = assert!(size_of::<Node>() <= 56);
-const _: () = assert!(size_of::<Tree>() <= 16);
 
 /// Index of a node in its forest's node slab.
 pub type NodeIdx = u32;
@@ -75,24 +88,9 @@ pub type NodeIdx = u32;
 /// Sentinel parent for roots.
 pub const NO_PARENT: NodeIdx = u32::MAX;
 
-/// Sentinel for absent sibling/child links and the end of the free list.
-const NIL: NodeIdx = u32::MAX;
-
 /// A tree identifier (index into the forest's tree slots). Slots are
 /// recycled: an id is only meaningful until the next [`Forest::purge`].
 pub type TreeId = u32;
-
-/// Bytes a hash table with `capacity` reserves: one `(K, V)` slot and one
-/// control byte per bucket. Buckets are a power of two at most 7/8 full;
-/// tombstones lower the capacity a table reports, so this is a floor.
-pub(super) fn table_bytes<K, V>(capacity: usize) -> usize {
-    let buckets = match capacity {
-        0 => 0,
-        c if c < 8 => (c + 1).next_power_of_two(),
-        c => (c * 8 / 7).next_power_of_two(),
-    };
-    buckets * (size_of::<(K, V)>() + 1)
-}
 
 /// Handles filed under the expiry they were written with: what a purge
 /// has to look at. Window expiries sit on the slide grid, so the map holds
@@ -147,8 +145,8 @@ impl<H> ExpiryIndex<H> {
 /// Children are an intrusive doubly-linked sibling list
 /// (`first_child`/`next_sib`/`prev_sib`) rather than a per-node `Vec`, so
 /// Expand/Propagate never touch the allocator and `reparent` unlinks in
-/// O(1) instead of scanning the old parent's child list. A free slot links
-/// the slab's free list through `next_sib`.
+/// O(1) instead of scanning the old parent's child list. A free slot has
+/// no tree and links the slab's free list through `next_sib`.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Graph vertex.
@@ -162,7 +160,7 @@ pub struct Node {
     pub label: Label,
     /// Parent node, or [`NO_PARENT`] for the root.
     pub parent: NodeIdx,
-    /// The tree the slot belongs to while it is alive.
+    /// The tree the slot belongs to, or [`NIL`] while it is free.
     tree: TreeId,
     /// Head of the intrusive child list.
     first_child: NodeIdx,
@@ -170,20 +168,19 @@ pub struct Node {
     next_sib: NodeIdx,
     /// Previous sibling under the same parent.
     prev_sib: NodeIdx,
-    /// False once removed (the slot is on the free list).
-    pub alive: bool,
+    /// The next node of the same `(v, state)`, in ascending tree id.
+    next_same: NodeIdx,
 }
 
-/// One spanning tree `T_x` in its slot: the root vertex and the root's
-/// slab index ([`NIL`] while the slot is retired).
-#[derive(Debug, Clone, Copy)]
-struct Tree {
-    root: VertexId,
-    root_node: NodeIdx,
+impl Node {
+    /// False once removed (the slot is on the free list).
+    pub fn alive(&self) -> bool {
+        self.tree != NIL
+    }
 }
 
 /// A borrowed, read-only view of one tree of a [`Forest`]. Every mutation
-/// goes through [`Forest`], which keeps the indexes, the size counter and
+/// goes through [`Forest`], which keeps the index, the size counter and
 /// the expiry index in step.
 #[derive(Clone, Copy)]
 pub struct TreeView<'a> {
@@ -200,9 +197,14 @@ impl<'a> TreeView<'a> {
         self.root_idx
     }
 
-    /// Looks up the node for `(v, state)`.
+    /// Looks up the node for `(v, state)`: a walk of that key's chain up
+    /// to this tree.
     pub fn get(&self, v: VertexId, state: StateId) -> Option<NodeIdx> {
-        self.forest.index.get(&(self.id, v, state)).copied()
+        let nodes = &self.forest.nodes;
+        self.forest
+            .chain(v, state)
+            .take_while(|&i| nodes[i as usize].tree <= self.id)
+            .find(|&i| nodes[i as usize].tree == self.id)
     }
 
     /// Borrowed node access.
@@ -276,54 +278,7 @@ impl<'a> TreeView<'a> {
     }
 }
 
-/// The trees holding one `(vertex, state)`: ascending, inline while there
-/// is one.
-#[derive(Debug)]
-enum TreeSet {
-    One(TreeId),
-    Many(Vec<TreeId>),
-}
-
-impl TreeSet {
-    fn as_slice(&self) -> &[TreeId] {
-        match self {
-            TreeSet::One(t) => std::slice::from_ref(t),
-            TreeSet::Many(ts) => ts,
-        }
-    }
-
-    fn insert(&mut self, t: TreeId) {
-        match self {
-            TreeSet::One(u) if *u == t => {}
-            TreeSet::One(u) => {
-                *self = TreeSet::Many(if *u < t { vec![*u, t] } else { vec![t, *u] });
-            }
-            TreeSet::Many(ts) => {
-                if let Err(at) = ts.binary_search(&t) {
-                    ts.insert(at, t);
-                }
-            }
-        }
-    }
-
-    /// Drops `t`; says whether the set is empty now.
-    fn remove(&mut self, t: TreeId) -> bool {
-        match self {
-            TreeSet::One(u) => *u == t,
-            TreeSet::Many(ts) => {
-                if let Ok(at) = ts.binary_search(&t) {
-                    ts.remove(at);
-                }
-                if let [last] = ts[..] {
-                    *self = TreeSet::One(last);
-                }
-                false
-            }
-        }
-    }
-}
-
-/// Occupancy of a [`Forest`]'s slots and indexes, for asserting that they
+/// Occupancy of a [`Forest`]'s slots and index, for asserting that they
 /// track the window and not the stream (`tests/bounded_state.rs`).
 /// Computed by a full scan: a test and diagnostics surface, not a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,26 +293,30 @@ pub struct ForestCensus {
     pub node_slots: usize,
     /// Live non-root nodes ([`Forest::size`]).
     pub live_nodes: usize,
-    /// Entries of the root → tree map (equals `live_trees`).
-    pub by_root: usize,
-    /// Keys of the inverted index.
-    pub inverted_keys: usize,
-    /// Inverted-index keys whose tree set is empty (always zero).
-    pub inverted_empty: usize,
+    /// Live trees [`Forest::tree_of_root`] finds by their root vertex
+    /// (equals `live_trees`).
+    pub roots: usize,
+    /// `(vertex, state)` keys of the node index.
+    pub keys: usize,
+    /// Nodes the index's chains reach, roots included (equals
+    /// `live_nodes + live_trees`).
+    pub indexed_nodes: usize,
+    /// Nodes of the longest chain: the most trees holding one
+    /// `(vertex, state)`.
+    pub longest_chain: usize,
     /// Expiry handles not yet popped by a purge.
     pub expiry_handles: usize,
     /// Trees noted for the next purge's retirement check.
     pub retire_candidates: usize,
     /// Heap bytes reserved by every container the forest owns: capacity
-    /// times slot size, hash tables at `(K, V)` plus one control byte per
-    /// bucket.
+    /// times slot size.
     pub reserved_bytes: usize,
 }
 
 #[cfg(test)]
 impl ForestCensus {
     /// The census without its byte count, which also depends on the order
-    /// entries were removed in (hash tombstones): what twins fed the same
+    /// entries were written and removed in: what twins fed the same
     /// operations but purged differently compare.
     pub(crate) fn occupancy(self) -> Self {
         ForestCensus {
@@ -373,17 +332,15 @@ impl ForestCensus {
 /// particular vertex-state pair").
 #[derive(Debug)]
 pub struct Forest {
-    /// Tree slots; a retired one has no root node and sits in
-    /// `free_trees`.
-    trees: Vec<Tree>,
+    /// Tree slots: each live tree's root node, [`NIL`] for a retired slot
+    /// (which sits in `free_trees`).
+    trees: Vec<NodeIdx>,
     free_trees: Vec<TreeId>,
-    by_root: FxHashMap<VertexId, TreeId>,
     /// The node slab shared by all trees, and its free list's head.
     nodes: Vec<Node>,
     free_nodes: NodeIdx,
-    /// `(tree, vertex, state)` → slab index, for every live node.
-    index: FxHashMap<(TreeId, VertexId, StateId), NodeIdx>,
-    inverted: FxHashMap<(VertexId, StateId), TreeSet>,
+    /// `(vertex, state)` → the first node of its chain.
+    index: RowIndex,
     start_state: StateId,
     /// Live non-root nodes across all trees.
     live_nodes: usize,
@@ -394,17 +351,19 @@ pub struct Forest {
     stack: Vec<NodeIdx>,
 }
 
+fn key_hash(v: VertexId, state: StateId) -> u64 {
+    hash_words([v.0, u64::from(state)])
+}
+
 impl Forest {
     /// Creates an empty forest for a DFA with the given start state.
     pub fn new(start_state: StateId) -> Self {
         Forest {
             trees: Vec::new(),
             free_trees: Vec::new(),
-            by_root: FxHashMap::default(),
             nodes: Vec::new(),
             free_nodes: NIL,
-            index: FxHashMap::default(),
-            inverted: FxHashMap::default(),
+            index: RowIndex::default(),
             start_state,
             live_nodes: 0,
             expiry: ExpiryIndex::default(),
@@ -413,56 +372,80 @@ impl Forest {
         }
     }
 
+    /// The index slot of `(v, state)`'s chain.
+    fn head(&self, v: VertexId, state: StateId) -> Option<usize> {
+        self.index.find(key_hash(v, state), |i| {
+            let n = &self.nodes[i as usize];
+            n.v == v && n.state == state
+        })
+    }
+
+    /// The nodes of `(v, state)`, in ascending tree id.
+    fn chain(&self, v: VertexId, state: StateId) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.chain_from(self.head(v, state).map(|s| self.index.row(s)))
+    }
+
+    /// The chain that starts at node `first`.
+    fn chain_from(&self, first: Option<NodeIdx>) -> impl Iterator<Item = NodeIdx> + '_ {
+        std::iter::successors(first, |&i| {
+            Some(self.nodes[i as usize].next_same).filter(|&n| n != NIL)
+        })
+    }
+
+    /// The length of every chain of the index (a full scan).
+    fn chain_lengths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.index
+            .rows()
+            .map(|first| self.chain_from(Some(first)).count())
+    }
+
     /// Returns the tree rooted at `x`, creating it if absent (Algorithm
     /// S-PATH lines 7–8). A new tree takes a retired slot if there is one.
     pub fn ensure_tree(&mut self, x: VertexId) -> TreeId {
-        if let Some(&t) = self.by_root.get(&x) {
+        if let Some(t) = self.tree_of_root(x) {
             return t;
         }
         let id = self.free_trees.pop().unwrap_or_else(|| {
-            self.trees.push(Tree {
-                root: x,
-                root_node: NIL,
-            });
+            self.trees.push(NIL);
             (self.trees.len() - 1) as TreeId
         });
         // The root is the empty path at x: always valid (Def. 21).
         let always = Interval::new(0, sgq_types::TS_MAX);
-        let root = self.alloc_node(id, NO_PARENT, x, self.start_state, Label(0), always);
-        self.trees[id as usize] = Tree {
-            root: x,
-            root_node: root,
-        };
-        self.by_root.insert(x, id);
+        self.trees[id as usize] =
+            self.alloc_node(id, NO_PARENT, x, self.start_state, Label(0), always);
         // It may never get a child (a late, already expired edge).
         self.maybe_empty.push(id);
         id
     }
 
-    /// The tree rooted at `x`, if any.
+    /// The tree rooted at `x`, if any: the root among `(x, s₀)`'s nodes.
     pub fn tree_of_root(&self, x: VertexId) -> Option<TreeId> {
-        self.by_root.get(&x).copied()
+        self.chain(x, self.start_state)
+            .map(|i| &self.nodes[i as usize])
+            .find(|n| n.parent == NO_PARENT)
+            .map(|n| n.tree)
     }
 
-    /// Trees containing node `(v, state)` — the `ExpandableTrees` probe —
-    /// in ascending slot order, which carries no meaning: callers whose
-    /// output order matters sort by root vertex.
-    pub fn trees_with(&self, v: VertexId, state: StateId) -> impl Iterator<Item = TreeId> + '_ {
-        self.inverted
-            .get(&(v, state))
-            .map_or(&[][..], TreeSet::as_slice)
-            .iter()
-            .copied()
+    /// The trees containing node `(v, state)`, with that node — the
+    /// `ExpandableTrees` probe — in ascending slot order, which carries no
+    /// meaning: callers whose output order matters sort by root vertex.
+    pub fn trees_with(
+        &self,
+        v: VertexId,
+        state: StateId,
+    ) -> impl Iterator<Item = (TreeId, NodeIdx)> + '_ {
+        self.chain(v, state)
+            .map(|i| (self.nodes[i as usize].tree, i))
     }
 
     /// Borrowed view of tree `t`.
     pub fn tree(&self, t: TreeId) -> TreeView<'_> {
-        let tree = self.trees[t as usize];
-        debug_assert!(tree.root_node != NIL, "tree {t} is retired");
+        let root_idx = self.trees[t as usize];
+        debug_assert!(root_idx != NIL, "tree {t} is retired");
         TreeView {
-            root: tree.root,
+            root: self.nodes[root_idx as usize].v,
             id: t,
-            root_idx: tree.root_node,
+            root_idx,
             forest: self,
         }
     }
@@ -488,7 +471,7 @@ impl Forest {
             first_child: NIL,
             next_sib: NIL,
             prev_sib: NIL,
-            alive: true,
+            next_same: NIL,
         };
         let idx = if self.free_nodes != NIL {
             let idx = self.free_nodes;
@@ -496,37 +479,84 @@ impl Forest {
             self.nodes[idx as usize] = node;
             idx
         } else {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("a forest holds fewer than 2^32 - 1 nodes");
             self.nodes.push(node);
-            (self.nodes.len() - 1) as NodeIdx
+            idx
         };
-        let fresh = self.index.insert((t, v, state), idx).is_none();
-        debug_assert!(fresh, "node already present");
-        match self.inverted.entry((v, state)) {
-            Entry::Occupied(mut trees) => trees.get_mut().insert(t),
-            Entry::Vacant(slot) => {
-                slot.insert(TreeSet::One(t));
-            }
-        }
+        self.link_same(idx);
         if parent != NO_PARENT {
             self.link_child(parent, idx);
         }
         idx
     }
 
+    /// Files node `idx` in its `(v, state)` chain, before the first node
+    /// of a higher tree.
+    fn link_same(&mut self, idx: NodeIdx) {
+        let Node { v, state, tree, .. } = self.nodes[idx as usize];
+        let Some(slot) = self.head(v, state) else {
+            self.index.insert(key_hash(v, state), idx);
+            return;
+        };
+        let first = self.index.row(slot);
+        if tree < self.nodes[first as usize].tree {
+            self.nodes[idx as usize].next_same = first;
+            self.index.set_row(slot, idx);
+            return;
+        }
+        let mut prev = first;
+        loop {
+            let next = self.nodes[prev as usize].next_same;
+            if next == NIL || self.nodes[next as usize].tree > tree {
+                break;
+            }
+            prev = next;
+        }
+        debug_assert!(
+            self.nodes[prev as usize].tree < tree,
+            "node already present"
+        );
+        self.nodes[idx as usize].next_same = self.nodes[prev as usize].next_same;
+        self.nodes[prev as usize].next_same = idx;
+    }
+
+    /// Takes node `idx` out of its `(v, state)` chain, dropping the key
+    /// with its last node.
+    fn unlink_same(&mut self, idx: NodeIdx) {
+        let Node {
+            v,
+            state,
+            next_same,
+            ..
+        } = self.nodes[idx as usize];
+        let slot = self.head(v, state).expect("live nodes are indexed");
+        let first = self.index.row(slot);
+        if first == idx {
+            if next_same == NIL {
+                self.index.remove(slot);
+            } else {
+                self.index.set_row(slot, next_same);
+            }
+            return;
+        }
+        let mut prev = first;
+        while self.nodes[prev as usize].next_same != idx {
+            prev = self.nodes[prev as usize].next_same;
+        }
+        self.nodes[prev as usize].next_same = next_same;
+    }
+
     /// Unindexes a node and puts its slot on the free list.
-    fn free_node(&mut self, t: TreeId, i: NodeIdx) {
+    fn free_node(&mut self, i: NodeIdx) {
+        self.unlink_same(i);
         let n = &mut self.nodes[i as usize];
-        let key = (n.v, n.state);
-        n.alive = false;
+        n.tree = NIL;
         n.first_child = NIL;
         n.next_sib = self.free_nodes;
         self.free_nodes = i;
-        self.index.remove(&(t, key.0, key.1));
-        if let Entry::Occupied(mut trees) = self.inverted.entry(key) {
-            if trees.get_mut().remove(t) {
-                trees.remove();
-            }
-        }
     }
 
     /// Links `idx` at the head of `parent`'s child list.
@@ -582,7 +612,7 @@ impl Forest {
     /// handle stays filed under the old expiry and will fail its check.
     pub fn set_interval(&mut self, t: TreeId, node: NodeIdx, interval: Interval) {
         let n = &mut self.nodes[node as usize];
-        debug_assert!(n.alive && n.tree == t && n.parent != NO_PARENT);
+        debug_assert!(n.tree == t && n.parent != NO_PARENT);
         let moved = n.interval.exp != interval.exp;
         n.interval = interval;
         // A ts-only widening is already filed under this expiry.
@@ -604,9 +634,8 @@ impl Forest {
     }
 
     /// Removes the subtree at the non-root `node` of tree `t`, maintaining
-    /// the indexes. Returns the number of nodes removed. A tree this
-    /// leaves root-only is retired by the next [`Forest::purge`], not
-    /// here.
+    /// the index. Returns the number of nodes removed. A tree this leaves
+    /// root-only is retired by the next [`Forest::purge`], not here.
     pub fn remove_subtree(&mut self, t: TreeId, node: NodeIdx) -> usize {
         debug_assert!(
             self.nodes[node as usize].parent != NO_PARENT,
@@ -625,7 +654,7 @@ impl Forest {
                 stack.push(c);
                 c = self.nodes[c as usize].next_sib;
             }
-            self.free_node(t, i);
+            self.free_node(i);
             count += 1;
         }
         self.stack = stack;
@@ -640,16 +669,15 @@ impl Forest {
     /// direct approach of S-PATH: children expire no later than parents,
     /// so whole subtrees go at once), in time proportional to the handles
     /// filed at or below `watermark`; then retires the trees left with
-    /// nothing but their root. Afterwards no root-only tree exists,
-    /// `by_root` has one entry per live tree and no inverted entry is
-    /// empty. See the module docs for the stale-handle rule and for why
-    /// retirement happens only here.
+    /// nothing but their root. Afterwards no root-only tree exists and
+    /// every live tree is found by its root. See the module docs for the
+    /// stale-handle rule and for why retirement happens only here.
     pub fn purge(&mut self, watermark: Timestamp) {
         self.reclaim_expired(watermark);
         self.retire_empty();
         debug_assert_eq!(
-            self.live_nodes + self.by_root.len(),
-            self.index.len(),
+            self.chain_lengths().sum::<usize>(),
+            self.live_nodes + self.tree_ids().count(),
             "maintained node count drifted"
         );
     }
@@ -657,10 +685,11 @@ impl Forest {
     fn reclaim_expired(&mut self, watermark: Timestamp) {
         while let Some(due) = self.expiry.pop_due(watermark) {
             for (t, i) in due {
+                // A free slot has no tree, so it fails the first test.
                 let expired = self
                     .nodes
                     .get(i as usize)
-                    .is_some_and(|n| n.alive && n.tree == t && n.interval.expired_at(watermark));
+                    .is_some_and(|n| n.tree == t && n.interval.expired_at(watermark));
                 if expired {
                     self.remove_subtree(t, i);
                 }
@@ -668,19 +697,18 @@ impl Forest {
         }
     }
 
-    /// Retires the candidates that are still root-only: drops their
-    /// `by_root` and inverted entries, frees their root's slab slot and
-    /// their tree slot.
+    /// Retires the candidates that are still root-only: frees their root's
+    /// slab slot (which takes it out of the `(x, s₀)` chain) and their
+    /// tree slot.
     fn retire_empty(&mut self) {
         while let Some(t) = self.maybe_empty.pop() {
-            let Tree { root, root_node } = self.trees[t as usize];
+            let root = self.trees[t as usize];
             // Retired already, or refilled since it was noted.
-            if root_node == NIL || !self.tree(t).is_root_only() {
+            if root == NIL || !self.tree(t).is_root_only() {
                 continue;
             }
-            self.free_node(t, root_node);
-            self.trees[t as usize].root_node = NIL;
-            self.by_root.remove(&root);
+            self.free_node(root);
+            self.trees[t as usize] = NIL;
             self.free_trees.push(t);
         }
     }
@@ -692,44 +720,33 @@ impl Forest {
 
     /// Iterates over the ids of live trees, ascending.
     pub fn tree_ids(&self) -> impl Iterator<Item = TreeId> + '_ {
-        (0..self.trees.len() as TreeId).filter(|&t| self.trees[t as usize].root_node != NIL)
+        (0..self.trees.len() as TreeId).filter(|&t| self.trees[t as usize] != NIL)
     }
 
     /// Counts slots, index entries and reserved bytes (full scan).
     pub fn census(&self) -> ForestCensus {
         let live = || self.tree_ids().map(|t| self.tree(t));
-        let inverted_lists: usize = self
-            .inverted
-            .values()
-            .map(|s| match s {
-                TreeSet::One(_) => 0,
-                TreeSet::Many(ts) => ts.capacity() * size_of::<TreeId>(),
-            })
-            .sum();
-        let lists =
-            self.free_trees.capacity() + self.maybe_empty.capacity() + self.stack.capacity();
+        let lists = self.trees.capacity()
+            + self.free_trees.capacity()
+            + self.maybe_empty.capacity()
+            + self.stack.capacity();
         ForestCensus {
             tree_slots: self.trees.len(),
             live_trees: live().count(),
             root_only_trees: live().filter(TreeView::is_root_only).count(),
             node_slots: self.nodes.len(),
             live_nodes: self.live_nodes,
-            by_root: self.by_root.len(),
-            inverted_keys: self.inverted.len(),
-            inverted_empty: self
-                .inverted
-                .values()
-                .filter(|s| s.as_slice().is_empty())
+            roots: live()
+                .filter(|t| self.tree_of_root(t.root) == Some(t.id))
                 .count(),
+            keys: self.index.len(),
+            indexed_nodes: self.chain_lengths().sum(),
+            longest_chain: self.chain_lengths().max().unwrap_or(0),
             expiry_handles: self.expiry.pending(),
             retire_candidates: self.maybe_empty.len(),
-            reserved_bytes: self.trees.capacity() * size_of::<Tree>()
-                + self.nodes.capacity() * size_of::<Node>()
+            reserved_bytes: self.nodes.capacity() * size_of::<Node>()
                 + lists * size_of::<u32>()
-                + table_bytes::<VertexId, TreeId>(self.by_root.capacity())
-                + table_bytes::<(TreeId, VertexId, StateId), NodeIdx>(self.index.capacity())
-                + table_bytes::<(VertexId, StateId), TreeSet>(self.inverted.capacity())
-                + inverted_lists
+                + self.index.reserved_bytes()
                 + self.expiry.reserved_bytes(),
         }
     }
@@ -784,6 +801,11 @@ mod tests {
         f.tree(t).root_idx()
     }
 
+    /// The trees `trees_with` names for `(x, state)`.
+    fn trees(f: &Forest, x: u64, state: StateId) -> Vec<TreeId> {
+        f.trees_with(v(x), state).map(|(t, _)| t).collect()
+    }
+
     fn iv(ts: u64, exp: u64) -> Interval {
         Interval::new(ts, exp)
     }
@@ -801,7 +823,7 @@ mod tests {
         let a = f.ensure_tree(v(1));
         let b = f.ensure_tree(v(1));
         assert_eq!(a, b);
-        assert_eq!(f.trees_with(v(1), 0).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(trees(&f, 1, 0), vec![a]);
     }
 
     #[test]
@@ -815,7 +837,7 @@ mod tests {
         assert_eq!(p.edges(), &[e(1, 2), e(2, 3)]);
         assert_eq!(p.src(), v(1));
         assert_eq!(p.dst(), v(3));
-        assert_eq!(f.trees_with(v(3), 1).collect::<Vec<_>>(), vec![t]);
+        assert_eq!(f.trees_with(v(3), 1).collect::<Vec<_>>(), vec![(t, n3)]);
     }
 
     #[test]
@@ -827,7 +849,7 @@ mod tests {
         assert_eq!(f.remove_subtree(t, n2), 2);
         assert!(f.tree(t).get(v(2), 1).is_none());
         assert!(f.tree(t).get(v(3), 1).is_none());
-        assert_eq!(f.trees_with(v(3), 1).count(), 0);
+        assert_eq!(trees(&f, 3, 1), vec![]);
         assert_eq!(f.size(), 0);
     }
 
@@ -891,11 +913,11 @@ mod tests {
         let t2 = tree_with_child(&mut f, 3, 4, iv(0, 50));
         f.purge(5);
         assert_eq!(f.tree_of_root(v(1)), None);
-        assert_eq!(f.trees_with(v(1), 0).count(), 0, "root left the index");
+        assert_eq!(trees(&f, 1, 0), vec![], "root left the index");
         assert_eq!(f.tree_ids().collect::<Vec<_>>(), vec![t2]);
         let c = f.census();
-        assert_eq!((c.tree_slots, c.live_trees, c.by_root), (2, 1, 1));
-        assert_eq!((c.root_only_trees, c.inverted_empty), (0, 0));
+        assert_eq!((c.tree_slots, c.live_trees, c.roots), (2, 1, 1));
+        assert_eq!((c.root_only_trees, c.indexed_nodes), (0, 2));
         // The next new root takes the retired slot instead of a third one.
         let t3 = tree_with_child(&mut f, 7, 8, iv(6, 60));
         assert_eq!(t3, t1);
@@ -927,7 +949,7 @@ mod tests {
         assert_eq!(f.census().root_only_trees, 1);
         f.purge(0);
         let c = f.census();
-        assert_eq!((c.live_trees, c.by_root, c.inverted_keys), (0, 0, 0));
+        assert_eq!((c.live_trees, c.roots, c.keys), (0, 0, 0));
     }
 
     #[test]
@@ -939,7 +961,7 @@ mod tests {
         f.remove_subtree(t, n);
         // Emptied mid-epoch: still addressable, still probed.
         assert_eq!(f.tree_of_root(v(1)), Some(t));
-        assert_eq!(f.trees_with(v(1), 0).collect::<Vec<_>>(), vec![t]);
+        assert_eq!(trees(&f, 1, 0), vec![t]);
         // Refilled before the purge: the candidate note is void.
         f.insert_child(t, root(&f, t), v(5), 1, L, iv(2, 60));
         f.purge(2);
@@ -1041,5 +1063,319 @@ mod tests {
             );
         }
         assert_eq!(by_index.census().live_trees, 0);
+    }
+
+    #[test]
+    fn keys_with_equal_hashes_keep_distinct_chains() {
+        // One Fx step is `h' = (rotl(h, 5) ^ w) · K` with K odd, so keys
+        // `(a, s)` and `(b, s2)` hash alike iff `rotl(a·K, 5) ^ s ==
+        // rotl(b·K, 5) ^ s2`: pick `a`, `s`, `s2` and solve for `b` with the
+        // inverse of K modulo 2^64 (Newton's iteration).
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let mut k_inv = K;
+        for _ in 0..6 {
+            k_inv = k_inv.wrapping_mul(2u64.wrapping_sub(K.wrapping_mul(k_inv)));
+        }
+        assert_eq!(K.wrapping_mul(k_inv), 1);
+        let (a, s, s2) = (3u64, 1, 2);
+        let b = ((a.wrapping_mul(K)).rotate_left(5) ^ u64::from(s) ^ u64::from(s2))
+            .rotate_right(5)
+            .wrapping_mul(k_inv);
+        assert_eq!(
+            key_hash(v(a), s),
+            key_hash(v(b), s2),
+            "constructed collision"
+        );
+
+        let mut f = Forest::new(0);
+        let [t1, t2, t3] = [1, 2, 4].map(|x| f.ensure_tree(v(x)));
+        let a1 = f.insert_child(t1, root(&f, t1), v(a), s, L, iv(0, 10));
+        let b1 = f.insert_child(t1, a1, v(b), s2, L, iv(0, 20));
+        let b2 = f.insert_child(t2, root(&f, t2), v(b), s2, L, iv(0, 30));
+        let a3 = f.insert_child(t3, root(&f, t3), v(a), s, L, iv(0, 30));
+        assert_eq!(
+            f.trees_with(v(a), s).collect::<Vec<_>>(),
+            [(t1, a1), (t3, a3)]
+        );
+        assert_eq!(
+            f.trees_with(v(b), s2).collect::<Vec<_>>(),
+            [(t1, b1), (t2, b2)]
+        );
+        assert_eq!(f.tree(t2).get(v(a), s), None);
+        assert_eq!(f.tree(t3).get(v(b), s2), None);
+        assert_eq!(f.census().keys, 5, "three roots and the two keys");
+        // Removing `(a, s)` from T_1 takes its child along, and nothing of
+        // the other key's chain but that child.
+        f.remove_subtree(t1, a1);
+        assert_eq!(f.trees_with(v(a), s).collect::<Vec<_>>(), [(t3, a3)]);
+        assert_eq!(f.trees_with(v(b), s2).collect::<Vec<_>>(), [(t2, b2)]);
+        f.purge(30);
+        assert_eq!((trees(&f, a, s), trees(&f, b, s2)), (vec![], vec![]));
+        let c = f.census();
+        assert_eq!((c.keys, c.indexed_nodes, c.live_trees), (0, 0, 0), "{c:?}");
+    }
+
+    #[test]
+    fn a_hub_every_tree_holds_keeps_one_ascending_chain() {
+        // `(HUB, s₀)` sits in 500 trees, and HUB also roots a tree made
+        // halfway through: `tree_of_root` has to pick that root out of a
+        // 501-node chain, and `get` has to stop at the tree asked for,
+        // while nodes leave the chain's middle, trees retire and new trees
+        // take their slots (and so their places in the chain).
+        const HUB: u64 = 1_000_000;
+        let mut f = Forest::new(0);
+        let mut want: BTreeMap<TreeId, NodeIdx> = BTreeMap::new();
+        let mut exp_of: BTreeMap<TreeId, u64> = BTreeMap::new();
+        let mut hub_tree = NIL;
+        for x in 0..500 {
+            if x == 250 {
+                hub_tree = f.ensure_tree(v(HUB));
+                want.insert(hub_tree, root(&f, hub_tree));
+                f.insert_child(hub_tree, root(&f, hub_tree), v(HUB + 1), 1, L, iv(0, 99));
+            }
+            let t = f.ensure_tree(v(x));
+            let exp = 10 + 10 * (x % 3);
+            want.insert(t, f.insert_child(t, root(&f, t), v(HUB), 0, L, iv(0, exp)));
+            exp_of.insert(t, exp);
+        }
+        let check = |f: &Forest, want: &BTreeMap<TreeId, NodeIdx>, at: &str| {
+            let got: Vec<(TreeId, NodeIdx)> = f.trees_with(v(HUB), 0).collect();
+            assert_eq!(
+                got,
+                want.iter().map(|(&t, &i)| (t, i)).collect::<Vec<_>>(),
+                "{at}"
+            );
+            for (&t, &i) in want {
+                assert_eq!(f.tree(t).get(v(HUB), 0), Some(i), "{at}: tree {t}");
+            }
+            assert_eq!(f.tree_of_root(v(HUB)), Some(hub_tree), "{at}");
+            let c = f.census();
+            assert_eq!(c.longest_chain, want.len(), "{at}: {c:?}");
+            assert_eq!(c.indexed_nodes, c.live_nodes + c.live_trees, "{at}: {c:?}");
+        };
+        check(&f, &want, "built");
+        // Every fourth tree loses its hub node mid-epoch.
+        let gone: Vec<TreeId> = want
+            .keys()
+            .copied()
+            .filter(|&t| t != hub_tree)
+            .step_by(4)
+            .collect();
+        for t in gone {
+            f.remove_subtree(t, want.remove(&t).unwrap());
+        }
+        check(&f, &want, "removed");
+        // The purge retires them and every tree whose hub node expired at 10.
+        f.purge(10);
+        want.retain(|t, _| *t == hub_tree || exp_of[t] > 10);
+        assert!(f.census().live_trees < 350, "{:?}", f.census());
+        check(&f, &want, "purged");
+        // New roots reuse the retired slots, so they join the chain at
+        // their slot's place, not at its end.
+        for x in 2_000..2_200 {
+            let t = f.ensure_tree(v(x));
+            want.insert(t, f.insert_child(t, root(&f, t), v(HUB), 0, L, iv(11, 50)));
+        }
+        assert_eq!(
+            f.census().tree_slots,
+            501,
+            "every new tree took a retired slot"
+        );
+        check(&f, &want, "refilled");
+        f.purge(99);
+        assert_eq!(f.tree_of_root(v(HUB)), None);
+        let c = f.census();
+        assert_eq!((c.live_trees, c.keys, c.longest_chain), (0, 0, 0), "{c:?}");
+    }
+
+    /// A node of the model forest: its interval and its parent's key
+    /// (`None` for the root).
+    type Key = (u64, StateId);
+    type ModelNodes = BTreeMap<Key, (Interval, Option<Key>)>;
+
+    /// Removes `key` and its descendants from a model tree.
+    fn model_remove(nodes: &mut ModelNodes, key: Key) {
+        let mut gone = vec![key];
+        while let Some(k) = gone.pop() {
+            nodes.remove(&k);
+            gone.extend(
+                nodes
+                    .iter()
+                    .filter(|(_, (_, p))| *p == Some(k))
+                    .map(|(&c, _)| c),
+            );
+        }
+    }
+
+    /// Holds the forest against the model: every key's `trees_with` lists
+    /// exactly the model's trees holding it, in strictly ascending id,
+    /// each with the node `get` finds, carrying the model's interval and
+    /// parent.
+    fn check_against_model(
+        f: &Forest,
+        model: &BTreeMap<u64, (TreeId, ModelNodes)>,
+        keys: &[Key],
+        at: &str,
+    ) {
+        let mut held: BTreeMap<Key, Vec<TreeId>> = BTreeMap::new();
+        let mut by_id = BTreeMap::new();
+        for (&x, (t, nodes)) in model {
+            assert_eq!(f.tree_of_root(v(x)), Some(*t), "{at}: root {x}");
+            by_id.insert(*t, nodes);
+            for &k in nodes.keys() {
+                held.entry(k).or_default().push(*t);
+            }
+        }
+        for &k in keys {
+            let got: Vec<(TreeId, NodeIdx)> = f.trees_with(v(k.0), k.1).collect();
+            let ids: Vec<TreeId> = got.iter().map(|&(t, _)| t).collect();
+            assert!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "{at}: {k:?} in {ids:?}"
+            );
+            let mut want = held.get(&k).cloned().unwrap_or_default();
+            want.sort_unstable();
+            assert_eq!(ids, want, "{at}: trees holding {k:?}");
+            for (t, i) in got {
+                let tree = f.tree(t);
+                let n = tree.node(i);
+                assert_eq!((n.v, n.state), (v(k.0), k.1), "{at}");
+                assert_eq!(tree.get(v(k.0), k.1), Some(i), "{at}");
+                let (interval, parent) = by_id[&t][&k];
+                assert_eq!(n.interval, interval, "{at}: {k:?} in tree {t}");
+                let p = (n.parent != NO_PARENT).then(|| {
+                    let p = tree.node(n.parent);
+                    (p.v.0, p.state)
+                });
+                assert_eq!(p, parent, "{at}: parent of {k:?} in tree {t}");
+            }
+        }
+        let size: usize = model.values().map(|(_, nodes)| nodes.len() - 1).sum();
+        assert_eq!(f.size(), size, "{at}");
+        let c = f.census();
+        assert_eq!((c.live_trees, c.roots), (model.len(), model.len()), "{at}");
+        assert_eq!(c.indexed_nodes, size + model.len(), "{at}: {c:?}");
+        assert_eq!(c.live_nodes, size, "{at}");
+    }
+
+    #[test]
+    fn trees_with_stays_ascending_and_complete_under_random_operations() {
+        // Six non-root keys and forty roots: every key is held by many
+        // trees at once. Roots come and go, so trees retire and their
+        // slots — and freed node slots — are reused by others.
+        const ROOTS: u64 = 40;
+        let inner: [Key; 6] = [(100, 1), (100, 2), (101, 1), (101, 2), (102, 1), (103, 2)];
+        let keys: Vec<Key> = inner
+            .iter()
+            .copied()
+            .chain((0..ROOTS).map(|x| (x, 0)))
+            .collect();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut f = Forest::new(0);
+        let mut model: BTreeMap<u64, (TreeId, ModelNodes)> = BTreeMap::new();
+        let (mut now, mut trees_made, mut nodes_made, mut purges) = (0u64, 0, 0, 0);
+        for step in 0..3_000 {
+            let at = format!("step {step}");
+            let pick = |model: &BTreeMap<u64, (TreeId, ModelNodes)>, r: u64| {
+                model
+                    .values()
+                    .nth(r as usize % model.len().max(1))
+                    .map(|(t, n)| (*t, n.clone()))
+            };
+            match next(10) {
+                0..=4 => {
+                    let x = next(ROOTS);
+                    let t = f.ensure_tree(v(x));
+                    let (id, nodes) = model.entry(x).or_insert_with(|| {
+                        trees_made += 1;
+                        (
+                            t,
+                            BTreeMap::from([((x, 0), (iv(0, sgq_types::TS_MAX), None))]),
+                        )
+                    });
+                    assert_eq!(*id, t, "{at}");
+                    let k = inner[next(6) as usize];
+                    if nodes.contains_key(&k) {
+                        continue;
+                    }
+                    let parents: Vec<Key> = nodes.keys().copied().collect();
+                    let pk = parents[next(parents.len() as u64) as usize];
+                    let interval = iv(now, now + 1 + next(30));
+                    let p = f.tree(t).get(v(pk.0), pk.1).expect("parent held");
+                    f.insert_child(t, p, v(k.0), k.1, L, interval);
+                    nodes.insert(k, (interval, Some(pk)));
+                    nodes_made += 1;
+                }
+                5..=6 => {
+                    let Some((t, nodes)) = pick(&model, next(64)) else {
+                        continue;
+                    };
+                    let inner_keys: Vec<Key> = nodes.keys().copied().filter(|k| k.1 != 0).collect();
+                    if inner_keys.is_empty() {
+                        continue;
+                    }
+                    let k = inner_keys[next(inner_keys.len() as u64) as usize];
+                    let old = nodes[&k].0;
+                    let better = iv(old.ts, old.exp + 1 + next(10));
+                    let i = f.tree(t).get(v(k.0), k.1).expect("held");
+                    f.set_interval(t, i, better);
+                    let root = f.tree(t).root.0;
+                    model.get_mut(&root).unwrap().1.get_mut(&k).unwrap().0 = better;
+                }
+                7 => {
+                    let Some((t, nodes)) = pick(&model, next(64)) else {
+                        continue;
+                    };
+                    let inner_keys: Vec<Key> = nodes.keys().copied().filter(|k| k.1 != 0).collect();
+                    if inner_keys.is_empty() {
+                        continue;
+                    }
+                    let k = inner_keys[next(inner_keys.len() as u64) as usize];
+                    let i = f.tree(t).get(v(k.0), k.1).expect("held");
+                    f.remove_subtree(t, i);
+                    let root = f.tree(t).root.0;
+                    model_remove(&mut model.get_mut(&root).unwrap().1, k);
+                }
+                _ => {
+                    now += 1 + next(4);
+                    f.purge(now);
+                    purges += 1;
+                    for (_, nodes) in model.values_mut() {
+                        let expired: Vec<Key> = nodes
+                            .iter()
+                            .filter(|(_, (i, _))| i.expired_at(now))
+                            .map(|(&k, _)| k)
+                            .collect();
+                        for k in expired {
+                            model_remove(nodes, k);
+                        }
+                    }
+                    model.retain(|_, (_, nodes)| nodes.len() > 1);
+                    assert_eq!(f.census().root_only_trees, 0, "{at}");
+                }
+            }
+            check_against_model(&f, &model, &keys, &at);
+            for x in 0..ROOTS {
+                if !model.contains_key(&x) {
+                    assert_eq!(f.tree_of_root(v(x)), None, "{at}: root {x}");
+                }
+            }
+        }
+        let c = f.census();
+        assert!(purges > 200, "{purges}");
+        assert!(
+            c.tree_slots * 4 < trees_made,
+            "tree slots reused: {c:?}, {trees_made} made"
+        );
+        assert!(
+            c.node_slots * 4 < nodes_made,
+            "node slots reused: {c:?}, {nodes_made} made"
+        );
     }
 }

@@ -14,6 +14,7 @@ pub mod forest;
 pub mod negpath;
 pub mod pattern;
 pub mod rederive;
+mod row_index;
 pub mod simple;
 pub mod spath;
 pub mod wcoj;

@@ -162,12 +162,7 @@ impl NegPathOp {
             if from == self.dfa.start() {
                 self.forest.ensure_tree(u);
             }
-            for tree in self.forest.trees_with(u, from).collect::<Vec<_>>() {
-                let parent = self
-                    .forest
-                    .tree(tree)
-                    .get(u, from)
-                    .expect("inverted index is consistent");
+            for (tree, parent) in self.forest.trees_with(u, from).collect::<Vec<_>>() {
                 self.extend_all(
                     tree,
                     vec![Ext {
@@ -196,10 +191,9 @@ impl NegPathOp {
     ) {
         let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(edge.label).to_vec();
         for (_, to) in transitions {
-            for tree in self.forest.trees_with(edge.trg, to).collect::<Vec<_>>() {
-                let Some(idx) = self.forest.tree(tree).get(edge.trg, to) else {
-                    continue;
-                };
+            // Trees re-derive independently: a pass over one frees slots
+            // of that tree only, and inserts none, so the list holds.
+            for (tree, idx) in self.forest.trees_with(edge.trg, to).collect::<Vec<_>>() {
                 if self.forest.tree(tree).edge(idx) != Some(edge) {
                     continue; // non-tree edge: "does not require any modification"
                 }

@@ -21,7 +21,8 @@
 //! row is one binding's values in that side's variable layout, held in
 //! one arena per table, with its validity alongside (inline while it is a
 //! single interval) and a free list of row slots. Two open-addressing
-//! indexes over row ids hash the values where they lie in the arena: the
+//! indexes over row ids (`physical/row_index.rs`, which PATH's forest and
+//! adjacency use too) hash the values where they lie in the arena: the
 //! **key index** maps a join key to the first of that key's rows, which
 //! are chained in insertion order, and the **binding index** maps a row's
 //! values to its slot, for coalescing and negative tuples. A hash is never
@@ -40,12 +41,11 @@
 //! dedup pairs are filed and purged the same way. A purge therefore costs
 //! what expires, not what is held.
 
-use super::forest::{table_bytes, ExpiryIndex};
+use super::forest::ExpiryIndex;
+use super::row_index::{hash_words, RowIndex, NIL};
 use super::{Delta, DeltaBatch, PhysicalOp};
 use crate::algebra::{Pos, Side};
-use sgq_types::hash::FxHasher;
 use sgq_types::{Edge, FxHashMap, Interval, IntervalSet, Label, Payload, Sgt, Timestamp, VertexId};
-use std::hash::Hasher;
 use std::mem::size_of;
 
 // Send audit: the symmetric-hash-join stage tables and emission dedup
@@ -130,116 +130,23 @@ struct StagePlan {
     out_from: Vec<(bool, usize)>,
 }
 
-/// End of a free list, and the row of a vacant index slot.
-const NIL: u32 = u32::MAX;
-
-/// Fx over a key's or a row's words, in order. A stage's two tables list
-/// their key positions in the same variable order, so one hash of a key
-/// locates it in either table.
-fn hash_words(words: impl IntoIterator<Item = VertexId>) -> u64 {
-    let mut h = FxHasher::default();
-    for w in words {
-        h.write_u64(w.0);
-    }
-    h.finish()
+/// Fx over a key's or a row's values, in order. A stage's two tables
+/// list their key positions in the same variable order, so one hash of a
+/// key locates it in either table.
+fn hash_vals(vals: impl IntoIterator<Item = VertexId>) -> u64 {
+    hash_words(vals.into_iter().map(|v| v.0))
 }
 
-/// One slot of a [`RowIndex`]: a row id and the upper half of its hash.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    tag: u32,
-    row: u32,
-}
-
-const VACANT: Slot = Slot { tag: 0, row: NIL };
-
-/// An open-addressing index over row ids: linear probing, at most 3/4
-/// full, deletion by backward shift (no tombstones). A slot keeps the
-/// upper 32 bits of the row's 64-bit hash, which pick its home slot and
-/// filter probes; the caller confirms every hit that passes the filter
-/// against the arena, so colliding hashes only cost a comparison.
-#[derive(Debug, Default)]
-struct RowIndex {
-    slots: Vec<Slot>,
-    len: usize,
-}
-
-impl RowIndex {
-    fn tag(hash: u64) -> u32 {
-        (hash >> 32) as u32
-    }
-
-    /// The slot of the row filed under `hash` that `is` accepts.
-    fn find(&self, hash: u64, mut is: impl FnMut(u32) -> bool) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let tag = Self::tag(hash);
-        let mask = self.slots.len() - 1;
-        let mut i = tag as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s.row == NIL {
-                return None;
-            }
-            if s.tag == tag && is(s.row) {
-                return Some(i);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Files `row` under `hash`; the caller has checked it is absent.
-    fn insert(&mut self, hash: u64, row: u32) {
-        if 4 * (self.len + 1) > 3 * self.slots.len() {
-            let cap = (2 * self.slots.len()).max(8);
-            let old = std::mem::replace(&mut self.slots, vec![VACANT; cap]);
-            old.into_iter()
-                .filter(|s| s.row != NIL)
-                .for_each(|s| self.place(s));
-        }
-        self.place(Slot {
-            tag: Self::tag(hash),
-            row,
-        });
-        self.len += 1;
-    }
-
-    fn place(&mut self, s: Slot) {
-        let mask = self.slots.len() - 1;
-        let mut i = s.tag as usize & mask;
-        while self.slots[i].row != NIL {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = s;
-    }
-
-    /// Empties slot `hole`, shifting back the entries after it that may
-    /// fill it, so no probe chain is broken.
-    fn remove(&mut self, mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let s = self.slots[j];
-            if s.row == NIL {
-                break;
-            }
-            // `s` may move into the hole iff the hole lies on its probe
-            // path, i.e. no further from its home than `j` is.
-            let home = s.tag as usize & mask;
-            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
-                self.slots[hole] = s;
-                hole = j;
-            }
-        }
-        self.slots[hole] = VACANT;
-        self.len -= 1;
-    }
-
-    fn rows(&self) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().map(|s| s.row).filter(|&r| r != NIL)
-    }
+/// Bytes a hash table with `capacity` reserves: one `(K, V)` slot and one
+/// control byte per bucket. Buckets are a power of two at most 7/8 full;
+/// tombstones lower the capacity a table reports, so this is a floor.
+fn table_bytes<K, V>(capacity: usize) -> usize {
+    let buckets = match capacity {
+        0 => 0,
+        c if c < 8 => (c + 1).next_power_of_two(),
+        c => (c * 8 / 7).next_power_of_two(),
+    };
+    buckets * (size_of::<(K, V)>() + 1)
 }
 
 /// A row slot's validity and its links in its key's chain: a circular
@@ -305,7 +212,7 @@ impl Table {
     fn first(&self, key: &[VertexId], hk: u64) -> u32 {
         self.keys
             .find(hk, |r| self.key_words(r).eq(key.iter().copied()))
-            .map_or(NIL, |s| self.keys.slots[s].row)
+            .map_or(NIL, |s| self.keys.row(s))
     }
 
     /// The slot of the binding index holding `vals` (hash `hb`).
@@ -330,9 +237,9 @@ impl Table {
         iv: Interval,
         suppress: bool,
     ) -> Option<Interval> {
-        let hb = hash_words(vals.iter().copied());
+        let hb = hash_vals(vals.iter().copied());
         if let Some(slot) = self.binding(vals, hb) {
-            let r = self.bindings.slots[slot].row;
+            let r = self.bindings.row(slot);
             let set = &mut self.rows[r as usize].set;
             let covered = set.covers(&iv);
             if suppress && covered {
@@ -392,9 +299,9 @@ impl Table {
     /// Removes `iv` from the binding `vals` (negative tuple), freeing its
     /// row if nothing is left.
     fn remove(&mut self, hk: u64, vals: &[VertexId], iv: Interval) {
-        let hb = hash_words(vals.iter().copied());
+        let hb = hash_vals(vals.iter().copied());
         if let Some(slot) = self.binding(vals, hb) {
-            let r = self.bindings.slots[slot].row;
+            let r = self.bindings.row(slot);
             self.rows[r as usize].set.remove(iv);
             if self.rows[r as usize].set.is_empty() {
                 self.drop_row(r, slot, hk);
@@ -414,7 +321,7 @@ impl Table {
             if next == r {
                 self.keys.remove(first);
             } else {
-                self.keys.slots[first].row = next;
+                self.keys.set_row(first, next);
             }
         }
         self.rows[r as usize].next = self.free;
@@ -457,8 +364,8 @@ impl Table {
                 if !set.is_empty() {
                     continue; // extended, or reused by a later binding
                 }
-                let hb = hash_words(self.vals(r).iter().copied());
-                let hk = hash_words(self.key_words(r));
+                let hb = hash_vals(self.vals(r).iter().copied());
+                let hk = hash_vals(self.key_words(r));
                 let slot = self
                     .bindings
                     .find(hb, |x| x == r)
@@ -484,12 +391,13 @@ impl Table {
             }
         }
         c.row_slots += self.rows.len();
-        c.keys += self.keys.len;
+        c.keys += self.keys.len();
         c.expiry_handles += self.expiry.pending();
         c.interval_writes += self.writes;
         c.reserved_bytes += self.vals.capacity() * size_of::<VertexId>()
             + self.rows.capacity() * size_of::<Row>()
-            + (self.keys.slots.capacity() + self.bindings.slots.capacity()) * size_of::<Slot>()
+            + self.keys.reserved_bytes()
+            + self.bindings.reserved_bytes()
             + self.key_pos.capacity() * size_of::<usize>()
             + self.expiry.reserved_bytes();
     }
@@ -735,7 +643,7 @@ impl PatternOp {
             while j < order.len() && key_of(order[j] as usize) == key {
                 j += 1;
             }
-            let hk = hash_words(key.iter().copied());
+            let hk = hash_vals(key.iter().copied());
             let other_first = other.first(key, hk);
             for &w_idx in &order[i..j] {
                 let w = &works[w_idx as usize];
@@ -1184,7 +1092,7 @@ pub(super) mod tests {
         let (a0, a1, b0) = (3u64, 4u64, 5u64);
         let b1 = (a0.wrapping_mul(K)).rotate_left(5) ^ a1 ^ (b0.wrapping_mul(K)).rotate_left(5);
         let (a, b) = ([VertexId(a0), VertexId(a1)], [VertexId(b0), VertexId(b1)]);
-        assert_eq!(hash_words(a), hash_words(b), "constructed collision");
+        assert_eq!(hash_vals(a), hash_vals(b), "constructed collision");
         assert_ne!(a, b);
 
         let mut op = same_pair(false);
@@ -1306,32 +1214,5 @@ pub(super) mod tests {
         // Before any purge: no retraction left a slot behind.
         let c = census(&op);
         assert_eq!((c.dedup_pairs, c.rows), (0, 1), "{c:?}");
-    }
-
-    #[test]
-    fn row_index_keeps_every_chain_whole_through_removals() {
-        // Tags near `u32::MAX` home on the last slots at every table size,
-        // so the chains wrap around the end and backward shifts cross it.
-        let hash = |r: u32| u64::from(u32::MAX - r % 5) << 32;
-        let (mut idx, mut live) = (RowIndex::default(), Vec::new());
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        for row in 0..600u32 {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            if live.is_empty() || !rng.is_multiple_of(3) {
-                idx.insert(hash(row), row);
-                live.push(row);
-            } else {
-                let gone = live.swap_remove((rng % live.len() as u64) as usize);
-                let slot = idx.find(hash(gone), |x| x == gone).expect("indexed");
-                idx.remove(slot);
-            }
-            assert_eq!(idx.len, live.len());
-        }
-        for row in 0..600 {
-            let found = idx.find(hash(row), |x| x == row).is_some();
-            assert_eq!(found, live.contains(&row), "row {row}");
-        }
     }
 }

@@ -175,7 +175,7 @@ pub fn rederive_in(
         let t = forest.tree(tree);
         let mut stack = roots.to_vec();
         while let Some(i) = stack.pop() {
-            if !t.node(i).alive || !marked.insert(i) {
+            if !t.node(i).alive() || !marked.insert(i) {
                 continue;
             }
             order.push(i);
@@ -258,7 +258,7 @@ pub fn rederive_in(
 
     // --- Remove unsettled nodes -----------------------------------------
     for &(idx, _, _, _) in old.iter() {
-        if marked.contains(&idx) && forest.tree(tree).node(idx).alive {
+        if marked.contains(&idx) && forest.tree(tree).node(idx).alive() {
             forest.remove_subtree(tree, idx);
         }
     }

@@ -237,10 +237,13 @@ impl SPathOp {
         seeds.clear();
         for &(edge, stored) in epoch.edges() {
             for &(from, to) in self.dfa.transitions_on(edge.label) {
-                for tree in self.forest.trees_with(edge.src, from) {
-                    let t = self.forest.tree(tree);
-                    let parent = t.get(edge.src, from).expect("inverted index is consistent");
-                    let iv = t.node(parent).interval.intersect(&stored);
+                for (tree, parent) in self.forest.trees_with(edge.src, from) {
+                    let iv = self
+                        .forest
+                        .tree(tree)
+                        .node(parent)
+                        .interval
+                        .intersect(&stored);
                     if iv.is_empty() || iv.expired_at(now) {
                         continue;
                     }
@@ -397,9 +400,8 @@ impl SPathOp {
         let mut cut = std::mem::take(&mut self.cut);
         for &(_, to) in self.dfa.transitions_on(l) {
             cut.clear();
-            cut.extend(self.forest.trees_with(v, to).filter_map(|tree| {
+            cut.extend(self.forest.trees_with(v, to).filter_map(|(tree, idx)| {
                 let t = self.forest.tree(tree);
-                let idx = t.get(v, to)?;
                 (t.edge(idx) == Some(edge)).then_some((t.root, tree, idx))
             }));
             cut.sort_unstable();
@@ -551,12 +553,7 @@ mod tests {
                     self.forest.ensure_tree(u);
                 }
                 // Lines 14–19: every tree containing (u, from) can extend.
-                for tree in self.forest.trees_with(u, from).collect::<Vec<_>>() {
-                    let parent = self
-                        .forest
-                        .tree(tree)
-                        .get(u, from)
-                        .expect("inverted index is consistent");
+                for (tree, parent) in self.forest.trees_with(u, from).collect::<Vec<_>>() {
                     self.extend_all(
                         tree,
                         vec![Ext {
@@ -1316,8 +1313,8 @@ mod tests {
             let live_window = (FRESH * WINDOW / SLIDE) as usize;
             sizes.iter().all(|c| {
                 c.tree_slots <= 2 * live_window
-                    && c.by_root <= live_window
-                    && c.inverted_keys <= 2 * live_window + FRESH as usize
+                    && c.roots <= live_window
+                    && c.keys <= 2 * live_window + FRESH as usize
                     && c.root_only_trees == 0
             })
         };

@@ -58,7 +58,17 @@ pub struct MultiQueryEngine {
     /// decision (register/deregister): the drift baseline `plan_choice`
     /// feeds the chooser's staleness rule.
     sketch_baseline: FxHashMap<Label, u64>,
+    /// Scratch of `process_batch_collect`, empty between calls and kept
+    /// with at most [`SCRATCH_KEPT`] entries' capacity: each edge's last
+    /// suppression period, and the epoch being accumulated.
+    seen: FxHashMap<(VertexId, VertexId, Label), Timestamp>,
+    epoch: Vec<(Label, Delta)>,
 }
+
+/// Entries of batch scratch whose capacity a [`MultiQueryEngine`] keeps
+/// between calls: a serve epoch (256 edges) fits, so the serve loop does
+/// not reallocate it.
+const SCRATCH_KEPT: usize = 1024;
 
 /// Label-distribution drift (total variation, milli — see
 /// `StreamSketch::drift_milli`) against a registration's baseline beyond
@@ -122,6 +132,8 @@ impl MultiQueryEngine {
             retention_horizon: 0,
             profile: Vec::new(),
             sketch_baseline: FxHashMap::default(),
+            seen: FxHashMap::default(),
+            epoch: Vec::new(),
         }
     }
 
@@ -697,8 +709,10 @@ impl MultiQueryEngine {
             batch.windows(2).all(|w| w[0].t <= w[1].t),
             "batches are stream segments (ordered by timestamp)"
         );
-        let mut seen: FxHashMap<(VertexId, VertexId, Label), Timestamp> = FxHashMap::default();
-        let mut epoch: Vec<(Label, Delta)> = Vec::new();
+        let (mut seen, mut epoch) = (
+            std::mem::take(&mut self.seen),
+            std::mem::take(&mut self.epoch),
+        );
         for &sge in batch {
             // Retain even coalesced duplicates: retention is raw input
             // history, independent of the current tick granularity.
@@ -724,6 +738,11 @@ impl MultiQueryEngine {
         }
         self.flush_epoch(&mut epoch, reborrow(&mut collect));
         self.advance_time_into(last.t, reborrow(&mut collect));
+        // One large batch must not leave a map of all its edges behind.
+        seen.clear();
+        seen.shrink_to(SCRATCH_KEPT);
+        epoch.shrink_to(SCRATCH_KEPT);
+        (self.seen, self.epoch) = (seen, epoch);
     }
 
     /// Explicitly deletes a previously inserted sge for every registered

@@ -828,8 +828,9 @@ impl EngineLoop {
     /// Ingests the pending epoch and routes the fresh results.
     fn flush_epoch(&mut self) {
         if !self.pending.is_empty() {
-            let batch = std::mem::take(&mut self.pending);
-            self.engine.ingest_batch(&batch);
+            // Borrowed and cleared, so the buffer keeps its capacity.
+            self.engine.ingest_batch(&self.pending);
+            self.pending.clear();
         }
         self.route_results();
     }

@@ -9,9 +9,8 @@
 //! surface every other suite (and the in-process benchmark mirror) reads.
 //!
 //! Sections (d)–(f) hold **operator state** to the same standard: the
-//! Δ-PATH forest and window adjacency of a PATH operator — tree and node
-//! slots, `by_root`, the inverted index, adjacency buckets, pending
-//! expiry handles — and a hash-join PATTERN's join tables and output
+//! Δ-PATH forest and window adjacency of a PATH operator — tree, node and
+//! edge slots, index keys, pending expiry handles, bytes — and a hash-join PATTERN's join tables and output
 //! dedup — row slots, keys, dedup pairs, pending expiry handles, bytes —
 //! are bounded by the window's content after every purge, on a stream
 //! that mints vertex ids without end.
@@ -21,8 +20,6 @@ use std::collections::{BTreeSet, VecDeque};
 use proptest::prelude::*;
 use s_graffito::automata::Regex;
 use s_graffito::core::algebra::Pos;
-use s_graffito::core::physical::adjacency::AdjEntry;
-use s_graffito::core::physical::forest::Node;
 use s_graffito::core::physical::pattern::{CompiledPattern, PatternOp};
 use s_graffito::core::physical::spath::SPathOp;
 use s_graffito::core::physical::{PathCensus, PatternCensus, PhysicalOp};
@@ -559,12 +556,20 @@ struct Content {
     edges: usize,
 }
 
-/// Bytes a PATH operator may reserve per byte of the most content it has
-/// held at once, counted as one slab [`Node`] per live node or root and
-/// one [`AdjEntry`] per direction per live edge. The rest is each node's
-/// index and inverted-index entries, hash tables at most 7/8 full and
-/// grown by doubling, `Vec`s grown by doubling, and pending expiry handles.
-const RESERVED_PER_LIVE_BYTE: usize = 8;
+/// Bytes a PATH operator's forest may reserve per node or root of the
+/// most it has held at once: a 56-byte slab node in a `Vec` grown by
+/// doubling, an 8-byte slot per `(vertex, state)` in an index at most 3/4
+/// full, a 4-byte tree slot, and pending expiry handles. Over the tests
+/// below the most seen is 136; the layout before this bound (three hash
+/// maps beside the slab) reached 192–212 in each of them.
+const FOREST_BYTES_PER_PEAK_NODE: usize = 160;
+/// Bytes a PATH operator's adjacency may reserve per edge of the most it
+/// has held at once: a 56-byte row in a `Vec` grown by doubling, an 8-byte
+/// index slot per key and direction at most 3/4 full, and 4-byte pending
+/// expiry handles. Over the tests below the most seen is 156; two maps of
+/// per-key lists with 24-byte expiry handles reached 209 and 254 in the
+/// two stream tests.
+const ADJACENCY_BYTES_PER_PEAK_EDGE: usize = 176;
 
 /// Checks one post-purge census against the window's content. `peak` is
 /// the largest content any slide has held (slots and capacity are
@@ -584,16 +589,13 @@ fn assert_window_bounded(
         f.root_only_trees, 0,
         "{at}: a root-only tree outlived a purge"
     );
-    assert_eq!(f.by_root, f.live_trees, "{at}: {f:?}");
-    assert_eq!(f.inverted_empty, 0, "{at}: {f:?}");
+    assert_eq!(f.roots, f.live_trees, "{at}: {f:?}");
+    assert_eq!(f.indexed_nodes, f.live_nodes + f.live_trees, "{at}: {f:?}");
     assert_eq!(f.retire_candidates, 0, "{at}: {f:?}");
-    assert_eq!(a.empty_buckets, 0, "{at}: {a:?}");
+    assert_eq!((a.out_rows, a.inc_rows), (a.edges, a.edges), "{at}: {a:?}");
+    assert!(f.keys <= f.live_nodes + f.live_trees, "{at}: {f:?}");
     assert!(
-        f.inverted_keys <= f.live_nodes + f.live_trees,
-        "{at}: {f:?}"
-    );
-    assert!(
-        a.out_buckets <= a.edges && a.inc_buckets <= a.edges,
+        a.out_keys <= a.edges && a.inc_keys <= a.edges,
         "{at}: {a:?}"
     );
     // Slots: at most the most trees / twice the most nodes ever live at once.
@@ -613,18 +615,21 @@ fn assert_window_bounded(
         "{at}: {a:?}, peak edges {}",
         peak.edges
     );
+    assert!(
+        a.row_slots <= 2 * peak.edges,
+        "{at}: {a:?}, peak edges {}",
+        peak.edges
+    );
     // Bytes: capacity follows the whole operator's peak, not the sum of
     // what each recycled slot once held.
-    let node_bytes = (peak.nodes + peak.trees) * std::mem::size_of::<Node>();
-    let edge_bytes = 2 * peak.edges * std::mem::size_of::<AdjEntry>();
     assert!(
-        f.reserved_bytes <= RESERVED_PER_LIVE_BYTE * node_bytes,
+        f.reserved_bytes <= FOREST_BYTES_PER_PEAK_NODE * (peak.nodes + peak.trees),
         "{at}: {f:?}, peak nodes {} in {} trees",
         peak.nodes,
         peak.trees
     );
     assert!(
-        a.reserved_bytes <= RESERVED_PER_LIVE_BYTE * edge_bytes,
+        a.reserved_bytes <= ADJACENCY_BYTES_PER_PEAK_EDGE * peak.edges,
         "{at}: {a:?}, peak edges {}",
         peak.edges
     );
@@ -645,10 +650,10 @@ fn footprint(c: &PathCensus) -> [usize; 8] {
     [
         f.tree_slots,
         f.node_slots,
-        f.by_root,
-        f.inverted_keys,
+        f.roots,
+        f.keys,
         f.expiry_handles,
-        a.out_buckets + a.inc_buckets,
+        a.out_keys + a.inc_keys,
         a.expiry_handles,
         a.edges + f.live_nodes,
     ]
@@ -903,23 +908,25 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             live.for_each_undelivered(id, |_, _| {});
         }
         live.release_delivered();
+        // Content after every batch (nothing of its last slide has been
+        // purged away yet).
+        for (node, held) in live.path_censuses() {
+            let p = peak.entry(node).or_default();
+            p.trees = p.trees.max(held.forest.live_trees);
+            p.nodes = p.nodes.max(held.forest.live_nodes);
+            p.edges = p.edges.max(held.adjacency.edges);
+        }
         let slide = live.now() / FLEET_SLIDE;
         if slide < next_check {
             continue;
         }
         next_check = slide + FLEET_CHECK_EVERY;
-        // Content first (nothing of this slide has been purged away), then
-        // the census of what a purge leaves.
-        let before = live.path_censuses();
         live.purge_all(slide * FLEET_SLIDE);
         let window = slide * FLEET_SLIDE / FLEET_WINDOW;
         let censuses = live.path_censuses();
         assert!(censuses.len() >= 4, "the fleet has PATH operators");
-        for ((node, held), (_, c)) in before.iter().zip(&censuses) {
-            let p = peak.entry(*node).or_default();
-            p.trees = p.trees.max(held.forest.live_trees);
-            p.nodes = p.nodes.max(held.forest.live_nodes);
-            p.edges = p.edges.max(held.adjacency.edges);
+        for (node, c) in &censuses {
+            let p = peak[node];
             let at = format!("operator {node}, window {window}");
             let (f, a) = (&c.forest, &c.adjacency);
             // Handles: every live entry has one, and an entry is rewritten
@@ -928,7 +935,8 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
                 &at,
                 c,
                 Content {
-                    // Sampled every hundredth slide, so not the true peak.
+                    // Sampled once per 256-edge batch, which spans several
+                    // slides and purges, so not the true peak.
                     trees: 2 * p.trees + 16,
                     nodes: 2 * p.nodes + 16,
                     edges: 2 * p.edges + 16,
