@@ -296,9 +296,9 @@ fn emit_json_summary() {
             crossover = Some(n);
         }
         // The cliff this bench exists to police: sharing must pay for
-        // itself by N=4 (route-once emission + subsuming dedup keep the
-        // routing tax below the dedicated engines' duplicated operator
-        // work).
+        // itself by N=4 (route-once emission, one dedup pass per root
+        // sink, keeps the routing tax below the dedicated engines'
+        // duplicated operator work).
         if n == 4 {
             assert!(
                 speedup.max(drain_speedup) >= 1.0,

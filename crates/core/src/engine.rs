@@ -263,7 +263,7 @@ pub struct Engine {
     /// Sink: emitted negative result tuples.
     deleted_results: Vec<Sgt>,
     /// Sink coalescing state for duplicate suppression.
-    sink_dedup: FxHashMap<(VertexId, VertexId), IntervalSet>,
+    sink_dedup: PairCoverage,
     /// Reusable grouping buffer for epoch-level sink coalescing.
     sink_scratch: SinkScratch,
 }
@@ -538,10 +538,7 @@ impl Engine {
         });
         if due {
             self.last_physical_purge = Some(watermark);
-            self.sink_dedup.retain(|_, set| {
-                set.purge_expired(watermark);
-                !set.is_empty()
-            });
+            purge_coverage(&mut self.sink_dedup, watermark);
         }
     }
 
@@ -808,48 +805,28 @@ pub fn answer_at(
         .collect()
 }
 
-/// Per-pair coverage state behind a sink's duplicate suppression: one
-/// coverage entry per `(src, trg)` answer pair. The single-query engine
-/// backs this with a plain `FxHashMap<(VertexId, VertexId), IntervalSet>`;
-/// the multi-query host's subsuming family dedup implements the same trait
-/// over a pair table shared by every window variant of a canonical root —
-/// the sink delivery loops below are generic over it, so both backends run
-/// the **same** accept/suppress logic and stay bit-identical.
-pub trait PairDedup {
-    /// The borrowed coverage entry for one pair (one lookup per per-pair
-    /// run in the grouped path).
-    type Entry<'a>: CoverageEntry
-    where
-        Self: 'a;
+/// A sink's duplicate-suppression state: each answer pair's coverage, so
+/// that only what extends it is emitted (§6.2). One private map per sink —
+/// the single-query engine's and every multi-query root sink's alike.
+pub type PairCoverage = FxHashMap<(VertexId, VertexId), IntervalSet>;
 
-    /// Looks up (creating if needed) the coverage entry for `key`.
-    fn entry(&mut self, key: (VertexId, VertexId)) -> Self::Entry<'_>;
-}
-
-/// One pair's coverage state: decides whether an emitted interval extends
-/// coverage (accepted, returning the merged covering interval — exactly
-/// [`IntervalSet::insert`]'s contract) or is already covered (suppressed).
-pub trait CoverageEntry {
-    /// `Some(merged)` when `interval` extends this pair's coverage (the
-    /// result is emitted with the merged interval), `None` when covered.
-    fn accept(&mut self, interval: Interval) -> Option<Interval>;
-}
-
-impl PairDedup for FxHashMap<(VertexId, VertexId), IntervalSet> {
-    type Entry<'a> = &'a mut IntervalSet;
-
-    fn entry(&mut self, key: (VertexId, VertexId)) -> &mut IntervalSet {
-        self.entry(key).or_default()
+/// `Some(merged)` when `interval` extends `set`'s coverage (the result is
+/// emitted with the merged covering interval — [`IntervalSet::insert`]'s
+/// contract), `None` when it is already covered (suppressed).
+fn accept(set: &mut IntervalSet, interval: Interval) -> Option<Interval> {
+    if set.covers(&interval) {
+        return None;
     }
+    Some(set.insert(interval).expect("non-empty"))
 }
 
-impl CoverageEntry for &mut IntervalSet {
-    fn accept(&mut self, interval: Interval) -> Option<Interval> {
-        if self.covers(&interval) {
-            return None;
-        }
-        Some(self.insert(interval).expect("non-empty"))
-    }
+/// Drops coverage expired at `watermark`, and the pairs left with none
+/// (sink maintenance at physical-purge boundaries).
+pub fn purge_coverage(dedup: &mut PairCoverage, watermark: Timestamp) {
+    dedup.retain(|_, set| {
+        set.purge_expired(watermark);
+        !set.is_empty()
+    });
 }
 
 /// Reusable grouping scratch for [`sink_inserts_grouped`]: the per-epoch
@@ -870,10 +847,9 @@ pub struct SinkScratch {
 /// per-emission probe is the dominant sink cost.
 ///
 /// This is the **single** implementation behind both the single-query
-/// engine sink and the multi-query host's per-root sinks (generic over
-/// [`PairDedup`]): shared-host result logs must stay bit-identical to
-/// dedicated engines', so the grouping gate and delete handling live in
-/// exactly one place.
+/// engine sink and the multi-query host's per-root sinks: shared-host
+/// result logs must stay bit-identical to dedicated engines', so the
+/// grouping gate and delete handling live in exactly one place.
 ///
 /// Semantics match the per-delta [`sink_result`] loop exactly at the data
 /// model's granularity: each pair's deltas are processed in arrival order
@@ -883,9 +859,9 @@ pub struct SinkScratch {
 /// identical length. Deletions and unsuppressed pipelines take the
 /// per-delta path unchanged (without suppression the dedup table is never
 /// consulted, so there is nothing to amortise).
-pub fn sink_batch<D: PairDedup>(
+pub fn sink_batch(
     opts: &EngineOptions,
-    dedup: &mut D,
+    dedup: &mut PairCoverage,
     results: &mut Vec<Sgt>,
     deleted_results: &mut Vec<Sgt>,
     batch: &crate::physical::DeltaBatch,
@@ -909,8 +885,8 @@ pub fn sink_batch<D: PairDedup>(
 /// arrival order, so per-pair coverage (and every `answer_at`) is exactly
 /// the per-delta path's, and the emitted order is deterministic. The
 /// grouping buffer lives in `scratch` and is reused across epochs.
-pub fn sink_inserts_grouped<D: PairDedup>(
-    dedup: &mut D,
+pub fn sink_inserts_grouped(
+    dedup: &mut PairCoverage,
     results: &mut Vec<Sgt>,
     batch: &crate::physical::DeltaBatch,
     scratch: &mut SinkScratch,
@@ -926,14 +902,14 @@ pub fn sink_inserts_grouped<D: PairDedup>(
     let mut i = 0;
     while i < scratch.order.len() {
         let key = (scratch.order[i].0, scratch.order[i].1);
-        let mut entry = dedup.entry(key);
+        let set = dedup.entry(key).or_default();
         while i < scratch.order.len() && (scratch.order[i].0, scratch.order[i].1) == key {
             let idx = scratch.order[i].2;
             i += 1;
             let Delta::Insert(s) = &deltas[idx] else {
                 unreachable!("scratch indexes insert deltas only");
             };
-            if let Some(merged) = entry.accept(s.interval) {
+            if let Some(merged) = accept(set, s.interval) {
                 let mut s = s.clone();
                 s.interval = merged;
                 results.push(s);
@@ -946,9 +922,9 @@ pub fn sink_inserts_grouped<D: PairDedup>(
 /// coalescing under duplicate suppression, separate insert/delete logs.
 /// Shared by [`Engine`] and the multi-query host's per-root sinks.
 /// [`sink_batch`] is the batch-at-a-time form with per-pair grouping.
-pub fn sink_result<D: PairDedup>(
+pub fn sink_result(
     opts: &EngineOptions,
-    dedup: &mut D,
+    dedup: &mut PairCoverage,
     results: &mut Vec<Sgt>,
     deleted_results: &mut Vec<Sgt>,
     delta: Delta,
@@ -956,7 +932,7 @@ pub fn sink_result<D: PairDedup>(
     match delta {
         Delta::Insert(mut s) => {
             if opts.suppress_duplicates {
-                match dedup.entry((s.src, s.trg)).accept(s.interval) {
+                match accept(dedup.entry((s.src, s.trg)).or_default(), s.interval) {
                     None => return,
                     Some(merged) => s.interval = merged,
                 }

@@ -21,7 +21,7 @@ pub mod wcoj;
 
 use sgq_types::Timestamp;
 
-pub use pattern::PatternCensus;
+pub use pattern::{table_bytes, PatternCensus};
 pub use sgq_types::{Delta, DeltaBatch, SharedDeltaBatch};
 
 /// Compile-time `Send` audit: each operator (and state-holding helper)

@@ -140,7 +140,7 @@ fn hash_vals(vals: impl IntoIterator<Item = VertexId>) -> u64 {
 /// Bytes a hash table with `capacity` reserves: one `(K, V)` slot and one
 /// control byte per bucket. Buckets are a power of two at most 7/8 full;
 /// tombstones lower the capacity a table reports, so this is a floor.
-fn table_bytes<K, V>(capacity: usize) -> usize {
+pub fn table_bytes<K, V>(capacity: usize) -> usize {
     let buckets = match capacity {
         0 => 0,
         c if c < 8 => (c + 1).next_power_of_two(),

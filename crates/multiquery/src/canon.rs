@@ -217,64 +217,6 @@ impl Canonicalizer {
             }
         }
     }
-
-    /// The **window-erased** structure key of a canonicalized (or
-    /// private-canonicalized) expression: WSCAN windows and slides are
-    /// zeroed and derived labels renumbered by traversal position, so
-    /// window variants of the same structure — and a dedicated pipeline of
-    /// that structure — map to the same key. Drives the subsuming-dedup
-    /// family roster; the key is never lowered or interned (renumbered
-    /// labels live in a reserved high range).
-    pub fn family_key(expr: &SgaExpr) -> SgaExpr {
-        fn renumber(next: &mut u32) -> Label {
-            *next += 1;
-            Label(u32::MAX - *next)
-        }
-        fn go(expr: &SgaExpr, next: &mut u32) -> SgaExpr {
-            match expr {
-                SgaExpr::WScan { label, .. } => SgaExpr::WScan {
-                    label: *label,
-                    window: 0,
-                    slide: 0,
-                },
-                SgaExpr::Filter { input, preds } => SgaExpr::Filter {
-                    input: Box::new(go(input, next)),
-                    preds: preds.clone(),
-                },
-                SgaExpr::Union { inputs, .. } => SgaExpr::Union {
-                    inputs: inputs.iter().map(|i| go(i, next)).collect(),
-                    label: renumber(next),
-                },
-                SgaExpr::Pattern {
-                    inputs,
-                    conditions,
-                    output,
-                    ..
-                } => SgaExpr::Pattern {
-                    inputs: inputs.iter().map(|i| go(i, next)).collect(),
-                    conditions: conditions.clone(),
-                    output: *output,
-                    label: renumber(next),
-                },
-                SgaExpr::Path { inputs, regex, .. } => {
-                    let inputs: Vec<SgaExpr> = inputs.iter().map(|i| go(i, next)).collect();
-                    let alphabet = regex.alphabet();
-                    let mapping: FxHashMap<Label, Label> = alphabet
-                        .iter()
-                        .zip(&inputs)
-                        .map(|(old, input)| (*old, input.output_label()))
-                        .collect();
-                    let regex = regex.map_labels(&mut |l| mapping[&l]);
-                    SgaExpr::Path {
-                        inputs,
-                        regex,
-                        label: renumber(next),
-                    }
-                }
-            }
-        }
-        go(expr, &mut 0)
-    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use crate::canon::Canonicalizer;
 use crate::chooser::{self, CostInputs, SubplanChoice};
 pub use crate::registry::QueryId;
 use crate::registry::{input_delta, Emissions, Registration, Registry};
+use crate::sink::SinkCensus;
 use sgq_core::algebra::SgaExpr;
 use sgq_core::dataflow::Dataflow;
 use sgq_core::engine::answer_at;
@@ -187,8 +188,8 @@ impl MultiQueryEngine {
     /// starts cold.
     pub fn register(&mut self, query: &SgqQuery) -> QueryId {
         let plan = self.choose_plan(plan_canonical(query));
-        // The shared canonical form drives the cost estimate and the
-        // family key even when the chooser dedicates the plan.
+        // The shared canonical form drives the cost estimate even when the
+        // chooser dedicates the plan.
         let shared_expr = self.canon.canonicalize(&plan);
         let choice = self.plan_choice(&shared_expr);
         let expr = if choice.dedicated {
@@ -216,43 +217,30 @@ impl MultiQueryEngine {
             .purge_period
             .unwrap_or_else(|| slide.max(plan.window.size / 4).max(1));
         let node_count = nodes.len();
-        // Families only form under duplicate suppression (they are sink
-        // dedup state; unsuppressed sinks never consult it).
-        let family_key = self
-            .opts
-            .suppress_duplicates
-            .then(|| Canonicalizer::family_key(&shared_expr));
-        let id = self.registry.insert(
-            Registration {
-                root,
-                nodes,
-                expr,
-                answer,
-                slide,
-                purge_period,
-                max_window,
-                base: 0,
-                base_del: 0,
-                drained: 0,
-                drained_del: 0,
-                choice,
-                query: query.clone(),
-                sketch_baseline: self.flow.sketch().snapshot_masses(),
-                replan_streak: 0,
-                latency_hist: Default::default(),
-                emission_hist: Default::default(),
-                obs_results: 0,
-                obs_deleted: 0,
-            },
-            family_key,
-        );
+        let id = self.registry.insert(Registration {
+            root,
+            nodes,
+            expr,
+            answer,
+            slide,
+            purge_period,
+            max_window,
+            base: 0,
+            base_del: 0,
+            drained: 0,
+            drained_del: 0,
+            choice,
+            query: query.clone(),
+            sketch_baseline: self.flow.sketch().snapshot_masses(),
+            replan_streak: 0,
+            latency_hist: Default::default(),
+            emission_hist: Default::default(),
+            obs_results: 0,
+            obs_deleted: 0,
+        });
         self.recompute_schedule();
         if self.opts.suppress_duplicates {
             self.catch_up(id);
-            // Only after catch-up has seeded the root sink's private map:
-            // family enrolment migrates that exact state into the shared
-            // pair table.
-            self.registry.enroll_family(root);
         }
         // Start observability sampling at the current log lengths so
         // catch-up (or a late join's skipped history) does not register as
@@ -553,6 +541,7 @@ impl MultiQueryEngine {
     pub fn explain_analyze(&self, id: QueryId) -> Option<String> {
         let reg = self.registry.get(id)?;
         let log = self.registry.log_counts(id)?;
+        let sink = self.registry.sink_census(id)?;
         let mut out = format!(
             "== explain analyze {id} (obs={}) ==\nplan: {}\n{}\n",
             self.opts.obs.name(),
@@ -563,13 +552,14 @@ impl MultiQueryEngine {
         let lat = reg.latency_hist.summary();
         let emi = reg.emission_hist.summary();
         out.push_str(&format!(
-            "results={} deleted={} log_retained={} log_released={} \
+            "results={} deleted={} log_retained={} log_released={} sink_bytes={} \
              latency: epochs={} p50={} p99={} max={}\n\
              emissions: epochs={} p50={} p99={} max={}\n",
             log.results,
             log.deleted,
             log.retained,
             log.released(),
+            sink.reserved_bytes,
             lat.count,
             fmt_nanos(lat.p50),
             fmt_nanos(lat.p99),
@@ -586,6 +576,12 @@ impl MultiQueryEngine {
     /// (see [`sgq_core::physical::PathCensus`]).
     pub fn path_censuses(&self) -> Vec<(usize, sgq_core::physical::PathCensus)> {
         self.flow.path_censuses()
+    }
+
+    /// Dedup pairs, log occupancy and reserved bytes of every live root
+    /// sink, by root node id (see [`SinkCensus`]).
+    pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
+        self.registry.sink_censuses()
     }
 
     /// Row, key and dedup occupancy of every live hash-join PATTERN

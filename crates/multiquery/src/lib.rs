@@ -69,3 +69,4 @@ pub use canon::Canonicalizer;
 pub use chooser::{CostBasis, SubplanChoice};
 pub use engine::MultiQueryEngine;
 pub use registry::QueryId;
+pub use sink::SinkCensus;

@@ -1,5 +1,5 @@
-//! Query registration bookkeeping: identities, per-root shared sinks,
-//! node refcounts, and the family-dedup lifecycle.
+//! Query registration bookkeeping: identities, per-root shared sinks and
+//! node refcounts.
 //!
 //! Result delivery is **route-once**: each subscribed root's emission
 //! batch is sunk exactly once into that root's [`RootSink`] — one dedup
@@ -8,15 +8,19 @@
 //! through each registration's cursor, or in the `process`-style collect
 //! pass over the freshly appended log suffix. The old per-subscriber
 //! sinking was the dominant fleet-scaling tax.
+//!
+//! Each root sink owns its duplicate-suppression pair map, so a sink's
+//! state lives and dies with its last subscription; nothing is shared
+//! between sinks that would outlive one.
 
 use crate::chooser::SubplanChoice;
-use crate::sink::{FamilyDedup, FamilyVariant, ResultLog, RootSink, SinkDedup};
+use crate::sink::{ResultLog, RootSink, SinkCensus};
 use sgq_core::algebra::SgaExpr;
-use sgq_core::engine::{sink_batch, sink_result, EngineOptions, SinkScratch};
+use sgq_core::engine::{purge_coverage, sink_batch, sink_result, EngineOptions, SinkScratch};
 use sgq_core::obs::LogHistogram;
 use sgq_core::physical::{Delta, DeltaBatch};
 use sgq_query::SgqQuery;
-use sgq_types::{FxHashMap, FxHashSet, Interval, IntervalSet, Label, Sgt, Timestamp, VertexId};
+use sgq_types::{FxHashMap, FxHashSet, Interval, Label, Sgt, Timestamp};
 use std::time::Instant;
 
 /// Identity of a registered persistent query (stable for the lifetime of
@@ -95,14 +99,6 @@ pub(crate) struct Registry {
     /// id: the routing probe runs once per emission batch of every node,
     /// so it must be an array load, not a hash lookup.
     sinks: Vec<Option<RootSink>>,
-    /// Family pair tables (subsuming dedup across window variants).
-    /// Slots are appended and abandoned, never reused — families are as
-    /// rare as distinct shared structures.
-    families: Vec<FamilyDedup>,
-    /// Window-erased structure key → index of its live family.
-    family_ids: FxHashMap<SgaExpr, usize>,
-    /// Window-erased structure key → live sink roots with that key.
-    roster: FxHashMap<SgaExpr, Vec<usize>>,
     /// Node → number of registrations whose plan uses it.
     refcount: FxHashMap<usize, u32>,
     /// Reusable grouping buffer for epoch-level sink coalescing.
@@ -120,7 +116,7 @@ impl Registry {
     /// sink. Under duplicate suppression every subscriber sees the root's
     /// full history (`base = 0`); without it a late join starts cold at
     /// the current log lengths.
-    pub fn insert(&mut self, mut reg: Registration, family_key: Option<SgaExpr>) -> QueryId {
+    pub fn insert(&mut self, mut reg: Registration) -> QueryId {
         let id = self.next;
         self.next += 1;
         let root = reg.root;
@@ -134,7 +130,7 @@ impl Registry {
                 reg.base_del = sink.deleted.end();
             }
             slot @ None => {
-                *slot = Some(RootSink::new((id, reg.answer), family_key));
+                *slot = Some(RootSink::new((id, reg.answer)));
             }
         }
         reg.drained = reg.base;
@@ -166,51 +162,16 @@ impl Registry {
         reg.drained_del = reg.base_del;
     }
 
-    /// Enrols `root`'s sink in the subsuming-dedup family for its
-    /// structure key once a second live variant exists. Must run **after**
-    /// register-time catch-up has seeded the sink's private map (the
-    /// migration folds exact per-variant state into the family).
-    pub fn enroll_family(&mut self, root: usize) {
-        let Some(Some(sink)) = self.sinks.get(root) else {
-            return;
-        };
-        let Some(key) = sink.family_key.clone() else {
-            return;
-        };
-        let members = self.roster.entry(key.clone()).or_default();
-        if !members.contains(&root) {
-            members.push(root);
-        }
-        if members.len() < 2 {
-            return;
-        }
-        let family = *self.family_ids.entry(key).or_insert_with(|| {
-            self.families.push(FamilyDedup::default());
-            self.families.len() - 1
-        });
-        for &member in members.iter() {
-            let sink = self.sinks[member].as_mut().expect("rostered sink");
-            if let SinkDedup::Private(map) = &mut sink.dedup {
-                let map = std::mem::take(map);
-                self.families[family].migrate(member as u32, map);
-                sink.dedup = SinkDedup::Family(family);
-            }
-        }
-    }
-
     /// Removes a registration; returns it together with the nodes no
     /// remaining registration references (to be retired by the host).
-    /// Destroying a root's last subscription tears down its sink, and a
-    /// family shrinking to one member demotes the survivor back to a
-    /// private map with its exact extracted state — the widest-variant
-    /// deregister handover.
+    /// Destroying a root's last subscription drops its sink, pair map
+    /// and logs with it.
     pub fn remove(&mut self, id: QueryId) -> Option<(Registration, FxHashSet<usize>)> {
         let reg = self.entries.remove(&id.0)?;
         if let Some(Some(sink)) = self.sinks.get_mut(reg.root) {
             sink.subscribers.retain(|&(q, _)| q != id.0);
             if sink.subscribers.is_empty() {
-                let sink = self.sinks[reg.root].take().expect("checked above");
-                self.destroy_sink(reg.root, sink);
+                self.sinks[reg.root] = None;
             }
         }
         let mut dead = FxHashSet::default();
@@ -223,31 +184,6 @@ impl Registry {
             }
         }
         Some((reg, dead))
-    }
-
-    /// Family-lifecycle half of sink teardown (see [`Registry::remove`]).
-    fn destroy_sink(&mut self, root: usize, sink: RootSink) {
-        let Some(key) = sink.family_key else {
-            return;
-        };
-        let Some(members) = self.roster.get_mut(&key) else {
-            return;
-        };
-        members.retain(|&m| m != root);
-        let survivors = members.len();
-        if members.is_empty() {
-            self.roster.remove(&key);
-        }
-        if let SinkDedup::Family(family) = sink.dedup {
-            self.families[family].remove_variant(root as u32);
-            if survivors == 1 {
-                let survivor = self.roster[&key][0];
-                let extracted = self.families[family].remove_variant(survivor as u32);
-                self.sinks[survivor].as_mut().expect("rostered sink").dedup =
-                    SinkDedup::Private(extracted);
-                self.family_ids.remove(&key);
-            }
-        }
     }
 
     pub fn get(&self, id: QueryId) -> Option<&Registration> {
@@ -390,10 +326,10 @@ impl Registry {
     }
 
     /// Routes an emission batch of `node` into its root sink **once**:
-    /// one dedup pass (private map or family variant — both run the same
-    /// generic `sgq_core::engine::sink_batch`, so shared-host logs stay
-    /// bit-identical to dedicated engines'), one log append, regardless of
-    /// subscriber count.
+    /// one dedup pass (the root's private pair map through the same
+    /// `sgq_core::engine::sink_batch` a dedicated engine runs, so
+    /// shared-host logs stay bit-identical to dedicated engines'), one log
+    /// append, regardless of subscriber count.
     ///
     /// The sink probe happens once per **batch**, not per delta — with the
     /// epoch-batched executor, non-subscribed (internal) nodes cost one
@@ -416,25 +352,14 @@ impl Registry {
         let t0 = timed.then(Instant::now);
         let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
         let (before_ins, before_del) = (results.len(), deleted.len());
-        match &mut sink.dedup {
-            SinkDedup::Private(map) => {
-                sink_batch(opts, map, results, deleted, batch, &mut self.scratch)
-            }
-            SinkDedup::Family(family) => {
-                let mut variant = FamilyVariant {
-                    family: &mut self.families[*family],
-                    slot: node as u32,
-                };
-                sink_batch(
-                    opts,
-                    &mut variant,
-                    results,
-                    deleted,
-                    batch,
-                    &mut self.scratch,
-                );
-            }
-        }
+        sink_batch(
+            opts,
+            &mut sink.dedup,
+            results,
+            deleted,
+            batch,
+            &mut self.scratch,
+        );
         let t1 = timed.then(Instant::now);
         if let (Some(t0), Some(t1)) = (t0, t1) {
             self.dedup_nanos += t1.duration_since(t0).as_nanos() as u64;
@@ -459,8 +384,7 @@ impl Registry {
     }
 
     /// Sinks an emission into one query's root sink (register-time
-    /// catch-up replay; the sink is still private at that point, but the
-    /// family path is handled for robustness).
+    /// catch-up replay).
     pub fn sink_to(&mut self, id: QueryId, delta: Delta, opts: &EngineOptions) {
         let Some(reg) = self.entries.get(&id.0) else {
             return;
@@ -469,16 +393,7 @@ impl Registry {
             return;
         };
         let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
-        match &mut sink.dedup {
-            SinkDedup::Private(map) => sink_result(opts, map, results, deleted, delta),
-            SinkDedup::Family(family) => {
-                let mut variant = FamilyVariant {
-                    family: &mut self.families[*family],
-                    slot: reg.root as u32,
-                };
-                sink_result(opts, &mut variant, results, deleted, delta)
-            }
-        }
+        sink_result(opts, &mut sink.dedup, results, deleted, delta);
     }
 
     /// How many registrations use node `n`.
@@ -501,18 +416,27 @@ impl Registry {
         (self.route_nanos, self.dedup_nanos)
     }
 
-    /// Purges expired sink-dedup intervals — private maps and family pair
-    /// tables — at physical-purge boundaries (mirrors the single-query
-    /// engine's sink maintenance).
+    /// Purges expired sink-dedup intervals at physical-purge boundaries
+    /// (mirrors the single-query engine's sink maintenance).
     pub fn purge_sink_dedup(&mut self, watermark: Timestamp) {
         for sink in self.sinks.iter_mut().flatten() {
-            if let SinkDedup::Private(map) = &mut sink.dedup {
-                purge_dedup(map, watermark);
-            }
+            purge_coverage(&mut sink.dedup, watermark);
         }
-        for family in &mut self.families {
-            family.purge(watermark);
-        }
+    }
+
+    /// What every live root sink holds, by root node id, ascending.
+    pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
+        self.sinks
+            .iter()
+            .enumerate()
+            .filter_map(|(root, s)| Some((root, s.as_ref()?.census())))
+            .collect()
+    }
+
+    /// What `id`'s root sink holds.
+    pub fn sink_census(&self, id: QueryId) -> Option<SinkCensus> {
+        let reg = self.entries.get(&id.0)?;
+        Some(self.sinks.get(reg.root)?.as_ref()?.census())
     }
 
     /// Samples one epoch's observability for every registration: emission
@@ -589,18 +513,6 @@ fn release_prefix(log: &mut ResultLog, delivered: usize, now: Timestamp) -> usiz
 /// Per-query emission buffer: `(query, result)` pairs, as returned by
 /// `MultiQueryEngine::process`-family methods.
 pub(crate) type Emissions = Vec<(QueryId, Sgt)>;
-
-/// Purges expired sink-dedup intervals (mirrors the single-query engine's
-/// sink maintenance at physical-purge boundaries).
-pub(crate) fn purge_dedup(
-    dedup: &mut FxHashMap<(VertexId, VertexId), IntervalSet>,
-    watermark: Timestamp,
-) {
-    dedup.retain(|_, set| {
-        set.purge_expired(watermark);
-        !set.is_empty()
-    });
-}
 
 /// The instant-interval insert delta for a raw input sge (what the
 /// single-query engine feeds its WSCANs).

@@ -1,4 +1,4 @@
-//! Per-root shared result sinks and the subsuming family dedup.
+//! Per-root shared result sinks.
 //!
 //! The route-once emission design keeps **one** sink per shared dataflow
 //! root: every query subscribed to that root reads the same emission log
@@ -8,42 +8,31 @@
 //! once *per subscriber*, which is exactly the per-query tax that made
 //! shared-fleet throughput collapse as fleets grew.
 //!
-//! Duplicate-suppression state comes in two shapes:
+//! Duplicate suppression is the classic per-root `(src, trg) →
+//! IntervalSet` map, private to the sink and identical to a dedicated
+//! engine's, so shared-host logs are bit-identical to dedicated engines'.
+//! Window variants of one plan have distinct roots and so distinct maps.
 //!
-//! * [`SinkDedup::Private`] — the classic per-root
-//!   `(src, trg) → IntervalSet` map, identical to a dedicated engine's.
-//! * [`SinkDedup::Family`] — **subsuming dedup** for window variants of
-//!   the same canonical structure. All variants share one pair table
-//!   ([`FamilyDedup`]): each `(src, trg)` entry holds a `subsume` set (the
-//!   union coverage of every variant — a wider window's intervals subsume
-//!   narrower ones, so this is ≈ the widest variant's set) plus small
-//!   exact per-variant sets. A probe first consults `subsume`: if it does
-//!   **not** cover the interval, no variant can (variant coverage is
-//!   always a subset of the union), so the accept path skips the
-//!   per-variant `covers` probe entirely; only intervals inside the union
-//!   coverage pay the per-variant clipping check. Accepted intervals merge
-//!   through the *variant's own exact set*, so emitted merged intervals —
-//!   and therefore result logs — are bit-identical to a private sink's.
-//!
-//! Because every variant keeps its exact set, family membership is purely
-//! an optimization: joining, leaving, and the demotion back to a private
-//! sink when a family shrinks to one member (the widest-variant-leaves
-//! handover) all preserve per-variant state exactly.
+//! A sink holds what is live: the pair map drops a pair once its coverage
+//! expires, and each [`ResultLog`] physically drops its released prefix
+//! once that prefix reaches a quarter of the live entries, giving back
+//! capacity the live entries no longer need.
 
-use sgq_core::algebra::SgaExpr;
-use sgq_core::engine::{CoverageEntry, PairDedup};
-use sgq_types::{FxHashMap, Interval, IntervalSet, Label, Sgt, Timestamp, VertexId};
+use sgq_core::engine::PairCoverage;
+use sgq_core::physical::table_bytes;
+use sgq_types::{IntervalSet, Label, Sgt, VertexId};
 
 /// One emission log of a root sink: append-only at the tail, releasable
 /// at the head.
 ///
 /// Positions are **absolute** — entry `i` is the `i`-th sgt this log ever
 /// accepted — so the cursors registrations hold (`base`, `drained`,
-/// `obs_*`) stay valid across a release. [`ResultLog::release_to`] only
-/// moves the logical head; the released prefix is physically removed once
-/// it is at least as long as the live remainder, so every compaction moves
-/// no more entries than it frees (amortised O(1) per released result, and
-/// never a per-epoch memmove of the live window).
+/// `obs_*`) stay valid across a release. [`ResultLog::release_to`] moves
+/// the logical head and physically removes the released prefix once it is
+/// a quarter as long as the live remainder, so the buffer never holds more
+/// than 5/4 of what is live (plus one release), and every compaction moves
+/// at most four entries per entry it frees (amortised O(1) per released
+/// result, and never a per-epoch memmove of the live window).
 #[derive(Default)]
 pub(crate) struct ResultLog {
     buf: Vec<Sgt>,
@@ -83,20 +72,24 @@ impl ResultLog {
         }
         self.dead += upto - self.head;
         self.head = upto;
-        if self.dead >= self.buf.len() - self.dead {
+        let live = self.buf.len() - self.dead;
+        if 4 * self.dead >= live {
             self.buf.drain(..self.dead);
             self.dead = 0;
             // A burst (catch-up, a lagging subscriber) must not pin its
-            // high-water allocation for the life of the host.
-            if self.buf.capacity() > 4 * self.buf.len().max(MIN_LOG_CAPACITY) {
-                self.buf.shrink_to(2 * self.buf.len().max(MIN_LOG_CAPACITY));
+            // high-water allocation. The reallocation moves `live`
+            // entries, at most four per entry just freed.
+            if self.buf.capacity() > 2 * live {
+                self.buf.shrink_to(live + live / 2);
             }
         }
     }
-}
 
-/// Log allocations at or below this many entries are never shrunk.
-const MIN_LOG_CAPACITY: usize = 1024;
+    /// `(retained entries, reserved slots)`.
+    fn occupancy(&self) -> (usize, usize) {
+        (self.buf.len() - self.dead, self.buf.capacity())
+    }
+}
 
 /// One shared result sink per subscribed dataflow root: the emission log
 /// every subscriber of that root reads through its own cursors.
@@ -106,194 +99,76 @@ pub(crate) struct RootSink {
     pub results: ResultLog,
     /// Emitted negative result tuples.
     pub deleted: ResultLog,
-    /// Duplicate-suppression state (private map or family membership).
-    pub dedup: SinkDedup,
+    /// Duplicate-suppression state: this root's private pair map.
+    pub dedup: PairCoverage,
     /// `(query id, answer label)` per subscriber, registration order —
     /// drives `process`-style emission collection.
     pub subscribers: Vec<(u64, Label)>,
-    /// Window-erased structure key (see `Canonicalizer::family_key`);
-    /// `None` when duplicate suppression is off (families never form).
-    pub family_key: Option<SgaExpr>,
 }
 
 impl RootSink {
-    pub fn new(subscriber: (u64, Label), family_key: Option<SgaExpr>) -> RootSink {
+    pub fn new(subscriber: (u64, Label)) -> RootSink {
         RootSink {
             results: ResultLog::default(),
             deleted: ResultLog::default(),
-            dedup: SinkDedup::Private(FxHashMap::default()),
+            dedup: PairCoverage::default(),
             subscribers: vec![subscriber],
-            family_key,
+        }
+    }
+
+    /// What this sink holds, counted by a full scan of its pair map.
+    pub fn census(&self) -> SinkCensus {
+        let logs = [self.results.occupancy(), self.deleted.occupancy()];
+        let log_slots = logs.iter().map(|&(_, slots)| slots).sum::<usize>();
+        SinkCensus {
+            dedup_pairs: self.dedup.len(),
+            dedup_empty: self.dedup.values().filter(|s| s.is_empty()).count(),
+            log_retained: logs.iter().map(|&(retained, _)| retained).sum(),
+            log_slots,
+            reserved_bytes: table_bytes::<(VertexId, VertexId), IntervalSet>(self.dedup.capacity())
+                + self
+                    .dedup
+                    .values()
+                    .map(IntervalSet::heap_bytes)
+                    .sum::<usize>()
+                + log_slots * size_of::<Sgt>()
+                + self.subscribers.capacity() * size_of::<(u64, Label)>(),
         }
     }
 }
 
-/// A root sink's duplicate-suppression backing store.
-pub(crate) enum SinkDedup {
-    /// Per-root pair map, exactly a dedicated engine's sink state.
-    Private(FxHashMap<(VertexId, VertexId), IntervalSet>),
-    /// Member of the family at this index in the registry's family table;
-    /// the variant slot is the root's node id.
-    Family(usize),
-}
-
-/// One `(src, trg)` pair's coverage across a family of window variants.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PairEntry {
-    /// Union coverage over all variants: the single shared probe. Not
-    /// covered here ⇒ not covered by any variant.
-    subsume: IntervalSet,
-    /// Exact per-variant sets, keyed by variant slot (root node id).
-    /// Families are small (window variants of one structure), so a linear
-    /// scan beats a nested map.
-    variants: Vec<(u32, IntervalSet)>,
-}
-
-impl PairEntry {
-    fn variant_mut(&mut self, slot: u32) -> &mut IntervalSet {
-        let idx = match self.variants.iter().position(|(s, _)| *s == slot) {
-            Some(i) => i,
-            None => {
-                self.variants.push((slot, IntervalSet::default()));
-                self.variants.len() - 1
-            }
-        };
-        &mut self.variants[idx].1
-    }
-
-    /// The accept decision for one variant: identical to probing the
-    /// variant's private `IntervalSet` (same `covers` check, same merged
-    /// interval from `insert`), with the subsume set as a shared
-    /// short-circuit. Inserting an interval the subsume set already covers
-    /// would be a no-op, so `subsume` is only updated on the uncovered
-    /// path — its coverage stays the exact union of variant coverage.
-    fn accept(&mut self, slot: u32, interval: Interval) -> Option<Interval> {
-        if self.subsume.covers(&interval) {
-            let set = self.variant_mut(slot);
-            if set.covers(&interval) {
-                return None;
-            }
-            Some(set.insert(interval).expect("non-empty"))
-        } else {
-            let merged = self.variant_mut(slot).insert(interval).expect("non-empty");
-            self.subsume.insert(interval);
-            Some(merged)
-        }
-    }
-}
-
-/// The shared pair table for one family of window variants.
-#[derive(Debug, Default)]
-pub(crate) struct FamilyDedup {
-    pairs: FxHashMap<(VertexId, VertexId), PairEntry>,
-}
-
-impl FamilyDedup {
-    /// Folds a member's private pair map into the family (exact sets are
-    /// kept per variant; the subsume sets absorb its coverage).
-    pub fn migrate(&mut self, slot: u32, private: FxHashMap<(VertexId, VertexId), IntervalSet>) {
-        for (key, set) in private {
-            let entry = self.pairs.entry(key).or_default();
-            for iv in set.intervals() {
-                entry.subsume.insert(*iv);
-            }
-            entry.variants.push((slot, set));
-        }
-    }
-
-    /// Extracts a leaving member's exact pair map and rebuilds the subsume
-    /// sets from the remaining variants (coverage must stay the exact
-    /// union, or the not-covered short-circuit would go stale).
-    pub fn remove_variant(&mut self, slot: u32) -> FxHashMap<(VertexId, VertexId), IntervalSet> {
-        let mut extracted = FxHashMap::default();
-        self.pairs.retain(|&key, entry| {
-            if let Some(i) = entry.variants.iter().position(|(s, _)| *s == slot) {
-                let (_, set) = entry.variants.swap_remove(i);
-                if !set.is_empty() {
-                    extracted.insert(key, set);
-                }
-                entry.subsume = IntervalSet::default();
-                for (_, set) in &entry.variants {
-                    for iv in set.intervals() {
-                        entry.subsume.insert(*iv);
-                    }
-                }
-            }
-            !entry.variants.is_empty()
-        });
-        extracted
-    }
-
-    /// Purges expired intervals from every variant and subsume set at one
-    /// watermark. Coverage containment (variant ⊆ subsume) survives: any
-    /// variant interval alive past the watermark lies inside a subsume
-    /// interval with an expiry at least as late.
-    pub fn purge(&mut self, watermark: Timestamp) {
-        self.pairs.retain(|_, entry| {
-            entry.subsume.purge_expired(watermark);
-            entry.variants.retain_mut(|(_, set)| {
-                set.purge_expired(watermark);
-                !set.is_empty()
-            });
-            !entry.subsume.is_empty() || !entry.variants.is_empty()
-        });
-    }
-
-    #[cfg(test)]
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
-}
-
-/// One family member's view of the shared pair table: the [`PairDedup`]
-/// backend the generic sink delivery runs against when a root sink is in a
-/// family.
-pub(crate) struct FamilyVariant<'f> {
-    pub family: &'f mut FamilyDedup,
-    pub slot: u32,
-}
-
-impl PairDedup for FamilyVariant<'_> {
-    type Entry<'a>
-        = FamilyPairEntry<'a>
-    where
-        Self: 'a;
-
-    fn entry(&mut self, key: (VertexId, VertexId)) -> FamilyPairEntry<'_> {
-        FamilyPairEntry {
-            entry: self.family.pairs.entry(key).or_default(),
-            slot: self.slot,
-        }
-    }
-}
-
-/// Borrowed `(pair entry, variant slot)` handle for one per-pair run.
-pub(crate) struct FamilyPairEntry<'a> {
-    entry: &'a mut PairEntry,
-    slot: u32,
-}
-
-impl CoverageEntry for FamilyPairEntry<'_> {
-    fn accept(&mut self, interval: Interval) -> Option<Interval> {
-        self.entry.accept(self.slot, interval)
-    }
+/// What one root sink holds: its duplicate-suppression pair map and its
+/// two result logs. Counted by a full scan — what `tests/bounded_state.rs`
+/// holds against the window, not a metric.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SinkCensus {
+    /// `(src, trg)` pairs with coverage held for duplicate suppression.
+    pub dedup_pairs: usize,
+    /// Dedup pairs with an empty set (zero after every purge).
+    pub dedup_empty: usize,
+    /// Result inserts and negative tuples the two logs still hold.
+    pub log_retained: usize,
+    /// Slots the two logs reserve (retained, released-but-not-compacted
+    /// and spare capacity).
+    pub log_slots: usize,
+    /// Heap bytes reserved by the pair map (slots plus control bytes, and
+    /// each set's spilled intervals), the log buffers and the subscriber
+    /// list.
+    pub reserved_bytes: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sgq_types::{Interval, Timestamp};
 
     fn iv(from: Timestamp, to: Timestamp) -> Interval {
         Interval::new(from, to)
     }
 
-    fn key(a: u64, b: u64) -> (VertexId, VertexId) {
-        (VertexId(a), VertexId(b))
-    }
-
     /// Positions stay absolute across releases, views never reach behind
-    /// the head, and the dead prefix is compacted away before it outgrows
-    /// the live entries.
+    /// the head, and the dead prefix is compacted away once it is a
+    /// quarter of the live entries.
     #[test]
     fn result_log_releases_its_prefix_in_place() {
         let entry = |i: u64| Sgt::edge(VertexId(i), VertexId(i), Label(0), iv(i, i + 1));
@@ -303,28 +178,37 @@ mod tests {
         }
         assert_eq!((log.head(), log.end()), (0, 10));
 
-        log.release_to(3); // 3 dead < 7 live: logical only
-        assert_eq!((log.head(), log.end(), log.buf.len()), (3, 10, 10));
-        assert_eq!(log.from(0), log.from(3), "nothing before the head");
+        log.release_to(1); // 1 dead, 9 live: logical only
+        assert_eq!((log.head(), log.end(), log.buf.len()), (1, 10, 10));
+        assert_eq!(log.from(0), log.from(1), "nothing before the head");
         assert_eq!(log.from(5)[0], entry(5));
-        log.release_to(2); // behind the head: no-op
-        assert_eq!(log.head(), 3);
+        log.release_to(0); // behind the head: no-op
+        assert_eq!(log.head(), 1);
 
-        log.release_to(6); // 6 dead >= 4 live: compacted
-        assert_eq!((log.head(), log.end(), log.buf.len()), (6, 10, 4));
+        log.release_to(3); // 3 dead, 7 live: compacted
+        assert_eq!((log.head(), log.end(), log.buf.len()), (3, 10, 7));
         log.tail().push(entry(10));
         assert_eq!(log.end(), 11);
         assert_eq!(log.from(9), &[entry(9), entry(10)]);
 
-        // A long run: the physical log never exceeds twice the live part.
+        // A long run: the physical log stays within 5/4 of the live part
+        // plus one release, and its allocation within twice its length
+        // plus the growth since the last compaction.
         for i in 11..5_000u64 {
             log.tail().push(entry(i));
             log.release_to(log.end().saturating_sub(100));
-            assert!(log.buf.len() <= 2 * (log.end() - log.head()).max(1));
+            let (live, slots) = log.occupancy();
+            assert!(
+                4 * log.buf.len() <= 5 * live + 4,
+                "{} for {live}",
+                log.buf.len()
+            );
+            assert!(slots <= 4 * live + 8, "{slots} slots for {live}");
         }
         assert_eq!(log.from(0).first(), Some(&entry(4_900)));
         log.release_to(log.end());
         assert!(log.from(0).is_empty() && log.buf.is_empty());
+        assert_eq!(log.buf.capacity(), 0, "nothing live, nothing reserved");
 
         // A burst's allocation is given back once the burst is released.
         for i in 0..100_000 {
@@ -333,111 +217,30 @@ mod tests {
         assert!(log.buf.capacity() >= 100_000);
         log.release_to(log.end() - 10);
         assert_eq!(log.from(0).len(), 10);
-        assert!(log.buf.capacity() <= 4 * MIN_LOG_CAPACITY);
+        assert!(log.buf.capacity() <= 20, "{}", log.buf.capacity());
     }
 
-    /// A family accept sequence matches the same sequence against a
-    /// private `IntervalSet`, per variant — bit-identical merged results.
+    /// The census counts what the pair map and the logs hold.
     #[test]
-    fn family_accepts_match_private_sets() {
-        let mut fam = FamilyDedup::default();
-        let mut wide = IntervalSet::default(); // slot 1 (wider window)
-        let mut narrow = IntervalSet::default(); // slot 2
-
-        let seq: &[(u32, Interval)] = &[
-            (1, iv(0, 100)),
-            (2, iv(0, 40)),
-            (1, iv(50, 160)),
-            (2, iv(10, 30)), // covered for the narrow variant
-            (2, iv(90, 120)),
-            (1, iv(20, 80)), // covered for the wide variant
-        ];
-        for &(slot, interval) in seq {
-            let private = if slot == 1 { &mut wide } else { &mut narrow };
-            let expect = if private.covers(&interval) {
-                None
-            } else {
-                Some(private.insert(interval).expect("non-empty"))
-            };
-            let mut variant = FamilyVariant {
-                family: &mut fam,
-                slot,
-            };
-            let got = variant.entry(key(1, 2)).accept(interval);
-            assert_eq!(got, expect, "slot {slot} interval {interval:?}");
-        }
-    }
-
-    /// Removing a variant returns its exact sets and the survivor keeps
-    /// answering identically after demotion to a private map.
-    #[test]
-    fn remove_variant_extracts_exact_state() {
-        let mut fam = FamilyDedup::default();
-        let mut reference = IntervalSet::default();
-        for interval in [iv(0, 50), iv(100, 150)] {
-            reference.insert(interval);
-            let mut v = FamilyVariant {
-                family: &mut fam,
-                slot: 7,
-            };
-            v.entry(key(3, 4)).accept(interval);
-        }
-        // A second variant with wider coverage pollutes the subsume set.
-        let mut v = FamilyVariant {
-            family: &mut fam,
-            slot: 9,
-        };
-        v.entry(key(3, 4)).accept(iv(0, 400));
-
-        let extracted = fam.remove_variant(7);
-        assert_eq!(extracted.len(), 1);
+    fn census_counts_pairs_logs_and_bytes() {
+        let mut sink = RootSink::new((0, Label(0)));
         assert_eq!(
-            extracted[&key(3, 4)].intervals(),
-            reference.intervals(),
-            "exact per-variant state survives extraction"
+            sink.census().reserved_bytes,
+            size_of::<(u64, Label)>(),
+            "a fresh sink reserves its subscriber only"
         );
-        // Survivor's subsume was rebuilt: an interval outside the wide
-        // variant's coverage is accepted.
-        let mut v = FamilyVariant {
-            family: &mut fam,
-            slot: 9,
-        };
-        assert!(v.entry(key(3, 4)).accept(iv(500, 600)).is_some());
-        assert!(v.entry(key(3, 4)).accept(iv(510, 590)).is_none());
-    }
-
-    /// Purging at one watermark keeps variant coverage inside subsume
-    /// coverage (the short-circuit stays sound) and drops dead pairs.
-    #[test]
-    fn purge_preserves_containment() {
-        let mut fam = FamilyDedup::default();
-        for (slot, interval) in [(1, iv(0, 10)), (2, iv(0, 200)), (1, iv(150, 220))] {
-            let mut v = FamilyVariant {
-                family: &mut fam,
-                slot,
-            };
-            v.entry(key(5, 6)).accept(interval);
+        sink.dedup
+            .entry((VertexId(1), VertexId(2)))
+            .or_default()
+            .insert(iv(0, 10));
+        for i in 0..3 {
+            let s = Sgt::edge(VertexId(1), VertexId(2), Label(0), iv(i, 10));
+            sink.results.tail().push(s);
         }
-        let mut v = FamilyVariant {
-            family: &mut fam,
-            slot: 1,
-        };
-        v.entry(key(7, 8)).accept(iv(0, 10));
-
-        fam.purge(100);
-        assert_eq!(fam.pair_count(), 1, "fully expired pair dropped");
-        // Still-covered interval suppressed, fresh one accepted.
-        let mut v = FamilyVariant {
-            family: &mut fam,
-            slot: 2,
-        };
-        assert!(v.entry(key(5, 6)).accept(iv(160, 190)).is_none());
-        // Covered by subsume (the other variant's coverage) but not by
-        // slot 1's own surviving interval: the per-variant probe decides.
-        let mut v = FamilyVariant {
-            family: &mut fam,
-            slot: 1,
-        };
-        assert!(v.entry(key(5, 6)).accept(iv(105, 140)).is_some());
+        sink.results.release_to(1);
+        let c = sink.census();
+        assert_eq!((c.dedup_pairs, c.dedup_empty, c.log_retained), (1, 0, 2));
+        assert!(c.log_slots >= 2);
+        assert!(c.reserved_bytes >= c.log_slots * size_of::<Sgt>());
     }
 }

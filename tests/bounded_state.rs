@@ -25,7 +25,7 @@ use s_graffito::core::physical::spath::SPathOp;
 use s_graffito::core::physical::{PathCensus, PatternCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
 use s_graffito::datagen::{snb_stream, so_stream, SnbConfig, SoConfig};
-use s_graffito::multiquery::{MultiQueryEngine, QueryId};
+use s_graffito::multiquery::{MultiQueryEngine, QueryId, SinkCensus};
 use s_graffito::prelude::*;
 use s_graffito::serve::client::Client;
 use s_graffito::serve::server::{ServeConfig, Server};
@@ -871,10 +871,10 @@ fn rss_mb() -> f64 {
 /// the Q1–Q7 fleet, routed and released like the serve loop does. Every
 /// `FLEET_CHECK_EVERY` slides each PATH operator's census is held against
 /// its own window content, and against what it held during the first ten
-/// windows; the fleet's reserved PATH bytes, and its reserved PATTERN
-/// bytes, must each stay within half again of what they were at window
-/// 10, and the process's resident set must not follow the stream either.
-/// Prints all three at window 10 and at the end.
+/// windows; the fleet's reserved PATH, PATTERN and root-sink bytes must
+/// each stay within half again of what they were at window 10, and the
+/// process's resident set must not follow the stream either. Prints all
+/// four at window 10 and at the end.
 /// Release build: `cargo test --release --test bounded_state -- --ignored
 /// --nocapture`.
 #[test]
@@ -902,6 +902,7 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
     // The fleet's PATH and PATTERN state in bytes, at window 10 and now.
     let (mut bytes_early, mut bytes) = (0usize, 0usize);
     let (mut pattern_bytes_early, mut pattern_bytes) = (0usize, 0usize);
+    let (mut sink_bytes_early, mut fleet_sink_bytes) = (0usize, 0usize);
     for batch in stream.sges().chunks(256) {
         live.ingest_batch(batch);
         for &id in &ids {
@@ -972,10 +973,15 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             assert!(c.keys <= c.rows, "{at}: {c:?}");
         }
         pattern_bytes = patterns.iter().map(|(_, c)| c.reserved_bytes).sum();
+        for (root, c) in live.sink_censuses() {
+            assert_eq!(c.dedup_empty, 0, "root sink {root}, window {window}: {c:?}");
+        }
+        fleet_sink_bytes = sink_bytes(&live);
         if window <= 10 {
             rss_early = rss_mb();
             bytes_early = bytes;
             pattern_bytes_early = pattern_bytes;
+            sink_bytes_early = fleet_sink_bytes;
         } else {
             assert!(
                 2 * bytes <= 3 * bytes_early,
@@ -986,6 +992,11 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
                 "window {window}: PATTERN state reserves {pattern_bytes} B, \
                  {pattern_bytes_early} B at window 10"
             );
+            assert!(
+                2 * fleet_sink_bytes <= 3 * sink_bytes_early,
+                "window {window}: root sinks reserve {fleet_sink_bytes} B, \
+                 {sink_bytes_early} B at window 10"
+            );
         }
         checks += 1;
     }
@@ -993,11 +1004,13 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
     let rss_end = rss_mb();
     println!(
         "window 10: PATH reserved_bytes={bytes_early} \
-         PATTERN reserved_bytes={pattern_bytes_early} VmRSS={rss_early:.1} MB"
+         PATTERN reserved_bytes={pattern_bytes_early} \
+         SINK reserved_bytes={sink_bytes_early} VmRSS={rss_early:.1} MB"
     );
     println!(
         "end:       PATH reserved_bytes={bytes} \
-         PATTERN reserved_bytes={pattern_bytes} VmRSS={rss_end:.1} MB"
+         PATTERN reserved_bytes={pattern_bytes} \
+         SINK reserved_bytes={fleet_sink_bytes} VmRSS={rss_end:.1} MB"
     );
     assert!(
         rss_early > 0.0 && rss_end <= rss_early + 24.0,
@@ -1229,4 +1242,147 @@ fn pattern_state_is_bounded_by_the_window_q5_shape() {
 fn pattern_state_is_bounded_by_the_window_high_fanout_key() {
     drive_pattern_and_hold_the_bound(Shape::HighFanout, false);
     drive_pattern_and_hold_the_bound(Shape::HighFanout, true);
+}
+
+// ---------------------------------------------------------------------
+// (g) sink state: each root sink's dedup pairs and result logs hold what
+//     is live
+// ---------------------------------------------------------------------
+
+/// Log slots a sink may reserve per retained result, plus per log.
+const LOG_SLOTS_PER_RETAINED: usize = 3;
+const LOG_SLOTS_PER_LOG: usize = 4;
+
+/// A host that purges sink dedup state at every slide boundary, so after
+/// an ingest the last purge watermark is the slide boundary at or below
+/// `now`.
+fn purging_host() -> MultiQueryEngine {
+    MultiQueryEngine::with_options(EngineOptions {
+        purge_period: Some(SOAK_SLIDE),
+        ..Default::default()
+    })
+}
+
+/// Q1 (`a2q*`) on SO at `window`, sliding by `SOAK_SLIDE`.
+fn q1(window: u64) -> SgqQuery {
+    SgqQuery::new(
+        workloads::query(1, Dataset::So),
+        WindowSpec::new(window, SOAK_SLIDE),
+    )
+}
+
+/// Three window variants of one plan — shared operators, one root sink
+/// each — routed and released after every slide: no root sink
+/// keeps an empty dedup set, or a pair whose coverage has expired, and the
+/// logs reserve a bounded number of slots per retained result.
+#[test]
+fn window_variant_sinks_hold_what_is_live() {
+    let mut live = purging_host();
+    let ids: Vec<QueryId> = [4 * SOAK_SLIDE, 7 * SOAK_SLIDE, SOAK_WINDOW]
+        .map(|w| live.register(&q1(w)))
+        .to_vec();
+    let a2q = live.labels().get("a2q").unwrap();
+    // Per query: the latest expiry routed for each answer pair.
+    let mut coverage: Vec<std::collections::HashMap<(u64, u64), u64>> =
+        vec![Default::default(); ids.len()];
+    let (mut checks, mut peak_retained) = (0, 0);
+    for slide in soak_slides().into_iter().take(300) {
+        live.ingest_batch(&a2q_batch(&slide, a2q));
+        for (&id, pairs) in ids.iter().zip(&mut coverage) {
+            live.for_each_undelivered(id, |delete, s| {
+                assert!(!delete, "an insert-only stream");
+                let exp = pairs.entry((s.src.0, s.trg.0)).or_default();
+                *exp = (*exp).max(s.interval.exp);
+            });
+        }
+        live.release_delivered();
+        let watermark = live.now() / SOAK_SLIDE * SOAK_SLIDE;
+        let live_pairs: usize = coverage
+            .iter_mut()
+            .map(|pairs| {
+                pairs.retain(|_, exp| *exp > watermark);
+                pairs.len()
+            })
+            .sum();
+        let censuses = live.sink_censuses();
+        assert_eq!(censuses.len(), ids.len(), "one root sink per variant");
+        let at = format!("t={}", live.now());
+        for (root, c) in &censuses {
+            assert_eq!(c.dedup_empty, 0, "{at}: root {root} {c:?}");
+        }
+        let sum = |f: fn(&SinkCensus) -> usize| censuses.iter().map(|(_, c)| f(c)).sum::<usize>();
+        let (pairs, retained, slots) = (
+            sum(|c| c.dedup_pairs),
+            sum(|c| c.log_retained),
+            sum(|c| c.log_slots),
+        );
+        assert!(
+            pairs <= live_pairs,
+            "{at}: {pairs} dedup pairs, {live_pairs} with live coverage"
+        );
+        let logs = 2 * censuses.len();
+        assert!(
+            slots <= LOG_SLOTS_PER_RETAINED * retained + LOG_SLOTS_PER_LOG * logs,
+            "{at}: {logs} logs reserve {slots} slots for {retained} retained results"
+        );
+        peak_retained = peak_retained.max(retained);
+        checks += 1;
+    }
+    assert!(
+        checks == 300 && peak_retained > 100,
+        "{checks} checks, {peak_retained}"
+    );
+}
+
+/// Summed `reserved_bytes` of every live root sink.
+fn sink_bytes(host: &MultiQueryEngine) -> usize {
+    host.sink_censuses()
+        .iter()
+        .map(|(_, c)| c.reserved_bytes)
+        .sum()
+}
+
+/// A window variant registered and deregistered beside a survivor, fifty
+/// times over a stream: what the departed variants held goes with them,
+/// so after the last purge the host's sinks reserve no more than half
+/// again what they did at their peak during the first cycle.
+#[test]
+fn variant_churn_leaves_no_sink_state_behind() {
+    const CYCLES: usize = 50;
+    const CYCLE_SLIDES: usize = 10;
+    let mut live = purging_host();
+    let survivor = live.register(&q1(SOAK_WINDOW));
+    let a2q = live.labels().get("a2q").unwrap();
+    let mut slides = soak_slides().into_iter();
+    let mut feed = |live: &mut MultiQueryEngine, ids: &[QueryId]| {
+        let slide = slides.next().expect("the stream outlasts the churn");
+        live.ingest_batch(&a2q_batch(&slide, a2q));
+        for &id in ids {
+            live.for_each_undelivered(id, |_, _| {});
+        }
+        live.release_delivered();
+    };
+    // Warm up: the survivor's window fills twice.
+    for _ in 0..20 {
+        feed(&mut live, &[survivor]);
+    }
+    let mut first_peak = 0;
+    for cycle in 0..CYCLES {
+        let variant = live.register(&q1(SOAK_WINDOW / 2));
+        for _ in 0..CYCLE_SLIDES {
+            feed(&mut live, &[survivor, variant]);
+            if cycle == 0 {
+                first_peak = first_peak.max(sink_bytes(&live));
+            }
+        }
+        assert!(live.deregister(variant));
+    }
+    feed(&mut live, &[survivor]);
+    live.purge_all(live.now());
+    let end = sink_bytes(&live);
+    assert_eq!(live.sink_censuses().len(), 1, "only the survivor's sink");
+    assert!(
+        first_peak > 0 && 2 * end <= 3 * first_peak,
+        "after {CYCLES} cycles the sinks reserve {end} B, {first_peak} B at the first cycle's peak"
+    );
 }

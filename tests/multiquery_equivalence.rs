@@ -471,14 +471,11 @@ fn retention_horizon_bounds_large_window_late_registration() {
 }
 
 // ---------------------------------------------------------------------
-// Subsuming-dedup handover (property-based): window variants of one
-// canonical structure share a per-root dedup *family* (union coverage +
-// exact per-variant interval sets). Deregistering the **widest** variant
-// mid-stream is the adversarial case — the family's subsuming coverage was
-// dominated by the departing member, so it must be rebuilt from the
-// survivors (three variants) or the last survivor must be demoted back to
-// a private map with its exact state extracted (two variants). Either way
-// the survivors must keep emitting exactly like dedicated engines, and the
+// Window-variant survivors (property-based): window variants of one plan
+// share every operator below their window scans' fan-out but each has its
+// own root sink and private dedup map. Deregistering the **widest**
+// variant mid-stream retires its operators and drops its sink; the
+// survivors must keep emitting exactly like dedicated engines, and the
 // executor fingerprint must stay identical across (shards, workers).
 // ---------------------------------------------------------------------
 
@@ -489,8 +486,8 @@ const VARIANT_PLANS: [&str; 3] = [
     "Ans(x, y) <- a+(x, y).",
     "Ans(x, y) <- a+(x, m), b(m, y).",
 ];
-/// Ascending window sizes: same structure + slide, so all variants share
-/// one canonical root and one dedup family.
+/// Ascending window sizes: same structure and slide, one root sink per
+/// variant.
 const VARIANT_WINDOWS: [u64; 3] = [12, 24, 48];
 const VARIANT_SLIDE: u64 = 6;
 const VARIANT_SPAN: u64 = 72;
@@ -587,7 +584,7 @@ proptest! {
         }
 
         // Host-vs-host: raw logs and fingerprints are bit-identical across
-        // (shards, workers), including through the dedup-state handover.
+        // (shards, workers), including through the widest variant's exit.
         for (si, pi) in serial_ids[..widest].iter().zip(&parallel_ids[..widest]) {
             prop_assert_eq!(serial.results(*si), parallel.results(*pi));
         }
@@ -621,7 +618,7 @@ proptest! {
                     t
                 );
             }
-            // Route-once drain semantics survive the handover: everything
+            // Route-once drain semantics survive the exit: everything
             // exactly once, then empty.
             prop_assert_eq!(serial.drain(*si).len(), serial.results(*si).len());
             prop_assert_eq!(serial.drain(*si).len(), 0);

@@ -515,10 +515,26 @@ fn multiquery_histograms_and_explain_analyze_populate() {
         );
         assert!(qs.latency.max > 0, "q{} recorded zero nanos", qs.query);
     }
+    // The query line reports its root sink's reserved bytes, as the sink
+    // census counts them; the two twins read one sink.
+    let sinks = host.sink_censuses();
+    let mut sink_bytes = Vec::new();
     for id in [shared_a, shared_b, solo] {
         let rendered = host.explain_analyze(id).expect("registered query");
         assert!(rendered.contains("inv="), "{rendered}");
         assert!(rendered.contains("epochs"), "{rendered}");
+        let bytes: usize = rendered
+            .split_once("sink_bytes=")
+            .and_then(|(_, rest)| rest.split_whitespace().next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no sink_bytes= in {rendered}"));
+        assert!(
+            sinks
+                .iter()
+                .any(|(_, c)| c.reserved_bytes == bytes && bytes > 0),
+            "sink_bytes={bytes} matches no sink census: {sinks:?}"
+        );
+        sink_bytes.push(bytes);
     }
+    assert_eq!(sink_bytes[0], sink_bytes[1], "twins share one root sink");
     assert!(host.explain_analyze(QueryId(99)).is_none());
 }
