@@ -285,18 +285,32 @@ impl std::error::Error for ProtoError {}
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    buf.extend_from_slice(&len.to_be_bytes());
-    buf.extend_from_slice(&s.as_bytes()[..len as usize]);
+/// The bytes of `s` a `u16`-length string field carries: a string past
+/// the limit is cut at it.
+fn wire_str(s: &str) -> &[u8] {
+    &s.as_bytes()[..s.len().min(u16::MAX as usize)]
 }
 
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    let s = wire_str(s);
+    buf.extend_from_slice(&(s.len() as u16).to_be_bytes());
+    buf.extend_from_slice(s);
+}
+
+/// An edge's fixed-width part: delete flag, src, trg, t, label length.
+const EDGE_HEAD_LEN: usize = 1 + 3 * 8 + 2;
+
 fn put_edge(buf: &mut Vec<u8>, e: &WireEdge) {
-    buf.push(e.delete as u8);
-    buf.extend_from_slice(&e.src.to_be_bytes());
-    buf.extend_from_slice(&e.trg.to_be_bytes());
-    buf.extend_from_slice(&e.t.to_be_bytes());
-    put_str(buf, &e.label);
+    // One copy for the fixed-width fields, one for the label.
+    let label = wire_str(&e.label);
+    let mut head = [0u8; EDGE_HEAD_LEN];
+    head[0] = e.delete as u8;
+    head[1..9].copy_from_slice(&e.src.to_be_bytes());
+    head[9..17].copy_from_slice(&e.trg.to_be_bytes());
+    head[17..25].copy_from_slice(&e.t.to_be_bytes());
+    head[25..].copy_from_slice(&(label.len() as u16).to_be_bytes());
+    buf.extend_from_slice(&head);
+    buf.extend_from_slice(label);
 }
 
 /// Bytes in one complete `RESULT` frame, length prefix included (every
@@ -316,14 +330,28 @@ pub fn encode_result_into(
     ts: u64,
     exp: u64,
 ) {
-    buf.extend_from_slice(&(RESULT_FRAME_LEN as u32 - 4).to_be_bytes());
-    buf.extend_from_slice(&[PROTOCOL_VERSION, 0x84]);
-    buf.extend_from_slice(&query.to_be_bytes());
-    buf.push(delete as u8);
-    buf.extend_from_slice(&src.to_be_bytes());
-    buf.extend_from_slice(&trg.to_be_bytes());
-    buf.extend_from_slice(&ts.to_be_bytes());
-    buf.extend_from_slice(&exp.to_be_bytes());
+    let [l0, l1, l2, l3] = (RESULT_FRAME_LEN as u32 - 4).to_be_bytes();
+    buf.extend_from_slice(&[l0, l1, l2, l3, PROTOCOL_VERSION, 0x84]);
+    buf.extend_from_slice(&result_body(query, delete, src, trg, ts, exp));
+}
+
+/// The body of a `RESULT` frame, built on the stack so it is appended
+/// with one copy.
+fn result_body(
+    query: u64,
+    delete: bool,
+    src: u64,
+    trg: u64,
+    ts: u64,
+    exp: u64,
+) -> [u8; RESULT_FRAME_LEN - 6] {
+    let mut body = [0u8; RESULT_FRAME_LEN - 6];
+    body[..8].copy_from_slice(&query.to_be_bytes());
+    body[8] = delete as u8;
+    for (i, x) in [src, trg, ts, exp].into_iter().enumerate() {
+        body[9 + 8 * i..17 + 8 * i].copy_from_slice(&x.to_be_bytes());
+    }
+    body
 }
 
 impl Message {
@@ -353,25 +381,40 @@ impl Message {
         }
     }
 
+    /// Bytes of the encoded frame, length prefix included.
+    fn frame_len(&self) -> usize {
+        let str_len = |s: &str| 2 + wire_str(s).len();
+        let edge_len = |e: &WireEdge| EDGE_HEAD_LEN + wire_str(&e.label).len();
+        let body = match self {
+            Message::Hello { client: s }
+            | Message::Welcome { server: s }
+            | Message::Bye { reason: s } => str_len(s),
+            Message::Register { query, .. } => 1 + 4 + 2 * 8 + str_len(query),
+            Message::Deregister { .. }
+            | Message::Advance { .. }
+            | Message::Ping { .. }
+            | Message::Pong { .. }
+            | Message::Registered { .. } => 8,
+            Message::Insert(e) | Message::Delete(e) => edge_len(e),
+            Message::Batch { edges } => 4 + edges.iter().map(edge_len).sum::<usize>(),
+            Message::Flush | Message::Metrics | Message::Shutdown => 0,
+            Message::Deregistered { .. } => 8 + 1,
+            Message::Result { .. } => RESULT_FRAME_LEN - 6,
+            Message::Dropped { .. } => 2 * 8,
+            Message::MetricsSnapshot { jsonl } => 4 + jsonl.len(),
+            Message::Error { message, .. } => 2 + str_len(message),
+        };
+        4 + 2 + body
+    }
+
     /// Encodes the message as one complete frame (length prefix
-    /// included), ready to write to a socket.
+    /// included), ready to write to a socket. The frame is written once
+    /// into a buffer reserved to its size; the length is patched in last.
     pub fn encode(&self) -> Vec<u8> {
-        if let Message::Result {
-            query,
-            delete,
-            src,
-            trg,
-            ts,
-            exp,
-        } = *self
-        {
-            let mut frame = Vec::with_capacity(RESULT_FRAME_LEN);
-            encode_result_into(&mut frame, query, delete, src, trg, ts, exp);
-            return frame;
-        }
-        let mut body = vec![PROTOCOL_VERSION, self.type_byte()];
+        let mut frame = Vec::with_capacity(self.frame_len());
+        frame.extend_from_slice(&[0, 0, 0, 0, PROTOCOL_VERSION, self.type_byte()]);
         match self {
-            Message::Hello { client } => put_str(&mut body, client),
+            Message::Hello { client } => put_str(&mut frame, client),
             Message::Register {
                 policy,
                 buffer,
@@ -379,50 +422,56 @@ impl Message {
                 slide,
                 query,
             } => {
-                body.push(policy.to_byte());
-                body.extend_from_slice(&buffer.to_be_bytes());
-                body.extend_from_slice(&window.to_be_bytes());
-                body.extend_from_slice(&slide.to_be_bytes());
-                put_str(&mut body, query);
+                frame.push(policy.to_byte());
+                frame.extend_from_slice(&buffer.to_be_bytes());
+                frame.extend_from_slice(&window.to_be_bytes());
+                frame.extend_from_slice(&slide.to_be_bytes());
+                put_str(&mut frame, query);
             }
-            Message::Deregister { query } => body.extend_from_slice(&query.to_be_bytes()),
-            Message::Insert(e) | Message::Delete(e) => put_edge(&mut body, e),
+            Message::Deregister { query } => frame.extend_from_slice(&query.to_be_bytes()),
+            Message::Insert(e) | Message::Delete(e) => put_edge(&mut frame, e),
             Message::Batch { edges } => {
-                body.extend_from_slice(&(edges.len() as u32).to_be_bytes());
+                frame.extend_from_slice(&(edges.len() as u32).to_be_bytes());
                 for e in edges {
-                    put_edge(&mut body, e);
+                    put_edge(&mut frame, e);
                 }
             }
-            Message::Advance { t } => body.extend_from_slice(&t.to_be_bytes()),
+            Message::Advance { t } => frame.extend_from_slice(&t.to_be_bytes()),
             Message::Flush | Message::Metrics | Message::Shutdown => {}
             Message::Ping { token } | Message::Pong { token } => {
-                body.extend_from_slice(&token.to_be_bytes())
+                frame.extend_from_slice(&token.to_be_bytes())
             }
-            Message::Welcome { server } => put_str(&mut body, server),
-            Message::Registered { query } => body.extend_from_slice(&query.to_be_bytes()),
+            Message::Welcome { server } => put_str(&mut frame, server),
+            Message::Registered { query } => frame.extend_from_slice(&query.to_be_bytes()),
             Message::Deregistered { query, ok } => {
-                body.extend_from_slice(&query.to_be_bytes());
-                body.push(*ok as u8);
+                frame.extend_from_slice(&query.to_be_bytes());
+                frame.push(*ok as u8);
             }
-            Message::Result { .. } => unreachable!("encoded above"),
+            &Message::Result {
+                query,
+                delete,
+                src,
+                trg,
+                ts,
+                exp,
+            } => frame.extend_from_slice(&result_body(query, delete, src, trg, ts, exp)),
             Message::Dropped { query, count } => {
-                body.extend_from_slice(&query.to_be_bytes());
-                body.extend_from_slice(&count.to_be_bytes());
+                frame.extend_from_slice(&query.to_be_bytes());
+                frame.extend_from_slice(&count.to_be_bytes());
             }
             Message::MetricsSnapshot { jsonl } => {
                 // Documents exceed the u16 string limit: u32 length.
-                body.extend_from_slice(&(jsonl.len() as u32).to_be_bytes());
-                body.extend_from_slice(jsonl.as_bytes());
+                frame.extend_from_slice(&(jsonl.len() as u32).to_be_bytes());
+                frame.extend_from_slice(jsonl.as_bytes());
             }
             Message::Error { code, message } => {
-                body.extend_from_slice(&code.to_be_bytes());
-                put_str(&mut body, message);
+                frame.extend_from_slice(&code.to_be_bytes());
+                put_str(&mut frame, message);
             }
-            Message::Bye { reason } => put_str(&mut body, reason),
+            Message::Bye { reason } => put_str(&mut frame, reason),
         }
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&body);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_be_bytes());
         frame
     }
 
@@ -855,5 +904,214 @@ mod tests {
             assert_eq!(&got, m);
         }
         assert!(read_message(&mut r).unwrap().is_none());
+    }
+
+    /// The two-pass layout `encode` replaced: the body built field by
+    /// field in a `Vec` of its own, then copied behind the length prefix.
+    fn reference_encode(msg: &Message) -> Vec<u8> {
+        fn put_str(buf: &mut Vec<u8>, s: &str) {
+            let len = s.len().min(u16::MAX as usize) as u16;
+            buf.extend_from_slice(&len.to_be_bytes());
+            buf.extend_from_slice(&s.as_bytes()[..len as usize]);
+        }
+        fn put_edge(buf: &mut Vec<u8>, e: &WireEdge) {
+            buf.push(e.delete as u8);
+            buf.extend_from_slice(&e.src.to_be_bytes());
+            buf.extend_from_slice(&e.trg.to_be_bytes());
+            buf.extend_from_slice(&e.t.to_be_bytes());
+            put_str(buf, &e.label);
+        }
+        let mut body = vec![PROTOCOL_VERSION, msg.type_byte()];
+        match msg {
+            Message::Hello { client } => put_str(&mut body, client),
+            Message::Register {
+                policy,
+                buffer,
+                window,
+                slide,
+                query,
+            } => {
+                body.push(policy.to_byte());
+                body.extend_from_slice(&buffer.to_be_bytes());
+                body.extend_from_slice(&window.to_be_bytes());
+                body.extend_from_slice(&slide.to_be_bytes());
+                put_str(&mut body, query);
+            }
+            Message::Deregister { query } => body.extend_from_slice(&query.to_be_bytes()),
+            Message::Insert(e) | Message::Delete(e) => put_edge(&mut body, e),
+            Message::Batch { edges } => {
+                body.extend_from_slice(&(edges.len() as u32).to_be_bytes());
+                for e in edges {
+                    put_edge(&mut body, e);
+                }
+            }
+            Message::Advance { t } => body.extend_from_slice(&t.to_be_bytes()),
+            Message::Flush | Message::Metrics | Message::Shutdown => {}
+            Message::Ping { token } | Message::Pong { token } => {
+                body.extend_from_slice(&token.to_be_bytes())
+            }
+            Message::Welcome { server } => put_str(&mut body, server),
+            Message::Registered { query } => body.extend_from_slice(&query.to_be_bytes()),
+            Message::Deregistered { query, ok } => {
+                body.extend_from_slice(&query.to_be_bytes());
+                body.push(*ok as u8);
+            }
+            Message::Result {
+                query,
+                delete,
+                src,
+                trg,
+                ts,
+                exp,
+            } => {
+                body.extend_from_slice(&query.to_be_bytes());
+                body.push(*delete as u8);
+                for x in [src, trg, ts, exp] {
+                    body.extend_from_slice(&x.to_be_bytes());
+                }
+            }
+            Message::Dropped { query, count } => {
+                body.extend_from_slice(&query.to_be_bytes());
+                body.extend_from_slice(&count.to_be_bytes());
+            }
+            Message::MetricsSnapshot { jsonl } => {
+                body.extend_from_slice(&(jsonl.len() as u32).to_be_bytes());
+                body.extend_from_slice(jsonl.as_bytes());
+            }
+            Message::Error { code, message } => {
+                body.extend_from_slice(&code.to_be_bytes());
+                put_str(&mut body, message);
+            }
+            Message::Bye { reason } => put_str(&mut body, reason),
+        }
+        let mut frame = Vec::with_capacity(4 + body.len());
+        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        frame.extend_from_slice(&body);
+        frame
+    }
+
+    /// A deterministic xorshift stream (the crate has no `rand`).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A string of at most `max` UTF-8 bytes mixing 1-, 2-, 3- and
+        /// 4-byte characters.
+        fn text(&mut self, max: usize) -> String {
+            const CHARS: [char; 6] = ['a', 'Z', '_', 'é', '知', '🦀'];
+            let target = self.below(max as u64 + 1) as usize;
+            let mut s = String::new();
+            loop {
+                let c = CHARS[self.below(CHARS.len() as u64) as usize];
+                if s.len() + c.len_utf8() > target {
+                    // Pad with ASCII so every length up to `max` occurs.
+                    while s.len() < target {
+                        s.push('x');
+                    }
+                    return s;
+                }
+                s.push(c);
+            }
+        }
+
+        fn edge(&mut self) -> WireEdge {
+            WireEdge {
+                delete: self.below(2) == 1,
+                src: self.next(),
+                trg: self.next(),
+                t: self.next(),
+                label: self.text(40),
+            }
+        }
+    }
+
+    /// `encode` writes the same bytes as the two-pass layout for every
+    /// message type, into a buffer reserved to exactly the frame's size.
+    #[test]
+    fn encode_matches_the_two_pass_layout() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let check = |msg: Message| {
+            let frame = msg.encode();
+            assert_eq!(frame, reference_encode(&msg), "{msg:?}");
+            assert_eq!(frame.capacity(), frame.len(), "{msg:?}");
+        };
+        for round in 0..64 {
+            let s = rng.text(40);
+            let edge = rng.edge();
+            let n = rng.next();
+            let msgs = vec![
+                Message::Hello { client: s.clone() },
+                Message::Register {
+                    policy: if round % 2 == 0 {
+                        Backpressure::DropNewest
+                    } else {
+                        Backpressure::Disconnect
+                    },
+                    buffer: n as u32,
+                    window: n,
+                    slide: n >> 3,
+                    query: s.clone(),
+                },
+                Message::Deregister { query: n },
+                Message::Insert(edge.clone()),
+                Message::Delete(edge),
+                Message::Advance { t: n },
+                Message::Flush,
+                Message::Metrics,
+                Message::Shutdown,
+                Message::Ping { token: n },
+                Message::Welcome { server: s.clone() },
+                Message::Registered { query: n },
+                Message::Deregistered {
+                    query: n,
+                    ok: round % 3 == 0,
+                },
+                Message::Result {
+                    query: n,
+                    delete: round % 2 == 1,
+                    src: rng.next(),
+                    trg: rng.next(),
+                    ts: rng.next(),
+                    exp: rng.next(),
+                },
+                Message::Dropped {
+                    query: n,
+                    count: rng.next(),
+                },
+                Message::MetricsSnapshot { jsonl: s.repeat(7) },
+                Message::Pong { token: n },
+                Message::Error {
+                    code: n as u16,
+                    message: s.clone(),
+                },
+                Message::Bye { reason: s },
+            ];
+            for m in msgs {
+                check(m);
+            }
+        }
+        for n in (0..=300).step_by(7).chain([1, 2, 299, 300]) {
+            let edges = (0..n).map(|_| rng.edge()).collect();
+            check(Message::Batch { edges });
+        }
+        // Strings past the u16 limit are cut at it.
+        let long = "y".repeat(u16::MAX as usize + 5);
+        check(Message::Bye {
+            reason: long.clone(),
+        });
+        check(Message::Insert(WireEdge {
+            label: long,
+            ..rng.edge()
+        }));
     }
 }
