@@ -2,8 +2,8 @@
 //! `ObsLevel::Off` vs `Counters` vs `Timing`.
 //!
 //! Every row asserts the observability contract on every pass: result
-//! and deletion counts plus the deterministic executor fingerprint must
-//! be identical to the `ObsLevel::Off` baseline — collection may cost
+//! and deletion counts plus the executor counters (`ExecStats`) must be
+//! identical to the `ObsLevel::Off` baseline — collection may cost
 //! time, never answers. The JSON rows carry the extended stats fields
 //! (p50/p99/p99.9 slide latency, `peak_state`) from the untimed run and
 //! the per-operator snapshot (invocations, selectivity, state, nanos)
@@ -11,7 +11,7 @@
 //! what the counters bought.
 //!
 //! The summary also exercises the exporter end to end: a window-variant
-//! multi-query fleet runs sharded under `Timing` and its
+//! multi-query fleet runs under `Timing` and its
 //! [`MetricsSnapshot`] is written to `METRICS_snapshot.jsonl`, with
 //! every line shape-checked as a one-object JSON record.
 //!
@@ -22,17 +22,18 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use sgq_bench::{latency_fields, run_query_obs, window_variant_fleet, Scale, VARIANT_DAYS};
 use sgq_core::engine::EngineOptions;
+use sgq_core::metrics::ExecStats;
 use sgq_core::obs::{MetricsSnapshot, ObsLevel};
 use sgq_datagen::workloads::Dataset;
 use sgq_multiquery::MultiQueryEngine;
 use std::time::{Duration, Instant};
 
-/// Ingestion batch size of the fleet snapshot run (matches `sharding`).
+/// Ingestion batch size of the fleet snapshot run (the serve loop's).
 const BATCH: usize = 256;
 /// Timed passes per level; best is reported.
 const PASSES: usize = 2;
 /// The measured levels; `Off` first — it is the baseline the other
-/// levels' results and fingerprints are asserted against.
+/// levels' results and executor counters are asserted against.
 const LEVELS: [ObsLevel; 3] = [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Timing];
 
 fn quick() -> bool {
@@ -73,14 +74,12 @@ fn bench_obs(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs the Q6 window-variant fleet sharded under `Timing` and writes
+/// Runs the Q6 window-variant fleet under `Timing` and writes
 /// the metrics snapshot as JSONL, returning the line count after
 /// shape-checking every line.
 fn export_fleet_snapshot(scale: &Scale) -> usize {
     let mut host = MultiQueryEngine::with_options(EngineOptions {
         materialize_paths: false,
-        shards: 2,
-        workers: 2,
         obs: ObsLevel::Timing,
         ..Default::default()
     });
@@ -137,7 +136,7 @@ fn operators_json(snap: &MetricsSnapshot) -> String {
 
 /// One timed full-stream pass per level, summarized as JSON, with the
 /// neutrality contract asserted on every pass: result/deletion counts
-/// and the determinism fingerprint must match `ObsLevel::Off` exactly.
+/// and the executor counters must match `ObsLevel::Off` exactly.
 fn emit_json_summary() {
     let scale = scale();
     let mut rows: Vec<String> = Vec::new();
@@ -145,7 +144,7 @@ fn emit_json_summary() {
         let raw = scale.stream(ds);
         let window = scale.default_window();
         for n in 1..=7 {
-            let mut baseline: Option<(f64, u64, u64, [u64; 9])> = None;
+            let mut baseline: Option<(f64, u64, u64, ExecStats)> = None;
             let mut per_level: Vec<(ObsLevel, f64)> = Vec::new();
             let mut off_latency = String::new();
             let mut timing_ops = String::from("[]");
@@ -155,12 +154,11 @@ fn emit_json_summary() {
                     let started = Instant::now();
                     let (stats, snap) = run_query_obs(n, ds, &raw, window, obs);
                     let secs = started.elapsed().as_secs_f64();
-                    let fp = snap.exec.determinism_fingerprint();
                     match &baseline {
                         None => {
-                            baseline = Some((secs, stats.results, stats.deletions, fp));
+                            baseline = Some((secs, stats.results, stats.deletions, snap.exec));
                         }
-                        Some((_, results, deletions, fingerprint)) => {
+                        Some((_, results, deletions, exec)) => {
                             assert_eq!(
                                 (results, deletions),
                                 (&stats.results, &stats.deletions),
@@ -169,8 +167,8 @@ fn emit_json_summary() {
                                 obs.name()
                             );
                             assert_eq!(
-                                fingerprint,
-                                &fp,
+                                exec,
+                                &snap.exec,
                                 "{} Q{n}: obs={} changed deterministic exec counters",
                                 ds.name(),
                                 obs.name()
@@ -238,12 +236,12 @@ fn emit_json_summary() {
             "{{\n  \"bench\": \"obs\",\n",
             "  \"quick\": {},\n",
             "  \"note\": \"per level, one full-stream pass of each query; ",
-            "result counts and determinism fingerprints are asserted ",
+            "result counts and executor counters are asserted ",
             "identical to ObsLevel::Off on every pass (observability may ",
             "cost time, never answers); overhead_* is wall-clock relative ",
             "to Off; latency fields come from the Off run, the operators ",
             "array from the Timing run; the fleet snapshot is a {}-variant ",
-            "Q6 fleet at shards=2 workers=2 under Timing\",\n",
+            "Q6 fleet under Timing\",\n",
             "  \"metrics_snapshot\": {{\"path\": \"{}\", \"lines\": {}}},\n",
             "  \"rows\": [\n{}\n  ]\n}}\n"
         ),

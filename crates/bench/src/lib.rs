@@ -95,14 +95,14 @@ impl Scale {
 }
 
 /// Window sizes (in simulated "days") of the hosted variants of each
-/// query in the multi-plan "fleet" benches (`sharding`, `obs`); all slide
+/// query in the multi-plan "fleet" bench (`obs`); all slide
 /// by one day, so the host ticks daily like the paper's default window.
 pub const VARIANT_DAYS: [u64; 4] = [18, 22, 26, 30];
 
 /// The window-variant fleet of query `n`: one registration per entry of
 /// [`VARIANT_DAYS`]. Distinct window sizes make the plans structurally
 /// distinct, so a shared dataflow holds that many disjoint operator
-/// chains — the width the shard executor has to spread over workers.
+/// chains.
 pub fn window_variant_fleet(n: usize, ds: Dataset, scale: &Scale) -> Vec<SgqQuery> {
     VARIANT_DAYS
         .iter()

@@ -37,19 +37,14 @@ pub enum PathImpl {
     NegativeTuple,
 }
 
-/// How many input deltas one sweep of the dataflow carries. Operators
-/// run the same code either way: a single delta is a batch of one.
+/// How many input deltas one sweep of the dataflow carries. There is one
+/// mode: a sweep per ingested epoch, in which operators consume their
+/// accumulated per-port batches once. A single delta is an epoch of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
-    /// One sweep per ingested epoch (default): operators consume their
-    /// accumulated per-port batches once per epoch.
+    /// One sweep per ingested epoch.
     #[default]
     Epoch,
-    /// One sweep per input delta: `Dataflow::ingest_epoch` cuts every
-    /// epoch it is handed into singleton epochs, so a multi-edge
-    /// [`Engine::process_batch`] executes like a loop of
-    /// [`Engine::process`] calls. Answers equal `Epoch`'s.
-    Tuple,
 }
 
 /// Which physical implementation to use for PATTERN operators.
@@ -128,43 +123,22 @@ pub struct EngineOptions {
     pub purge_period: Option<u64>,
     /// Executor delivery granularity (see [`DispatchMode`]).
     pub dispatch: DispatchMode,
-    /// Worker threads for the two kinds of work the executor hands to its
-    /// pool: the per-epoch shard-subgraph jobs (when [`shards`] > 1) and
-    /// runs of direct-approach operator purges. `1` (the default) spawns no
-    /// pool and runs both on the calling thread. The epoch sweep itself is
-    /// always serial at `shards = 1`, whatever the worker count. Pool jobs
-    /// are merged back in deterministic node order, so **results are
-    /// identical at any worker count** (asserted by the sharding- and
-    /// purge-determinism proptests). The default honours the
-    /// `SGQ_WORKERS` environment variable, which is how CI runs the whole
-    /// suite at several worker counts without touching test code.
-    ///
-    /// [`shards`]: EngineOptions::shards
+    /// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
+    /// 3(a)). The dataflow runs one serial sweep per epoch and one serial
+    /// purge walk, whatever this holds. Defaults to 1.
     pub workers: usize,
-    /// Label shards for the shard-subgraph executor. `1` (the default)
-    /// disables sharding: every epoch runs the serial level-ordered sweep.
-    /// Values > 1 partition the WSCAN leaves by edge label into that many
-    /// shard groups; each shard's reachable-only-from-its-labels operator
-    /// closure (its **shard-subgraph**) executes a whole epoch — all of
-    /// its levels, with no inter-shard barrier — as one unit on the worker
-    /// pool, and operators whose inputs span shards become explicit merge
-    /// points replayed on the scheduler thread in the serial schedule
-    /// order. Result logs and deterministic [`ExecStats`] counters are
-    /// **bit-identical at any `(shards, workers)` combination** (asserted
-    /// by the sharding-determinism proptests and the CI matrix). The
-    /// default honours the `SGQ_SHARDS` environment variable; counts are
-    /// capped at 64 (the shard-mask width).
-    ///
-    /// [`ExecStats`]: crate::metrics::ExecStats
+    /// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
+    /// 3(a)). The dataflow is never partitioned by label, whatever this
+    /// holds. Defaults to 1.
     pub shards: usize,
     /// Observability collection level (see [`ObsLevel`]). `Off` (the
     /// default) keeps the serial hot path clock-free and skips every
     /// per-operator counter update; `Counters` adds clock-free counting;
     /// `Timing` adds wall-clock nanos per `on_batch`/`purge` call. None of
-    /// the collected counters participate in
-    /// `ExecStats::determinism_fingerprint`, and collection never affects
-    /// results — result logs are **bit-identical with observability on or
-    /// off** at any `(shards, workers)` (asserted by the obs-neutrality
+    /// the collected counters is part of
+    /// [`ExecStats`](crate::metrics::ExecStats), and collection never
+    /// affects results — result logs are **bit-identical with
+    /// observability on or off** (asserted by the obs-neutrality
     /// proptests). The default honours the `SGQ_OBS` environment variable
     /// (`off`/`counters`/`timing`), which is how CI runs the whole suite
     /// with observability on without touching test code.
@@ -174,16 +148,9 @@ pub struct EngineOptions {
     /// honours the `SGQ_SHARING` environment variable
     /// (`auto`/`share`/`dedicated`).
     pub sharing: SharingPolicy,
-    /// Sketch-driven adaptive execution. When enabled the ingest path
-    /// maintains per-label frequency sketches ([`crate::sketch`]) and the
-    /// executor may recompute the label → shard assignment between epochs
-    /// when one shard stays persistently hot (hysteresis + cooldown, see
-    /// [`crate::sketch::Rebalancer`]). Any label partition is
-    /// semantics-preserving, so results and deterministic fingerprints
-    /// are **bit-identical with adaptivity on or off** at every
-    /// `(shards, workers)` × obs level (asserted by the adaptive
-    /// determinism proptests). The default honours the `SGQ_ADAPT`
-    /// environment variable (`1`/`true`/`on` to enable).
+    /// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
+    /// 3(a)). No sketch is kept and nothing is rebalanced or replanned,
+    /// whatever this holds. Defaults to `false`.
     pub adaptive: bool,
 }
 
@@ -196,50 +163,19 @@ impl Default for EngineOptions {
             materialize_paths: true,
             purge_period: None,
             dispatch: DispatchMode::Epoch,
-            workers: default_workers(),
-            shards: default_shards(),
+            workers: 1,
+            shards: 1,
             obs: default_obs(),
             sharing: SharingPolicy::from_env(),
-            adaptive: default_adaptive(),
+            adaptive: false,
         }
     }
-}
-
-/// The default adaptivity switch: `true` when `SGQ_ADAPT` is set to
-/// `1`/`true`/`on`, else `false`. How CI runs the whole suite with
-/// adaptive execution enabled without touching test code.
-pub fn default_adaptive() -> bool {
-    matches!(
-        std::env::var("SGQ_ADAPT").as_deref().map(str::trim),
-        Ok("1") | Ok("true") | Ok("on")
-    )
-}
-
-/// The default worker count: `SGQ_WORKERS` when set to a positive integer,
-/// else 1 (serial).
-pub fn default_workers() -> usize {
-    positive_env("SGQ_WORKERS")
-}
-
-/// The default shard count: `SGQ_SHARDS` when set to a positive integer,
-/// else 1 (unsharded). How CI runs the whole suite at several shard
-/// counts without touching test code.
-pub fn default_shards() -> usize {
-    positive_env("SGQ_SHARDS")
 }
 
 /// The default observability level: `SGQ_OBS` when set
 /// (`off`/`counters`/`timing`, or `0`/`1`/`2`), else [`ObsLevel::Off`].
 pub fn default_obs() -> ObsLevel {
     ObsLevel::from_env()
-}
-
-fn positive_env(var: &str) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
 }
 
 /// The streaming graph query engine.
@@ -600,49 +536,6 @@ impl Engine {
         self.flow.state_size()
     }
 
-    /// Member operators per shard-subgraph, indexed by shard id (empty
-    /// when sharding is disabled — see [`EngineOptions::shards`]).
-    pub fn shard_widths(&self) -> Vec<usize> {
-        self.flow.shard_widths()
-    }
-
-    /// Operators whose inputs span shards (the explicit merge points);
-    /// zero when sharding is disabled.
-    pub fn merge_point_count(&self) -> usize {
-        self.flow.merge_point_count()
-    }
-
-    /// The label → shard assignment currently in force (empty when
-    /// sharding is disabled).
-    pub fn shard_assignment(&self) -> &sgq_types::FxHashMap<Label, usize> {
-        self.flow.shard_assignment()
-    }
-
-    /// Overrides the label → shard assignment between epochs. Any
-    /// assignment is semantics-preserving: results and the determinism
-    /// fingerprint are unchanged (see [`crate::sketch`]).
-    pub fn set_shard_assignment(&mut self, assign: sgq_types::FxHashMap<Label, usize>) {
-        self.flow.set_shard_assignment(assign);
-    }
-
-    /// Adaptive shard rebalances adopted so far (zero unless
-    /// [`EngineOptions::adaptive`] is set).
-    pub fn rebalances(&self) -> u64 {
-        self.flow.rebalances()
-    }
-
-    /// The input-frequency sketch (updated only under
-    /// [`EngineOptions::adaptive`]).
-    pub fn sketch(&self) -> &crate::sketch::StreamSketch {
-        self.flow.sketch()
-    }
-
-    /// Per-shard sweep nanos of the most recent sharded epoch
-    /// (observability; never part of the determinism contract).
-    pub fn shard_nanos_last(&self) -> &[u64] {
-        self.flow.shard_nanos_last()
-    }
-
     /// Operator names in the dataflow (diagnostics).
     pub fn operator_names(&self) -> Vec<String> {
         self.flow.operator_names()
@@ -654,8 +547,7 @@ impl Engine {
     }
 
     /// Installs a [`TraceSink`] receiving structured lifecycle events
-    /// (epoch open/close, level dispatch, shard jobs, merge replay,
-    /// purges) from the executor. Installing a sink opts into epoch
+    /// (epoch open/close, level dispatch, purges) from the executor. Installing a sink opts into epoch
     /// open/close wall-clock timing regardless of [`EngineOptions::obs`];
     /// per-operator nanos still require [`ObsLevel::Timing`]. Tracing
     /// never affects results.

@@ -29,9 +29,6 @@
 //!   latency histograms, trace sinks, and the metrics-snapshot exporter,
 //!   all gated by [`obs::ObsLevel`] and excluded from the determinism
 //!   contract.
-//! * [`sketch`] — per-label frequency sketches (count-min + degree
-//!   summaries) and the epoch-boundary shard-rebalance controller they
-//!   feed under [`EngineOptions::adaptive`].
 //!
 //! ## Quick start
 //!
@@ -68,9 +65,7 @@ pub mod obs;
 pub mod optimizer;
 pub mod physical;
 pub mod planner;
-pub(crate) mod pool;
 pub mod rewrite;
-pub mod sketch;
 
 pub use algebra::{FilterPred, Pos, SgaExpr, Side};
 pub use dataflow::{Dataflow, DataflowNode};
@@ -78,4 +73,3 @@ pub use engine::{Engine, EngineOptions, PathImpl, PatternImpl};
 pub use metrics::{LatencyProfile, RunStats};
 pub use obs::{MetricsSnapshot, ObsLevel, TraceEvent, TraceSink};
 pub use planner::{plan_canonical, Plan};
-pub use sketch::{CmSketch, StreamSketch};

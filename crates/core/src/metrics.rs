@@ -7,7 +7,9 @@ use std::time::Duration;
 /// Dispatch-amortisation counters collected by the epoch-batched executor
 /// (`sgq_core::dataflow::Dataflow`). Wall clock tells you batching is
 /// faster; these tell you *why*: how many operator invocations and edge
-/// deliveries a given number of input deltas cost.
+/// deliveries a given number of input deltas cost. Every field depends
+/// only on the plans and the input (never on the observability level or a
+/// trace sink), so equivalence tests compare whole values.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Delivery-loop runs (one per ingested epoch, purge continuation, or
@@ -27,36 +29,9 @@ pub struct ExecStats {
     /// Largest single epoch seeded, in input deltas.
     pub max_epoch_input: usize,
     /// Schedule levels executed (levels with at least one ready node).
-    /// Deterministic: identical across worker and shard counts.
     pub levels_run: u64,
-    /// Widest level executed, in ready nodes. Deterministic across worker
-    /// and shard counts.
+    /// Widest level executed, in ready nodes.
     pub max_level_width: usize,
-    /// Epochs executed through the label-sharded path (shard-subgraph
-    /// jobs plus the scheduler-thread merge replay). Depends on
-    /// `EngineOptions::shards` — **not** part of the determinism contract.
-    pub shard_epochs: u64,
-    /// Shard-subgraph jobs run across all sharded epochs (the shard
-    /// occupancy numerator). Not part of the determinism contract.
-    pub shard_subgraph_runs: u64,
-    /// Batch deliveries that crossed a shard boundary — i.e. arrived at an
-    /// explicit merge point during the scheduler-thread replay. A subset
-    /// of `fanout_deliveries`; varies with the shard count, so not part of
-    /// the determinism contract.
-    pub cross_shard_deliveries: u64,
-    /// Wall-clock nanoseconds spent running shard-subgraph jobs (phase 1
-    /// of a sharded epoch, before the merge replay). Timing, never
-    /// deterministic.
-    pub shard_nanos: u64,
-    /// Direct-approach operator reclamations dispatched onto the worker
-    /// pool by the parallel purge. Depends on `EngineOptions::workers`,
-    /// so not part of the determinism contract.
-    pub parallel_purge_ops: u64,
-    /// Label → shard reassignments adopted by the adaptive rebalancer
-    /// (`EngineOptions::adaptive`). A scheduling decision only — results
-    /// are invariant under any assignment — so not part of the
-    /// determinism contract.
-    pub rebalances: u64,
 }
 
 impl ExecStats {
@@ -67,45 +42,6 @@ impl ExecStats {
             return 0.0;
         }
         self.deltas_dispatched as f64 / self.operator_invocations as f64
-    }
-
-    /// Mean shard-subgraph jobs per sharded epoch — the inter-shard
-    /// parallelism the label partition actually exposed.
-    pub fn mean_shard_width(&self) -> f64 {
-        if self.shard_epochs == 0 {
-            return 0.0;
-        }
-        self.shard_subgraph_runs as f64 / self.shard_epochs as f64
-    }
-
-    /// Fraction of the configured shard slots a sharded epoch kept busy on
-    /// average (`mean_shard_width / shards`, capped at 1.0).
-    pub fn shard_occupancy(&self, shards: usize) -> f64 {
-        if shards == 0 {
-            return 0.0;
-        }
-        (self.mean_shard_width() / shards as f64).min(1.0)
-    }
-
-    /// The counters guaranteed identical across worker **and shard** counts
-    /// for the same input — what the sharding- and purge-determinism tests
-    /// compare. Excludes the dispatch-shape counters (`shard_*`,
-    /// `cross_shard_deliveries`, `parallel_purge_ops`, `rebalances`) and
-    /// wall-clock timings, which legitimately vary with
-    /// `EngineOptions::workers` / `EngineOptions::shards` /
-    /// `EngineOptions::adaptive`.
-    pub fn determinism_fingerprint(&self) -> [u64; 9] {
-        [
-            self.epochs,
-            self.input_deltas,
-            self.operator_invocations,
-            self.deltas_dispatched,
-            self.deltas_emitted,
-            self.fanout_deliveries,
-            self.max_epoch_input as u64,
-            self.levels_run,
-            self.max_level_width as u64,
-        ]
     }
 }
 
@@ -226,35 +162,6 @@ mod tests {
         assert!((s.deltas_per_invocation() - 25.0).abs() < 1e-9);
         let zero = ExecStats::default();
         assert_eq!(zero.deltas_per_invocation(), 0.0);
-    }
-
-    #[test]
-    fn shard_ratios_and_fingerprint() {
-        let s = ExecStats {
-            epochs: 6,
-            shard_epochs: 4,
-            shard_subgraph_runs: 10,
-            cross_shard_deliveries: 7,
-            shard_nanos: 500,
-            parallel_purge_ops: 3,
-            rebalances: 2,
-            ..Default::default()
-        };
-        assert!((s.mean_shard_width() - 2.5).abs() < 1e-9);
-        assert!((s.shard_occupancy(4) - 0.625).abs() < 1e-9);
-        assert_eq!(s.shard_occupancy(0), 0.0);
-        assert_eq!(ExecStats::default().mean_shard_width(), 0.0);
-        // Shard shape, purge dispatch, and timings are excluded from the
-        // fingerprint: runs differing only in shard count fingerprint
-        // identically.
-        let mut t = s;
-        t.shard_epochs = 0;
-        t.shard_subgraph_runs = 0;
-        t.cross_shard_deliveries = 0;
-        t.shard_nanos = 0;
-        t.parallel_purge_ops = 0;
-        t.rebalances = 0;
-        assert_eq!(s.determinism_fingerprint(), t.determinism_fingerprint());
     }
 
     #[test]

@@ -1,21 +1,16 @@
 //! Flight-recorder observability: per-operator counters, log2 latency
 //! histograms, structured trace events, and metrics snapshots.
 //!
-//! Three ROADMAP consumers motivate this module: shared-vs-dedicated
-//! subplan placement needs *measured per-operator cost*, sketch-driven
-//! load balancing needs per-shard hot-spot evidence finer than one
-//! aggregate `shard_nanos`, and a service host needs a metrics exporter.
-//! The executor therefore collects, when asked to:
+//! Two consumers motivate this module: shared-vs-dedicated subplan
+//! placement needs *measured per-operator cost*, and a service host needs
+//! a metrics exporter. The executor therefore collects, when asked to:
 //!
 //! * [`OpStats`] — per-operator invocation / delta-in / delta-out /
-//!   wall-clock counters, accumulated by `Dataflow`'s dispatch loop and by
-//!   the worker-pool jobs (a `ShardJob` owns its operators, so per-shard
-//!   attribution is free);
+//!   wall-clock counters, accumulated by `Dataflow`'s dispatch loop;
 //! * [`LogHistogram`] — fixed-bucket log2 histograms used by the
 //!   multi-query host for per-query latency and emission distributions;
 //! * [`TraceEvent`] / [`TraceSink`] — structured lifecycle events (epoch
-//!   open/close, level dispatch, shard jobs, merge replay, purges, query
-//!   register/deregister) delivered to a pluggable sink, with
+//!   open/close, level dispatch, purges, query register/deregister) delivered to a pluggable sink, with
 //!   [`JsonlTraceSink`] as the bundled JSONL recorder;
 //! * [`MetricsSnapshot`] — a point-in-time export of everything above,
 //!   serialisable as JSONL or CSV for the bench harness and future
@@ -28,13 +23,9 @@
 //! clock reads and no per-operator updates; `Counters` adds clock-free
 //! counting; `Timing` adds wall-clock nanos. Observability state is
 //! write-only with respect to execution — no dispatch decision ever reads
-//! it — and every counter in this module is excluded from
-//! [`ExecStats::determinism_fingerprint`], so result logs and
-//! fingerprints are bit-identical with observability on or off at any
-//! `(shards, workers)` configuration (enforced by the obs-neutrality
-//! proptests).
-//!
-//! [`ExecStats::determinism_fingerprint`]: crate::metrics::ExecStats::determinism_fingerprint
+//! it — and no counter in this module is part of [`ExecStats`], so result
+//! logs and executor counters are bit-identical with observability on or
+//! off (enforced by the obs-neutrality proptests).
 
 use crate::metrics::ExecStats;
 use sgq_types::Timestamp;
@@ -123,8 +114,8 @@ impl OpStats {
         self.deltas_out as f64 / self.deltas_in as f64
     }
 
-    /// Adds `other`'s counters into `self` (merging worker-job shards of
-    /// the same operator's activity back into the arena's accumulator).
+    /// Adds `other`'s counters into `self` (summing operators into
+    /// per-class totals).
     pub fn absorb(&mut self, other: &OpStats) {
         self.invocations += other.invocations;
         self.deltas_in += other.deltas_in;
@@ -339,26 +330,6 @@ pub enum TraceEvent {
         /// Ready nodes executed.
         width: usize,
     },
-    /// One shard-subgraph job was dispatched for the epoch.
-    ShardJob {
-        /// Epoch sequence number.
-        epoch: u64,
-        /// Shard id.
-        shard: usize,
-        /// Member operators in the shard-subgraph.
-        members: usize,
-        /// Deltas seeded into the shard's inboxes at dispatch.
-        seeded: u64,
-    },
-    /// The scheduler-thread merge replay of a sharded epoch completed.
-    MergeReplay {
-        /// Epoch sequence number.
-        epoch: u64,
-        /// Recorded shard emissions replayed in schedule order.
-        replayed: usize,
-        /// Cross-shard merge-point operators executed.
-        merges: usize,
-    },
     /// Operator state expired at a watermark was purged.
     Purge {
         /// The expiry watermark.
@@ -387,32 +358,6 @@ pub enum TraceEvent {
         /// Nodes retired because no other query references them.
         retired: usize,
     },
-    /// The adaptive controller adopted a new label → shard assignment
-    /// (between epochs; results are unaffected by construction).
-    Rebalance {
-        /// Epoch sequence number the decision was taken after.
-        epoch: u64,
-        /// Shard groups in the new assignment.
-        shards: usize,
-        /// Labels whose shard changed.
-        moved_labels: usize,
-        /// Shard imbalance (max/mean, milli) that triggered the move.
-        imbalance_milli: u64,
-        /// Imbalance the sketch predicts for the new assignment.
-        predicted_milli: u64,
-    },
-    /// A multi-query host replanned a registered query against live
-    /// sketch cardinalities (deregister + re-register with state
-    /// adoption).
-    Replan {
-        /// The query id that was retired.
-        query: u64,
-        /// The replacement registration's id.
-        new_query: u64,
-        /// Label-distribution drift (total variation, milli) since the
-        /// plan was chosen.
-        drift_milli: u64,
-    },
 }
 
 impl TraceEvent {
@@ -423,13 +368,9 @@ impl TraceEvent {
             TraceEvent::EpochOpen { .. } => "epoch_open",
             TraceEvent::EpochClose { .. } => "epoch_close",
             TraceEvent::LevelDispatch { .. } => "level_dispatch",
-            TraceEvent::ShardJob { .. } => "shard_job",
-            TraceEvent::MergeReplay { .. } => "merge_replay",
             TraceEvent::Purge { .. } => "purge",
             TraceEvent::Register { .. } => "register",
             TraceEvent::Deregister { .. } => "deregister",
-            TraceEvent::Rebalance { .. } => "rebalance",
-            TraceEvent::Replan { .. } => "replan",
         }
     }
 
@@ -453,21 +394,6 @@ impl TraceEvent {
             } => format!(
                 "{{\"event\":\"level_dispatch\",\"epoch\":{epoch},\"level\":{level},\"width\":{width}}}"
             ),
-            TraceEvent::ShardJob {
-                epoch,
-                shard,
-                members,
-                seeded,
-            } => format!(
-                "{{\"event\":\"shard_job\",\"epoch\":{epoch},\"shard\":{shard},\"members\":{members},\"seeded\":{seeded}}}"
-            ),
-            TraceEvent::MergeReplay {
-                epoch,
-                replayed,
-                merges,
-            } => format!(
-                "{{\"event\":\"merge_replay\",\"epoch\":{epoch},\"replayed\":{replayed},\"merges\":{merges}}}"
-            ),
             TraceEvent::Purge {
                 watermark,
                 reclaim_all,
@@ -482,22 +408,6 @@ impl TraceEvent {
             TraceEvent::Deregister { query, retired } => {
                 format!("{{\"event\":\"deregister\",\"query\":{query},\"retired\":{retired}}}")
             }
-            TraceEvent::Rebalance {
-                epoch,
-                shards,
-                moved_labels,
-                imbalance_milli,
-                predicted_milli,
-            } => format!(
-                "{{\"event\":\"rebalance\",\"epoch\":{epoch},\"shards\":{shards},\"moved_labels\":{moved_labels},\"imbalance_milli\":{imbalance_milli},\"predicted_milli\":{predicted_milli}}}"
-            ),
-            TraceEvent::Replan {
-                query,
-                new_query,
-                drift_milli,
-            } => format!(
-                "{{\"event\":\"replan\",\"query\":{query},\"new_query\":{new_query},\"drift_milli\":{drift_milli}}}"
-            ),
         }
     }
 }
@@ -577,9 +487,6 @@ pub struct OperatorSnapshot {
     pub name: String,
     /// Topological depth in the level schedule.
     pub level: usize,
-    /// Owning shard when label sharding is enabled; `None` for merge
-    /// points and unsharded graphs.
-    pub shard: Option<usize>,
     /// Accumulated observability counters.
     pub stats: OpStats,
     /// State entries retained right now.
@@ -593,10 +500,6 @@ pub struct OperatorSnapshot {
 impl OperatorSnapshot {
     /// One-line JSON encoding (a `"record":"operator"` JSONL row).
     pub fn to_json(&self) -> String {
-        let shard = match self.shard {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
         let frontier = match &self.frontier {
             Some(f) => format!(
                 ",\"nodes_settled\":{},\"nodes_improved\":{},\"heap_pushes\":{},\
@@ -610,13 +513,12 @@ impl OperatorSnapshot {
             None => String::new(),
         };
         format!(
-            "{{\"record\":\"operator\",\"node\":{},\"name\":\"{}\",\"level\":{},\"shard\":{},\
+            "{{\"record\":\"operator\",\"node\":{},\"name\":\"{}\",\"level\":{},\
              \"invocations\":{},\"deltas_in\":{},\"deltas_out\":{},\"selectivity\":{:.6},\
              \"batch_nanos\":{},\"purges\":{},\"purge_nanos\":{},\"state_entries\":{}{}}}",
             self.node,
             json_escape(&self.name),
             self.level,
-            shard,
             self.stats.invocations,
             self.stats.deltas_in,
             self.stats.deltas_out,
@@ -631,10 +533,6 @@ impl OperatorSnapshot {
 
     /// One CSV row matching [`MetricsSnapshot::csv_header`].
     pub fn to_csv(&self) -> String {
-        let shard = match self.shard {
-            Some(s) => s.to_string(),
-            None => String::new(),
-        };
         let frontier = match &self.frontier {
             Some(f) => format!(
                 "{},{},{},{}",
@@ -643,11 +541,10 @@ impl OperatorSnapshot {
             None => ",,,".to_string(),
         };
         format!(
-            "{},{},{},{},{},{},{},{:.6},{},{},{},{},{}",
+            "{},{},{},{},{},{},{:.6},{},{},{},{},{}",
             self.node,
             csv_escape(&self.name),
             self.level,
-            shard,
             self.stats.invocations,
             self.stats.deltas_in,
             self.stats.deltas_out,
@@ -747,8 +644,7 @@ impl MetricsSnapshot {
         let mut out = format!(
             "{{\"record\":\"exec\",\"obs\":\"{}\",\"epochs\":{},\"input_deltas\":{},\
              \"operator_invocations\":{},\"deltas_dispatched\":{},\"deltas_emitted\":{},\
-             \"fanout_deliveries\":{},\"levels_run\":{},\"shard_epochs\":{},\
-             \"shard_nanos\":{},\"state_entries\":{}}}\n",
+             \"fanout_deliveries\":{},\"levels_run\":{},\"state_entries\":{}}}\n",
             self.level.name(),
             self.exec.epochs,
             self.exec.input_deltas,
@@ -757,8 +653,6 @@ impl MetricsSnapshot {
             self.exec.deltas_emitted,
             self.exec.fanout_deliveries,
             self.exec.levels_run,
-            self.exec.shard_epochs,
-            self.exec.shard_nanos,
             self.state_entries,
         );
         for op in &self.operators {
@@ -774,7 +668,7 @@ impl MetricsSnapshot {
 
     /// The CSV header for [`MetricsSnapshot::to_csv`].
     pub fn csv_header() -> &'static str {
-        "node,name,level,shard,invocations,deltas_in,deltas_out,selectivity,\
+        "node,name,level,invocations,deltas_in,deltas_out,selectivity,\
          batch_nanos,purges,purge_nanos,state_entries,\
          nodes_settled,nodes_improved,heap_pushes,edges_scanned"
     }
@@ -953,17 +847,6 @@ mod tests {
                 level: 0,
                 width: 2,
             },
-            TraceEvent::ShardJob {
-                epoch: 1,
-                shard: 0,
-                members: 3,
-                seeded: 4,
-            },
-            TraceEvent::MergeReplay {
-                epoch: 1,
-                replayed: 2,
-                merges: 1,
-            },
             TraceEvent::Purge {
                 watermark: 10,
                 reclaim_all: false,
@@ -978,18 +861,6 @@ mod tests {
             TraceEvent::Deregister {
                 query: 0,
                 retired: 3,
-            },
-            TraceEvent::Rebalance {
-                epoch: 8,
-                shards: 4,
-                moved_labels: 2,
-                imbalance_milli: 2100,
-                predicted_milli: 1100,
-            },
-            TraceEvent::Replan {
-                query: 0,
-                new_query: 3,
-                drift_milli: 412,
             },
         ];
         for ev in events {
@@ -1015,7 +886,6 @@ mod tests {
                 node: 0,
                 name: "WSCAN[T=10,β=2]".to_string(),
                 level: 0,
-                shard: Some(1),
                 stats: OpStats {
                     invocations: 3,
                     deltas_in: 12,
@@ -1050,8 +920,7 @@ mod tests {
             Some(
                 "{\"record\":\"exec\",\"obs\":\"timing\",\"epochs\":3,\"input_deltas\":12,\
                  \"operator_invocations\":0,\"deltas_dispatched\":0,\"deltas_emitted\":0,\
-                 \"fanout_deliveries\":0,\"levels_run\":0,\"shard_epochs\":0,\
-                 \"shard_nanos\":0,\"state_entries\":7}"
+                 \"fanout_deliveries\":0,\"levels_run\":0,\"state_entries\":7}"
             )
         );
         assert!(jsonl.contains("\"record\":\"operator\""));

@@ -44,10 +44,6 @@ use super::row_index::{hash_words, RowIndex, NIL};
 use sgq_types::{Edge, FxHashMap, Interval, Label, Timestamp, VertexId};
 use std::mem::size_of;
 
-// Send audit: PATH-operator window state (owned arenas of Copy rows).
-const _: () = super::assert_send::<Adjacency>();
-const _: () = super::assert_send::<EpochLoad>();
-
 // One row per window edge, its interval held once.
 const _: () = assert!(size_of::<EdgeRow>() <= 56);
 

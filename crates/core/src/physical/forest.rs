@@ -73,11 +73,6 @@ use sgq_types::{Edge, Interval, Label, PathSeq, Timestamp, VertexId};
 use std::collections::BTreeMap;
 use std::mem::size_of;
 
-// Send audit: the forest is PATH-operator state and travels with its
-// operator onto worker-pool threads. Everything in it is owned; tree and
-// node links and expiry handles are plain indexes.
-const _: () = super::assert_send::<Forest>();
-
 // The layout's point: a node, its `(vertex, state)` chain link included,
 // is 56 bytes.
 const _: () = assert!(size_of::<Node>() <= 56);

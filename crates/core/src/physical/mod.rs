@@ -24,12 +24,6 @@ use sgq_types::Timestamp;
 pub use pattern::{table_bytes, PatternCensus};
 pub use sgq_types::{Delta, DeltaBatch, SharedDeltaBatch};
 
-/// Compile-time `Send` audit: each operator (and state-holding helper)
-/// module invokes this next to its type definitions, so a non-`Send` field
-/// sneaking into operator state fails the build at the definition site
-/// instead of deep inside the executor's worker-pool dispatch.
-pub(crate) const fn assert_send<T: Send>() {}
-
 /// A push-based physical operator.
 ///
 /// [`PhysicalOp::on_batch`] is the **only** way data enters an operator.
@@ -43,15 +37,10 @@ pub(crate) const fn assert_send<T: Send>() {}
 /// within one batch no grid-aligned validity interval changes its
 /// expired-ness.
 ///
-/// Operators are **`Send`**: the executor moves an operator (with all of
-/// its state — S-PATH forests, hash-join tables, WCOJ buffers) onto a
-/// worker-pool thread in exactly two situations, for the duration of one
-/// shard job (`shards > 1`) or of one run of direct-approach purges
-/// (`workers > 1`), and back. No operator state is shared between threads
-/// — each node is owned by exactly one thread at a time, and input
-/// batches cross the boundary as `Arc`-shared immutable [`DeltaBatch`]es
-/// — so `Sync` is not required. Every operator in this module asserts
-/// `Send` at compile time next to its definition.
+/// Operators are **`Send`** so that a whole engine — its dataflow and
+/// every operator's state — can move to the thread that runs it (the
+/// `sgq-serve` engine thread). Operators are only ever called from that
+/// one thread, so `Sync` is not required.
 pub trait PhysicalOp: Send {
     /// Operator name for plan display and metrics.
     fn name(&self) -> String;

@@ -23,9 +23,6 @@ use crate::obs::FrontierStats;
 use sgq_automata::{Dfa, Regex, StateId};
 use sgq_types::{Edge, Interval, Label, Payload, Sgt, Timestamp, VertexId};
 
-// Send audit: Δ-tree forests, adjacency, and the reverse DFA are owned.
-const _: () = super::assert_send::<NegPathOp>();
-
 /// The negative-tuple PATH physical operator.
 pub struct NegPathOp {
     dfa: Dfa,

@@ -48,10 +48,6 @@ use crate::algebra::{Pos, Side};
 use sgq_types::{Edge, FxHashMap, Interval, IntervalSet, Label, Payload, Sgt, Timestamp, VertexId};
 use std::mem::size_of;
 
-// Send audit: the symmetric-hash-join stage tables and emission dedup
-// state are owned; sgt payloads inside them are `Arc`-shared.
-const _: () = super::assert_send::<PatternOp>();
-
 /// A variable equivalence class (dense id).
 pub type VarId = u32;
 

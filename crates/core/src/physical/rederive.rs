@@ -17,10 +17,6 @@ use sgq_types::{Edge, FxHashMap, FxHashSet, Interval, Label, Timestamp, VertexId
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-// Send audit: re-derivation state kept inside PATH operators.
-const _: () = super::assert_send::<RevDfa>();
-const _: () = super::assert_send::<RederiveScratch>();
-
 /// Reverse DFA transitions: target state → `(label, source state)` pairs.
 /// Needed to find candidate parents of a disconnected node.
 #[derive(Debug, Clone, Default)]

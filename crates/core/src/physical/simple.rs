@@ -9,12 +9,6 @@ use super::{Delta, DeltaBatch, PhysicalOp};
 use crate::algebra::FilterPred;
 use sgq_types::{time::window_interval, Edge, Label, Payload, Sgt, Timestamp};
 
-// Send audit: the stateless operators carry only window geometry,
-// predicate lists, and an output label.
-const _: () = super::assert_send::<WScanOp>();
-const _: () = super::assert_send::<FilterOp>();
-const _: () = super::assert_send::<UnionOp>();
-
 /// WSCAN `W_{T,β}` (Def. 16): assigns `[t, ⌊t/β⌋·β + T)` to each incoming
 /// tuple, where `t` is the tuple's event timestamp (`interval.ts`).
 pub struct WScanOp {

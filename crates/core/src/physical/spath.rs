@@ -23,10 +23,6 @@ use sgq_types::{Edge, FxHashSet, Interval, Label, Payload, Sgt, Timestamp, Verte
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-// Send audit: S-PATH state is the DFA, the label-indexed adjacency, and
-// the Δ-PATH spanning forests — all owned, no interior sharing.
-const _: () = super::assert_send::<SPathOp>();
-
 /// The S-PATH physical operator for `P^d_R`.
 pub struct SPathOp {
     dfa: Dfa,

@@ -26,10 +26,6 @@ use super::pattern::CompiledPattern;
 use super::{Delta, DeltaBatch, PhysicalOp};
 use sgq_types::{Edge, FxHashMap, Interval, IntervalSet, Payload, Sgt, Timestamp, VertexId};
 
-// Send audit: WCOJ state is the per-port adjacency indexes, the emission
-// dedup table, and reusable enumeration buffers — all owned.
-const _: () = super::assert_send::<WcojPatternOp>();
-
 /// One port's windowed edge index: forward (`src → (trg, validity)`) and
 /// reverse (`trg → (src, validity)`) adjacency with full [`IntervalSet`]s,
 /// the same validity state the hash-join tables keep per row, so the two

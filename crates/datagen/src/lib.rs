@@ -17,9 +17,8 @@
 //! * [`workloads`] — Table 1's Q1–Q7 instantiated per dataset, plus the
 //!   label-resolution glue between generated streams and query programs.
 //! * [`uniform`] — a small uniform random-graph stream for tests.
-//! * [`zipf`] — Zipf-skewed label selection with mid-stream drift, the
-//!   shared machinery behind the generators' `skew`/`drift` knobs and a
-//!   many-label stream for adaptive-execution benchmarks.
+//! * [`zipf`] — Zipf-skewed label selection, the shared machinery behind
+//!   the generators' `skew` knobs, and a many-label skewed stream.
 //! * [`mod@feed`] — the one stream-feeding code path shared by the examples,
 //!   the repro harness, the `sgq-serve` client, and the tests.
 //!

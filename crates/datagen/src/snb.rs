@@ -34,12 +34,6 @@ pub struct SnbConfig {
     /// new-message). `0.0` (default) keeps the measured SNB mix; `> 0.0`
     /// replaces it with normalized Zipf weights in that class order.
     pub skew: f64,
-    /// If set, from this edge offset onward the chosen event class is
-    /// rotated by [`SnbConfig::drift_shift`] — the interaction mix
-    /// shifts mid-stream.
-    pub drift_at: Option<usize>,
-    /// Event-class rotation applied after [`SnbConfig::drift_at`].
-    pub drift_shift: usize,
 }
 
 impl SnbConfig {
@@ -53,8 +47,6 @@ impl SnbConfig {
             seed: 0x5eed_051b,
             reply_prob: 0.6,
             skew: 0.0,
-            drift_at: None,
-            drift_shift: 1,
         }
     }
 
@@ -76,14 +68,6 @@ impl SnbConfig {
         self.skew = skew;
         self
     }
-
-    /// Rotates the event-class permutation by `shift` from edge `at`
-    /// onward.
-    pub fn with_drift(mut self, at: usize, shift: usize) -> Self {
-        self.drift_at = Some(at);
-        self.drift_shift = shift;
-        self
-    }
 }
 
 /// Event-class mix measured on the SNB update stream: `knows`, `likes`,
@@ -93,7 +77,7 @@ const CLASSES: [f64; 3] = [0.20, 0.35, 0.45];
 /// Generates an SNB-like ordered raw stream.
 pub fn snb_stream(cfg: &SnbConfig) -> RawStream {
     assert!(cfg.persons >= 2, "need at least two persons");
-    // One threshold draw per event regardless of skew/drift, so the
+    // One threshold draw per event regardless of skew, so the
     // default configuration stays byte-identical to earlier releases.
     let cum = if cfg.skew > 0.0 {
         crate::zipf::cumulative(&crate::zipf::zipf_weights(CLASSES.len(), cfg.skew))
@@ -116,10 +100,7 @@ pub fn snb_stream(cfg: &SnbConfig) -> RawStream {
     while events.len() < cfg.edges {
         let ts = (i as u64) * cfg.span / cfg.edges.max(1) as u64;
         i += 1;
-        let mut class = crate::zipf::pick_index(rng.gen(), &cum);
-        if cfg.drift_at.is_some_and(|at| events.len() >= at) {
-            class = (class + cfg.drift_shift) % CLASSES.len();
-        }
+        let class = crate::zipf::pick_index(rng.gen(), &cum);
         if class == 0 {
             // knows: person-person, 85% intra-community (cyclic cluster).
             let c = rng.gen_range(0..cfg.communities);
@@ -250,7 +231,7 @@ mod tests {
 
     #[test]
     fn skew_zero_is_the_measured_mix() {
-        // The skew/drift knobs draw the same RNG sequence, so the default
+        // The skew knob draws the same RNG sequence, so the default
         // configuration must keep producing the exact historical stream.
         let a = snb_stream(&cfg());
         let b = snb_stream(&cfg().with_skew(0.0));
@@ -264,19 +245,6 @@ mod tests {
         let s = snb_stream(&SnbConfig::new(200, 10_000).with_skew(2.0));
         let knows = s.events.iter().filter(|e| e.2 == "knows").count();
         assert!(knows as f64 > 0.5 * s.len() as f64, "knows {knows}");
-    }
-
-    #[test]
-    fn drift_shifts_the_interaction_mix() {
-        let s = snb_stream(&SnbConfig::new(200, 10_000).with_drift(5_000, 2));
-        let frac = |events: &[RawEvent], l: &str| {
-            events.iter().filter(|e| e.2 == l).count() as f64 / events.len() as f64
-        };
-        // Rotating by 2 maps the dominant message class onto likes, so
-        // likes' share grows sharply after the drift point.
-        let before = frac(&s.events[..5_000], "likes");
-        let after = frac(&s.events[5_000..], "likes");
-        assert!(after > before + 0.1, "likes {before:.2} -> {after:.2}");
     }
 
     #[test]

@@ -32,12 +32,6 @@ pub struct SoConfig {
     /// measured SO mix; `> 0.0` replaces it with normalized Zipf weights
     /// `w_i ∝ 1/(i+1)^skew` in declaration order (`a2q` heaviest).
     pub skew: f64,
-    /// If set, from this edge offset onward the chosen label index is
-    /// rotated by [`SoConfig::drift_shift`] — the label distribution
-    /// shifts mid-stream without touching endpoints or timestamps.
-    pub drift_at: Option<usize>,
-    /// Label-permutation rotation applied after [`SoConfig::drift_at`].
-    pub drift_shift: usize,
 }
 
 impl SoConfig {
@@ -50,8 +44,6 @@ impl SoConfig {
             seed: 0x005e_ed50,
             preferential: 0.6,
             skew: 0.0,
-            drift_at: None,
-            drift_shift: 1,
         }
     }
 
@@ -73,13 +65,6 @@ impl SoConfig {
         self.skew = skew;
         self
     }
-
-    /// Rotates the label permutation by `shift` from edge `at` onward.
-    pub fn with_drift(mut self, at: usize, shift: usize) -> Self {
-        self.drift_at = Some(at);
-        self.drift_shift = shift;
-        self
-    }
 }
 
 /// Label mix measured on the real SO graph: answers dominate, comments on
@@ -89,7 +74,7 @@ const LABELS: [(&str, f64); 3] = [("a2q", 0.45), ("c2q", 0.30), ("c2a", 0.25)];
 /// Generates an SO-like ordered raw stream.
 pub fn so_stream(cfg: &SoConfig) -> RawStream {
     assert!(cfg.users >= 2, "need at least two users");
-    // One threshold draw per event regardless of skew/drift, so the
+    // One threshold draw per event regardless of skew, so the
     // default configuration stays byte-identical to earlier releases.
     let cum = if cfg.skew > 0.0 {
         crate::zipf::cumulative(&crate::zipf::zipf_weights(LABELS.len(), cfg.skew))
@@ -117,11 +102,7 @@ pub fn so_stream(cfg: &SoConfig) -> RawStream {
         if trg == src {
             trg = (src + 1 + rng.gen_range(0..cfg.users - 1)) % cfg.users;
         }
-        let mut idx = crate::zipf::pick_index(rng.gen(), &cum);
-        if cfg.drift_at.is_some_and(|at| i >= at) {
-            idx = (idx + cfg.drift_shift) % LABELS.len();
-        }
-        let label = LABELS[idx].0;
+        let label = LABELS[crate::zipf::pick_index(rng.gen(), &cum)].0;
         let ts = (i as u64) * cfg.span / cfg.edges.max(1) as u64;
         events.push((src, trg, label, ts));
         pool.push(src);
@@ -176,7 +157,7 @@ mod tests {
 
     #[test]
     fn skew_zero_is_the_measured_mix() {
-        // The skew/drift knobs draw the same RNG sequence, so the default
+        // The skew knob draws the same RNG sequence, so the default
         // configuration must keep producing the exact historical stream.
         let a = so_stream(&SoConfig::new(100, 1000));
         let b = so_stream(&SoConfig::new(100, 1000).with_skew(0.0));
@@ -192,30 +173,6 @@ mod tests {
         }
         // Zipf(2) over three ranks puts ~73% of mass on the head label.
         assert!(counts["a2q"] > 2 * (counts["c2q"] + counts["c2a"]));
-    }
-
-    #[test]
-    fn drift_rotates_labels_without_touching_structure() {
-        let base = SoConfig::new(200, 10_000).with_skew(2.0);
-        let a = so_stream(&base);
-        let b = so_stream(&base.clone().with_drift(5_000, 1));
-        // Same endpoints and timestamps everywhere; same labels before
-        // the drift point.
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!((x.0, x.1, x.3), (y.0, y.1, y.3));
-        }
-        assert_eq!(a.events[..5_000], b.events[..5_000]);
-        // After the drift point the head label moved a2q → c2q.
-        let tail_counts = |s: &RawStream| {
-            let mut counts: FxHashMap<&str, usize> = FxHashMap::default();
-            for &(_, _, l, _) in &s.events[5_000..] {
-                *counts.entry(l).or_default() += 1;
-            }
-            counts
-        };
-        let (ca, cb) = (tail_counts(&a), tail_counts(&b));
-        assert!(ca["a2q"] > ca["c2q"]);
-        assert!(cb["c2q"] > cb["a2q"]);
     }
 
     #[test]

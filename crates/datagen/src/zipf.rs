@@ -1,15 +1,12 @@
-//! Zipf-skewed label selection and mid-stream drift.
+//! Zipf-skewed label selection.
 //!
-//! Adaptive execution (sketch-driven shard rebalancing, drift-aware
-//! replanning) needs streams whose label mass is *skewed* — so a static
-//! label→shard assignment is measurably imbalanced — and streams whose
-//! distribution *moves* mid-run, so the drift signal actually fires. This
-//! module provides the shared machinery: normalized Zipf weights, a
-//! cumulative-threshold picker that costs exactly one `f64` draw per
-//! event (so adding skew/drift to a generator never changes its RNG
+//! Tests that want a few labels to carry most of a stream's mass need a
+//! skew knob. This module provides the shared machinery: normalized Zipf
+//! weights, a cumulative-threshold picker that costs exactly one `f64`
+//! draw per event (so adding skew to a generator never changes its RNG
 //! draw count, keeping default outputs byte-identical), and a many-label
-//! [`zipf_stream`] generator for benchmarks where the 3–4 labels of the
-//! SO/SNB generators are too few to exercise a multi-shard engine.
+//! [`zipf_stream`] generator for when the 3–4 labels of the SO/SNB
+//! generators are too few.
 
 use crate::workloads::{RawEvent, RawStream};
 use rand::rngs::SmallRng;
@@ -59,16 +56,10 @@ pub struct ZipfConfig {
     pub seed: u64,
     /// Zipf exponent over the labels (`0.0` = uniform).
     pub skew: f64,
-    /// If set, from this edge offset onward the chosen label index is
-    /// rotated by [`ZipfConfig::drift_shift`] — the head of the
-    /// distribution jumps to different labels mid-stream.
-    pub drift_at: Option<usize>,
-    /// Label-permutation rotation applied after [`ZipfConfig::drift_at`].
-    pub drift_shift: usize,
 }
 
 impl ZipfConfig {
-    /// A skew-1.0, no-drift configuration.
+    /// A skew-1.0 configuration.
     pub fn new(labels: Vec<&'static str>, vertices: u64, edges: usize) -> Self {
         ZipfConfig {
             labels,
@@ -77,21 +68,12 @@ impl ZipfConfig {
             span: edges as u64,
             seed: 0x21bf_5eed,
             skew: 1.0,
-            drift_at: None,
-            drift_shift: 1,
         }
     }
 
     /// Overrides the Zipf exponent.
     pub fn with_skew(mut self, skew: f64) -> Self {
         self.skew = skew;
-        self
-    }
-
-    /// Rotates the label permutation by `shift` from edge `at` onward.
-    pub fn with_drift(mut self, at: usize, shift: usize) -> Self {
-        self.drift_at = Some(at);
-        self.drift_shift = shift;
         self
     }
 
@@ -108,15 +90,13 @@ impl ZipfConfig {
     }
 }
 
-/// Generates a Zipf-skewed, optionally drifting, ordered raw stream.
+/// Generates a Zipf-skewed ordered raw stream.
 ///
 /// Endpoints are uniform (no self-loops); the label is Zipf-ranked over
-/// `cfg.labels`, with the rank→label permutation rotated by
-/// `drift_shift` once the stream passes `drift_at` edges.
+/// `cfg.labels`.
 pub fn zipf_stream(cfg: &ZipfConfig) -> RawStream {
     assert!(cfg.vertices >= 2 && !cfg.labels.is_empty());
-    let n = cfg.labels.len();
-    let cum = cumulative(&zipf_weights(n, cfg.skew));
+    let cum = cumulative(&zipf_weights(cfg.labels.len(), cfg.skew));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut events: Vec<RawEvent> = Vec::with_capacity(cfg.edges);
     for i in 0..cfg.edges {
@@ -125,10 +105,7 @@ pub fn zipf_stream(cfg: &ZipfConfig) -> RawStream {
         if t == s {
             t = (s + 1) % cfg.vertices;
         }
-        let mut idx = pick_index(rng.gen(), &cum);
-        if cfg.drift_at.is_some_and(|at| i >= at) {
-            idx = (idx + cfg.drift_shift) % n;
-        }
+        let idx = pick_index(rng.gen(), &cum);
         let ts = (i as u64) * cfg.span / cfg.edges.max(1) as u64;
         events.push((s, t, cfg.labels[idx], ts));
     }
@@ -185,30 +162,5 @@ mod tests {
         let head = counts["l0"];
         let tail = counts.get("l5").copied().unwrap_or(0);
         assert!(head > 5 * tail.max(1), "head {head} vs tail {tail}");
-    }
-
-    #[test]
-    fn drift_rotates_the_label_head() {
-        let cfg = ZipfConfig::new(LABELS.to_vec(), 200, 20_000)
-            .with_skew(1.5)
-            .with_drift(10_000, 3);
-        let s = zipf_stream(&cfg);
-        let before = histogram(&s.events[..10_000]);
-        let after = histogram(&s.events[10_000..]);
-        // Before the drift point l0 dominates; after, the head moved to l3.
-        assert!(before["l0"] > before.get("l3").copied().unwrap_or(0));
-        assert!(after["l3"] > after.get("l0").copied().unwrap_or(0));
-    }
-
-    #[test]
-    fn drift_does_not_change_endpoints_or_timestamps() {
-        let base = ZipfConfig::new(LABELS.to_vec(), 100, 5_000).with_skew(1.0);
-        let drifted = base.clone().with_drift(2_500, 2);
-        let a = zipf_stream(&base);
-        let b = zipf_stream(&drifted);
-        for (x, y) in a.events.iter().zip(&b.events) {
-            assert_eq!((x.0, x.1, x.3), (y.0, y.1, y.3));
-        }
-        assert_eq!(a.events[..2_500], b.events[..2_500]);
     }
 }

@@ -29,13 +29,6 @@ pub const ROUTE_TAX_FLOOR_NANOS: u64 = 200_000;
 /// Minimum epochs of timing signal before measurements are trusted.
 pub const MIN_MEASURED_EPOCHS: u64 = 16;
 
-/// Label-distribution drift (total variation, milli — see
-/// `sgq_core::sketch::StreamSketch::drift_milli`) beyond which measured
-/// per-operator nanos are considered stale: they were accumulated under a
-/// distribution that no longer describes the stream, so the decision
-/// falls back to the static heuristic until fresh signal accrues.
-pub const DRIFT_STALE_MILLI: u64 = 400;
-
 /// What grounded a [`SubplanChoice`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CostBasis {
@@ -109,10 +102,6 @@ pub struct CostInputs {
     /// Live registrations sharing the host (the routing tax is fleet-wide;
     /// one more query pays roughly its per-query share).
     pub queries: u64,
-    /// Label-distribution drift (total variation, milli) between the
-    /// stream the measurements were accumulated under and the live sketch
-    /// (zero when the host runs without the adaptive sketch).
-    pub drift_milli: u64,
 }
 
 /// Picks shared vs dedicated for a plan about to register. Pure and
@@ -133,11 +122,6 @@ pub fn decide(policy: SharingPolicy, inputs: Option<CostInputs>) -> SubplanChoic
                 return SubplanChoice::static_shared();
             };
             if inputs.epochs < MIN_MEASURED_EPOCHS {
-                return SubplanChoice::static_shared();
-            }
-            if inputs.drift_milli >= DRIFT_STALE_MILLI {
-                // The distribution moved out from under the measurements:
-                // treat them as no signal rather than wrong signal.
                 return SubplanChoice::static_shared();
             }
             let per_query = inputs.queries.max(1);
@@ -189,7 +173,6 @@ mod tests {
             dedup_nanos: 40_000_000,    // 400µs/epoch dedup
             reusable_nanos: 10_000_000, // 100µs/epoch reusable operators
             queries: 1,
-            ..Default::default()
         };
         let c = decide(SharingPolicy::Auto, Some(inputs));
         assert!(c.dedicated, "{c:?}");
@@ -206,7 +189,6 @@ mod tests {
             dedup_nanos: 40_000_000,
             reusable_nanos: 80_000_000, // sharing saves 800µs/epoch
             queries: 1,
-            ..Default::default()
         };
         assert!(!decide(SharingPolicy::Auto, Some(inputs)).dedicated);
     }
@@ -220,7 +202,6 @@ mod tests {
             dedup_nanos: 0,
             reusable_nanos: 0,
             queries: 1,
-            ..Default::default()
         };
         assert!(!decide(SharingPolicy::Auto, Some(inputs)).dedicated);
     }
@@ -235,33 +216,7 @@ mod tests {
             dedup_nanos: 40_000_000,
             reusable_nanos: 10_000_000,
             queries: 64,
-            ..Default::default()
         };
         assert!(!decide(SharingPolicy::Auto, Some(inputs)).dedicated);
-    }
-
-    #[test]
-    fn drift_invalidates_measured_signal() {
-        // Same inputs as `measured_tax_dominating_reuse_dedicates`, but
-        // the label distribution drifted past the staleness threshold:
-        // the measurements no longer describe the stream, so the choice
-        // falls back to static sharing.
-        let inputs = CostInputs {
-            epochs: 100,
-            route_nanos: 60_000_000,
-            dedup_nanos: 40_000_000,
-            reusable_nanos: 10_000_000,
-            queries: 1,
-            drift_milli: DRIFT_STALE_MILLI,
-        };
-        let c = decide(SharingPolicy::Auto, Some(inputs));
-        assert!(!c.dedicated);
-        assert_eq!(c.basis, CostBasis::Static);
-        // Just under the threshold the measured path still decides.
-        let fresh = CostInputs {
-            drift_milli: DRIFT_STALE_MILLI - 1,
-            ..inputs
-        };
-        assert!(decide(SharingPolicy::Auto, Some(fresh)).dedicated);
     }
 }

@@ -11,8 +11,7 @@ use sgq_core::engine::answer_at;
 use sgq_core::engine::EngineOptions;
 use sgq_core::obs::{fmt_nanos, MetricsSnapshot, ObsLevel, QuerySnapshot, TraceEvent, TraceSink};
 use sgq_core::physical::Delta;
-use sgq_core::planner::{plan_canonical, Plan};
-use sgq_core::{optimizer, rewrite};
+use sgq_core::planner::plan_canonical;
 use sgq_query::SgqQuery;
 use sgq_types::{
     time::gcd, FxHashMap, FxHashSet, Label, LabelInterner, Sge, Sgt, SharedProps, Timestamp,
@@ -55,10 +54,6 @@ pub struct MultiQueryEngine {
     /// Scratch buffer for draining the dataflow's per-epoch timing
     /// profile (reused across epochs to avoid per-epoch allocation).
     profile: Vec<(usize, u64)>,
-    /// Per-label input-mass snapshot at the host's last structural
-    /// decision (register/deregister): the drift baseline `plan_choice`
-    /// feeds the chooser's staleness rule.
-    sketch_baseline: FxHashMap<Label, u64>,
     /// Scratch of `process_batch_collect`, empty between calls and kept
     /// with at most [`SCRATCH_KEPT`] entries' capacity: each edge's last
     /// suppression period, and the epoch being accumulated.
@@ -70,22 +65,6 @@ pub struct MultiQueryEngine {
 /// between calls: a serve epoch (256 edges) fits, so the serve loop does
 /// not reallocate it.
 const SCRATCH_KEPT: usize = 1024;
-
-/// Label-distribution drift (total variation, milli — see
-/// `StreamSketch::drift_milli`) against a registration's baseline beyond
-/// which the registration counts as drifted for replanning. Shares the
-/// chooser's staleness threshold: the same drift that invalidates
-/// measured cost signal is what makes a register-time plan stale.
-pub const REPLAN_DRIFT_MILLI: u64 = chooser::DRIFT_STALE_MILLI;
-
-/// Consecutive drifted [`MultiQueryEngine::maybe_replan`] checks before a
-/// query actually replans (hysteresis, mirroring the shard rebalancer's
-/// streak rule, so transient bursts never flip structure).
-pub const REPLAN_STREAK: u32 = 2;
-
-/// Bound on the rewrite-space enumeration when adaptive registration
-/// ranks candidate plans under live sketch cardinalities.
-const PLAN_ENUM_LIMIT: usize = 16;
 
 /// Borrowed `process`-style collectors: newly accepted `(QueryId, Sgt)`
 /// insert and delete pairs. `None` throughout the drain-only paths.
@@ -132,7 +111,6 @@ impl MultiQueryEngine {
             retained: VecDeque::new(),
             retention_horizon: 0,
             profile: Vec::new(),
-            sketch_baseline: FxHashMap::default(),
             seen: FxHashMap::default(),
             epoch: Vec::new(),
         }
@@ -187,7 +165,7 @@ impl MultiQueryEngine {
     /// (explicit-deletion pipelines) catch-up is skipped and the query
     /// starts cold.
     pub fn register(&mut self, query: &SgqQuery) -> QueryId {
-        let plan = self.choose_plan(plan_canonical(query));
+        let plan = plan_canonical(query);
         // The shared canonical form drives the cost estimate even when the
         // chooser dedicates the plan.
         let shared_expr = self.canon.canonicalize(&plan);
@@ -230,9 +208,6 @@ impl MultiQueryEngine {
             drained: 0,
             drained_del: 0,
             choice,
-            query: query.clone(),
-            sketch_baseline: self.flow.sketch().snapshot_masses(),
-            replan_streak: 0,
             latency_hist: Default::default(),
             emission_hist: Default::default(),
             obs_results: 0,
@@ -256,7 +231,6 @@ impl MultiQueryEngine {
             root,
             nodes: node_count,
         });
-        self.sketch_baseline = self.flow.sketch().snapshot_masses();
         id
     }
 
@@ -294,44 +268,9 @@ impl MultiQueryEngine {
                 dedup_nanos,
                 reusable_nanos,
                 queries: self.registry.len() as u64,
-                // How far the label distribution has moved since the
-                // host's last structural decision: past the staleness
-                // threshold, `decide` discards the measured signal.
-                drift_milli: self.flow.sketch().drift_milli(&self.sketch_baseline),
             }
         });
         chooser::decide(self.opts.sharing, measured)
-    }
-
-    /// Register-time plan selection under adaptive execution: when the
-    /// host carries sketch signal, the canonical plan's rewrite space is
-    /// enumerated (bounded by [`PLAN_ENUM_LIMIT`]) and ranked by static
-    /// cost under live sketch cardinalities, so join orderings and
-    /// WCOJ-vs-tree choices track the stream the query will actually run
-    /// on. Deterministic in the ingested stream: enumeration is
-    /// structural, cost ties keep enumeration order, and without sketch
-    /// mass (or without [`EngineOptions::adaptive`]) the canonical plan
-    /// is kept unchanged.
-    fn choose_plan(&self, plan: Plan) -> Plan {
-        if !self.opts.adaptive || self.flow.sketch().total() == 0 {
-            return plan;
-        }
-        let mut candidates = rewrite::enumerate_plans(&plan, PLAN_ENUM_LIMIT);
-        if candidates.len() <= 1 {
-            return plan;
-        }
-        // Rates in the plan's own label namespace, looked up by name in
-        // the shared one; labels the sketch has never seen (and fresh
-        // derived labels) fall back to the optimizer's defaults.
-        let sketch = self.flow.sketch();
-        let shared = self.canon.labels();
-        let rates: optimizer::LabelRates = plan
-            .labels
-            .iter()
-            .filter_map(|(l, name)| shared.get(name).map(|sl| (l, sketch.estimate(sl) as f64)))
-            .collect();
-        let order = optimizer::rank_by_cost(&candidates, &rates);
-        candidates.swap_remove(order[0])
     }
 
     /// Accumulated `(routing, dedup)` post-operator phase nanos: the
@@ -362,69 +301,6 @@ impl MultiQueryEngine {
         true
     }
 
-    /// Replans a registered query against live sketch cardinalities:
-    /// deregister + re-register with state adoption. Shared operators
-    /// stay warm for their other subscribers, and the replacement
-    /// registration catches up from retained history exactly like any
-    /// late join — under duplicate suppression it answers from the full
-    /// current window, provided its window fits the retention horizon.
-    /// Returns the replacement id (`None` for an unknown `id`); the old
-    /// id is dead afterwards.
-    pub fn replan(&mut self, id: QueryId) -> Option<QueryId> {
-        let reg = self.registry.get(id)?;
-        let query = reg.query.clone();
-        let drift = self.flow.sketch().drift_milli(&reg.sketch_baseline);
-        self.deregister(id);
-        let new_id = self.register(&query);
-        self.flow.trace_event(&TraceEvent::Replan {
-            query: id.0,
-            new_query: new_id.0,
-            drift_milli: drift,
-        });
-        Some(new_id)
-    }
-
-    /// One drift-aware replanning check over the registered fleet (call
-    /// between epochs; a no-op unless [`EngineOptions::adaptive`] is
-    /// set). A query replans when its label distribution has drifted at
-    /// least [`REPLAN_DRIFT_MILLI`] from its registration-time baseline
-    /// for [`REPLAN_STREAK`] consecutive checks — the hysteresis-plus-
-    /// margin discipline the shard rebalancer uses, so run-to-run noise
-    /// never flips structure. Returns the `(old, new)` id pairs of the
-    /// queries that replanned.
-    pub fn maybe_replan(&mut self) -> Vec<(QueryId, QueryId)> {
-        if !self.opts.adaptive {
-            return Vec::new();
-        }
-        let mut due = Vec::new();
-        for id in self.registry.ids() {
-            let Some(reg) = self.registry.get_mut(id) else {
-                continue;
-            };
-            if reg.sketch_baseline.values().sum::<u64>() == 0 {
-                // Registered before the stream carried any mass (the
-                // common stream-start case): adopt the first non-empty
-                // snapshot as the baseline, otherwise drift against an
-                // empty distribution reads zero forever.
-                if self.flow.sketch().total() > 0 {
-                    reg.sketch_baseline = self.flow.sketch().snapshot_masses();
-                }
-                continue;
-            }
-            if self.flow.sketch().drift_milli(&reg.sketch_baseline) >= REPLAN_DRIFT_MILLI {
-                reg.replan_streak += 1;
-                if reg.replan_streak >= REPLAN_STREAK {
-                    due.push(id);
-                }
-            } else {
-                reg.replan_streak = 0;
-            }
-        }
-        due.into_iter()
-            .filter_map(|id| self.replan(id).map(|new| (id, new)))
-            .collect()
-    }
-
     /// Registered query ids, in registration order.
     pub fn registered(&self) -> Vec<QueryId> {
         self.registry.ids()
@@ -449,57 +325,6 @@ impl MultiQueryEngine {
     /// Total state entries across live operators.
     pub fn state_size(&self) -> usize {
         self.flow.state_size()
-    }
-
-    /// Member operators per shard-subgraph in the shared dataflow,
-    /// indexed by shard id (empty when sharding is disabled). Rebuilt on
-    /// every register/deregister alongside the level schedule.
-    pub fn shard_widths(&self) -> Vec<usize> {
-        self.flow.shard_widths()
-    }
-
-    /// Operators whose inputs span shards (the explicit merge points);
-    /// zero when sharding is disabled.
-    pub fn merge_point_count(&self) -> usize {
-        self.flow.merge_point_count()
-    }
-
-    /// Cumulative per-shard sweep nanos since construction, indexed by
-    /// shard id (empty when sharding is disabled). Wall-clock
-    /// observability — never part of the determinism contract.
-    pub fn shard_nanos_by_shard(&self) -> &[u64] {
-        self.flow.shard_nanos_by_shard()
-    }
-
-    /// Per-shard sweep nanos of the most recent sharded epoch, indexed
-    /// by shard id (all zeros after a serial epoch; empty when sharding
-    /// is disabled). Wall-clock observability — never part of the
-    /// determinism contract.
-    pub fn shard_nanos_last(&self) -> &[u64] {
-        self.flow.shard_nanos_last()
-    }
-
-    /// Per-shard sketch-mass loads under the current label → shard
-    /// assignment — the deterministic balance signal.
-    pub fn shard_mass_loads(&self) -> Vec<u64> {
-        self.flow.shard_mass_loads()
-    }
-
-    /// The label → shard assignment currently in force (empty when
-    /// sharding is disabled).
-    pub fn shard_assignment(&self) -> &FxHashMap<Label, usize> {
-        self.flow.shard_assignment()
-    }
-
-    /// Adaptive shard rebalances adopted so far.
-    pub fn rebalances(&self) -> u64 {
-        self.flow.rebalances()
-    }
-
-    /// The host's input-frequency sketch (updated only when
-    /// [`EngineOptions::adaptive`] is set).
-    pub fn sketch(&self) -> &sgq_core::sketch::StreamSketch {
-        self.flow.sketch()
     }
 
     /// Current event time.
@@ -1017,14 +842,9 @@ impl MultiQueryEngine {
         }
         let expr = reg.expr.clone();
         let (opts, now) = (self.opts, self.now);
-        // Replay serially and unsharded: determinism makes any (shards,
-        // workers) configuration equivalent, and a throwaway one-shot
-        // dataflow should not spawn a pool or build shard plans. Obs off:
-        // collection never affects results, and replay cost belongs to
-        // registration, not to any query's epoch accounting.
+        // Obs off: collection never affects results, and replay cost
+        // belongs to registration, not to any query's epoch accounting.
         let mut replay = Dataflow::new(EngineOptions {
-            workers: 1,
-            shards: 1,
             obs: ObsLevel::Off,
             ..opts
         });

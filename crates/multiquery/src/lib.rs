@@ -20,14 +20,12 @@
 //!   [`drain`](MultiQueryEngine::drain)), and shared purge/slide
 //!   bookkeeping (the host ticks at the gcd of all registered ticks).
 //!
-//! The host inherits the executor's full parallelism contract: with
-//! `EngineOptions::workers` / `EngineOptions::shards` > 1 the shared
-//! dataflow runs level-pooled and label-sharded epochs, and because
-//! shard closures are rebuilt on every `lower`/`retire` — exactly like
-//! the level schedule — registration churn never perturbs determinism:
-//! per-query result logs and executor fingerprints are bit-identical at
-//! any `(shards, workers)` combination, including across mid-stream
-//! deregister/re-register (asserted by `tests/sharding_equivalence.rs`).
+//! The host runs the shared dataflow's one serial level-ordered sweep per
+//! epoch. The level schedule is rebuilt on every `lower`/`retire`, so
+//! registration churn never perturbs determinism: per-query result logs
+//! and executor counters after a mid-stream deregister/re-register match
+//! a host that never churned (asserted by
+//! `tests/multiquery_equivalence.rs`).
 //!
 //! ## Quick start
 //!

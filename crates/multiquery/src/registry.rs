@@ -19,7 +19,6 @@ use sgq_core::algebra::SgaExpr;
 use sgq_core::engine::{purge_coverage, sink_batch, sink_result, EngineOptions, SinkScratch};
 use sgq_core::obs::LogHistogram;
 use sgq_core::physical::{Delta, DeltaBatch};
-use sgq_query::SgqQuery;
 use sgq_types::{FxHashMap, FxHashSet, Interval, Label, Sgt, Timestamp};
 use std::time::Instant;
 
@@ -68,15 +67,6 @@ pub(crate) struct Registration {
     pub drained_del: usize,
     /// The register-time shared-vs-dedicated planning outcome.
     pub choice: SubplanChoice,
-    /// The source query, kept so drift-aware replanning can re-register
-    /// it against live sketch cardinalities.
-    pub query: SgqQuery,
-    /// Per-label input-mass snapshot at registration time: the baseline
-    /// `StreamSketch::drift_milli` measures replan-worthiness against.
-    pub sketch_baseline: FxHashMap<Label, u64>,
-    /// Consecutive replan checks that found this query's baseline
-    /// drifted (the replan hysteresis counter).
-    pub replan_streak: u32,
     /// Per-epoch attributed-cost histogram (nanos): each epoch's operator
     /// nanos, shared-operator cost split by fan-out share. Populated only
     /// at `ObsLevel::Timing`; never part of the determinism contract.

@@ -176,19 +176,6 @@ impl<'a> IntoIterator for &'a DeltaBatch {
 /// fan-out clones a pointer, not the sgts.
 pub type SharedDeltaBatch = Arc<DeltaBatch>;
 
-// The parallel executor hands `Arc`-shared batches to operators running on
-// worker-pool threads, so everything a delta transitively carries — sgts,
-// materialized-path payloads, property maps — must cross thread boundaries.
-// Asserted here so a non-`Send`/`Sync` field added to any of those types
-// fails the build at the data-model layer, not inside the executor.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Delta>();
-    assert_send_sync::<DeltaBatch>();
-    assert_send_sync::<SharedDeltaBatch>();
-    assert_send_sync::<Sgt>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,20 +4,15 @@
 //!
 //! ```text
 //! cargo run --example multiquery
-//! SGQ_SHARDS=2 SGQ_WORKERS=2 cargo run --example multiquery   # label shards on a worker pool
 //! ```
 
 use s_graffito::prelude::*;
 
 fn main() {
     let window = WindowSpec::sliding(24);
-    // `EngineOptions::workers` (default: the `SGQ_WORKERS` environment
-    // variable, else 1) runs each schedule level's ready operators on a
-    // worker pool. Results are identical at any setting — parallelism is
-    // an executor property, not a semantic one.
-    let opts = EngineOptions::default();
-    let mut host = MultiQueryEngine::with_options(opts);
-    println!("epoch sweep workers: {}", opts.workers);
+    // Every registered query runs in one shared dataflow, swept once per
+    // epoch in level order on the calling thread.
+    let mut host = MultiQueryEngine::new();
 
     // Alice watches who can reach whom through follows chains.
     let alice = host.register(&SgqQuery::new(

@@ -20,7 +20,6 @@ mod common;
 
 use common::{oracle_answer_at, windowed_sgt};
 use proptest::prelude::*;
-use s_graffito::core::engine::DispatchMode;
 use s_graffito::prelude::*;
 use s_graffito::types::{IntervalSet, Sge, VertexId};
 use std::collections::BTreeMap;
@@ -105,13 +104,6 @@ fn opts(with_deletes: bool) -> EngineOptions {
     }
 }
 
-fn opts_workers(with_deletes: bool, workers: usize) -> EngineOptions {
-    EngineOptions {
-        workers,
-        ..opts(with_deletes)
-    }
-}
-
 /// Drives `ops` per-tuple through a dedicated engine.
 fn run_tuple(query: &SgqQuery, ops: &[(Sge, bool)], with_deletes: bool) -> Engine {
     let mut e = Engine::from_query_with(query, opts(with_deletes));
@@ -137,7 +129,7 @@ fn run_batched(
     run_batched_with(query, ops, cuts, opts(with_deletes))
 }
 
-/// `run_batched` with explicit engine options (the worker-count axis).
+/// `run_batched` with explicit engine options.
 fn run_batched_with(
     query: &SgqQuery,
     ops: &[(Sge, bool)],
@@ -300,17 +292,22 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Parallel-purge determinism: at `shards = 1` the epoch sweep is serial
-// at every worker count, and `workers > 1` only moves runs of
-// direct-approach purges onto the pool. Result logs must stay
-// **bit-identical** — not merely equal in coverage — and so must the
-// deterministic ExecStats counters. Every plan below holds at least two
-// stateful direct operators (PATH and PATTERN), so a reclamation that
-// finds both non-empty is dispatched to the workers; the fixed-stream
-// test after the proptests pins that the dispatch really happens.
+// Worker-count invariance: the epoch sweep and the purge loop are serial,
+// and `workers` is accepted and ignored. On random streams, with and
+// without deletions, result logs must stay **bit-identical** to the
+// single-worker run — not merely equal in coverage — and so must every
+// executor counter. Every plan below holds at least two stateful direct
+// operators (PATH and PATTERN), the shape a purge pool would have split.
 // ---------------------------------------------------------------------
 
 const MULTI_STATE_PLANS: [&str; 3] = [PLANS[2], PATH_HEAVY_PLANS[1], PATH_HEAVY_PLANS[2]];
+
+fn opts_workers(with_deletes: bool, workers: usize) -> EngineOptions {
+    EngineOptions {
+        workers,
+        ..opts(with_deletes)
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -386,53 +383,72 @@ proptest! {
             prop_assert_eq!(drained.drain(*di).len(), drained.results(*di).len());
             prop_assert_eq!(drained.drain(*di).len(), 0);
         }
-        prop_assert_eq!(
-            serial.exec_stats().determinism_fingerprint(),
-            parallel.exec_stats().determinism_fingerprint()
-        );
-        prop_assert_eq!(
-            serial.exec_stats().determinism_fingerprint(),
-            drained.exec_stats().determinism_fingerprint()
-        );
+        prop_assert_eq!(serial.exec_stats(), parallel.exec_stats());
+        prop_assert_eq!(serial.exec_stats(), drained.exec_stats());
     }
 }
 
-/// The whole contract of `workers` at `shards = 1`, on a fixed dense
-/// stream over the Q7-shaped plan (two PATHs, two PATTERNs): the pool runs
-/// purges and nothing else, so every executor counter except
-/// `parallel_purge_ops` — not only the determinism fingerprint — equals
-/// the single-threaded engine's, and the logs are bit-identical.
+/// `workers`, `shards` and `adaptive` are accepted and ignored: on a fixed
+/// dense stream over the Q7-shaped plan (two PATHs, two PATTERNs) — one
+/// engine, and one host running all three S-PATH-heavy plans — the result
+/// logs are bit-identical to the defaults' and so is every executor
+/// counter.
 #[test]
-fn workers_at_one_shard_change_only_the_purge_dispatch() {
-    let q = query(PATH_HEAVY_PLANS[2]);
-    let labels = label_vec(&q);
-    let ops: Vec<(Sge, bool)> = (0..4 * SPAN)
-        .map(|x| {
-            let sge = Sge::new(
-                VertexId(x % 11),
-                VertexId((x + 3) % 11),
-                labels[(x % 3) as usize],
-                x / 4,
-            );
-            (sge, false)
-        })
-        .collect();
-    let run = |workers: usize| {
-        let options = EngineOptions {
-            shards: 1,
-            workers,
-            ..opts(false)
-        };
-        run_batched_with(&q, &ops, &[7, 19, 40, 41, 130, 222], options)
+fn inert_options_change_nothing() {
+    let inert = |options: EngineOptions| EngineOptions {
+        workers: 4,
+        shards: 4,
+        adaptive: true,
+        ..options
     };
-    let (serial, pooled) = (run(1), run(4));
-    assert!(!serial.results().is_empty());
-    assert_eq!(serial.results(), pooled.results(), "insert log");
-    assert_eq!(serial.deleted_results(), pooled.deleted_results());
-    let mut stats = pooled.exec_stats();
-    assert!(stats.parallel_purge_ops > 0, "the pool purged nothing");
-    stats.parallel_purge_ops = 0;
-    assert_eq!(stats, serial.exec_stats());
+    let cuts = [7, 19, 40, 41, 130, 222];
+    let dense = |labels: &[Label]| -> Vec<(Sge, bool)> {
+        (0..4 * SPAN)
+            .map(|x| {
+                let sge = Sge::new(
+                    VertexId(x % 11),
+                    VertexId((x + 3) % 11),
+                    labels[(x % 3) as usize],
+                    x / 4,
+                );
+                (sge, false)
+            })
+            .collect()
+    };
+
+    let q = query(PATH_HEAVY_PLANS[2]);
+    let ops = dense(&label_vec(&q));
+    let base = run_batched_with(&q, &ops, &cuts, opts(false));
+    let other = run_batched_with(&q, &ops, &cuts, inert(opts(false)));
+    assert!(!base.results().is_empty());
+    assert_eq!(base.results(), other.results(), "insert log");
+    assert_eq!(base.deleted_results(), other.deleted_results());
+    assert_eq!(base.exec_stats(), other.exec_stats());
+
+    let queries: Vec<SgqQuery> = PATH_HEAVY_PLANS.iter().map(|p| query(p)).collect();
+    let host = |options: EngineOptions| {
+        let mut h = MultiQueryEngine::with_options(options);
+        let ids: Vec<QueryId> = queries.iter().map(|q| h.register(q)).collect();
+        let labels: Vec<Label> = ["a", "b", "c"]
+            .iter()
+            .map(|n| h.labels().get(n).expect("every label is referenced"))
+            .collect();
+        let ops = dense(&labels);
+        let mut start = 0;
+        for end in cuts.iter().map(|&c| c + 1).chain([ops.len()]) {
+            let batch: Vec<Sge> = ops[start..end].iter().map(|&(sge, _)| sge).collect();
+            h.process_batch(&batch);
+            start = end;
+        }
+        (h, ids)
+    };
+    let ((base, base_ids), (other, other_ids)) = (host(opts(false)), host(inert(opts(false))));
+    for (b, o) in base_ids.iter().zip(&other_ids) {
+        assert!(!base.results(*b).is_empty());
+        assert_eq!(base.results(*b), other.results(*o), "host insert log");
+        assert_eq!(base.deleted_results(*b), other.deleted_results(*o));
+    }
+    assert_eq!(base.exec_stats(), other.exec_stats());
 }
 
 // ---------------------------------------------------------------------
@@ -441,11 +457,11 @@ fn workers_at_one_shard_change_only_the_purge_dispatch() {
 // joined into a pattern, and closure over a derived relation. Random
 // epoch cuts straddle slide boundaries (timestamps span several slides)
 // and interleave explicit deletions. The frontier pass must (a) give the
-// coverage of the same stream cut into one-edge epochs
-// (`DispatchMode::Tuple`: split invariance — both sides run the same
-// algorithm), (b) equal the one-time oracle over the window snapshot at
-// every slide boundary, and (c) be bit-identical to itself across
-// (shards, workers) ∈ {(1,1),(4,4)} and obs ∈ {Off, Timing}.
+// coverage of the same stream fed as one-edge `process_batch` calls
+// (split invariance — both sides run the same algorithm), (b) equal the
+// one-time oracle over the window snapshot at every slide boundary, and
+// (c) be bit-identical to itself with the ignored (shards, workers) set
+// to (4,4) and under obs ∈ {Off, Timing}.
 // ---------------------------------------------------------------------
 
 const PATH_HEAVY_PLANS: [&str; 3] = [
@@ -458,19 +474,17 @@ const PATH_HEAVY_PLANS: [&str; 3] = [
      Ans(x, m) <- RL+(x, y), c(m, y).",
 ];
 
+/// A cut after every op: `drive` then makes each insert its own
+/// one-edge `process_batch` call.
+fn every_op(ops: &[(Sge, bool)]) -> Vec<usize> {
+    (0..ops.len()).collect()
+}
+
 fn opts_bulk(with_deletes: bool, shards: usize, workers: usize, obs: ObsLevel) -> EngineOptions {
     EngineOptions {
-        dispatch: DispatchMode::Epoch,
         shards,
         workers,
         obs,
-        ..opts(with_deletes)
-    }
-}
-
-fn opts_one_edge_epochs(with_deletes: bool) -> EngineOptions {
-    EngineOptions {
-        dispatch: DispatchMode::Tuple,
         ..opts(with_deletes)
     }
 }
@@ -509,8 +523,8 @@ proptest! {
     ) {
         let q = query(PATH_HEAVY_PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
-        let one_edge = run_batched_with(&q, &ops, &cuts, opts_one_edge_epochs(false));
-        let bulk = run_batched_with(&q, &ops, &cuts, opts_bulk(false, 1, 1, ObsLevel::Off));
+        let one_edge = run_batched(&q, &ops, &every_op(&ops), false);
+        let bulk = run_batched(&q, &ops, &cuts, false);
         check_engines_equal(&one_edge, &bulk)?;
     }
 
@@ -522,8 +536,8 @@ proptest! {
     ) {
         let q = query(PATH_HEAVY_PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
-        let one_edge = run_batched_with(&q, &ops, &cuts, opts_one_edge_epochs(true));
-        let bulk = run_batched_with(&q, &ops, &cuts, opts_bulk(true, 1, 1, ObsLevel::Off));
+        let one_edge = run_batched(&q, &ops, &every_op(&ops), true);
+        let bulk = run_batched(&q, &ops, &cuts, true);
         check_engines_equal(&one_edge, &bulk)?;
     }
 
@@ -623,8 +637,8 @@ fn deleting_every_derivation_of_an_improved_pair_removes_it() {
     assert!(!e.answer_at(12).contains(&(VertexId(1), VertexId(2))));
 }
 
-/// `DispatchMode::Tuple` is not inert: the dataflow sweeps every delivered
-/// input delta as its own epoch, where `Epoch` sweeps once per slide-
+/// Tuple-at-a-time ingestion (`process`) sweeps every delivered input
+/// delta as its own epoch, where `process_batch` sweeps once per slide-
 /// bounded chunk — and the answers are the same.
 #[test]
 fn tuple_dispatch_sweeps_every_delta_as_its_own_epoch() {
@@ -640,18 +654,13 @@ fn tuple_dispatch_sweeps_every_delta_as_its_own_epoch() {
             )
         })
         .collect();
-    let run = |dispatch| {
-        let mut e = Engine::from_query_with(
-            &q,
-            EngineOptions {
-                dispatch,
-                ..opts(false)
-            },
-        );
-        e.process_batch(&batch);
-        e
-    };
-    let (per_delta, per_chunk) = (run(DispatchMode::Tuple), run(DispatchMode::Epoch));
+    let per_delta = run_tuple(
+        &q,
+        &batch.iter().map(|&s| (s, false)).collect::<Vec<_>>(),
+        false,
+    );
+    let mut per_chunk = Engine::from_query_with(&q, opts(false));
+    per_chunk.process_batch(&batch);
     let (t, c) = (per_delta.exec_stats(), per_chunk.exec_stats());
     assert!(t.input_deltas > 4, "{t:?}");
     assert_eq!(t.input_deltas, c.input_deltas);
@@ -665,20 +674,15 @@ fn tuple_dispatch_sweeps_every_delta_as_its_own_epoch() {
 }
 
 /// Bit-identical engine comparison: result logs compare as `Vec<Sgt>`
-/// equality (order included) and executor counters on the deterministic
-/// fingerprint (emission counts, dispatch counts, schedule shape).
-fn check_bit_identical(serial: &Engine, parallel: &Engine) -> Result<(), TestCaseError> {
-    prop_assert_eq!(serial.results(), parallel.results(), "insert log");
+/// equality (order included), and every executor counter must match.
+fn check_bit_identical(serial: &Engine, other: &Engine) -> Result<(), TestCaseError> {
+    prop_assert_eq!(serial.results(), other.results(), "insert log");
     prop_assert_eq!(
         serial.deleted_results(),
-        parallel.deleted_results(),
+        other.deleted_results(),
         "delete log"
     );
-    prop_assert_eq!(
-        serial.exec_stats().determinism_fingerprint(),
-        parallel.exec_stats().determinism_fingerprint(),
-        "executor counters"
-    );
+    prop_assert_eq!(serial.exec_stats(), other.exec_stats(), "executor counters");
     Ok(())
 }
 

@@ -475,8 +475,7 @@ fn retention_horizon_bounds_large_window_late_registration() {
 // share every operator below their window scans' fan-out but each has its
 // own root sink and private dedup map. Deregistering the **widest**
 // variant mid-stream retires its operators and drops its sink; the
-// survivors must keep emitting exactly like dedicated engines, and the
-// executor fingerprint must stay identical across (shards, workers).
+// survivors must keep emitting exactly like dedicated engines.
 // ---------------------------------------------------------------------
 
 /// Same operator coverage as the batching proptests: PATTERN join,
@@ -516,14 +515,6 @@ fn variant_sges(evs: &[(u64, u64, u8, u64)], labels: &dyn Fn(&str) -> Label) -> 
         .collect()
 }
 
-fn variant_host_opts(workers: usize, shards: usize) -> EngineOptions {
-    EngineOptions {
-        workers,
-        shards,
-        ..Default::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -537,28 +528,20 @@ proptest! {
         let windows = &VARIANT_WINDOWS[..variants];
         let widest = variants - 1;
 
-        let mut serial = MultiQueryEngine::with_options(variant_host_opts(1, 1));
-        let mut parallel = MultiQueryEngine::with_options(variant_host_opts(4, 4));
-        let serial_ids: Vec<QueryId> = windows
+        let mut host = MultiQueryEngine::new();
+        let host_ids: Vec<QueryId> = windows
             .iter()
-            .map(|w| serial.register(&variant_query(plan_idx, *w)))
-            .collect();
-        let parallel_ids: Vec<QueryId> = windows
-            .iter()
-            .map(|w| parallel.register(&variant_query(plan_idx, *w)))
+            .map(|w| host.register(&variant_query(plan_idx, *w)))
             .collect();
 
-        // Both hosts registered the same fleet in the same order, so their
-        // interners agree and one materialization feeds both.
-        let host_labels = serial.labels().clone();
+        let host_labels = host.labels().clone();
         let sges = variant_sges(&evs, &|n| {
             host_labels.get(n).unwrap_or(Label(u32::MAX))
         });
         let split = (sges.len() * split_pct / 100).max(1);
 
         for sge in &sges[..split] {
-            serial.process(*sge);
-            parallel.process(*sge);
+            host.process(*sge);
         }
 
         // Pin the departing widest variant's own log at the moment it
@@ -570,48 +553,35 @@ proptest! {
             ref_widest.process(*sge);
         }
         prop_assert_eq!(
-            coalesced(serial.results(serial_ids[widest])),
+            coalesced(host.results(host_ids[widest])),
             coalesced(ref_widest.results()),
             "widest variant's log at departure"
         );
 
-        prop_assert!(serial.deregister(serial_ids[widest]));
-        prop_assert!(parallel.deregister(parallel_ids[widest]));
+        prop_assert!(host.deregister(host_ids[widest]));
 
         for sge in &sges[split..] {
-            serial.process(*sge);
-            parallel.process(*sge);
+            host.process(*sge);
         }
-
-        // Host-vs-host: raw logs and fingerprints are bit-identical across
-        // (shards, workers), including through the widest variant's exit.
-        for (si, pi) in serial_ids[..widest].iter().zip(&parallel_ids[..widest]) {
-            prop_assert_eq!(serial.results(*si), parallel.results(*pi));
-        }
-        prop_assert_eq!(
-            serial.exec_stats().determinism_fingerprint(),
-            parallel.exec_stats().determinism_fingerprint(),
-            "fingerprints across (shards, workers)"
-        );
 
         // Host-vs-dedicated: every surviving variant matches an engine
         // that ran the whole stream alone.
         let end = VARIANT_SPAN + VARIANT_WINDOWS[widest];
-        for (v, si) in serial_ids[..widest].iter().enumerate() {
+        for (v, si) in host_ids[..widest].iter().enumerate() {
             let mut dedicated = Engine::from_query(&variant_query(plan_idx, windows[v]));
             let dl = dedicated.labels().clone();
             for sge in variant_sges(&evs, &|n| dl.get(n).unwrap_or(Label(u32::MAX))) {
                 dedicated.process(sge);
             }
             prop_assert_eq!(
-                coalesced(serial.results(*si)),
+                coalesced(host.results(*si)),
                 coalesced(dedicated.results()),
                 "survivor window={} coverage",
                 windows[v]
             );
             for t in (0..=end).step_by(7) {
                 prop_assert_eq!(
-                    serial.answer_at(*si, t),
+                    host.answer_at(*si, t),
                     dedicated.answer_at(t),
                     "survivor window={} answers at t={}",
                     windows[v],
@@ -620,8 +590,8 @@ proptest! {
             }
             // Route-once drain semantics survive the exit: everything
             // exactly once, then empty.
-            prop_assert_eq!(serial.drain(*si).len(), serial.results(*si).len());
-            prop_assert_eq!(serial.drain(*si).len(), 0);
+            prop_assert_eq!(host.drain(*si).len(), host.results(*si).len());
+            prop_assert_eq!(host.drain(*si).len(), 0);
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Observability neutrality (property-based): for any random stream and
 //! batch split, enabling observability — [`ObsLevel::Counters`] or
 //! [`ObsLevel::Timing`] — must leave result logs **bit-identical** (not
-//! merely equal coverage) and the deterministic [`ExecStats`] fingerprint
-//! unchanged relative to [`ObsLevel::Off`], at both the serial `(shards,
-//! workers) = (1, 1)` configuration and the pooled sharded `(4, 4)` one,
-//! for both [`Engine`] and [`MultiQueryEngine`] — the latter including a
+//! merely equal coverage) and the executor's [`ExecStats`] unchanged
+//! relative to [`ObsLevel::Off`], for both [`Engine`] and
+//! [`MultiQueryEngine`] — the latter including a
 //! mid-stream deregister + re-register (register-time catch-up replays
 //! through a pinned `ObsLevel::Off` instance, so the histograms' marks
 //! must resynchronize without perturbing anything).
@@ -25,8 +24,6 @@ const WINDOW: u64 = 24;
 const SLIDE: u64 = 6;
 const SPAN: u64 = 72;
 
-/// The `(shards, workers)` grid each observability level is checked at.
-const GRIDS: [(usize, usize); 2] = [(1, 1), (4, 4)];
 /// The enabled levels compared against the [`ObsLevel::Off`] baseline.
 const LEVELS: [ObsLevel; 2] = [ObsLevel::Counters, ObsLevel::Timing];
 
@@ -83,11 +80,9 @@ fn materialize(events: &[Event], labels: &[Label]) -> Vec<(Sge, bool)> {
     out
 }
 
-fn opts(with_deletes: bool, (shards, workers): (usize, usize), obs: ObsLevel) -> EngineOptions {
+fn opts(with_deletes: bool, obs: ObsLevel) -> EngineOptions {
     EngineOptions {
         suppress_duplicates: !with_deletes,
-        shards,
-        workers,
         obs,
         ..Default::default()
     }
@@ -125,8 +120,8 @@ fn query(text: &str) -> SgqQuery {
     SgqQuery::new(parse_program(text).unwrap(), WindowSpec::new(WINDOW, SLIDE))
 }
 
-/// Multi-label plans (so shard groups are non-trivial) covering the join
-/// tree, the Kleene closure, and a composite of both.
+/// Plans covering the join tree, the Kleene closure, and a composite of
+/// both.
 const PLANS: [&str; 3] = [
     "Ans(x, y) <- a(x, z), b(z, y).",
     "Ans(x, y) <- a+(x, y).",
@@ -144,33 +139,28 @@ fn label_vec(q: &SgqQuery) -> Vec<Label> {
 }
 
 /// Bit-identical engine comparison: result logs as `Vec<Sgt>` equality
-/// (order included) and executor counters on the deterministic
-/// fingerprint.
+/// (order included) and whole executor counters.
 fn check_bit_identical(
     baseline: &Engine,
     other: &Engine,
-    grid: (usize, usize),
     obs: ObsLevel,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         baseline.results(),
         other.results(),
-        "insert log at {:?} obs={}",
-        grid,
+        "insert log at obs={}",
         obs.name()
     );
     prop_assert_eq!(
         baseline.deleted_results(),
         other.deleted_results(),
-        "delete log at {:?} obs={}",
-        grid,
+        "delete log at obs={}",
         obs.name()
     );
     prop_assert_eq!(
-        baseline.exec_stats().determinism_fingerprint(),
-        other.exec_stats().determinism_fingerprint(),
-        "executor counters at {:?} obs={}",
-        grid,
+        baseline.exec_stats(),
+        other.exec_stats(),
+        "executor counters at obs={}",
         obs.name()
     );
     Ok(())
@@ -187,12 +177,10 @@ proptest! {
     ) {
         let q = query(PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
-        for &grid in &GRIDS {
-            let baseline = run_engine(&q, &ops, &cuts, opts(false, grid, ObsLevel::Off));
-            for &obs in &LEVELS {
-                let run = run_engine(&q, &ops, &cuts, opts(false, grid, obs));
-                check_bit_identical(&baseline, &run, grid, obs)?;
-            }
+        let baseline = run_engine(&q, &ops, &cuts, opts(false, ObsLevel::Off));
+        for &obs in &LEVELS {
+            let run = run_engine(&q, &ops, &cuts, opts(false, obs));
+            check_bit_identical(&baseline, &run, obs)?;
         }
     }
 
@@ -204,12 +192,10 @@ proptest! {
     ) {
         let q = query(PLANS[plan_idx]);
         let ops = materialize(&evs, &label_vec(&q));
-        for &grid in &GRIDS {
-            let baseline = run_engine(&q, &ops, &cuts, opts(true, grid, ObsLevel::Off));
-            for &obs in &LEVELS {
-                let run = run_engine(&q, &ops, &cuts, opts(true, grid, obs));
-                check_bit_identical(&baseline, &run, grid, obs)?;
-            }
+        let baseline = run_engine(&q, &ops, &cuts, opts(true, ObsLevel::Off));
+        for &obs in &LEVELS {
+            let run = run_engine(&q, &ops, &cuts, opts(true, obs));
+            check_bit_identical(&baseline, &run, obs)?;
         }
     }
 
@@ -219,21 +205,18 @@ proptest! {
         cuts in prop::collection::vec(0usize..50, 0..8),
         dereg_plan in 0usize..3,
         dereg_step in 0usize..50,
-        grid_idx in 0usize..2,
     ) {
-        // One host per observability level on the same `(shards, workers)`
-        // grid point, all driven identically — including a mid-stream
+        // One host per observability level, all driven identically — including a mid-stream
         // deregister of one query and its re-registration one flush later
         // (catch-up replays retained history through a pinned Off-level
         // instance). Collected `(QueryId, Sgt)` pairs are compared per
         // flush, so even the cross-query emission interleaving must match
         // the Off baseline exactly.
-        let grid = GRIDS[grid_idx];
         let levels = [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Timing];
         let queries: Vec<SgqQuery> = PLANS.iter().map(|p| query(p)).collect();
         let mut hosts: Vec<MultiQueryEngine> = levels
             .iter()
-            .map(|&obs| MultiQueryEngine::with_options(opts(false, grid, obs)))
+            .map(|&obs| MultiQueryEngine::with_options(opts(false, obs)))
             .collect();
         let mut ids: Vec<Vec<QueryId>> = hosts
             .iter_mut()
@@ -276,8 +259,7 @@ proptest! {
                 prop_assert_eq!(
                     &baseline_slots,
                     &slots,
-                    "collected pairs diverged at {:?} obs={}",
-                    grid,
+                    "collected pairs diverged at obs={}",
                     levels[h].name()
                 );
             }
@@ -305,31 +287,28 @@ proptest! {
         flush(&mut hosts, &mut ids, &mut batch, step)?;
 
         // Final per-query logs and executor counters, bit-identical.
-        let baseline_fp = hosts[0].exec_stats().determinism_fingerprint();
+        let baseline_exec = hosts[0].exec_stats();
         for h in 1..hosts.len() {
             for (slot, (&base_id, &host_id)) in ids[0].iter().zip(&ids[h]).enumerate() {
                 prop_assert_eq!(
                     hosts[0].results(base_id),
                     hosts[h].results(host_id),
-                    "query slot {} insert log at {:?} obs={}",
+                    "query slot {} insert log at obs={}",
                     slot,
-                    grid,
                     levels[h].name()
                 );
                 prop_assert_eq!(
                     hosts[0].deleted_results(base_id),
                     hosts[h].deleted_results(host_id),
-                    "query slot {} delete log at {:?} obs={}",
+                    "query slot {} delete log at obs={}",
                     slot,
-                    grid,
                     levels[h].name()
                 );
             }
             prop_assert_eq!(
-                baseline_fp,
-                hosts[h].exec_stats().determinism_fingerprint(),
-                "executor counters at {:?} obs={}",
-                grid,
+                baseline_exec,
+                hosts[h].exec_stats(),
+                "executor counters at obs={}",
                 levels[h].name()
             );
         }
@@ -424,10 +403,7 @@ fn metrics_snapshot_serialises_parseable_jsonl() {
 #[test]
 fn trace_sink_receives_lifecycle_events() {
     let q = query(PLANS[2]);
-    let mut host = MultiQueryEngine::with_options(EngineOptions {
-        shards: 2,
-        ..Default::default()
-    });
+    let mut host = MultiQueryEngine::new();
     let sink = JsonlTraceSink::new();
     host.set_trace_sink(Box::new(sink.clone()));
     let id = host.register(&q);
@@ -436,14 +412,10 @@ fn trace_sink_receives_lifecycle_events() {
         .map(|n| host.labels().get(n).unwrap_or(Label(u32::MAX)))
         .collect();
     // Several edges per tick on both labels, batch-ingested, so tick
-    // epochs are wide enough (and active on ≥ 2 shards) to take the
-    // shard-subgraph dispatch path.
+    // epochs sweep more than one level.
     let mut ops = Vec::new();
     for t in 0..SPAN {
         for k in 0..4 {
-            // Distinct (src, trg, label) within every slide period (24
-            // consecutive values mod 29), so duplicate suppression keeps
-            // the epoch above the parallel-dispatch delta floor.
             let x = 4 * t + k;
             ops.push(Sge::new(
                 VertexId(x % 29),
@@ -454,9 +426,6 @@ fn trace_sink_receives_lifecycle_events() {
         }
     }
     host.ingest_batch(&ops);
-    // One trailing single-delta epoch stays under the parallel-dispatch
-    // floor and takes the plain level sweep, so the trace carries both
-    // dispatch shapes.
     host.ingest(Sge::new(VertexId(0), VertexId(1), labels[0], SPAN));
     host.deregister(id);
     let jsonl = sink.to_jsonl();
@@ -465,8 +434,6 @@ fn trace_sink_receives_lifecycle_events() {
         "\"event\":\"epoch_open\"",
         "\"event\":\"epoch_close\"",
         "\"event\":\"level_dispatch\"",
-        "\"event\":\"shard_job\"",
-        "\"event\":\"merge_replay\"",
         "\"event\":\"purge\"",
         "\"event\":\"deregister\"",
     ] {

@@ -1,19 +1,15 @@
-//! Label-sharded execution determinism (property-based): for any random
-//! stream and batch split, the engine must produce **bit-identical**
-//! result logs — not merely equal coverage — and identical deterministic
-//! [`ExecStats`] counters at every tested `(shards, workers)`
-//! configuration, for both [`Engine`] and [`MultiQueryEngine`], the
-//! latter including a mid-stream deregister + re-register (shard
-//! closures are rebuilt on every `lower`/`retire`, and register-time
-//! catch-up replays through a pinned unsharded instance, so registration
-//! churn must not perturb determinism either).
+//! Shard- and worker-count invariance (property-based): `shards` and
+//! `workers` are accepted and ignored — the engine runs one serial
+//! level-ordered sweep whatever they say. For any random stream and batch
+//! split, the engine must produce **bit-identical** result logs — not
+//! merely equal coverage — and equal [`ExecStats`] at every tested
+//! `(shards, workers)` configuration, for both [`Engine`] and
+//! [`MultiQueryEngine`], the latter including a mid-stream deregister +
+//! re-register (register-time catch-up replays retained history, so
+//! registration churn must not perturb determinism either).
 //!
-//! The tested configurations cover the whole mechanism: `(1, 1)` is the
-//! plain serial level sweep, `(2, 1)` runs shard-subgraphs inline on the
-//! scheduler thread (sharding without a pool), and `(4, 4)` runs them on
-//! the worker pool with more shard groups than the plans have labels
-//! (exercising empty shard groups and the merge replay under real
-//! thread interleaving).
+//! `(1, 1)` is the baseline; `(2, 1)` and `(4, 4)` are the settings that
+//! once selected a label-sharded sweep, inline and on a worker pool.
 //!
 //! [`ExecStats`]: s_graffito::core::metrics::ExecStats
 
@@ -26,7 +22,7 @@ const SLIDE: u64 = 6;
 const SPAN: u64 = 72;
 
 /// The `(shards, workers)` matrix every property is checked across; the
-/// first entry is the serial baseline.
+/// first entry is the baseline.
 const CONFIGS: [(usize, usize); 3] = [(1, 1), (2, 1), (4, 4)];
 
 /// One raw stream event: insert or (sometimes) an explicit deletion of a
@@ -123,8 +119,8 @@ fn query(text: &str) -> SgqQuery {
     SgqQuery::new(parse_program(text).unwrap(), WindowSpec::new(WINDOW, SLIDE))
 }
 
-/// Multi-label plans (so shard groups are non-trivial) covering the join
-/// tree, the Kleene closure, and a composite of both.
+/// Multi-label plans covering the join tree, the Kleene closure, and a
+/// composite of both.
 const PLANS: [&str; 3] = [
     "Ans(x, y) <- a(x, z), b(z, y).",
     "Ans(x, y) <- a+(x, y).",
@@ -142,8 +138,7 @@ fn label_vec(q: &SgqQuery) -> Vec<Label> {
 }
 
 /// Bit-identical engine comparison: result logs as `Vec<Sgt>` equality
-/// (order included) and executor counters on the deterministic
-/// fingerprint.
+/// (order included) and every executor counter.
 fn check_bit_identical(
     baseline: &Engine,
     other: &Engine,
@@ -162,8 +157,8 @@ fn check_bit_identical(
         config
     );
     prop_assert_eq!(
-        baseline.exec_stats().determinism_fingerprint(),
-        other.exec_stats().determinism_fingerprint(),
+        baseline.exec_stats(),
+        other.exec_stats(),
         "executor counters at {:?}",
         config
     );
@@ -216,8 +211,8 @@ proptest! {
         // a mid-stream deregister of one query and its re-registration
         // one flush later (catch-up replays retained history). Collected
         // `(QueryId, Sgt)` pairs are compared per flush, so even the
-        // cross-query emission interleaving must match the serial
-        // baseline exactly.
+        // cross-query emission interleaving must match the baseline
+        // exactly.
         let queries: Vec<SgqQuery> = PLANS.iter().map(|p| query(p)).collect();
         let mut hosts: Vec<MultiQueryEngine> = CONFIGS
             .iter()
@@ -298,7 +293,7 @@ proptest! {
         flush(&mut hosts, &mut ids, &mut batch, step)?;
 
         // Final per-query logs and executor counters, bit-identical.
-        let baseline_fp = hosts[0].exec_stats().determinism_fingerprint();
+        let baseline_exec = hosts[0].exec_stats();
         for h in 1..hosts.len() {
             for (slot, (&base_id, &host_id)) in ids[0].iter().zip(&ids[h]).enumerate() {
                 prop_assert_eq!(
@@ -317,8 +312,8 @@ proptest! {
                 );
             }
             prop_assert_eq!(
-                baseline_fp,
-                hosts[h].exec_stats().determinism_fingerprint(),
+                baseline_exec,
+                hosts[h].exec_stats(),
                 "executor counters at {:?}",
                 CONFIGS[h]
             );
