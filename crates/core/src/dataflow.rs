@@ -1,10 +1,10 @@
 //! Reusable physical-dataflow machinery: plan lowering with structural
 //! deduplication, epoch-batched delta delivery, and operator retirement.
 //!
-//! [`Engine`](crate::engine::Engine) historically owned this logic
-//! privately; it is factored out so hosts that manage **many** plans over
-//! one operator graph (the `sgq_multiquery` crate) can reuse the same
-//! lowering, memoization, and push-based delivery:
+//! The multi-query host ([`crate::multiquery`], which the single-query
+//! [`Engine`](crate::engine::Engine) is one registration of) manages
+//! **many** plans over one operator graph through this lowering,
+//! memoization, and push-based delivery:
 //!
 //! * [`Dataflow::lower`] turns an [`SgaExpr`] into physical operators,
 //!   memoizing on structural equality so equal subexpressions — whether
@@ -506,7 +506,7 @@ impl Dataflow {
 
     /// Replaces node `n`'s operator, returning the previous one. Used by
     /// the multi-query host to adopt state warmed in a private replay
-    /// instance (see `sgq_multiquery`); the caller is responsible for the
+    /// instance (see [`crate::multiquery`]); the caller is responsible for the
     /// replacement being an equivalent operator for the node's expression.
     pub fn replace_op(&mut self, n: usize, op: Box<dyn PhysicalOp>) -> Box<dyn PhysicalOp> {
         std::mem::replace(&mut self.nodes[n].op, op)

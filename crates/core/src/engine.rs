@@ -1,11 +1,11 @@
 //! The streaming graph query processor (§6.1).
 //!
-//! Lowers a logical [`SgaExpr`] into a push-based dataflow of physical
-//! operators and executes it in a data-driven fashion: arriving sges are
-//! propagated through the dataflow eagerly (matching the prototype's
-//! non-blocking operators — §7.3's discussion of why SGA throughput is
-//! insensitive to the slide interval), either one at a time
-//! ([`Engine::process`]) or as slide-bounded **epochs**
+//! Lowers a logical [`SgaExpr`](crate::algebra::SgaExpr) into a push-based
+//! dataflow of physical operators and executes it in a data-driven
+//! fashion: arriving sges are propagated through the dataflow eagerly
+//! (matching the prototype's non-blocking operators — §7.3's discussion of
+//! why SGA throughput is insensitive to the slide interval), either one at
+//! a time ([`Engine::process`]) or as slide-bounded **epochs**
 //! ([`Engine::process_batch`]) that amortise dispatch over whole delta
 //! batches, and state is purged with the direct approach at slide
 //! boundaries.
@@ -13,18 +13,17 @@
 //! Structurally equal subexpressions are deduplicated into a single
 //! physical operator with fan-out edges, so shared subplans (e.g. one
 //! `W(S_posts)` feeding two PATTERN ports, Figure 8) are evaluated once.
+//!
+//! An [`Engine`] is a [`MultiQueryEngine`] with one registration: the
+//! host owns epoch formation, the purge cadence and the deduplicating
+//! result sink, and this type is the single-query surface over it.
 
-use crate::algebra::SgaExpr;
-use crate::dataflow::Dataflow;
-use crate::metrics::RunStats;
-use crate::obs::{MetricsSnapshot, ObsLevel, TraceSink};
-use crate::physical::Delta;
+use crate::metrics::{ExecStats, RunStats};
+use crate::multiquery::{MultiQueryEngine, QueryId};
+use crate::obs::{FrontierStats, MetricsSnapshot, ObsLevel, TraceSink};
 use crate::planner::{plan_canonical, Plan};
 use sgq_query::SgqQuery;
-use sgq_types::{
-    time::gcd, FxHashMap, Interval, IntervalSet, Label, LabelInterner, Sge, Sgt, SnapshotGraph,
-    Timestamp, VertexId,
-};
+use sgq_types::{FxHashSet, Label, LabelInterner, Sge, Sgt, SnapshotGraph, Timestamp, VertexId};
 use std::time::{Duration, Instant};
 
 /// Which physical implementation to use for PATH operators.
@@ -135,8 +134,7 @@ pub struct EngineOptions {
     /// default) keeps the serial hot path clock-free and skips every
     /// per-operator counter update; `Counters` adds clock-free counting;
     /// `Timing` adds wall-clock nanos per `on_batch`/`purge` call. None of
-    /// the collected counters is part of
-    /// [`ExecStats`](crate::metrics::ExecStats), and collection never
+    /// the collected counters is part of [`ExecStats`], and collection never
     /// affects results — result logs are **bit-identical with
     /// observability on or off** (asserted by the obs-neutrality
     /// proptests). The default honours the `SGQ_OBS` environment variable
@@ -178,30 +176,15 @@ pub fn default_obs() -> ObsLevel {
     ObsLevel::from_env()
 }
 
-/// The streaming graph query engine.
+/// The streaming graph query engine: a [`MultiQueryEngine`] with exactly
+/// one registration, whose plan runs verbatim in the plan's own label
+/// namespace (so [`Engine::labels`] is the plan's interner and results
+/// carry the plan's answer label). Results come back without query ids,
+/// and the logs are never released, so [`Engine::results`] holds every
+/// result since construction.
 pub struct Engine {
-    /// The physical operator graph (shared lowering machinery).
-    flow: Dataflow,
-    root: usize,
-    /// The lowered plan expression (kept for explain-analyze rendering).
-    expr: SgaExpr,
-    labels: LabelInterner,
-    answer: Label,
-    slide: u64,
-    opts: EngineOptions,
-    now: Timestamp,
-    next_boundary: Option<Timestamp>,
-    /// Cadence of physical reclamation for direct-approach operators.
-    purge_period: u64,
-    last_physical_purge: Option<Timestamp>,
-    /// Sink: emitted result inserts, in emission order.
-    results: Vec<Sgt>,
-    /// Sink: emitted negative result tuples.
-    deleted_results: Vec<Sgt>,
-    /// Sink coalescing state for duplicate suppression.
-    sink_dedup: PairCoverage,
-    /// Reusable grouping buffer for epoch-level sink coalescing.
-    sink_scratch: SinkScratch,
+    host: MultiQueryEngine,
+    query: QueryId,
 }
 
 impl Engine {
@@ -220,66 +203,31 @@ impl Engine {
         Self::from_plan_with(plan, EngineOptions::default())
     }
 
-    /// Builds the engine for an explicit plan with custom options.
+    /// Builds the engine for an explicit plan with custom options. The
+    /// engine ticks at the gcd of all its window slides: streams may be
+    /// windowed individually (Figure 7), and every WSCAN's expiry points
+    /// must be hit.
     pub fn from_plan_with(plan: &Plan, opts: EngineOptions) -> Engine {
-        let mut flow = Dataflow::new(opts);
-        let root = flow.lower(&plan.expr);
-        // Slide boundaries must hit every WSCAN's expiry points: streams
-        // may be windowed individually (Figure 7), so the engine ticks at
-        // the gcd of all slides.
-        let mut slide = plan.window.slide;
-        plan.expr.visit(&mut |e| {
-            if let SgaExpr::WScan { slide: s, .. } = e {
-                slide = gcd(slide, *s);
-            }
-        });
-        let purge_period = opts
-            .purge_period
-            .unwrap_or_else(|| slide.max(plan.window.size / 4).max(1));
-        Engine {
-            flow,
-            root,
-            expr: plan.expr.clone(),
-            labels: plan.labels.clone(),
-            answer: plan.answer,
-            slide,
-            opts,
-            now: 0,
-            next_boundary: None,
-            purge_period,
-            last_physical_purge: None,
-            results: Vec::new(),
-            deleted_results: Vec::new(),
-            sink_dedup: FxHashMap::default(),
-            sink_scratch: SinkScratch::default(),
-        }
+        let (host, query) = MultiQueryEngine::for_plan(plan, opts);
+        Engine { host, query }
     }
 
     /// The label namespace used by plans and results.
     pub fn labels(&self) -> &LabelInterner {
-        &self.labels
+        self.host.labels()
     }
 
     /// The answer label carried by result sgts.
     pub fn answer_label(&self) -> Label {
-        self.answer
+        self.host
+            .answer_label(self.query)
+            .expect("the engine's query is never deregistered")
     }
 
     /// Processes one arriving sge, returning the newly emitted results
     /// (clones of what was appended to [`Engine::results`]).
     pub fn process(&mut self, sge: Sge) -> Vec<Sgt> {
-        let before = self.results.len();
-        self.advance_time(sge.t);
-        self.push_delta(
-            sge.label,
-            Delta::Insert(Sgt::edge(
-                sge.src,
-                sge.trg,
-                sge.label,
-                Interval::instant(sge.t),
-            )),
-        );
-        self.results[before..].to_vec()
+        self.emitted(Engine::results, |host| host.ingest(sge))
     }
 
     /// Processes a batch of arriving sges as true **epochs** (the §7.3
@@ -299,75 +247,7 @@ impl Engine {
     /// [`Engine::process`] call at a time: identical coalesced coverage,
     /// with the chunking of emissions the only difference.
     pub fn process_batch(&mut self, batch: &[Sge]) -> Vec<Sgt> {
-        let Some(last) = batch.last() else {
-            return Vec::new();
-        };
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].t <= w[1].t),
-            "batches are stream segments (ordered by timestamp)"
-        );
-        let before = self.results.len();
-        // Keep the *first* arrival of each (src, trg, label) per window
-        // period (suppressed pipelines only — see above).
-        let mut seen: FxHashMap<(VertexId, VertexId, Label), Timestamp> = FxHashMap::default();
-        let mut epoch: Vec<(Label, Delta)> = Vec::new();
-        for &sge in batch {
-            if self.opts.suppress_duplicates {
-                let period = sge.t / self.slide;
-                match seen.get(&(sge.src, sge.trg, sge.label)) {
-                    Some(&p) if p == period => continue, // covered duplicate
-                    _ => {
-                        seen.insert((sge.src, sge.trg, sge.label), period);
-                    }
-                }
-            }
-            // A slide-boundary crossing (or the very first tuple) closes
-            // the running epoch: flush it, then purge at the boundary so
-            // the next epoch opens on the advanced watermark.
-            let crosses = match self.next_boundary {
-                None => true,
-                Some(b) => sge.t >= b,
-            };
-            if crosses {
-                self.flush_epoch(&mut epoch);
-                self.advance_time(sge.t);
-            }
-            epoch.push((
-                sge.label,
-                Delta::Insert(Sgt::edge(
-                    sge.src,
-                    sge.trg,
-                    sge.label,
-                    Interval::instant(sge.t),
-                )),
-            ));
-        }
-        self.flush_epoch(&mut epoch);
-        self.advance_time(last.t);
-        self.results[before..].to_vec()
-    }
-
-    /// Delivers the accumulated epoch through the dataflow in one sweep.
-    /// `self.now` is the epoch's opening watermark: time only advances at
-    /// flush points, so every delta in the epoch was checked against the
-    /// same slide grid.
-    fn flush_epoch(&mut self, epoch: &mut Vec<(Label, Delta)>) {
-        if epoch.is_empty() {
-            return;
-        }
-        let (root, opts, now) = (self.root, self.opts, self.now);
-        let (flow, sink_dedup, results, deleted, scratch) = (
-            &mut self.flow,
-            &mut self.sink_dedup,
-            &mut self.results,
-            &mut self.deleted_results,
-            &mut self.sink_scratch,
-        );
-        flow.ingest_epoch(epoch.drain(..), now, |n, batch| {
-            if n == root {
-                sink_batch(&opts, sink_dedup, results, deleted, batch, scratch);
-            }
-        });
+        self.emitted(Engine::results, |host| host.ingest_batch(batch))
     }
 
     /// Processes one arriving sge carrying edge properties (the §8
@@ -375,175 +255,103 @@ impl Engine {
     /// FILTER operators evaluate against `props`; plain [`Engine::process`]
     /// tuples carry none, so such predicates reject them.
     pub fn process_with_props(&mut self, sge: Sge, props: sgq_types::PropMap) -> Vec<Sgt> {
-        let before = self.results.len();
-        self.advance_time(sge.t);
-        let sgt = Sgt::edge(sge.src, sge.trg, sge.label, Interval::instant(sge.t))
-            .with_props(std::sync::Arc::new(props));
-        self.push_delta(sge.label, Delta::Insert(sgt));
-        self.results[before..].to_vec()
+        self.emitted(Engine::results, |host| {
+            host.process_with_props(sge, props);
+        })
     }
 
-    /// Explicitly deletes a previously inserted sge (§6.2.5). The engine
-    /// must have been built with `suppress_duplicates = false`.
-    ///
-    /// Under the data model's set semantics (Def. 10), value-equivalent
-    /// re-insertions coalesce into one edge, so a deletion retracts *the
-    /// edge*: exactness is guaranteed when each `(src, trg, label)` has at
-    /// most one un-expired insertion at deletion time (insert → delete →
-    /// re-insert cycles are fine; concurrent duplicates of the same edge
-    /// require the counting-based [`sgq_dd`](https://docs.rs) baseline).
+    /// Explicitly deletes a previously inserted sge (§6.2.5), returning
+    /// the negative result tuples it caused. The engine must have been
+    /// built with `suppress_duplicates = false`; see
+    /// [`MultiQueryEngine::delete`] for the exactness contract.
     pub fn delete(&mut self, sge: Sge) -> Vec<Sgt> {
-        debug_assert!(
-            !self.opts.suppress_duplicates,
-            "explicit deletions require suppress_duplicates = false"
-        );
-        let before = self.deleted_results.len();
-        // `sge.t` is the *original* timestamp (so WSCAN reconstructs the
-        // interval being retracted); the deletion itself happens "now".
-        self.push_delta(
-            sge.label,
-            Delta::Delete(Sgt::edge(
-                sge.src,
-                sge.trg,
-                sge.label,
-                Interval::instant(sge.t),
-            )),
-        );
-        self.deleted_results[before..].to_vec()
+        self.emitted(Engine::deleted_results, |host| {
+            host.delete(sge);
+        })
     }
 
     /// Explicitly deletes a previously inserted property-carrying sge.
     /// Pass the **same properties** as the insertion so the negative tuple
     /// passes the same attribute filters and cancels it exactly.
     pub fn delete_with_props(&mut self, sge: Sge, props: sgq_types::PropMap) -> Vec<Sgt> {
-        debug_assert!(
-            !self.opts.suppress_duplicates,
-            "explicit deletions require suppress_duplicates = false"
-        );
-        let before = self.deleted_results.len();
-        let sgt = Sgt::edge(sge.src, sge.trg, sge.label, Interval::instant(sge.t))
-            .with_props(std::sync::Arc::new(props));
-        self.push_delta(sge.label, Delta::Delete(sgt));
-        self.deleted_results[before..].to_vec()
+        self.emitted(Engine::deleted_results, |host| {
+            host.delete_with_props(sge, props);
+        })
+    }
+
+    /// Runs `ingest` on the host and returns clones of what it appended to
+    /// `log` (the insert or the negative-tuple log).
+    fn emitted(
+        &mut self,
+        log: fn(&Engine) -> &[Sgt],
+        ingest: impl FnOnce(&mut MultiQueryEngine),
+    ) -> Vec<Sgt> {
+        let before = log(self).len();
+        ingest(&mut self.host);
+        log(self)[before..].to_vec()
     }
 
     /// Moves event time forward, purging state at every crossed slide
     /// boundary (the window-movement processing of §6.2).
     pub fn advance_time(&mut self, t: Timestamp) {
-        debug_assert!(t >= self.now, "streams are ordered by timestamp");
-        match self.next_boundary {
-            None => {
-                // First tuple: boundaries start at the next multiple of β.
-                self.next_boundary = Some((t / self.slide + 1) * self.slide);
-            }
-            Some(mut b) => {
-                while t >= b {
-                    self.purge(b);
-                    b += self.slide;
-                }
-                self.next_boundary = Some(b);
-            }
-        }
-        self.now = t;
+        self.host.advance_time(t);
     }
 
-    /// Purges expired operator and sink state at `watermark`. Operators
-    /// that emit continuation results during window movement (the
-    /// negative-tuple PATH, §6.2.3) are purged at every slide boundary and
-    /// have those results propagated downstream; direct-approach operators
-    /// are reclaimed on the amortised [`EngineOptions::purge_period`]
-    /// cadence (they skip expired state by interval intersection, so
-    /// delayed reclamation never changes results — only memory).
+    /// Purges expired operator and sink state at `watermark` (see
+    /// [`MultiQueryEngine::purge`]).
     pub fn purge(&mut self, watermark: Timestamp) {
-        let due = match self.last_physical_purge {
-            None => true,
-            Some(last) => watermark.saturating_sub(last) >= self.purge_period,
-        };
-        let (root, opts, now) = (self.root, self.opts, self.now);
-        let (flow, sink_dedup, results, deleted, scratch) = (
-            &mut self.flow,
-            &mut self.sink_dedup,
-            &mut self.results,
-            &mut self.deleted_results,
-            &mut self.sink_scratch,
-        );
-        flow.purge(watermark, now, due, |n, batch| {
-            if n == root {
-                sink_batch(&opts, sink_dedup, results, deleted, batch, scratch);
-            }
-        });
-        if due {
-            self.last_physical_purge = Some(watermark);
-            purge_coverage(&mut self.sink_dedup, watermark);
-        }
+        self.host.purge(watermark);
     }
 
     /// Forces physical reclamation of **all** operator state expired at
     /// `watermark`, ignoring the amortised cadence (diagnostics / memory
     /// pressure hooks).
     pub fn purge_all(&mut self, watermark: Timestamp) {
-        self.last_physical_purge = None;
-        self.purge(watermark);
-    }
-
-    fn push_delta(&mut self, label: Label, delta: Delta) {
-        let (root, opts, now) = (self.root, self.opts, self.now);
-        let (flow, sink_dedup, results, deleted, scratch) = (
-            &mut self.flow,
-            &mut self.sink_dedup,
-            &mut self.results,
-            &mut self.deleted_results,
-            &mut self.sink_scratch,
-        );
-        flow.ingest(label, delta, now, |n, batch| {
-            if n == root {
-                sink_batch(&opts, sink_dedup, results, deleted, batch, scratch);
-            }
-        });
+        self.host.purge_all(watermark);
     }
 
     /// Executor dispatch counters (epoch sizes, operator invocations,
     /// fan-out deliveries) accumulated over this engine's lifetime.
-    pub fn exec_stats(&self) -> crate::metrics::ExecStats {
-        self.flow.exec_stats()
+    pub fn exec_stats(&self) -> ExecStats {
+        self.host.exec_stats()
     }
 
     /// All result sgts emitted so far (insertions, in order).
     pub fn results(&self) -> &[Sgt] {
-        &self.results
+        self.host.results(self.query)
     }
 
     /// All negative result tuples emitted so far.
     pub fn deleted_results(&self) -> &[Sgt] {
-        &self.deleted_results
+        self.host.deleted_results(self.query)
     }
 
     /// The distinct answer pairs valid at time `t`, per the emitted result
     /// stream (deletions subtracted). This is the left side of the
     /// snapshot-reducibility equation (Def. 14).
-    pub fn answer_at(&self, t: Timestamp) -> sgq_types::FxHashSet<(VertexId, VertexId)> {
-        answer_at(&self.results, &self.deleted_results, t)
+    pub fn answer_at(&self, t: Timestamp) -> FxHashSet<(VertexId, VertexId)> {
+        self.host.answer_at(self.query, t)
     }
 
     /// The snapshot graph of the result stream at `t` (answers as a
     /// materialized path graph — closure of SGA, §5.3).
     pub fn snapshot_at(&self, t: Timestamp) -> SnapshotGraph {
-        SnapshotGraph::at_time(t, self.results.iter())
+        SnapshotGraph::at_time(t, self.results().iter())
     }
 
     /// Total operator state entries (for Δ-PATH / join-state metrics).
     pub fn state_size(&self) -> usize {
-        self.flow.state_size()
+        self.host.state_size()
     }
 
     /// Operator names in the dataflow (diagnostics).
     pub fn operator_names(&self) -> Vec<String> {
-        self.flow.operator_names()
+        self.host.operator_names()
     }
 
     /// The observability collection level this engine runs at.
     pub fn obs_level(&self) -> ObsLevel {
-        self.opts.obs
+        self.host.obs_level()
     }
 
     /// Installs a [`TraceSink`] receiving structured lifecycle events
@@ -552,29 +360,19 @@ impl Engine {
     /// per-operator nanos still require [`ObsLevel::Timing`]. Tracing
     /// never affects results.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.flow.set_trace_sink(sink);
+        self.host.set_trace_sink(sink);
     }
 
-    /// Renders the lowered plan tree annotated with live per-operator
-    /// counters — invocations, deltas in/out, measured selectivity,
-    /// retained state, and (at [`ObsLevel::Timing`]) wall-clock nanos —
-    /// plus an engine-wide executor summary. Counter lines read zero
+    /// Renders the executor summary and the lowered plan tree annotated
+    /// with live per-operator counters — invocations, deltas in/out,
+    /// measured selectivity, retained state, and (at [`ObsLevel::Timing`])
+    /// wall-clock nanos — plus the query's sink and histogram lines (see
+    /// [`MultiQueryEngine::explain_analyze`]). Counter lines read zero
     /// below [`ObsLevel::Counters`]; structure and state are always live.
     pub fn explain_analyze(&self) -> String {
-        let stats = self.flow.exec_stats();
-        let mut out = format!(
-            "== explain analyze (obs={}) ==\n\
-             epochs={} input_deltas={} invocations={} dispatched={} emitted={} state={}\n",
-            self.opts.obs.name(),
-            stats.epochs,
-            stats.input_deltas,
-            stats.operator_invocations,
-            stats.deltas_dispatched,
-            stats.deltas_emitted,
-            self.flow.state_size(),
-        );
-        out.push_str(&self.flow.explain_expr(&self.expr));
-        out
+        self.host
+            .explain_analyze(self.query)
+            .expect("the engine's query is never deregistered")
     }
 
     /// A point-in-time [`MetricsSnapshot`] of the engine: executor
@@ -583,19 +381,16 @@ impl Engine {
     /// host's surface). Serialisable as JSONL/CSV for external consumers.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            level: self.opts.obs,
-            exec: self.flow.exec_stats(),
-            state_entries: self.flow.state_size(),
-            operators: self.flow.operator_snapshots(),
             queries: Vec::new(),
+            ..self.host.metrics_snapshot()
         }
     }
 
     /// Aggregated frontier traversal counters of the flow's PATH
     /// operators (nodes settled / improved, heap pushes, edges scanned).
     /// Always-on deterministic counters — available at every obs level.
-    pub fn frontier_totals(&self) -> crate::obs::FrontierStats {
-        self.flow.frontier_totals()
+    pub fn frontier_totals(&self) -> FrontierStats {
+        self.host.frontier_totals()
     }
 
     /// Drives the engine over an entire ordered stream, collecting the
@@ -605,12 +400,12 @@ impl Engine {
         let started = Instant::now();
         let mut slide_started = Instant::now();
         for &sge in stream {
-            let boundary_before = self.next_boundary;
-            self.process(sge);
+            let boundary_before = self.host.next_boundary();
+            self.host.ingest(sge);
             stats.edges += 1;
             // The first tuple of a fresh engine only places the boundary
             // grid (`None → Some`): nothing was crossed, so no sample.
-            if boundary_before.is_some() && self.next_boundary != boundary_before {
+            if boundary_before.is_some() && self.host.next_boundary() != boundary_before {
                 // One or more slide boundaries were crossed by this tuple.
                 stats.slide_latencies.push(slide_started.elapsed());
                 slide_started = Instant::now();
@@ -621,11 +416,7 @@ impl Engine {
         if tail > Duration::ZERO {
             stats.slide_latencies.push(tail);
         }
-        stats.elapsed = started.elapsed();
-        stats.results = self.results.len() as u64;
-        stats.deletions = self.deleted_results.len() as u64;
-        stats.peak_state = stats.peak_state.max(self.state_size());
-        stats
+        self.finish(stats, started)
     }
 
     /// Drives the engine over an ordered stream in epochs of `epoch_ticks`
@@ -647,7 +438,7 @@ impl Engine {
                 return;
             }
             let batch_started = Instant::now();
-            engine.process_batch(batch);
+            engine.host.ingest_batch(batch);
             stats.slide_latencies.push(batch_started.elapsed());
             stats.edges += batch.len() as u64;
             stats.peak_state = stats.peak_state.max(engine.state_size());
@@ -662,178 +453,17 @@ impl Engine {
             batch.push(sge);
         }
         flush(self, &mut batch, &mut stats);
+        self.finish(stats, started)
+    }
+
+    /// Completes a run's stats with its wall time, result counts and the
+    /// final state size.
+    fn finish(&self, mut stats: RunStats, started: Instant) -> RunStats {
         stats.elapsed = started.elapsed();
-        stats.results = self.results.len() as u64;
-        stats.deletions = self.deleted_results.len() as u64;
+        stats.results = self.results().len() as u64;
+        stats.deletions = self.deleted_results().len() as u64;
         stats.peak_state = stats.peak_state.max(self.state_size());
         stats
-    }
-}
-
-/// The distinct answer pairs valid at `t` in a result log (insertions
-/// counted, deletions subtracted) — the left side of the
-/// snapshot-reducibility equation (Def. 14). Shared by
-/// [`Engine::answer_at`] and the multi-query host's per-query views.
-pub fn answer_at(
-    results: &[Sgt],
-    deleted_results: &[Sgt],
-    t: Timestamp,
-) -> sgq_types::FxHashSet<(VertexId, VertexId)> {
-    let mut valid: FxHashMap<(VertexId, VertexId), i64> = FxHashMap::default();
-    for s in results {
-        if s.interval.contains(t) {
-            *valid.entry((s.src, s.trg)).or_insert(0) += 1;
-        }
-    }
-    for s in deleted_results {
-        if s.interval.contains(t) {
-            *valid.entry((s.src, s.trg)).or_insert(0) -= 1;
-        }
-    }
-    valid
-        .into_iter()
-        .filter(|&(_, c)| c > 0)
-        .map(|(k, _)| k)
-        .collect()
-}
-
-/// A sink's duplicate-suppression state: each answer pair's coverage, so
-/// that only what extends it is emitted (§6.2). One private map per sink —
-/// the single-query engine's and every multi-query root sink's alike.
-pub type PairCoverage = FxHashMap<(VertexId, VertexId), IntervalSet>;
-
-/// `Some(merged)` when `interval` extends `set`'s coverage (the result is
-/// emitted with the merged covering interval — [`IntervalSet::insert`]'s
-/// contract), `None` when it is already covered (suppressed).
-fn accept(set: &mut IntervalSet, interval: Interval) -> Option<Interval> {
-    if set.covers(&interval) {
-        return None;
-    }
-    Some(set.insert(interval).expect("non-empty"))
-}
-
-/// Drops coverage expired at `watermark`, and the pairs left with none
-/// (sink maintenance at physical-purge boundaries).
-pub fn purge_coverage(dedup: &mut PairCoverage, watermark: Timestamp) {
-    dedup.retain(|_, set| {
-        set.purge_expired(watermark);
-        !set.is_empty()
-    });
-}
-
-/// Reusable grouping scratch for [`sink_inserts_grouped`]: the per-epoch
-/// `(src, trg, batch index)` ordering buffer, threaded in by the caller so
-/// its allocation survives across epochs instead of being rebuilt per
-/// call. Borrow-free (indices, not references), so one scratch serves
-/// every batch a sink ever sees.
-#[derive(Debug, Default)]
-pub struct SinkScratch {
-    order: Vec<(VertexId, VertexId, usize)>,
-}
-
-/// Delivers a root emission **batch** to an engine-style sink with
-/// epoch-level coalescing: the batch's insertions are grouped by
-/// `(src, trg)` so the per-pair coverage entry in `dedup` is looked up
-/// once per distinct pair instead of once per delta — on emission-heavy
-/// path queries most of a root batch shares a handful of pairs, and the
-/// per-emission probe is the dominant sink cost.
-///
-/// This is the **single** implementation behind both the single-query
-/// engine sink and the multi-query host's per-root sinks: shared-host
-/// result logs must stay bit-identical to dedicated engines', so the
-/// grouping gate and delete handling live in exactly one place.
-///
-/// Semantics match the per-delta [`sink_result`] loop exactly at the data
-/// model's granularity: each pair's deltas are processed in arrival order
-/// (so per-pair coverage, and hence every `answer_at`, is unchanged) and
-/// pairs are processed in ascending-pair order, making the emitted log a
-/// *deterministic* pair-interleaving permutation of the per-delta log with
-/// identical length. Deletions and unsuppressed pipelines take the
-/// per-delta path unchanged (without suppression the dedup table is never
-/// consulted, so there is nothing to amortise).
-pub fn sink_batch(
-    opts: &EngineOptions,
-    dedup: &mut PairCoverage,
-    results: &mut Vec<Sgt>,
-    deleted_results: &mut Vec<Sgt>,
-    batch: &crate::physical::DeltaBatch,
-    scratch: &mut SinkScratch,
-) {
-    if !opts.suppress_duplicates || batch.len() <= 1 {
-        for d in batch.iter() {
-            sink_result(opts, dedup, results, deleted_results, d.clone());
-        }
-        return;
-    }
-    for s in batch.deletes() {
-        deleted_results.push(s.clone());
-    }
-    sink_inserts_grouped(dedup, results, batch, scratch);
-}
-
-/// The grouped-insert core of [`sink_batch`]: one coverage-entry lookup
-/// per distinct `(src, trg)` pair. A **stable** sort arranges the batch
-/// into per-pair runs — pairs in ascending order, each pair's deltas in
-/// arrival order, so per-pair coverage (and every `answer_at`) is exactly
-/// the per-delta path's, and the emitted order is deterministic. The
-/// grouping buffer lives in `scratch` and is reused across epochs.
-pub fn sink_inserts_grouped(
-    dedup: &mut PairCoverage,
-    results: &mut Vec<Sgt>,
-    batch: &crate::physical::DeltaBatch,
-    scratch: &mut SinkScratch,
-) {
-    let deltas = batch.as_slice();
-    scratch.order.clear();
-    for (i, d) in deltas.iter().enumerate() {
-        if let Delta::Insert(s) = d {
-            scratch.order.push((s.src, s.trg, i));
-        }
-    }
-    scratch.order.sort_by_key(|&(src, trg, _)| (src, trg)); // stable: arrival order kept
-    let mut i = 0;
-    while i < scratch.order.len() {
-        let key = (scratch.order[i].0, scratch.order[i].1);
-        let set = dedup.entry(key).or_default();
-        while i < scratch.order.len() && (scratch.order[i].0, scratch.order[i].1) == key {
-            let idx = scratch.order[i].2;
-            i += 1;
-            let Delta::Insert(s) = &deltas[idx] else {
-                unreachable!("scratch indexes insert deltas only");
-            };
-            if let Some(merged) = accept(set, s.interval) {
-                let mut s = s.clone();
-                s.interval = merged;
-                results.push(s);
-            }
-        }
-    }
-}
-
-/// Delivers a root emission to an engine-style sink: per-pair interval
-/// coalescing under duplicate suppression, separate insert/delete logs.
-/// Shared by [`Engine`] and the multi-query host's per-root sinks.
-/// [`sink_batch`] is the batch-at-a-time form with per-pair grouping.
-pub fn sink_result(
-    opts: &EngineOptions,
-    dedup: &mut PairCoverage,
-    results: &mut Vec<Sgt>,
-    deleted_results: &mut Vec<Sgt>,
-    delta: Delta,
-) {
-    match delta {
-        Delta::Insert(mut s) => {
-            if opts.suppress_duplicates {
-                match accept(dedup.entry((s.src, s.trg)).or_default(), s.interval) {
-                    None => return,
-                    Some(merged) => s.interval = merged,
-                }
-            }
-            results.push(s);
-        }
-        Delta::Delete(s) => {
-            deleted_results.push(s);
-        }
     }
 }
 
@@ -841,6 +471,7 @@ pub fn sink_result(
 mod tests {
     use super::*;
     use sgq_query::{parse_program, WindowSpec};
+    use sgq_types::Interval;
 
     fn engine(text: &str, window: u64) -> Engine {
         let p = parse_program(text).unwrap();

@@ -18,12 +18,14 @@
 //! * [`dataflow`] — reusable lowering/delivery machinery: logical plans to
 //!   physical operator graphs with structural subplan deduplication (across
 //!   plans as well as within one), push-based delta delivery, and operator
-//!   retirement — the substrate shared by [`engine`] and the multi-query
-//!   host crate.
-//! * [`engine`] — the push-based executor (§6.1): plan lowering with shared
-//!   subplan deduplication, event-time watermarks, direct-approach purging
-//!   at slide boundaries, and the snapshot-reducibility query surface used
-//!   for testing.
+//!   retirement.
+//! * [`multiquery`] — the host that owns execution (§6.1): N persistent
+//!   queries over one shared dataflow, epoch formation at slide
+//!   boundaries, event-time watermarks, direct-approach purging, and the
+//!   deduplicating per-root result sinks.
+//! * [`engine`] — the single-query [`Engine`]: the host with one
+//!   registration, plus the snapshot-reducibility query surface used for
+//!   testing and the paper's metrics drivers.
 //! * [`metrics`] — throughput / per-slide tail-latency accounting (§7.1.1).
 //! * [`obs`] — flight-recorder observability: per-operator counters, log2
 //!   latency histograms, trace sinks, and the metrics-snapshot exporter,
@@ -61,6 +63,7 @@ pub mod algebra;
 pub mod dataflow;
 pub mod engine;
 pub mod metrics;
+pub mod multiquery;
 pub mod obs;
 pub mod optimizer;
 pub mod physical;

@@ -22,7 +22,7 @@
 //!
 //! After canonicalization, subplans that are structurally equal across
 //! query boundaries are *identical* expressions, so lowering them through
-//! one shared [`sgq_core::dataflow::Dataflow`] instantiates each once —
+//! one shared [`Dataflow`](crate::dataflow::Dataflow) instantiates each once —
 //! the cross-query generalization of the engine's intra-query dedup.
 //!
 //! Sharing an operator between queries that named its output differently
@@ -31,8 +31,8 @@
 //! *through its regex*, which is rewritten into the same canonical
 //! namespace. Result tuples are re-labelled per query at the sink.
 
-use sgq_core::algebra::SgaExpr;
-use sgq_core::planner::Plan;
+use crate::algebra::SgaExpr;
+use crate::planner::Plan;
 use sgq_types::{FxHashMap, Label, LabelInterner};
 
 /// Stand-in output label used when keying an operator shape before its
@@ -53,6 +53,16 @@ impl Canonicalizer {
     /// An empty canonicalizer with a fresh shared namespace.
     pub fn new() -> Canonicalizer {
         Canonicalizer::default()
+    }
+
+    /// A canonicalizer whose namespace starts as `labels` (a plan's own
+    /// interner), so that plan can run verbatim: its EDB and derived labels
+    /// keep their ids, and later plans re-intern EDB names onto them.
+    pub(crate) fn adopting(labels: LabelInterner) -> Canonicalizer {
+        Canonicalizer {
+            labels,
+            structural: FxHashMap::default(),
+        }
     }
 
     /// The shared label namespace: EDB names from every registered query
@@ -222,7 +232,7 @@ impl Canonicalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgq_core::planner::plan_canonical;
+    use crate::planner::plan_canonical;
     use sgq_query::{parse_program, SgqQuery, WindowSpec};
 
     fn plan(text: &str, window: u64) -> Plan {

@@ -19,7 +19,7 @@
 //! `AlwaysDedicated` (or `SGQ_SHARING=share|dedicated`) the choice is
 //! fully static.
 
-use sgq_core::engine::SharingPolicy;
+use crate::engine::SharingPolicy;
 
 /// Minimum measured per-epoch routing+dedup tax (nanos) before the
 /// measured path may dedicate a plan. Keeps borderline (noise-dominated)

@@ -1,17 +1,18 @@
 //! The multi-query host: N persistent queries, one shared dataflow.
 
-use crate::canon::Canonicalizer;
-use crate::chooser::{self, CostInputs, SubplanChoice};
-pub use crate::registry::QueryId;
-use crate::registry::{input_delta, Emissions, Registration, Registry};
-use crate::sink::SinkCensus;
-use sgq_core::algebra::SgaExpr;
-use sgq_core::dataflow::Dataflow;
-use sgq_core::engine::answer_at;
-use sgq_core::engine::EngineOptions;
-use sgq_core::obs::{fmt_nanos, MetricsSnapshot, ObsLevel, QuerySnapshot, TraceEvent, TraceSink};
-use sgq_core::physical::Delta;
-use sgq_core::planner::plan_canonical;
+use super::canon::Canonicalizer;
+use super::chooser::{self, CostInputs, SubplanChoice};
+pub use super::registry::QueryId;
+use super::registry::{input_sgt, Emissions, Registration, Registry};
+use super::sink::{answer_at, SinkCensus};
+use crate::algebra::SgaExpr;
+use crate::dataflow::Dataflow;
+use crate::engine::EngineOptions;
+use crate::obs::{
+    fmt_nanos, FrontierStats, MetricsSnapshot, ObsLevel, QuerySnapshot, TraceEvent, TraceSink,
+};
+use crate::physical::Delta;
+use crate::planner::{plan_canonical, Plan};
 use sgq_query::SgqQuery;
 use sgq_types::{
     time::gcd, FxHashMap, FxHashSet, Label, LabelInterner, Sge, Sgt, SharedProps, Timestamp,
@@ -21,15 +22,15 @@ use std::collections::VecDeque;
 
 /// A host executing many persistent [`SgqQuery`]s over one shared input
 /// stream, instantiating structurally-equal subplans once across query
-/// boundaries (see the crate docs).
+/// boundaries (see the module docs).
 ///
-/// The host mirrors the single-query [`Engine`](sgq_core::engine::Engine)
-/// surface — `process` / `process_batch` / `delete` / `advance_time` — but
-/// results are routed per query: ingestion returns `(QueryId, Sgt)` pairs,
-/// and each registered query additionally has a cursor-based
+/// Ingestion is `process` / `process_batch` / `delete` / `advance_time`,
+/// with results routed per query: ingestion returns `(QueryId, Sgt)`
+/// pairs, and each registered query additionally has a cursor-based
 /// [`drain`](MultiQueryEngine::drain) subscription plus the full
 /// [`results`](MultiQueryEngine::results) /
-/// [`answer_at`](MultiQueryEngine::answer_at) views.
+/// [`answer_at`](MultiQueryEngine::answer_at) views. The single-query
+/// [`Engine`](crate::engine::Engine) is a host with one registration.
 pub struct MultiQueryEngine {
     flow: Dataflow,
     canon: Canonicalizer,
@@ -46,6 +47,10 @@ pub struct MultiQueryEngine {
     /// catch-up (newly created operators replay it so a late-registered
     /// query answers from the full current window).
     retained: VecDeque<(Sge, Option<SharedProps>)>,
+    /// Whether input history is kept at all: `false` for the host behind
+    /// a single-query [`Engine`](crate::engine::Engine), which never sees
+    /// a late registration to catch up.
+    keeps_history: bool,
     /// How far back input history is retained: the high-water mark of
     /// every window size ever registered (never shrinks — a deregistered
     /// large-window query may come back), raised further by
@@ -109,11 +114,25 @@ impl MultiQueryEngine {
             purge_period: 1,
             last_physical_purge: None,
             retained: VecDeque::new(),
+            keeps_history: true,
             retention_horizon: 0,
             profile: Vec::new(),
             seen: FxHashMap::default(),
             epoch: Vec::new(),
         }
+    }
+
+    /// A host running exactly `plan`, as the single-query
+    /// [`Engine`](crate::engine::Engine) does: the plan is lowered verbatim
+    /// in its own label namespace (so its labels, operators and result
+    /// tags are the plan's own, and input sges carry the plan's label ids),
+    /// and no input history is kept for catch-up.
+    pub(crate) fn for_plan(plan: &Plan, opts: EngineOptions) -> (MultiQueryEngine, QueryId) {
+        let mut host = Self::with_options(opts);
+        host.canon = Canonicalizer::adopting(plan.labels.clone());
+        host.keeps_history = false;
+        let id = host.install(plan, plan.expr.clone(), SubplanChoice::static_shared());
+        (host, id)
     }
 
     /// The shared label namespace. Input sges must carry labels from this
@@ -173,12 +192,19 @@ impl MultiQueryEngine {
         let expr = if choice.dedicated {
             self.canon.canonicalize_private(&plan)
         } else {
-            shared_expr.clone()
+            shared_expr
         };
+        self.install(&plan, expr, choice)
+    }
+
+    /// Lowers `expr` (`plan` in this host's namespace) into the shared
+    /// dataflow, registers it and catches it up with history.
+    fn install(&mut self, plan: &Plan, expr: SgaExpr, choice: SubplanChoice) -> QueryId {
         let answer = self.canon.answer_label(plan.labels.name(plan.answer));
         let root = self.flow.lower(&expr);
         let nodes = self.flow.nodes_of(&expr);
-        // Per-query schedule parameters, identical to a dedicated Engine's.
+        // Per-query schedule parameters: the plan ticks at the gcd of its
+        // window slides, so every WSCAN's expiry points are hit.
         let mut slide = plan.window.slide;
         let mut max_window = plan.window.size;
         expr.visit(&mut |e| {
@@ -332,6 +358,11 @@ impl MultiQueryEngine {
         self.now
     }
 
+    /// The next slide boundary, once the first input has placed the grid.
+    pub(crate) fn next_boundary(&self) -> Option<Timestamp> {
+        self.next_boundary
+    }
+
     /// The result tag carried by `id`'s emitted sgts.
     pub fn answer_label(&self, id: QueryId) -> Option<Label> {
         self.registry.get(id).map(|r| r.answer)
@@ -352,24 +383,33 @@ impl MultiQueryEngine {
 
     /// Installs a [`TraceSink`] on the shared dataflow; it additionally
     /// receives the host's register/deregister lifecycle events. See
-    /// [`sgq_core::dataflow::Dataflow::set_trace_sink`] for the gating
+    /// [`crate::dataflow::Dataflow::set_trace_sink`] for the gating
     /// rules — tracing never affects results.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.flow.set_trace_sink(sink);
     }
 
-    /// Renders query `id`'s lowered plan tree annotated with live
-    /// per-operator counters, followed by the query's attributed-latency
-    /// and emission histogram summaries. `None` for an unknown id.
-    /// Counter lines read zero below [`ObsLevel::Counters`]; timing
-    /// requires [`ObsLevel::Timing`].
+    /// Renders the host-wide executor counters and query `id`'s lowered
+    /// plan tree annotated with live per-operator counters, followed by
+    /// the query's attributed-latency and emission histogram summaries.
+    /// `None` for an unknown id. Counter lines read zero below
+    /// [`ObsLevel::Counters`]; timing requires [`ObsLevel::Timing`].
     pub fn explain_analyze(&self, id: QueryId) -> Option<String> {
         let reg = self.registry.get(id)?;
         let log = self.registry.log_counts(id)?;
         let sink = self.registry.sink_census(id)?;
+        let stats = self.flow.exec_stats();
         let mut out = format!(
-            "== explain analyze {id} (obs={}) ==\nplan: {}\n{}\n",
+            "== explain analyze {id} (obs={}) ==\n\
+             epochs={} input_deltas={} invocations={} dispatched={} emitted={} state={}\n\
+             plan: {}\n{}\n",
             self.opts.obs.name(),
+            stats.epochs,
+            stats.input_deltas,
+            stats.operator_invocations,
+            stats.deltas_dispatched,
+            stats.deltas_emitted,
+            self.flow.state_size(),
             reg.expr.display(self.canon.labels()),
             reg.choice.describe(self.opts.sharing),
         );
@@ -398,8 +438,8 @@ impl MultiQueryEngine {
     }
 
     /// Slot and index occupancy of every live PATH operator, by node id
-    /// (see [`sgq_core::physical::PathCensus`]).
-    pub fn path_censuses(&self) -> Vec<(usize, sgq_core::physical::PathCensus)> {
+    /// (see [`crate::physical::PathCensus`]).
+    pub fn path_censuses(&self) -> Vec<(usize, crate::physical::PathCensus)> {
         self.flow.path_censuses()
     }
 
@@ -409,9 +449,16 @@ impl MultiQueryEngine {
         self.registry.sink_censuses()
     }
 
+    /// Aggregated frontier traversal counters of the live PATH operators
+    /// (nodes settled / improved, heap pushes, edges scanned). Always-on
+    /// deterministic counters, available at every obs level.
+    pub(crate) fn frontier_totals(&self) -> FrontierStats {
+        self.flow.frontier_totals()
+    }
+
     /// Row, key and dedup occupancy of every live hash-join PATTERN
-    /// operator, by node id (see [`sgq_core::physical::PatternCensus`]).
-    pub fn pattern_censuses(&self) -> Vec<(usize, sgq_core::physical::PatternCensus)> {
+    /// operator, by node id (see [`crate::physical::PatternCensus`]).
+    pub fn pattern_censuses(&self) -> Vec<(usize, crate::physical::PatternCensus)> {
         self.flow.pattern_censuses()
     }
 
@@ -452,14 +499,7 @@ impl MultiQueryEngine {
     /// a shared subplan emission fans out to one pair per subscriber).
     pub fn process(&mut self, sge: Sge) -> Vec<(QueryId, Sgt)> {
         let mut inserts = Vec::new();
-        let mut deletes = Vec::new();
-        self.advance_time_into(sge.t, Some((&mut inserts, &mut deletes)));
-        self.retain_input(sge, None);
-        self.ingest_delta(
-            sge.label,
-            input_delta(sge),
-            Some((&mut inserts, &mut deletes)),
-        );
+        self.ingest_one(sge, None, Some((&mut inserts, &mut Vec::new())));
         inserts
     }
 
@@ -474,9 +514,7 @@ impl MultiQueryEngine {
     /// call) is the bulk of the host tax at small fleet sizes, and a
     /// caller that drains per slide — not per tuple — never looks at it.
     pub fn ingest(&mut self, sge: Sge) {
-        self.advance_time_into(sge.t, None);
-        self.retain_input(sge, None);
-        self.ingest_delta(sge.label, input_delta(sge), None);
+        self.ingest_one(sge, None, None);
     }
 
     /// Drain-only batch ingestion: [`MultiQueryEngine::process_batch`]
@@ -493,22 +531,29 @@ impl MultiQueryEngine {
         sge: Sge,
         props: sgq_types::PropMap,
     ) -> Vec<(QueryId, Sgt)> {
-        let props = std::sync::Arc::new(props);
+        let props = Some(std::sync::Arc::new(props));
         let mut inserts = Vec::new();
-        let mut deletes = Vec::new();
-        self.advance_time_into(sge.t, Some((&mut inserts, &mut deletes)));
-        self.retain_input(sge, Some(props.clone()));
-        let delta = match input_delta(sge) {
-            Delta::Insert(s) => Delta::Insert(s.with_props(props)),
-            d => d,
-        };
-        self.ingest_delta(sge.label, delta, Some((&mut inserts, &mut deletes)));
+        self.ingest_one(sge, props, Some((&mut inserts, &mut Vec::new())));
         inserts
+    }
+
+    /// One arrival: time advances to it (purging at crossed boundaries),
+    /// it joins the retained history, and it runs as an epoch of one.
+    fn ingest_one(
+        &mut self,
+        sge: Sge,
+        props: Option<SharedProps>,
+        mut collect: Option<Collectors<'_>>,
+    ) {
+        self.advance_time_into(sge.t, reborrow(&mut collect));
+        self.retain_input(sge, props.clone());
+        let delta = Delta::Insert(input_sgt(sge, props));
+        self.ingest_delta(sge.label, delta, collect);
     }
 
     /// Processes a timestamp-ordered batch as true **epochs**: chunked at
     /// host tick boundaries and delivered through the shared dataflow in
-    /// level-ordered sweeps (mirrors `Engine::process_batch`). Under
+    /// level-ordered sweeps. Under
     /// duplicate suppression, value-equivalent sges falling in the same
     /// host tick period are pre-coalesced at the ingestion boundary; with
     /// suppression off every arrival is delivered.
@@ -555,7 +600,7 @@ impl MultiQueryEngine {
                 self.flush_epoch(&mut epoch, reborrow(&mut collect));
                 self.advance_time_into(sge.t, reborrow(&mut collect));
             }
-            epoch.push((sge.label, input_delta(sge)));
+            epoch.push((sge.label, Delta::Insert(input_sgt(sge, None))));
         }
         self.flush_epoch(&mut epoch, reborrow(&mut collect));
         self.advance_time_into(last.t, reborrow(&mut collect));
@@ -569,17 +614,38 @@ impl MultiQueryEngine {
     /// Explicitly deletes a previously inserted sge for every registered
     /// query (§6.2.5). The host must run with `suppress_duplicates =
     /// false`; returns the emitted negative result tuples.
+    ///
+    /// Under the data model's set semantics (Def. 10), value-equivalent
+    /// re-insertions coalesce into one edge, so a deletion retracts *the
+    /// edge*: exactness is guaranteed when each `(src, trg, label)` has at
+    /// most one un-expired insertion at deletion time (insert → delete →
+    /// re-insert cycles are fine; concurrent duplicates of the same edge
+    /// require the counting-based `sgq_dd` baseline). `sge.t` is the
+    /// *original* timestamp, so WSCAN reconstructs the interval being
+    /// retracted; the deletion itself happens "now".
     pub fn delete(&mut self, sge: Sge) -> Vec<(QueryId, Sgt)> {
+        self.retract(sge, None)
+    }
+
+    /// Explicitly deletes a previously inserted property-carrying sge.
+    /// Pass the **same properties** as the insertion so the negative tuple
+    /// passes the same attribute filters and cancels it exactly.
+    pub(crate) fn delete_with_props(
+        &mut self,
+        sge: Sge,
+        props: sgq_types::PropMap,
+    ) -> Vec<(QueryId, Sgt)> {
+        self.retract(sge, Some(std::sync::Arc::new(props)))
+    }
+
+    fn retract(&mut self, sge: Sge, props: Option<SharedProps>) -> Vec<(QueryId, Sgt)> {
         debug_assert!(
             !self.opts.suppress_duplicates,
             "explicit deletions require suppress_duplicates = false"
         );
         let mut inserts = Vec::new();
         let mut deletes = Vec::new();
-        let delta = match input_delta(sge) {
-            Delta::Insert(s) => Delta::Delete(s),
-            d => d,
-        };
+        let delta = Delta::Delete(input_sgt(sge, props));
         self.ingest_delta(sge.label, delta, Some((&mut inserts, &mut deletes)));
         deletes
     }
@@ -591,8 +657,14 @@ impl MultiQueryEngine {
         self.advance_time_into(t, None);
     }
 
-    /// Purges expired operator and sink state at `watermark`, with the
-    /// same timely/amortised split as the single-query engine.
+    /// Purges expired operator and sink state at `watermark`. Operators
+    /// that emit continuation results during window movement (the
+    /// negative-tuple PATH, §6.2.3) are purged at every slide boundary and
+    /// have those results propagated downstream; direct-approach operators
+    /// are reclaimed on the amortised
+    /// [`EngineOptions::purge_period`] cadence of the most demanding
+    /// registered query (they skip expired state by interval intersection,
+    /// so delayed reclamation never changes results — only memory).
     pub fn purge(&mut self, watermark: Timestamp) {
         self.purge_into(watermark, None);
     }
@@ -711,7 +783,7 @@ impl MultiQueryEngine {
     }
 
     /// Executor dispatch counters for the shared dataflow.
-    pub fn exec_stats(&self) -> sgq_core::metrics::ExecStats {
+    pub fn exec_stats(&self) -> crate::metrics::ExecStats {
         self.flow.exec_stats()
     }
 
@@ -772,7 +844,7 @@ impl MultiQueryEngine {
         // Catch-up is the sole consumer of retained history and is skipped
         // for unsuppressed (explicit-deletion) pipelines, so don't pay for
         // retention there.
-        if self.retention_horizon > 0 && self.opts.suppress_duplicates {
+        if self.keeps_history && self.retention_horizon > 0 && self.opts.suppress_duplicates {
             self.retained.push_back((sge, props));
             self.prune_retained();
         }
@@ -856,16 +928,9 @@ impl MultiQueryEngine {
             let MultiQueryEngine {
                 registry, retained, ..
             } = self;
-            let epoch = retained.iter().map(|(sge, props)| {
-                let delta = match input_delta(*sge) {
-                    Delta::Insert(s) => match props {
-                        Some(p) => Delta::Insert(s.with_props(p.clone())),
-                        None => Delta::Insert(s),
-                    },
-                    d => d,
-                };
-                (sge.label, delta)
-            });
+            let epoch = retained
+                .iter()
+                .map(|(sge, props)| (sge.label, Delta::Insert(input_sgt(*sge, props.clone()))));
             replay.ingest_epoch(epoch, now, |n, batch| {
                 if n == replay_root {
                     for d in batch.iter() {

@@ -13,13 +13,15 @@
 //! state lives and dies with its last subscription; nothing is shared
 //! between sinks that would outlive one.
 
-use crate::chooser::SubplanChoice;
-use crate::sink::{ResultLog, RootSink, SinkCensus};
-use sgq_core::algebra::SgaExpr;
-use sgq_core::engine::{purge_coverage, sink_batch, sink_result, EngineOptions, SinkScratch};
-use sgq_core::obs::LogHistogram;
-use sgq_core::physical::{Delta, DeltaBatch};
-use sgq_types::{FxHashMap, FxHashSet, Interval, Label, Sgt, Timestamp};
+use super::chooser::SubplanChoice;
+use super::sink::{
+    purge_coverage, sink_batch, sink_result, ResultLog, RootSink, SinkCensus, SinkScratch,
+};
+use crate::algebra::SgaExpr;
+use crate::engine::EngineOptions;
+use crate::obs::LogHistogram;
+use crate::physical::{Delta, DeltaBatch};
+use sgq_types::{FxHashMap, FxHashSet, Interval, Label, Sgt, SharedProps, Timestamp};
 use std::time::Instant;
 
 /// Identity of a registered persistent query (stable for the lifetime of
@@ -46,8 +48,7 @@ pub(crate) struct Registration {
     /// Result tag: sgts handed to this query (`process` pairs, `drain`)
     /// are re-labelled to its answer predicate in the shared namespace.
     pub answer: Label,
-    /// This query's tick granularity (gcd of its window slides — what a
-    /// dedicated [`sgq_core::engine::Engine`] would tick at).
+    /// This query's tick granularity (gcd of its window slides).
     pub slide: u64,
     /// This query's direct-approach reclamation cadence.
     pub purge_period: u64,
@@ -316,10 +317,8 @@ impl Registry {
     }
 
     /// Routes an emission batch of `node` into its root sink **once**:
-    /// one dedup pass (the root's private pair map through the same
-    /// `sgq_core::engine::sink_batch` a dedicated engine runs, so
-    /// shared-host logs stay bit-identical to dedicated engines'), one log
-    /// append, regardless of subscriber count.
+    /// one dedup pass (the root's private pair map through
+    /// [`sink_batch`]), one log append, regardless of subscriber count.
     ///
     /// The sink probe happens once per **batch**, not per delta — with the
     /// epoch-batched executor, non-subscribed (internal) nodes cost one
@@ -406,8 +405,7 @@ impl Registry {
         (self.route_nanos, self.dedup_nanos)
     }
 
-    /// Purges expired sink-dedup intervals at physical-purge boundaries
-    /// (mirrors the single-query engine's sink maintenance).
+    /// Purges expired sink-dedup intervals at physical-purge boundaries.
     pub fn purge_sink_dedup(&mut self, watermark: Timestamp) {
         for sink in self.sinks.iter_mut().flatten() {
             purge_coverage(&mut sink.dedup, watermark);
@@ -504,13 +502,12 @@ fn release_prefix(log: &mut ResultLog, delivered: usize, now: Timestamp) -> usiz
 /// `MultiQueryEngine::process`-family methods.
 pub(crate) type Emissions = Vec<(QueryId, Sgt)>;
 
-/// The instant-interval insert delta for a raw input sge (what the
-/// single-query engine feeds its WSCANs).
-pub(crate) fn input_delta(sge: sgq_types::Sge) -> Delta {
-    Delta::Insert(Sgt::edge(
-        sge.src,
-        sge.trg,
-        sge.label,
-        Interval::instant(sge.t),
-    ))
+/// The instant-interval sgt of a raw input sge, carrying its properties
+/// if it has any: what the WSCANs consume.
+pub(crate) fn input_sgt(sge: sgq_types::Sge, props: Option<SharedProps>) -> Sgt {
+    let s = Sgt::edge(sge.src, sge.trg, sge.label, Interval::instant(sge.t));
+    match props {
+        Some(props) => s.with_props(props),
+        None => s,
+    }
 }

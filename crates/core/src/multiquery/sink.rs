@@ -9,18 +9,176 @@
 //! shared-fleet throughput collapse as fleets grew.
 //!
 //! Duplicate suppression is the classic per-root `(src, trg) →
-//! IntervalSet` map, private to the sink and identical to a dedicated
-//! engine's, so shared-host logs are bit-identical to dedicated engines'.
-//! Window variants of one plan have distinct roots and so distinct maps.
+//! IntervalSet` map ([`PairCoverage`]), private to the sink. Window
+//! variants of one plan have distinct roots and so distinct maps.
 //!
 //! A sink holds what is live: the pair map drops a pair once its coverage
 //! expires, and each [`ResultLog`] physically drops its released prefix
 //! once that prefix reaches a quarter of the live entries, giving back
 //! capacity the live entries no longer need.
 
-use sgq_core::engine::PairCoverage;
-use sgq_core::physical::table_bytes;
-use sgq_types::{IntervalSet, Label, Sgt, VertexId};
+use crate::engine::EngineOptions;
+use crate::physical::{table_bytes, Delta, DeltaBatch};
+use sgq_types::{FxHashMap, FxHashSet, Interval, IntervalSet, Label, Sgt, Timestamp, VertexId};
+
+/// A sink's duplicate-suppression state: each answer pair's coverage, so
+/// that only what extends it is emitted (§6.2).
+pub(crate) type PairCoverage = FxHashMap<(VertexId, VertexId), IntervalSet>;
+
+/// The distinct answer pairs valid at `t` in a result log (insertions
+/// counted, deletions subtracted) — the left side of the
+/// snapshot-reducibility equation (Def. 14).
+pub(crate) fn answer_at(
+    results: &[Sgt],
+    deleted_results: &[Sgt],
+    t: Timestamp,
+) -> FxHashSet<(VertexId, VertexId)> {
+    let mut valid: FxHashMap<(VertexId, VertexId), i64> = FxHashMap::default();
+    for s in results {
+        if s.interval.contains(t) {
+            *valid.entry((s.src, s.trg)).or_insert(0) += 1;
+        }
+    }
+    for s in deleted_results {
+        if s.interval.contains(t) {
+            *valid.entry((s.src, s.trg)).or_insert(0) -= 1;
+        }
+    }
+    valid
+        .into_iter()
+        .filter(|&(_, c)| c > 0)
+        .map(|(k, _)| k)
+        .collect()
+}
+
+/// `Some(merged)` when `interval` extends `set`'s coverage (the result is
+/// emitted with the merged covering interval — [`IntervalSet::insert`]'s
+/// contract), `None` when it is already covered (suppressed).
+fn accept(set: &mut IntervalSet, interval: Interval) -> Option<Interval> {
+    if set.covers(&interval) {
+        return None;
+    }
+    Some(set.insert(interval).expect("non-empty"))
+}
+
+/// Drops coverage expired at `watermark`, and the pairs left with none
+/// (sink maintenance at physical-purge boundaries).
+pub(crate) fn purge_coverage(dedup: &mut PairCoverage, watermark: Timestamp) {
+    dedup.retain(|_, set| {
+        set.purge_expired(watermark);
+        !set.is_empty()
+    });
+}
+
+/// Reusable grouping scratch for [`sink_batch`]: the per-epoch
+/// `(src, trg, batch index)` ordering buffer, threaded in by the caller so
+/// its allocation survives across epochs instead of being rebuilt per
+/// call. Borrow-free (indices, not references), so one scratch serves
+/// every batch a sink ever sees.
+#[derive(Debug, Default)]
+pub(crate) struct SinkScratch {
+    order: Vec<(VertexId, VertexId, usize)>,
+}
+
+/// Delivers a root emission **batch** to a sink with epoch-level
+/// coalescing: the batch's insertions are grouped by `(src, trg)` so the
+/// per-pair coverage entry in `dedup` is looked up once per distinct pair
+/// instead of once per delta — on emission-heavy path queries most of a
+/// root batch shares a handful of pairs, and the per-emission probe is the
+/// dominant sink cost.
+///
+/// Semantics match the per-delta [`sink_result`] loop exactly at the data
+/// model's granularity: each pair's deltas are processed in arrival order
+/// (so per-pair coverage, and hence every `answer_at`, is unchanged) and
+/// pairs are processed in ascending-pair order, making the emitted log a
+/// *deterministic* pair-interleaving permutation of the per-delta log with
+/// identical length. Deletions and unsuppressed pipelines take the
+/// per-delta path unchanged (without suppression the dedup table is never
+/// consulted, so there is nothing to amortise).
+pub(crate) fn sink_batch(
+    opts: &EngineOptions,
+    dedup: &mut PairCoverage,
+    results: &mut Vec<Sgt>,
+    deleted_results: &mut Vec<Sgt>,
+    batch: &DeltaBatch,
+    scratch: &mut SinkScratch,
+) {
+    if !opts.suppress_duplicates || batch.len() <= 1 {
+        for d in batch.iter() {
+            sink_result(opts, dedup, results, deleted_results, d.clone());
+        }
+        return;
+    }
+    for s in batch.deletes() {
+        deleted_results.push(s.clone());
+    }
+    sink_inserts_grouped(dedup, results, batch, scratch);
+}
+
+/// The grouped-insert core of [`sink_batch`]: one coverage-entry lookup
+/// per distinct `(src, trg)` pair. A **stable** sort arranges the batch
+/// into per-pair runs — pairs in ascending order, each pair's deltas in
+/// arrival order, so per-pair coverage (and every `answer_at`) is exactly
+/// the per-delta path's, and the emitted order is deterministic. The
+/// grouping buffer lives in `scratch` and is reused across epochs.
+fn sink_inserts_grouped(
+    dedup: &mut PairCoverage,
+    results: &mut Vec<Sgt>,
+    batch: &DeltaBatch,
+    scratch: &mut SinkScratch,
+) {
+    let deltas = batch.as_slice();
+    scratch.order.clear();
+    for (i, d) in deltas.iter().enumerate() {
+        if let Delta::Insert(s) = d {
+            scratch.order.push((s.src, s.trg, i));
+        }
+    }
+    scratch.order.sort_by_key(|&(src, trg, _)| (src, trg)); // stable: arrival order kept
+    let mut i = 0;
+    while i < scratch.order.len() {
+        let key = (scratch.order[i].0, scratch.order[i].1);
+        let set = dedup.entry(key).or_default();
+        while i < scratch.order.len() && (scratch.order[i].0, scratch.order[i].1) == key {
+            let idx = scratch.order[i].2;
+            i += 1;
+            let Delta::Insert(s) = &deltas[idx] else {
+                unreachable!("scratch indexes insert deltas only");
+            };
+            if let Some(merged) = accept(set, s.interval) {
+                let mut s = s.clone();
+                s.interval = merged;
+                results.push(s);
+            }
+        }
+    }
+}
+
+/// Delivers one root emission to a sink: per-pair interval coalescing
+/// under duplicate suppression, separate insert/delete logs. [`sink_batch`]
+/// is the batch-at-a-time form with per-pair grouping.
+pub(crate) fn sink_result(
+    opts: &EngineOptions,
+    dedup: &mut PairCoverage,
+    results: &mut Vec<Sgt>,
+    deleted_results: &mut Vec<Sgt>,
+    delta: Delta,
+) {
+    match delta {
+        Delta::Insert(mut s) => {
+            if opts.suppress_duplicates {
+                match accept(dedup.entry((s.src, s.trg)).or_default(), s.interval) {
+                    None => return,
+                    Some(merged) => s.interval = merged,
+                }
+            }
+            results.push(s);
+        }
+        Delta::Delete(s) => {
+            deleted_results.push(s);
+        }
+    }
+}
 
 /// One emission log of a root sink: append-only at the tail, releasable
 /// at the head.

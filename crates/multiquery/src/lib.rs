@@ -1,31 +1,11 @@
 //! # sgq-multiquery — shared-subplan execution of many persistent queries
 //!
-//! The paper's engine serves **one** SGQ per [`Engine`](sgq_core::Engine);
-//! its Figure 8 machinery already deduplicates structurally-equal subplans
-//! *within* that query. This crate generalizes the same lever **across
-//! query boundaries** — the decisive optimization for a host serving many
-//! concurrent users over one stream (cf. Zervakis et al., *Efficient
-//! Continuous Multi-Query Processing over Graph Streams*):
-//!
-//! * [`canon`] — rewrites every registered plan into one shared,
-//!   structure-keyed label namespace, so subplans that are equal modulo
-//!   output naming become *identical* expressions.
-//! * [`MultiQueryEngine`] — hosts N persistent queries over one
-//!   [`Dataflow`](sgq_core::dataflow::Dataflow): runtime
-//!   [`register`](MultiQueryEngine::register) /
-//!   [`deregister`](MultiQueryEngine::deregister), single shared
-//!   instantiation of equal subplans (window scans, PATH automata, PATTERN
-//!   join subtrees) with fan-out to all subscribing queries, per-query
-//!   result routing (`(QueryId, Sgt)` emissions, cursor-based
-//!   [`drain`](MultiQueryEngine::drain)), and shared purge/slide
-//!   bookkeeping (the host ticks at the gcd of all registered ticks).
-//!
-//! The host runs the shared dataflow's one serial level-ordered sweep per
-//! epoch. The level schedule is rebuilt on every `lower`/`retire`, so
-//! registration churn never perturbs determinism: per-query result logs
-//! and executor counters after a mid-stream deregister/re-register match
-//! a host that never churned (asserted by
-//! `tests/multiquery_equivalence.rs`).
+//! The multi-query host lives in [`sgq_core::multiquery`], beside the
+//! single-query [`Engine`](sgq_core::Engine) that is its one-registration
+//! case; this crate re-exports it under its own name. See that module for
+//! the design: cross-query plan canonicalization ([`canon`]), runtime
+//! register/deregister over one shared dataflow, route-once result sinks
+//! and register-time catch-up.
 //!
 //! ## Quick start
 //!
@@ -57,14 +37,4 @@
 
 #![warn(missing_docs)]
 
-pub mod canon;
-pub mod chooser;
-pub mod engine;
-mod registry;
-mod sink;
-
-pub use canon::Canonicalizer;
-pub use chooser::{CostBasis, SubplanChoice};
-pub use engine::MultiQueryEngine;
-pub use registry::QueryId;
-pub use sink::SinkCensus;
+pub use sgq_core::multiquery::*;

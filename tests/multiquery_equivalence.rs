@@ -114,6 +114,70 @@ fn q1_to_q7_concurrent_equals_independent_engines_snb() {
     check_dataset(Dataset::Snb);
 }
 
+/// The single-query `Engine` is the host's one-registration case: for
+/// Q1–Q7 on both datasets, append-only and under explicit deletions, an
+/// `Engine` and a host that registered only that query build the same
+/// operators, run the same executor counters, and emit the same coverage
+/// and answers; and the engine reports through the host's explain-analyze
+/// (its per-query sink line included).
+#[test]
+fn engine_is_a_one_registration_host() {
+    for dataset in [Dataset::So, Dataset::Snb] {
+        let raw = match dataset {
+            Dataset::So => so_stream(&SoConfig::new(60, 600)),
+            Dataset::Snb => snb_stream(&SnbConfig::new(60, 600)),
+        };
+        for (n, query) in queries_for(dataset).iter().enumerate() {
+            for deletes in [false, true] {
+                let opts = EngineOptions {
+                    suppress_duplicates: !deletes,
+                    ..Default::default()
+                };
+                let mut engine = Engine::from_query_with(query, opts);
+                let mut host = MultiQueryEngine::with_options(opts);
+                let id = host.register(query);
+                let ours = s_graffito::datagen::resolve(&raw, engine.labels())
+                    .sges()
+                    .to_vec();
+                let theirs = s_graffito::datagen::resolve(&raw, host.labels())
+                    .sges()
+                    .to_vec();
+                for (i, (&a, &b)) in ours.iter().zip(&theirs).enumerate() {
+                    engine.process(a);
+                    host.process(b);
+                    if deletes && i % 8 == 7 {
+                        engine.delete(ours[i - 4]);
+                        host.delete(theirs[i - 4]);
+                    }
+                }
+                let what = format!("{} Q{} deletes={deletes}", dataset.name(), n + 1);
+                assert_eq!(
+                    engine.operator_names().len(),
+                    host.operator_count(),
+                    "{what}"
+                );
+                assert_eq!(engine.exec_stats(), host.exec_stats(), "{what}");
+                assert_eq!(
+                    coalesced(engine.results()),
+                    coalesced(host.results(id)),
+                    "{what}"
+                );
+                assert_eq!(
+                    coalesced(engine.deleted_results()),
+                    coalesced(host.deleted_results(id)),
+                    "{what}"
+                );
+                let end = ours.last().unwrap().t + WINDOW;
+                for t in (0..end).step_by(97) {
+                    assert_eq!(engine.answer_at(t), host.answer_at(id, t), "{what} t={t}");
+                }
+                let explain = engine.explain_analyze();
+                assert!(explain.contains("log_retained="), "{what}: {explain}");
+            }
+        }
+    }
+}
+
 /// The acceptance gate: 16 overlapping Q1–Q7 queries instantiate strictly
 /// fewer physical operators than 16 independent engines while producing
 /// identical per-query results.
