@@ -40,6 +40,30 @@
 //! created before parents: every edge points from a lower node id to a
 //! higher one, so one ascending pass settles all depths.
 //!
+//! ## Edge stores
+//!
+//! S-PATH walks the window of its inputs (paper §6, Def. 22), and every
+//! S-PATH over the same input walks the same window. So the window content
+//! is kept **once per input node**, in an [`EdgeStore`] that exists while
+//! at least one S-PATH reads that node:
+//!
+//! * **Load.** When the node publishes an insert-only batch, its store
+//!   loads the batch and records the admitted edges ([`EpochLoad`]). Each
+//!   reader, at its own turn in the sweep, runs **one** frontier pass over
+//!   the loads of every input that published this epoch (load → ensure
+//!   trees → seed → expand).
+//! * **Deletions.** A batch that also deletes (only a deletion epoch makes
+//!   one) is applied to the store run by run at publish time, and every
+//!   reader reads each run before the next is applied — after first
+//!   reading the inputs that reached it earlier in the epoch, so each
+//!   reader sees its inputs in arrival order. Readers' output is held and
+//!   published at their turn, as usual.
+//! * **Purge.** A store is purged with its node in the purge walk.
+//! * **Lifetime.** A store is dropped with its last reader.
+//!
+//! Input `i` of a PATH feeds its port `i`, which names the store a
+//! delivered batch was loaded into.
+//!
 //! There is one execution path: this serial sweep for epochs and a serial
 //! walk in node order for purges. [`EngineOptions::workers`],
 //! [`EngineOptions::shards`] and [`EngineOptions::adaptive`] are accepted
@@ -49,11 +73,14 @@ use crate::algebra::SgaExpr;
 use crate::engine::{EngineOptions, PathImpl, PatternImpl};
 use crate::metrics::ExecStats;
 use crate::obs::{fmt_nanos, ObsLevel, OpStats, OperatorSnapshot, TraceEvent, TraceSink};
+use crate::physical::adjacency::{
+    runs, AdjEntry, AdjacencyCensus, EdgeStore, EpochLoad, Run, WindowGraph,
+};
 use crate::physical::pattern::{CompiledPattern, PatternOp};
 use crate::physical::simple::{FilterOp, UnionOp, WScanOp};
 use crate::physical::wcoj::WcojPatternOp;
 use crate::physical::{negpath::NegPathOp, spath::SPathOp, Delta, DeltaBatch, PhysicalOp};
-use sgq_types::{FxHashMap, FxHashSet, Label, SharedDeltaBatch, Timestamp};
+use sgq_types::{FxHashMap, FxHashSet, Label, SharedDeltaBatch, Timestamp, VertexId};
 use std::time::Instant;
 
 /// A node in the physical dataflow: an operator plus its fan-out edges
@@ -63,6 +90,48 @@ pub struct DataflowNode {
     pub op: Box<dyn PhysicalOp>,
     /// Downstream edges as `(node, port)`.
     pub succs: Vec<(usize, usize)>,
+    /// For an S-PATH, the nodes whose edge stores it reads, by port;
+    /// empty for every other operator.
+    pub reads: Vec<usize>,
+}
+
+/// The window graph of one S-PATH node: the stores of the nodes it reads,
+/// each read for the label its node publishes.
+struct Inputs<'a> {
+    stores: &'a [Option<EdgeStore>],
+    reads: &'a [usize],
+}
+
+impl Inputs<'_> {
+    fn store(&self, l: Label) -> Option<&EdgeStore> {
+        self.reads
+            .iter()
+            .filter_map(|&u| self.stores[u].as_ref())
+            .find(|s| s.label() == l)
+    }
+
+    /// The load the batch on `port` left in its store.
+    fn load(&self, port: usize) -> &EpochLoad {
+        self.stores[self.reads[port]]
+            .as_ref()
+            .expect("a read node keeps its store")
+            .epoch_load()
+    }
+}
+
+impl WindowGraph for Inputs<'_> {
+    fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.store(l).into_iter().flat_map(move |s| s.out(v, l))
+    }
+
+    fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.store(l).into_iter().flat_map(move |s| s.inc(v, l))
+    }
+}
+
+/// The S-PATH behind a node that reads edge stores.
+fn spath(op: &mut Box<dyn PhysicalOp>) -> &mut SPathOp {
+    op.as_spath_mut().expect("only an S-PATH reads edge stores")
 }
 
 /// A shared physical operator graph.
@@ -76,6 +145,12 @@ pub struct Dataflow {
     retired: Vec<bool>,
     /// Input label → WSCAN source nodes fed by that label.
     sources: FxHashMap<Label, Vec<usize>>,
+    /// Per-node edge stores (parallel to `nodes`): `Some` while an S-PATH
+    /// reads the node (see the module docs).
+    stores: Vec<Option<EdgeStore>>,
+    /// Output of S-PATHs that read a batch with deletions at its publish,
+    /// held until their turn in the sweep. Empty between epochs.
+    held: FxHashMap<usize, DeltaBatch>,
     /// Structural-deduplication table: lowered expression → node.
     memo: FxHashMap<SgaExpr, usize>,
     opts: EngineOptions,
@@ -124,6 +199,8 @@ impl Dataflow {
             nodes: Vec::new(),
             retired: Vec::new(),
             sources: FxHashMap::default(),
+            stores: Vec::new(),
+            held: FxHashMap::default(),
             memo: FxHashMap::default(),
             opts,
             inboxes: Vec::new(),
@@ -181,14 +258,17 @@ impl Dataflow {
             .collect()
     }
 
-    /// Total state entries held by live operators.
+    /// Total state entries held by live operators and edge stores.
     pub fn state_size(&self) -> usize {
-        self.nodes
-            .iter()
-            .zip(&self.retired)
-            .filter(|(_, &r)| !r)
-            .map(|(n, _)| n.op.state_size())
+        (0..self.nodes.len())
+            .filter(|&n| !self.retired[n])
+            .map(|n| self.node_state(n))
             .sum()
+    }
+
+    /// State entries of node `n`: its operator's and its edge store's.
+    fn node_state(&self, n: usize) -> usize {
+        self.nodes[n].op.state_size() + self.stores[n].as_ref().map_or(0, EdgeStore::size)
     }
 
     /// Whether any live WSCAN reads `label`.
@@ -279,9 +359,15 @@ impl Dataflow {
                     PathImpl::NegativeTuple => Box::new(NegPathOp::new(regex, *label)),
                 };
                 let n = self.add(op);
-                // PATH reads a merged stream: all inputs feed port 0.
-                for c in children {
-                    self.connect(c, n, 0);
+                // PATH reads a merged stream; input `i` feeds port `i`.
+                for (port, &c) in children.iter().enumerate() {
+                    self.connect(c, n, port);
+                }
+                if self.opts.path_impl == PathImpl::Direct {
+                    for (input, &c) in inputs.iter().zip(&children) {
+                        self.stores[c].get_or_insert_with(|| EdgeStore::new(input.output_label()));
+                    }
+                    self.nodes[n].reads = children;
                 }
                 n
             }
@@ -326,10 +412,21 @@ impl Dataflow {
             if dead.contains(&i) {
                 node.op = Box::new(Tombstone);
                 node.succs.clear();
+                node.reads.clear();
                 self.inboxes[i].clear();
                 self.retired[i] = true;
             } else {
                 node.succs.retain(|(succ, _)| !dead.contains(succ));
+            }
+        }
+        // A store goes with its last reader.
+        let mut read = vec![false; self.nodes.len()];
+        for &u in self.nodes.iter().flat_map(|node| &node.reads) {
+            read[u] = true;
+        }
+        for (store, read) in self.stores.iter_mut().zip(read) {
+            if !read {
+                *store = None;
             }
         }
         self.schedule_dirty = true;
@@ -340,7 +437,9 @@ impl Dataflow {
         self.nodes.push(DataflowNode {
             op,
             succs: Vec::new(),
+            reads: Vec::new(),
         });
+        self.stores.push(None);
         self.retired.push(false);
         self.inboxes.push(Vec::new());
         self.op_stats.push(OpStats::default());
@@ -518,10 +617,35 @@ impl Dataflow {
     /// later sweep can never enqueue the tombstone.
     pub fn take_op(&mut self, n: usize) -> Box<dyn PhysicalOp> {
         self.retired[n] = true;
+        self.nodes[n].reads.clear();
         self.schedule_dirty = true;
         let op = std::mem::replace(&mut self.nodes[n].op, Box::new(Tombstone));
         self.ensure_schedule();
         op
+    }
+
+    /// The S-PATH nodes reading node `u`'s edge store, in fan-out order
+    /// (none if `u` has no store).
+    pub(crate) fn store_readers(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
+        self.nodes[u]
+            .succs
+            .iter()
+            .map(|&(s, _)| s)
+            .filter(move |&s| self.nodes[s].reads.contains(&u))
+    }
+
+    /// Removes and returns node `u`'s edge store (used to move a warmed
+    /// store out of a throwaway replay dataflow).
+    pub(crate) fn take_store(&mut self, u: usize) -> Option<EdgeStore> {
+        self.stores[u].take()
+    }
+
+    /// Replaces node `u`'s edge store with `store`, warmed elsewhere for
+    /// the same input. `u` must have a store (an S-PATH reads it).
+    pub(crate) fn adopt_store(&mut self, u: usize, store: EdgeStore) {
+        let live = self.stores[u].as_mut().expect("adopting into a read node");
+        debug_assert_eq!(live.label(), store.label());
+        *live = store;
     }
 
     /// Reports `batch` as an emission of `origin` (through `sink`) and
@@ -539,16 +663,32 @@ impl Dataflow {
         }
         self.ensure_schedule();
         self.stats.epochs += 1;
-        self.publish(origin, batch, &mut sink);
+        self.publish(origin, batch, now, &mut sink);
         self.run_epoch(now, sink);
     }
 
     /// Shares `batch` into every successor inbox of `n` and reports it to
     /// `sink`. Successors whose inbox was empty join their level's ready
     /// list (levels are strictly increasing along edges, so a publish
-    /// during the sweep always targets a level not yet reached).
-    fn publish(&mut self, n: usize, batch: DeltaBatch, sink: &mut impl FnMut(usize, &DeltaBatch)) {
+    /// during the sweep always targets a level not yet reached). If S-PATHs
+    /// read `n`, its store loads the batch first; a batch with deletions is
+    /// read by them here, run by run ([`Dataflow::step_readers`]).
+    fn publish(
+        &mut self,
+        n: usize,
+        batch: DeltaBatch,
+        now: Timestamp,
+        sink: &mut impl FnMut(usize, &DeltaBatch),
+    ) {
         self.stats.deltas_emitted += batch.len() as u64;
+        let stepped = self.stores[n].is_some() && !batch.is_insert_only();
+        if stepped {
+            self.step_readers(n, &batch, now);
+        } else if let Some(store) = &mut self.stores[n] {
+            let started = self.opts.obs.timing().then(Instant::now);
+            store.load(batch.as_slice());
+            self.charge(n, started);
+        }
         if self.nodes[n].succs.is_empty() {
             sink(n, &batch);
             self.recycle(batch);
@@ -557,13 +697,130 @@ impl Dataflow {
         let shared = batch.into_shared();
         for i in 0..self.nodes[n].succs.len() {
             let (succ, port) = self.nodes[n].succs[i];
-            if self.inboxes[succ].is_empty() {
-                self.ready[self.level_of[succ]].push(succ);
-            }
-            self.inboxes[succ].push((port, shared.clone()));
             self.stats.fanout_deliveries += 1;
+            if stepped && self.nodes[succ].reads.contains(&n) {
+                continue; // read in the step
+            }
+            self.enqueue(succ);
+            self.inboxes[succ].push((port, shared.clone()));
         }
         sink(n, &shared);
+    }
+
+    /// Puts `n` on its level's ready list unless it is there already.
+    fn enqueue(&mut self, n: usize) {
+        if self.inboxes[n].is_empty() && !self.held.contains_key(&n) {
+            self.ready[self.level_of[n]].push(n);
+        }
+    }
+
+    /// Applies `batch`, which deletes, to `n`'s store run by run: each run
+    /// is applied once and read by every S-PATH over `n` before the next
+    /// run is applied. Each reader first reads what reached it earlier in
+    /// the epoch, so it sees its inputs in arrival order. The readers'
+    /// output is held for their turn in the sweep.
+    fn step_readers(&mut self, n: usize, batch: &DeltaBatch, now: Timestamp) {
+        let mut readers: Vec<usize> = self.store_readers(n).collect();
+        readers.sort_unstable();
+        readers.dedup();
+        let mut outs = Vec::with_capacity(readers.len());
+        for &r in &readers {
+            self.enqueue(r);
+            let mut out = match self.held.remove(&r) {
+                Some(out) => out,
+                None => self.spare.pop().unwrap_or_default(),
+            };
+            let mut segs = std::mem::take(&mut self.inboxes[r]);
+            if !segs.is_empty() {
+                let started = self.opts.obs.timing().then(Instant::now);
+                self.consume(r, &segs, now, &mut out);
+                self.charge(r, started);
+                for (_, seg) in segs.drain(..) {
+                    self.recycle_shared(seg);
+                }
+            }
+            self.inboxes[r] = segs; // keep the allocation
+            outs.push(out);
+        }
+        for run in runs(batch.as_slice()) {
+            let started = self.opts.obs.timing().then(Instant::now);
+            let store = self.stores[n].as_mut().expect("stepped nodes keep a store");
+            match run {
+                Run::Inserts(run) => store.load(run),
+                Run::Delete(s) => store.remove(s),
+            }
+            self.charge(n, started);
+            for (&r, out) in readers.iter().zip(&mut outs) {
+                let started = self.opts.obs.timing().then(Instant::now);
+                let DataflowNode { op, reads, .. } = &mut self.nodes[r];
+                let graph = Inputs {
+                    stores: &self.stores,
+                    reads,
+                };
+                let out = out.as_mut_vec();
+                match run {
+                    Run::Inserts(_) => {
+                        let load = graph.stores[n].as_ref().map(EdgeStore::epoch_load);
+                        spath(op).insert_pass(&graph, load.into_iter(), now, out);
+                    }
+                    Run::Delete(s) => spath(op).delete(&graph, s, now, out),
+                }
+                self.charge(r, started);
+            }
+        }
+        for (r, out) in readers.into_iter().zip(outs) {
+            self.count_invocations(r, 1, batch.len() as u64);
+            self.held.insert(r, out);
+        }
+    }
+
+    /// Runs node `n` on delivered segments, appending to `out`: an
+    /// operator once per segment, an S-PATH once over all of them.
+    fn consume(
+        &mut self,
+        n: usize,
+        segs: &[(usize, SharedDeltaBatch)],
+        now: Timestamp,
+        out: &mut DeltaBatch,
+    ) {
+        let DataflowNode { op, reads, .. } = &mut self.nodes[n];
+        if reads.is_empty() {
+            for (port, batch) in segs {
+                op.on_batch(*port, batch, now, out);
+            }
+        } else if !segs.is_empty() {
+            let graph = Inputs {
+                stores: &self.stores,
+                reads,
+            };
+            let loads = segs.iter().map(|&(port, _)| graph.load(port));
+            spath(op).insert_pass(&graph, loads, now, out.as_mut_vec());
+        }
+        let dispatched = segs.iter().map(|(_, b)| b.len() as u64).sum();
+        self.count_invocations(n, segs.len() as u64, dispatched);
+    }
+
+    /// Counts `invocations` of node `n` on `dispatched` deltas.
+    fn count_invocations(&mut self, n: usize, invocations: u64, dispatched: u64) {
+        self.stats.deltas_dispatched += dispatched;
+        self.stats.operator_invocations += invocations;
+        if self.opts.obs.counting() {
+            let os = &mut self.op_stats[n];
+            os.invocations += invocations;
+            os.deltas_in += dispatched;
+        }
+    }
+
+    /// Charges the time since `started` (taken at [`ObsLevel::Timing`]
+    /// only) to node `n`'s batch time.
+    fn charge(&mut self, n: usize, started: Option<Instant>) {
+        if let Some(started) = started {
+            let nanos = started.elapsed().as_nanos() as u64;
+            self.op_stats[n].batch_nanos += nanos;
+            if self.profile_epochs {
+                self.epoch_profile.push((n, nanos));
+            }
+        }
     }
 
     /// The epoch sweep, driven by the explicit level schedule: levels run
@@ -602,40 +859,28 @@ impl Dataflow {
     }
 
     /// Runs one ready node on the calling thread: consume inbox segments,
-    /// publish the combined output.
+    /// publish the combined output (after any output held for it).
     fn run_node(&mut self, n: usize, now: Timestamp, sink: &mut impl FnMut(usize, &DeltaBatch)) {
         let mut segs = std::mem::take(&mut self.inboxes[n]);
-        let mut out = self.spare.pop().unwrap_or_default();
+        let mut out = match self.held.remove(&n) {
+            Some(out) => out,
+            None => self.spare.pop().unwrap_or_default(),
+        };
         // The serial hot path stays clock-free below `ObsLevel::Timing`.
-        let obs = self.opts.obs;
-        let started = obs.timing().then(Instant::now);
-        let invocations = segs.len() as u64;
-        let mut dispatched = 0u64;
-        for (port, batch) in segs.drain(..) {
-            dispatched += batch.len() as u64;
-            self.nodes[n].op.on_batch(port, &batch, now, &mut out);
+        let started = self.opts.obs.timing().then(Instant::now);
+        self.consume(n, &segs, now, &mut out);
+        for (_, batch) in segs.drain(..) {
             self.recycle_shared(batch);
         }
-        self.stats.deltas_dispatched += dispatched;
-        self.stats.operator_invocations += invocations;
-        if obs.counting() {
-            let os = &mut self.op_stats[n];
-            os.invocations += invocations;
-            os.deltas_in += dispatched;
-            os.deltas_out += out.len() as u64;
-            if let Some(started) = started {
-                let nanos = started.elapsed().as_nanos() as u64;
-                os.batch_nanos += nanos;
-                if self.profile_epochs {
-                    self.epoch_profile.push((n, nanos));
-                }
-            }
+        if self.opts.obs.counting() {
+            self.op_stats[n].deltas_out += out.len() as u64;
         }
+        self.charge(n, started);
         self.inboxes[n] = segs; // keep the allocation
         if out.is_empty() {
             self.spare.push(out);
         } else {
-            self.publish(n, out, sink);
+            self.publish(n, out, now, sink);
         }
     }
 
@@ -698,6 +943,9 @@ impl Dataflow {
             let started = self.opts.obs.timing().then(Instant::now);
             let mut outs = self.spare.pop().unwrap_or_default();
             self.nodes[n].op.purge(watermark, outs.as_mut_vec());
+            if let Some(store) = self.stores[n].as_mut().filter(|_| reclaim_all) {
+                store.purge(watermark);
+            }
             if self.opts.obs.counting() {
                 let os = &mut self.op_stats[n];
                 os.purges += 1;
@@ -789,7 +1037,7 @@ impl Dataflow {
                 name: self.nodes[n].op.name(),
                 level: self.level_of[n],
                 stats: self.op_stats[n],
-                state_entries: self.nodes[n].op.state_size(),
+                state_entries: self.node_state(n),
                 frontier: self.nodes[n].op.frontier_stats(),
             })
             .collect()
@@ -801,6 +1049,13 @@ impl Dataflow {
         (0..self.nodes.len())
             .filter(|&n| !self.retired[n])
             .filter_map(|n| Some((n, self.nodes[n].op.path_census()?)))
+            .collect()
+    }
+
+    /// The census of every edge store, by the node whose output it holds.
+    pub fn store_censuses(&self) -> Vec<(usize, AdjacencyCensus)> {
+        (0..self.nodes.len())
+            .filter_map(|u| Some((u, self.stores[u].as_ref()?.census())))
             .collect()
     }
 
@@ -859,15 +1114,18 @@ impl Dataflow {
                     os.deltas_in,
                     os.deltas_out,
                     os.selectivity(),
-                    node.op.state_size(),
+                    self.node_state(n),
                 );
                 let bytes = match (node.op.path_census(), node.op.pattern_census()) {
-                    (Some(c), _) => Some(c.forest.reserved_bytes + c.adjacency.reserved_bytes),
+                    (Some(c), _) => Some(c.reserved_bytes()),
                     (_, Some(c)) => Some(c.reserved_bytes),
                     _ => None,
                 };
                 if let Some(bytes) = bytes {
                     let _ = write!(out, " bytes={bytes}");
+                }
+                if let Some(store) = &self.stores[n] {
+                    let _ = write!(out, " store_bytes={}", store.census().reserved_bytes);
                 }
                 if os.batch_nanos > 0 {
                     let _ = write!(out, " time={}", fmt_nanos(os.batch_nanos));
@@ -1011,6 +1269,112 @@ mod tests {
             |n, _| assert_ne!(n, root, "tombstone must not emit"),
         );
         assert!(delivered);
+    }
+
+    /// `a+` and `a b*` over one WSCAN of `a` (window 10), and the scan.
+    fn two_paths_over_one_scan() -> (SgaExpr, SgaExpr, SgaExpr) {
+        use sgq_automata::Regex;
+        let (a, b) = (Label(0), Label(1));
+        let scan = |label| SgaExpr::WScan {
+            label,
+            window: 10,
+            slide: 1,
+        };
+        let plus = SgaExpr::Path {
+            inputs: vec![scan(a)],
+            regex: Regex::plus(Regex::label(a)),
+            label: Label(5),
+        };
+        let tail = SgaExpr::Path {
+            inputs: vec![scan(a), scan(b)],
+            regex: Regex::concat(vec![Regex::label(a), Regex::star(Regex::label(b))]),
+            label: Label(6),
+        };
+        (plus, tail, scan(a))
+    }
+
+    fn edge(delete: bool, src: u64, trg: u64, label: u32, t: u64) -> (Label, Delta) {
+        let s = sgq_types::Sgt::edge(
+            sgq_types::VertexId(src),
+            sgq_types::VertexId(trg),
+            Label(label),
+            sgq_types::Interval::new(t, t + 10),
+        );
+        let d = if delete {
+            Delta::Delete(s)
+        } else {
+            Delta::Insert(s)
+        };
+        (Label(label), d)
+    }
+
+    #[test]
+    fn spaths_over_one_input_share_its_store_until_the_last_reader_retires() {
+        let (plus, tail, scan) = two_paths_over_one_scan();
+        let mut flow = Dataflow::new(EngineOptions::default());
+        let (p, t) = (flow.lower(&plus), flow.lower(&tail));
+        let a = flow.lookup(&scan).unwrap();
+        let stores: Vec<usize> = flow.store_censuses().iter().map(|&(u, _)| u).collect();
+        assert_eq!(stores.len(), 2, "one store per scan read: {stores:?}");
+        assert!(stores.contains(&a));
+        assert_eq!(flow.store_readers(a).collect::<Vec<_>>(), vec![p, t]);
+        let epoch = [edge(false, 1, 2, 0, 0), edge(false, 2, 3, 0, 0)];
+        flow.ingest_epoch(epoch, 0, |_, _| {});
+        let census = |flow: &Dataflow, u| {
+            flow.store_censuses()
+                .into_iter()
+                .find(|&(n, _)| n == u)
+                .map(|(_, c)| c)
+        };
+        assert_eq!(census(&flow, a).unwrap().edges, 2, "loaded once");
+        // Bytes once per store, on the line of the node it belongs to.
+        let text = flow.explain_expr(&plus);
+        assert_eq!(text.matches("store_bytes=").count(), 1, "{text}");
+        let scan_line = text.lines().find(|l| l.contains("WSCAN")).unwrap();
+        assert!(scan_line.contains("store_bytes="), "{text}");
+        // The store outlives one reader and goes with the last.
+        flow.retire(&[p].into_iter().collect());
+        assert_eq!(census(&flow, a).unwrap().edges, 2);
+        flow.retire(&flow.nodes_of(&tail));
+        assert!(flow.store_censuses().is_empty());
+    }
+
+    #[test]
+    fn readers_of_a_batch_with_deletions_see_it_run_by_run() {
+        // Both S-PATHs read one store; each must emit exactly what it
+        // emits as the only reader of a store of its own.
+        let (plus, tail, _) = two_paths_over_one_scan();
+        let epochs = [
+            vec![edge(false, 1, 2, 0, 0), edge(false, 2, 3, 1, 0)],
+            vec![
+                edge(false, 2, 4, 0, 1),
+                edge(true, 1, 2, 0, 0),
+                edge(false, 4, 5, 0, 1),
+                edge(true, 2, 3, 1, 0),
+                edge(false, 1, 4, 0, 1),
+            ],
+        ];
+        let run = |exprs: &[&SgaExpr]| {
+            let mut flow = Dataflow::new(EngineOptions {
+                suppress_duplicates: false,
+                ..Default::default()
+            });
+            let roots: Vec<usize> = exprs.iter().map(|e| flow.lower(e)).collect();
+            let mut out: Vec<Vec<Delta>> = vec![Vec::new(); roots.len()];
+            for (now, epoch) in epochs.iter().enumerate() {
+                flow.ingest_epoch(epoch.iter().cloned(), now as u64, |n, batch| {
+                    if let Some(i) = roots.iter().position(|&r| r == n) {
+                        out[i].extend(batch.iter().cloned());
+                    }
+                });
+            }
+            out
+        };
+        let shared = run(&[&plus, &tail]);
+        assert_eq!(shared[0], run(&[&plus])[0]);
+        assert_eq!(shared[1], run(&[&tail])[0]);
+        assert!(shared[0].iter().any(Delta::is_delete), "{:?}", shared[0]);
+        assert!(shared[1].iter().any(Delta::is_delete), "{:?}", shared[1]);
     }
 
     #[test]

@@ -443,6 +443,13 @@ impl MultiQueryEngine {
         self.flow.path_censuses()
     }
 
+    /// Occupancy and reserved bytes of every edge store, by the node whose
+    /// output it holds (see [`crate::physical::adjacency::EdgeStore`]).
+    /// Each store is counted once, however many S-PATHs read it.
+    pub fn store_censuses(&self) -> Vec<(usize, crate::physical::adjacency::AdjacencyCensus)> {
+        self.flow.store_censuses()
+    }
+
     /// Dedup pairs, log occupancy and reserved bytes of every live root
     /// sink, by root node id (see [`SinkCensus`]).
     pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
@@ -623,6 +630,12 @@ impl MultiQueryEngine {
     /// require the counting-based `sgq_dd` baseline). `sge.t` is the
     /// *original* timestamp, so WSCAN reconstructs the interval being
     /// retracted; the deletion itself happens "now".
+    ///
+    /// # Panics
+    ///
+    /// If the host suppresses duplicates: its operators and sinks drop
+    /// covered re-derivations, so negative tuples could not cancel what
+    /// they retract and answers would silently go wrong.
     pub fn delete(&mut self, sge: Sge) -> Vec<(QueryId, Sgt)> {
         self.retract(sge, None)
     }
@@ -639,7 +652,7 @@ impl MultiQueryEngine {
     }
 
     fn retract(&mut self, sge: Sge, props: Option<SharedProps>) -> Vec<(QueryId, Sgt)> {
-        debug_assert!(
+        assert!(
             !self.opts.suppress_duplicates,
             "explicit deletions require suppress_duplicates = false"
         );
@@ -950,8 +963,30 @@ impl MultiQueryEngine {
                 }
             }
         });
+        // A replayed edge store replaces a live one only if every S-PATH
+        // reading it was just created: the store then came with them,
+        // empty. A store a live S-PATH reads already holds the window.
+        let mut stores: Vec<(usize, usize)> = Vec::new();
+        let mut seen: FxHashSet<usize> = FxHashSet::default();
+        expr.visit(&mut |e| {
+            if let (Some(live), Some(warm)) = (self.flow.lookup(e), replay.lookup(e)) {
+                let mut readers = self.flow.store_readers(live).peekable();
+                if readers.peek().is_some()
+                    && readers.all(|r| adopted.contains(&r))
+                    && seen.insert(live)
+                {
+                    stores.push((live, warm));
+                }
+            }
+        });
         for (live, warm) in moves {
             self.flow.replace_op(live, replay.take_op(warm));
+        }
+        for (live, warm) in stores {
+            let store = replay
+                .take_store(warm)
+                .expect("the replay lowered the same reads");
+            self.flow.adopt_store(live, store);
         }
     }
 }

@@ -1,11 +1,20 @@
-//! The windowed snapshot-graph adjacency maintained by PATH operators.
+//! The windowed snapshot-graph adjacency, and the edge store built on it.
 //!
 //! PATH traverses the snapshot graph `G_t` during `Expand`/`Propagate`
-//! (Algorithm S-PATH lines 8–12), so the operator keeps its input window
-//! content as adjacency lists. Per edge `(u, l, v)` a single coalesced
+//! (Algorithm S-PATH lines 8–12), so the window content of its input is
+//! kept as adjacency lists. Per edge `(u, l, v)` a single coalesced
 //! max-expiry interval is stored: inputs arrive in timestamp order, so an
 //! older disjoint interval is necessarily expired and can be replaced
 //! (§6.2.4, coalescing with `max` aggregation over expiry).
+//!
+//! # Who holds it
+//!
+//! Every S-PATH over the same input reads the same window, so the
+//! dataflow keeps **one [`EdgeStore`] per input node** that at least one
+//! S-PATH reads (`crate::dataflow`): it is loaded once when the node
+//! publishes its epoch batch, purged once, and read by each of those
+//! S-PATHs through [`WindowGraph`]. The negative-tuple PATH (§6.2.3, the
+//! Table 3 baseline) keeps a private [`Adjacency`].
 //!
 //! # Layout
 //!
@@ -15,7 +24,7 @@
 //! the **in-chain** of `(trg, label)`, circular and doubly linked, and two
 //! open-addressing indexes over row ids (`physical/row_index.rs`) map each
 //! key to the first row of its chain; a hit is always checked against the
-//! row. [`Adjacency::out`] and [`Adjacency::inc`] walk a chain. Nothing is
+//! row. [`WindowGraph::out`] and [`WindowGraph::inc`] walk a chain. Nothing is
 //! allocated per edge or per key.
 //!
 //! Chains keep insertion order, and traversal order is part of the
@@ -41,21 +50,21 @@
 
 use super::forest::ExpiryIndex;
 use super::row_index::{hash_words, RowIndex, NIL};
-use sgq_types::{Edge, FxHashMap, Interval, Label, Timestamp, VertexId};
+use sgq_types::{Delta, Edge, FxHashMap, Interval, Label, Sgt, Timestamp, VertexId};
 use std::mem::size_of;
 
 // One row per window edge, its interval held once.
 const _: () = assert!(size_of::<EdgeRow>() <= 56);
 
-/// Operator-owned scratch for one epoch's bulk adjacency load: the
-/// admitted epoch edges (those whose stored interval actually changed)
-/// with their **final** coalesced intervals, in first-arrival order.
+/// A store's record of its last load: the admitted edges of one insert
+/// run (those whose stored interval actually changed) with their **final**
+/// coalesced intervals, in first-arrival order.
 ///
 /// Iterating [`EpochLoad::edges`] is the epoch-scoped incident-edge scan
 /// used to seed the bulk frontier: every tree node incident to one of
 /// these edges is a candidate expansion, and everything an epoch edge can
 /// reach transitively is discovered by the traversal itself (which walks
-/// the already-complete [`Adjacency`]).
+/// the already-complete window graph).
 #[derive(Debug, Default)]
 pub struct EpochLoad {
     edges: Vec<(Edge, Interval)>,
@@ -410,16 +419,6 @@ impl Adjacency {
         }
     }
 
-    /// Outgoing edges of `v` with label `l`, in insertion order.
-    pub fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
-        self.entries(OUT, v, l)
-    }
-
-    /// Incoming edges of `v` with label `l`, in insertion order.
-    pub fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
-        self.entries(INC, v, l)
-    }
-
     /// The stored interval of edge `(src, l, trg)`, if present.
     pub fn interval_of(&self, src: VertexId, l: Label, trg: VertexId) -> Option<Interval> {
         self.find(src, l, trg)
@@ -528,6 +527,141 @@ impl Adjacency {
                 .collect()
         })
     }
+}
+
+/// The window graph a PATH traverses: stored edges by `(end, label)`, in
+/// insertion order.
+pub trait WindowGraph {
+    /// Outgoing edges of `v` with label `l`, in insertion order.
+    fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_;
+    /// Incoming edges of `v` with label `l`, in insertion order.
+    fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_;
+}
+
+impl WindowGraph for Adjacency {
+    fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.entries(OUT, v, l)
+    }
+
+    fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.entries(INC, v, l)
+    }
+}
+
+/// The window content of one dataflow node's output, shared by every
+/// S-PATH that reads the node (see the module docs).
+///
+/// An insert-only batch is [loaded](EdgeStore::load) whole when the node
+/// publishes it, and each reader seeds its frontier from the recorded
+/// [`EpochLoad`]. A batch that also deletes is applied run by run
+/// ([`runs`]), every reader reading each run before the next is applied,
+/// which is the order one S-PATH applying the batch alone would see.
+#[derive(Debug)]
+pub struct EdgeStore {
+    /// The label of what the node publishes.
+    label: Label,
+    adj: Adjacency,
+    load: EpochLoad,
+}
+
+impl EdgeStore {
+    /// An empty store for a node publishing `label`.
+    pub fn new(label: Label) -> EdgeStore {
+        EdgeStore {
+            label,
+            adj: Adjacency::new(),
+            load: EpochLoad::default(),
+        }
+    }
+
+    /// The label of the edges this store holds.
+    pub fn label(&self) -> Label {
+        self.label
+    }
+
+    /// Loads one insert run, replacing the recorded [`EpochLoad`] with its
+    /// admitted edges (deletes in `run` are ignored; see [`runs`]).
+    pub fn load(&mut self, run: &[Delta]) {
+        self.load.clear();
+        self.adj.bulk_insert(
+            run.iter().filter_map(|d| match d {
+                Delta::Insert(s) => Some((s.src, s.label, s.trg, s.interval)),
+                Delta::Delete(_) => None,
+            }),
+            &mut self.load,
+        );
+    }
+
+    /// What the last [`EdgeStore::load`] admitted.
+    pub fn epoch_load(&self) -> &EpochLoad {
+        &self.load
+    }
+
+    /// Removes a deleted edge occurrence (explicit deletion, §6.2.5).
+    pub fn remove(&mut self, s: &Sgt) {
+        self.adj.remove(s.src, s.label, s.trg, s.interval);
+    }
+
+    /// Drops the edges expired at `watermark`.
+    pub fn purge(&mut self, watermark: Timestamp) {
+        self.adj.purge(watermark);
+    }
+
+    /// Number of stored edges.
+    pub fn size(&self) -> usize {
+        self.adj.size()
+    }
+
+    /// Occupancy and reserved bytes of the stored edges (a full scan).
+    pub fn census(&self) -> AdjacencyCensus {
+        self.adj.census()
+    }
+
+    /// The stored edges, for tests that read the chains or write edges
+    /// one at a time.
+    #[cfg(test)]
+    pub(crate) fn adjacency_mut(&mut self) -> &mut Adjacency {
+        &mut self.adj
+    }
+}
+
+impl WindowGraph for EdgeStore {
+    fn out(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.adj.entries(OUT, v, l)
+    }
+
+    fn inc(&self, v: VertexId, l: Label) -> impl Iterator<Item = AdjEntry> + '_ {
+        self.adj.entries(INC, v, l)
+    }
+}
+
+/// One step of applying a batch to an [`EdgeStore`]: a maximal run of
+/// inserts, or a single deletion.
+#[derive(Debug, Clone, Copy)]
+pub enum Run<'a> {
+    /// Contiguous inserts, loaded together.
+    Inserts(&'a [Delta]),
+    /// One explicit deletion.
+    Delete(&'a Sgt),
+}
+
+/// Splits `batch` into [`Run`]s, in order.
+pub fn runs(batch: &[Delta]) -> impl Iterator<Item = Run<'_>> + '_ {
+    let mut rest = batch;
+    std::iter::from_fn(move || {
+        let (first, tail) = rest.split_first()?;
+        if let Delta::Delete(s) = first {
+            rest = tail;
+            return Some(Run::Delete(s));
+        }
+        let len = rest
+            .iter()
+            .position(|d| d.is_delete())
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(Run::Inserts(run))
+    })
 }
 
 #[cfg(test)]

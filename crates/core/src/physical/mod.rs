@@ -26,10 +26,11 @@ pub use sgq_types::{Delta, DeltaBatch, SharedDeltaBatch};
 
 /// A push-based physical operator.
 ///
-/// [`PhysicalOp::on_batch`] is the **only** way data enters an operator.
-/// The executor accumulates each node's input deltas into per-port
-/// [`DeltaBatch`]es and calls it once per delivered batch; a single
-/// arriving tuple is a batch of one and runs the same code. `on_batch`
+/// [`PhysicalOp::on_batch`] is how data enters an operator, S-PATH
+/// excepted (see [`PhysicalOp::as_spath_mut`]). The executor accumulates
+/// each node's input deltas into per-port [`DeltaBatch`]es and calls it
+/// once per delivered batch; a single arriving tuple is a batch of one
+/// and runs the same code. `on_batch`
 /// must be non-blocking: it processes the input batch and appends any
 /// output deltas to `out`. `now` is the event-time watermark the epoch
 /// opened at (the timestamp of its first driving sge); operators may use
@@ -89,6 +90,15 @@ pub trait PhysicalOp: Send {
         None
     }
 
+    /// The S-PATH behind this operator, if it is one. An S-PATH reads its
+    /// input from the edge stores the dataflow keeps per input node
+    /// ([`adjacency::EdgeStore`]), so the dataflow drives it through
+    /// [`spath::SPathOp::insert_pass`] and [`spath::SPathOp::delete`]
+    /// instead of [`PhysicalOp::on_batch`].
+    fn as_spath_mut(&mut self) -> Option<&mut spath::SPathOp> {
+        None
+    }
+
     /// Row, key and dedup occupancy of a hash-join PATTERN operator's
     /// state; `None` for every other operator (the WCOJ alternative
     /// included). A full scan, like [`PhysicalOp::path_census`].
@@ -97,13 +107,23 @@ pub trait PhysicalOp: Send {
     }
 }
 
-/// What a PATH operator holds: its Δ-PATH forest and its window adjacency.
+/// What a PATH operator holds: its Δ-PATH forest and, for the
+/// negative-tuple PATH only, a private window adjacency. An S-PATH reads
+/// the window from its inputs' edge stores, which the dataflow owns and
+/// counts once each (`Dataflow::store_censuses`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathCensus {
     /// The spanning forest.
     pub forest: forest::ForestCensus,
-    /// The window adjacency.
-    pub adjacency: adjacency::AdjacencyCensus,
+    /// The private window adjacency (`None` for S-PATH).
+    pub adjacency: Option<adjacency::AdjacencyCensus>,
+}
+
+impl PathCensus {
+    /// Heap bytes the operator itself reserves.
+    pub fn reserved_bytes(&self) -> usize {
+        self.forest.reserved_bytes + self.adjacency.map_or(0, |a| a.reserved_bytes)
+    }
 }
 
 /// Test helper: pushes one delta through [`PhysicalOp::on_batch`] as a

@@ -15,7 +15,7 @@
 //!   (the DRed-style machinery in [`super::rederive`]). This is the cost
 //!   S-PATH's direct approach avoids.
 
-use super::adjacency::Adjacency;
+use super::adjacency::{Adjacency, WindowGraph};
 use super::forest::{Forest, NodeIdx, TreeId, NO_PARENT};
 use super::rederive::{rederive_in, RederiveScratch, RevDfa};
 use super::{Delta, PathCensus, PhysicalOp};
@@ -350,7 +350,7 @@ impl PhysicalOp for NegPathOp {
     fn path_census(&self) -> Option<PathCensus> {
         Some(PathCensus {
             forest: self.forest.census(),
-            adjacency: self.adj.census(),
+            adjacency: Some(self.adj.census()),
         })
     }
 }
@@ -431,7 +431,7 @@ mod tests {
 
     #[test]
     fn results_match_spath_on_append_only_prefix() {
-        use crate::physical::spath::SPathOp;
+        use crate::physical::spath::Solo;
         // Both operators must emit the same result *pairs* while the window
         // has no expirations (intervals may differ in ts).
         let edges = [
@@ -443,7 +443,7 @@ mod tests {
             (2, 4, 5),
         ];
         let mut neg = plus_op();
-        let mut spa = SPathOp::new(&Regex::plus(Regex::label(RLP)), Label(9));
+        let mut spa = Solo::new(&Regex::plus(Regex::label(RLP)), Label(9));
         let (mut o1, mut o2) = (Vec::new(), Vec::new());
         for &(s, t, ts) in &edges {
             push_one(

@@ -9,7 +9,7 @@
 //! re-establishing the Δ-PATH invariant of Def. 22. Unsettled nodes are
 //! removed.
 
-use super::adjacency::Adjacency;
+use super::adjacency::WindowGraph;
 use super::forest::{Forest, NodeIdx, TreeId};
 use crate::obs::FrontierStats;
 use sgq_automata::{Dfa, StateId};
@@ -121,7 +121,7 @@ pub fn rederive(
     forest: &mut Forest,
     tree: TreeId,
     roots: Vec<NodeIdx>,
-    adj: &Adjacency,
+    adj: &impl WindowGraph,
     dfa: &Dfa,
     rev: &RevDfa,
     now: Timestamp,
@@ -151,7 +151,7 @@ pub fn rederive_in(
     forest: &mut Forest,
     tree: TreeId,
     roots: &[NodeIdx],
-    adj: &Adjacency,
+    adj: &impl WindowGraph,
     dfa: &Dfa,
     rev: &RevDfa,
     now: Timestamp,
@@ -279,6 +279,7 @@ pub fn rederive_in(
 
 #[cfg(test)]
 mod tests {
+    use super::super::adjacency::Adjacency;
     use super::*;
     use sgq_automata::Regex;
 

@@ -12,8 +12,14 @@
 //! subtrees are re-derived with the shared maximin-expiry Dijkstra of
 //! [`super::rederive`], and invalidated results are emitted as negative
 //! tuples.
+//!
+//! The operator owns its forest only. The window graph it walks is the
+//! [`EdgeStore`](super::adjacency::EdgeStore)s of its inputs, which the
+//! dataflow loads once per epoch and shares with every other S-PATH over
+//! the same input; the dataflow calls [`SPathOp::insert_pass`] and
+//! [`SPathOp::delete`] with them.
 
-use super::adjacency::{Adjacency, EpochLoad};
+use super::adjacency::{EpochLoad, WindowGraph};
 use super::forest::{Forest, NodeIdx, TreeId};
 use super::rederive::{rederive_in, RederiveScratch, RevDfa};
 use super::{Delta, DeltaBatch, PathCensus, PhysicalOp};
@@ -28,7 +34,6 @@ pub struct SPathOp {
     dfa: Dfa,
     rev: RevDfa,
     label: Label,
-    adj: Adjacency,
     forest: Forest,
     /// Materialise full path payloads (R3). When false, results carry the
     /// last derivation edge only — used by the path-materialisation
@@ -41,9 +46,6 @@ pub struct SPathOp {
     /// interval (and one path materialisation).
     dirty: Vec<(TreeId, NodeIdx)>,
     dirty_set: FxHashSet<(TreeId, NodeIdx)>,
-    /// Per-epoch bulk-load record: the admitted epoch edges with final
-    /// stored intervals (cleared, not reallocated, each insert run).
-    epoch: EpochLoad,
     /// The bulk pass's priority frontier (max candidate expiry, ties on
     /// larger span then `(node, edge)` for determinism).
     frontier: BinaryHeap<BulkCand>,
@@ -113,12 +115,10 @@ impl SPathOp {
             dfa,
             rev,
             label,
-            adj: Adjacency::new(),
             forest,
             emit_paths: true,
             dirty: Vec::new(),
             dirty_set: FxHashSet::default(),
-            epoch: EpochLoad::default(),
             frontier: BinaryHeap::new(),
             settled: FxHashSet::default(),
             seeds: Vec::new(),
@@ -180,41 +180,35 @@ impl SPathOp {
         self.dirty_set.clear();
     }
 
-    /// Frontier-at-once execution of one contiguous insert run (the epoch's
-    /// insert partition): (1) bulk-load every admitted edge into the window
-    /// adjacency **before any traversal**, so expansion sees the complete
-    /// epoch graph; (2) seed one max-expiry priority frontier per affected
-    /// tree from all epoch edges incident to current tree nodes; (3) run
-    /// one monotone maximin-Dijkstra pass per tree, settling each
-    /// product-graph node at most once per epoch at its final (widest)
-    /// expiry; (4) emit each improved accepting node once. A run of one
-    /// edge is the paper's Expand/Propagate for that edge.
+    /// Frontier-at-once execution of one epoch's inserts, after the
+    /// stores of `graph` have loaded them: (1) trees for the
+    /// start-transition edges of every load; (2) one max-expiry priority
+    /// frontier per affected tree, seeded from all loaded edges incident to
+    /// current tree nodes; (3) one monotone maximin-Dijkstra pass per tree,
+    /// settling each product-graph node at most once per epoch at its final
+    /// (widest) expiry; (4) each improved accepting node emitted once.
+    /// `loads` are the [`EpochLoad`]s of the inputs that published this
+    /// epoch, in arrival order; a load of one edge is the paper's
+    /// Expand/Propagate for that edge.
     ///
-    /// The result does not depend on where a stream is cut into runs:
-    /// within one epoch every window-assigned interval shares the same
-    /// grid-aligned expiry, and a node's canonical interval is the least
-    /// fixpoint of the merge lattice (min ts over meeting derivations, max
-    /// exp — the ts-widening arm of [`SPathOp::bulk_expand_tree`]), which
-    /// the tests hold against the paper's per-tuple algorithm.
-    fn bulk_insert_run(&mut self, run: &[Delta], now: Timestamp, out: &mut Vec<Delta>) {
-        // (1) Bulk-load. Labels without DFA transitions never contribute
-        // and are not stored.
-        let mut epoch = std::mem::take(&mut self.epoch);
-        epoch.clear();
-        self.adj.bulk_insert(
-            run.iter().filter_map(|d| match d {
-                Delta::Insert(s) if !self.dfa.transitions_on(s.label).is_empty() => {
-                    Some((s.src, s.label, s.trg, s.interval))
-                }
-                _ => None,
-            }),
-            &mut epoch,
-        );
-
-        // (2) Trees for start-transition edges, before any seeding, so
+    /// The result does not depend on where a stream is cut into epochs or
+    /// how an epoch's edges are split among inputs: within one epoch every
+    /// window-assigned interval shares the same grid-aligned expiry, and a
+    /// node's canonical interval is the least fixpoint of the merge lattice
+    /// (min ts over meeting derivations, max exp — the ts-widening arm of
+    /// `SPathOp::bulk_expand_tree`), which the tests hold against the
+    /// paper's per-tuple algorithm.
+    pub fn insert_pass<'l>(
+        &mut self,
+        graph: &impl WindowGraph,
+        loads: impl Iterator<Item = &'l EpochLoad> + Clone,
+        now: Timestamp,
+        out: &mut Vec<Delta>,
+    ) {
+        // (1) Trees for start-transition edges, before any seeding, so
         // the probe below finds them. Which slot a tree gets (a recycled
         // one if any) shows in nothing the operator emits.
-        for &(edge, _) in epoch.edges() {
+        for &(edge, _) in loads.clone().flat_map(EpochLoad::edges) {
             if self
                 .dfa
                 .transitions_on(edge.label)
@@ -225,13 +219,13 @@ impl SPathOp {
             }
         }
 
-        // (3) Seed: every epoch edge incident to a current tree node is a
+        // (2) Seed: every loaded edge incident to a current tree node is a
         // candidate extension of that tree. Nodes the epoch creates deeper
         // in a tree need no seeds — the traversal discovers their epoch
-        // edges in its successor scans over the complete adjacency.
+        // edges in its successor scans over the complete window graph.
         let mut seeds = std::mem::take(&mut self.seeds);
         seeds.clear();
-        for &(edge, stored) in epoch.edges() {
+        for &(edge, stored) in loads.flat_map(EpochLoad::edges) {
             for &(from, to) in self.dfa.transitions_on(edge.label) {
                 for (tree, parent) in self.forest.trees_with(edge.src, from) {
                     let iv = self
@@ -267,12 +261,11 @@ impl SPathOp {
             while j < seeds.len() && seeds[j].0 == tree {
                 j += 1;
             }
-            self.bulk_expand_tree(tree, &seeds[i..j], now);
+            self.bulk_expand_tree(graph, tree, &seeds[i..j], now);
             i = j;
         }
         seeds.clear();
         self.seeds = seeds;
-        self.epoch = epoch;
         self.flush_dirty(out);
     }
 
@@ -280,7 +273,13 @@ impl SPathOp {
     /// decreasing-expiry order, so a node's expiry settles at most once
     /// per epoch; equal-or-smaller-expiry follow-ups can still widen its
     /// ts leftwards (coalescing), which cascades without reparenting.
-    fn bulk_expand_tree(&mut self, tree: TreeId, seeds: &[(TreeId, BulkCand)], now: Timestamp) {
+    fn bulk_expand_tree(
+        &mut self,
+        graph: &impl WindowGraph,
+        tree: TreeId,
+        seeds: &[(TreeId, BulkCand)],
+        now: Timestamp,
+    ) {
         let mut heap = std::mem::take(&mut self.frontier);
         let mut settled = std::mem::take(&mut self.settled);
         heap.clear();
@@ -349,7 +348,7 @@ impl SPathOp {
             // Successor scan over the complete epoch graph.
             let node_iv = self.forest.tree(tree).node(idx).interval;
             for (l2, q) in self.dfa.transitions_from(c.state) {
-                for entry in self.adj.out(c.v, l2) {
+                for entry in graph.out(c.v, l2) {
                     self.stats.edges_scanned += 1;
                     let iv = node_iv.intersect(&entry.interval);
                     if iv.is_empty() || iv.expired_at(now) {
@@ -382,13 +381,19 @@ impl SPathOp {
         self.settled = settled;
     }
 
-    /// Explicit deletion (§6.2.5): disconnect affected tree edges and
-    /// re-derive with the maximin Dijkstra; emit negative tuples for lost
-    /// results and refreshed tuples for re-derived ones.
-    fn on_delete(&mut self, s: &Sgt, now: Timestamp, out: &mut Vec<Delta>) {
+    /// Explicit deletion (§6.2.5), after the input's store has removed
+    /// `s`: disconnect affected tree edges and re-derive with the maximin
+    /// Dijkstra over `graph`; emit negative tuples for lost results and
+    /// refreshed tuples for re-derived ones.
+    pub fn delete(
+        &mut self,
+        graph: &impl WindowGraph,
+        s: &Sgt,
+        now: Timestamp,
+        out: &mut Vec<Delta>,
+    ) {
         let (u, v, l) = (s.src, s.trg, s.label);
         let edge = Edge::new(u, v, l);
-        self.adj.remove(u, l, v, s.interval);
         // The trees whose node at `v` hangs on this edge (anywhere else it
         // is a non-tree edge — no structural change), in root-vertex
         // order. Trees re-derive independently, so the list is complete
@@ -408,7 +413,7 @@ impl SPathOp {
                     &mut self.forest,
                     tree,
                     &[idx],
-                    &self.adj,
+                    graph,
                     &self.dfa,
                     &self.rev,
                     now,
@@ -453,42 +458,21 @@ impl PhysicalOp for SPathOp {
         format!("S-PATH[→{:?}]", self.label)
     }
 
-    fn on_batch(&mut self, _port: usize, batch: &DeltaBatch, now: Timestamp, out: &mut DeltaBatch) {
-        // Each maximal run of contiguous inserts is one frontier pass
-        // ([`SPathOp::bulk_insert_run`]) that emits when it ends, so every
-        // emission of the run precedes the next deletion. Explicit
-        // deletions emit inline (negative tuples must cancel exactly what
-        // was emitted) and re-derive serially, one delete at a time.
-        let out = out.as_mut_vec();
-        let deltas = batch.as_slice();
-        let mut i = 0;
-        while i < deltas.len() {
-            match &deltas[i] {
-                Delta::Delete(s) => {
-                    self.on_delete(s, now, out);
-                    i += 1;
-                }
-                Delta::Insert(_) => {
-                    let mut j = i + 1;
-                    while matches!(deltas.get(j), Some(Delta::Insert(_))) {
-                        j += 1;
-                    }
-                    self.bulk_insert_run(&deltas[i..j], now, out);
-                    i = j;
-                }
-            }
-        }
+    /// Never called: the dataflow drives S-PATH through
+    /// [`PhysicalOp::as_spath_mut`], with the edge stores of its inputs.
+    fn on_batch(&mut self, _port: usize, _batch: &DeltaBatch, _now: Timestamp, _: &mut DeltaBatch) {
+        unreachable!("S-PATH reads its input from edge stores (PhysicalOp::as_spath_mut)")
     }
 
-    /// Direct approach: expired nodes/edges are dropped with no traversal
-    /// or re-derivation (the whole point of S-PATH vs. \[57\]).
+    /// Direct approach: expired nodes are dropped with no traversal or
+    /// re-derivation (the whole point of S-PATH vs. \[57\]); the input
+    /// stores are purged by the dataflow.
     fn purge(&mut self, watermark: Timestamp, _out: &mut Vec<Delta>) {
-        self.adj.purge(watermark);
         self.forest.purge(watermark);
     }
 
     fn state_size(&self) -> usize {
-        self.adj.size() + self.forest.size()
+        self.forest.size()
     }
 
     fn frontier_stats(&self) -> Option<FrontierStats> {
@@ -498,8 +482,72 @@ impl PhysicalOp for SPathOp {
     fn path_census(&self) -> Option<PathCensus> {
         Some(PathCensus {
             forest: self.forest.census(),
-            adjacency: self.adj.census(),
+            adjacency: None,
         })
+    }
+
+    fn as_spath_mut(&mut self) -> Option<&mut SPathOp> {
+        Some(self)
+    }
+}
+
+/// Test harness: an S-PATH and one edge store holding all of its input,
+/// driven the way the dataflow drives a store and its reader.
+#[cfg(test)]
+pub(crate) struct Solo {
+    pub(crate) op: SPathOp,
+    pub(crate) store: super::adjacency::EdgeStore,
+}
+
+#[cfg(test)]
+impl Solo {
+    pub(crate) fn new(regex: &Regex, label: Label) -> Solo {
+        Solo {
+            op: SPathOp::new(regex, label),
+            store: super::adjacency::EdgeStore::new(Label(0)),
+        }
+    }
+
+    pub(crate) fn forest(&self) -> &Forest {
+        self.op.forest()
+    }
+}
+
+#[cfg(test)]
+impl PhysicalOp for Solo {
+    fn name(&self) -> String {
+        self.op.name()
+    }
+
+    fn on_batch(&mut self, _port: usize, batch: &DeltaBatch, now: Timestamp, out: &mut DeltaBatch) {
+        use super::adjacency::{runs, Run};
+        let out = out.as_mut_vec();
+        for run in runs(batch.as_slice()) {
+            match run {
+                Run::Inserts(run) => {
+                    self.store.load(run);
+                    let load = std::iter::once(self.store.epoch_load());
+                    self.op.insert_pass(&self.store, load, now, out);
+                }
+                Run::Delete(s) => {
+                    self.store.remove(s);
+                    self.op.delete(&self.store, s, now, out);
+                }
+            }
+        }
+    }
+
+    fn purge(&mut self, watermark: Timestamp, out: &mut Vec<Delta>) {
+        self.store.purge(watermark);
+        self.op.purge(watermark, out);
+    }
+
+    fn state_size(&self) -> usize {
+        self.store.size() + self.op.state_size()
+    }
+
+    fn frontier_stats(&self) -> Option<FrontierStats> {
+        self.op.frontier_stats()
     }
 }
 
@@ -531,25 +579,26 @@ mod tests {
     /// edge, emitting at every improvement. Nothing outside this module
     /// runs it; it is the reference [`SPathOp::bulk_insert_run`] is
     /// compared against.
-    impl SPathOp {
+    impl Solo {
         fn reference_insert(&mut self, s: &Sgt, now: Timestamp, out: &mut Vec<Delta>) {
             let (u, v, l) = (s.src, s.trg, s.label);
-            if self.dfa.transitions_on(l).is_empty() {
+            if self.op.dfa.transitions_on(l).is_empty() {
                 return;
             }
             // Adjacency upsert with max-expiry coalescing; a covered
             // re-insert cannot produce new derivations.
-            let Some(stored_iv) = self.adj.insert(u, l, v, s.interval) else {
+            let adj = self.store.adjacency_mut();
+            let Some(stored_iv) = adj.insert(u, l, v, s.interval) else {
                 return;
             };
-            let transitions: Vec<(StateId, StateId)> = self.dfa.transitions_on(l).to_vec();
+            let transitions: Vec<(StateId, StateId)> = self.op.dfa.transitions_on(l).to_vec();
             for (from, to) in transitions {
-                if from == self.dfa.start() {
+                if from == self.op.dfa.start() {
                     // Lines 7–8: make sure T_u exists so the probe finds it.
-                    self.forest.ensure_tree(u);
+                    self.op.forest.ensure_tree(u);
                 }
                 // Lines 14–19: every tree containing (u, from) can extend.
-                for (tree, parent) in self.forest.trees_with(u, from).collect::<Vec<_>>() {
+                for (tree, parent) in self.op.forest.trees_with(u, from).collect::<Vec<_>>() {
                     self.extend_all(
                         tree,
                         vec![Ext {
@@ -575,20 +624,20 @@ mod tests {
             out: &mut Vec<Delta>,
         ) {
             while let Some(ext) = stack.pop() {
-                let parent_iv = self.forest.tree(tree).node(ext.parent).interval;
+                let parent_iv = self.op.forest.tree(tree).node(ext.parent).interval;
                 let child_iv = parent_iv.intersect(&ext.edge_iv);
                 if child_iv.is_empty() || child_iv.expired_at(now) {
                     continue;
                 }
-                let existing = self.forest.tree(tree).get(ext.v, ext.state);
+                let existing = self.op.forest.tree(tree).get(ext.v, ext.state);
                 let node = match existing {
                     Some(idx) => {
-                        let cur = self.forest.tree(tree).node(idx).interval;
+                        let cur = self.op.forest.tree(tree).node(idx).interval;
                         if cur.expired_at(now) {
                             // Expired nodes are treated as absent (§6.2.4):
                             // reclaim the stale subtree, then expand fresh.
-                            self.forest.remove_subtree(tree, idx);
-                            self.forest.insert_child(
+                            self.op.forest.remove_subtree(tree, idx);
+                            self.op.forest.insert_child(
                                 tree,
                                 ext.parent,
                                 ext.v,
@@ -607,7 +656,7 @@ mod tests {
                             // max-expiry segment is unchanged. Anything else:
                             // line 18, prune.
                             if cur.meets(&child_iv) && child_iv.ts < cur.ts {
-                                self.forest.set_interval(
+                                self.op.forest.set_interval(
                                     tree,
                                     idx,
                                     Interval::new(child_iv.ts, cur.exp),
@@ -628,13 +677,15 @@ mod tests {
                             } else {
                                 child_iv
                             };
-                            self.forest.set_interval(tree, idx, merged);
-                            self.forest.reparent(tree, idx, ext.parent, ext.edge.label);
+                            self.op.forest.set_interval(tree, idx, merged);
+                            self.op
+                                .forest
+                                .reparent(tree, idx, ext.parent, ext.edge.label);
                             idx
                         }
                     }
                     // Expand: create the node as a child of the parent.
-                    None => self.forest.insert_child(
+                    None => self.op.forest.insert_child(
                         tree,
                         ext.parent,
                         ext.v,
@@ -643,14 +694,14 @@ mod tests {
                         child_iv,
                     ),
                 };
-                if self.dfa.is_accepting(ext.state) {
-                    self.emit(tree, node, out);
+                if self.op.dfa.is_accepting(ext.state) {
+                    self.op.emit(tree, node, out);
                 }
                 // Traverse the snapshot graph onwards (Expand/Propagate
                 // lines 8+).
-                let node_iv = self.forest.tree(tree).node(node).interval;
-                for (l2, q) in self.dfa.transitions_from(ext.state) {
-                    for entry in self.adj.out(ext.v, l2) {
+                let node_iv = self.op.forest.tree(tree).node(node).interval;
+                for (l2, q) in self.op.dfa.transitions_from(ext.state) {
+                    for entry in self.store.out(ext.v, l2) {
                         let e_iv = entry.interval;
                         if node_iv.intersect(&e_iv).is_empty() {
                             continue;
@@ -668,18 +719,18 @@ mod tests {
         }
     }
 
-    impl SPathOp {
+    impl Solo {
         /// `purge` as it was before the expiry index: walks every tree,
         /// `retain`s both adjacency maps.
         fn purge_by_walk(&mut self, watermark: Timestamp) {
-            self.adj.purge_by_retain(watermark);
-            self.forest.purge_by_walk(watermark);
+            self.store.adjacency_mut().purge_by_retain(watermark);
+            self.op.forest.purge_by_walk(watermark);
         }
 
         /// `purge` with tree retirement left out (the mutation).
         fn purge_keeping_empty_trees(&mut self, watermark: Timestamp) {
-            self.adj.purge(watermark);
-            self.forest.purge_keeping_empty_trees(watermark);
+            self.store.purge(watermark);
+            self.op.forest.purge_keeping_empty_trees(watermark);
         }
     }
 
@@ -689,8 +740,8 @@ mod tests {
         Sgt::edge(VertexId(src), VertexId(trg), RLP, Interval::new(ts, exp))
     }
 
-    fn plus_op() -> SPathOp {
-        SPathOp::new(&Regex::plus(Regex::label(RLP)), Label(9))
+    fn plus_op() -> Solo {
+        Solo::new(&Regex::plus(Regex::label(RLP)), Label(9))
     }
 
     fn results(out: &[Delta]) -> Vec<(u64, u64, Interval)> {
@@ -743,7 +794,7 @@ mod tests {
         // Vertices: x=0, z=1, u=2, y=3, w=4, t=5, v=6, s=7.
         let mut op = plus_op();
         let mut out = Vec::new();
-        let feed = |op: &mut SPathOp, out: &mut Vec<Delta>, s, t, ts, exp| {
+        let feed = |op: &mut Solo, out: &mut Vec<Delta>, s, t, ts, exp| {
             push_one(op, 0, Delta::Insert(sgt(s, t, ts, exp)), ts, out);
         };
         feed(&mut op, &mut out, 0, 1, 23, 31); // x→z
@@ -827,7 +878,7 @@ mod tests {
         let a = Label(0);
         let b = Label(1);
         let re = Regex::concat(vec![Regex::label(a), Regex::label(b)]);
-        let mut op = SPathOp::new(&re, Label(9));
+        let mut op = Solo::new(&re, Label(9));
         let mut out = Vec::new();
         let mk = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 10))
@@ -886,7 +937,7 @@ mod tests {
         let a = Label(0);
         let b = Label(1);
         let re = Regex::plus(Regex::alt(vec![Regex::label(a), Regex::label(b)]));
-        let mut op = SPathOp::new(&re, Label(9));
+        let mut op = Solo::new(&re, Label(9));
         let mut out = Vec::new();
         let e = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 50))
@@ -905,7 +956,7 @@ mod tests {
         let a = Label(0);
         let b = Label(1);
         let re = Regex::concat(vec![Regex::label(a), Regex::optional(Regex::label(b))]);
-        let mut op = SPathOp::new(&re, Label(9));
+        let mut op = Solo::new(&re, Label(9));
         let mut out = Vec::new();
         let e = |s: u64, t: u64, l: Label, ts: u64| {
             Sgt::edge(VertexId(s), VertexId(t), l, Interval::new(ts, ts + 50))
@@ -994,7 +1045,7 @@ mod tests {
         let mut b_batch = DeltaBatch::default();
         bulk.on_batch(0, &batch, 12, &mut b_batch);
 
-        let node4 = |op: &SPathOp| {
+        let node4 = |op: &Solo| {
             let t1 = op.forest().tree_of_root(VertexId(1)).unwrap();
             let tree = op.forest().tree(t1);
             tree.node(tree.get(VertexId(4), 1).unwrap()).interval
@@ -1034,7 +1085,7 @@ mod tests {
     /// Live tree state as `(root, v, state) → interval`. Nodes expired at
     /// `now` are skipped: both algorithms treat them as absent, and which
     /// of them still physically lingers depends on traversal order.
-    fn live_nodes(op: &SPathOp, now: Timestamp) -> BTreeMap<(u64, u64, StateId), Interval> {
+    fn live_nodes(op: &Solo, now: Timestamp) -> BTreeMap<(u64, u64, StateId), Interval> {
         let mut nodes = BTreeMap::new();
         for id in op.forest().tree_ids() {
             let tree = op.forest().tree(id);
@@ -1079,7 +1130,7 @@ mod tests {
             Regex::plus(Regex::alt(vec![Regex::label(a), Regex::label(b)])),
         ];
         // Runs one epoch through `on_batch`, opening at its first edge.
-        let flush = |op: &mut SPathOp, epoch: DeltaBatch, out: &mut Vec<Delta>| {
+        let flush = |op: &mut Solo, epoch: DeltaBatch, out: &mut Vec<Delta>| {
             let now = epoch.as_slice()[0].sgt().interval.ts;
             let mut emitted = DeltaBatch::new();
             op.on_batch(0, &epoch, now, &mut emitted);
@@ -1094,8 +1145,8 @@ mod tests {
                 rng % n
             };
             let regex = &regexes[(seed % 3) as usize];
-            let mut reference = SPathOp::new(regex, Label(9));
-            let mut bulk = SPathOp::new(regex, Label(9));
+            let mut reference = Solo::new(regex, Label(9));
+            let mut bulk = Solo::new(regex, Label(9));
             let (mut r_out, mut b_out) = (Vec::new(), Vec::new());
             let mut epoch = DeltaBatch::new();
             let mut t = 0u64;
@@ -1144,7 +1195,7 @@ mod tests {
     }
     /// Every node slot that is alive, expired or not:
     /// `(root, v, state) → interval`.
-    fn all_nodes(op: &SPathOp) -> BTreeMap<(u64, u64, StateId), Interval> {
+    fn all_nodes(op: &Solo) -> BTreeMap<(u64, u64, StateId), Interval> {
         live_nodes(op, 0)
     }
 
@@ -1200,8 +1251,8 @@ mod tests {
                 rng % n
             };
             let regex = &regexes[(seed % 3) as usize];
-            let mut live = SPathOp::new(regex, Label(9));
-            let mut twin = SPathOp::new(regex, Label(9));
+            let mut live = Solo::new(regex, Label(9));
+            let mut twin = Solo::new(regex, Label(9));
             let (mut l_out, mut t_out) = (DeltaBatch::new(), DeltaBatch::new());
             let mut epoch = DeltaBatch::new();
             let mut inserted: Vec<Sgt> = Vec::new();
@@ -1225,14 +1276,18 @@ mod tests {
                     purges += 1;
                     let at = format!("seed {seed} step {step} purge({boundary})");
                     assert_eq!(all_nodes(&live), all_nodes(&twin), "{at}");
-                    assert_eq!(live.forest.size(), twin.forest.size(), "{at}");
-                    assert_eq!(live.adj.size(), twin.adj.size(), "{at}");
-                    assert_eq!(live.adj.buckets(), twin.adj.buckets(), "{at}");
-                    let (lf, tf) = (live.forest.census(), twin.forest.census());
+                    assert_eq!(live.op.forest.size(), twin.op.forest.size(), "{at}");
+                    assert_eq!(live.store.size(), twin.store.size(), "{at}");
+                    assert_eq!(
+                        live.store.adjacency_mut().buckets(),
+                        twin.store.adjacency_mut().buckets(),
+                        "{at}"
+                    );
+                    let (lf, tf) = (live.op.forest.census(), twin.op.forest.census());
                     assert_eq!(lf.occupancy(), tf.occupancy(), "{at}");
-                    let (la, ta) = (live.adj.census(), twin.adj.census());
+                    let (la, ta) = (live.store.census(), twin.store.census());
                     assert_eq!(la.occupancy(), ta.occupancy(), "{at}");
-                    assert_eq!(live.forest.census().root_only_trees, 0, "{at}");
+                    assert_eq!(live.op.forest.census().root_only_trees, 0, "{at}");
                 }
                 t = advanced;
                 if deletions && !inserted.is_empty() && next(4) == 0 {
@@ -1262,7 +1317,7 @@ mod tests {
             assert_eq!(all_nodes(&live), all_nodes(&twin), "seed {seed}");
             if seed % 3 == 2 {
                 // Under `(a|b)+` every minted source roots a tree of its own.
-                slots += live.forest.census().tree_slots as u64;
+                slots += live.op.forest.census().tree_slots as u64;
                 minted += fresh - 100;
             }
         }

@@ -145,7 +145,8 @@ impl Entry {
 struct OutboxInner {
     queue: VecDeque<Entry>,
     /// Queued-but-unsent result frames per query id — the bounded
-    /// buffer the backpressure policy acts on.
+    /// buffer the backpressure policy acts on. Only ids with frames
+    /// queued have a key, so registration churn leaves nothing behind.
     per_query: HashMap<u64, u32>,
     closed: bool,
 }
@@ -196,12 +197,12 @@ impl Outbox {
             // command is already in flight.
             return frames;
         }
-        let count = g.per_query.entry(query).or_insert(0);
-        let accepted = frames.min(cap.saturating_sub(*count) as usize);
+        let queued = g.per_query.get(&query).copied().unwrap_or(0);
+        let accepted = frames.min(cap.saturating_sub(queued) as usize);
         if accepted == 0 {
             return 0;
         }
-        *count += accepted as u32;
+        *g.per_query.entry(query).or_insert(0) += accepted as u32;
         if accepted < frames {
             bytes.truncate(accepted * RESULT_FRAME_LEN);
             bytes.shrink_to_fit();
@@ -242,6 +243,9 @@ impl Outbox {
             if let Entry::Results { query, frames, .. } = e {
                 if let Some(c) = inner.per_query.get_mut(query) {
                     *c = c.saturating_sub(*frames);
+                    if *c == 0 {
+                        inner.per_query.remove(query);
+                    }
                 }
             }
         }
@@ -1083,6 +1087,26 @@ mod tests {
         // Closed outboxes accept-and-discard.
         assert_eq!(outbox.push_results(7, chunk(7, &r), 2), 6);
         assert_eq!(take_bytes(&outbox), None);
+    }
+
+    /// A connection that keeps registering and deregistering leaves no
+    /// budget entry behind: ten thousand query ids, each with frames
+    /// queued, some refused at the cap, and taken.
+    #[test]
+    fn outbox_budget_map_does_not_grow_under_query_churn() {
+        let outbox = Outbox::new();
+        let r = rows(3);
+        for query in 0..10_000u64 {
+            assert_eq!(outbox.push_results(query, chunk(query, &r), 2), 2);
+            assert_eq!(outbox.push_results(query, chunk(query, &r[..1]), 2), 0);
+            // A subscription refused outright holds no budget either.
+            assert_eq!(
+                outbox.push_results(query + 1, chunk(query + 1, &r[..1]), 0),
+                0
+            );
+            assert_eq!(take_bytes(&outbox), Some(per_frame(query, &r[..2])));
+            assert!(outbox.lock().per_query.is_empty(), "query {query}");
+        }
     }
 
     /// The chunked outbox puts the same bytes on the socket as one entry

@@ -9,20 +9,23 @@
 //! surface every other suite (and the in-process benchmark mirror) reads.
 //!
 //! Sections (d)–(f) hold **operator state** to the same standard: the
-//! Δ-PATH forest and window adjacency of a PATH operator — tree, node and
-//! edge slots, index keys, pending expiry handles, bytes — and a hash-join PATTERN's join tables and output
+//! Δ-PATH forest of a PATH operator and the edge store of its input —
+//! tree, node and edge slots, index keys, pending expiry handles, bytes —
+//! and a hash-join PATTERN's join tables and output
 //! dedup — row slots, keys, dedup pairs, pending expiry handles, bytes —
 //! are bounded by the window's content after every purge, on a stream
 //! that mints vertex ids without end.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use s_graffito::automata::Regex;
 use s_graffito::core::algebra::Pos;
+use s_graffito::core::physical::adjacency::{runs, AdjacencyCensus, EdgeStore, Run};
+use s_graffito::core::physical::forest::ForestCensus;
 use s_graffito::core::physical::pattern::{CompiledPattern, PatternOp};
 use s_graffito::core::physical::spath::SPathOp;
-use s_graffito::core::physical::{PathCensus, PatternCensus, PhysicalOp};
+use s_graffito::core::physical::{PatternCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
 use s_graffito::datagen::{snb_stream, so_stream, SnbConfig, SoConfig};
 use s_graffito::multiquery::{MultiQueryEngine, QueryId, SinkCensus};
@@ -563,27 +566,20 @@ struct Content {
 /// below the most seen is 136; the layout before this bound (three hash
 /// maps beside the slab) reached 192–212 in each of them.
 const FOREST_BYTES_PER_PEAK_NODE: usize = 160;
-/// Bytes a PATH operator's adjacency may reserve per edge of the most it
-/// has held at once: a 56-byte row in a `Vec` grown by doubling, an 8-byte
-/// index slot per key and direction at most 3/4 full, and 4-byte pending
-/// expiry handles. Over the tests below the most seen is 156; two maps of
+/// Bytes an edge store may reserve per edge of the most it has held at
+/// once: a 56-byte row in a `Vec` grown by doubling, an 8-byte index slot
+/// per key and direction at most 3/4 full, and 4-byte pending expiry
+/// handles. Over the tests below the most seen is 156; two maps of
 /// per-key lists with 24-byte expiry handles reached 209 and 254 in the
 /// two stream tests.
 const ADJACENCY_BYTES_PER_PEAK_EDGE: usize = 176;
 
-/// Checks one post-purge census against the window's content. `peak` is
-/// the largest content any slide has held (slots and capacity are
-/// high-water marks: a slot freed by a purge is reused, not returned),
-/// `node_writes` / `edge_writes` the interval writes of the slides that
-/// can still have a handle pending.
-fn assert_window_bounded(
-    at: &str,
-    c: &PathCensus,
-    peak: Content,
-    node_writes: usize,
-    edge_writes: usize,
-) {
-    let (f, a) = (&c.forest, &c.adjacency);
+/// Checks one post-purge forest census against the window's content.
+/// `peak` is the largest content any slide has held (slots and capacity
+/// are high-water marks: a slot freed by a purge is reused, not
+/// returned), `node_writes` the interval writes of the slides that can
+/// still have a handle pending.
+fn assert_forest_bounded(at: &str, f: &ForestCensus, peak: Content, node_writes: usize) {
     // Exact, whatever the stream.
     assert_eq!(
         f.root_only_trees, 0,
@@ -592,12 +588,7 @@ fn assert_window_bounded(
     assert_eq!(f.roots, f.live_trees, "{at}: {f:?}");
     assert_eq!(f.indexed_nodes, f.live_nodes + f.live_trees, "{at}: {f:?}");
     assert_eq!(f.retire_candidates, 0, "{at}: {f:?}");
-    assert_eq!((a.out_rows, a.inc_rows), (a.edges, a.edges), "{at}: {a:?}");
     assert!(f.keys <= f.live_nodes + f.live_trees, "{at}: {f:?}");
-    assert!(
-        a.out_keys <= a.edges && a.inc_keys <= a.edges,
-        "{at}: {a:?}"
-    );
     // Slots: at most the most trees / twice the most nodes ever live at once.
     assert!(
         f.tree_slots <= peak.trees,
@@ -610,17 +601,7 @@ fn assert_window_bounded(
         peak.nodes,
         peak.trees
     );
-    assert!(
-        a.edges <= peak.edges,
-        "{at}: {a:?}, peak edges {}",
-        peak.edges
-    );
-    assert!(
-        a.row_slots <= 2 * peak.edges,
-        "{at}: {a:?}, peak edges {}",
-        peak.edges
-    );
-    // Bytes: capacity follows the whole operator's peak, not the sum of
+    // Bytes: capacity follows the whole forest's peak, not the sum of
     // what each recycled slot once held.
     assert!(
         f.reserved_bytes <= FOREST_BYTES_PER_PEAK_NODE * (peak.nodes + peak.trees),
@@ -628,15 +609,33 @@ fn assert_window_bounded(
         peak.nodes,
         peak.trees
     );
-    assert!(
-        a.reserved_bytes <= ADJACENCY_BYTES_PER_PEAK_EDGE * peak.edges,
-        "{at}: {a:?}, peak edges {}",
-        peak.edges
-    );
     // Pending handles: one per interval write of the last W + β ticks.
     assert!(
         f.expiry_handles <= node_writes,
         "{at}: {f:?}, {node_writes} node writes"
+    );
+}
+
+/// [`assert_forest_bounded`] for an edge store: `peak_edges` is the most
+/// edges it has held at once, `edge_writes` the interval writes that can
+/// still have a handle pending.
+fn assert_store_bounded(at: &str, a: &AdjacencyCensus, peak_edges: usize, edge_writes: usize) {
+    assert_eq!((a.out_rows, a.inc_rows), (a.edges, a.edges), "{at}: {a:?}");
+    assert!(
+        a.out_keys <= a.edges && a.inc_keys <= a.edges,
+        "{at}: {a:?}"
+    );
+    assert!(
+        a.edges <= peak_edges,
+        "{at}: {a:?}, peak edges {peak_edges}"
+    );
+    assert!(
+        a.row_slots <= 2 * peak_edges,
+        "{at}: {a:?}, peak edges {peak_edges}"
+    );
+    assert!(
+        a.reserved_bytes <= ADJACENCY_BYTES_PER_PEAK_EDGE * peak_edges,
+        "{at}: {a:?}, peak edges {peak_edges}"
     );
     assert!(
         a.expiry_handles <= edge_writes,
@@ -644,31 +643,106 @@ fn assert_window_bounded(
     );
 }
 
-/// The sizes that must not follow the stream's length.
-fn footprint(c: &PathCensus) -> [usize; 8] {
-    let (f, a) = (&c.forest, &c.adjacency);
+/// The forest sizes that must not follow the stream's length.
+fn forest_footprint(f: &ForestCensus) -> [usize; 6] {
     [
         f.tree_slots,
         f.node_slots,
         f.roots,
         f.keys,
         f.expiry_handles,
-        a.out_keys + a.inc_keys,
-        a.expiry_handles,
-        a.edges + f.live_nodes,
+        f.live_nodes,
     ]
 }
 
-/// Drives `a+` through `SPathOp` for `OP_WINDOWS` windows: per slide
-/// `OP_FRESH` edges from never-seen sources plus `OP_RECURRING` edges
-/// among a fixed population, in two epochs; with `deletions`, two of the
-/// window's edges are deleted per slide. After **every** purge the census
-/// is held against the window's content, every stored interval is live,
-/// and no size at the end exceeds what the second window reached by more
-/// than half.
+/// The store sizes that must not follow the stream's length.
+fn store_footprint(a: &AdjacencyCensus) -> [usize; 3] {
+    [a.out_keys + a.inc_keys, a.expiry_handles, a.edges]
+}
+
+/// Folds `now` into the element-wise maximum `peak`.
+fn fold_max<const N: usize>(peak: &mut [usize; N], now: [usize; N]) {
+    for (p, n) in peak.iter_mut().zip(now) {
+        *p = (*p).max(n);
+    }
+}
+
+/// Asserts that no size in `now` exceeds `then` by more than half.
+fn assert_within_half<const N: usize>(at: &str, then: [usize; N], now: [usize; N]) {
+    for (i, (then, now)) in then.iter().zip(now).enumerate() {
+        assert!(
+            2 * now <= 3 * then,
+            "{at}: size #{i} was at most {then} and is {now}"
+        );
+    }
+}
+
+/// An S-PATH and the edge store of its one input, driven the way the
+/// dataflow drives a store and its reader: a batch is applied to the
+/// store run by run, and the operator reads each run before the next.
+struct SoloPath {
+    op: SPathOp,
+    store: EdgeStore,
+}
+
+impl SoloPath {
+    fn plus(a: Label) -> SoloPath {
+        SoloPath {
+            op: SPathOp::new(&Regex::plus(Regex::label(a)), Label(9)),
+            store: EdgeStore::new(a),
+        }
+    }
+
+    fn on_batch(&mut self, batch: &[Delta], now: u64) {
+        let mut out = Vec::new();
+        for run in runs(batch) {
+            match run {
+                Run::Inserts(run) => {
+                    self.store.load(run);
+                    let load = std::iter::once(self.store.epoch_load());
+                    self.op.insert_pass(&self.store, load, now, &mut out);
+                }
+                Run::Delete(s) => {
+                    self.store.remove(s);
+                    self.op.delete(&self.store, s, now, &mut out);
+                }
+            }
+        }
+    }
+
+    fn purge(&mut self, watermark: u64) {
+        self.store.purge(watermark);
+        self.op.purge(watermark, &mut Vec::new());
+    }
+
+    fn forest(&self) -> ForestCensus {
+        self.op.path_census().unwrap().forest
+    }
+
+    /// Folds the content the operator and its store hold into `peak`.
+    fn fold_content(&self, peak: &mut Content) {
+        let (f, a) = (self.forest(), self.store.census());
+        peak.trees = peak.trees.max(f.live_trees);
+        peak.nodes = peak.nodes.max(f.live_nodes);
+        peak.edges = peak.edges.max(a.edges);
+    }
+
+    fn assert_bounded(&self, at: &str, peak: Content, node_writes: usize, edge_writes: usize) {
+        assert_forest_bounded(at, &self.forest(), peak, node_writes);
+        assert_store_bounded(at, &self.store.census(), peak.edges, edge_writes);
+    }
+}
+
+/// Drives `a+` through an S-PATH and its store for `OP_WINDOWS` windows:
+/// per slide `OP_FRESH` edges from never-seen sources plus
+/// `OP_RECURRING` edges among a fixed population, in two epochs; with
+/// `deletions`, two of the window's edges are deleted per slide. After
+/// **every** purge both censuses are held against the window's content,
+/// every stored interval is live, and no size at the end exceeds what the
+/// second window reached by more than half.
 fn drive_spath_and_hold_the_bound(deletions: bool) {
     let a = Label(0);
-    let mut op = SPathOp::new(&Regex::plus(Regex::label(a)), Label(9));
+    let mut path = SoloPath::plus(a);
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
     let mut next = move |n: u64| {
         rng ^= rng << 13;
@@ -684,9 +758,7 @@ fn drive_spath_and_hold_the_bound(deletions: bool) {
     let (mut node_writes, mut edge_writes) =
         (EmissionWindow::new(horizon), EmissionWindow::new(horizon));
     let mut improved_before = 0;
-    let mut second_window = [0usize; 8];
-    let mut last = [0usize; 8];
-    let mut out = DeltaBatch::new();
+    let (mut second_window, mut last) = (([0; 6], [0; 3]), ([0; 6], [0; 3]));
     for slide in 0..OP_WINDOWS * OP_WINDOW / OP_SLIDE {
         let base = slide * OP_SLIDE;
         let mut ops: Vec<Delta> = Vec::new();
@@ -714,38 +786,29 @@ fn drive_spath_and_hold_the_bound(deletions: bool) {
         let writes = ops.len();
         let cut = 1 + next(writes as u64 - 1) as usize;
         for epoch in [&ops[..cut], &ops[cut..]] {
-            let mut batch = DeltaBatch::new();
-            epoch.iter().for_each(|d| batch.push(d.clone()));
             let now = epoch[0].sgt().interval.ts.max(base);
-            op.on_batch(0, &batch, now, &mut out);
-            out = DeltaBatch::new();
+            path.on_batch(epoch, now);
         }
-        let c = op.path_census().unwrap();
-        peak.trees = peak.trees.max(c.forest.live_trees);
-        peak.nodes = peak.nodes.max(c.forest.live_nodes);
-        peak.edges = peak.edges.max(c.adjacency.edges);
-        let improved = op.frontier_stats().unwrap().nodes_improved as usize;
+        path.fold_content(&mut peak);
+        let improved = path.op.frontier_stats().unwrap().nodes_improved as usize;
         let node_writes = node_writes.allowed(base, improved - improved_before);
         let edge_writes = edge_writes.allowed(base, writes);
         improved_before = improved;
 
         let watermark = base + OP_SLIDE;
-        op.purge(watermark, &mut Vec::new());
+        path.purge(watermark);
         while in_window
             .front()
             .is_some_and(|s| s.interval.exp <= watermark)
         {
             in_window.pop_front();
         }
-        let c = op.path_census().unwrap();
         let at = format!("deletions={deletions} purge({watermark})");
-        assert_window_bounded(&at, &c, peak, node_writes, edge_writes);
-        assert_eq!(
-            c.forest.live_nodes + c.adjacency.edges,
-            op.state_size(),
-            "{at}"
-        );
-        let forest = op.forest();
+        path.assert_bounded(&at, peak, node_writes, edge_writes);
+        let (f, a) = (path.forest(), path.store.census());
+        assert_eq!(f.live_nodes, path.op.state_size(), "{at}");
+        assert_eq!(a.edges, path.store.size(), "{at}");
+        let forest = path.op.forest();
         for t in forest.tree_ids() {
             let tree = forest.tree(t);
             assert!(tree.live_nodes() > 0, "{at}: root-only tree {t}");
@@ -755,21 +818,16 @@ fn drive_spath_and_hold_the_bound(deletions: bool) {
             }
         }
         let window = watermark / OP_WINDOW;
-        last = footprint(&c);
+        last = (forest_footprint(&f), store_footprint(&a));
         if window == 2 {
-            for (peak, now) in second_window.iter_mut().zip(last) {
-                *peak = (*peak).max(now);
-            }
+            fold_max(&mut second_window.0, last.0);
+            fold_max(&mut second_window.1, last.1);
         }
     }
     assert!(minted - 1_000 >= 40 * OP_FRESH * OP_WINDOW / OP_SLIDE);
-    for (i, (then, now)) in second_window.iter().zip(last).enumerate() {
-        assert!(
-            2 * now <= 3 * then,
-            "deletions={deletions}: size #{i} was at most {then} in window 2 and is {now} \
-             after window {OP_WINDOWS}: {second_window:?} -> {last:?}"
-        );
-    }
+    let at = format!("deletions={deletions}, window 2 -> window {OP_WINDOWS}");
+    assert_within_half(&at, second_window.0, last.0);
+    assert_within_half(&at, second_window.1, last.1);
 }
 
 #[test]
@@ -784,36 +842,28 @@ fn spath_state_is_bounded_by_the_window_under_explicit_deletions() {
 
 /// Inserts `edges` as one epoch at `now` and folds the content it leaves
 /// into `peak`.
-fn insert_epoch(op: &mut SPathOp, edges: &[(u64, u64, Interval)], now: u64, peak: &mut Content) {
-    let mut batch = DeltaBatch::new();
-    for &(s, t, iv) in edges {
-        batch.push(Delta::Insert(Sgt::edge(
-            VertexId(s),
-            VertexId(t),
-            Label(0),
-            iv,
-        )));
-    }
-    op.on_batch(0, &batch, now, &mut DeltaBatch::new());
-    let c = op.path_census().unwrap();
-    peak.trees = peak.trees.max(c.forest.live_trees);
-    peak.nodes = peak.nodes.max(c.forest.live_nodes);
-    peak.edges = peak.edges.max(c.adjacency.edges);
+fn insert_epoch(path: &mut SoloPath, edges: &[(u64, u64, Interval)], now: u64, peak: &mut Content) {
+    let batch: Vec<Delta> = edges
+        .iter()
+        .map(|&(s, t, iv)| Delta::Insert(Sgt::edge(VertexId(s), VertexId(t), Label(0), iv)))
+        .collect();
+    path.on_batch(&batch, now);
+    path.fold_content(peak);
 }
 
 /// Capacity must not be a per-slot high-water mark. Each round a root
 /// never seen before grows a tree of `BIG` nodes that expires before the
 /// next round; the purge retires it, and a one-node tree that outlives
 /// the run takes its slot, so the next big tree needs another slot. After
-/// every purge the operator's reserved bytes are held against the most
-/// it ever held live at once — one big tree and the small ones — however
-/// many slots have held a big tree.
+/// every purge the operator's and its store's reserved bytes are held
+/// against the most they ever held live at once — one big tree and the
+/// small ones — however many slots have held a big tree.
 #[test]
 fn a_retired_big_tree_leaves_no_capacity_in_its_slot() {
     const BIG: u64 = 1_000;
     const ROUNDS: u64 = 12;
     const ROUND: u64 = 100;
-    let mut op = SPathOp::new(&Regex::plus(Regex::label(Label(0))), Label(9));
+    let mut path = SoloPath::plus(Label(0));
     let mut peak = Content::default();
     let mut edges = 0;
     for round in 0..ROUNDS {
@@ -824,26 +874,29 @@ fn a_retired_big_tree_leaves_no_capacity_in_its_slot() {
                 (hub, leaf, Interval::new(base, base + ROUND))
             })
             .collect();
-        insert_epoch(&mut op, &star, base, &mut peak);
-        op.purge(base + ROUND, &mut Vec::new());
-        assert_eq!(op.forest().tree_of_root(VertexId(hub)), None, "retired");
+        insert_epoch(&mut path, &star, base, &mut peak);
+        path.purge(base + ROUND);
+        assert_eq!(
+            path.op.forest().tree_of_root(VertexId(hub)),
+            None,
+            "retired"
+        );
         let (src, trg) = (3_000_000 + round, 4_000_000 + round);
         let small = [(src, trg, Interval::new(base + ROUND, u64::MAX))];
-        insert_epoch(&mut op, &small, base + ROUND, &mut peak);
-        op.purge(base + ROUND, &mut Vec::new());
+        insert_epoch(&mut path, &small, base + ROUND, &mut peak);
+        path.purge(base + ROUND);
         edges += star.len() + small.len();
-        let c = op.path_census().unwrap();
         // The small tree took the big one's slot; the next big one opens
         // a new slot.
-        assert_eq!(c.forest.tree_slots as u64, round + 1);
-        let writes = op.frontier_stats().unwrap().nodes_improved as usize;
-        assert_window_bounded(&format!("round {round}"), &c, peak, writes, edges);
+        assert_eq!(path.forest().tree_slots as u64, round + 1);
+        let writes = path.op.frontier_stats().unwrap().nodes_improved as usize;
+        path.assert_bounded(&format!("round {round}"), peak, writes, edges);
     }
 }
 
 // ---------------------------------------------------------------------
-// (e) long soak: a fleet's PATH and PATTERN operators and the process
-//     stop growing
+// (e) long soak: a fleet's PATH and PATTERN operators, edge stores and
+//     the process stop growing
 // ---------------------------------------------------------------------
 
 const FLEET_EDGES: usize = 1_050_000;
@@ -867,14 +920,64 @@ fn rss_mb() -> f64 {
     kb / 1024.0
 }
 
+/// A fleet's reserved bytes by kind of state: S-PATH forests, edge
+/// stores, PATTERN tables and root sinks.
+#[derive(Default, Clone, Copy)]
+struct FleetBytes {
+    path: usize,
+    store: usize,
+    pattern: usize,
+    sink: usize,
+}
+
+impl FleetBytes {
+    fn of(host: &MultiQueryEngine) -> FleetBytes {
+        FleetBytes {
+            path: host
+                .path_censuses()
+                .iter()
+                .map(|(_, c)| c.reserved_bytes())
+                .sum(),
+            store: host
+                .store_censuses()
+                .iter()
+                .map(|(_, c)| c.reserved_bytes)
+                .sum(),
+            pattern: host
+                .pattern_censuses()
+                .iter()
+                .map(|(_, c)| c.reserved_bytes)
+                .sum(),
+            sink: sink_bytes(host),
+        }
+    }
+
+    /// `(name, bytes)` per kind, in print order.
+    fn kinds(&self) -> [(&'static str, usize); 4] {
+        [
+            ("PATH", self.path),
+            ("STORE", self.store),
+            ("PATTERN", self.pattern),
+            ("SINK", self.sink),
+        ]
+    }
+
+    fn line(&self) -> String {
+        let kinds = self
+            .kinds()
+            .map(|(kind, b)| format!("{kind} reserved_bytes={b}"));
+        kinds.join(" ")
+    }
+}
+
 /// More than 10⁶ SNB edges (about a thousand windows) through a host with
 /// the Q1–Q7 fleet, routed and released like the serve loop does. Every
-/// `FLEET_CHECK_EVERY` slides each PATH operator's census is held against
-/// its own window content, and against what it held during the first ten
-/// windows; the fleet's reserved PATH, PATTERN and root-sink bytes must
-/// each stay within half again of what they were at window 10, and the
-/// process's resident set must not follow the stream either. Prints all
-/// four at window 10 and at the end.
+/// `FLEET_CHECK_EVERY` slides each PATH operator's forest and each edge
+/// store is held against its own window content, and against what it
+/// held during the first ten windows; the fleet's reserved PATH, STORE,
+/// PATTERN and root-sink bytes must each stay within half again of what
+/// they were at window 10, and the process's resident set must not follow
+/// the stream either. Prints all of them at window 10 and at the end.
 /// Release build: `cargo test --release --test bounded_state -- --ignored
 /// --nocapture`.
 #[test]
@@ -894,15 +997,14 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
     drop(raw);
     assert!(stream.sges().len() >= 1_000_000, "{}", stream.sges().len());
 
-    // Per PATH operator (by node id): its footprint's peak over the first
-    // ten windows, and the most it has been seen to hold.
-    let mut early: std::collections::BTreeMap<usize, [usize; 8]> = Default::default();
-    let mut peak: std::collections::BTreeMap<usize, Content> = Default::default();
+    // Per PATH operator and per edge store (by node id): its footprint's
+    // peak over the first ten windows, and the most it has been seen to
+    // hold.
+    let mut early_forest: BTreeMap<usize, [usize; 6]> = BTreeMap::new();
+    let mut early_store: BTreeMap<usize, [usize; 3]> = BTreeMap::new();
+    let mut peak: BTreeMap<usize, Content> = BTreeMap::new();
     let (mut rss_early, mut checks, mut next_check) = (0.0f64, 0, FLEET_CHECK_EVERY);
-    // The fleet's PATH and PATTERN state in bytes, at window 10 and now.
-    let (mut bytes_early, mut bytes) = (0usize, 0usize);
-    let (mut pattern_bytes_early, mut pattern_bytes) = (0usize, 0usize);
-    let (mut sink_bytes_early, mut fleet_sink_bytes) = (0usize, 0usize);
+    let (mut bytes_early, mut bytes) = (FleetBytes::default(), FleetBytes::default());
     for batch in stream.sges().chunks(256) {
         live.ingest_batch(batch);
         for &id in &ids {
@@ -915,7 +1017,10 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             let p = peak.entry(node).or_default();
             p.trees = p.trees.max(held.forest.live_trees);
             p.nodes = p.nodes.max(held.forest.live_nodes);
-            p.edges = p.edges.max(held.adjacency.edges);
+        }
+        for (node, held) in live.store_censuses() {
+            let p = peak.entry(node).or_default();
+            p.edges = p.edges.max(held.edges);
         }
         let slide = live.now() / FLEET_SLIDE;
         if slide < next_check {
@@ -924,47 +1029,53 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
         next_check = slide + FLEET_CHECK_EVERY;
         live.purge_all(slide * FLEET_SLIDE);
         let window = slide * FLEET_SLIDE / FLEET_WINDOW;
+        // Sampled once per 256-edge batch, which spans several slides and
+        // purges, so not the true peak.
+        let loose = |p: Content| Content {
+            trees: 2 * p.trees + 16,
+            nodes: 2 * p.nodes + 16,
+            edges: 2 * p.edges + 16,
+        };
+        // Each footprint against its peak over the first ten windows.
+        let held_early = |at: &str, then: &[usize], now: &[usize]| {
+            for (i, (e, n)) in then.iter().zip(now).enumerate() {
+                assert!(
+                    *n <= 2 * e + 64,
+                    "{at}: size #{i} is {n}, it peaked at {e} in the first ten windows"
+                );
+            }
+        };
         let censuses = live.path_censuses();
         assert!(censuses.len() >= 4, "the fleet has PATH operators");
         for (node, c) in &censuses {
             let p = peak[node];
             let at = format!("operator {node}, window {window}");
-            let (f, a) = (&c.forest, &c.adjacency);
+            assert_eq!(c.adjacency, None, "{at}: an S-PATH reads edge stores");
             // Handles: every live entry has one, and an entry is rewritten
             // a bounded number of times while it is in the window.
-            assert_window_bounded(
-                &at,
-                c,
-                Content {
-                    // Sampled once per 256-edge batch, which spans several
-                    // slides and purges, so not the true peak.
-                    trees: 2 * p.trees + 16,
-                    nodes: 2 * p.nodes + 16,
-                    edges: 2 * p.edges + 16,
-                },
-                4 * (p.nodes + p.trees) + 64,
-                4 * p.edges + 64,
-            );
-            let now = footprint(c);
-            let then = early.entry(*node).or_default();
+            assert_forest_bounded(&at, &c.forest, loose(p), 4 * (p.nodes + p.trees) + 64);
+            let now = forest_footprint(&c.forest);
+            let then = early_forest.entry(*node).or_default();
             if window <= 10 {
-                for (e, n) in then.iter_mut().zip(now) {
-                    *e = (*e).max(n);
-                }
+                fold_max(then, now);
             } else {
-                for (i, (e, n)) in then.iter().zip(now).enumerate() {
-                    assert!(
-                        n <= 2 * e + 64,
-                        "{at}: size #{i} is {n}, it peaked at {e} in the first ten windows \
-                         ({f:?}, {a:?})"
-                    );
-                }
+                held_early(&at, then, &now);
             }
         }
-        bytes = censuses
-            .iter()
-            .map(|(_, c)| c.forest.reserved_bytes + c.adjacency.reserved_bytes)
-            .sum();
+        let stores = live.store_censuses();
+        assert!(!stores.is_empty(), "the fleet's S-PATHs read edge stores");
+        for (node, a) in &stores {
+            let p = peak[node];
+            let at = format!("store of node {node}, window {window}");
+            assert_store_bounded(&at, a, loose(p).edges, 4 * p.edges + 64);
+            let now = store_footprint(a);
+            let then = early_store.entry(*node).or_default();
+            if window <= 10 {
+                fold_max(then, now);
+            } else {
+                held_early(&at, then, &now);
+            }
+        }
         let patterns = live.pattern_censuses();
         assert!(!patterns.is_empty(), "the fleet has PATTERN operators");
         for (node, c) in &patterns {
@@ -972,46 +1083,27 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             assert_eq!((c.empty_rows, c.dedup_empty), (0, 0), "{at}: {c:?}");
             assert!(c.keys <= c.rows, "{at}: {c:?}");
         }
-        pattern_bytes = patterns.iter().map(|(_, c)| c.reserved_bytes).sum();
         for (root, c) in live.sink_censuses() {
             assert_eq!(c.dedup_empty, 0, "root sink {root}, window {window}: {c:?}");
         }
-        fleet_sink_bytes = sink_bytes(&live);
+        bytes = FleetBytes::of(&live);
         if window <= 10 {
             rss_early = rss_mb();
             bytes_early = bytes;
-            pattern_bytes_early = pattern_bytes;
-            sink_bytes_early = fleet_sink_bytes;
         } else {
-            assert!(
-                2 * bytes <= 3 * bytes_early,
-                "window {window}: PATH state reserves {bytes} B, {bytes_early} B at window 10"
-            );
-            assert!(
-                2 * pattern_bytes <= 3 * pattern_bytes_early,
-                "window {window}: PATTERN state reserves {pattern_bytes} B, \
-                 {pattern_bytes_early} B at window 10"
-            );
-            assert!(
-                2 * fleet_sink_bytes <= 3 * sink_bytes_early,
-                "window {window}: root sinks reserve {fleet_sink_bytes} B, \
-                 {sink_bytes_early} B at window 10"
-            );
+            for ((kind, now), (_, then)) in bytes.kinds().into_iter().zip(bytes_early.kinds()) {
+                assert!(
+                    2 * now <= 3 * then,
+                    "window {window}: {kind} state reserves {now} B, {then} B at window 10"
+                );
+            }
         }
         checks += 1;
     }
     assert!(checks >= 100, "{checks} checks");
     let rss_end = rss_mb();
-    println!(
-        "window 10: PATH reserved_bytes={bytes_early} \
-         PATTERN reserved_bytes={pattern_bytes_early} \
-         SINK reserved_bytes={sink_bytes_early} VmRSS={rss_early:.1} MB"
-    );
-    println!(
-        "end:       PATH reserved_bytes={bytes} \
-         PATTERN reserved_bytes={pattern_bytes} \
-         SINK reserved_bytes={fleet_sink_bytes} VmRSS={rss_end:.1} MB"
-    );
+    println!("window 10: {} VmRSS={rss_early:.1} MB", bytes_early.line());
+    println!("end:       {} VmRSS={rss_end:.1} MB", bytes.line());
     assert!(
         rss_early > 0.0 && rss_end <= rss_early + 24.0,
         "resident set grew from {rss_early:.1} MB (window 10) to {rss_end:.1} MB"

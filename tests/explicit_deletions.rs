@@ -141,3 +141,18 @@ fn delete_then_reinsert_is_idempotent() {
     engine.delete(e2);
     assert!(engine.answer_at(3).is_empty());
 }
+
+/// A host that suppresses duplicates cannot retract exactly, so a delete
+/// on one is refused loudly, in release builds too, instead of leaving
+/// wrong answers behind.
+#[test]
+#[should_panic(expected = "explicit deletions require suppress_duplicates = false")]
+fn delete_on_a_suppressing_host_panics() {
+    let mut host = MultiQueryEngine::new();
+    let program = parse_program("Ans(x, y) <- a+(x, y).").unwrap();
+    host.register(&SgqQuery::new(program, WindowSpec::sliding(100)));
+    let a = host.labels().get("a").unwrap();
+    let e = Sge::raw(1, 2, a, 0);
+    host.process(e);
+    host.delete(e);
+}
