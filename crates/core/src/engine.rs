@@ -225,9 +225,9 @@ impl Engine {
     }
 
     /// Processes one arriving sge, returning the newly emitted results
-    /// (clones of what was appended to [`Engine::results`]).
+    /// (what it appended to [`Engine::results`]).
     pub fn process(&mut self, sge: Sge) -> Vec<Sgt> {
-        self.emitted(Engine::results, |host| host.ingest(sge))
+        self.emitted(false, |host| host.ingest(sge))
     }
 
     /// Processes a batch of arriving sges as true **epochs** (the §7.3
@@ -247,7 +247,7 @@ impl Engine {
     /// [`Engine::process`] call at a time: identical coalesced coverage,
     /// with the chunking of emissions the only difference.
     pub fn process_batch(&mut self, batch: &[Sge]) -> Vec<Sgt> {
-        self.emitted(Engine::results, |host| host.ingest_batch(batch))
+        self.emitted(false, |host| host.ingest_batch(batch))
     }
 
     /// Processes one arriving sge carrying edge properties (the §8
@@ -255,7 +255,7 @@ impl Engine {
     /// FILTER operators evaluate against `props`; plain [`Engine::process`]
     /// tuples carry none, so such predicates reject them.
     pub fn process_with_props(&mut self, sge: Sge, props: sgq_types::PropMap) -> Vec<Sgt> {
-        self.emitted(Engine::results, |host| {
+        self.emitted(false, |host| {
             host.process_with_props(sge, props);
         })
     }
@@ -265,7 +265,7 @@ impl Engine {
     /// built with `suppress_duplicates = false`; see
     /// [`MultiQueryEngine::delete`] for the exactness contract.
     pub fn delete(&mut self, sge: Sge) -> Vec<Sgt> {
-        self.emitted(Engine::deleted_results, |host| {
+        self.emitted(true, |host| {
             host.delete(sge);
         })
     }
@@ -274,21 +274,23 @@ impl Engine {
     /// Pass the **same properties** as the insertion so the negative tuple
     /// passes the same attribute filters and cancels it exactly.
     pub fn delete_with_props(&mut self, sge: Sge, props: sgq_types::PropMap) -> Vec<Sgt> {
-        self.emitted(Engine::deleted_results, |host| {
+        self.emitted(true, |host| {
             host.delete_with_props(sge, props);
         })
     }
 
-    /// Runs `ingest` on the host and returns clones of what it appended to
-    /// `log` (the insert or the negative-tuple log).
-    fn emitted(
-        &mut self,
-        log: fn(&Engine) -> &[Sgt],
-        ingest: impl FnOnce(&mut MultiQueryEngine),
-    ) -> Vec<Sgt> {
-        let before = log(self).len();
+    /// Runs `ingest` on the host and returns what it appended to the
+    /// negative-tuple log when `deletes`, else to the insert log: the log
+    /// suffix from the position it ended at before, never the whole log.
+    fn emitted(&mut self, deletes: bool, ingest: impl FnOnce(&mut MultiQueryEngine)) -> Vec<Sgt> {
+        let (ins, del) = self.host.log_ends(self.query);
         ingest(&mut self.host);
-        log(self)[before..].to_vec()
+        if deletes {
+            // The engine never releases, so positions index the view.
+            self.deleted_results()[del..].to_vec()
+        } else {
+            self.host.results_from(self.query, ins)
+        }
     }
 
     /// Moves event time forward, purging state at every crossed slide
@@ -316,8 +318,9 @@ impl Engine {
         self.host.exec_stats()
     }
 
-    /// All result sgts emitted so far (insertions, in order).
-    pub fn results(&self) -> &[Sgt] {
+    /// All result sgts emitted so far (insertions, in order), built from
+    /// the result log.
+    pub fn results(&self) -> Vec<Sgt> {
         self.host.results(self.query)
     }
 
@@ -460,7 +463,7 @@ impl Engine {
     /// final state size.
     fn finish(&self, mut stats: RunStats, started: Instant) -> RunStats {
         stats.elapsed = started.elapsed();
-        stats.results = self.results().len() as u64;
+        stats.results = self.host.log_ends(self.query).0 as u64;
         stats.deletions = self.deleted_results().len() as u64;
         stats.peak_state = stats.peak_state.max(self.state_size());
         stats

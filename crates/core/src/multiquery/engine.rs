@@ -4,7 +4,7 @@ use super::canon::Canonicalizer;
 use super::chooser::{self, CostInputs, SubplanChoice};
 pub use super::registry::QueryId;
 use super::registry::{input_sgt, Emissions, Registration, Registry};
-use super::sink::{answer_at, SinkCensus};
+use super::sink::{answer_at, ResultRow, SinkCensus};
 use crate::algebra::SgaExpr;
 use crate::dataflow::Dataflow;
 use crate::engine::EngineOptions;
@@ -688,16 +688,29 @@ impl MultiQueryEngine {
         self.purge(watermark);
     }
 
-    /// All result sgts `id` has emitted so far (inserts, in order): a
-    /// view into its root's shared emission log from the query's join
-    /// point, tagged with the root's **canonical output label** (route-
-    /// once emission defers per-query answer tagging to
-    /// [`drain`](MultiQueryEngine::drain) / `process` pairs, which clone
-    /// anyway). On a host that calls
-    /// [`release_delivered`](MultiQueryEngine::release_delivered) the view
-    /// holds the retained tail only.
-    pub fn results(&self, id: QueryId) -> &[Sgt] {
-        self.registry.log(id).map_or(&[], |(results, _)| results)
+    /// All result sgts `id` has emitted so far (inserts, in order), built
+    /// from its root's shared result log from the query's join point on
+    /// and tagged with the root's **canonical output label** (route-once
+    /// emission defers per-query answer tagging to
+    /// [`drain`](MultiQueryEngine::drain) / `process` pairs). On a host
+    /// that calls
+    /// [`release_delivered`](MultiQueryEngine::release_delivered) they are
+    /// the retained tail only.
+    pub fn results(&self, id: QueryId) -> Vec<Sgt> {
+        self.registry.results_from(id, 0)
+    }
+
+    /// The result sgts `id` emitted at or after absolute log position
+    /// `from` (a [`log_ends`](MultiQueryEngine::log_ends) reading), as
+    /// [`results`](MultiQueryEngine::results) builds them.
+    pub(crate) fn results_from(&self, id: QueryId, from: usize) -> Vec<Sgt> {
+        self.registry.results_from(id, from)
+    }
+
+    /// Absolute `(insert, negative-tuple)` log lengths of `id`'s root: the
+    /// positions the next emissions take.
+    pub(crate) fn log_ends(&self, id: QueryId) -> (usize, usize) {
+        self.registry.log_lens(id).unwrap_or_default()
     }
 
     /// All negative result tuples `id` has emitted so far (a shared-log
@@ -718,13 +731,20 @@ impl MultiQueryEngine {
     /// The borrowing form of [`drain`](MultiQueryEngine::drain) for hosts
     /// that forward results instead of keeping them: visits `id`'s
     /// undelivered result inserts (`is_delete = false`) and then its
-    /// undelivered negative tuples (`true`), each in emission order, and
-    /// advances both cursors. Nothing is cloned, so the sgts carry the
-    /// root's canonical output label rather than the query's answer tag
-    /// (as in [`results`](MultiQueryEngine::results)).
-    pub fn for_each_undelivered(&mut self, id: QueryId, visit: impl FnMut(bool, &Sgt)) {
+    /// undelivered negative tuples (`true`), each in emission order, as
+    /// [`ResultRow`]s — the answer pair and its validity, what a RESULT
+    /// frame carries — and advances both cursors. Nothing is cloned or
+    /// built.
+    pub fn for_each_undelivered(&mut self, id: QueryId, visit: impl FnMut(bool, &ResultRow)) {
         let timed = self.opts.obs.timing();
         self.registry.for_each_undelivered(id, timed, visit);
+    }
+
+    /// How many rows the next
+    /// [`for_each_undelivered`](MultiQueryEngine::for_each_undelivered)
+    /// call for `id` visits.
+    pub fn undelivered(&self, id: QueryId) -> usize {
+        self.registry.undelivered(id)
     }
 
     /// Frees result-log history no reader can still need, so a forwarding
@@ -947,7 +967,7 @@ impl MultiQueryEngine {
             replay.ingest_epoch(epoch, now, |n, batch| {
                 if n == replay_root {
                     for d in batch.iter() {
-                        registry.sink_to(id, d.clone(), &opts);
+                        registry.sink_to(id, d, &opts);
                     }
                 }
             });

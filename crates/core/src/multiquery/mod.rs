@@ -43,4 +43,4 @@ pub use canon::Canonicalizer;
 pub use chooser::{CostBasis, SubplanChoice};
 pub use engine::MultiQueryEngine;
 pub use registry::QueryId;
-pub use sink::SinkCensus;
+pub use sink::{ResultRow, SinkCensus};

@@ -15,7 +15,7 @@
 
 use super::chooser::SubplanChoice;
 use super::sink::{
-    purge_coverage, sink_batch, sink_result, ResultLog, RootSink, SinkCensus, SinkScratch,
+    purge_coverage, sink_batch, sink_result, ResultRow, RootSink, SinkCensus, SinkScratch,
 };
 use crate::algebra::SgaExpr;
 use crate::engine::EngineOptions;
@@ -201,26 +201,38 @@ impl Registry {
     }
 
     /// `id`'s view of its root sink's logs: the retained `(inserts,
-    /// deletes)` from its join point on, tagged with the root's canonical
-    /// output label.
-    pub fn log(&self, id: QueryId) -> Option<(&[Sgt], &[Sgt])> {
-        let reg = self.entries.get(&id.0)?;
-        let sink = self.sinks.get(reg.root)?.as_ref()?;
+    /// deletes)` from its join point on, the negative tuples tagged with
+    /// the root's canonical output label.
+    pub fn log(&self, id: QueryId) -> Option<(&[ResultRow], &[Sgt])> {
+        let (reg, sink) = self.view(id)?;
         Some((sink.results.from(reg.base), sink.deleted.from(reg.base_del)))
+    }
+
+    /// `id`'s registration and its root sink.
+    fn view(&self, id: QueryId) -> Option<(&Registration, &RootSink)> {
+        let reg = self.entries.get(&id.0)?;
+        Some((reg, self.sinks.get(reg.root)?.as_ref()?))
+    }
+
+    /// `id`'s retained result inserts from absolute position `from` (or
+    /// its join point, if later) on, built as sgts tagged with the root's
+    /// canonical output label.
+    pub fn results_from(&self, id: QueryId, from: usize) -> Vec<Sgt> {
+        self.view(id).map_or_else(Vec::new, |(reg, sink)| {
+            sink.results.sgts_from(from.max(reg.base)).collect()
+        })
     }
 
     /// Absolute log lengths of `id`'s root sink.
     pub fn log_lens(&self, id: QueryId) -> Option<(usize, usize)> {
-        let reg = self.entries.get(&id.0)?;
-        let sink = self.sinks.get(reg.root)?.as_ref()?;
+        let (_, sink) = self.view(id)?;
         Some((sink.results.end(), sink.deleted.end()))
     }
 
     /// `id`'s emission accounting: what it emitted since its join point
     /// and how much of that its root's logs still hold.
     pub fn log_counts(&self, id: QueryId) -> Option<LogCounts> {
-        let reg = self.entries.get(&id.0)?;
-        let sink = self.sinks.get(reg.root)?.as_ref()?;
+        let (reg, sink) = self.view(id)?;
         let (results, deleted) = (&sink.results, &sink.deleted);
         Some(LogCounts {
             results: results.end() - reg.base,
@@ -229,43 +241,37 @@ impl Registry {
         })
     }
 
-    /// Advances one of `id`'s delivery cursors — the deleted-results
-    /// log's when `deletes`, else the insert log's — to the log end and
-    /// returns the entries it passed over.
-    fn take(&mut self, id: QueryId, deletes: bool) -> &[Sgt] {
-        let Some(reg) = self.entries.get_mut(&id.0) else {
-            return &[];
-        };
-        let Some(sink) = self.sinks.get(reg.root).and_then(|s| s.as_ref()) else {
-            return &[];
-        };
-        let (log, cursor) = if deletes {
-            (&sink.deleted, &mut reg.drained_del)
-        } else {
-            (&sink.results, &mut reg.drained)
-        };
-        let fresh = log.from(*cursor);
-        *cursor = log.end();
-        fresh
+    /// `id`'s registration, mutably, and its root sink.
+    fn sink_of(&mut self, id: QueryId) -> Option<(&mut Registration, &RootSink)> {
+        let reg = self.entries.get_mut(&id.0)?;
+        let sink = self.sinks.get(reg.root)?.as_ref()?;
+        Some((reg, sink))
+    }
+
+    /// How many results and negative tuples `id` has not been handed yet.
+    pub fn undelivered(&self, id: QueryId) -> usize {
+        self.view(id).map_or(0, |(reg, sink)| {
+            sink.results.from(reg.drained).len() + sink.deleted.from(reg.drained_del).len()
+        })
     }
 
     /// Drains `id`'s undelivered results (since the previous drain),
-    /// re-labelled to its answer tag. The projection cost is charged to
-    /// the routing phase under timing observability.
+    /// built as sgts re-labelled to its answer tag. The projection cost
+    /// is charged to the routing phase under timing observability.
     pub fn drain(&mut self, id: QueryId, timed: bool) -> Vec<Sgt> {
         let t0 = timed.then(Instant::now);
-        let Some(answer) = self.entries.get(&id.0).map(|reg| reg.answer) else {
+        let Some((reg, sink)) = self.sink_of(id) else {
             return Vec::new();
         };
-        let out = self
-            .take(id, false)
-            .iter()
-            .map(|s| {
-                let mut s = s.clone();
-                s.label = answer;
+        let out = sink
+            .results
+            .sgts_from(reg.drained)
+            .map(|mut s| {
+                s.label = reg.answer;
                 s
             })
             .collect();
+        reg.drained = sink.results.end();
         if let Some(t0) = t0 {
             self.route_nanos += t0.elapsed().as_nanos() as u64;
         }
@@ -274,20 +280,24 @@ impl Registry {
 
     /// The borrowing drain: visits `id`'s undelivered inserts
     /// (`is_delete = false`), then its undelivered negative tuples
-    /// (`true`), each in emission order, advancing both cursors. The
-    /// sgts are the log's own — tagged with the root's canonical output
-    /// label, not re-labelled — so nothing is cloned.
+    /// (`true`), each in emission order, as rows, advancing both cursors.
+    /// Nothing is cloned or built.
     pub fn for_each_undelivered(
         &mut self,
         id: QueryId,
         timed: bool,
-        mut visit: impl FnMut(bool, &Sgt),
+        mut visit: impl FnMut(bool, &ResultRow),
     ) {
         let t0 = timed.then(Instant::now);
-        for deletes in [false, true] {
-            self.take(id, deletes)
-                .iter()
-                .for_each(|s| visit(deletes, s));
+        if let Some((reg, sink)) = self.sink_of(id) {
+            for r in sink.results.from(reg.drained) {
+                visit(false, r);
+            }
+            for s in sink.deleted.from(reg.drained_del) {
+                visit(true, &ResultRow::of(s));
+            }
+            reg.drained = sink.results.end();
+            reg.drained_del = sink.deleted.end();
         }
         if let Some(t0) = t0 {
             self.route_nanos += t0.elapsed().as_nanos() as u64;
@@ -310,8 +320,23 @@ impl Registry {
                 cursors.min().unwrap_or(0)
             };
             let (ins, del) = (slowest(|r| r.drained), slowest(|r| r.drained_del));
-            released += release_prefix(&mut sink.results, ins, now)
-                + release_prefix(&mut sink.deleted, del, now);
+            let head = sink.results.head();
+            let n = expired_prefix(
+                sink.results.from(head),
+                ins.saturating_sub(head),
+                now,
+                |r| r.interval,
+            );
+            sink.results.release_to(head + n);
+            let head_del = sink.deleted.head();
+            let n_del = expired_prefix(
+                sink.deleted.from(head_del),
+                del.saturating_sub(head_del),
+                now,
+                |s| s.interval,
+            );
+            sink.deleted.release_to(head_del + n_del);
+            released += n + n_del;
         }
         released
     }
@@ -339,28 +364,19 @@ impl Registry {
         };
         let timed = opts.obs.timing();
         let t0 = timed.then(Instant::now);
-        let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
-        let (before_ins, before_del) = (results.len(), deleted.len());
-        sink_batch(
-            opts,
-            &mut sink.dedup,
-            results,
-            deleted,
-            batch,
-            &mut self.scratch,
-        );
+        let (before_ins, before_del) = (sink.results.end(), sink.deleted.end());
+        sink_batch(opts, sink, batch, &mut self.scratch);
         let t1 = timed.then(Instant::now);
         if let (Some(t0), Some(t1)) = (t0, t1) {
             self.dedup_nanos += t1.duration_since(t0).as_nanos() as u64;
         }
         if let Some((inserts, deletes)) = collect.as_mut() {
             for &(q, answer) in &sink.subscribers {
-                for s in &results[before_ins..] {
-                    let mut s = s.clone();
+                for mut s in sink.results.sgts_from(before_ins) {
                     s.label = answer;
                     inserts.push((QueryId(q), s));
                 }
-                for s in &deleted[before_del..] {
+                for s in sink.deleted.from(before_del) {
                     let mut s = s.clone();
                     s.label = answer;
                     deletes.push((QueryId(q), s));
@@ -374,15 +390,14 @@ impl Registry {
 
     /// Sinks an emission into one query's root sink (register-time
     /// catch-up replay).
-    pub fn sink_to(&mut self, id: QueryId, delta: Delta, opts: &EngineOptions) {
+    pub fn sink_to(&mut self, id: QueryId, delta: &Delta, opts: &EngineOptions) {
         let Some(reg) = self.entries.get(&id.0) else {
             return;
         };
         let Some(Some(sink)) = self.sinks.get_mut(reg.root) else {
             return;
         };
-        let (results, deleted) = (sink.results.tail(), sink.deleted.tail());
-        sink_result(opts, &mut sink.dedup, results, deleted, delta);
+        sink_result(opts, sink, delta);
     }
 
     /// How many registrations use node `n`.
@@ -423,8 +438,7 @@ impl Registry {
 
     /// What `id`'s root sink holds.
     pub fn sink_census(&self, id: QueryId) -> Option<SinkCensus> {
-        let reg = self.entries.get(&id.0)?;
-        Some(self.sinks.get(reg.root)?.as_ref()?.census())
+        Some(self.view(id)?.1.census())
     }
 
     /// Samples one epoch's observability for every registration: emission
@@ -486,16 +500,18 @@ impl LogCounts {
     }
 }
 
-/// Releases `log`'s prefix of entries below the `delivered` cursor that
-/// are expired at `now`; returns how many.
-fn release_prefix(log: &mut ResultLog, delivered: usize, now: Timestamp) -> usize {
-    let head = log.head();
-    let n = log.from(head)[..delivered.saturating_sub(head)]
+/// How many of a log's first `delivered` retained entries, in order, are
+/// expired at `now`: the prefix that may be released.
+fn expired_prefix<T>(
+    retained: &[T],
+    delivered: usize,
+    now: Timestamp,
+    interval: impl Fn(&T) -> Interval,
+) -> usize {
+    retained[..delivered]
         .iter()
-        .take_while(|s| s.interval.exp <= now)
-        .count();
-    log.release_to(head + n);
-    n
+        .take_while(|e| interval(e).exp <= now)
+        .count()
 }
 
 /// Per-query emission buffer: `(query, result)` pairs, as returned by

@@ -76,7 +76,7 @@ impl NegPathOp {
         let payload = if self.emit_paths {
             Payload::Path(t.path_to(node))
         } else {
-            Payload::Edge(t.edge(node).expect("non-root node has an edge"))
+            Payload::Edge(Edge::new(t.root, n.v, self.label))
         };
         out.push(Delta::Insert(Sgt::with_payload(
             t.root, n.v, self.label, n.interval, payload,

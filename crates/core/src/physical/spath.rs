@@ -36,8 +36,9 @@ pub struct SPathOp {
     label: Label,
     forest: Forest,
     /// Materialise full path payloads (R3). When false, results carry the
-    /// last derivation edge only — used by the path-materialisation
-    /// ablation bench.
+    /// derived edge `(root, v, label)` itself, as PATTERN and UNION
+    /// results do — the path-materialisation ablation, and every host
+    /// that forwards answer pairs only.
     emit_paths: bool,
     /// Accepting nodes improved during the current insert run, in
     /// first-improvement order (kept ordered for deterministic output).
@@ -146,7 +147,7 @@ impl SPathOp {
         let payload = if self.emit_paths {
             Payload::Path(t.path_to(node))
         } else {
-            Payload::Edge(t.edge(node).expect("non-root accepting node has an edge"))
+            Payload::Edge(Edge::new(t.root, n.v, self.label))
         };
         out.push(Delta::Insert(Sgt::with_payload(
             t.root, n.v, self.label, n.interval, payload,

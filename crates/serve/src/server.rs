@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, IoSlice, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -400,29 +400,39 @@ fn spawn_connection(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>) 
     Ok(())
 }
 
-/// A writer keeps its coalescing buffer across wakeups unless one burst
-/// grew it past this many bytes.
-const WRITER_BUF_KEEP: usize = 1 << 20;
-
 fn writer_loop(mut stream: TcpStream, outbox: Arc<Outbox>) {
     let mut taken = VecDeque::new();
-    let mut buf = Vec::new();
     while outbox.take_all(&mut taken) {
-        // Everything queued since the last wakeup goes out in one write.
-        buf.clear();
-        for e in taken.drain(..) {
-            buf.extend_from_slice(e.bytes());
-        }
-        if stream.write_all(&buf).is_err() {
+        // Everything queued since the last wakeup goes out in vectored
+        // writes straight from the entries: nothing is copied together.
+        let sent = write_entries(&mut stream, &taken);
+        taken.clear();
+        if sent.is_err() {
             outbox.close();
             break;
-        }
-        if buf.capacity() > WRITER_BUF_KEEP {
-            buf = Vec::new();
         }
     }
     let _ = stream.flush();
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Writes every entry's bytes, in order, with as few `writev`s as the
+/// writer takes: each call sends what it can of the remaining entries
+/// (a kernel takes at most `IOV_MAX` of them per call, and a full socket
+/// buffer fewer bytes), and the slices advance past what was sent.
+fn write_entries(w: &mut impl Write, entries: &VecDeque<Entry>) -> io::Result<()> {
+    let mut slices: Vec<IoSlice<'_>> = entries.iter().map(|e| IoSlice::new(e.bytes())).collect();
+    let mut rest = &mut slices[..];
+    IoSlice::advance_slices(&mut rest, 0); // skips leading empty entries
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn reader_loop(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>, outbox: Arc<Outbox>) {
@@ -888,21 +898,22 @@ impl EngineLoop {
     fn route_results(&mut self) {
         let mut evict: Vec<ConnId> = Vec::new();
         for (&id, sub) in self.subs.iter_mut() {
-            let mut chunk = Vec::new();
-            self.engine.for_each_undelivered(id, |delete, sgt| {
+            let undelivered = self.engine.undelivered(id);
+            if undelivered == 0 {
+                continue;
+            }
+            let mut chunk = Vec::with_capacity(undelivered * RESULT_FRAME_LEN);
+            self.engine.for_each_undelivered(id, |delete, row| {
                 encode_result_into(
                     &mut chunk,
                     id.0,
                     delete,
-                    sgt.src.0,
-                    sgt.trg.0,
-                    sgt.interval.ts,
-                    sgt.interval.exp,
+                    row.src.0,
+                    row.trg.0,
+                    row.interval.ts,
+                    row.interval.exp,
                 );
             });
-            if chunk.is_empty() {
-                continue;
-            }
             let Some(outbox) = self.conns.get(&sub.conn) else {
                 continue;
             };
@@ -1135,6 +1146,104 @@ mod tests {
         expect.extend(per_frame(4, &r[..3]));
         expect.extend(bye);
         assert_eq!(take_bytes(&outbox), Some(expect));
+    }
+
+    /// An outbox of `n` entries — control frames of 1 to 10 000 bytes and
+    /// result chunks of 1 to 40 frames, interleaved — and the bytes they
+    /// put on the socket, in order.
+    fn queued_entries(n: u64) -> (Arc<Outbox>, Vec<u8>) {
+        let outbox = Outbox::new();
+        let mut expect = Vec::new();
+        for i in 0..n {
+            if i % 3 == 0 {
+                let frame: Vec<u8> = (0..1 + i * 37 % 10_000).map(|b| (b ^ i) as u8).collect();
+                expect.extend_from_slice(&frame);
+                outbox.push_control(frame);
+            } else {
+                let bytes = chunk(i, &rows(1 + i % 40));
+                expect.extend_from_slice(&bytes);
+                assert_eq!(outbox.push_results(i, bytes, u32::MAX), 1 + i as usize % 40);
+            }
+        }
+        (outbox, expect)
+    }
+
+    /// The writer puts every entry on the socket, in order, with no
+    /// coalescing copy: 3 000 entries taken in one wakeup are more than
+    /// one `writev` accepts (`IOV_MAX` is 1 024 on Linux), and the ~7 MB
+    /// they hold, read back by a slow reader, overflow the socket buffers,
+    /// so writes come back short.
+    #[test]
+    fn writer_sends_every_entry_in_order_through_partial_writes() {
+        use std::io::Read;
+        let (outbox, expect) = queued_entries(3_000);
+        assert!(expect.len() > 6 << 20, "{} bytes", expect.len());
+        outbox.close(); // the writer takes everything queued, then stops
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut reader, _) = listener.accept().unwrap();
+        let writer = thread::spawn(move || writer_loop(stream, outbox));
+        let (mut got, mut buf) = (Vec::with_capacity(expect.len()), vec![0u8; 32 << 10]);
+        loop {
+            let n = reader.read(&mut buf).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&buf[..n]);
+            thread::sleep(Duration::from_millis(1));
+        }
+        writer.join().unwrap();
+        assert_eq!(got.len(), expect.len());
+        assert!(got == expect, "the byte stream differs from the entries");
+    }
+
+    /// A writer that takes at most `max` bytes per call, across as many
+    /// of the given slices as that spans: every call but the last ends
+    /// inside an entry or exactly on an entry boundary.
+    struct Trickle {
+        max: usize,
+        calls: usize,
+        out: Vec<u8>,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.max;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.out.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.max - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Partial vectored writes resume exactly where the last one stopped,
+    /// whether that is inside an entry or on a boundary.
+    #[test]
+    fn partial_vectored_writes_resume_where_they_stopped() {
+        let (outbox, expect) = queued_entries(200);
+        let mut taken = VecDeque::new();
+        assert!(outbox.take_all(&mut taken));
+        for max in [1, 45, 46, 1_000, 7_919] {
+            let mut w = Trickle {
+                max,
+                calls: 0,
+                out: Vec::new(),
+            };
+            write_entries(&mut w, &taken).unwrap();
+            assert!(w.out == expect, "max {max}: the byte stream differs");
+            assert_eq!(w.calls, expect.len().div_ceil(max), "max {max}");
+        }
     }
 
     /// A connect is taken when it arrives, not at the next look at the

@@ -151,7 +151,10 @@ mod tests {
         assert_eq!(p.label_sequence(), vec![Label(5), Label(7)]);
     }
 
+    /// The contiguity check is a `debug_assert!`: release builds have no
+    /// check to test.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn non_contiguous_paths_rejected_in_debug() {
         let _ = PathSeq::new(vec![e(1, 2, 0), e(9, 3, 0)]);

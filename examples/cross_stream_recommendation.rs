@@ -70,7 +70,7 @@ fn main() {
     let mut second_engine = Engine::from_query(&SgqQuery::new(second, WindowSpec::sliding(720)));
     let rec = second_engine.labels().get("rec").unwrap();
     // Re-ingest the first engine's results, ordered by their start time.
-    let mut results: Vec<Sgt> = engine.results().to_vec();
+    let mut results: Vec<Sgt> = engine.results();
     results.sort_by_key(|r| r.interval.ts);
     let mut seen = std::collections::BTreeSet::new();
     for r in &results {

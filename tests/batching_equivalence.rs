@@ -182,8 +182,8 @@ fn probe_times() -> Vec<u64> {
 
 fn check_engines_equal(tuple: &Engine, batched: &Engine) -> Result<(), TestCaseError> {
     prop_assert_eq!(
-        coverage(tuple.results()),
-        coverage(batched.results()),
+        coverage(&tuple.results()),
+        coverage(&batched.results()),
         "insert coverage"
     );
     prop_assert_eq!(
@@ -276,8 +276,8 @@ proptest! {
 
         for (ti, bi) in tuple_ids.iter().zip(&batched_ids) {
             prop_assert_eq!(
-                coverage(tuple.results(*ti)),
-                coverage(batched.results(*bi)),
+                coverage(&tuple.results(*ti)),
+                coverage(&batched.results(*bi)),
                 "per-query coverage"
             );
             for t in probe_times() {
@@ -667,7 +667,10 @@ fn tuple_dispatch_sweeps_every_delta_as_its_own_epoch() {
     assert_eq!(t.epochs, t.input_deltas, "one sweep per delivered delta");
     assert_eq!(c.epochs, 4, "ticks 0..20 at slide 6: four chunks");
     assert_eq!(t.max_epoch_input, 1);
-    assert_eq!(coverage(per_delta.results()), coverage(per_chunk.results()));
+    assert_eq!(
+        coverage(&per_delta.results()),
+        coverage(&per_chunk.results())
+    );
     for b in probe_times() {
         assert_eq!(per_delta.answer_at(b), per_chunk.answer_at(b), "t={b}");
     }

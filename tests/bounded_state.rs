@@ -28,7 +28,7 @@ use s_graffito::core::physical::spath::SPathOp;
 use s_graffito::core::physical::{PatternCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
 use s_graffito::datagen::{snb_stream, so_stream, SnbConfig, SoConfig};
-use s_graffito::multiquery::{MultiQueryEngine, QueryId, SinkCensus};
+use s_graffito::multiquery::{MultiQueryEngine, QueryId, ResultRow, SinkCensus};
 use s_graffito::prelude::*;
 use s_graffito::serve::client::Client;
 use s_graffito::serve::server::{ServeConfig, Server};
@@ -39,13 +39,22 @@ use s_graffito::types::{Delta, DeltaBatch, Interval, IntervalSet, Sge, VertexId}
 /// `(is_delete, src, trg, ts, exp)`.
 type Row = (bool, u64, u64, u64, u64);
 
-fn row(delete: bool, s: &Sgt) -> Row {
-    (delete, s.src.0, s.trg.0, s.interval.ts, s.interval.exp)
+fn row(delete: bool, r: &ResultRow) -> Row {
+    (delete, r.src.0, r.trg.0, r.interval.ts, r.interval.exp)
 }
 
 fn host(suppress_duplicates: bool) -> MultiQueryEngine {
     MultiQueryEngine::with_options(EngineOptions {
         suppress_duplicates,
+        ..Default::default()
+    })
+}
+
+/// A host configured like `sgq-serve`'s: RESULT frames carry answer
+/// pairs only, so no path is materialized.
+fn serve_host() -> MultiQueryEngine {
+    MultiQueryEngine::with_options(EngineOptions {
+        materialize_paths: false,
         ..Default::default()
     })
 }
@@ -58,9 +67,9 @@ fn route_live(live: &mut MultiQueryEngine, id: QueryId, out: &mut Vec<Row>) {
 /// `twin`'s side: inserts through `drain`, deletes through the caller's
 /// own cursor — in the order `for_each_undelivered` visits them.
 fn route_twin(twin: &mut MultiQueryEngine, id: QueryId, cursor: &mut usize, out: &mut Vec<Row>) {
-    out.extend(twin.drain(id).iter().map(|s| row(false, s)));
+    out.extend(twin.drain(id).iter().map(|s| row(false, &ResultRow::of(s))));
     let deleted = &twin.deleted_results(id)[*cursor..];
-    out.extend(deleted.iter().map(|s| row(true, s)));
+    out.extend(deleted.iter().map(|s| row(true, &ResultRow::of(s))));
     *cursor += deleted.len();
 }
 
@@ -352,7 +361,7 @@ fn late_twin_after_release_catches_up_on_live_results() {
     let valid = |log: &[Sgt]| -> Vec<Row> {
         log.iter()
             .filter(|s| s.interval.exp > now)
-            .map(|s| row(false, s))
+            .map(|s| row(false, &ResultRow::of(s)))
             .collect()
     };
     assert!(!valid(&live_catch_up).is_empty());
@@ -432,7 +441,7 @@ fn soak_retained_log_stays_within_the_window_bound() {
         workloads::query(1, Dataset::So),
         WindowSpec::new(SOAK_WINDOW, SOAK_SLIDE),
     );
-    let (mut live, mut twin) = (host(true), host(true));
+    let (mut live, mut twin) = (serve_host(), serve_host());
     let id = live.register(&q);
     assert_eq!(twin.register(&q), id);
     let a2q = live.labels().get("a2q").unwrap();
@@ -450,6 +459,9 @@ fn soak_retained_log_stays_within_the_window_bound() {
         live.release_delivered();
 
         let retained = live.results(id).len() + live.deleted_results(id).len();
+        for (root, c) in live.sink_censuses() {
+            assert_sink_bytes_bounded(&format!("t={}", live.now()), root, &c);
+        }
         let allowed = window.allowed(live.now(), live_rows.len() - before);
         assert!(
             retained <= allowed,
@@ -983,7 +995,7 @@ impl FleetBytes {
 #[test]
 #[ignore = "long soak; CI's check job runs it in release"]
 fn soak_fleet_path_state_and_rss_stop_growing() {
-    let mut live = host(true);
+    let mut live = serve_host();
     let ids: Vec<QueryId> = (1..=7)
         .map(|n| {
             live.register(&SgqQuery::new(
@@ -1085,6 +1097,7 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
         }
         for (root, c) in live.sink_censuses() {
             assert_eq!(c.dedup_empty, 0, "root sink {root}, window {window}: {c:?}");
+            assert_sink_bytes_bounded(&format!("window {window}"), root, &c);
         }
         bytes = FleetBytes::of(&live);
         if window <= 10 {
@@ -1345,12 +1358,41 @@ fn pattern_state_is_bounded_by_the_window_high_fanout_key() {
 const LOG_SLOTS_PER_RETAINED: usize = 3;
 const LOG_SLOTS_PER_LOG: usize = 4;
 
+/// One coverage-map bucket: an answer pair, its coverage and a control
+/// byte.
+const COVERAGE_BUCKET_BYTES: usize = std::mem::size_of::<((VertexId, VertexId), IntervalSet)>() + 1;
+/// Bytes a root sink may reserve per coverage pair it holds. A purge
+/// leaves at most four buckets' worth of capacity per pair (a map four
+/// times larger shrinks to twice its pairs); buckets are a power of two
+/// at most 7/8 full, and a set that spills to several intervals adds a
+/// small vector.
+const SINK_BYTES_PER_PAIR: usize = 6 * COVERAGE_BUCKET_BYTES;
+/// Bytes a root sink may reserve beyond its log slots and pairs: its
+/// subscriber list and the smallest table a map allocates.
+const SINK_BYTES_FIXED: usize = 8 * COVERAGE_BUCKET_BYTES;
+
+/// Holds a root sink's reserved bytes to a row per insert-log slot plus a
+/// fixed count per coverage pair: the insert log holds 32-byte rows, not
+/// sgts, and the coverage map is sized to its pairs, not to the most it
+/// ever held. For append-only hosts (their negative-tuple log is empty).
+fn assert_sink_bytes_bounded(at: &str, root: usize, c: &SinkCensus) {
+    let allowed = c.log_slots * std::mem::size_of::<ResultRow>()
+        + c.dedup_pairs * SINK_BYTES_PER_PAIR
+        + SINK_BYTES_FIXED;
+    assert!(
+        c.reserved_bytes <= allowed,
+        "{at}: root sink {root} reserves {} B, {allowed} B allowed: {c:?}",
+        c.reserved_bytes
+    );
+}
+
 /// A host that purges sink dedup state at every slide boundary, so after
 /// an ingest the last purge watermark is the slide boundary at or below
 /// `now`.
 fn purging_host() -> MultiQueryEngine {
     MultiQueryEngine::with_options(EngineOptions {
         purge_period: Some(SOAK_SLIDE),
+        materialize_paths: false,
         ..Default::default()
     })
 }
@@ -1401,6 +1443,7 @@ fn window_variant_sinks_hold_what_is_live() {
         let at = format!("t={}", live.now());
         for (root, c) in &censuses {
             assert_eq!(c.dedup_empty, 0, "{at}: root {root} {c:?}");
+            assert_sink_bytes_bounded(&at, *root, c);
         }
         let sum = |f: fn(&SinkCensus) -> usize| censuses.iter().map(|(_, c)| f(c)).sum::<usize>();
         let (pairs, retained, slots) = (
@@ -1473,8 +1516,52 @@ fn variant_churn_leaves_no_sink_state_behind() {
     live.purge_all(live.now());
     let end = sink_bytes(&live);
     assert_eq!(live.sink_censuses().len(), 1, "only the survivor's sink");
+    for (root, c) in live.sink_censuses() {
+        assert_sink_bytes_bounded("after the churn", root, &c);
+    }
     assert!(
         first_peak > 0 && 2 * end <= 3 * first_peak,
         "after {CYCLES} cycles the sinks reserve {end} B, {first_peak} B at the first cycle's peak"
+    );
+}
+
+/// A burst of distinct answer pairs, once expired and purged, gives its
+/// coverage table back: afterwards the sink reserves what its rows and
+/// live pairs need, not the burst's high-water table.
+#[test]
+fn a_purged_burst_of_pairs_gives_coverage_back() {
+    const BURST: u64 = 20_000;
+    let mut live = purging_host();
+    let id = live.register(&q1(SOAK_WINDOW));
+    let a2q = live.labels().get("a2q").unwrap();
+    let route = |live: &mut MultiQueryEngine, batch: &[Sge]| {
+        live.ingest_batch(batch);
+        live.for_each_undelivered(id, |_, _| {});
+        live.release_delivered();
+    };
+    let burst: Vec<Sge> = (0..BURST)
+        .map(|i| Sge::raw(2 * i, 2 * i + 1, a2q, 1))
+        .collect();
+    route(&mut live, &burst);
+    let [(_, peak)] = live.sink_censuses()[..] else {
+        panic!("one root sink");
+    };
+    assert!(peak.dedup_pairs >= BURST as usize, "{peak:?}");
+    // Two windows of a trickle: one edge per slide over a small vertex
+    // set, so few pairs stay live.
+    for slide in 1..=2 * SOAK_WINDOW / SOAK_SLIDE {
+        let t = slide * SOAK_SLIDE;
+        route(&mut live, &[Sge::raw(slide % 5, (slide + 1) % 5, a2q, t)]);
+    }
+    let [(root, end)] = live.sink_censuses()[..] else {
+        panic!("one root sink");
+    };
+    assert!(end.dedup_pairs < 50, "{end:?}");
+    assert_sink_bytes_bounded("after the burst", root, &end);
+    assert!(
+        end.reserved_bytes * 100 < peak.reserved_bytes,
+        "the sink reserves {} B after the burst expired, {} B at its peak",
+        end.reserved_bytes,
+        peak.reserved_bytes
     );
 }

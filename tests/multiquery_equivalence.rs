@@ -79,8 +79,8 @@ fn check_dataset(dataset: Dataset) {
 
     for (n, (id, engine)) in ids.iter().zip(&engines).enumerate() {
         assert_eq!(
-            coalesced(host.results(*id)),
-            coalesced(engine.results()),
+            coalesced(&host.results(*id)),
+            coalesced(&engine.results()),
             "{} Q{}: host vs dedicated engine emissions",
             dataset.name(),
             n + 1
@@ -158,8 +158,8 @@ fn engine_is_a_one_registration_host() {
                 );
                 assert_eq!(engine.exec_stats(), host.exec_stats(), "{what}");
                 assert_eq!(
-                    coalesced(engine.results()),
-                    coalesced(host.results(id)),
+                    coalesced(&engine.results()),
+                    coalesced(&host.results(id)),
                     "{what}"
                 );
                 assert_eq!(
@@ -212,8 +212,8 @@ fn sixteen_overlapping_queries_share_operators() {
 
     for (id, engine) in ids.iter().zip(&engines) {
         assert_eq!(
-            coalesced(host.results(*id)),
-            coalesced(engine.results()),
+            coalesced(&host.results(*id)),
+            coalesced(&engine.results()),
             "query {id} emissions diverge"
         );
     }
@@ -306,8 +306,8 @@ fn deregister_register_midstream_catches_up() {
 
     // Q2 was never touched: exact emission equality with its reference.
     assert_eq!(
-        coalesced(host.results(id2)),
-        coalesced(ref2.results()),
+        coalesced(&host.results(id2)),
+        coalesced(&ref2.results()),
         "continuously-registered query unaffected by churn"
     );
     // Q6 re-registered mid-stream: identical answers for every instant
@@ -406,8 +406,8 @@ fn late_twin_registration_seeds_full_history() {
         host.process(*sge);
     }
     assert_eq!(
-        coalesced(host.results(early)),
-        coalesced(host.results(late)),
+        coalesced(&host.results(early)),
+        coalesced(&host.results(late)),
         "late twin converges to the early twin's full history"
     );
 }
@@ -467,7 +467,7 @@ fn late_registration_above_warm_stateful_subplan_catches_up() {
     for sge in s6.sges() {
         ref6.process(*sge);
     }
-    assert_eq!(coalesced(host.results(id6)), coalesced(ref6.results()));
+    assert_eq!(coalesced(&host.results(id6)), coalesced(&ref6.results()));
 }
 
 /// Catch-up completeness is bounded by the retention horizon: a query
@@ -617,8 +617,8 @@ proptest! {
             ref_widest.process(*sge);
         }
         prop_assert_eq!(
-            coalesced(host.results(host_ids[widest])),
-            coalesced(ref_widest.results()),
+            coalesced(&host.results(host_ids[widest])),
+            coalesced(&ref_widest.results()),
             "widest variant's log at departure"
         );
 
@@ -638,8 +638,8 @@ proptest! {
                 dedicated.process(sge);
             }
             prop_assert_eq!(
-                coalesced(host.results(*si)),
-                coalesced(dedicated.results()),
+                coalesced(&host.results(*si)),
+                coalesced(&dedicated.results()),
                 "survivor window={} coverage",
                 windows[v]
             );
