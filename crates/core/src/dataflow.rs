@@ -42,27 +42,41 @@
 //!
 //! ## Edge stores
 //!
-//! S-PATH walks the window of its inputs (paper §6, Def. 22), and every
-//! S-PATH over the same input walks the same window. So the window content
+//! S-PATH walks the window of its inputs (paper §6, Def. 22), and a
+//! hash-join PATTERN probes the window of each leaf input (§6.2.2). Every
+//! reader over the same input reads the same window, so the window content
 //! is kept **once per input node**, in an [`EdgeStore`] that exists while
-//! at least one S-PATH reads that node:
+//! at least one S-PATH, or one PATTERN leaf with a join key, reads that
+//! node:
 //!
 //! * **Load.** When the node publishes an insert-only batch, its store
-//!   loads the batch and records the admitted edges ([`EpochLoad`]). Each
-//!   reader, at its own turn in the sweep, runs **one** frontier pass over
-//!   the loads of every input that published this epoch (load → ensure
-//!   trees → seed → expand).
+//!   loads the batch and records the admitted edges, with their intervals
+//!   from before ([`EpochLoad`]). Each S-PATH reader, at its own turn in
+//!   the sweep, runs **one** frontier pass over the loads of every input
+//!   that published this epoch (load → ensure trees → seed → expand). Each
+//!   PATTERN reader consumes its delivered batches in arrival order and
+//!   probes its leaves in the stores.
+//! * **Old and new views.** A PATTERN probes a port's store as stored
+//!   (`View::New`) once it has consumed that port's batch of the epoch,
+//!   and as before the store's last write (`View::Old`) while the batch
+//!   is still pending, so each join result is found once, when the last of
+//!   its inputs is consumed. Ports are taken in inbox arrival order, not
+//!   port order, and two ports over one store have separate views.
 //! * **Deletions.** A batch that also deletes (only a deletion epoch makes
 //!   one) is applied to the store run by run at publish time, and every
 //!   reader reads each run before the next is applied — after first
 //!   reading the inputs that reached it earlier in the epoch, so each
-//!   reader sees its inputs in arrival order. Readers' output is held and
-//!   published at their turn, as usual.
+//!   reader sees its inputs in arrival order. A PATTERN reads a run on
+//!   each of its ports over the store in port order, the later ports in
+//!   their old view. Readers' output is held and published at their turn,
+//!   as usual.
 //! * **Purge.** A store is purged with its node in the purge walk.
-//! * **Lifetime.** A store is dropped with its last reader.
+//! * **Lifetime.** A store is dropped with its last reader, of either kind.
 //!
-//! Input `i` of a PATH feeds its port `i`, which names the store a
-//! delivered batch was loaded into.
+//! Input `i` of a PATH or PATTERN feeds its port `i`, which names the
+//! store a delivered batch was loaded into. A one-input PATTERN (a
+//! projection), a PATTERN leaf without a join key, the WCOJ PATTERN and
+//! the negative-tuple PATH read no store.
 //!
 //! There is one execution path: this serial sweep for epochs and a serial
 //! walk in node order for purges. [`EngineOptions::workers`],
@@ -74,9 +88,9 @@ use crate::engine::{EngineOptions, PathImpl, PatternImpl};
 use crate::metrics::ExecStats;
 use crate::obs::{fmt_nanos, ObsLevel, OpStats, OperatorSnapshot, TraceEvent, TraceSink};
 use crate::physical::adjacency::{
-    runs, AdjEntry, AdjacencyCensus, EdgeStore, EpochLoad, Run, WindowGraph,
+    runs, AdjEntry, AdjacencyCensus, EdgeStore, EpochLoad, Run, View, WindowGraph,
 };
-use crate::physical::pattern::{CompiledPattern, PatternOp};
+use crate::physical::pattern::{CompiledPattern, LeafStores, PatternOp};
 use crate::physical::simple::{FilterOp, UnionOp, WScanOp};
 use crate::physical::wcoj::WcojPatternOp;
 use crate::physical::{negpath::NegPathOp, spath::SPathOp, Delta, DeltaBatch, PhysicalOp};
@@ -90,32 +104,60 @@ pub struct DataflowNode {
     pub op: Box<dyn PhysicalOp>,
     /// Downstream edges as `(node, port)`.
     pub succs: Vec<(usize, usize)>,
-    /// For an S-PATH, the nodes whose edge stores it reads, by port;
-    /// empty for every other operator.
-    pub reads: Vec<usize>,
+    /// For an S-PATH or a PATTERN, by port, the node whose edge store the
+    /// port reads (`None` for a PATTERN leaf kept in a table); empty for
+    /// every other operator, and for a PATTERN that reads no store.
+    pub reads: Vec<Option<usize>>,
+}
+
+/// The store node `u`'s port reads.
+fn read_store(stores: &[Option<EdgeStore>], u: Option<usize>) -> &EdgeStore {
+    stores[u.expect("the port reads a store")]
+        .as_ref()
+        .expect("a read node keeps its store")
 }
 
 /// The window graph of one S-PATH node: the stores of the nodes it reads,
 /// each read for the label its node publishes.
 struct Inputs<'a> {
     stores: &'a [Option<EdgeStore>],
-    reads: &'a [usize],
+    reads: &'a [Option<usize>],
 }
 
 impl Inputs<'_> {
     fn store(&self, l: Label) -> Option<&EdgeStore> {
         self.reads
             .iter()
-            .filter_map(|&u| self.stores[u].as_ref())
+            .filter_map(|&u| self.stores[u?].as_ref())
             .find(|s| s.label() == l)
     }
 
     /// The load the batch on `port` left in its store.
     fn load(&self, port: usize) -> &EpochLoad {
-        self.stores[self.reads[port]]
-            .as_ref()
-            .expect("a read node keeps its store")
-            .epoch_load()
+        read_store(self.stores, self.reads[port]).epoch_load()
+    }
+}
+
+/// The leaves of one PATTERN node: the stores of the nodes it reads, by
+/// port, each read in its old view while `pending` says the port's batch
+/// is not consumed yet.
+struct Leaves<'a, P> {
+    stores: &'a [Option<EdgeStore>],
+    reads: &'a [Option<usize>],
+    pending: P,
+}
+
+impl<P: Fn(usize) -> bool> LeafStores for Leaves<'_, P> {
+    fn store(&self, port: usize) -> &EdgeStore {
+        read_store(self.stores, self.reads[port])
+    }
+
+    fn view(&self, port: usize) -> View {
+        if (self.pending)(port) {
+            View::Old
+        } else {
+            View::New
+        }
     }
 }
 
@@ -131,7 +173,8 @@ impl WindowGraph for Inputs<'_> {
 
 /// The S-PATH behind a node that reads edge stores.
 fn spath(op: &mut Box<dyn PhysicalOp>) -> &mut SPathOp {
-    op.as_spath_mut().expect("only an S-PATH reads edge stores")
+    op.as_spath_mut()
+        .expect("a store reader other than a PATTERN is an S-PATH")
 }
 
 /// A shared physical operator graph.
@@ -146,10 +189,10 @@ pub struct Dataflow {
     /// Input label → WSCAN source nodes fed by that label.
     sources: FxHashMap<Label, Vec<usize>>,
     /// Per-node edge stores (parallel to `nodes`): `Some` while an S-PATH
-    /// reads the node (see the module docs).
+    /// or a PATTERN leaf reads the node (see the module docs).
     stores: Vec<Option<EdgeStore>>,
-    /// Output of S-PATHs that read a batch with deletions at its publish,
-    /// held until their turn in the sweep. Empty between epochs.
+    /// Output of store readers that read a batch with deletions at its
+    /// publish, held until their turn in the sweep. Empty between epochs.
     held: FxHashMap<usize, DeltaBatch>,
     /// Structural-deduplication table: lowered expression → node.
     memo: FxHashMap<SgaExpr, usize>,
@@ -327,18 +370,23 @@ impl Dataflow {
             } => {
                 let children: Vec<usize> = inputs.iter().map(|i| self.lower_rec(i)).collect();
                 let spec = CompiledPattern::compile(inputs.len(), conditions, *output, *label);
-                let op: Box<dyn PhysicalOp> = match self.opts.pattern_impl {
-                    PatternImpl::HashTree => {
-                        Box::new(PatternOp::new(spec, self.opts.suppress_duplicates))
-                    }
-                    PatternImpl::Wcoj => {
-                        Box::new(WcojPatternOp::new(spec, self.opts.suppress_duplicates))
-                    }
-                };
+                let suppress = self.opts.suppress_duplicates;
+                let (op, reads): (Box<dyn PhysicalOp>, Vec<Option<usize>>) =
+                    match self.opts.pattern_impl {
+                        PatternImpl::HashTree => {
+                            let op = PatternOp::new(spec, suppress);
+                            let reads = (children.iter().enumerate())
+                                .map(|(port, &c)| op.reads_store(port).then_some(c))
+                                .collect();
+                            (Box::new(op), reads)
+                        }
+                        PatternImpl::Wcoj => (Box::new(WcojPatternOp::new(spec, suppress)), vec![]),
+                    };
                 let n = self.add(op);
-                for (port, c) in children.into_iter().enumerate() {
+                for (port, &c) in children.iter().enumerate() {
                     self.connect(c, n, port);
                 }
+                self.read_stores(n, inputs, reads);
                 n
             }
             SgaExpr::Path {
@@ -364,16 +412,29 @@ impl Dataflow {
                     self.connect(c, n, port);
                 }
                 if self.opts.path_impl == PathImpl::Direct {
-                    for (input, &c) in inputs.iter().zip(&children) {
-                        self.stores[c].get_or_insert_with(|| EdgeStore::new(input.output_label()));
-                    }
-                    self.nodes[n].reads = children;
+                    self.read_stores(n, inputs, children.into_iter().map(Some).collect());
                 }
                 n
             }
         };
         self.memo.insert(expr.clone(), n);
         n
+    }
+
+    /// Makes node `n` read, by port, the edge stores of `reads` (`None`
+    /// for a port it does not read from a store), creating each missing
+    /// store for the label its input publishes. A node with no such port
+    /// reads none.
+    fn read_stores(&mut self, n: usize, inputs: &[SgaExpr], reads: Vec<Option<usize>>) {
+        if reads.iter().all(Option::is_none) {
+            return;
+        }
+        for (input, &u) in inputs.iter().zip(&reads) {
+            if let Some(u) = u {
+                self.stores[u].get_or_insert_with(|| EdgeStore::new(input.output_label()));
+            }
+        }
+        self.nodes[n].reads = reads;
     }
 
     /// The set of nodes implementing `expr` (every subexpression's node).
@@ -421,8 +482,12 @@ impl Dataflow {
         }
         // A store goes with its last reader.
         let mut read = vec![false; self.nodes.len()];
-        for &u in self.nodes.iter().flat_map(|node| &node.reads) {
-            read[u] = true;
+        for u in self
+            .nodes
+            .iter()
+            .flat_map(|node| node.reads.iter().flatten())
+        {
+            read[*u] = true;
         }
         for (store, read) in self.stores.iter_mut().zip(read) {
             if !read {
@@ -624,14 +689,14 @@ impl Dataflow {
         op
     }
 
-    /// The S-PATH nodes reading node `u`'s edge store, in fan-out order
-    /// (none if `u` has no store).
+    /// The S-PATH and PATTERN nodes reading node `u`'s edge store, in
+    /// fan-out order, once per port (none if `u` has no store).
     pub(crate) fn store_readers(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
         self.nodes[u]
             .succs
             .iter()
             .map(|&(s, _)| s)
-            .filter(move |&s| self.nodes[s].reads.contains(&u))
+            .filter(move |&s| self.nodes[s].reads.contains(&Some(u)))
     }
 
     /// Removes and returns node `u`'s edge store (used to move a warmed
@@ -641,7 +706,7 @@ impl Dataflow {
     }
 
     /// Replaces node `u`'s edge store with `store`, warmed elsewhere for
-    /// the same input. `u` must have a store (an S-PATH reads it).
+    /// the same input. `u` must have a store (a reader reads it).
     pub(crate) fn adopt_store(&mut self, u: usize, store: EdgeStore) {
         let live = self.stores[u].as_mut().expect("adopting into a read node");
         debug_assert_eq!(live.label(), store.label());
@@ -671,8 +736,9 @@ impl Dataflow {
     /// `sink`. Successors whose inbox was empty join their level's ready
     /// list (levels are strictly increasing along edges, so a publish
     /// during the sweep always targets a level not yet reached). If S-PATHs
-    /// read `n`, its store loads the batch first; a batch with deletions is
-    /// read by them here, run by run ([`Dataflow::step_readers`]).
+    /// or PATTERNs read `n`, its store loads the batch first; a batch with
+    /// deletions is read by them here, run by run
+    /// ([`Dataflow::step_readers`]).
     fn publish(
         &mut self,
         n: usize,
@@ -698,7 +764,7 @@ impl Dataflow {
         for i in 0..self.nodes[n].succs.len() {
             let (succ, port) = self.nodes[n].succs[i];
             self.stats.fanout_deliveries += 1;
-            if stepped && self.nodes[succ].reads.contains(&n) {
+            if stepped && self.nodes[succ].reads.contains(&Some(n)) {
                 continue; // read in the step
             }
             self.enqueue(succ);
@@ -715,15 +781,17 @@ impl Dataflow {
     }
 
     /// Applies `batch`, which deletes, to `n`'s store run by run: each run
-    /// is applied once and read by every S-PATH over `n` before the next
-    /// run is applied. Each reader first reads what reached it earlier in
-    /// the epoch, so it sees its inputs in arrival order. The readers'
-    /// output is held for their turn in the sweep.
+    /// is applied once and read by every reader of `n` before the next run
+    /// is applied — by a PATTERN on each of its ports over `n`, in port
+    /// order. Each reader first reads what reached it earlier in the
+    /// epoch, so it sees its inputs in arrival order. The readers' output
+    /// is held for their turn in the sweep.
     fn step_readers(&mut self, n: usize, batch: &DeltaBatch, now: Timestamp) {
         let mut readers: Vec<usize> = self.store_readers(n).collect();
         readers.sort_unstable();
         readers.dedup();
         let mut outs = Vec::with_capacity(readers.len());
+        let mut ports = Vec::with_capacity(readers.len());
         for &r in &readers {
             self.enqueue(r);
             let mut out = match self.held.remove(&r) {
@@ -741,29 +809,57 @@ impl Dataflow {
             }
             self.inboxes[r] = segs; // keep the allocation
             outs.push(out);
+            let succs = self.nodes[n].succs.iter();
+            ports.push(
+                succs
+                    .filter(|&&(s, _)| s == r)
+                    .map(|&(_, p)| p)
+                    .collect::<Vec<_>>(),
+            );
         }
+        let mut at = 0;
         for run in runs(batch.as_slice()) {
             let started = self.opts.obs.timing().then(Instant::now);
             let store = self.stores[n].as_mut().expect("stepped nodes keep a store");
-            match run {
-                Run::Inserts(run) => store.load(run),
-                Run::Delete(s) => store.remove(s),
-            }
+            let len = match run {
+                Run::Inserts(run) => {
+                    store.load(run);
+                    run.len()
+                }
+                Run::Delete(s) => {
+                    store.remove(s);
+                    1
+                }
+            };
+            let deltas = &batch.as_slice()[at..at + len];
+            at += len;
             self.charge(n, started);
-            for (&r, out) in readers.iter().zip(&mut outs) {
+            for ((&r, out), ports) in readers.iter().zip(&mut outs).zip(&ports) {
                 let started = self.opts.obs.timing().then(Instant::now);
                 let DataflowNode { op, reads, .. } = &mut self.nodes[r];
-                let graph = Inputs {
-                    stores: &self.stores,
-                    reads,
-                };
                 let out = out.as_mut_vec();
-                match run {
-                    Run::Inserts(_) => {
-                        let load = graph.stores[n].as_ref().map(EdgeStore::epoch_load);
-                        spath(op).insert_pass(&graph, load.into_iter(), now, out);
+                if let Some(pattern) = op.as_pattern_mut() {
+                    for (i, &port) in ports.iter().enumerate() {
+                        let later = &ports[i + 1..];
+                        let leaves = Leaves {
+                            stores: &self.stores,
+                            reads,
+                            pending: |p| later.contains(&p),
+                        };
+                        pattern.consume(port, deltas, &leaves, out);
                     }
-                    Run::Delete(s) => spath(op).delete(&graph, s, now, out),
+                } else {
+                    let graph = Inputs {
+                        stores: &self.stores,
+                        reads,
+                    };
+                    match run {
+                        Run::Inserts(_) => {
+                            let load = graph.stores[n].as_ref().map(EdgeStore::epoch_load);
+                            spath(op).insert_pass(&graph, load.into_iter(), now, out);
+                        }
+                        Run::Delete(s) => spath(op).delete(&graph, s, now, out),
+                    }
                 }
                 self.charge(r, started);
             }
@@ -775,7 +871,9 @@ impl Dataflow {
     }
 
     /// Runs node `n` on delivered segments, appending to `out`: an
-    /// operator once per segment, an S-PATH once over all of them.
+    /// operator once per segment, a store-reading PATTERN once per segment
+    /// with the ports of later segments in their old view, an S-PATH once
+    /// over all of them.
     fn consume(
         &mut self,
         n: usize,
@@ -787,6 +885,16 @@ impl Dataflow {
         if reads.is_empty() {
             for (port, batch) in segs {
                 op.on_batch(*port, batch, now, out);
+            }
+        } else if let Some(pattern) = op.as_pattern_mut() {
+            for (i, (port, batch)) in segs.iter().enumerate() {
+                let later = &segs[i + 1..];
+                let leaves = Leaves {
+                    stores: &self.stores,
+                    reads,
+                    pending: |p| later.iter().any(|&(q, _)| q == p),
+                };
+                pattern.consume(*port, batch.as_slice(), &leaves, out.as_mut_vec());
             }
         } else if !segs.is_empty() {
             let graph = Inputs {
@@ -1337,6 +1445,220 @@ mod tests {
         assert_eq!(census(&flow, a).unwrap().edges, 2);
         flow.retire(&flow.nodes_of(&tail));
         assert!(flow.store_censuses().is_empty());
+    }
+
+    /// `d(x, z) <- a(x, y), b(y, z)` over WSCANs of `a` and `b` (window 10).
+    fn chain_pattern(a: Label, b: Label) -> SgaExpr {
+        use crate::algebra::Pos;
+        let scan = |label| SgaExpr::WScan {
+            label,
+            window: 10,
+            slide: 1,
+        };
+        SgaExpr::Pattern {
+            inputs: vec![scan(a), scan(b)],
+            conditions: vec![(Pos::trg(0), Pos::src(1))],
+            output: (Pos::src(0), Pos::trg(1)),
+            label: Label(7),
+        }
+    }
+
+    /// The census of node `u`'s store, if it has one.
+    fn store_census(flow: &Dataflow, u: usize) -> Option<AdjacencyCensus> {
+        flow.store_censuses()
+            .into_iter()
+            .find(|&(n, _)| n == u)
+            .map(|(_, c)| c)
+    }
+
+    #[test]
+    fn an_spath_and_a_pattern_over_one_input_share_its_store() {
+        let (plus, _, scan) = two_paths_over_one_scan();
+        let join = chain_pattern(Label(0), Label(1));
+        let mut flow = Dataflow::new(EngineOptions::default());
+        let (p, j) = (flow.lower(&plus), flow.lower(&join));
+        let a = flow.lookup(&scan).unwrap();
+        assert_eq!(flow.store_readers(a).collect::<Vec<_>>(), vec![p, j]);
+        assert_eq!(flow.store_censuses().len(), 2, "a's store and b's");
+        let epoch = [
+            edge(false, 1, 2, 0, 0),
+            edge(false, 2, 3, 0, 0),
+            edge(false, 2, 5, 1, 0),
+        ];
+        let mut joined = Vec::new();
+        flow.ingest_epoch(epoch, 0, |n, batch| {
+            if n == j {
+                joined.extend(batch.iter().map(|d| (d.sgt().src.0, d.sgt().trg.0)));
+            }
+        });
+        assert_eq!(joined, vec![(1, 5)]);
+        assert_eq!(store_census(&flow, a).unwrap().edges, 2, "loaded once");
+        let pattern = flow.pattern_censuses();
+        assert_eq!(pattern.len(), 1);
+        assert_eq!((pattern[0].1.rows, pattern[0].1.leaf_rows), (0, 0));
+        let text = flow.explain_expr(&join);
+        assert_eq!(text.matches("store_bytes=").count(), 2, "{text}");
+        // The store goes with its last reader, whichever kind that is.
+        flow.retire(&[p].into_iter().collect());
+        assert_eq!(store_census(&flow, a).unwrap().edges, 2);
+        flow.retire(&flow.nodes_of(&join));
+        assert!(flow.store_censuses().is_empty());
+        flow.lower(&plus);
+        let j = flow.lower(&join);
+        let a = flow.lookup(&scan).unwrap();
+        flow.retire(&[j].into_iter().collect());
+        assert!(store_census(&flow, a).is_some(), "the S-PATH still reads a");
+        flow.retire(&flow.nodes_of(&plus));
+        assert!(flow.store_censuses().is_empty());
+    }
+
+    #[test]
+    fn a_one_input_pattern_and_a_union_read_no_store() {
+        let mut flow = Dataflow::new(EngineOptions::default());
+        for (text, op) in [
+            ("Ans(y, x) <- a(x, y).", "PATTERN[1 inputs"),
+            ("Ans(x, y) <- a(x, y). Ans(x, y) <- b(x, y).", "UNION"),
+        ] {
+            let root = flow.lower(&plan(text).expr);
+            assert!(flow.nodes[root].op.name().starts_with(op), "{text}");
+            assert!(flow.nodes[root].reads.is_empty(), "{text}");
+        }
+        assert!(flow.store_censuses().is_empty());
+    }
+
+    #[test]
+    fn q5s_two_has_creator_ports_read_one_store() {
+        let p = plan(
+            "Ans(m1, m2) <- knows(x, y), hasCreator(m1, x), hasCreator(m2, y), \
+             replyOf(m2, m1).",
+        );
+        let mut flow = Dataflow::new(EngineOptions::default());
+        let root = flow.lower(&p.expr);
+        let hc = p.labels.get("hasCreator").unwrap();
+        let scan = (0..flow.len())
+            .find(|&n| flow.sources.get(&hc).is_some_and(|s| s.contains(&n)))
+            .unwrap();
+        let reads = &flow.nodes[root].reads;
+        assert_eq!(reads.len(), 4);
+        assert_eq!(reads.iter().filter(|&&u| u == Some(scan)).count(), 2);
+        assert_eq!(flow.store_censuses().len(), 3, "knows, hasCreator, replyOf");
+        assert_eq!(flow.store_readers(scan).collect::<Vec<_>>(), [root, root]);
+    }
+
+    /// `d(m1, m2) <- k(x, y), h(m1, x), h(m2, y), r(m2, m1)` — SNB Q5, with
+    /// two ports over the WSCAN of `h`.
+    fn q5(window: u64) -> SgaExpr {
+        use crate::algebra::Pos;
+        let scan = |label| SgaExpr::WScan {
+            label,
+            window,
+            slide: 1,
+        };
+        SgaExpr::Pattern {
+            inputs: vec![
+                scan(Label(0)),
+                scan(Label(1)),
+                scan(Label(1)),
+                scan(Label(2)),
+            ],
+            conditions: vec![
+                (Pos::src(0), Pos::trg(1)),
+                (Pos::trg(0), Pos::trg(2)),
+                (Pos::src(2), Pos::src(3)),
+                (Pos::src(1), Pos::trg(3)),
+            ],
+            output: (Pos::src(1), Pos::src(2)),
+            label: Label(7),
+        }
+    }
+
+    #[test]
+    fn store_backed_pattern_answers_like_wcoj_under_twin_ports_and_deletions() {
+        // Four vertices, so self-loops join one `h` edge with itself across
+        // the two ports; epochs mix inserts and deletes of live edges.
+        const W: u64 = 12;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        for suppress in [false, true] {
+            let mut live: Vec<sgq_types::Sgt> = Vec::new();
+            let mut epochs: Vec<(u64, Vec<(Label, Delta)>)> = Vec::new();
+            for now in 0..120u64 {
+                live.retain(|s| s.interval.exp > now);
+                let mut epoch = Vec::new();
+                for _ in 0..1 + next(6) {
+                    if !suppress && !live.is_empty() && next(4) == 0 {
+                        let s = live.swap_remove(next(live.len() as u64) as usize);
+                        epoch.push((s.label, Delta::Delete(s)));
+                        continue;
+                    }
+                    let label = Label(next(3) as u32);
+                    let (src, trg) = (sgq_types::VertexId(next(4)), sgq_types::VertexId(next(4)));
+                    if !suppress
+                        && live
+                            .iter()
+                            .any(|s| (s.src, s.trg, s.label) == (src, trg, label))
+                    {
+                        continue; // one live occurrence per edge
+                    }
+                    let s = sgq_types::Sgt::edge(
+                        src,
+                        trg,
+                        label,
+                        sgq_types::Interval::new(now, now + W),
+                    );
+                    if !suppress {
+                        live.push(s.clone());
+                    }
+                    epoch.push((label, Delta::Insert(s)));
+                }
+                epochs.push((now, epoch));
+            }
+            let answers = |pattern_impl| {
+                let mut flow = Dataflow::new(EngineOptions {
+                    suppress_duplicates: suppress,
+                    pattern_impl,
+                    ..Default::default()
+                });
+                let root = flow.lower(&q5(W));
+                let mut emitted: Vec<Delta> = Vec::new();
+                let mut out = Vec::new();
+                for (now, epoch) in &epochs {
+                    flow.ingest_epoch(epoch.iter().cloned(), *now, |n, batch| {
+                        if n == root {
+                            emitted.extend(batch.iter().cloned());
+                        }
+                    });
+                    let mut net: FxHashMap<(u64, u64), i64> = FxHashMap::default();
+                    for d in &emitted {
+                        let s = d.sgt();
+                        if s.interval.contains(*now) {
+                            *net.entry((s.src.0, s.trg.0)).or_default() +=
+                                if d.is_delete() { -1 } else { 1 };
+                        }
+                    }
+                    let mut at: Vec<(u64, u64)> = net
+                        .into_iter()
+                        .filter(|&(_, c)| c > 0)
+                        .map(|(p, _)| p)
+                        .collect();
+                    at.sort_unstable();
+                    out.push(at);
+                }
+                out
+            };
+            let (tree, wcoj) = (answers(PatternImpl::HashTree), answers(PatternImpl::Wcoj));
+            assert!(tree.iter().any(|a| !a.is_empty()), "suppress={suppress}");
+            assert!(
+                tree.iter().any(|a| a.iter().any(|&(m1, m2)| m1 == m2)),
+                "a self-join of one edge answers: suppress={suppress}"
+            );
+            assert_eq!(tree, wcoj, "suppress={suppress}");
+        }
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //!
 //! # Who holds it
 //!
-//! Every S-PATH over the same input reads the same window, so the
-//! dataflow keeps **one [`EdgeStore`] per input node** that at least one
-//! S-PATH reads (`crate::dataflow`): it is loaded once when the node
-//! publishes its epoch batch, purged once, and read by each of those
-//! S-PATHs through [`WindowGraph`]. The negative-tuple PATH (§6.2.3, the
-//! Table 3 baseline) keeps a private [`Adjacency`].
+//! Every S-PATH and every hash-join PATTERN over the same input reads the
+//! same window, so the dataflow keeps **one [`EdgeStore`] per input node**
+//! that at least one of them reads (`crate::dataflow`): it is loaded once
+//! when the node publishes its epoch batch, purged once, and read by each
+//! S-PATH through [`WindowGraph`] and by each PATTERN leaf through
+//! `EdgeStore::walk`. A PATTERN that has not yet consumed this epoch's
+//! batch of a port reads that port's store in its `View::Old`: the
+//! intervals from before the last write, which [`EpochLoad`] records. The
+//! negative-tuple PATH (§6.2.3, the Table 3 baseline) keeps a private
+//! [`Adjacency`].
 //!
 //! # Layout
 //!
@@ -56,32 +60,64 @@ use std::mem::size_of;
 // One row per window edge, its interval held once.
 const _: () = assert!(size_of::<EdgeRow>() <= 56);
 
-/// A store's record of its last load: the admitted edges of one insert
+/// A store's record of its last write: the admitted edges of one insert
 /// run (those whose stored interval actually changed) with their **final**
-/// coalesced intervals, in first-arrival order.
+/// coalesced intervals, in first-arrival order, and each one's interval
+/// from before the run (`None` for an edge the run created). A deletion
+/// records the one edge it touched the same way, or, if it dropped the
+/// edge, as the dropped edge with its interval before.
 ///
-/// Iterating [`EpochLoad::edges`] is the epoch-scoped incident-edge scan
-/// used to seed the bulk frontier: every tree node incident to one of
-/// these edges is a candidate expansion, and everything an epoch edge can
-/// reach transitively is discovered by the traversal itself (which walks
-/// the already-complete window graph).
+/// Iterating [`EpochLoad::edges`] after an insert run is the epoch-scoped
+/// incident-edge scan used to seed the bulk frontier: every tree node
+/// incident to one of these edges is a candidate expansion, and everything
+/// an epoch edge can reach transitively is discovered by the traversal
+/// itself (which walks the already-complete window graph). The intervals
+/// from before are what a PATTERN reads in its `View::Old`.
 #[derive(Debug, Default)]
 pub struct EpochLoad {
     edges: Vec<(Edge, Interval)>,
+    /// Parallel to `edges`: the stored interval before the write.
+    before: Vec<Option<Interval>>,
     index: FxHashMap<Edge, u32>,
+    /// An edge the write (a deletion) dropped, with its interval before.
+    dropped: Option<(Edge, Interval)>,
 }
 
 impl EpochLoad {
     /// Clears the scratch, keeping allocations.
     pub fn clear(&mut self) {
         self.edges.clear();
+        self.before.clear();
         self.index.clear();
+        self.dropped = None;
     }
 
     /// The admitted epoch edges with their final stored intervals, in
     /// first-arrival order.
     pub fn edges(&self) -> &[(Edge, Interval)] {
         &self.edges
+    }
+
+    /// `edge`'s interval before the write, or `now` (its stored interval)
+    /// if the write did not touch it.
+    pub(crate) fn before(&self, edge: &Edge, now: Option<Interval>) -> Option<Interval> {
+        match self.index.get(edge) {
+            Some(&i) => self.before[i as usize],
+            None => now,
+        }
+    }
+
+    /// Records a write of `edge` from `before` to `after`; a re-write of an
+    /// edge already recorded keeps its first `before`.
+    fn record(&mut self, edge: Edge, before: Option<Interval>, after: Interval) {
+        match self.index.get(&edge) {
+            Some(&i) => self.edges[i as usize].1 = after,
+            None => {
+                self.index.insert(edge, self.edges.len() as u32);
+                self.edges.push((edge, after));
+                self.before.push(before);
+            }
+        }
     }
 }
 
@@ -250,22 +286,34 @@ impl Adjacency {
         trg: VertexId,
         iv: Interval,
     ) -> Option<Interval> {
+        self.write(src, label, trg, iv).map(|(_, after)| after)
+    }
+
+    /// [`Adjacency::insert`], returning the stored interval before (`None`
+    /// for a new edge) and after the write.
+    fn write(
+        &mut self,
+        src: VertexId,
+        label: Label,
+        trg: VertexId,
+        iv: Interval,
+    ) -> Option<(Option<Interval>, Interval)> {
         if let Some(r) = self.find(src, label, trg) {
             let stored = &mut self.rows[r as usize].interval;
             if iv.ts >= stored.ts && iv.exp <= stored.exp {
                 return None; // covered
             }
-            let old_exp = stored.exp;
+            let before = *stored;
             *stored = if stored.meets(&iv) {
                 stored.hull(&iv) // coalesce (Def. 11)
             } else {
                 iv // the old disjoint interval is expired: replace
             };
             let stored = *stored;
-            if stored.exp != old_exp {
+            if stored.exp != before.exp {
                 self.expiry.register(stored.exp, r);
             }
-            return Some(stored);
+            return Some((Some(before), stored));
         }
         let r = self.alloc(EdgeRow {
             ends: [src, trg],
@@ -277,7 +325,7 @@ impl Adjacency {
         self.link_last(INC, r);
         self.edges += 1;
         self.expiry.register(iv.exp, r);
-        Some(iv)
+        Some((None, iv))
     }
 
     /// A slot for `row`, the free list first.
@@ -381,26 +429,24 @@ impl Adjacency {
         load: &mut EpochLoad,
     ) {
         for (src, label, trg, iv) in edges {
-            let Some(stored) = self.insert(src, label, trg, iv) else {
-                continue;
-            };
-            let edge = Edge::new(src, trg, label);
-            match load.index.get(&edge) {
-                Some(&i) => load.edges[i as usize].1 = stored,
-                None => {
-                    load.index.insert(edge, load.edges.len() as u32);
-                    load.edges.push((edge, stored));
-                }
+            if let Some((before, after)) = self.write(src, label, trg, iv) {
+                load.record(Edge::new(src, trg, label), before, after);
             }
         }
     }
 
     /// Removes `iv` from the stored edge (explicit deletion). The stored
     /// interval is truncated; if nothing remains the edge is dropped.
-    pub fn remove(&mut self, src: VertexId, label: Label, trg: VertexId, iv: Interval) {
-        let Some(r) = self.find(src, label, trg) else {
-            return;
-        };
+    /// Returns the stored interval before and after (empty if dropped), if
+    /// the edge was stored.
+    pub fn remove(
+        &mut self,
+        src: VertexId,
+        label: Label,
+        trg: VertexId,
+        iv: Interval,
+    ) -> Option<(Interval, Interval)> {
+        let r = self.find(src, label, trg)?;
         let stored = self.rows[r as usize].interval;
         // Keep the part of the stored interval outside [iv.ts, iv.exp);
         // keep the later piece if split.
@@ -411,12 +457,13 @@ impl Adjacency {
             self.swap_out(OUT, r);
             self.swap_out(INC, r);
             self.free_row(r);
-            return;
+            return Some((stored, keep));
         }
         self.rows[r as usize].interval = keep;
         if keep.exp != stored.exp {
             self.expiry.register(keep.exp, r);
         }
+        Some((stored, keep))
     }
 
     /// The stored interval of edge `(src, l, trg)`, if present.
@@ -548,14 +595,37 @@ impl WindowGraph for Adjacency {
     }
 }
 
+/// Which state of an [`EdgeStore`] a reader sees.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View {
+    /// As it was before the last write ([`EpochLoad`]): an edge the write
+    /// created is absent, one it changed has its interval from before, and
+    /// one a deletion dropped is still there.
+    Old,
+    /// As it is stored.
+    New,
+}
+
+/// One chain of an [`EdgeStore`], located once and walked by
+/// `EdgeStore::walk`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chain {
+    /// The direction whose chain this is.
+    d: usize,
+    /// The vertex the chain is keyed on.
+    v: VertexId,
+    /// Its first row, or [`NIL`].
+    first: u32,
+}
+
 /// The window content of one dataflow node's output, shared by every
-/// S-PATH that reads the node (see the module docs).
+/// S-PATH and hash-join PATTERN that reads the node (see the module docs).
 ///
 /// An insert-only batch is [loaded](EdgeStore::load) whole when the node
-/// publishes it, and each reader seeds its frontier from the recorded
-/// [`EpochLoad`]. A batch that also deletes is applied run by run
+/// publishes it, and each S-PATH reader seeds its frontier from the
+/// recorded [`EpochLoad`]. A batch that also deletes is applied run by run
 /// ([`runs`]), every reader reading each run before the next is applied,
-/// which is the order one S-PATH applying the batch alone would see.
+/// which is the order one reader applying the batch alone would see.
 #[derive(Debug)]
 pub struct EdgeStore {
     /// The label of what the node publishes.
@@ -592,14 +662,92 @@ impl EdgeStore {
         );
     }
 
-    /// What the last [`EdgeStore::load`] admitted.
+    /// What the last write recorded: the admitted edges of the last
+    /// [`EdgeStore::load`], or the edge the last [`EdgeStore::remove`]
+    /// touched.
     pub fn epoch_load(&self) -> &EpochLoad {
         &self.load
     }
 
-    /// Removes a deleted edge occurrence (explicit deletion, §6.2.5).
+    /// Removes a deleted edge occurrence (explicit deletion, §6.2.5),
+    /// replacing the recorded [`EpochLoad`] with the edge it touched.
     pub fn remove(&mut self, s: &Sgt) {
-        self.adj.remove(s.src, s.label, s.trg, s.interval);
+        self.load.clear();
+        let edge = Edge::new(s.src, s.trg, s.label);
+        match self.adj.remove(s.src, s.label, s.trg, s.interval) {
+            Some((before, after)) if after.is_empty() => self.load.dropped = Some((edge, before)),
+            Some((before, after)) => self.load.record(edge, Some(before), after),
+            None => {}
+        }
+    }
+
+    /// The out-chain of `src`: its edges in insertion order.
+    pub(crate) fn out_chain(&self, src: VertexId) -> Chain {
+        self.locate(OUT, src)
+    }
+
+    /// The in-chain of `trg`: its edges in insertion order.
+    pub(crate) fn in_chain(&self, trg: VertexId) -> Chain {
+        self.locate(INC, trg)
+    }
+
+    fn locate(&self, d: usize, v: VertexId) -> Chain {
+        let first = self
+            .adj
+            .head(d, v, self.label)
+            .map_or(NIL, |s| self.adj.index[d].row(s));
+        Chain { d, v, first }
+    }
+
+    /// The edges of `chain` as `view` sees them, as `(src, trg, interval)`
+    /// in chain order; in the old view an edge the last write dropped
+    /// comes last.
+    pub(crate) fn walk(
+        &self,
+        chain: Chain,
+        view: View,
+    ) -> impl Iterator<Item = (VertexId, VertexId, Interval)> + '_ {
+        let old = view == View::Old;
+        // Only an edge the last write touched reads differently when old.
+        let rewritten = old && !self.load.index.is_empty();
+        let mut cur = chain.first;
+        let rows = std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let row = &self.adj.rows[cur as usize];
+            cur = row.links[chain.d].next;
+            if cur == chain.first {
+                cur = NIL;
+            }
+            Some(row)
+        });
+        let dropped = self
+            .load
+            .dropped
+            .filter(|(e, _)| old && [e.src, e.trg][chain.d] == chain.v && e.label == self.label)
+            .map(|(e, iv)| (e.src, e.trg, iv));
+        rows.filter_map(move |row| {
+            let [src, trg] = row.ends;
+            let iv = if rewritten {
+                let edge = Edge::new(src, trg, row.label);
+                self.load.before(&edge, Some(row.interval))?
+            } else {
+                row.interval
+            };
+            Some((src, trg, iv))
+        })
+        .chain(dropped)
+    }
+
+    /// Whether `iv` of edge `(src, trg)`, an insert of the last load, was
+    /// covered by the edge's interval from before the load (so it derives
+    /// nothing new). An edge the load did not admit was covered.
+    pub(crate) fn was_covered(&self, src: VertexId, trg: VertexId, iv: Interval) -> bool {
+        let edge = Edge::new(src, trg, self.label);
+        self.load
+            .before(&edge, Some(iv))
+            .is_some_and(|b| b.ts <= iv.ts && iv.exp <= b.exp)
     }
 
     /// Drops the edges expired at `watermark`.

@@ -26,8 +26,9 @@ pub use sgq_types::{Delta, DeltaBatch, SharedDeltaBatch};
 
 /// A push-based physical operator.
 ///
-/// [`PhysicalOp::on_batch`] is how data enters an operator, S-PATH
-/// excepted (see [`PhysicalOp::as_spath_mut`]). The executor accumulates
+/// [`PhysicalOp::on_batch`] is how data enters an operator, S-PATH and
+/// a PATTERN with leaves in edge stores excepted (see
+/// [`PhysicalOp::as_spath_mut`] and [`PhysicalOp::as_pattern_mut`]). The executor accumulates
 /// each node's input deltas into per-port [`DeltaBatch`]es and calls it
 /// once per delivered batch; a single arriving tuple is a batch of one
 /// and runs the same code. `on_batch`
@@ -96,6 +97,14 @@ pub trait PhysicalOp: Send {
     /// [`spath::SPathOp::insert_pass`] and [`spath::SPathOp::delete`]
     /// instead of [`PhysicalOp::on_batch`].
     fn as_spath_mut(&mut self) -> Option<&mut spath::SPathOp> {
+        None
+    }
+
+    /// The hash-join PATTERN behind this operator, if it is one. Its leaf
+    /// inputs are views of the edge stores the dataflow keeps per input
+    /// node, so the dataflow drives a PATTERN that has such leaves through
+    /// `PatternOp::consume` instead of [`PhysicalOp::on_batch`].
+    fn as_pattern_mut(&mut self) -> Option<&mut pattern::PatternOp> {
         None
     }
 

@@ -41,6 +41,7 @@
 //! dedup pairs are filed and purged the same way. A purge therefore costs
 //! what expires, not what is held.
 
+use super::adjacency::{Chain, EdgeStore, View};
 use super::forest::ExpiryIndex;
 use super::row_index::{hash_words, RowIndex, NIL};
 use super::{Delta, DeltaBatch, PhysicalOp};
@@ -371,8 +372,10 @@ impl Table {
         }
     }
 
-    /// Adds this table's occupancy and bytes to `c` (walks every chain).
-    fn census(&self, c: &mut PatternCensus) {
+    /// Adds this table's occupancy and bytes to `c` (walks every chain);
+    /// `leaf` if it holds a leaf's rows.
+    fn census(&self, c: &mut PatternCensus, leaf: bool) {
+        let rows = c.rows;
         for first in self.keys.rows() {
             let mut r = first;
             loop {
@@ -385,6 +388,9 @@ impl Table {
                     break;
                 }
             }
+        }
+        if leaf {
+            c.leaf_rows += c.rows - rows;
         }
         c.row_slots += self.rows.len();
         c.keys += self.keys.len();
@@ -399,14 +405,169 @@ impl Table {
     }
 }
 
-/// What a hash-join PATTERN operator holds: its stage tables and its
-/// output dedup. Counted by a full scan — what `tests/bounded_state.rs`
-/// holds against the window, not a metric.
+/// A leaf read from the edge store behind its port: where its join key
+/// sits on the input edge.
+#[derive(Debug)]
+struct Leaf {
+    port: usize,
+    /// Positions of the join key in the leaf's layout (`[src, trg]`, or
+    /// `[x]` for a same-variable leaf).
+    key_pos: Vec<usize>,
+    /// Position in the key of the edge's source, if the key holds it.
+    src_at: Option<usize>,
+    /// Position in the key of the edge's target, if the key holds it.
+    trg_at: Option<usize>,
+    /// A same-variable leaf `a(x, x)`: one value, self-loops only.
+    self_loop: bool,
+}
+
+impl Leaf {
+    /// The chain of `store` holding `key`'s edges: the out-chain of a key
+    /// on the source (filtered by target when the key holds both), else
+    /// the in-chain.
+    fn chain(&self, store: &EdgeStore, key: &[VertexId]) -> Chain {
+        match (self.src_at, self.trg_at) {
+            (Some(i), _) => store.out_chain(key[i]),
+            (None, Some(i)) => store.in_chain(key[i]),
+            (None, None) => unreachable!("a leaf without a join key keeps a table"),
+        }
+    }
+
+    /// Calls `f(values, overlap)` for every edge of `chain` with `key`
+    /// whose interval in `view` overlaps `iv`, in chain order.
+    fn probe(
+        &self,
+        store: &EdgeStore,
+        chain: Chain,
+        view: View,
+        key: &[VertexId],
+        iv: Interval,
+        mut f: impl FnMut(&[VertexId], Interval),
+    ) {
+        // An out-chain holds every target of the source.
+        let trg = self.src_at.and(self.trg_at).map(|i| key[i]);
+        for (src, t, stored) in store.walk(chain, view) {
+            if trg.is_some_and(|trg| trg != t) {
+                continue;
+            }
+            let meet = stored.intersect(&iv);
+            if meet.is_empty() {
+                continue;
+            }
+            if self.self_loop {
+                f(&[src], meet);
+            } else {
+                f(&[src, t], meet);
+            }
+        }
+    }
+}
+
+/// One side of a join stage.
+#[derive(Debug)]
+enum JoinSide {
+    /// Bindings the operator holds: an intermediate side, or a leaf
+    /// without a join key.
+    Table(Table),
+    /// A leaf read from its port's edge store.
+    Leaf(Leaf),
+}
+
+impl JoinSide {
+    /// The side of input `port` with layout width `width` and join key
+    /// positions `key_pos`.
+    fn leaf(port: usize, width: usize, key_pos: Vec<usize>) -> JoinSide {
+        if key_pos.is_empty() {
+            return JoinSide::Table(Table::new(width, key_pos));
+        }
+        let at = |end: usize| key_pos.iter().position(|&p| p == end.min(width - 1));
+        JoinSide::Leaf(Leaf {
+            port,
+            src_at: at(0),
+            trg_at: at(1),
+            self_loop: width == 1,
+            key_pos,
+        })
+    }
+
+    fn key_pos(&self) -> &[usize] {
+        match self {
+            JoinSide::Table(t) => &t.key_pos,
+            JoinSide::Leaf(l) => &l.key_pos,
+        }
+    }
+}
+
+/// The other side of a stage, located for one join key: a table's first
+/// row of the key, or a leaf's chain in its store and the view it is read
+/// in.
+enum Probe<'a> {
+    Rows(&'a Table, u32),
+    Edges(&'a Leaf, &'a EdgeStore, Chain, View),
+}
+
+impl Probe<'_> {
+    /// Locates `key` (hash `hk`) on `side`.
+    fn locate<'a>(
+        side: &'a JoinSide,
+        key: &[VertexId],
+        hk: u64,
+        leaves: &'a dyn LeafStores,
+    ) -> Probe<'a> {
+        match side {
+            JoinSide::Table(t) => Probe::Rows(t, t.first(key, hk)),
+            JoinSide::Leaf(l) => {
+                let store = leaves.store(l.port);
+                Probe::Edges(l, store, l.chain(store, key), leaves.view(l.port))
+            }
+        }
+    }
+
+    /// Calls `f(values, overlap)` for every binding of `key` overlapping
+    /// `iv`, in arrival order.
+    fn run(&self, key: &[VertexId], iv: Interval, f: impl FnMut(&[VertexId], Interval)) {
+        match *self {
+            Probe::Rows(t, first) => t.probe(first, iv, f),
+            Probe::Edges(l, store, chain, view) => l.probe(store, chain, view, key, iv, f),
+        }
+    }
+}
+
+/// The edge stores a PATTERN's leaves read, by input port, and how each
+/// is read now (see the module docs).
+pub(crate) trait LeafStores {
+    /// The store of the node behind `port`.
+    fn store(&self, port: usize) -> &EdgeStore;
+    /// Which state of `port`'s store a probe sees.
+    fn view(&self, port: usize) -> View;
+}
+
+/// The stores of a pattern whose leaves all keep tables (one input, or
+/// no join key): there are none to read.
+struct NoStores;
+
+impl LeafStores for NoStores {
+    fn store(&self, _port: usize) -> &EdgeStore {
+        unreachable!("a keyed leaf reads its port's edge store (PatternOp::consume)")
+    }
+
+    fn view(&self, _port: usize) -> View {
+        View::New
+    }
+}
+
+/// What a hash-join PATTERN operator holds: its tables and its output
+/// dedup. Leaf rows are in the edge stores, which the dataflow counts
+/// (`Dataflow::store_censuses`). Counted by a full scan — what
+/// `tests/bounded_state.rs` holds against the window, not a metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternCensus {
-    /// Rows reachable from the key indexes of all stage tables (equals
+    /// Rows reachable from the key indexes of all tables (equals
     /// [`PhysicalOp::state_size`]).
     pub rows: usize,
+    /// Of `rows`, those of leaf tables: only a leaf without a join key
+    /// keeps one, so zero for every connected pattern.
+    pub leaf_rows: usize,
     /// Row slots ever allocated (live + free).
     pub row_slots: usize,
     /// Distinct join keys over all tables.
@@ -449,7 +610,7 @@ impl Work {
 pub struct PatternOp {
     spec: CompiledPattern,
     stages: Vec<StagePlan>,
-    state: Vec<(Table, Table)>, // (left, right) per stage
+    state: Vec<(JoinSide, JoinSide)>, // (left, right) per stage
     /// Output coalescing state (set semantics); bypassed for deletes.
     out_dedup: FxHashMap<(VertexId, VertexId), IntervalSet>,
     dedup_expiry: ExpiryIndex<(VertexId, VertexId)>,
@@ -460,7 +621,7 @@ pub struct PatternOp {
 }
 
 impl PatternOp {
-    /// Builds the operator, its left-deep stage plans and their tables.
+    /// Builds the operator, its left-deep stage plans and their sides.
     pub fn new(spec: CompiledPattern, suppress: bool) -> Self {
         let n = spec.input_vars.len();
         let leaf_layout = |i: usize| -> Vec<VarId> {
@@ -503,10 +664,12 @@ impl PatternOp {
                     None => (false, right_layout.iter().position(|x| x == v).unwrap()),
                 })
                 .collect();
-            state.push((
-                Table::new(layout.len(), left_key),
-                Table::new(right_layout.len(), right_key),
-            ));
+            let left = if i == 1 {
+                JoinSide::leaf(0, layout.len(), left_key)
+            } else {
+                JoinSide::Table(Table::new(layout.len(), left_key))
+            };
+            state.push((left, JoinSide::leaf(i, right_layout.len(), right_key)));
             layout = out_layout;
             stages.push(StagePlan { out_from });
         }
@@ -531,6 +694,16 @@ impl PatternOp {
             out_pos,
             suppress,
         }
+    }
+
+    /// Whether input `port` is read from the edge store of the node behind
+    /// it: every leaf with a join key. A one-input pattern has no leaves.
+    pub(crate) fn reads_store(&self, port: usize) -> bool {
+        let side = match port {
+            0 => self.state.first().map(|(left, _)| left),
+            p => self.state.get(p - 1).map(|(_, right)| right),
+        };
+        matches!(side, Some(JoinSide::Leaf(_)))
     }
 
     fn emit(&mut self, vals: &[VertexId], iv: Interval, delete: bool, out: &mut Vec<Delta>) {
@@ -581,6 +754,7 @@ impl PatternOp {
         mut stage: usize,
         mut works: Vec<Work>,
         mut buf: Vec<VertexId>,
+        leaves: &dyn LeafStores,
         out: &mut Vec<Delta>,
     ) {
         while !works.is_empty() {
@@ -590,7 +764,7 @@ impl PatternOp {
                 }
                 return;
             }
-            (works, buf) = self.level(stage, true, &works, &buf);
+            (works, buf) = self.level(stage, true, &works, &buf, leaves);
             stage += 1;
         }
     }
@@ -610,6 +784,7 @@ impl PatternOp {
         from_left: bool,
         works: &[Work],
         buf: &[VertexId],
+        leaves: &dyn LeafStores,
     ) -> (Vec<Work>, Vec<VertexId>) {
         let plan = &self.stages[stage];
         let suppress = self.suppress;
@@ -620,11 +795,12 @@ impl PatternOp {
             (right, left)
         };
         // Flat key buffer: key `i` lives at `key_buf[i*klen..(i+1)*klen]`.
-        let klen = own.key_pos.len();
+        let own_key = own.key_pos();
+        let klen = own_key.len();
         let mut key_buf: Vec<VertexId> = Vec::with_capacity(works.len() * klen);
         for w in works {
             let vals = w.vals(buf);
-            key_buf.extend(own.key_pos.iter().map(|&ki| vals[ki]));
+            key_buf.extend(own_key.iter().map(|&ki| vals[ki]));
         }
         let key_of = |i: usize| &key_buf[i * klen..(i + 1) * klen];
         let mut order: Vec<u32> = (0..works.len() as u32).collect();
@@ -640,17 +816,29 @@ impl PatternOp {
                 j += 1;
             }
             let hk = hash_vals(key.iter().copied());
-            let other_first = other.first(key, hk);
+            let probe = Probe::locate(other, key, hk, leaves);
             for &w_idx in &order[i..j] {
                 let w = &works[w_idx as usize];
                 let vals = w.vals(buf);
                 if w.delete {
-                    // Still probes the other side for its negative results.
-                    own.remove(hk, vals, w.iv);
-                } else if own.insert(key, hk, vals, w.iv, suppress).is_none() {
-                    continue; // fully covered: no new results possible
+                    // Still probes the other side for its negative results
+                    // (a leaf's store has removed the edge already).
+                    if let JoinSide::Table(t) = own {
+                        t.remove(hk, vals, w.iv);
+                    }
+                } else {
+                    let fresh = match own {
+                        JoinSide::Table(t) => t.insert(key, hk, vals, w.iv, suppress).is_some(),
+                        JoinSide::Leaf(l) => {
+                            let (src, trg) = (vals[0], vals[vals.len() - 1]);
+                            !suppress || !leaves.store(l.port).was_covered(src, trg, w.iv)
+                        }
+                    };
+                    if !fresh {
+                        continue; // fully covered: no new results possible
+                    }
                 }
-                other.probe(other_first, w.iv, |ovals, meet| {
+                let join = |ovals: &[VertexId], meet: Interval| {
                     let (lvals, rvals) = if from_left {
                         (vals, ovals)
                     } else {
@@ -670,31 +858,32 @@ impl PatternOp {
                         iv: meet,
                         delete: w.delete,
                     });
-                });
+                };
+                probe.run(key, w.iv, join);
             }
             i = j;
         }
         (next, next_buf)
     }
-}
 
-impl PhysicalOp for PatternOp {
-    fn name(&self) -> String {
-        format!(
-            "PATTERN[{} inputs → {:?}]",
-            self.spec.input_vars.len(),
-            self.spec.label
-        )
-    }
-
-    fn on_batch(&mut self, port: usize, batch: &DeltaBatch, _now: Timestamp, out: &mut DeltaBatch) {
+    /// Processes `deltas` arriving on `port`, in arrival order: one
+    /// delivered batch, or one run of a batch that deletes. A leaf port's
+    /// store must already hold them, and `leaves` say how every store is
+    /// read (see the module docs).
+    pub(crate) fn consume(
+        &mut self,
+        port: usize,
+        deltas: &[Delta],
+        leaves: &dyn LeafStores,
+        out: &mut Vec<Delta>,
+    ) {
         // Convert the port's deltas to leaf binding tuples in arrival
         // order, packed into one flat value buffer.
         let (sv, tv) = self.spec.input_vars[port];
         let leaf_len: u32 = if sv == tv { 1 } else { 2 };
-        let mut works: Vec<Work> = Vec::with_capacity(batch.len());
-        let mut buf: Vec<VertexId> = Vec::with_capacity(batch.len() * leaf_len as usize);
-        for d in batch.iter() {
+        let mut works: Vec<Work> = Vec::with_capacity(deltas.len());
+        let mut buf: Vec<VertexId> = Vec::with_capacity(deltas.len() * leaf_len as usize);
+        for d in deltas {
             let s = d.sgt();
             if s.interval.is_empty() {
                 continue;
@@ -720,7 +909,6 @@ impl PhysicalOp for PatternOp {
         if works.is_empty() {
             return;
         }
-        let out = out.as_mut_vec();
 
         if self.stages.is_empty() {
             // Single-input pattern: pure projection.
@@ -731,20 +919,50 @@ impl PhysicalOp for PatternOp {
         }
 
         if port == 0 {
-            self.run_levels(0, works, buf, out);
+            self.run_levels(0, works, buf, leaves, out);
         } else {
-            // Right arrivals at stage `port - 1`: insert and probe the left
-            // side (key-grouped), then run the joined tuples upward.
+            // Right arrivals at stage `port - 1`: probe the left side
+            // (key-grouped), then run the joined tuples upward.
             let stage = port - 1;
-            let (joined, jbuf) = self.level(stage, false, &works, &buf);
-            self.run_levels(stage + 1, joined, jbuf, out);
+            let (joined, jbuf) = self.level(stage, false, &works, &buf, leaves);
+            self.run_levels(stage + 1, joined, jbuf, leaves, out);
         }
+    }
+
+    fn tables(&self) -> impl Iterator<Item = (&Table, bool)> {
+        self.state.iter().enumerate().flat_map(|(stage, (l, r))| {
+            [(l, stage == 0), (r, true)]
+                .into_iter()
+                .filter_map(|(side, leaf)| match side {
+                    JoinSide::Table(t) => Some((t, leaf)),
+                    JoinSide::Leaf(_) => None,
+                })
+        })
+    }
+}
+
+impl PhysicalOp for PatternOp {
+    fn name(&self) -> String {
+        format!(
+            "PATTERN[{} inputs → {:?}]",
+            self.spec.input_vars.len(),
+            self.spec.label
+        )
+    }
+
+    /// Drives a pattern without keyed leaves (one input, or no join key);
+    /// the dataflow drives any other through `PatternOp::consume`.
+    fn on_batch(&mut self, port: usize, batch: &DeltaBatch, _now: Timestamp, out: &mut DeltaBatch) {
+        self.consume(port, batch.as_slice(), &NoStores, out.as_mut_vec());
     }
 
     fn purge(&mut self, watermark: Timestamp, _out: &mut Vec<Delta>) {
         for (l, r) in &mut self.state {
-            l.purge(watermark);
-            r.purge(watermark);
+            for side in [l, r] {
+                if let JoinSide::Table(t) = side {
+                    t.purge(watermark);
+                }
+            }
         }
         while let Some(due) = self.dedup_expiry.pop_due(watermark) {
             for pair in due {
@@ -759,7 +977,7 @@ impl PhysicalOp for PatternOp {
     }
 
     fn state_size(&self) -> usize {
-        self.state.iter().map(|(l, r)| l.live + r.live).sum()
+        self.tables().map(|(t, _)| t.live).sum()
     }
 
     fn pattern_census(&self) -> Option<PatternCensus> {
@@ -778,20 +996,104 @@ impl PhysicalOp for PatternOp {
                 + self.dedup_expiry.reserved_bytes(),
             ..Default::default()
         };
-        for (l, r) in &self.state {
-            l.census(&mut c);
-            r.census(&mut c);
+        for (t, leaf) in self.tables() {
+            t.census(&mut c, leaf);
         }
         Some(c)
+    }
+
+    fn as_pattern_mut(&mut self) -> Option<&mut PatternOp> {
+        Some(self)
     }
 }
 
 #[cfg(test)]
 pub(super) mod tests {
+    use super::super::adjacency::{runs, Run};
     use super::super::push_one;
     use super::super::wcoj::WcojPatternOp;
     use super::*;
     use crate::algebra::Pos;
+
+    /// A PATTERN and one edge store per input (input `i` publishing label
+    /// `i`), driven the way the dataflow drives a store and its reader: a
+    /// batch is applied to its port's store run by run, and the operator
+    /// reads each run before the next, every other store in its new view.
+    pub(crate) struct Solo {
+        pub(crate) op: PatternOp,
+        pub(crate) stores: Vec<EdgeStore>,
+    }
+
+    impl Solo {
+        pub(crate) fn new(spec: CompiledPattern, suppress: bool) -> Solo {
+            let stores = (0..spec.input_vars.len())
+                .map(|i| EdgeStore::new(Label(i as u32)))
+                .collect();
+            Solo {
+                op: PatternOp::new(spec, suppress),
+                stores,
+            }
+        }
+    }
+
+    struct Stored<'a>(&'a [EdgeStore]);
+
+    impl LeafStores for Stored<'_> {
+        fn store(&self, port: usize) -> &EdgeStore {
+            &self.0[port]
+        }
+
+        fn view(&self, _port: usize) -> View {
+            View::New
+        }
+    }
+
+    impl PhysicalOp for Solo {
+        fn name(&self) -> String {
+            self.op.name()
+        }
+
+        fn on_batch(
+            &mut self,
+            port: usize,
+            batch: &DeltaBatch,
+            _now: Timestamp,
+            out: &mut DeltaBatch,
+        ) {
+            let (batch, out) = (batch.as_slice(), out.as_mut_vec());
+            let mut at = 0;
+            for run in runs(batch) {
+                let len = match run {
+                    Run::Inserts(run) => {
+                        self.stores[port].load(run);
+                        run.len()
+                    }
+                    Run::Delete(s) => {
+                        self.stores[port].remove(s);
+                        1
+                    }
+                };
+                let leaves = Stored(&self.stores);
+                self.op.consume(port, &batch[at..at + len], &leaves, out);
+                at += len;
+            }
+        }
+
+        fn purge(&mut self, watermark: Timestamp, out: &mut Vec<Delta>) {
+            for store in &mut self.stores {
+                store.purge(watermark);
+            }
+            self.op.purge(watermark, out);
+        }
+
+        fn state_size(&self) -> usize {
+            self.op.state_size() + self.stores.iter().map(EdgeStore::size).sum::<usize>()
+        }
+
+        fn pattern_census(&self) -> Option<PatternCensus> {
+            self.op.pattern_census()
+        }
+    }
 
     fn sgt(src: u64, trg: u64, l: u32, ts: u64, exp: u64) -> Sgt {
         Sgt::edge(
@@ -806,7 +1108,7 @@ pub(super) mod tests {
     /// the hash-join tree and the WCOJ alternative to the same output.
     fn both(spec: CompiledPattern, suppress: bool) -> [Box<dyn PhysicalOp>; 2] {
         [
-            Box::new(PatternOp::new(spec.clone(), suppress)),
+            Box::new(Solo::new(spec.clone(), suppress)),
             Box::new(WcojPatternOp::new(spec, suppress)),
         ]
     }
@@ -1054,20 +1356,28 @@ pub(super) mod tests {
         }
     }
 
-    /// `d(x, y) ← a(x, y), b(x, y)`: the join key is the whole row, so a
+    /// `d(x, y) ← a(x, y), b(x, y), c(x, y)`: stage 1's left table holds
+    /// the bindings `a` and `b` share, keyed on the whole row, so a
     /// collision of row hashes is a collision of key hashes too.
-    fn same_pair(suppress: bool) -> PatternOp {
+    fn same_pair(suppress: bool) -> Solo {
         let spec = CompiledPattern::compile(
-            2,
-            &[(Pos::src(0), Pos::src(1)), (Pos::trg(0), Pos::trg(1))],
+            3,
+            &[
+                (Pos::src(0), Pos::src(1)),
+                (Pos::trg(0), Pos::trg(1)),
+                (Pos::src(0), Pos::src(2)),
+                (Pos::trg(0), Pos::trg(2)),
+            ],
             (Pos::src(0), Pos::trg(0)),
             Label(9),
         );
-        PatternOp::new(spec, suppress)
+        Solo::new(spec, suppress)
     }
 
-    fn census(op: &PatternOp) -> PatternCensus {
-        op.pattern_census().expect("hash-join PATTERN has a census")
+    fn census(op: &Solo) -> PatternCensus {
+        op.op
+            .pattern_census()
+            .expect("hash-join PATTERN has a census")
     }
 
     fn pairs(out: &[Delta]) -> Vec<(bool, u64, u64, Interval)> {
@@ -1098,10 +1408,21 @@ pub(super) mod tests {
                 (0, ins(a0, a1, 0, 0, 10), 0),
                 (0, ins(b0, b1, 0, 0, 20), 0),
                 (1, ins(a0, a1, 1, 0, 10), 0),
-                (1, ins(b0, b1, 1, 5, 20), 5),
+                (1, ins(b0, b1, 1, 0, 20), 0),
             ],
         );
+        assert!(out.is_empty(), "{out:?}");
+        let c = census(&op);
+        assert_eq!(
+            (c.rows, c.keys, c.empty_rows, c.leaf_rows),
+            (2, 2, 0, 0),
+            "{c:?}"
+        );
         // Probed: each binding meets only itself.
+        let out = feed(
+            &mut op,
+            vec![(2, ins(a0, a1, 2, 0, 10), 0), (2, ins(b0, b1, 2, 5, 20), 5)],
+        );
         assert_eq!(
             pairs(&out),
             vec![
@@ -1109,26 +1430,20 @@ pub(super) mod tests {
                 (false, b0, b1, Interval::new(5, 20)),
             ]
         );
-        let c = census(&op);
-        assert_eq!((c.rows, c.keys, c.empty_rows), (4, 4, 0), "{c:?}");
-        // Coalesced: extending `a` extends a's row and joins a's partner.
-        let out = feed(&mut op, vec![(0, ins(a0, a1, 0, 5, 15), 5)]);
+        // Coalesced: a binding met again lands in its own row.
+        let out = feed(&mut op, vec![(1, ins(a0, a1, 1, 5, 15), 5)]);
         assert_eq!(pairs(&out), vec![(false, a0, a1, Interval::new(5, 10))]);
-        assert_eq!(census(&op).rows, 4);
+        assert_eq!(census(&op).rows, 2);
         // A negative tuple on `b` retracts b's result and frees b's row only.
-        let out = feed(&mut op, vec![(1, Delta::Delete(sgt(b0, b1, 1, 5, 20)), 6)]);
+        let out = feed(&mut op, vec![(0, Delta::Delete(sgt(b0, b1, 0, 0, 20)), 6)]);
         assert_eq!(pairs(&out), vec![(true, b0, b1, Interval::new(5, 20))]);
         let c = census(&op);
-        assert_eq!((c.rows, c.keys, c.row_slots), (3, 3, 4), "{c:?}");
-        // Purged: a's right row expires at 10, a's left at 15, b's at 20.
+        assert_eq!((c.rows, c.keys, c.row_slots), (1, 1, 2), "{c:?}");
+        let out = feed(&mut op, vec![(2, ins(a0, a1, 2, 6, 30), 6)]);
+        assert_eq!(pairs(&out), vec![(false, a0, a1, Interval::new(6, 10))]);
+        // Purged: a's row expires at 10.
         op.purge(10, &mut Vec::new());
-        assert_eq!((census(&op).rows, op.state_size()), (2, 2));
-        op.purge(15, &mut Vec::new());
-        assert_eq!((census(&op).rows, op.state_size()), (1, 1));
-        let out = feed(&mut op, vec![(1, ins(b0, b1, 1, 16, 30), 16)]);
-        assert_eq!(pairs(&out), vec![(false, b0, b1, Interval::new(16, 20))]);
-        let out = feed(&mut op, vec![(1, ins(a0, a1, 1, 16, 30), 16)]);
-        assert!(out.is_empty(), "a's left row is gone: {out:?}");
+        assert_eq!((census(&op).rows, op.op.state_size()), (0, 0));
         op.purge(30, &mut Vec::new());
         let c = census(&op);
         assert_eq!((c.rows, c.keys, c.expiry_handles), (0, 0, 0), "{c:?}");
@@ -1145,7 +1460,7 @@ pub(super) mod tests {
                 (Pos::src(0), Pos::trg(1)),
                 Label(9),
             );
-            PatternOp::new(spec, true)
+            Solo::new(spec, true)
         });
         for (i, x) in [7u64, 1, 4, 9, 2].into_iter().enumerate() {
             let exp = 10 + 10 * (i as u64 % 2);
@@ -1154,7 +1469,7 @@ pub(super) mod tests {
         recycled.purge(10, &mut Vec::new());
         recycled.purge(20, &mut Vec::new());
         assert_eq!(recycled.state_size(), 0);
-        assert_eq!(census(&recycled).row_slots, 5);
+        assert_eq!(recycled.stores[0].census().row_slots, 5);
 
         let live: Vec<_> = [3u64, 8, 5, 1, 6, 2]
             .into_iter()
@@ -1201,7 +1516,7 @@ pub(super) mod tests {
             (Pos::src(0), Pos::trg(1)),
             Label(9),
         );
-        let mut op = PatternOp::new(spec, false);
+        let mut op = Solo::new(spec, false);
         let [inserts, deletes] = retractions();
         assert_eq!(feed(&mut op, inserts).len(), 5);
         let out = feed(&mut op, deletes);
@@ -1209,6 +1524,10 @@ pub(super) mod tests {
         assert_eq!(out.len(), 10);
         // Before any purge: no retraction left a slot behind.
         let c = census(&op);
-        assert_eq!((c.dedup_pairs, c.rows), (0, 1), "{c:?}");
+        assert_eq!(
+            (c.dedup_pairs, c.rows, op.stores[1].size()),
+            (0, 0, 1),
+            "{c:?}"
+        );
     }
 }

@@ -216,10 +216,11 @@ pub enum Message {
         count: u64,
     },
     /// `0x86` — one metrics snapshot as a JSONL document (the
-    /// `MetricsSnapshot::to_jsonl` shape).
+    /// `MetricsSnapshot::to_jsonl` shape, then a `"record":"memory"`
+    /// line).
     MetricsSnapshot {
         /// The JSONL text: one `"record":"exec"|"operator"|"query"`
-        /// object per line.
+        /// object per line, and last one `"record":"memory"` object.
         jsonl: String,
     },
     /// `0x87` — answers [`Message::Ping`] after the barrier completes.

@@ -710,7 +710,8 @@ impl EngineLoop {
             }
             Message::Metrics => {
                 self.flush_epoch();
-                let jsonl = self.engine.metrics_snapshot().to_jsonl();
+                let mut jsonl = self.engine.metrics_snapshot().to_jsonl();
+                jsonl.push_str(&memory_record(&self.engine));
                 self.send(conn, Message::MetricsSnapshot { jsonl });
             }
             Message::Shutdown => {
@@ -1028,6 +1029,47 @@ impl EngineLoop {
     }
 }
 
+/// The `"record":"memory"` line of a METRICS reply: the bytes the
+/// engine's S-PATH forests, edge stores, PATTERN tables and root sinks
+/// reserve, summed from their censuses, then the process's `VmHWM`,
+/// `RssAnon` and `RssFile` in bytes, each left out where
+/// `/proc/self/status` does not have it. The censuses are full scans, so
+/// this runs per METRICS frame, never per epoch.
+fn memory_record(engine: &MultiQueryEngine) -> String {
+    use std::fmt::Write as _;
+    let path: usize = (engine.path_censuses().iter())
+        .map(|(_, c)| c.reserved_bytes())
+        .sum();
+    let store: usize = (engine.store_censuses().iter())
+        .map(|(_, c)| c.reserved_bytes)
+        .sum();
+    let pattern: usize = (engine.pattern_censuses().iter())
+        .map(|(_, c)| c.reserved_bytes)
+        .sum();
+    let sink: usize = (engine.sink_censuses().iter())
+        .map(|(_, c)| c.reserved_bytes)
+        .sum();
+    let mut line = format!(
+        "{{\"record\":\"memory\",\"path_bytes\":{path},\"store_bytes\":{store},\
+         \"pattern_bytes\":{pattern},\"sink_bytes\":{sink}"
+    );
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    for (field, key) in [
+        ("VmHWM:", "vm_hwm_bytes"),
+        ("RssAnon:", "rss_anon_bytes"),
+        ("RssFile:", "rss_file_bytes"),
+    ] {
+        let kb = (status.lines())
+            .find_map(|l| l.strip_prefix(field))
+            .and_then(|v| v.split_whitespace().next()?.parse::<u64>().ok());
+        if let Some(kb) = kb {
+            let _ = write!(line, ",\"{key}\":{}", kb * 1024);
+        }
+    }
+    line.push_str("}\n");
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1270,6 +1312,57 @@ mod tests {
             "median connect + HELLO round trip {:.2} ms; sorted: {ms:.2?}",
             ms[10]
         );
+    }
+
+    /// The value of `"key":` in a JSON line, as an integer.
+    fn json_field(line: &str, key: &str) -> Option<u64> {
+        let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+        rest[..rest.find([',', '}'])?].parse().ok()
+    }
+
+    /// A METRICS reply ends with one memory line: the state bytes by kind
+    /// (a Q5 host that has joined some edges holds PATTERN bytes) and, on
+    /// Linux, the process's resident-set fields.
+    #[test]
+    fn metrics_reply_carries_a_memory_record() {
+        let server = Server::spawn(ServeConfig::default()).unwrap();
+        let mut c = Client::connect(server.addr()).unwrap();
+        c.hello("memory").unwrap();
+        let q5 = "Ans(m1, m2) <- knows(x, y), hasCreator(m1, x), hasCreator(m2, y), \
+                  replyOf(m2, m1).";
+        c.register(q5, 100, 10).unwrap();
+        let edge = |src, trg, label: &str, t| WireEdge {
+            delete: false,
+            src,
+            trg,
+            t,
+            label: label.to_string(),
+        };
+        c.batch(vec![
+            edge(1, 2, "knows", 1),
+            edge(10, 1, "hasCreator", 2),
+            edge(11, 2, "hasCreator", 3),
+            edge(11, 10, "replyOf", 4),
+        ])
+        .unwrap();
+        c.flush().unwrap();
+        let jsonl = c.metrics().unwrap();
+        let memory: Vec<&str> = (jsonl.lines())
+            .filter(|l| l.contains("\"record\":\"memory\""))
+            .collect();
+        assert_eq!(memory.len(), 1, "{jsonl}");
+        let line = memory[0];
+        assert!(json_field(line, "pattern_bytes").unwrap() > 0, "{line}");
+        assert!(json_field(line, "store_bytes").unwrap() > 0, "{line}");
+        assert!(json_field(line, "sink_bytes").is_some(), "{line}");
+        assert_eq!(json_field(line, "path_bytes"), Some(0), "{line}");
+        if std::path::Path::new("/proc/self/status").exists() {
+            for key in ["vm_hwm_bytes", "rss_anon_bytes", "rss_file_bytes"] {
+                assert!(json_field(line, key).unwrap() > 0, "{key}: {line}");
+            }
+        }
+        server.shutdown();
+        server.join();
     }
 
     /// `true` if `server.join()` returns within `limit`.

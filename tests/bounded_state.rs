@@ -20,10 +20,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use s_graffito::automata::Regex;
-use s_graffito::core::algebra::Pos;
+use s_graffito::core::algebra::{Pos, SgaExpr};
+use s_graffito::core::dataflow::Dataflow;
 use s_graffito::core::physical::adjacency::{runs, AdjacencyCensus, EdgeStore, Run};
 use s_graffito::core::physical::forest::ForestCensus;
-use s_graffito::core::physical::pattern::{CompiledPattern, PatternOp};
 use s_graffito::core::physical::spath::SPathOp;
 use s_graffito::core::physical::{PatternCensus, PhysicalOp};
 use s_graffito::datagen::workloads::{self, Dataset};
@@ -33,7 +33,7 @@ use s_graffito::prelude::*;
 use s_graffito::serve::client::Client;
 use s_graffito::serve::server::{ServeConfig, Server};
 use s_graffito::types::time::window_interval;
-use s_graffito::types::{Delta, DeltaBatch, Interval, IntervalSet, Sge, VertexId};
+use s_graffito::types::{Delta, Interval, IntervalSet, Sge, VertexId};
 
 /// One routed result as a subscriber sees it:
 /// `(is_delete, src, trg, ts, exp)`.
@@ -1075,7 +1075,10 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             }
         }
         let stores = live.store_censuses();
-        assert!(!stores.is_empty(), "the fleet's S-PATHs read edge stores");
+        assert!(
+            !stores.is_empty(),
+            "the fleet's S-PATHs and PATTERNs read edge stores"
+        );
         for (node, a) in &stores {
             let p = peak[node];
             let at = format!("store of node {node}, window {window}");
@@ -1093,6 +1096,7 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
         for (node, c) in &patterns {
             let at = format!("PATTERN operator {node}, window {window}");
             assert_eq!((c.empty_rows, c.dedup_empty), (0, 0), "{at}: {c:?}");
+            assert_eq!(c.leaf_rows, 0, "{at}: leaves are read from edge stores");
             assert!(c.keys <= c.rows, "{at}: {c:?}");
         }
         for (root, c) in live.sink_censuses() {
@@ -1124,8 +1128,8 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
 }
 
 // ---------------------------------------------------------------------
-// (f) operator state: PATTERN join tables and output dedup hold what the
-//     window holds
+// (f) operator state: PATTERN join tables, output dedup and leaf stores
+//     hold what the window holds
 // ---------------------------------------------------------------------
 
 /// What [`PATTERN_RESERVED_PER_ROW_BYTE`] is a multiple of: a join row of
@@ -1148,34 +1152,48 @@ const PATTERN_RESERVED_PER_ROW_BYTE: usize = 8;
 enum Shape {
     /// SNB Q5: `knows(x, y), hasCreator(m1, x), hasCreator(m2, y),
     /// replyOf(m2, m1) → (m1, m2)` — three stages, keys of width one and
-    /// two, the same `hasCreator` rows feeding two right tables.
+    /// two, two leaves reading the one `hasCreator` store.
     Q5,
     /// `a(x, y), b(y, z) → (x, z)` with most `a` edges into one hub `y`:
-    /// one key holding a window's worth of rows.
+    /// one key holding a window's worth of edges.
     HighFanout,
 }
 
-fn pattern_op(shape: Shape, suppress: bool) -> PatternOp {
-    let spec = match shape {
-        Shape::Q5 => CompiledPattern::compile(
-            4,
-            &[
+/// `shape`'s PATTERN over WSCANs (`OP_WINDOW`, `OP_SLIDE`) of its inputs,
+/// and the number of distinct inputs (Q5's two `hasCreator` leaves read
+/// input 1).
+fn pattern_expr(shape: Shape) -> (SgaExpr, usize) {
+    let scan = |input: u32| SgaExpr::WScan {
+        label: Label(input),
+        window: OP_WINDOW,
+        slide: OP_SLIDE,
+    };
+    let (ports, conditions, output, inputs) = match shape {
+        Shape::Q5 => (
+            vec![0, 1, 1, 2],
+            vec![
                 (Pos::src(0), Pos::trg(1)),
                 (Pos::trg(0), Pos::trg(2)),
                 (Pos::src(2), Pos::src(3)),
                 (Pos::src(1), Pos::trg(3)),
             ],
             (Pos::src(1), Pos::src(2)),
-            Label(9),
+            3,
         ),
-        Shape::HighFanout => CompiledPattern::compile(
-            2,
-            &[(Pos::trg(0), Pos::src(1))],
+        Shape::HighFanout => (
+            vec![0, 1],
+            vec![(Pos::trg(0), Pos::src(1))],
             (Pos::src(0), Pos::trg(1)),
-            Label(9),
+            2,
         ),
     };
-    PatternOp::new(spec, suppress)
+    let expr = SgaExpr::Pattern {
+        inputs: ports.into_iter().map(scan).collect(),
+        conditions,
+        output,
+        label: Label(9),
+    };
+    (expr, inputs)
 }
 
 /// Checks one post-purge census against the most rows and dedup pairs
@@ -1185,6 +1203,7 @@ fn assert_pattern_bounded(at: &str, c: &PatternCensus, peak: (usize, usize), wri
     let (rows, dedup) = peak;
     assert_eq!(c.empty_rows, 0, "{at}: an empty row outlived a purge");
     assert_eq!(c.dedup_empty, 0, "{at}: {c:?}");
+    assert_eq!(c.leaf_rows, 0, "{at}: leaves are read from edge stores");
     assert!(c.keys <= c.rows, "{at}: {c:?}");
     assert!(c.row_slots <= 2 * rows, "{at}: {c:?}, peak rows {rows}");
     let held = rows * PATTERN_ROW_BYTES + dedup * DEDUP_PAIR_BYTES;
@@ -1198,15 +1217,23 @@ fn assert_pattern_bounded(at: &str, c: &PatternCensus, peak: (usize, usize), wri
     );
 }
 
-/// Drives `shape` for `OP_WINDOWS` windows of inputs that mint vertex ids
-/// without end, in two epochs per slide; with `deletions` (suppression
-/// off, as in deletion pipelines) two of the window's edges per port are
-/// deleted per slide. After **every** purge the census is held against
-/// the most the operator has held, and no size at the end exceeds what
-/// the first ten windows reached by more than half (the joins are bursty:
+/// Drives `shape` through a dataflow for `OP_WINDOWS` windows of inputs
+/// that mint vertex ids without end, in two epochs per slide; with
+/// `deletions` (suppression off, as in deletion pipelines) two of the
+/// window's edges per input are deleted per slide. The PATTERN's tables
+/// hold the intermediate bindings and the edge stores its leaves read
+/// hold the inputs' edges. After **every** purge the PATTERN census is
+/// held against the most the operator has held and each store's against
+/// the most edges it has held, and no size at the end exceeds what the
+/// first ten windows reached by more than half (the joins are bursty:
 /// their content settles later than a PATH operator's).
 fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
-    let mut op = pattern_op(shape, !deletions);
+    let (expr, inputs) = pattern_expr(shape);
+    let mut flow = Dataflow::new(EngineOptions {
+        suppress_duplicates: !deletions,
+        ..Default::default()
+    });
+    flow.lower(&expr);
     let mut rng = 0x2545_f491_4f6c_dd1du64;
     let mut next = move |n: u64| {
         rng ^= rng << 13;
@@ -1217,15 +1244,14 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
     let mut minted = 1_000u64;
     // Messages of the last window (Q5's replies point at them).
     let mut messages: VecDeque<u64> = VecDeque::new();
-    let ports = match shape {
-        Shape::Q5 => 4,
-        Shape::HighFanout => 2,
-    };
-    let mut in_window: Vec<VecDeque<Sgt>> = vec![VecDeque::new(); ports];
-    let (mut peak, mut writes_before) = ((0, 0), 0);
+    let mut in_window: Vec<VecDeque<Sgt>> = vec![VecDeque::new(); inputs];
+    let (mut peak, mut peak_edges, mut writes_before) = ((0, 0), vec![0; inputs], 0);
     let mut writes = EmissionWindow::new(OP_WINDOW + OP_SLIDE);
-    let mut first_windows = [0usize; 5];
-    let mut last = [0usize; 5];
+    let mut edge_writes: Vec<EmissionWindow> = (0..inputs)
+        .map(|_| EmissionWindow::new(OP_WINDOW + OP_SLIDE))
+        .collect();
+    let mut first_windows = [0usize; 8];
+    let mut last = [0usize; 8];
     for slide in 0..OP_WINDOWS * OP_WINDOW / OP_SLIDE {
         let base = slide * OP_SLIDE;
         let mut edges: Vec<(usize, u64, u64)> = Vec::new();
@@ -1242,10 +1268,9 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
                     minted += 1;
                     let creator = person(next(OP_POPULATION));
                     edges.push((1, minted, creator));
-                    edges.push((2, minted, creator));
                     if !messages.is_empty() {
                         let parent = messages[next(messages.len() as u64) as usize];
-                        edges.push((3, minted, parent));
+                        edges.push((2, minted, parent));
                     }
                     messages.push_back(minted);
                 }
@@ -1267,67 +1292,94 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
                 }
             }
         }
-        let mut ops: Vec<(usize, Delta)> = Vec::new();
-        for (k, &(port, src, trg)) in edges.iter().enumerate() {
+        let mut ops: Vec<(Label, Delta)> = Vec::new();
+        for (k, &(input, src, trg)) in edges.iter().enumerate() {
             let t = base + k as u64 * OP_SLIDE / edges.len() as u64;
             let s = Sgt::edge(
                 VertexId(src),
                 VertexId(trg),
-                Label(port as u32),
+                Label(input as u32),
                 window_interval(t, OP_WINDOW, OP_SLIDE),
             );
-            in_window[port].push_back(s.clone());
-            ops.push((port, Delta::Insert(s)));
+            in_window[input].push_back(s.clone());
+            ops.push((s.label, Delta::Insert(s)));
+        }
+        // The most edges a store holds: a batch that deletes is applied
+        // run by run, so its inserts are all in before its deletions.
+        for (p, live) in peak_edges.iter_mut().zip(&in_window) {
+            *p = live.len().max(*p);
         }
         if deletions {
-            for (port, live) in in_window.iter_mut().enumerate() {
+            for live in &mut in_window {
                 for _ in 0..2 {
                     if let Some(victim) = live.remove(next(live.len() as u64 + 1) as usize) {
-                        ops.push((port, Delta::Delete(victim)));
+                        ops.push((victim.label, Delta::Delete(victim)));
                     }
                 }
             }
         }
         let cut = 1 + next(ops.len() as u64 - 1) as usize;
         for epoch in [&ops[..cut], &ops[cut..]] {
-            for port in 0..ports {
-                let mut batch = DeltaBatch::new();
-                for (_, d) in epoch.iter().filter(|(p, _)| *p == port) {
-                    batch.push(d.clone());
-                }
-                if !batch.is_empty() {
-                    op.on_batch(port, &batch, base, &mut DeltaBatch::new());
-                }
-            }
-            let c = op.pattern_census().unwrap();
+            flow.ingest_epoch(epoch.iter().cloned(), base, |_, _| {});
+            let (_, c) = flow.pattern_censuses()[0];
             peak = (peak.0.max(c.rows), peak.1.max(c.dedup_pairs));
         }
-        let c = op.pattern_census().unwrap();
+        let (_, c) = flow.pattern_censuses()[0];
         let writes = writes.allowed(base, c.interval_writes - writes_before);
         writes_before = c.interval_writes;
+        let edge_writes: Vec<usize> = (edge_writes.iter_mut().enumerate())
+            .map(|(input, w)| {
+                let label = Label(input as u32);
+                w.allowed(base, ops.iter().filter(|(l, _)| *l == label).count())
+            })
+            .collect();
 
         let watermark = base + OP_SLIDE;
-        op.purge(watermark, &mut Vec::new());
+        flow.purge(watermark, watermark, true, |_, _| {});
         for live in &mut in_window {
             while live.front().is_some_and(|s| s.interval.exp <= watermark) {
                 live.pop_front();
             }
         }
-        let c = op.pattern_census().unwrap();
+        let (_, c) = flow.pattern_censuses()[0];
         let at = format!("{shape:?} deletions={deletions} purge({watermark})");
         assert_pattern_bounded(&at, &c, peak, writes);
-        assert_eq!(c.rows, op.state_size(), "{at}");
-        last = [c.row_slots, c.keys, c.rows, c.dedup_pairs, c.expiry_handles];
+        let stores = flow.store_censuses();
+        assert_eq!(stores.len(), inputs, "{at}: one store per input");
+        let mut store_sizes = [0usize; 3];
+        // Stores in node order: the WSCANs of inputs 0, 1, ... in turn.
+        for (input, (_, a)) in stores.iter().enumerate() {
+            let at = format!("{at}, store of input {input}");
+            assert_store_bounded(&at, a, peak_edges[input], edge_writes[input]);
+            for (sum, size) in store_sizes.iter_mut().zip(store_footprint(a)) {
+                *sum += size;
+            }
+        }
+        let stored: usize = stores.iter().map(|(_, a)| a.edges).sum();
+        assert_eq!(c.rows + stored, flow.state_size(), "{at}");
+        let [a, b, c_] = store_sizes;
+        last = [
+            c.row_slots,
+            c.keys,
+            c.rows,
+            c.dedup_pairs,
+            c.expiry_handles,
+            a,
+            b,
+            c_,
+        ];
         if watermark <= 10 * OP_WINDOW {
             for (then, now) in first_windows.iter_mut().zip(last) {
                 *then = (*then).max(now);
             }
         }
     }
+    let intermediate = matches!(shape, Shape::Q5);
     assert!(
-        peak.0 > 0 && (deletions || peak.1 > 0),
+        (peak.0 > 0) == intermediate && (deletions || peak.1 > 0),
         "{shape:?}: {peak:?}"
     );
+    assert!(peak_edges.iter().all(|&p| p > 0), "{peak_edges:?}");
     for (i, (then, now)) in first_windows.iter().zip(last).enumerate() {
         assert!(
             2 * now <= 3 * then,
