@@ -397,7 +397,8 @@ impl Dataflow {
                 let children: Vec<usize> = inputs.iter().map(|i| self.lower_rec(i)).collect();
                 let op: Box<dyn PhysicalOp> = match self.opts.path_impl {
                     PathImpl::Direct => {
-                        let op = SPathOp::new(regex, *label);
+                        let op =
+                            SPathOp::new(regex, *label).retracting(!self.opts.suppress_duplicates);
                         Box::new(if self.opts.materialize_paths {
                             op
                         } else {

@@ -221,24 +221,27 @@ impl MultiQueryEngine {
             .purge_period
             .unwrap_or_else(|| slide.max(plan.window.size / 4).max(1));
         let node_count = nodes.len();
-        let id = self.registry.insert(Registration {
-            root,
-            nodes,
-            expr,
-            answer,
-            slide,
-            purge_period,
-            max_window,
-            base: 0,
-            base_del: 0,
-            drained: 0,
-            drained_del: 0,
-            choice,
-            latency_hist: Default::default(),
-            emission_hist: Default::default(),
-            obs_results: 0,
-            obs_deleted: 0,
-        });
+        let id = self.registry.insert(
+            Registration {
+                root,
+                nodes,
+                expr,
+                answer,
+                slide,
+                purge_period,
+                max_window,
+                base: 0,
+                base_del: 0,
+                drained: 0,
+                drained_del: 0,
+                choice,
+                latency_hist: Default::default(),
+                emission_hist: Default::default(),
+                obs_results: 0,
+                obs_deleted: 0,
+            },
+            self.opts.suppress_duplicates,
+        );
         self.recompute_schedule();
         if self.opts.suppress_duplicates {
             self.catch_up(id);
@@ -397,7 +400,7 @@ impl MultiQueryEngine {
     pub fn explain_analyze(&self, id: QueryId) -> Option<String> {
         let reg = self.registry.get(id)?;
         let log = self.registry.log_counts(id)?;
-        let sink = self.registry.sink_census(id)?;
+        let sink = self.registry.sink_census(id, self.now)?;
         let stats = self.flow.exec_stats();
         let mut out = format!(
             "== explain analyze {id} (obs={}) ==\n\
@@ -450,10 +453,11 @@ impl MultiQueryEngine {
         self.flow.store_censuses()
     }
 
-    /// Dedup pairs, log occupancy and reserved bytes of every live root
-    /// sink, by root node id (see [`SinkCensus`]).
+    /// Coverage pairs, log occupancy and reserved bytes of every live
+    /// root sink at the host's event time, by root node id (see
+    /// [`SinkCensus`]).
     pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
-        self.registry.sink_censuses()
+        self.registry.sink_censuses(self.now)
     }
 
     /// Aggregated frontier traversal counters of the live PATH operators
@@ -759,7 +763,10 @@ impl MultiQueryEngine {
     /// * expired at the host's event time (`interval.exp <= now()`), so
     ///   they contribute to no `answer_at(id, t)` with `t >= now()` and a
     ///   twin registering later could only ever have seen them as dead
-    ///   history.
+    ///   history — and, under duplicate suppression, no longer read by
+    ///   the root's coverage: older than the last sink purge and expired
+    ///   at its watermark, so a result goes at most one purge period
+    ///   later than its expiry.
     ///
     /// Afterwards [`results`](MultiQueryEngine::results),
     /// [`deleted_results`](MultiQueryEngine::deleted_results) and
@@ -967,7 +974,7 @@ impl MultiQueryEngine {
             replay.ingest_epoch(epoch, now, |n, batch| {
                 if n == replay_root {
                     for d in batch.iter() {
-                        registry.sink_to(id, d, &opts);
+                        registry.sink_to(id, d);
                     }
                 }
             });

@@ -9,14 +9,12 @@
 //! pass over the freshly appended log suffix. The old per-subscriber
 //! sinking was the dominant fleet-scaling tax.
 //!
-//! Each root sink owns its duplicate-suppression pair map, so a sink's
+//! Each root sink owns its duplicate-suppression coverage, so a sink's
 //! state lives and dies with its last subscription; nothing is shared
 //! between sinks that would outlive one.
 
 use super::chooser::SubplanChoice;
-use super::sink::{
-    purge_coverage, sink_batch, sink_result, ResultRow, RootSink, SinkCensus, SinkScratch,
-};
+use super::sink::{sink_batch, sink_result, ResultRow, RootSink, SinkCensus, SinkScratch};
 use crate::algebra::SgaExpr;
 use crate::engine::EngineOptions;
 use crate::obs::LogHistogram;
@@ -104,10 +102,11 @@ pub(crate) struct Registry {
 
 impl Registry {
     /// Inserts a registration, creating or joining its root's shared
-    /// sink. Under duplicate suppression every subscriber sees the root's
-    /// full history (`base = 0`); without it a late join starts cold at
-    /// the current log lengths.
-    pub fn insert(&mut self, mut reg: Registration) -> QueryId {
+    /// sink (`suppress`: a new sink suppresses duplicates). Under
+    /// duplicate suppression every subscriber sees the root's full history
+    /// (`base = 0`); without it a late join starts cold at the current log
+    /// lengths.
+    pub fn insert(&mut self, mut reg: Registration, suppress: bool) -> QueryId {
         let id = self.next;
         self.next += 1;
         let root = reg.root;
@@ -121,7 +120,7 @@ impl Registry {
                 reg.base_del = sink.deleted.end();
             }
             slot @ None => {
-                *slot = Some(RootSink::new((id, reg.answer)));
+                *slot = Some(RootSink::new((id, reg.answer), suppress));
             }
         }
         reg.drained = reg.base;
@@ -155,7 +154,7 @@ impl Registry {
 
     /// Removes a registration; returns it together with the nodes no
     /// remaining registration references (to be retired by the host).
-    /// Destroying a root's last subscription drops its sink, pair map
+    /// Destroying a root's last subscription drops its sink, coverage
     /// and logs with it.
     pub fn remove(&mut self, id: QueryId) -> Option<(Registration, FxHashSet<usize>)> {
         let reg = self.entries.remove(&id.0)?;
@@ -308,7 +307,9 @@ impl Registry {
     /// been handed (drain cursors) **and** that is expired at `now`
     /// (`exp <= now`: it contributes to no `answer_at(t >= now)`, and a
     /// twin registering later could only ever see it as dead history).
-    /// Returns the number of entries released.
+    /// A suppressing sink's insert log keeps, besides, the rows its
+    /// coverage still reads (see [`RootSink::release`]). Returns
+    /// the number of entries released.
     pub fn release_delivered(&mut self, now: Timestamp) -> usize {
         let Registry { entries, sinks, .. } = self;
         let mut released = 0;
@@ -319,31 +320,14 @@ impl Registry {
                 let cursors = sink.subscribers.iter().map(|(q, _)| cursor(&entries[q]));
                 cursors.min().unwrap_or(0)
             };
-            let (ins, del) = (slowest(|r| r.drained), slowest(|r| r.drained_del));
-            let head = sink.results.head();
-            let n = expired_prefix(
-                sink.results.from(head),
-                ins.saturating_sub(head),
-                now,
-                |r| r.interval,
-            );
-            sink.results.release_to(head + n);
-            let head_del = sink.deleted.head();
-            let n_del = expired_prefix(
-                sink.deleted.from(head_del),
-                del.saturating_sub(head_del),
-                now,
-                |s| s.interval,
-            );
-            sink.deleted.release_to(head_del + n_del);
-            released += n + n_del;
+            released += sink.release(slowest(|r| r.drained), slowest(|r| r.drained_del), now);
         }
         released
     }
 
     /// Routes an emission batch of `node` into its root sink **once**:
-    /// one dedup pass (the root's private pair map through
-    /// [`sink_batch`]), one log append, regardless of subscriber count.
+    /// one dedup pass (the root's coverage, through [`sink_batch`]), one
+    /// log append, regardless of subscriber count.
     ///
     /// The sink probe happens once per **batch**, not per delta — with the
     /// epoch-batched executor, non-subscribed (internal) nodes cost one
@@ -365,7 +349,7 @@ impl Registry {
         let timed = opts.obs.timing();
         let t0 = timed.then(Instant::now);
         let (before_ins, before_del) = (sink.results.end(), sink.deleted.end());
-        sink_batch(opts, sink, batch, &mut self.scratch);
+        sink_batch(sink, batch, &mut self.scratch);
         let t1 = timed.then(Instant::now);
         if let (Some(t0), Some(t1)) = (t0, t1) {
             self.dedup_nanos += t1.duration_since(t0).as_nanos() as u64;
@@ -390,14 +374,14 @@ impl Registry {
 
     /// Sinks an emission into one query's root sink (register-time
     /// catch-up replay).
-    pub fn sink_to(&mut self, id: QueryId, delta: &Delta, opts: &EngineOptions) {
+    pub fn sink_to(&mut self, id: QueryId, delta: &Delta) {
         let Some(reg) = self.entries.get(&id.0) else {
             return;
         };
         let Some(Some(sink)) = self.sinks.get_mut(reg.root) else {
             return;
         };
-        sink_result(opts, sink, delta);
+        sink_result(sink, delta);
     }
 
     /// How many registrations use node `n`.
@@ -420,25 +404,26 @@ impl Registry {
         (self.route_nanos, self.dedup_nanos)
     }
 
-    /// Purges expired sink-dedup intervals at physical-purge boundaries.
+    /// Purges expired sink-dedup coverage at physical-purge boundaries.
     pub fn purge_sink_dedup(&mut self, watermark: Timestamp) {
         for sink in self.sinks.iter_mut().flatten() {
-            purge_coverage(&mut sink.dedup, watermark);
+            sink.purge(watermark);
         }
     }
 
-    /// What every live root sink holds, by root node id, ascending.
-    pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
+    /// What every live root sink holds at `now`, by root node id,
+    /// ascending.
+    pub fn sink_censuses(&self, now: Timestamp) -> Vec<(usize, SinkCensus)> {
         self.sinks
             .iter()
             .enumerate()
-            .filter_map(|(root, s)| Some((root, s.as_ref()?.census())))
+            .filter_map(|(root, s)| Some((root, s.as_ref()?.census(now))))
             .collect()
     }
 
-    /// What `id`'s root sink holds.
-    pub fn sink_census(&self, id: QueryId) -> Option<SinkCensus> {
-        Some(self.view(id)?.1.census())
+    /// What `id`'s root sink holds at `now`.
+    pub fn sink_census(&self, id: QueryId, now: Timestamp) -> Option<SinkCensus> {
+        Some(self.view(id)?.1.census(now))
     }
 
     /// Samples one epoch's observability for every registration: emission
@@ -498,20 +483,6 @@ impl LogCounts {
     pub fn released(&self) -> usize {
         self.results + self.deleted - self.retained
     }
-}
-
-/// How many of a log's first `delivered` retained entries, in order, are
-/// expired at `now`: the prefix that may be released.
-fn expired_prefix<T>(
-    retained: &[T],
-    delivered: usize,
-    now: Timestamp,
-    interval: impl Fn(&T) -> Interval,
-) -> usize {
-    retained[..delivered]
-        .iter()
-        .take_while(|e| interval(e).exp <= now)
-        .count()
 }
 
 /// Per-query emission buffer: `(query, result)` pairs, as returned by

@@ -21,26 +21,33 @@
 //! The negative-tuple log stays a log of sgts: negative tuples exist only
 //! in deletion pipelines.
 //!
-//! Duplicate suppression is the classic per-root `(src, trg) →
-//! IntervalSet` map ([`PairCoverage`]), private to the sink. Window
-//! variants of one plan have distinct roots and so distinct maps.
+//! Duplicate suppression (§6.2) emits a claim only where it extends what
+//! the root already emitted for its answer pair, merged with every piece
+//! of that pair's coverage it meets (the coalesce primitive, Def. 11).
+//! Each piece of a pair's coverage *is* one row of the insert log — a
+//! claim is emitted as its merged covering interval, and the pieces it
+//! absorbed leave the coverage with it — so the coverage keeps no copy of
+//! its own ([`Coverage`]): an 8-byte [`RowIndex`] slot maps each covered
+//! pair to its newest piece's row, whose key is read back from the log,
+//! and each piece links to the pair's next older one through a 4-byte
+//! distance back, in a column beside the rows. Window variants of one plan
+//! have distinct roots and so distinct coverage. Sinks without suppression
+//! (deletion pipelines) build none.
 //!
-//! A sink holds what is live: the pair map drops a pair once its coverage
-//! expires and gives its table back once it is four times larger than its
-//! live pairs, and each log physically drops its released prefix once
-//! that prefix reaches a quarter of the live entries, giving back capacity
-//! the live entries no longer need.
+//! A sink holds what is live. A sink purge drops the coverage pieces
+//! expired at its watermark, and the pairs left with none, and gives back
+//! index slots its pairs no longer need. Each log physically drops its
+//! released prefix once that prefix reaches a quarter of the live entries,
+//! giving back capacity the live entries no longer need. A row is released
+//! once every subscriber was handed it and it is expired — in a
+//! suppressing sink, expired at the last sink purge and older than it,
+//! because until a purge drops a piece the coverage still reads its row.
 
-use crate::engine::EngineOptions;
-use crate::physical::{table_bytes, Delta, DeltaBatch};
+use crate::physical::row_index::{hash_words, RowIndex};
+use crate::physical::{Delta, DeltaBatch};
 use sgq_types::{
-    Edge, FxHashMap, FxHashSet, Interval, IntervalSet, Label, Payload, Sgt, SharedProps, Timestamp,
-    VertexId,
+    Edge, FxHashMap, FxHashSet, Interval, Label, Payload, Sgt, SharedProps, Timestamp, VertexId,
 };
-
-/// A sink's duplicate-suppression state: each answer pair's coverage, so
-/// that only what extends it is emitted (§6.2).
-pub(crate) type PairCoverage = FxHashMap<(VertexId, VertexId), IntervalSet>;
 
 /// One accepted result as a subscriber receives it: the answer pair and
 /// its validity interval `[ts, exp)` — exactly what a RESULT frame
@@ -94,33 +101,6 @@ pub(crate) fn answer_at(
         .collect()
 }
 
-/// `Some(merged)` when `interval` extends `set`'s coverage (the result is
-/// emitted with the merged covering interval — [`IntervalSet::insert`]'s
-/// contract), `None` when it is already covered (suppressed).
-fn accept(set: &mut IntervalSet, interval: Interval) -> Option<Interval> {
-    if set.covers(&interval) {
-        return None;
-    }
-    Some(set.insert(interval).expect("non-empty"))
-}
-
-/// Drops coverage expired at `watermark`, and the pairs left with none
-/// (sink maintenance at physical-purge boundaries). A table four times
-/// larger than its live pairs — what a burst of short-lived pairs leaves
-/// behind — shrinks to twice them; the gap between the two factors keeps
-/// a steady pair count from reallocating at every purge.
-pub(crate) fn purge_coverage(dedup: &mut PairCoverage, watermark: Timestamp) {
-    dedup.retain(|_, set| {
-        set.purge_expired(watermark);
-        !set.is_empty()
-    });
-    // `shrink_to` reallocates only when a table for twice the live pairs
-    // has fewer buckets, which is when the buckets hold four times the
-    // live pairs or more. It decides by buckets: `capacity()` is no guide
-    // here, since the tombstones `retain` leaves lower it.
-    dedup.shrink_to(2 * dedup.len());
-}
-
 /// Reusable grouping scratch for [`sink_batch`]: the per-epoch
 /// `(src, trg, batch index)` ordering buffer, threaded in by the caller so
 /// its allocation survives across epochs instead of being rebuilt per
@@ -131,46 +111,25 @@ pub(crate) struct SinkScratch {
     order: Vec<(VertexId, VertexId, usize)>,
 }
 
-/// Delivers a root emission **batch** to a sink with epoch-level
-/// coalescing: the batch's insertions are grouped by `(src, trg)` so the
-/// per-pair coverage entry in `dedup` is looked up once per distinct pair
-/// instead of once per delta — on emission-heavy path queries most of a
-/// root batch shares a handful of pairs, and the per-emission probe is the
-/// dominant sink cost.
-///
-/// Semantics match the per-delta [`sink_result`] loop exactly at the data
-/// model's granularity: each pair's deltas are processed in arrival order
-/// (so per-pair coverage, and hence every `answer_at`, is unchanged) and
-/// pairs are processed in ascending-pair order, making the emitted log a
-/// *deterministic* pair-interleaving permutation of the per-delta log with
-/// identical length. Deletions and unsuppressed pipelines take the
-/// per-delta path unchanged (without suppression the dedup table is never
-/// consulted, so there is nothing to amortise).
-pub(crate) fn sink_batch(
-    opts: &EngineOptions,
-    sink: &mut RootSink,
-    batch: &DeltaBatch,
-    scratch: &mut SinkScratch,
-) {
-    if !opts.suppress_duplicates || batch.len() <= 1 {
+/// Delivers a root emission **batch** to a sink. Under duplicate
+/// suppression the batch's insertions are taken grouped by `(src, trg)`:
+/// a **stable** sort arranges them into per-pair runs, pairs in ascending
+/// order and each pair's deltas in arrival order, so per-pair coverage
+/// (and hence every `answer_at`) is exactly the per-delta
+/// [`sink_result`] loop's, and the emitted log is a *deterministic*
+/// pair-interleaving permutation of the per-delta log with identical
+/// length. The grouping buffer lives in `scratch` and is reused across
+/// epochs. Sinks without suppression take the per-delta path.
+pub(crate) fn sink_batch(sink: &mut RootSink, batch: &DeltaBatch, scratch: &mut SinkScratch) {
+    if sink.coverage.is_none() || batch.len() <= 1 {
         for d in batch.iter() {
-            sink_result(opts, sink, d);
+            sink_result(sink, d);
         }
         return;
     }
     for s in batch.deletes() {
         sink.deleted.push(s.clone());
     }
-    sink_inserts_grouped(sink, batch, scratch);
-}
-
-/// The grouped-insert core of [`sink_batch`]: one coverage-entry lookup
-/// per distinct `(src, trg)` pair. A **stable** sort arranges the batch
-/// into per-pair runs — pairs in ascending order, each pair's deltas in
-/// arrival order, so per-pair coverage (and every `answer_at`) is exactly
-/// the per-delta path's, and the emitted order is deterministic. The
-/// grouping buffer lives in `scratch` and is reused across epochs.
-fn sink_inserts_grouped(sink: &mut RootSink, batch: &DeltaBatch, scratch: &mut SinkScratch) {
     let deltas = batch.as_slice();
     scratch.order.clear();
     for (i, d) in deltas.iter().enumerate() {
@@ -179,38 +138,20 @@ fn sink_inserts_grouped(sink: &mut RootSink, batch: &DeltaBatch, scratch: &mut S
         }
     }
     scratch.order.sort_by_key(|&(src, trg, _)| (src, trg)); // stable: arrival order kept
-    let mut i = 0;
-    while i < scratch.order.len() {
-        let key = (scratch.order[i].0, scratch.order[i].1);
-        let set = sink.dedup.entry(key).or_default();
-        while i < scratch.order.len() && (scratch.order[i].0, scratch.order[i].1) == key {
-            let idx = scratch.order[i].2;
-            i += 1;
-            let Delta::Insert(s) = &deltas[idx] else {
-                unreachable!("scratch indexes insert deltas only");
-            };
-            if let Some(merged) = accept(set, s.interval) {
-                sink.results.push(s, merged);
-            }
-        }
+    for &(_, _, i) in &scratch.order {
+        let Delta::Insert(s) = &deltas[i] else {
+            unreachable!("scratch indexes insert deltas only");
+        };
+        sink.insert(s);
     }
 }
 
 /// Delivers one root emission to a sink: per-pair interval coalescing
 /// under duplicate suppression, separate insert/delete logs. [`sink_batch`]
 /// is the batch-at-a-time form with per-pair grouping.
-pub(crate) fn sink_result(opts: &EngineOptions, sink: &mut RootSink, delta: &Delta) {
+pub(crate) fn sink_result(sink: &mut RootSink, delta: &Delta) {
     match delta {
-        Delta::Insert(s) => {
-            let mut interval = s.interval;
-            if opts.suppress_duplicates {
-                match accept(sink.dedup.entry((s.src, s.trg)).or_default(), interval) {
-                    None => return,
-                    Some(merged) => interval = merged,
-                }
-            }
-            sink.results.push(s, interval);
-        }
+        Delta::Insert(s) => sink.insert(s),
         Delta::Delete(s) => sink.deleted.push(s.clone()),
     }
 }
@@ -259,6 +200,18 @@ impl<T> Log<T> {
     /// before the head are gone, so the view starts at the head instead.
     pub fn from(&self, from: usize) -> &[T] {
         &self.buf[self.dead + from.saturating_sub(self.head)..]
+    }
+
+    /// The retained entry at absolute position `at`.
+    fn at(&self, at: usize) -> &T {
+        debug_assert!(at >= self.head, "entry {at} was released");
+        &self.buf[self.dead + at - self.head]
+    }
+
+    /// The retained entry at absolute position `at`, mutably.
+    fn at_mut(&mut self, at: usize) -> &mut T {
+        debug_assert!(at >= self.head, "entry {at} was released");
+        &mut self.buf[self.dead + at - self.head]
     }
 
     /// Appends an entry at position [`Log::end`].
@@ -329,6 +282,11 @@ impl ResultLog {
         self.rows.from(from)
     }
 
+    /// The retained row at absolute position `at`.
+    fn at(&self, at: usize) -> &ResultRow {
+        self.rows.at(at)
+    }
+
     /// Appends `s` as accepted with validity `interval`.
     pub fn push(&mut self, s: &Sgt, interval: Interval) {
         debug_assert!(
@@ -396,6 +354,20 @@ impl ResultLog {
     }
 }
 
+/// How many of a log's first `delivered` retained entries, in order, are
+/// expired at `now`: the prefix that may be released.
+fn expired_prefix<T>(
+    retained: &[T],
+    delivered: usize,
+    now: Timestamp,
+    interval: impl Fn(&T) -> Interval,
+) -> usize {
+    retained[..delivered]
+        .iter()
+        .take_while(|e| interval(e).exp <= now)
+        .count()
+}
+
 /// Index of a side column's first entry at or after absolute position
 /// `from`.
 fn first_at<T>(col: &[(usize, T)], from: usize) -> usize {
@@ -410,6 +382,150 @@ fn drop_before<T>(col: &mut Vec<(usize, T)>, head: usize) {
     }
 }
 
+/// A suppressing sink's coverage, read from its insert log (see the
+/// module docs): per covered `(src, trg)`, a chain of the rows whose
+/// intervals are the pair's disjoint, non-adjacent coverage pieces,
+/// newest first.
+#[derive(Default)]
+struct Coverage {
+    /// Each covered pair's newest piece, by [`row_id`].
+    index: RowIndex,
+    /// Per insert-log row, at the row's position: the distance back to the
+    /// next older piece of its pair, 0 at a chain's end. Only the links of
+    /// rows in a chain are read.
+    links: Log<u32>,
+    /// The last purge's watermark and the log's end then: the rows before
+    /// that end that expired at the watermark are in no chain.
+    purged: Option<(Timestamp, usize)>,
+}
+
+/// An index row id: the low 31 bits of a log position, so never the
+/// `u32::MAX` that marks a vacant index slot. Ids are exact while an
+/// indexed row is fewer than 2^31 rows behind the log's end.
+fn row_id(at: usize) -> u32 {
+    (at & ID_BITS) as u32
+}
+
+const ID_BITS: usize = (1 << 31) - 1;
+
+/// The position of row id `id` in a log that ends at `end`.
+fn position(end: usize, id: u32) -> usize {
+    end - ((end - id as usize) & ID_BITS)
+}
+
+/// The index hash of an answer pair.
+fn pair_hash(src: VertexId, trg: VertexId) -> u64 {
+    hash_words([src.0, trg.0])
+}
+
+/// The chain that starts at `newest`, newest first.
+fn chain(links: &Log<u32>, newest: usize) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(Some(newest), |&at| match *links.at(at) {
+        0 => None,
+        back => Some(at - back as usize),
+    })
+}
+
+/// Splices the rows `gone` picks out of the chain that starts at `newest`;
+/// the newest row left, if any.
+fn unlink(
+    links: &mut Log<u32>,
+    newest: usize,
+    mut gone: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    let (mut first, mut last) = (None, None);
+    let mut next = Some(newest);
+    while let Some(at) = next {
+        next = chain(links, at).nth(1);
+        if gone(at) {
+            continue;
+        }
+        if let Some(later) = last {
+            *links.at_mut(later) = link(later, at);
+        }
+        first.get_or_insert(at);
+        last = Some(at);
+    }
+    if let Some(oldest) = last {
+        *links.at_mut(oldest) = 0;
+    }
+    first
+}
+
+/// The link of the row at `at` to an older row at `to`.
+fn link(at: usize, to: usize) -> u32 {
+    u32::try_from(at - to).expect("a chain spans fewer than 2^32 rows")
+}
+
+impl Coverage {
+    /// Decides a claim on `(src, trg)` against the pair's coverage: `None`
+    /// when one piece contains it (suppressed), otherwise the claim merged
+    /// with every piece it meets — [`IntervalSet::insert`]'s merged
+    /// covering interval — which the caller appends to `rows` at
+    /// `rows.end()` as the pair's newest piece, in place of the pieces it
+    /// absorbed.
+    ///
+    /// [`IntervalSet::insert`]: sgq_types::IntervalSet::insert
+    fn accept(
+        &mut self,
+        rows: &ResultLog,
+        src: VertexId,
+        trg: VertexId,
+        claim: Interval,
+    ) -> Option<Interval> {
+        if claim.is_empty() {
+            return None;
+        }
+        let (hash, end) = (pair_hash(src, trg), rows.end());
+        let slot = self.index.find(hash, |id| {
+            let r = rows.at(position(end, id));
+            (r.src, r.trg) == (src, trg)
+        });
+        let (mut merged, mut absorbs) = (claim, false);
+        let mut older = None;
+        if let Some(slot) = slot {
+            let newest = position(end, self.index.row(slot));
+            for at in chain(&self.links, newest) {
+                let piece = rows.at(at).interval;
+                if piece.ts <= claim.ts && claim.exp <= piece.exp {
+                    return None;
+                }
+                if piece.meets(&claim) {
+                    merged = merged.hull(&piece);
+                    absorbs = true;
+                }
+            }
+            older = if !absorbs {
+                Some(newest)
+            } else {
+                unlink(&mut self.links, newest, |at| {
+                    rows.at(at).interval.meets(&claim)
+                })
+            };
+            self.index.set_row(slot, row_id(end));
+        } else {
+            self.index.insert(hash, row_id(end));
+        }
+        self.links.push(older.map_or(0, |older| link(end, older)));
+        Some(merged)
+    }
+
+    /// Drops the pieces expired at `watermark` (sink maintenance at
+    /// physical-purge boundaries), the pairs left with none, and the index
+    /// slots those pairs no longer need.
+    fn purge(&mut self, rows: &ResultLog, watermark: Timestamp) {
+        let (end, links) = (rows.end(), &mut self.links);
+        self.index.retain(|id| {
+            let newest = position(end, id);
+            unlink(links, newest, |at| {
+                rows.at(at).interval.expired_at(watermark)
+            })
+            .map(row_id)
+        });
+        self.purged = Some((watermark, end));
+    }
+}
+
 /// One shared result sink per subscribed dataflow root: the emission log
 /// every subscriber of that root reads through its own cursors.
 pub(crate) struct RootSink {
@@ -418,38 +534,98 @@ pub(crate) struct RootSink {
     pub results: ResultLog,
     /// Emitted negative result tuples.
     pub deleted: Log<Sgt>,
-    /// Duplicate-suppression state: this root's private pair map.
-    pub dedup: PairCoverage,
+    /// Duplicate suppression over `results`; `None` in a sink that keeps
+    /// every result (a host without suppression).
+    coverage: Option<Coverage>,
     /// `(query id, answer label)` per subscriber, registration order —
     /// drives `process`-style emission collection.
     pub subscribers: Vec<(u64, Label)>,
 }
 
 impl RootSink {
-    pub fn new(subscriber: (u64, Label)) -> RootSink {
+    /// A sink with its first subscriber; `suppress` gives it coverage.
+    pub fn new(subscriber: (u64, Label), suppress: bool) -> RootSink {
         RootSink {
             results: ResultLog::default(),
             deleted: Log::default(),
-            dedup: PairCoverage::default(),
+            coverage: suppress.then(Coverage::default),
             subscribers: vec![subscriber],
         }
     }
 
-    /// What this sink holds, counted by a full scan of its pair map.
-    pub fn census(&self) -> SinkCensus {
+    /// Appends a result insert, as its coverage decides.
+    fn insert(&mut self, s: &Sgt) {
+        let interval = match &mut self.coverage {
+            None => s.interval,
+            Some(c) => match c.accept(&self.results, s.src, s.trg, s.interval) {
+                Some(merged) => merged,
+                None => return,
+            },
+        };
+        self.results.push(s, interval);
+    }
+
+    /// Drops coverage expired at `watermark`.
+    pub fn purge(&mut self, watermark: Timestamp) {
+        if let Some(c) = &mut self.coverage {
+            c.purge(&self.results, watermark);
+        }
+    }
+
+    /// Releases the longest prefix of each log before its slowest
+    /// subscriber's delivery cursor (`ins`, `del`) whose entries are
+    /// expired at `now` — and, in the insert log of a suppressing sink, no
+    /// longer read by the coverage: older than the last purge and expired
+    /// at its watermark. Returns the entries released.
+    pub fn release(&mut self, ins: usize, del: usize, now: Timestamp) -> usize {
+        let (expired, before) = match &self.coverage {
+            None => (now, ins),
+            Some(c) => c
+                .purged
+                .map_or((0, 0), |(w, end)| (w.min(now), end.min(ins))),
+        };
+        let head = self.results.head();
+        let n = expired_prefix(
+            self.results.from(head),
+            before.saturating_sub(head),
+            expired,
+            |r| r.interval,
+        );
+        self.results.release_to(head + n);
+        if let Some(c) = &mut self.coverage {
+            c.links.release_to(head + n);
+        }
+        let head = self.deleted.head();
+        let n_del = expired_prefix(
+            self.deleted.from(head),
+            del.saturating_sub(head),
+            now,
+            |s| s.interval,
+        );
+        self.deleted.release_to(head + n_del);
+        n + n_del
+    }
+
+    /// What this sink holds at event time `now`, counted by a full scan.
+    pub fn census(&self, now: Timestamp) -> SinkCensus {
         let (rows, row_slots) = self.results.occupancy();
         let (deleted, deleted_slots) = self.deleted.occupancy();
+        let (pairs, coverage_bytes) = self.coverage.as_ref().map_or((0, 0), |c| {
+            let link_slots = c.links.occupancy().1;
+            (
+                c.index.len(),
+                c.index.reserved_bytes() + link_slots * size_of::<u32>(),
+            )
+        });
+        let head = self.results.head();
         SinkCensus {
-            dedup_pairs: self.dedup.len(),
-            dedup_empty: self.dedup.values().filter(|s| s.is_empty()).count(),
+            dedup_pairs: pairs,
             log_retained: rows + deleted,
+            log_expired: (self.results.from(head).iter())
+                .filter(|r| r.interval.expired_at(now))
+                .count(),
             log_slots: row_slots + deleted_slots,
-            reserved_bytes: table_bytes::<(VertexId, VertexId), IntervalSet>(self.dedup.capacity())
-                + self
-                    .dedup
-                    .values()
-                    .map(IntervalSet::heap_bytes)
-                    .sum::<usize>()
+            reserved_bytes: coverage_bytes
                 + row_slots * size_of::<ResultRow>()
                 + self.results.side_bytes()
                 + deleted_slots * size_of::<Sgt>()
@@ -458,31 +634,34 @@ impl RootSink {
     }
 }
 
-/// What one root sink holds: its duplicate-suppression pair map and its
-/// two result logs. Counted by a full scan — what `tests/bounded_state.rs`
-/// holds against the window, not a metric.
+/// What one root sink holds: its coverage index and its two result logs.
+/// Counted by a full scan — what `tests/bounded_state.rs` holds against
+/// the window, not a metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SinkCensus {
     /// `(src, trg)` pairs with coverage held for duplicate suppression.
     pub dedup_pairs: usize,
-    /// Dedup pairs with an empty set (zero after every purge).
-    pub dedup_empty: usize,
     /// Result rows and negative tuples the two logs still hold.
     pub log_retained: usize,
+    /// Result rows the insert log still holds though they expired at the
+    /// host's event time: rows not yet handed to every subscriber, rows
+    /// behind an unexpired one, and — under duplicate suppression — rows
+    /// the coverage reads until the next sink purge.
+    pub log_expired: usize,
     /// Slots the two logs reserve (retained, released-but-not-compacted
     /// and spare capacity).
     pub log_slots: usize,
-    /// Heap bytes reserved by the pair map (slots plus control bytes, and
-    /// each set's spilled intervals), the log buffers — a
-    /// [`ResultRow`] per insert-log slot, an [`Sgt`] per negative-tuple
-    /// slot, and the insert log's side columns — and the subscriber list.
+    /// Heap bytes reserved by the coverage (index slots, and a 4-byte link
+    /// per insert-log slot), the log buffers — a [`ResultRow`] per
+    /// insert-log slot, an [`Sgt`] per negative-tuple slot, and the insert
+    /// log's side columns — and the subscriber list.
     pub reserved_bytes: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sgq_types::{Interval, PathSeq, PropMap, Timestamp};
+    use sgq_types::{IntervalSet, PathSeq, PropMap};
     use std::sync::Arc;
 
     fn iv(from: Timestamp, to: Timestamp) -> Interval {
@@ -596,55 +775,202 @@ mod tests {
         );
     }
 
-    /// The census counts what the pair map and the logs hold, a row slot
-    /// at the size of a row.
+    /// The census counts what the coverage and the logs hold: a row slot
+    /// at the size of a row plus its link, and the index's slots.
     #[test]
     fn census_counts_pairs_logs_and_bytes() {
-        let mut sink = RootSink::new((0, Label(0)));
+        let mut sink = RootSink::new((0, Label(0)), true);
         assert_eq!(
-            sink.census().reserved_bytes,
+            sink.census(0).reserved_bytes,
             size_of::<(u64, Label)>(),
             "a fresh sink reserves its subscriber only"
         );
-        sink.dedup
-            .entry((VertexId(1), VertexId(2)))
-            .or_default()
-            .insert(iv(0, 10));
         for i in 0..3 {
-            let s = Sgt::edge(VertexId(1), VertexId(2), Label(0), iv(i, 10));
-            sink.results.push(&s, s.interval);
+            sink.insert(&Sgt::edge(
+                VertexId(1),
+                VertexId(2),
+                Label(0),
+                iv(i, 10 + i),
+            ));
         }
-        sink.results.release_to(1);
-        let c = sink.census();
-        assert_eq!((c.dedup_pairs, c.dedup_empty, c.log_retained), (1, 0, 2));
+        sink.purge(10);
+        // Rows [0, 10), [0, 11), [0, 12): only the first is older than the
+        // purge and expired at its watermark.
+        assert_eq!(sink.release(3, 0, 11), 1);
+        let c = sink.census(11);
+        assert_eq!((c.dedup_pairs, c.log_retained, c.log_expired), (1, 2, 1));
         assert!(c.log_slots >= 2);
-        let table = table_bytes::<(VertexId, VertexId), IntervalSet>(sink.dedup.capacity());
+        let index = sink.coverage.as_ref().unwrap().index.reserved_bytes();
         assert_eq!(
             c.reserved_bytes,
-            table + c.log_slots * size_of::<ResultRow>() + size_of::<(u64, Label)>()
+            index + c.log_slots * (size_of::<ResultRow>() + 4) + size_of::<(u64, Label)>()
+        );
+
+        let mut plain = RootSink::new((0, Label(0)), false);
+        plain.insert(&Sgt::edge(VertexId(1), VertexId(2), Label(0), iv(0, 10)));
+        let c = plain.census(0);
+        assert_eq!(c.dedup_pairs, 0);
+        assert_eq!(
+            c.reserved_bytes,
+            c.log_slots * size_of::<ResultRow>() + size_of::<(u64, Label)>(),
+            "no coverage without suppression"
         );
     }
 
-    /// Purging coverage gives a burst's table back once it is four times
-    /// larger than the live pairs, and leaves a table alone below that.
+    /// A purged burst of pairs gives its index slots back, and a sink
+    /// whose coverage expired entirely reserves no index.
     #[test]
-    fn purged_coverage_shrinks_to_its_live_pairs() {
-        let mut dedup = PairCoverage::default();
+    fn purged_coverage_gives_its_index_back() {
+        let mut sink = RootSink::new((0, Label(0)), true);
         for i in 0..10_000u64 {
             let exp = if i < 10 { 100 } else { 10 };
-            dedup
-                .entry((VertexId(i), VertexId(i)))
-                .or_default()
-                .insert(iv(0, exp));
+            sink.insert(&Sgt::edge(VertexId(i), VertexId(i), Label(0), iv(0, exp)));
         }
-        let burst = dedup.capacity();
-        purge_coverage(&mut dedup, 20);
-        assert_eq!(dedup.len(), 10);
-        assert!(dedup.capacity() < 40, "{} of {burst}", dedup.capacity());
-        let kept = dedup.capacity();
-        purge_coverage(&mut dedup, 20);
-        assert_eq!(dedup.capacity(), kept, "steady pairs keep their table");
-        purge_coverage(&mut dedup, 100);
-        assert_eq!((dedup.len(), dedup.capacity()), (0, 0));
+        let index = |sink: &RootSink| {
+            let c = sink.coverage.as_ref().unwrap();
+            (c.index.len(), c.index.reserved_bytes())
+        };
+        let burst = index(&sink).1;
+        sink.purge(20);
+        assert_eq!(index(&sink), (10, 16 * 8), "{burst} B at the burst");
+        sink.purge(100);
+        assert_eq!(index(&sink), (0, 0));
+    }
+
+    /// The pair map the log-backed coverage replaced: each answer pair's
+    /// coverage as an [`IntervalSet`]. The sink is held to it.
+    type PairCoverage = FxHashMap<(VertexId, VertexId), IntervalSet>;
+
+    /// The map's decision: `Some(merged)` when `interval` extends `set`,
+    /// `None` when a member covers it.
+    fn reference_accept(set: &mut IntervalSet, interval: Interval) -> Option<Interval> {
+        if set.covers(&interval) {
+            return None;
+        }
+        Some(set.insert(interval).expect("non-empty"))
+    }
+
+    /// The map's purge: members expired at `watermark` go, and the pairs
+    /// left with none.
+    fn reference_purge(map: &mut PairCoverage, watermark: Timestamp) {
+        map.retain(|_, set| {
+            set.purge_expired(watermark);
+            !set.is_empty()
+        });
+    }
+
+    /// The coverage pieces the sink holds for `(src, trg)`, by start.
+    fn pieces(sink: &RootSink, src: VertexId, trg: VertexId) -> Vec<Interval> {
+        let c = sink.coverage.as_ref().unwrap();
+        let end = sink.results.end();
+        let Some(slot) = c.index.find(pair_hash(src, trg), |id| {
+            let r = sink.results.at(position(end, id));
+            (r.src, r.trg) == (src, trg)
+        }) else {
+            return Vec::new();
+        };
+        let newest = position(end, c.index.row(slot));
+        let mut out: Vec<Interval> = chain(&c.links, newest)
+            .map(|at| sink.results.at(at).interval)
+            .collect();
+        out.sort_by_key(|i| i.ts);
+        out
+    }
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// The log-backed sink and the pair map it replaced, fed the same
+    /// claims — fresh, duplicate, touching, disjoint-older and covered
+    /// ones, ones reaching back over expired but unpurged pieces — between
+    /// purges at random watermarks and releases that compact the log:
+    /// identical accept decisions and emitted intervals, and after every
+    /// step the same pieces for every pair and no other pair indexed.
+    #[test]
+    fn log_backed_coverage_decides_as_the_pair_map_did() {
+        let label = Label(1);
+        let mut emitted = 0;
+        for seed in 1..=150u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+            let mut sink = RootSink::new((0, label), true);
+            let mut map = PairCoverage::default();
+            let mut scratch = SinkScratch::default();
+            let (mut now, mut watermark): (Timestamp, Timestamp) = (0, 0);
+            for step in 0..300 {
+                match rng.below(12) {
+                    0..=6 => {
+                        let mut claims = Vec::new();
+                        for _ in 0..1 + rng.below(6) {
+                            let pair = (VertexId(rng.below(4)), VertexId(rng.below(3)));
+                            let set = map.get(&pair).map(IntervalSet::intervals);
+                            let claim = match (set, rng.below(4)) {
+                                (Some(set), 0) => {
+                                    // Duplicate, covered or touching a piece.
+                                    let p = set[rng.below(set.len() as u64) as usize];
+                                    match rng.below(4) {
+                                        0 => p,
+                                        1 => iv(p.ts + (p.len() - 1).min(1), p.exp),
+                                        2 => iv(p.exp, p.exp + 1 + rng.below(5)),
+                                        _ => iv(p.ts.saturating_sub(1 + rng.below(5)), p.ts),
+                                    }
+                                }
+                                _ => {
+                                    let ts = now.saturating_sub(30) + rng.below(36);
+                                    iv(ts, ts + 1 + rng.below(25))
+                                }
+                            };
+                            claims.push(Sgt::edge(pair.0, pair.1, label, claim));
+                        }
+                        let mut expected = claims.clone();
+                        expected.sort_by_key(|s| (s.src, s.trg));
+                        let expected: Vec<ResultRow> = (expected.iter())
+                            .filter_map(|s| {
+                                let set = map.entry((s.src, s.trg)).or_default();
+                                let interval = reference_accept(set, s.interval)?;
+                                Some(ResultRow {
+                                    interval,
+                                    ..ResultRow::of(s)
+                                })
+                            })
+                            .collect();
+                        let from = sink.results.end();
+                        let batch: DeltaBatch = claims.into_iter().map(Delta::Insert).collect();
+                        sink_batch(&mut sink, &batch, &mut scratch);
+                        assert_eq!(sink.results.from(from), expected, "seed {seed} step {step}");
+                        emitted += expected.len();
+                    }
+                    7 | 8 => now += rng.below(8),
+                    9 => {
+                        watermark += rng.below(now - watermark + 1);
+                        sink.purge(watermark);
+                        reference_purge(&mut map, watermark);
+                    }
+                    _ => {
+                        // Subscribers were handed all but the last rows.
+                        let lag = rng.below(3) as usize;
+                        sink.release(sink.results.end().saturating_sub(lag), 0, now);
+                    }
+                }
+                let c = sink.coverage.as_ref().unwrap();
+                assert_eq!(c.index.len(), map.len(), "seed {seed} step {step}");
+                for (&(src, trg), set) in &map {
+                    assert_eq!(
+                        pieces(&sink, src, trg),
+                        set.intervals(),
+                        "seed {seed} step {step}: ({src:?}, {trg:?})"
+                    );
+                }
+            }
+            assert!(sink.results.head() > 0, "seed {seed}: the log was released");
+        }
+        assert!(emitted > 10_000, "{emitted}");
     }
 }

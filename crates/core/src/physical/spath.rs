@@ -40,12 +40,18 @@ pub struct SPathOp {
     /// results do — the path-materialisation ablation, and every host
     /// that forwards answer pairs only.
     emit_paths: bool,
+    /// Retract an improved node's earlier claim before emitting the new
+    /// one: on hosts without duplicate suppression every claim counts, so
+    /// the narrower one would otherwise outlive the node's last
+    /// derivation under explicit deletions.
+    retract: bool,
     /// Accepting nodes improved during the current insert run, in
-    /// first-improvement order (kept ordered for deterministic output).
-    /// They are emitted when the run ends, so a node improved several
-    /// times within one run emits **once**, with its final coalesced
-    /// interval (and one path materialisation).
-    dirty: Vec<(TreeId, NodeIdx)>,
+    /// first-improvement order (kept ordered for deterministic output),
+    /// each with its unexpired interval before the run. They are emitted
+    /// when the run ends, so a node improved several times within one run
+    /// emits **once**, with its final coalesced interval (and one path
+    /// materialisation).
+    dirty: Vec<(TreeId, NodeIdx, Option<Interval>)>,
     dirty_set: FxHashSet<(TreeId, NodeIdx)>,
     /// The bulk pass's priority frontier (max candidate expiry, ties on
     /// larger span then `(node, edge)` for determinism).
@@ -118,6 +124,7 @@ impl SPathOp {
             label,
             forest,
             emit_paths: true,
+            retract: false,
             dirty: Vec::new(),
             dirty_set: FxHashSet::default(),
             frontier: BinaryHeap::new(),
@@ -132,6 +139,14 @@ impl SPathOp {
     /// Disables path-payload materialisation (ablation).
     pub fn without_path_payloads(mut self) -> Self {
         self.emit_paths = false;
+        self
+    }
+
+    /// Retracts each improved node's earlier claim (a negative tuple)
+    /// before emitting the improved one when `retract` is set: what a
+    /// host without duplicate suppression needs.
+    pub fn retracting(mut self, retract: bool) -> Self {
+        self.retract = retract;
         self
     }
 
@@ -154,8 +169,10 @@ impl SPathOp {
         )));
     }
 
-    /// Records an accepting-node improvement of the current insert run;
-    /// [`SPathOp::flush_dirty`] emits it when the run ends.
+    /// Records an accepting-node improvement of the current insert run,
+    /// and the first time the run touches the node its unexpired interval
+    /// before the run (`before`); [`SPathOp::flush_dirty`] emits it when
+    /// the run ends.
     ///
     /// Emitting once per run is sound because within an epoch a node's
     /// interval only grows by coalescing (Propagate merges `[min ts, max
@@ -164,17 +181,26 @@ impl SPathOp {
     /// expiries are slide-grid-aligned and epochs never cross a boundary).
     /// Dirty nodes are never removed mid-run: `remove_subtree` only claims
     /// expired nodes, and an improved node's expiry lies beyond the epoch.
-    fn mark_dirty(&mut self, tree: TreeId, node: NodeIdx) {
+    fn mark_dirty(&mut self, tree: TreeId, node: NodeIdx, before: Option<Interval>) {
         if self.dirty_set.insert((tree, node)) {
-            self.dirty.push((tree, node));
+            self.dirty.push((tree, node, before));
         }
     }
 
     /// Emits every node the insert run improved once, with its final
-    /// interval.
+    /// interval — when retracting, after a negative tuple for the claim
+    /// it replaces.
     fn flush_dirty(&mut self, out: &mut Vec<Delta>) {
         for i in 0..self.dirty.len() {
-            let (tree, node) = self.dirty[i];
+            let (tree, node, before) = self.dirty[i];
+            let t = self.forest.tree(tree);
+            let n = t.node(node);
+            match before {
+                Some(old) if self.retract && old != n.interval => {
+                    out.push(Delta::Delete(Sgt::edge(t.root, n.v, self.label, old)));
+                }
+                _ => {}
+            }
             self.emit(tree, node, out);
         }
         self.dirty.clear();
@@ -292,9 +318,11 @@ impl SPathOp {
         while let Some(c) = heap.pop() {
             // Re-validate against the node's *current* interval — it may
             // have settled (or widened) since this candidate was pushed.
-            let applied = match self.forest.tree(tree).get(c.v, c.state) {
-                Some(idx) => {
-                    let cur = self.forest.tree(tree).node(idx).interval;
+            let existing = self.forest.tree(tree).get(c.v, c.state);
+            let cur = existing.map(|idx| self.forest.tree(tree).node(idx).interval);
+            let before = cur.filter(|cur| !cur.expired_at(now));
+            let applied = match existing.zip(cur) {
+                Some((idx, cur)) => {
                     if cur.expired_at(now) {
                         // Expired nodes are treated as absent (§6.2.4):
                         // reclaim the stale subtree, then expand fresh.
@@ -344,7 +372,7 @@ impl SPathOp {
                 self.stats.nodes_settled += 1;
             }
             if self.dfa.is_accepting(c.state) {
-                self.mark_dirty(tree, idx);
+                self.mark_dirty(tree, idx, before);
             }
             // Successor scan over the complete epoch graph.
             let node_iv = self.forest.tree(tree).node(idx).interval;

@@ -615,14 +615,12 @@ proptest! {
     }
 }
 
-/// Known defect (ROADMAP item 5), present before and after the `on_delta`
-/// removal and not reached by the random streams above: S-PATH re-emits an
-/// improved node with its wider interval without retracting the narrower
-/// claim, so in a deletion pipeline (sink dedup off) the pair counts twice
-/// and one negative tuple per deletion leaves it in `answer_at` after its
-/// last derivation is gone. Run with `--ignored`.
+/// Not reached by the random streams above: in a deletion pipeline (sink
+/// dedup off) an improved S-PATH node must retract its narrower claim
+/// before it emits the wider one, or the pair counts twice and one
+/// negative tuple per deletion leaves it in `answer_at` after its last
+/// derivation is gone.
 #[test]
-#[ignore = "known defect: improved S-PATH claims are not retracted under explicit deletions"]
 fn deleting_every_derivation_of_an_improved_pair_removes_it() {
     let q = query(PATH_HEAVY_PLANS[0]);
     let a = label_vec(&q)[0];

@@ -284,7 +284,9 @@ proptest! {
 }
 
 /// The rule itself, on a hand-made stream: an entry goes only once every
-/// subscriber of its root was handed it **and** it is expired.
+/// subscriber of its root was handed it **and** it is expired — under
+/// duplicate suppression, expired at the last sink purge, because until
+/// then the root's coverage reads the row.
 #[test]
 fn release_waits_for_the_slowest_subscriber_and_for_expiry() {
     let mut e = host(true);
@@ -310,7 +312,12 @@ fn release_waits_for_the_slowest_subscriber_and_for_expiry() {
     e.for_each_undelivered(slow, |_, _| {});
     assert_eq!(e.release_delivered(), 0);
     assert_eq!(answers(&e, fast, 65), BTreeSet::from([(3, 4)]));
+    // Expired at 70, but the host purges sinks every other tick, last at
+    // 69: the census shows the row held for the coverage until 71.
     e.advance_time(70);
+    assert_eq!(e.release_delivered(), 0);
+    assert_eq!(e.sink_censuses()[0].1.log_expired, 1);
+    e.advance_time(71);
     assert_eq!(e.release_delivered(), 1);
 
     let snap = e.metrics_snapshot();
@@ -433,8 +440,9 @@ impl EmissionWindow {
 
 /// ≥ 50 window turnovers of SO `a2q*` through the serve loop's cadence —
 /// ingest a slide, route every subscription, release — in process: after
-/// every slide the retained log fits the window bound, and the routed
-/// stream equals an unreleased host's.
+/// every slide the retained log fits the window bound, widened by the
+/// spacing of sink purges, and the routed stream equals an unreleased
+/// host's.
 #[test]
 fn soak_retained_log_stays_within_the_window_bound() {
     let q = SgqQuery::new(
@@ -447,7 +455,11 @@ fn soak_retained_log_stays_within_the_window_bound() {
     let a2q = live.labels().get("a2q").unwrap();
 
     let (mut live_rows, mut twin_rows, mut cursor) = (Vec::new(), Vec::new(), 0);
-    let mut window = EmissionWindow::new(SOAK_WINDOW + SOAK_SLIDE);
+    // A suppressing sink keeps expired rows until a sink purge passes
+    // them; the host purges at the first slide boundary a quarter window
+    // after the last one.
+    let purge_spacing = (SOAK_WINDOW / 4).div_ceil(SOAK_SLIDE) * SOAK_SLIDE;
+    let mut window = EmissionWindow::new(SOAK_WINDOW + SOAK_SLIDE + purge_spacing);
     let mut peak_retained = 0;
     for slide in soak_slides() {
         let batch = a2q_batch(&slide, a2q);
@@ -465,7 +477,7 @@ fn soak_retained_log_stays_within_the_window_bound() {
         let allowed = window.allowed(live.now(), live_rows.len() - before);
         assert!(
             retained <= allowed,
-            "t={}: {retained} retained, the last W + slide ticks emitted {allowed}",
+            "t={}: {retained} retained, the last W + slide + purge spacing ticks emitted {allowed}",
             live.now()
         );
         peak_retained = peak_retained.max(retained);
@@ -1100,7 +1112,6 @@ fn soak_fleet_path_state_and_rss_stop_growing() {
             assert!(c.keys <= c.rows, "{at}: {c:?}");
         }
         for (root, c) in live.sink_censuses() {
-            assert_eq!(c.dedup_empty, 0, "root sink {root}, window {window}: {c:?}");
             assert_sink_bytes_bounded(&format!("window {window}"), root, &c);
         }
         bytes = FleetBytes::of(&live);
@@ -1410,27 +1421,27 @@ fn pattern_state_is_bounded_by_the_window_high_fanout_key() {
 const LOG_SLOTS_PER_RETAINED: usize = 3;
 const LOG_SLOTS_PER_LOG: usize = 4;
 
-/// One coverage-map bucket: an answer pair, its coverage and a control
-/// byte.
-const COVERAGE_BUCKET_BYTES: usize = std::mem::size_of::<((VertexId, VertexId), IntervalSet)>() + 1;
-/// Bytes a root sink may reserve per coverage pair it holds. A purge
-/// leaves at most four buckets' worth of capacity per pair (a map four
-/// times larger shrinks to twice its pairs); buckets are a power of two
-/// at most 7/8 full, and a set that spills to several intervals adds a
-/// small vector.
-const SINK_BYTES_PER_PAIR: usize = 6 * COVERAGE_BUCKET_BYTES;
-/// Bytes a root sink may reserve beyond its log slots and pairs: its
-/// subscriber list and the smallest table a map allocates.
-const SINK_BYTES_FIXED: usize = 8 * COVERAGE_BUCKET_BYTES;
+/// Bytes a root sink may reserve per insert-log slot: the row and the
+/// 4-byte link that chains it to its pair's older coverage pieces.
+const SINK_BYTES_PER_SLOT: usize = std::mem::size_of::<ResultRow>() + 4;
+/// One coverage index slot: a row id and a hash tag.
+const INDEX_SLOT_BYTES: usize = 8;
+/// Bytes a root sink may reserve per coverage pair it holds: index slots,
+/// a power of two of them, more than 3/8 full once past the smallest
+/// table (growth doubles at 3/4; a purge shrinks to what growth reaches).
+const SINK_BYTES_PER_PAIR: usize = 3 * INDEX_SLOT_BYTES;
+/// Bytes a root sink may reserve beyond its log slots and pairs: the
+/// smallest index table and a subscriber list of up to four.
+const SINK_BYTES_FIXED: usize = 8 * INDEX_SLOT_BYTES + 4 * std::mem::size_of::<(u64, Label)>();
 
-/// Holds a root sink's reserved bytes to a row per insert-log slot plus a
-/// fixed count per coverage pair: the insert log holds 32-byte rows, not
-/// sgts, and the coverage map is sized to its pairs, not to the most it
+/// Holds a root sink's reserved bytes to a row and a link per insert-log
+/// slot plus a fixed count of index slots per coverage pair: the insert
+/// log holds 32-byte rows, not sgts, the coverage reads its pieces from
+/// those rows, and its index is sized to its pairs, not to the most it
 /// ever held. For append-only hosts (their negative-tuple log is empty).
 fn assert_sink_bytes_bounded(at: &str, root: usize, c: &SinkCensus) {
-    let allowed = c.log_slots * std::mem::size_of::<ResultRow>()
-        + c.dedup_pairs * SINK_BYTES_PER_PAIR
-        + SINK_BYTES_FIXED;
+    let allowed =
+        c.log_slots * SINK_BYTES_PER_SLOT + c.dedup_pairs * SINK_BYTES_PER_PAIR + SINK_BYTES_FIXED;
     assert!(
         c.reserved_bytes <= allowed,
         "{at}: root sink {root} reserves {} B, {allowed} B allowed: {c:?}",
@@ -1459,8 +1470,8 @@ fn q1(window: u64) -> SgqQuery {
 
 /// Three window variants of one plan — shared operators, one root sink
 /// each — routed and released after every slide: no root sink
-/// keeps an empty dedup set, or a pair whose coverage has expired, and the
-/// logs reserve a bounded number of slots per retained result.
+/// keeps a pair whose coverage has expired, and the logs reserve a
+/// bounded number of slots per retained result.
 #[test]
 fn window_variant_sinks_hold_what_is_live() {
     let mut live = purging_host();
@@ -1494,7 +1505,6 @@ fn window_variant_sinks_hold_what_is_live() {
         assert_eq!(censuses.len(), ids.len(), "one root sink per variant");
         let at = format!("t={}", live.now());
         for (root, c) in &censuses {
-            assert_eq!(c.dedup_empty, 0, "{at}: root {root} {c:?}");
             assert_sink_bytes_bounded(&at, *root, c);
         }
         let sum = |f: fn(&SinkCensus) -> usize| censuses.iter().map(|(_, c)| f(c)).sum::<usize>();
@@ -1519,6 +1529,44 @@ fn window_variant_sinks_hold_what_is_live() {
         checks == 300 && peak_retained > 100,
         "{checks} checks, {peak_retained}"
     );
+}
+
+/// A one-hop query's root sink is a WSCAN's: every input edge is an
+/// answer pair, so its coverage holds as many pairs as the window holds
+/// edges. Over a stream of ever-new pairs the sink stays within a row and
+/// a link per log slot plus three index slots per pair: the coverage
+/// keeps no per-pair copy of what the log holds.
+#[test]
+fn a_one_hop_sink_holds_its_pairs_in_the_log() {
+    let mut live = purging_host();
+    let q = SgqQuery::new(
+        parse_program("Ans(x, y) <- a2q(x, y).").unwrap(),
+        WindowSpec::new(SOAK_WINDOW, SOAK_SLIDE),
+    );
+    let id = live.register(&q);
+    let a2q = live.labels().get("a2q").unwrap();
+    let mut peak_pairs = 0;
+    for slide in 0..4 * SOAK_WINDOW / SOAK_SLIDE {
+        let batch: Vec<Sge> = (0..500)
+            .map(|i| {
+                Sge::raw(
+                    slide * 1_000 + i,
+                    i,
+                    a2q,
+                    slide * SOAK_SLIDE + i * SOAK_SLIDE / 500,
+                )
+            })
+            .collect();
+        live.ingest_batch(&batch);
+        live.for_each_undelivered(id, |_, _| {});
+        live.release_delivered();
+        let [(root, c)] = live.sink_censuses()[..] else {
+            panic!("one root sink");
+        };
+        assert_sink_bytes_bounded(&format!("slide {slide}"), root, &c);
+        peak_pairs = peak_pairs.max(c.dedup_pairs);
+    }
+    assert!(peak_pairs >= 5_000, "{peak_pairs}");
 }
 
 /// Summed `reserved_bytes` of every live root sink.

@@ -132,8 +132,9 @@ const LONG_WINDOW: u64 = 2_400;
 const DELETE_EVERY: usize = 5;
 
 /// The deletion form of [`check_fleet`]: one host with
-/// `suppress_duplicates: false` runs the closure-free queries `queries`
-/// of `dataset` under W, W/2 and W/4 (slide a twentieth of each). The
+/// `suppress_duplicates: false` runs the queries `queries` of `dataset`
+/// — closures over the input (S-PATH) and joins (PATTERN) — under W, W/2
+/// and W/4 (slide a twentieth of each). The
 /// stream keeps one live occurrence per edge (the deletion contract: an
 /// edge is inserted again only after its last occurrence left the
 /// largest window), and after every `DELETE_EVERY`-th kept insert a
@@ -255,14 +256,14 @@ fn check_deletions(
 #[test]
 fn fleets_under_deletions_match_the_oracle_at_every_slide() {
     let so = so_stream(&SoConfig::new(30, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::So, &[5], &so, 160);
+    let (checks, deletions) = check_deletions(Dataset::So, &[1, 2, 3, 4, 5, 6], &so, 160);
     eprintln!("SO: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 400 && deletions >= 100,
         "{checks} checks, {deletions} deletions"
     );
     let snb = snb_stream(&SnbConfig::new(25, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::Snb, &[5, 6], &snb, 160);
+    let (checks, deletions) = check_deletions(Dataset::Snb, &[1, 2, 3, 4, 5, 6], &snb, 160);
     eprintln!("SNB: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 600 && deletions >= 100,
@@ -277,17 +278,42 @@ fn fleets_under_deletions_match_the_oracle_at_every_slide() {
 #[ignore = "long; CI's check job runs it in release"]
 fn fleets_under_deletions_match_the_oracle_on_long_streams() {
     let so = so_stream(&SoConfig::new(300, 20_000).with_span(20_000));
-    let (checks, deletions) = check_deletions(Dataset::So, &[5], &so, 800);
+    let (checks, deletions) = check_deletions(Dataset::So, &[1, 2, 3, 4, 5, 6], &so, 800);
     eprintln!("SO: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 3_000 && deletions >= 3_000,
         "{checks} checks, {deletions} deletions"
     );
     let snb = snb_stream(&SnbConfig::new(200, 20_000).with_span(20_000));
-    let (checks, deletions) = check_deletions(Dataset::Snb, &[5, 6], &snb, 800);
+    let (checks, deletions) = check_deletions(Dataset::Snb, &[1, 2, 3, 4, 5, 6], &snb, 800);
     eprintln!("SNB: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 5_000 && deletions >= 3_000,
+        "{checks} checks, {deletions} deletions"
+    );
+}
+
+/// Q7 under deletions, held to the same oracle. Known defect: `RL+`
+/// reads its input through an edge store that keeps one row per `(src,
+/// trg, label)`, while a PATTERN without duplicate suppression emits one
+/// `RL` tuple per binding (`m` in `c2q(x, m), c2a(m, y)`). Two bindings
+/// of one `RL(x, y)` coalesce into one stored edge, and deleting either
+/// binding's edge drops it, so the engine loses every `Ans` pair that
+/// edge still derives (SO W80 at t=183, SNB W160 at t=271). Run with
+/// `--ignored`.
+#[test]
+#[ignore = "known defect: a deleted PATTERN binding drops an RL edge that another binding still derives"]
+fn q7_under_deletions_matches_the_oracle_at_every_slide() {
+    let so = so_stream(&SoConfig::new(30, 1_000).with_span(480));
+    let (checks, deletions) = check_deletions(Dataset::So, &[7], &so, 160);
+    assert!(
+        checks >= 60 && deletions >= 100,
+        "{checks} checks, {deletions} deletions"
+    );
+    let snb = snb_stream(&SnbConfig::new(25, 1_000).with_span(480));
+    let (checks, deletions) = check_deletions(Dataset::Snb, &[7], &snb, 160);
+    assert!(
+        checks >= 60 && deletions >= 100,
         "{checks} checks, {deletions} deletions"
     );
 }
