@@ -58,44 +58,14 @@ pub enum PatternImpl {
     Wcoj,
 }
 
-/// How a multi-query host decides between joining the shared dataflow and
-/// instantiating a dedicated pipeline for a newly registered plan. The
-/// single-query [`Engine`] ignores this option; it lives here so hosts and
-/// engines share one [`EngineOptions`] surface.
+/// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
+/// 3(a)). Every registration joins the shared dataflow: structurally equal
+/// subplans run once, whatever [`EngineOptions::sharing`] holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SharingPolicy {
-    /// Cost-based: consult measured per-operator cost (batch nanos,
-    /// routing/dedup tax) when available, fall back to a deterministic
-    /// static heuristic (share on overlap, ties to shared) before any
-    /// measurements exist. The default.
+    /// The only value.
     #[default]
     Auto,
-    /// Always join the shared structure (the pre-chooser behaviour).
-    AlwaysShare,
-    /// Always instantiate dedicated derived operators (sharing ablation;
-    /// window scans are still unified — they are input partitions, not
-    /// pipelines).
-    AlwaysDedicated,
-}
-
-impl SharingPolicy {
-    /// Parses `SGQ_SHARING` (`auto`/`share`/`dedicated`).
-    pub fn from_env() -> SharingPolicy {
-        match std::env::var("SGQ_SHARING").as_deref() {
-            Ok("share") | Ok("always_share") => SharingPolicy::AlwaysShare,
-            Ok("dedicated") | Ok("always_dedicated") => SharingPolicy::AlwaysDedicated,
-            _ => SharingPolicy::Auto,
-        }
-    }
-
-    /// Short display name (`auto`/`share`/`dedicated`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SharingPolicy::Auto => "auto",
-            SharingPolicy::AlwaysShare => "share",
-            SharingPolicy::AlwaysDedicated => "dedicated",
-        }
-    }
 }
 
 /// Engine construction options.
@@ -141,10 +111,9 @@ pub struct EngineOptions {
     /// (`off`/`counters`/`timing`), which is how CI runs the whole suite
     /// with observability on without touching test code.
     pub obs: ObsLevel,
-    /// Shared-vs-dedicated planning policy for multi-query hosts (see
-    /// [`SharingPolicy`]; ignored by the single-query engine). The default
-    /// honours the `SGQ_SHARING` environment variable
-    /// (`auto`/`share`/`dedicated`).
+    /// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
+    /// 3(a)). Every registration joins the shared dataflow, whatever this
+    /// holds. Defaults to [`SharingPolicy::Auto`].
     pub sharing: SharingPolicy,
     /// Ignored; removed when the benchmark literal is unfrozen (ROADMAP
     /// 3(a)). No sketch is kept and nothing is rebalanced or replanned,
@@ -164,7 +133,7 @@ impl Default for EngineOptions {
             workers: 1,
             shards: 1,
             obs: default_obs(),
-            sharing: SharingPolicy::from_env(),
+            sharing: SharingPolicy::Auto,
             adaptive: false,
         }
     }

@@ -24,6 +24,7 @@
 //! query boundaries are *identical* expressions, so lowering them through
 //! one shared [`Dataflow`](crate::dataflow::Dataflow) instantiates each once —
 //! the cross-query generalization of the engine's intra-query dedup.
+//! Every registration goes through [`Canonicalizer::canonicalize`].
 //!
 //! Sharing an operator between queries that named its output differently
 //! is sound because downstream operators are label-agnostic: PATTERN /
@@ -161,71 +162,6 @@ impl Canonicalizer {
         let l = self.labels.fresh_derived("shared");
         self.structural.insert(shape, l);
         l
-    }
-
-    /// Rewrites `plan` into the shared namespace **without** structural
-    /// unification of derived operators: every UNION / PATTERN / PATH gets
-    /// a freshly minted private label, so lowering instantiates private
-    /// copies instead of joining the shared structure (the cost-based
-    /// chooser's "dedicated" outcome). EDB labels are still re-interned by
-    /// name and WSCANs keep their structural identity — leaf window scans
-    /// are shared even by dedicated pipelines (they are cheap, stateless
-    /// per subscriber, and sharing them keeps one input fan-out point);
-    /// likewise a FILTER directly over such a scan, carrying no label of
-    /// its own, unifies structurally. This is intentional: dedication
-    /// targets the expensive *derived* operators.
-    pub fn canonicalize_private(&mut self, plan: &Plan) -> SgaExpr {
-        self.canon_private(&plan.expr, &plan.labels)
-    }
-
-    fn canon_private(&mut self, expr: &SgaExpr, src: &LabelInterner) -> SgaExpr {
-        match expr {
-            SgaExpr::WScan {
-                label,
-                window,
-                slide,
-            } => SgaExpr::WScan {
-                label: self.labels.input_label(src.name(*label)),
-                window: *window,
-                slide: *slide,
-            },
-            SgaExpr::Filter { input, preds } => SgaExpr::Filter {
-                input: Box::new(self.canon_private(input, src)),
-                preds: preds.clone(),
-            },
-            SgaExpr::Union { inputs, .. } => SgaExpr::Union {
-                inputs: inputs.iter().map(|i| self.canon_private(i, src)).collect(),
-                label: self.labels.fresh_derived("private"),
-            },
-            SgaExpr::Pattern {
-                inputs,
-                conditions,
-                output,
-                ..
-            } => SgaExpr::Pattern {
-                inputs: inputs.iter().map(|i| self.canon_private(i, src)).collect(),
-                conditions: conditions.clone(),
-                output: *output,
-                label: self.labels.fresh_derived("private"),
-            },
-            SgaExpr::Path { inputs, regex, .. } => {
-                let inputs: Vec<SgaExpr> =
-                    inputs.iter().map(|i| self.canon_private(i, src)).collect();
-                let alphabet = regex.alphabet();
-                debug_assert_eq!(alphabet.len(), inputs.len(), "planner invariant");
-                let mapping: FxHashMap<Label, Label> = alphabet
-                    .iter()
-                    .zip(&inputs)
-                    .map(|(old, input)| (*old, input.output_label()))
-                    .collect();
-                let regex = regex.map_labels(&mut |l| mapping[&l]);
-                SgaExpr::Path {
-                    inputs,
-                    regex,
-                    label: self.labels.fresh_derived("private"),
-                }
-            }
-        }
     }
 }
 

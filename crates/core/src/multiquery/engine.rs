@@ -1,7 +1,6 @@
 //! The multi-query host: N persistent queries, one shared dataflow.
 
 use super::canon::Canonicalizer;
-use super::chooser::{self, CostInputs, SubplanChoice};
 pub use super::registry::QueryId;
 use super::registry::{input_sgt, Emissions, Registration, Registry};
 use super::sink::{answer_at, ResultRow, SinkCensus};
@@ -131,7 +130,7 @@ impl MultiQueryEngine {
         let mut host = Self::with_options(opts);
         host.canon = Canonicalizer::adopting(plan.labels.clone());
         host.keeps_history = false;
-        let id = host.install(plan, plan.expr.clone(), SubplanChoice::static_shared());
+        let id = host.install(plan, plan.expr.clone());
         (host, id)
     }
 
@@ -167,6 +166,7 @@ impl MultiQueryEngine {
     /// subplan structurally equal to one an already-registered query uses
     /// — window scans, PATH automata, PATTERN join subtrees — is **not**
     /// re-instantiated; the existing operator fans out to both queries.
+    /// This holds at every [`ObsLevel`]: measured time never picks a plan.
     ///
     /// When the host runs with duplicate suppression (the default), a
     /// late registration catches up with history: if the whole plan is
@@ -185,21 +185,13 @@ impl MultiQueryEngine {
     /// starts cold.
     pub fn register(&mut self, query: &SgqQuery) -> QueryId {
         let plan = plan_canonical(query);
-        // The shared canonical form drives the cost estimate even when the
-        // chooser dedicates the plan.
-        let shared_expr = self.canon.canonicalize(&plan);
-        let choice = self.plan_choice(&shared_expr);
-        let expr = if choice.dedicated {
-            self.canon.canonicalize_private(&plan)
-        } else {
-            shared_expr
-        };
-        self.install(&plan, expr, choice)
+        let expr = self.canon.canonicalize(&plan);
+        self.install(&plan, expr)
     }
 
     /// Lowers `expr` (`plan` in this host's namespace) into the shared
     /// dataflow, registers it and catches it up with history.
-    fn install(&mut self, plan: &Plan, expr: SgaExpr, choice: SubplanChoice) -> QueryId {
+    fn install(&mut self, plan: &Plan, expr: SgaExpr) -> QueryId {
         let answer = self.canon.answer_label(plan.labels.name(plan.answer));
         let root = self.flow.lower(&expr);
         let nodes = self.flow.nodes_of(&expr);
@@ -234,7 +226,6 @@ impl MultiQueryEngine {
                 base_del: 0,
                 drained: 0,
                 drained_del: 0,
-                choice,
                 latency_hist: Default::default(),
                 emission_hist: Default::default(),
                 obs_results: 0,
@@ -261,45 +252,6 @@ impl MultiQueryEngine {
             nodes: node_count,
         });
         id
-    }
-
-    /// The register-time shared-vs-dedicated decision for a plan
-    /// (`crate::chooser`): measured per-operator and per-phase cost when
-    /// timing observability has signal, the deterministic static
-    /// always-share heuristic otherwise.
-    fn plan_choice(&self, shared_expr: &SgaExpr) -> SubplanChoice {
-        let measured = self.opts.obs.timing().then(|| {
-            let (route_nanos, dedup_nanos) = self.registry.phase_nanos();
-            let by_node: FxHashMap<usize, u64> = self
-                .flow
-                .operator_snapshots()
-                .into_iter()
-                .map(|o| (o.node, o.stats.batch_nanos))
-                .collect();
-            // Σ batch_nanos over live derived operators this plan would
-            // reuse by sharing — the work a dedicated pipeline repeats.
-            // WSCANs (and label-less FILTERs) stay shared either way.
-            let mut reusable_nanos = 0u64;
-            let mut seen = FxHashSet::default();
-            shared_expr.visit(&mut |e| {
-                if matches!(e, SgaExpr::WScan { .. } | SgaExpr::Filter { .. }) {
-                    return;
-                }
-                if let Some(n) = self.flow.lookup(e) {
-                    if seen.insert(n) {
-                        reusable_nanos += by_node.get(&n).copied().unwrap_or(0);
-                    }
-                }
-            });
-            CostInputs {
-                epochs: self.flow.exec_stats().epochs,
-                route_nanos,
-                dedup_nanos,
-                reusable_nanos,
-                queries: self.registry.len() as u64,
-            }
-        });
-        chooser::decide(self.opts.sharing, measured)
     }
 
     /// Accumulated `(routing, dedup)` post-operator phase nanos: the
@@ -405,7 +357,7 @@ impl MultiQueryEngine {
         let mut out = format!(
             "== explain analyze {id} (obs={}) ==\n\
              epochs={} input_deltas={} invocations={} dispatched={} emitted={} state={}\n\
-             plan: {}\n{}\n",
+             plan: {}\n",
             self.opts.obs.name(),
             stats.epochs,
             stats.input_deltas,
@@ -414,7 +366,6 @@ impl MultiQueryEngine {
             stats.deltas_emitted,
             self.flow.state_size(),
             reg.expr.display(self.canon.labels()),
-            reg.choice.describe(self.opts.sharing),
         );
         out.push_str(&self.flow.explain_expr(&reg.expr));
         let lat = reg.latency_hist.summary();

@@ -22,6 +22,11 @@
 //!   [`drain`](MultiQueryEngine::drain)), and shared purge/slide
 //!   bookkeeping (the host ticks at the gcd of all registered ticks).
 //!
+//! There is one sharing rule: every registration is canonicalized and
+//! lowered into the shared dataflow, so a registration adds only the
+//! operators no live query already runs. Which plan a query gets never
+//! depends on the observability level or on measured time.
+//!
 //! The single-query [`Engine`](crate::engine::Engine) is this host with
 //! one registration, so epoch chunking at slide boundaries, the purge
 //! cadence and the deduplicating root sinks exist once.
@@ -34,13 +39,11 @@
 //! `tests/multiquery_equivalence.rs`).
 
 pub mod canon;
-pub mod chooser;
 pub mod engine;
 mod registry;
 mod sink;
 
 pub use canon::Canonicalizer;
-pub use chooser::{CostBasis, SubplanChoice};
 pub use engine::MultiQueryEngine;
 pub use registry::QueryId;
 pub use sink::{ResultRow, SinkCensus};

@@ -13,7 +13,6 @@
 //! state lives and dies with its last subscription; nothing is shared
 //! between sinks that would outlive one.
 
-use super::chooser::SubplanChoice;
 use super::sink::{sink_batch, sink_result, ResultRow, RootSink, SinkCensus, SinkScratch};
 use crate::algebra::SgaExpr;
 use crate::engine::EngineOptions;
@@ -64,8 +63,6 @@ pub(crate) struct Registration {
     /// Like `drained`, for the deleted-results log (advanced only by
     /// [`Registry::for_each_undelivered`]; `drain` covers inserts only).
     pub drained_del: usize,
-    /// The register-time shared-vs-dedicated planning outcome.
-    pub choice: SubplanChoice,
     /// Per-epoch attributed-cost histogram (nanos): each epoch's operator
     /// nanos, shared-operator cost split by fan-out share. Populated only
     /// at `ObsLevel::Timing`; never part of the determinism contract.

@@ -1,9 +1,9 @@
 //! Flight-recorder observability: per-operator counters, log2 latency
 //! histograms, structured trace events, and metrics snapshots.
 //!
-//! Two consumers motivate this module: shared-vs-dedicated subplan
-//! placement needs *measured per-operator cost*, and a service host needs
-//! a metrics exporter. The executor therefore collects, when asked to:
+//! Two consumers motivate this module: `explain analyze` needs *measured
+//! per-operator cost*, and a service host needs a metrics exporter. The
+//! executor therefore collects, when asked to:
 //!
 //! * [`OpStats`] — per-operator invocation / delta-in / delta-out /
 //!   wall-clock counters, accumulated by `Dataflow`'s dispatch loop;

@@ -219,6 +219,58 @@ fn sixteen_overlapping_queries_share_operators() {
     }
 }
 
+/// Drives a host at `obs` through a heavy one-hop fleet (`a` and `b`, one
+/// result per edge, so routing and sink dedup cost real time per epoch),
+/// then registers `a+` twice. Returns the host and its operator count
+/// between the two `a+` registrations.
+fn heavy_fleet_then_closure_twice(obs: ObsLevel) -> (MultiQueryEngine, usize) {
+    const EPOCHS: u64 = 24;
+    const EDGES_PER_EPOCH: u64 = 16_000;
+    let query = |text: &str| SgqQuery::new(parse_program(text).unwrap(), WindowSpec::sliding(2));
+    let mut host = MultiQueryEngine::with_options(EngineOptions {
+        obs,
+        ..Default::default()
+    });
+    host.register(&query("Ans(x, y) <- a(x, y)."));
+    host.register(&query("Ans(x, y) <- b(x, y)."));
+    let labels = ["a", "b"].map(|name| host.labels().get(name).unwrap());
+    let mut batch = Vec::with_capacity(EDGES_PER_EPOCH as usize);
+    for t in 0..EPOCHS {
+        batch.clear();
+        batch.extend((0..EDGES_PER_EPOCH).map(|i| {
+            let trg = (i * 7_919 + t * 104_729) % 50_000;
+            Sge::raw(i, trg, labels[(i % 2) as usize], t)
+        }));
+        host.ingest_batch(&batch);
+        host.release_delivered();
+    }
+    let closure = query("Ans(x, y) <- a+(x, y).");
+    host.register(&closure);
+    let between = host.operator_count();
+    host.register(&closure);
+    (host, between)
+}
+
+/// Sharing is one rule, not a measured choice: the same registrations on
+/// the same stream build the same operators at every observability level,
+/// and a second registration of a running plan adds no operator. The
+/// fleet is heavy so that routing and dedup time per epoch is far from
+/// negligible under `ObsLevel::Timing`.
+#[test]
+fn sharing_does_not_depend_on_observability() {
+    let (off, off_between) = heavy_fleet_then_closure_twice(ObsLevel::Off);
+    let (timed, timed_between) = heavy_fleet_then_closure_twice(ObsLevel::Timing);
+    assert_eq!(off.operator_names(), timed.operator_names());
+    assert_eq!(off.operator_count(), timed.operator_count());
+    for (host, between) in [(&off, off_between), (&timed, timed_between)] {
+        assert_eq!(
+            host.operator_count(),
+            between,
+            "second a+ added an operator"
+        );
+    }
+}
+
 #[test]
 fn deregistration_retires_exclusive_operators_only() {
     let mk = |n: usize| {
