@@ -1,11 +1,10 @@
 //! # sgq-bench — the benchmark harness for the paper's evaluation
 //!
-//! Shared setup for (i) the criterion benches in `benches/` (one per table
-//! and figure of §7) and (ii) the `repro` binary that prints paper-style
-//! tables. Workloads follow §7.1: Q1–Q7 of Table 1 over SO-like and
-//! SNB-like streams, a window of `T = 30·β` with slide `β` ("|W| = 30
-//! days and β = 1 day"), tail latency = p99 per-slide processing time,
-//! throughput = edges/s.
+//! Shared setup for the `repro` binary, which prints every table, figure
+//! and ablation of §7 in the paper's format. Workloads follow §7.1: Q1–Q7
+//! of Table 1 over SO-like and SNB-like streams, a window of `T = 30·β`
+//! with slide `β` ("|W| = 30 days and β = 1 day"), tail latency = p99
+//! per-slide processing time, throughput = edges/s.
 //!
 //! Scale is configurable: streams are generated in *ticks* (1 edge ≈ 1
 //! tick) and windows derived from the span, preserving the paper's
@@ -13,7 +12,6 @@
 
 use sgq_core::engine::{Engine, EngineOptions, PathImpl};
 use sgq_core::metrics::RunStats;
-use sgq_core::obs::{MetricsSnapshot, ObsLevel};
 use sgq_core::planner::Plan;
 use sgq_datagen::{resolve, snb_stream, so_stream, workloads, RawStream, SnbConfig, SoConfig};
 use sgq_dd::DdEngine;
@@ -33,15 +31,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Criterion-bench scale: a couple of seconds per configuration.
-    pub fn bench() -> Scale {
-        Scale {
-            edges: 3_000,
-            vertices: 600,
-            days: 60,
-        }
-    }
-
     /// `repro` binary default scale.
     pub fn repro() -> Scale {
         Scale {
@@ -94,22 +83,6 @@ impl Scale {
     }
 }
 
-/// Window sizes (in simulated "days") of the hosted variants of each
-/// query in the multi-plan "fleet" bench (`obs`); all slide
-/// by one day, so the host ticks daily like the paper's default window.
-pub const VARIANT_DAYS: [u64; 4] = [18, 22, 26, 30];
-
-/// The window-variant fleet of query `n`: one registration per entry of
-/// [`VARIANT_DAYS`]. Distinct window sizes make the plans structurally
-/// distinct, so a shared dataflow holds that many disjoint operator
-/// chains.
-pub fn window_variant_fleet(n: usize, ds: Dataset, scale: &Scale) -> Vec<SgqQuery> {
-    VARIANT_DAYS
-        .iter()
-        .map(|&days| SgqQuery::new(workloads::query(n, ds), scale.window(days, 1, 1)))
-        .collect()
-}
-
 /// Which engine/plan to measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
@@ -157,7 +130,7 @@ pub fn run_program(
             // Like the paper's prototype, paths are *recoverable* from the
             // Δ-PATH index (parent pointers); the measured result stream
             // carries pairs, so per-emission materialisation is off here
-            // (the ablation bench measures its cost separately).
+            // (`repro ablations` measures its cost separately).
             let opts = EngineOptions {
                 path_impl: if system == System::Sga {
                     PathImpl::Direct
@@ -179,34 +152,30 @@ pub fn run_program(
     }
 }
 
-/// Runs query `Qn` on the SGA engine at an explicit observability level,
-/// returning run stats plus the post-run metrics snapshot. Unlike
-/// [`run_query`], the level is pinned rather than read from `SGQ_OBS`,
-/// so benches comparing levels are environment-independent.
-pub fn run_query_obs(
+/// Runs query `Qn` on the SGA engine under explicit options, tuple at a
+/// time or, with `epoch_ticks`, in epochs of that many ticks; returns the
+/// run stats and the engine, for its post-run metrics.
+pub fn run_query_with(
     n: usize,
     ds: Dataset,
     raw: &RawStream,
     window: WindowSpec,
-    obs: ObsLevel,
-) -> (RunStats, MetricsSnapshot) {
+    opts: EngineOptions,
+    epoch_ticks: Option<u64>,
+) -> (RunStats, Engine) {
     let program = workloads::query(n, ds);
     let stream = resolve(raw, program.labels());
-    let opts = EngineOptions {
-        materialize_paths: false,
-        obs,
-        ..Default::default()
+    let mut engine = Engine::from_query_with(&SgqQuery::new(program, window), opts);
+    let stats = match epoch_ticks {
+        None => engine.run(&stream),
+        Some(ticks) => engine.run_batched(&stream, ticks),
     };
-    let query = SgqQuery::new(program, window);
-    let mut engine = Engine::from_query_with(&query, opts);
-    let stats = engine.run(&stream);
-    let snapshot = engine.metrics_snapshot();
-    (stats, snapshot)
+    (stats, engine)
 }
 
-/// The extended latency/state JSON fields shared by bench rows and
-/// `repro --stats`: p50/p99/p99.9 slide latency (seconds) and the peak
-/// retained state entries. Returned as a fragment (no braces) so callers
+/// The extended latency/state JSON fields of a `repro --stats` run
+/// record: p50/p99/p99.9 slide latency (seconds) and the peak retained
+/// state entries. Returned as a fragment (no braces) so callers
 /// splice it into their own row objects.
 pub fn latency_fields(stats: &RunStats) -> String {
     let profile = stats.latency_profile();
@@ -271,8 +240,8 @@ mod tests {
 
     #[test]
     fn scaled_changes_sizes() {
-        let s = Scale::bench().scaled(2.0);
-        assert!(s.edges > Scale::bench().edges);
+        let s = Scale::repro().scaled(2.0);
+        assert!(s.edges > Scale::repro().edges);
         let w = s.default_window();
         assert_eq!(w.size, 30 * w.slide);
     }

@@ -314,11 +314,6 @@ impl Dataflow {
         self.nodes[n].op.state_size() + self.stores[n].as_ref().map_or(0, EdgeStore::size)
     }
 
-    /// Whether any live WSCAN reads `label`.
-    pub fn has_source(&self, label: Label) -> bool {
-        self.sources.get(&label).is_some_and(|s| !s.is_empty())
-    }
-
     /// The node already lowered for `expr`, if any.
     pub fn lookup(&self, expr: &SgaExpr) -> Option<usize> {
         self.memo.get(expr).copied()

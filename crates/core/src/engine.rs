@@ -23,7 +23,7 @@ use crate::multiquery::{MultiQueryEngine, QueryId};
 use crate::obs::{FrontierStats, MetricsSnapshot, ObsLevel, TraceSink};
 use crate::planner::{plan_canonical, Plan};
 use sgq_query::SgqQuery;
-use sgq_types::{FxHashSet, Label, LabelInterner, Sge, Sgt, SnapshotGraph, Timestamp, VertexId};
+use sgq_types::{FxHashSet, Label, LabelInterner, Sge, Sgt, Timestamp, VertexId};
 use std::time::{Duration, Instant};
 
 /// Which physical implementation to use for PATH operators.
@@ -305,12 +305,6 @@ impl Engine {
         self.host.answer_at(self.query, t)
     }
 
-    /// The snapshot graph of the result stream at `t` (answers as a
-    /// materialized path graph — closure of SGA, §5.3).
-    pub fn snapshot_at(&self, t: Timestamp) -> SnapshotGraph {
-        SnapshotGraph::at_time(t, self.results().iter())
-    }
-
     /// Total operator state entries (for Δ-PATH / join-state metrics).
     pub fn state_size(&self) -> usize {
         self.host.state_size()
@@ -443,7 +437,7 @@ impl Engine {
 mod tests {
     use super::*;
     use sgq_query::{parse_program, WindowSpec};
-    use sgq_types::Interval;
+    use sgq_types::{Interval, SnapshotGraph};
 
     fn engine(text: &str, window: u64) -> Engine {
         let p = parse_program(text).unwrap();

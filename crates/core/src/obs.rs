@@ -462,11 +462,6 @@ impl JsonlTraceSink {
         }
         out
     }
-
-    /// Writes the trace to `path` as JSONL.
-    pub fn write_to(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 impl TraceSink for JsonlTraceSink {

@@ -11,10 +11,10 @@
 //! bound atom, so no intermediate join state beyond the per-port edge
 //! indexes exists.
 //!
-//! The trade-off reproduced by the `ablation_wcoj` bench: the hash-join
-//! tree pays for skew with large intermediate tables (its state is the sum
-//! of all stage tables), while WCOJ keeps only input indexes but pays a
-//! per-tuple enumeration that touches several indexes. On cyclic patterns
+//! The trade-off `repro ablations` measures (its `pattern` rows): the
+//! hash-join tree pays for skew with large intermediate tables (its state
+//! is the sum of all stage tables), while WCOJ keeps only input indexes
+//! but pays a per-tuple enumeration that touches several indexes. On cyclic patterns
 //! (triangles, Q5/Q6) WCOJ avoids the intermediate blow-up entirely.
 //!
 //! Semantics are identical to [`PatternOp`](super::pattern::PatternOp):

@@ -32,16 +32,6 @@ impl Plan {
     pub fn display(&self) -> String {
         self.expr.display(&self.labels)
     }
-
-    /// Replaces the root expression (used by the rewriter), keeping labels.
-    pub fn with_expr(&self, expr: SgaExpr) -> Plan {
-        Plan {
-            expr,
-            labels: self.labels.clone(),
-            answer: self.answer,
-            window: self.window,
-        }
-    }
 }
 
 /// Translates an SGQ into its canonical SGA expression (Algorithm

@@ -190,11 +190,6 @@ impl IntervalSet {
         }
     }
 
-    /// Largest expiry over all members, or `None` if empty.
-    pub fn max_exp(&self) -> Option<Timestamp> {
-        self.intervals().last().map(|x| x.exp)
-    }
-
     /// The members, sorted by start.
     pub fn intervals(&self) -> &[Interval] {
         match &self.repr {
@@ -351,12 +346,6 @@ mod tests {
     fn covered_counts_instants() {
         let s: IntervalSet = [iv(0, 3), iv(5, 8)].into_iter().collect();
         assert_eq!(s.covered(), 6);
-    }
-
-    #[test]
-    fn max_exp_is_last() {
-        let s: IntervalSet = [iv(5, 8), iv(0, 3)].into_iter().collect();
-        assert_eq!(s.max_exp(), Some(8));
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl SnapshotGraph {
         self.edges.len()
     }
 
-    /// Number of distinct paths.
-    pub fn path_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.vertices.len()
@@ -232,7 +227,6 @@ mod tests {
             Payload::Path(p.clone()),
         );
         let g = SnapshotGraph::at_time(5, [&s]);
-        assert_eq!(g.path_count(), 1);
         assert_eq!(g.edge_count(), 0);
         assert!(g.contains(VertexId(1), VertexId(3), Label(7)));
         assert_eq!(g.path(VertexId(1), VertexId(3), Label(7)), Some(&p));

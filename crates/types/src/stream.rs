@@ -1,9 +1,6 @@
-//! Input graph streams (Def. 4) and label-based logical partitioning
-//! (Def. 9).
+//! Input graph streams (Def. 4).
 
 use crate::edge::Sge;
-use crate::hash::FxHashMap;
-use crate::ids::Label;
 use crate::time::Timestamp;
 
 /// An in-memory input graph stream: a sequence of sges ordered
@@ -34,12 +31,6 @@ impl InputStream {
             sges.windows(2).all(|w| w[0].t <= w[1].t),
             "input graph streams must be ordered by timestamp (Def. 4)"
         );
-        InputStream { sges }
-    }
-
-    /// Builds a stream from unordered sges by stable-sorting on timestamp.
-    pub fn from_unordered(mut sges: Vec<Sge>) -> Self {
-        sges.sort_by_key(|e| e.t);
         InputStream { sges }
     }
 
@@ -78,29 +69,6 @@ impl InputStream {
     pub fn last_ts(&self) -> Option<Timestamp> {
         self.sges.last().map(|e| e.t)
     }
-
-    /// Logical partitioning (Def. 9): splits the stream into disjoint
-    /// per-label streams. Order within each partition is preserved.
-    pub fn partition_by_label(&self) -> FxHashMap<Label, InputStream> {
-        let mut parts: FxHashMap<Label, InputStream> = FxHashMap::default();
-        for &sge in &self.sges {
-            parts.entry(sge.label).or_default().sges.push(sge);
-        }
-        parts
-    }
-
-    /// Keeps only sges whose label appears in `labels` (the engine discards
-    /// edges whose label is not referenced by the query, §7.2.1).
-    pub fn restrict_to_labels(&self, labels: &[Label]) -> InputStream {
-        InputStream {
-            sges: self
-                .sges
-                .iter()
-                .filter(|e| labels.contains(&e.label))
-                .copied()
-                .collect(),
-        }
-    }
 }
 
 impl IntoIterator for InputStream {
@@ -122,6 +90,7 @@ impl<'a> IntoIterator for &'a InputStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Label;
 
     #[test]
     fn ordered_construction_checks_order() {
@@ -142,41 +111,5 @@ mod tests {
             Sge::raw(1, 2, Label(0), 5),
             Sge::raw(2, 3, Label(0), 4),
         ]);
-    }
-
-    #[test]
-    fn from_unordered_sorts() {
-        let s = InputStream::from_unordered(vec![
-            Sge::raw(1, 2, Label(0), 9),
-            Sge::raw(2, 3, Label(0), 4),
-        ]);
-        assert_eq!(s.first_ts(), Some(4));
-    }
-
-    #[test]
-    fn partition_by_label_is_disjoint_and_complete() {
-        let s = InputStream::from_ordered(vec![
-            Sge::raw(1, 2, Label(0), 1),
-            Sge::raw(2, 3, Label(1), 2),
-            Sge::raw(3, 4, Label(0), 3),
-        ]);
-        let parts = s.partition_by_label();
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[&Label(0)].len(), 2);
-        assert_eq!(parts[&Label(1)].len(), 1);
-        let total: usize = parts.values().map(|p| p.len()).sum();
-        assert_eq!(total, s.len());
-    }
-
-    #[test]
-    fn restrict_to_labels_filters() {
-        let s = InputStream::from_ordered(vec![
-            Sge::raw(1, 2, Label(0), 1),
-            Sge::raw(2, 3, Label(1), 2),
-            Sge::raw(3, 4, Label(2), 3),
-        ]);
-        let r = s.restrict_to_labels(&[Label(0), Label(2)]);
-        assert_eq!(r.len(), 2);
-        assert!(r.sges().iter().all(|e| e.label != Label(1)));
     }
 }

@@ -8,6 +8,9 @@
 //! through a pinned `ObsLevel::Off` instance, so the histograms' marks
 //! must resynchronize without perturbing anything).
 //!
+//! `workload_queries_are_obs_neutral` holds the same contract on the
+//! evaluation workloads (SO and SNB Q1–Q7 over generated streams).
+//!
 //! The unit tests at the bottom cover the positive side of the contract:
 //! under `Timing` the counters actually populate — `explain_analyze`
 //! renders non-zero per-operator work, the metrics snapshot serialises to
@@ -17,6 +20,7 @@
 //! [`ExecStats`]: s_graffito::core::metrics::ExecStats
 
 use proptest::prelude::*;
+use s_graffito::datagen::{resolve, snb_stream, so_stream, workloads, SnbConfig, SoConfig};
 use s_graffito::prelude::*;
 use s_graffito::types::{Sge, VertexId};
 
@@ -311,6 +315,54 @@ proptest! {
                 "executor counters at obs={}",
                 levels[h].name()
             );
+        }
+    }
+}
+
+/// The workload queries under every level: equal insert and deletion
+/// counts and executor counters to `Off`, and measured operator time
+/// under `Timing`.
+#[test]
+fn workload_queries_are_obs_neutral() {
+    let streams = [
+        (
+            workloads::Dataset::So,
+            so_stream(&SoConfig::new(40, 400).with_span(200)),
+        ),
+        (
+            workloads::Dataset::Snb,
+            snb_stream(&SnbConfig::new(30, 400).with_span(200)),
+        ),
+    ];
+    for (ds, raw) in &streams {
+        for (name, program) in workloads::all_queries(*ds) {
+            let stream = resolve(raw, program.labels());
+            let query = SgqQuery::new(program, WindowSpec::new(100, 20));
+            let run = |obs| {
+                let options = EngineOptions {
+                    materialize_paths: false,
+                    obs,
+                    ..Default::default()
+                };
+                let mut engine = Engine::from_query_with(&query, options);
+                let stats = engine.run(&stream);
+                (stats.results, stats.deletions, engine)
+            };
+            let (results, deletions, baseline) = run(ObsLevel::Off);
+            assert!(results > 0, "{} {name}: no results", ds.name());
+            for obs in LEVELS {
+                let (r, d, engine) = run(obs);
+                let at = format!("{} {name} at obs={}", ds.name(), obs.name());
+                assert_eq!((r, d), (results, deletions), "{at}: result counts");
+                assert_eq!(engine.exec_stats(), baseline.exec_stats(), "{at}");
+                if obs == ObsLevel::Timing {
+                    let snap = engine.metrics_snapshot();
+                    assert!(
+                        snap.operators.iter().any(|op| op.stats.batch_nanos > 0),
+                        "{at}: no operator nanos"
+                    );
+                }
+            }
         }
     }
 }
