@@ -9,13 +9,15 @@
 //! ```
 //!
 //! Experiments: `table2`, `fig10a`, `fig10b`, `fig11`, `fig12`, `fig13`,
-//! `fig14`, `table3`, `ablations`, `fleet`, `all`. With `--stats`, an extra section re-runs
+//! `fig14`, `table3`, `ablations`, `fleet`, `all`. The scale factor
+//! applies to every experiment but `fleet`, which runs on a fixed small
+//! stream (see [`fleet`]). With `--stats`, an extra section re-runs
 //! Q1–Q7 under `ObsLevel::Timing`, prints the extended per-query stats
 //! (p50/p99/p99.9 slide latency, peak state) with an explain-analyze of
 //! Q4's lowered plan, and writes the per-operator metrics snapshots to
 //! `METRICS_repro.jsonl`.
 
-use sgq_bench::{latency_fields, row, run_plan, run_query, run_query_with, Scale, System};
+use sgq_bench::{latency_fields, row, run_plan, run_query, run_sga, Scale, System};
 use sgq_core::engine::{Engine, EngineOptions, PatternImpl};
 use sgq_core::obs::ObsLevel;
 use sgq_core::planner::plan_canonical;
@@ -49,7 +51,7 @@ fn main() {
         "fig14" => plan_figure(scale, 3, "Figure 14 — Q3 plan space"),
         "table3" => table3(scale),
         "ablations" => ablations(scale),
-        "fleet" => fleet(scale),
+        "fleet" => fleet(),
         "all" => {
             table2(scale);
             fig10a(scale);
@@ -60,7 +62,7 @@ fn main() {
             plan_figure(scale, 3, "Figure 14 — Q3 plan space");
             table3(scale);
             ablations(scale);
-            fleet(scale);
+            fleet();
         }
         other => {
             eprintln!("unknown experiment `{other}`");
@@ -88,7 +90,7 @@ fn stats_report(scale: Scale) {
         let raw = scale.stream(ds);
         println!("{}:", ds.name());
         for n in 1..=7 {
-            let (stats, engine) = run_query_with(n, ds, &raw, window, timing, None);
+            let (stats, engine) = run_sga(&workloads::query(n, ds), &raw, window, timing, None);
             let snap = engine.metrics_snapshot();
             let profile = stats.latency_profile();
             println!(
@@ -111,7 +113,13 @@ fn stats_report(scale: Scale) {
     // One lowered tree with live counters, for the showcase query of the
     // plan-space figures.
     let raw = scale.stream(Dataset::So);
-    let (_, engine) = run_query_with(4, Dataset::So, &raw, window, timing, None);
+    let (_, engine) = run_sga(
+        &workloads::query(4, Dataset::So),
+        &raw,
+        window,
+        timing,
+        None,
+    );
     println!("SO Q4 explain-analyze:\n{}", engine.explain_analyze());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS_repro.jsonl");
     std::fs::write(path, &jsonl).expect("write METRICS_repro.jsonl");
@@ -284,7 +292,7 @@ fn ablations(scale: Scale) {
     let raw = scale.stream(Dataset::So);
     let window = scale.default_window();
     let ablate = |what: &str, variant: &str, n, window, opts, epoch| {
-        let (stats, _) = run_query_with(n, Dataset::So, &raw, window, opts, epoch);
+        let (stats, _) = run_sga(&workloads::query(n, Dataset::So), &raw, window, opts, epoch);
         println!(
             "{what:<18} {variant:<11} {}  peak_state={:<8} results={}",
             row(&stats),
@@ -339,30 +347,18 @@ fn ablations(scale: Scale) {
     println!();
 }
 
-/// The three ways `repro fleet` runs N queries over one stream.
-#[derive(Debug, Clone, Copy)]
-enum Fleet {
-    /// One shared host, results collected per edge (`process`).
-    Shared,
-    /// One shared host, results left in the logs (`ingest`).
-    SharedDrain,
-    /// One engine per query, interleaved a slide tick at a time.
-    Dedicated,
-}
-
-/// Runs `queries` over `raw` one [`Fleet`] way, returning the edges fed
-/// and each query's result count.
-fn run_fleet(how: Fleet, queries: &[SgqQuery], raw: &RawStream) -> (usize, Vec<usize>) {
-    if let Fleet::Dedicated = how {
-        return run_dedicated(queries, raw);
-    }
+/// Runs `queries` over `raw` on one shared host, returning the edges fed
+/// and each query's result count. Results are collected per edge
+/// (`process`) or, with `drain_only`, left in the logs (`ingest`).
+fn run_shared(queries: &[SgqQuery], raw: &RawStream, drain_only: bool) -> (usize, Vec<usize>) {
     let mut host = MultiQueryEngine::with_options(pairs_only());
     let ids: Vec<_> = queries.iter().map(|q| host.register(q)).collect();
     let stream = resolve(raw, host.labels());
     for &sge in stream.sges() {
-        match how {
-            Fleet::Shared => drop(host.process(sge)),
-            _ => host.ingest(sge),
+        if drain_only {
+            host.ingest(sge);
+        } else {
+            drop(host.process(sge));
         }
     }
     let counts = ids.iter().map(|&id| host.results(id).len()).collect();
@@ -424,11 +420,24 @@ fn phase_nanos(queries: &[SgqQuery], raw: &RawStream) -> (u64, u64, u64) {
 /// shared host vs N dedicated engines. Asserts that every query's result
 /// count is the same all three ways at every N, and that sharing pays
 /// for itself by N = 4.
-fn fleet(scale: Scale) {
-    println!("## Multi-query fleet (SO Q1–Q7 round-robin, |W|=30d, β=1d)\n");
+///
+/// The stream is fixed at 750 SO edges over 300 vertices whatever the
+/// CLI factor: the N = 4 gate guards the small-stream regime, where the
+/// shared WSCANs are a measurable part of the work. On larger streams
+/// operator work dominates and four dedicated engines run a few percent
+/// faster (ROADMAP item 9(c)).
+fn fleet() {
+    let scale = Scale {
+        edges: 750,
+        vertices: 300,
+        days: 60,
+    };
+    println!(
+        "## Multi-query fleet (SO Q1–Q7 round-robin, |W|=30d, β=1d; fixed {} edges, {} vertices)\n",
+        scale.edges, scale.vertices
+    );
     let raw = scale.stream(Dataset::So);
     let window = scale.default_window();
-    const WAYS: [Fleet; 3] = [Fleet::Shared, Fleet::SharedDrain, Fleet::Dedicated];
     println!(
         "{:>3} {:>4} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>11} {:>10} {:>10} {:>8}",
         "N",
@@ -464,16 +473,21 @@ fn fleet(scale: Scale) {
         // One untimed warm-up pass, then the best of five timed passes
         // per way: single passes on a small shared machine are
         // noise-dominated.
-        for how in WAYS {
-            run_fleet(how, &queries, &raw);
+        let ways: [&dyn Fn() -> (usize, Vec<usize>); 3] = [
+            &|| run_shared(&queries, &raw, false),
+            &|| run_shared(&queries, &raw, true),
+            &|| run_dedicated(&queries, &raw),
+        ];
+        for way in ways {
+            way();
         }
         let mut secs = [f64::INFINITY; 3];
         let mut edges = [0usize; 3];
         let mut counts: [Vec<usize>; 3] = Default::default();
         let mut pass = |secs: &mut [f64; 3]| {
-            for (i, how) in WAYS.into_iter().enumerate() {
+            for (i, way) in ways.into_iter().enumerate() {
                 let started = Instant::now();
-                (edges[i], counts[i]) = run_fleet(how, &queries, &raw);
+                (edges[i], counts[i]) = way();
                 secs[i] = secs[i].min(started.elapsed().as_secs_f64());
             }
         };

@@ -124,7 +124,6 @@ pub fn run_program(
     window: WindowSpec,
     system: System,
 ) -> RunStats {
-    let stream = resolve(raw, program.labels());
     match system {
         System::Sga | System::SgaNegPath => {
             // Like the paper's prototype, paths are *recoverable* from the
@@ -140,32 +139,28 @@ pub fn run_program(
                 materialize_paths: false,
                 ..Default::default()
             };
-            let query = SgqQuery::new(program.clone(), window);
-            let mut engine = Engine::from_query_with(&query, opts);
-            engine.run(&stream)
+            run_sga(program, raw, window, opts, None).0
         }
         System::Dd => {
             let query = SgqQuery::new(program.clone(), window);
             let mut dd = DdEngine::new(&query);
-            dd.run(&stream)
+            dd.run(&resolve(raw, program.labels()))
         }
     }
 }
 
-/// Runs query `Qn` on the SGA engine under explicit options, tuple at a
+/// Runs a program on the SGA engine under explicit options, tuple at a
 /// time or, with `epoch_ticks`, in epochs of that many ticks; returns the
 /// run stats and the engine, for its post-run metrics.
-pub fn run_query_with(
-    n: usize,
-    ds: Dataset,
+pub fn run_sga(
+    program: &RqProgram,
     raw: &RawStream,
     window: WindowSpec,
     opts: EngineOptions,
     epoch_ticks: Option<u64>,
 ) -> (RunStats, Engine) {
-    let program = workloads::query(n, ds);
     let stream = resolve(raw, program.labels());
-    let mut engine = Engine::from_query_with(&SgqQuery::new(program, window), opts);
+    let mut engine = Engine::from_query_with(&SgqQuery::new(program.clone(), window), opts);
     let stats = match epoch_ticks {
         None => engine.run(&stream),
         Some(ticks) => engine.run_batched(&stream, ticks),
