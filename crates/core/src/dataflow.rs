@@ -43,11 +43,11 @@
 //! ## Edge stores
 //!
 //! S-PATH walks the window of its inputs (paper §6, Def. 22), and a
-//! hash-join PATTERN probes the window of each leaf input (§6.2.2). Every
-//! reader over the same input reads the same window, so the window content
-//! is kept **once per input node**, in an [`EdgeStore`] that exists while
-//! at least one S-PATH, or one PATTERN leaf with a join key, reads that
-//! node:
+//! PATTERN, in either join order, probes the window of each leaf input
+//! (§6.2.2). Every reader over the same input reads the same window, so
+//! the window content is kept **once per input node**, in an
+//! [`EdgeStore`] that exists while at least one S-PATH, or one PATTERN
+//! leaf with a join key, reads that node:
 //!
 //! * **Load.** When the node publishes an insert-only batch, its store
 //!   loads the batch and records the admitted edges, with their intervals
@@ -75,8 +75,8 @@
 //!
 //! Input `i` of a PATH or PATTERN feeds its port `i`, which names the
 //! store a delivered batch was loaded into. A one-input PATTERN (a
-//! projection), a PATTERN leaf without a join key, the WCOJ PATTERN and
-//! the negative-tuple PATH read no store.
+//! projection), a PATTERN leaf without a join key and the negative-tuple
+//! PATH read no store.
 //!
 //! There is one execution path: this serial sweep for epochs and a serial
 //! walk in node order for purges. [`EngineOptions::workers`],
@@ -84,7 +84,7 @@
 //! and ignored.
 
 use crate::algebra::SgaExpr;
-use crate::engine::{EngineOptions, PathImpl, PatternImpl};
+use crate::engine::{EngineOptions, PathImpl};
 use crate::metrics::ExecStats;
 use crate::obs::{fmt_nanos, ObsLevel, OpStats, OperatorSnapshot, TraceEvent, TraceSink};
 use crate::physical::adjacency::{
@@ -92,7 +92,6 @@ use crate::physical::adjacency::{
 };
 use crate::physical::pattern::{CompiledPattern, LeafStores, PatternOp};
 use crate::physical::simple::{FilterOp, UnionOp, WScanOp};
-use crate::physical::wcoj::WcojPatternOp;
 use crate::physical::{negpath::NegPathOp, spath::SPathOp, Delta, DeltaBatch, PhysicalOp};
 use sgq_types::{FxHashMap, FxHashSet, Label, SharedDeltaBatch, Timestamp, VertexId};
 use std::time::Instant;
@@ -365,19 +364,12 @@ impl Dataflow {
             } => {
                 let children: Vec<usize> = inputs.iter().map(|i| self.lower_rec(i)).collect();
                 let spec = CompiledPattern::compile(inputs.len(), conditions, *output, *label);
-                let suppress = self.opts.suppress_duplicates;
-                let (op, reads): (Box<dyn PhysicalOp>, Vec<Option<usize>>) =
-                    match self.opts.pattern_impl {
-                        PatternImpl::HashTree => {
-                            let op = PatternOp::new(spec, suppress);
-                            let reads = (children.iter().enumerate())
-                                .map(|(port, &c)| op.reads_store(port).then_some(c))
-                                .collect();
-                            (Box::new(op), reads)
-                        }
-                        PatternImpl::Wcoj => (Box::new(WcojPatternOp::new(spec, suppress)), vec![]),
-                    };
-                let n = self.add(op);
+                let op =
+                    PatternOp::new(spec, self.opts.suppress_duplicates, self.opts.pattern_impl);
+                let reads = (children.iter().enumerate())
+                    .map(|(port, &c)| op.reads_store(port).then_some(c))
+                    .collect();
+                let n = self.add(Box::new(op));
                 for (port, &c) in children.iter().enumerate() {
                     self.connect(c, n, port);
                 }
@@ -1164,7 +1156,7 @@ impl Dataflow {
     }
 
     /// The [`PatternCensus`](crate::physical::PatternCensus) of every live
-    /// hash-join PATTERN operator, by node id.
+    /// PATTERN operator, by node id.
     pub fn pattern_censuses(&self) -> Vec<(usize, crate::physical::PatternCensus)> {
         (0..self.nodes.len())
             .filter(|&n| !self.retired[n])
@@ -1192,7 +1184,7 @@ impl Dataflow {
     /// explain-analyze body shared by [`Engine`](crate::engine::Engine)
     /// and the multi-query host. Counter fields read zero below
     /// [`ObsLevel::Counters`]; timing fields appear only once non-zero
-    /// (i.e. under [`ObsLevel::Timing`]). A PATH or hash-join PATTERN
+    /// (i.e. under [`ObsLevel::Timing`]). A PATH or PATTERN
     /// operator's line also carries `bytes=`, the heap its state reserves
     /// (a census scan, at every level).
     pub fn explain_expr(&self, expr: &SgaExpr) -> String {
@@ -1279,6 +1271,7 @@ impl PhysicalOp for Tombstone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::PatternImpl;
     use crate::planner::plan_canonical;
     use sgq_query::{parse_program, SgqQuery, WindowSpec};
 
@@ -1469,10 +1462,21 @@ mod tests {
 
     #[test]
     fn an_spath_and_a_pattern_over_one_input_share_its_store() {
+        for order in [PatternImpl::HashTree, PatternImpl::Wcoj] {
+            an_spath_and_a_pattern_share_a_store(order);
+        }
+    }
+
+    fn an_spath_and_a_pattern_share_a_store(pattern_impl: PatternImpl) {
         let (plus, _, scan) = two_paths_over_one_scan();
         let join = chain_pattern(Label(0), Label(1));
-        let mut flow = Dataflow::new(EngineOptions::default());
+        let mut flow = Dataflow::new(EngineOptions {
+            pattern_impl,
+            ..Default::default()
+        });
         let (p, j) = (flow.lower(&plus), flow.lower(&join));
+        let generic = flow.nodes[j].op.name().starts_with("PATTERN-WCOJ");
+        assert_eq!(generic, pattern_impl == PatternImpl::Wcoj);
         let a = flow.lookup(&scan).unwrap();
         assert_eq!(flow.store_readers(a).collect::<Vec<_>>(), vec![p, j]);
         assert_eq!(flow.store_censuses().len(), 2, "a's store and b's");

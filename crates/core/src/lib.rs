@@ -12,9 +12,10 @@
 //!   enumeration used by the §7.4 experiments.
 //! * [`optimizer`] — static cost pre-ranking + empirical calibration over
 //!   the plan space (the §8 future-work optimizer's first step).
-//! * [`physical`] — non-blocking physical operators (§6.2): symmetric
-//!   hash-join PATTERN, the S-PATH direct-approach Δ-PATH operator, and the
-//!   negative-tuple PATH baseline of \[57\], plus explicit-deletion support.
+//! * [`physical`] — non-blocking physical operators (§6.2): PATTERN as a
+//!   symmetric hash-join tree or a generic join, the S-PATH
+//!   direct-approach Δ-PATH operator, and the negative-tuple PATH baseline
+//!   of \[57\], plus explicit-deletion support.
 //! * [`dataflow`] — reusable lowering/delivery machinery: logical plans to
 //!   physical operator graphs with structural subplan deduplication (across
 //!   plans as well as within one), push-based delta delivery, and operator

@@ -418,8 +418,8 @@ impl MultiQueryEngine {
         self.flow.frontier_totals()
     }
 
-    /// Row, key and dedup occupancy of every live hash-join PATTERN
-    /// operator, by node id (see [`crate::physical::PatternCensus`]).
+    /// Row, key and dedup occupancy of every live PATTERN operator, by
+    /// node id (see [`crate::physical::PatternCensus`]).
     pub fn pattern_censuses(&self) -> Vec<(usize, crate::physical::PatternCensus)> {
         self.flow.pattern_censuses()
     }

@@ -9,16 +9,27 @@
 //!
 //! # Who holds it
 //!
-//! Every S-PATH and every hash-join PATTERN over the same input reads the
-//! same window, so the dataflow keeps **one [`EdgeStore`] per input node**
-//! that at least one of them reads (`crate::dataflow`): it is loaded once
-//! when the node publishes its epoch batch, purged once, and read by each
-//! S-PATH through [`WindowGraph`] and by each PATTERN leaf through
-//! `EdgeStore::walk`. A PATTERN that has not yet consumed this epoch's
-//! batch of a port reads that port's store in its `View::Old`: the
-//! intervals from before the last write, which [`EpochLoad`] records. The
-//! negative-tuple PATH (§6.2.3, the Table 3 baseline) keeps a private
-//! [`Adjacency`].
+//! Every S-PATH and every PATTERN (in either join order) over the same
+//! input reads the same window, so the dataflow keeps **one [`EdgeStore`]
+//! per input node** that at least one of them reads (`crate::dataflow`):
+//! it is loaded once when the node publishes its epoch batch, purged
+//! once, and read by each S-PATH through [`WindowGraph`] and by each
+//! PATTERN leaf through `EdgeStore::walk`. A PATTERN that has not yet
+//! consumed this epoch's batch of a port reads that port's store in its
+//! `View::Old`: the intervals from before the last write, which
+//! [`EpochLoad`] records.
+//!
+//! The negative-tuple PATH (§6.2.3, the Table 3 baseline) keeps a private
+//! [`Adjacency`]. Expiry timing is not what keeps it apart (its traversals
+//! skip expired rows by interval, as S-PATH's do); \[57\]'s per-tuple
+//! arrival semantics are. It inserts each arrival and extends from it
+//! before the next arrival is stored, and skips a node already present
+//! instead of propagating, so value-equivalent inserts must not be
+//! pre-merged. A store loads the whole epoch batch first, each edge
+//! coalesced to its final interval ([`EpochLoad::edges`]), and shows later
+//! arrivals of the epoch to earlier ones: read by the baseline, it would
+//! change the baseline Table 3 measures, or need a per-arrival overlay
+//! larger than the private adjacency.
 //!
 //! # Layout
 //!
@@ -619,7 +630,7 @@ pub(crate) struct Chain {
 }
 
 /// The window content of one dataflow node's output, shared by every
-/// S-PATH and hash-join PATTERN that reads the node (see the module docs).
+/// S-PATH and PATTERN that reads the node (see the module docs).
 ///
 /// An insert-only batch is [loaded](EdgeStore::load) whole when the node
 /// publishes it, and each S-PATH reader seeds its frontier from the

@@ -17,7 +17,6 @@ pub mod rederive;
 pub(crate) mod row_index;
 pub mod simple;
 pub mod spath;
-pub mod wcoj;
 
 use sgq_types::Timestamp;
 
@@ -100,17 +99,18 @@ pub trait PhysicalOp: Send {
         None
     }
 
-    /// The hash-join PATTERN behind this operator, if it is one. Its leaf
+    /// The PATTERN behind this operator, if it is one. Its keyed leaf
     /// inputs are views of the edge stores the dataflow keeps per input
-    /// node, so the dataflow drives a PATTERN that has such leaves through
-    /// `PatternOp::consume` instead of [`PhysicalOp::on_batch`].
+    /// node, in either join order, so the dataflow drives a PATTERN that
+    /// has such leaves through `PatternOp::consume` instead of
+    /// [`PhysicalOp::on_batch`].
     fn as_pattern_mut(&mut self) -> Option<&mut pattern::PatternOp> {
         None
     }
 
-    /// Row, key and dedup occupancy of a hash-join PATTERN operator's
-    /// state; `None` for every other operator (the WCOJ alternative
-    /// included). A full scan, like [`PhysicalOp::path_census`].
+    /// Row, key and dedup occupancy of a PATTERN operator's state; `None`
+    /// for every other operator. A full scan, like
+    /// [`PhysicalOp::path_census`].
     fn pattern_census(&self) -> Option<PatternCensus> {
         None
     }

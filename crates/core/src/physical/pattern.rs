@@ -1,33 +1,50 @@
-//! PATTERN (Def. 19) as a pipelined symmetric-hash-join tree (§6.2.2).
+//! PATTERN (Def. 19): a join over the windows of its inputs (§6.2.2).
 //!
 //! The logical PATTERN is binary-in/binary-out, but rule bodies bind more
-//! than two variables, so internally the operator carries *binding tuples*
-//! (vectors of vertex ids over variable equivalence classes) through a
-//! left-deep tree of symmetric hash joins, projecting to `(src, trg, d)` at
-//! the top. The join tree follows the predicate order of the PATTERN, as in
-//! the paper's prototype (Figure 8, right).
+//! than two variables, so internally the operator works on *binding
+//! tuples* (vectors of vertex ids over variable equivalence classes),
+//! projected to `(src, trg, d)` for output.
 //!
 //! State follows the direct approach: per stored binding the operator
 //! keeps an [`IntervalSet`]; expired intervals are skipped naturally
 //! (interval intersection with a live probe tuple is empty) and reclaimed
 //! by `purge`. Fully-covered re-insertions are suppressed (set semantics /
 //! coalescing, Def. 11). Negative tuples (§6.2.5) remove intervals and
-//! probe the opposite table symmetrically, which cancels prior emissions
+//! probe the other inputs symmetrically, which cancels prior emissions
 //! exactly; a binding they leave with no validity is freed at once.
+//!
+//! # Two join orders
+//!
+//! [`PatternImpl`] picks how the inputs are joined; either way a keyed
+//! leaf is read from the edge store of the node behind its port and every
+//! result goes through one output dedup. The **hash-join tree** (the
+//! default, as in the paper's prototype) carries binding tuples through a
+//! left-deep tree of symmetric hash joins in the predicate order of the
+//! PATTERN (Figure 8, right), storing each stage's intermediate bindings.
+//! The **generic join** is the worst-case-optimal alternative §6.2.2 leaves
+//! to future work (\[55\]; Ammar et al., \[5\] in the paper, evaluate
+//! streaming subgraph patterns this way): an arriving tuple binds its
+//! port's variables, and the other ports are resolved one at a time — one
+//! with both ends bound first (a verification), else the one with the
+//! fewest candidates — so no intermediate binding is stored at all. `repro
+//! ablations` compares the two on the cyclic Q5 and Q6, where the tree's
+//! intermediate tables are largest.
 //!
 //! # Layout
 //!
-//! Each side of each stage is one flat `Table` of fixed-width rows: a
-//! row is one binding's values in that side's variable layout, held in
-//! one arena per table, with its validity alongside (inline while it is a
-//! single interval) and a free list of row slots. Two open-addressing
-//! indexes over row ids (`physical/row_index.rs`, which PATH's forest and
-//! adjacency use too) hash the values where they lie in the arena: the
-//! **key index** maps a join key to the first of that key's rows, which
-//! are chained in insertion order, and the **binding index** maps a row's
-//! values to its slot, for coalescing and negative tuples. A hash is never
-//! trusted alone — every hit is checked against the arena — and nothing
-//! is allocated per binding or per key. A probe walks the key's chain, so
+//! What the operator stores — an intermediate side of the tree, or a leaf
+//! without a join key (a disconnected pattern) — is one flat `Table` of
+//! fixed-width rows: a row is one binding's values in that side's
+//! variable layout, held in one arena per table, with its validity
+//! alongside (inline while it is a single interval) and a free list of
+//! row slots. Two open-addressing indexes over row ids
+//! (`physical/row_index.rs`, which PATH's forest and adjacency use too)
+//! hash the values where they lie in the arena: the **key index** maps a
+//! join key to the first of that key's rows, which are chained in
+//! insertion order, and the **binding index** maps a row's values to its
+//! slot, for coalescing and negative tuples. A hash is never trusted
+//! alone — every hit is checked against the arena — and nothing is
+//! allocated per binding or per key. A probe walks the key's chain, so
 //! its output order is the order rows arrived in, whatever slots they
 //! happen to occupy.
 //!
@@ -46,6 +63,7 @@ use super::forest::ExpiryIndex;
 use super::row_index::{hash_words, RowIndex, NIL};
 use super::{Delta, DeltaBatch, PhysicalOp};
 use crate::algebra::{Pos, Side};
+use crate::engine::PatternImpl;
 use sgq_types::{Edge, FxHashMap, Interval, IntervalSet, Label, Payload, Sgt, Timestamp, VertexId};
 use std::mem::size_of;
 
@@ -119,12 +137,27 @@ impl CompiledPattern {
     }
 }
 
-/// Per-stage join plan computed once at operator construction (the join
-/// keys' positions live in the stage's two tables).
-#[derive(Debug, Clone)]
-struct StagePlan {
+/// One stage of the hash-join tree: its two sides, which know where their
+/// join keys sit, and how a joined binding is laid out.
+#[derive(Debug)]
+struct Stage {
+    left: JoinSide,
+    right: JoinSide,
     /// For each output var: (from_left, index in that side's layout).
     out_from: Vec<(bool, usize)>,
+}
+
+/// How a [`PatternOp`] joins its inputs (see the module docs).
+#[derive(Debug)]
+enum Join {
+    /// The left-deep hash-join tree: one stage per input after the first,
+    /// and where the output `(src, trg)` sits in the last stage's layout.
+    Tree {
+        stages: Vec<Stage>,
+        out_pos: (usize, usize),
+    },
+    /// The generic join: each port's side, and the number of variables.
+    Generic { sides: Vec<JoinSide>, vars: usize },
 }
 
 /// Fx over a key's or a row's values, in order. A stage's two tables
@@ -407,12 +440,9 @@ impl Table {
 
 /// A leaf read from the edge store behind its port: where its join key
 /// sits on the input edge.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Leaf {
     port: usize,
-    /// Positions of the join key in the leaf's layout (`[src, trg]`, or
-    /// `[x]` for a same-variable leaf).
-    key_pos: Vec<usize>,
     /// Position in the key of the edge's source, if the key holds it.
     src_at: Option<usize>,
     /// Position in the key of the edge's target, if the key holds it.
@@ -422,6 +452,36 @@ struct Leaf {
 }
 
 impl Leaf {
+    /// Positions of the join key in the leaf's layout (`[src, trg]`, or
+    /// `[x]` for a same-variable leaf).
+    fn key_pos(&self) -> &'static [usize] {
+        match (self.src_at, self.trg_at) {
+            _ if self.self_loop => &[0],
+            (Some(0), Some(1)) => &[0, 1],
+            (Some(1), Some(0)) => &[1, 0],
+            (Some(_), None) => &[0],
+            (None, Some(_)) => &[1],
+            _ => unreachable!("a leaf without a join key keeps a table"),
+        }
+    }
+
+    /// This leaf keyed on whichever of its edge's ends `src` and `trg` are
+    /// bound, source first, with that key: how the generic join reads it.
+    fn bound(self, src: Option<VertexId>, trg: Option<VertexId>) -> (Leaf, [VertexId; 2], usize) {
+        let (key, len) = match (src, trg) {
+            (Some(s), Some(t)) if !self.self_loop => ([s, t], 2),
+            (Some(s), _) => ([s, s], 1),
+            (None, Some(t)) => ([t, t], 1),
+            (None, None) => unreachable!("the generic join reads a leaf with an end bound"),
+        };
+        let leaf = Leaf {
+            src_at: src.map(|_| 0),
+            trg_at: trg.map(|_| len - 1),
+            ..self
+        };
+        (leaf, key, len)
+    }
+
     /// The chain of `store` holding `key`'s edges: the out-chain of a key
     /// on the source (filtered by target when the key holds both), else
     /// the in-chain.
@@ -486,14 +546,95 @@ impl JoinSide {
             src_at: at(0),
             trg_at: at(1),
             self_loop: width == 1,
-            key_pos,
         })
     }
 
     fn key_pos(&self) -> &[usize] {
         match self {
             JoinSide::Table(t) => &t.key_pos,
-            JoinSide::Leaf(l) => &l.key_pos,
+            JoinSide::Leaf(l) => l.key_pos(),
+        }
+    }
+
+    /// Takes the binding `w` (values in `buf`, join key `key`, hash `hk`)
+    /// arriving on this side: a table stores it, or removes it for a
+    /// negative tuple; a leaf's store holds it already. Returns whether it
+    /// can derive anything new: not an insert that `suppress` finds
+    /// covered.
+    fn arrive(
+        &mut self,
+        key: &[VertexId],
+        hk: u64,
+        w: &Work,
+        buf: &[VertexId],
+        suppress: bool,
+        leaves: &dyn LeafStores,
+    ) -> bool {
+        let vals = w.vals(buf);
+        match self {
+            JoinSide::Table(t) if w.delete => {
+                t.remove(hk, vals, w.iv);
+                true
+            }
+            JoinSide::Table(t) => t.insert(key, hk, vals, w.iv, suppress).is_some(),
+            JoinSide::Leaf(_) if w.delete => true,
+            JoinSide::Leaf(l) => {
+                let (src, trg) = (vals[0], vals[vals.len() - 1]);
+                !suppress || !leaves.store(l.port).was_covered(src, trg, w.iv)
+            }
+        }
+    }
+
+    /// Calls `f(src, trg, overlap)` for every edge of this port side with
+    /// the ends `src` and `trg` where they are bound, and an interval
+    /// overlapping `iv`: a generic-join step. A table (no join key) is
+    /// scanned whole.
+    fn read(
+        &self,
+        leaves: &dyn LeafStores,
+        src: Option<VertexId>,
+        trg: Option<VertexId>,
+        iv: Interval,
+        mut f: impl FnMut(VertexId, VertexId, Interval),
+    ) {
+        let ends = |vals: &[VertexId]| (vals[0], vals[vals.len() - 1]);
+        match self {
+            JoinSide::Table(t) => t.probe(t.first(&[], hash_vals([])), iv, |vals, meet| {
+                let (s, d) = ends(vals);
+                if src.is_none_or(|x| x == s) && trg.is_none_or(|x| x == d) {
+                    f(s, d, meet);
+                }
+            }),
+            JoinSide::Leaf(l) => {
+                let (leaf, key, len) = l.bound(src, trg);
+                let store = leaves.store(l.port);
+                let chain = leaf.chain(store, &key[..len]);
+                let view = leaves.view(l.port);
+                leaf.probe(store, chain, view, &key[..len], iv, |vals, meet| {
+                    let (s, d) = ends(vals);
+                    f(s, d, meet);
+                });
+            }
+        }
+    }
+
+    /// How many edges [`JoinSide::read`] walks for these bound ends,
+    /// counted up to `limit`.
+    fn candidates(
+        &self,
+        leaves: &dyn LeafStores,
+        src: Option<VertexId>,
+        trg: Option<VertexId>,
+        limit: usize,
+    ) -> usize {
+        match self {
+            JoinSide::Table(t) => t.live.min(limit),
+            JoinSide::Leaf(l) => {
+                let (leaf, key, len) = l.bound(src, trg);
+                let store = leaves.store(l.port);
+                let chain = leaf.chain(store, &key[..len]);
+                store.walk(chain, leaves.view(l.port)).take(limit).count()
+            }
         }
     }
 }
@@ -556,8 +697,8 @@ impl LeafStores for NoStores {
     }
 }
 
-/// What a hash-join PATTERN operator holds: its tables and its output
-/// dedup. Leaf rows are in the edge stores, which the dataflow counts
+/// What a PATTERN operator holds: its tables and its output dedup. Leaf
+/// rows are in the edge stores, which the dataflow counts
 /// (`Dataflow::store_censuses`). Counted by a full scan — what
 /// `tests/bounded_state.rs` holds against the window, not a metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -606,23 +747,115 @@ impl Work {
     }
 }
 
+/// One arrival's generic join: the side and the variables of every port,
+/// read through `leaves`.
+struct Generic<'a> {
+    sides: &'a [JoinSide],
+    ports: &'a [(VarId, VarId)],
+    output: (VarId, VarId),
+    leaves: &'a dyn LeafStores,
+}
+
+impl Generic<'_> {
+    /// Binds the ports in `pending` one at a time, in the order
+    /// [`Generic::next_port`] picks, and pushes the output pair of each
+    /// complete binding to `results` with its validity: the intersection
+    /// over all of its ports.
+    fn join(
+        &self,
+        bindings: &mut [Option<VertexId>],
+        iv: Interval,
+        pending: &mut Vec<usize>,
+        results: &mut Vec<(VertexId, VertexId, Interval)>,
+    ) {
+        if iv.is_empty() {
+            return;
+        }
+        let Some(pos) = self.next_port(bindings, pending) else {
+            let (s, t) = self.output;
+            let src = bindings[s as usize].expect("output src bound");
+            let trg = bindings[t as usize].expect("output trg bound");
+            results.push((src, trg, iv));
+            return;
+        };
+        let port = pending.swap_remove(pos);
+        let (sv, tv) = (self.ports[port].0 as usize, self.ports[port].1 as usize);
+        let (sb, tb) = (bindings[sv], bindings[tv]);
+        self.sides[port].read(self.leaves, sb, tb, iv, |s, t, meet| {
+            bindings[sv] = Some(s);
+            bindings[tv] = Some(t);
+            let mut sub = pending.clone();
+            self.join(bindings, meet, &mut sub, results);
+            (bindings[sv], bindings[tv]) = (sb, tb);
+        });
+        pending.push(port); // restore for the caller's sibling branches
+    }
+
+    /// The position in `pending` of the port to bind next: one with both
+    /// ends bound (a verification, cheapest), else the one with the fewest
+    /// candidates for its bound end (the first of equals), else a port
+    /// that keeps a table — in a disconnected pattern, nothing pending may
+    /// touch a bound variable — to be scanned whole. `None` when nothing
+    /// is pending.
+    fn next_port(&self, bindings: &[Option<VertexId>], pending: &[usize]) -> Option<usize> {
+        let ends = |port: usize| {
+            let (s, t) = self.ports[port];
+            (bindings[s as usize], bindings[t as usize])
+        };
+        let mut scan = None;
+        let mut half_bound = false;
+        for (i, &port) in pending.iter().enumerate() {
+            match ends(port) {
+                (Some(_), Some(_)) => return Some(i),
+                (None, None) => {
+                    if scan.is_none() && matches!(self.sides[port], JoinSide::Table(_)) {
+                        scan = Some(i);
+                    }
+                }
+                _ => half_bound = true,
+            }
+        }
+        if !half_bound {
+            return scan;
+        }
+        // A store keeps no chain lengths, so candidates are counted up to
+        // a cap that doubles until some port has fewer: the count costs
+        // about what walking the shortest chain costs, not the longest.
+        let mut limit = 4;
+        loop {
+            let mut best: Option<(usize, usize)> = None; // (pos, candidates)
+            for (i, &port) in pending.iter().enumerate() {
+                let (sb, tb) = ends(port);
+                if sb.is_some() == tb.is_some() {
+                    continue;
+                }
+                let cost = self.sides[port].candidates(self.leaves, sb, tb, limit);
+                if cost < limit && best.is_none_or(|(_, c)| cost < c) {
+                    best = Some((i, cost));
+                }
+            }
+            if let Some((i, _)) = best {
+                return Some(i);
+            }
+            limit *= 2;
+        }
+    }
+}
+
 /// The PATTERN physical operator.
 pub struct PatternOp {
     spec: CompiledPattern,
-    stages: Vec<StagePlan>,
-    state: Vec<(JoinSide, JoinSide)>, // (left, right) per stage
+    join: Join,
     /// Output coalescing state (set semantics); bypassed for deletes.
     out_dedup: FxHashMap<(VertexId, VertexId), IntervalSet>,
     dedup_expiry: ExpiryIndex<(VertexId, VertexId)>,
     dedup_writes: usize,
-    /// Positions of the output (src, trg) in the final layout.
-    out_pos: (usize, usize),
     suppress: bool,
 }
 
-impl PatternOp {
-    /// Builds the operator, its left-deep stage plans and their sides.
-    pub fn new(spec: CompiledPattern, suppress: bool) -> Self {
+impl Join {
+    /// The hash-join tree: its left-deep stages and their sides.
+    fn tree(spec: &CompiledPattern) -> Join {
         let n = spec.input_vars.len();
         let leaf_layout = |i: usize| -> Vec<VarId> {
             let (s, t) = spec.input_vars[i];
@@ -634,7 +867,6 @@ impl PatternOp {
         };
 
         let mut stages = Vec::new();
-        let mut state = Vec::new();
         let mut layout = leaf_layout(0);
         for i in 1..n {
             let right_layout = leaf_layout(i);
@@ -669,9 +901,12 @@ impl PatternOp {
             } else {
                 JoinSide::Table(Table::new(layout.len(), left_key))
             };
-            state.push((left, JoinSide::leaf(i, right_layout.len(), right_key)));
+            stages.push(Stage {
+                left,
+                right: JoinSide::leaf(i, right_layout.len(), right_key),
+                out_from,
+            });
             layout = out_layout;
-            stages.push(StagePlan { out_from });
         }
 
         let out_pos = (
@@ -684,14 +919,67 @@ impl PatternOp {
                 .position(|&v| v == spec.output.1)
                 .expect("output trg var bound"),
         );
+        Join::Tree { stages, out_pos }
+    }
+
+    /// The generic join: every port a leaf keyed on its whole edge, except
+    /// that in a disconnected pattern the first port of each connected
+    /// part keeps a table, for an arrival in another part to scan.
+    fn generic(spec: &CompiledPattern) -> Join {
+        let ports = &spec.input_vars;
+        let shares = |p: usize, q: usize| {
+            let ((a, b), (c, d)) = (ports[p], ports[q]);
+            a == c || a == d || b == c || b == d
+        };
+        // The first port of each port's connected part.
+        let mut part: Vec<usize> = (0..ports.len()).collect();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for p in 0..ports.len() {
+                for q in 0..ports.len() {
+                    if part[q] < part[p] && shares(p, q) {
+                        part[p] = part[q];
+                        changed = true;
+                    }
+                }
+            }
+        }
+        let connected = part.iter().all(|&first| first == 0);
+        let sides = (0..ports.len())
+            .map(|p| {
+                let width = if ports[p].0 == ports[p].1 { 1 } else { 2 };
+                let keyless = !connected && part[p] == p;
+                let key_pos = if keyless {
+                    vec![]
+                } else {
+                    (0..width).collect()
+                };
+                JoinSide::leaf(p, width, key_pos)
+            })
+            .collect();
+        let vars = ports.iter().flat_map(|&(s, t)| [s, t]).max();
+        Join::Generic {
+            sides,
+            vars: vars.map_or(0, |m| m as usize + 1),
+        }
+    }
+}
+
+impl PatternOp {
+    /// Builds the operator in join order `order` (see the module docs). A
+    /// one-input pattern is a projection, the same in either order.
+    pub fn new(spec: CompiledPattern, suppress: bool, order: PatternImpl) -> Self {
+        let join = match order {
+            PatternImpl::Wcoj if spec.input_vars.len() > 1 => Join::generic(&spec),
+            _ => Join::tree(&spec),
+        };
         PatternOp {
             spec,
-            stages,
-            state,
+            join,
             out_dedup: FxHashMap::default(),
             dedup_expiry: ExpiryIndex::default(),
             dedup_writes: 0,
-            out_pos,
             suppress,
         }
     }
@@ -699,15 +987,24 @@ impl PatternOp {
     /// Whether input `port` is read from the edge store of the node behind
     /// it: every leaf with a join key. A one-input pattern has no leaves.
     pub(crate) fn reads_store(&self, port: usize) -> bool {
-        let side = match port {
-            0 => self.state.first().map(|(left, _)| left),
-            p => self.state.get(p - 1).map(|(_, right)| right),
+        let side = match &self.join {
+            Join::Tree { stages, .. } => match port {
+                0 => stages.first().map(|s| &s.left),
+                p => stages.get(p - 1).map(|s| &s.right),
+            },
+            Join::Generic { sides, .. } => sides.get(port),
         };
         matches!(side, Some(JoinSide::Leaf(_)))
     }
 
-    fn emit(&mut self, vals: &[VertexId], iv: Interval, delete: bool, out: &mut Vec<Delta>) {
-        let (src, trg) = (vals[self.out_pos.0], vals[self.out_pos.1]);
+    fn emit(
+        &mut self,
+        src: VertexId,
+        trg: VertexId,
+        iv: Interval,
+        delete: bool,
+        out: &mut Vec<Delta>,
+    ) {
         let mk = |iv: Interval| {
             Sgt::with_payload(
                 src,
@@ -745,10 +1042,11 @@ impl PatternOp {
     }
 
     /// Runs a level of binding tuples entering stage `stage`'s **left**
-    /// side (and every stage above) to completion. Within each level the
-    /// tuples are grouped by join key, so the hash tables are touched once
-    /// per distinct key instead of once per tuple — the batched form of
-    /// the symmetric-hash-join probe.
+    /// side (and every stage above) to completion, and emits what leaves
+    /// the last stage. Within each level the tuples are grouped by join
+    /// key, so the hash tables are touched once per distinct key instead
+    /// of once per tuple — the batched form of the symmetric-hash-join
+    /// probe.
     fn run_levels(
         &mut self,
         mut stage: usize,
@@ -757,10 +1055,15 @@ impl PatternOp {
         leaves: &dyn LeafStores,
         out: &mut Vec<Delta>,
     ) {
+        let Join::Tree { stages, out_pos } = &self.join else {
+            unreachable!("only the hash-join tree has levels")
+        };
+        let (depth, (src, trg)) = (stages.len(), *out_pos);
         while !works.is_empty() {
-            if stage == self.stages.len() {
+            if stage == depth {
                 for w in &works {
-                    self.emit(w.vals(&buf), w.iv, w.delete, out);
+                    let vals = w.vals(&buf);
+                    self.emit(vals[src], vals[trg], w.iv, w.delete, out);
                 }
                 return;
             }
@@ -786,9 +1089,15 @@ impl PatternOp {
         buf: &[VertexId],
         leaves: &dyn LeafStores,
     ) -> (Vec<Work>, Vec<VertexId>) {
-        let plan = &self.stages[stage];
         let suppress = self.suppress;
-        let (left, right) = &mut self.state[stage];
+        let Join::Tree { stages, .. } = &mut self.join else {
+            unreachable!("only the hash-join tree has levels")
+        };
+        let Stage {
+            left,
+            right,
+            out_from,
+        } = &mut stages[stage];
         let (own, other) = if from_left {
             (left, right)
         } else {
@@ -819,51 +1128,84 @@ impl PatternOp {
             let probe = Probe::locate(other, key, hk, leaves);
             for &w_idx in &order[i..j] {
                 let w = &works[w_idx as usize];
-                let vals = w.vals(buf);
-                if w.delete {
-                    // Still probes the other side for its negative results
-                    // (a leaf's store has removed the edge already).
-                    if let JoinSide::Table(t) = own {
-                        t.remove(hk, vals, w.iv);
-                    }
-                } else {
-                    let fresh = match own {
-                        JoinSide::Table(t) => t.insert(key, hk, vals, w.iv, suppress).is_some(),
-                        JoinSide::Leaf(l) => {
-                            let (src, trg) = (vals[0], vals[vals.len() - 1]);
-                            !suppress || !leaves.store(l.port).was_covered(src, trg, w.iv)
-                        }
-                    };
-                    if !fresh {
-                        continue; // fully covered: no new results possible
-                    }
+                // A negative tuple still probes the other side for its
+                // negative results (a leaf's store has removed the edge
+                // already).
+                if !own.arrive(key, hk, w, buf, suppress, leaves) {
+                    continue; // fully covered: no new results possible
                 }
-                let join = |ovals: &[VertexId], meet: Interval| {
-                    let (lvals, rvals) = if from_left {
-                        (vals, ovals)
-                    } else {
-                        (ovals, vals)
-                    };
-                    let start = next_buf.len() as u32;
-                    next_buf.extend(plan.out_from.iter().map(|&(ls, pos)| {
-                        if ls {
-                            lvals[pos]
+                let vals = w.vals(buf);
+                let join =
+                    |ovals: &[VertexId], meet: Interval| {
+                        let (lvals, rvals) = if from_left {
+                            (vals, ovals)
                         } else {
-                            rvals[pos]
-                        }
-                    }));
-                    next.push(Work {
-                        start,
-                        len: plan.out_from.len() as u32,
-                        iv: meet,
-                        delete: w.delete,
-                    });
-                };
+                            (ovals, vals)
+                        };
+                        let start = next_buf.len() as u32;
+                        next_buf.extend(out_from.iter().map(|&(ls, pos)| {
+                            if ls {
+                                lvals[pos]
+                            } else {
+                                rvals[pos]
+                            }
+                        }));
+                        next.push(Work {
+                            start,
+                            len: out_from.len() as u32,
+                            iv: meet,
+                            delete: w.delete,
+                        });
+                    };
                 probe.run(key, w.iv, join);
             }
             i = j;
         }
         (next, next_buf)
+    }
+
+    /// Runs the generic join once per arrival on `port`, in arrival
+    /// order: the arrival binds the port's variables, and
+    /// [`Generic::join`] binds every other port's.
+    fn generic(
+        &mut self,
+        port: usize,
+        works: &[Work],
+        buf: &[VertexId],
+        leaves: &dyn LeafStores,
+        out: &mut Vec<Delta>,
+    ) {
+        let Join::Generic { sides, vars } = &mut self.join else {
+            unreachable!("only the generic join enumerates")
+        };
+        let (sv, tv) = self.spec.input_vars[port];
+        let others: Vec<usize> = (0..sides.len()).filter(|&p| p != port).collect();
+        let mut bindings: Vec<Option<VertexId>> = vec![None; *vars];
+        let mut pending = Vec::with_capacity(others.len());
+        let (mut results, mut emitted) = (Vec::new(), Vec::new());
+        let hk = hash_vals([]);
+        for w in works {
+            if !sides[port].arrive(&[], hk, w, buf, self.suppress, leaves) {
+                continue; // fully covered: no new results possible
+            }
+            let vals = w.vals(buf);
+            bindings.fill(None);
+            bindings[sv as usize] = Some(vals[0]);
+            bindings[tv as usize] = Some(vals[vals.len() - 1]);
+            pending.clear();
+            pending.extend_from_slice(&others);
+            let generic = Generic {
+                sides,
+                ports: &self.spec.input_vars,
+                output: self.spec.output,
+                leaves,
+            };
+            generic.join(&mut bindings, w.iv, &mut pending, &mut results);
+            emitted.extend(results.drain(..).map(|(s, t, iv)| (s, t, iv, w.delete)));
+        }
+        for (src, trg, iv, delete) in emitted {
+            self.emit(src, trg, iv, delete, out);
+        }
     }
 
     /// Processes `deltas` arriving on `port`, in arrival order: one
@@ -910,41 +1252,48 @@ impl PatternOp {
             return;
         }
 
-        if self.stages.is_empty() {
-            // Single-input pattern: pure projection.
-            for w in &works {
-                self.emit(w.vals(&buf), w.iv, w.delete, out);
+        match (&self.join, port) {
+            (Join::Generic { .. }, _) => self.generic(port, &works, &buf, leaves, out),
+            // Left arrivals, or the one input of a projection.
+            (Join::Tree { .. }, 0) => self.run_levels(0, works, buf, leaves, out),
+            (Join::Tree { .. }, _) => {
+                // Right arrivals at stage `port - 1`: probe the left side
+                // (key-grouped), then run the joined tuples upward.
+                let stage = port - 1;
+                let (joined, jbuf) = self.level(stage, false, &works, &buf, leaves);
+                self.run_levels(stage + 1, joined, jbuf, leaves, out);
             }
-            return;
-        }
-
-        if port == 0 {
-            self.run_levels(0, works, buf, leaves, out);
-        } else {
-            // Right arrivals at stage `port - 1`: probe the left side
-            // (key-grouped), then run the joined tuples upward.
-            let stage = port - 1;
-            let (joined, jbuf) = self.level(stage, false, &works, &buf, leaves);
-            self.run_levels(stage + 1, joined, jbuf, leaves, out);
         }
     }
 
+    /// Every side with whether it holds a leaf: the tree's first left side
+    /// and its right sides, or every port of the generic join.
+    fn sides(&self) -> impl Iterator<Item = (&JoinSide, bool)> {
+        let (stages, ports): (&[Stage], &[JoinSide]) = match &self.join {
+            Join::Tree { stages, .. } => (stages, &[]),
+            Join::Generic { sides, .. } => (&[], sides),
+        };
+        let tree = stages.iter().enumerate();
+        tree.flat_map(|(stage, s)| [(&s.left, stage == 0), (&s.right, true)])
+            .chain(ports.iter().map(|side| (side, true)))
+    }
+
     fn tables(&self) -> impl Iterator<Item = (&Table, bool)> {
-        self.state.iter().enumerate().flat_map(|(stage, (l, r))| {
-            [(l, stage == 0), (r, true)]
-                .into_iter()
-                .filter_map(|(side, leaf)| match side {
-                    JoinSide::Table(t) => Some((t, leaf)),
-                    JoinSide::Leaf(_) => None,
-                })
+        self.sides().filter_map(|(side, leaf)| match side {
+            JoinSide::Table(t) => Some((t, leaf)),
+            JoinSide::Leaf(_) => None,
         })
     }
 }
 
 impl PhysicalOp for PatternOp {
     fn name(&self) -> String {
+        let order = match self.join {
+            Join::Tree { .. } => "",
+            Join::Generic { .. } => "-WCOJ",
+        };
         format!(
-            "PATTERN[{} inputs → {:?}]",
+            "PATTERN{order}[{} inputs → {:?}]",
             self.spec.input_vars.len(),
             self.spec.label
         )
@@ -957,11 +1306,14 @@ impl PhysicalOp for PatternOp {
     }
 
     fn purge(&mut self, watermark: Timestamp, _out: &mut Vec<Delta>) {
-        for (l, r) in &mut self.state {
-            for side in [l, r] {
-                if let JoinSide::Table(t) = side {
-                    t.purge(watermark);
-                }
+        let (stages, ports): (&mut [Stage], &mut [JoinSide]) = match &mut self.join {
+            Join::Tree { stages, .. } => (stages, Default::default()),
+            Join::Generic { sides, .. } => (Default::default(), sides),
+        };
+        let sides = stages.iter_mut().flat_map(|s| [&mut s.left, &mut s.right]);
+        for side in sides.chain(ports) {
+            if let JoinSide::Table(t) = side {
+                t.purge(watermark);
             }
         }
         while let Some(due) = self.dedup_expiry.pop_due(watermark) {
@@ -1008,10 +1360,9 @@ impl PhysicalOp for PatternOp {
 }
 
 #[cfg(test)]
-pub(super) mod tests {
+mod tests {
     use super::super::adjacency::{runs, Run};
     use super::super::push_one;
-    use super::super::wcoj::WcojPatternOp;
     use super::*;
     use crate::algebra::Pos;
 
@@ -1019,18 +1370,18 @@ pub(super) mod tests {
     /// `i`), driven the way the dataflow drives a store and its reader: a
     /// batch is applied to its port's store run by run, and the operator
     /// reads each run before the next, every other store in its new view.
-    pub(crate) struct Solo {
-        pub(crate) op: PatternOp,
-        pub(crate) stores: Vec<EdgeStore>,
+    struct Solo {
+        op: PatternOp,
+        stores: Vec<EdgeStore>,
     }
 
     impl Solo {
-        pub(crate) fn new(spec: CompiledPattern, suppress: bool) -> Solo {
+        fn new(spec: CompiledPattern, suppress: bool, order: PatternImpl) -> Solo {
             let stores = (0..spec.input_vars.len())
                 .map(|i| EdgeStore::new(Label(i as u32)))
                 .collect();
             Solo {
-                op: PatternOp::new(spec, suppress),
+                op: PatternOp::new(spec, suppress, order),
                 stores,
             }
         }
@@ -1104,17 +1455,16 @@ pub(super) mod tests {
         )
     }
 
-    /// Both PATTERN implementations over one spec: every case below pins
-    /// the hash-join tree and the WCOJ alternative to the same output.
-    fn both(spec: CompiledPattern, suppress: bool) -> [Box<dyn PhysicalOp>; 2] {
-        [
-            Box::new(Solo::new(spec.clone(), suppress)),
-            Box::new(WcojPatternOp::new(spec, suppress)),
-        ]
+    /// Both join orders over one spec and its stores: every case that
+    /// takes them pins the hash-join tree and the generic join to the same
+    /// output.
+    fn both(spec: CompiledPattern, suppress: bool) -> [Solo; 2] {
+        [PatternImpl::HashTree, PatternImpl::Wcoj]
+            .map(|order| Solo::new(spec.clone(), suppress, order))
     }
 
     /// Two-input join: d(x, z) ← a(x, y), b(y, z).
-    fn two_way(suppress: bool) -> [Box<dyn PhysicalOp>; 2] {
+    fn two_way(suppress: bool) -> [Solo; 2] {
         let spec = CompiledPattern::compile(
             2,
             &[(Pos::trg(0), Pos::src(1))],
@@ -1165,15 +1515,15 @@ pub(super) mod tests {
     #[test]
     fn symmetric_join_both_arrival_orders() {
         for mut op in two_way(true) {
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 0, 10), 0)]);
             assert!(out.is_empty(), "{}", op.name());
-            let out = feed(op.as_mut(), vec![(1, ins(2, 3, 1, 2, 12), 2)]);
+            let out = feed(&mut op, vec![(1, ins(2, 3, 1, 2, 12), 2)]);
             assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
         }
         // Reverse order in fresh operators.
         for mut op in two_way(true) {
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![(1, ins(2, 3, 1, 2, 12), 2), (0, ins(1, 2, 0, 0, 10), 3)],
             );
             assert_eq!(inserts(&out), vec![(1, 3, Interval::new(2, 10))]);
@@ -1184,7 +1534,7 @@ pub(super) mod tests {
     fn disjoint_intervals_do_not_join() {
         for mut op in two_way(true) {
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 5), 0), (1, ins(2, 3, 1, 7, 12), 7)],
             );
             assert!(
@@ -1199,13 +1549,13 @@ pub(super) mod tests {
     fn covered_duplicate_is_suppressed() {
         for mut op in two_way(true) {
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
             );
             assert_eq!(out.len(), 1, "{}", op.name());
             // Same edge again with a covered validity: no output, no state
             // blowup.
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 3, 8), 3)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 3, 8), 3)]);
             assert!(out.is_empty(), "{}", op.name());
         }
     }
@@ -1214,12 +1564,12 @@ pub(super) mod tests {
     fn extension_bounded_by_partner_is_suppressed() {
         for mut op in two_way(true) {
             feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
             );
             // Re-insert of `a` with a longer validity — but the result is
             // still capped by `b`'s [0,10), which was already emitted.
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 5, 20), 5)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 5, 20), 5)]);
             assert!(out.is_empty(), "{}", op.name());
         }
     }
@@ -1228,12 +1578,12 @@ pub(super) mod tests {
     fn interval_extension_reemits_coalesced() {
         for mut op in two_way(true) {
             feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 30), 0)],
             );
             // `b` is valid until 30, so extending `a` extends the result;
             // the emission carries the coalesced interval (Def. 11).
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 5, 20), 5)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 5, 20), 5)]);
             assert_eq!(inserts(&out), vec![(1, 3, Interval::new(0, 20))]);
         }
     }
@@ -1260,7 +1610,7 @@ pub(super) mod tests {
             // FP    (label 2): follows path (u,v)@[7,31), (y,u)@[13,37),
             //                  (y,v)@[13,31) (two-hop path).
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![
                     (1, ins(1, 2, 1, 10, 34), 0),
                     (2, ins(0, 1, 2, 7, 31), 0),
@@ -1288,14 +1638,11 @@ pub(super) mod tests {
         // Suppression off, as in deletion pipelines.
         for mut op in two_way(false) {
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(2, 3, 1, 0, 10), 0)],
             );
             assert_eq!(inserts(&out).len(), 1, "{}", op.name());
-            let out = feed(
-                op.as_mut(),
-                vec![(0, Delta::Delete(sgt(1, 2, 0, 0, 10)), 5)],
-            );
+            let out = feed(&mut op, vec![(0, Delta::Delete(sgt(1, 2, 0, 0, 10)), 5)]);
             assert_eq!(out.len(), 1, "{}", op.name());
             assert!(out[0].is_delete());
             assert_eq!(out[0].sgt().src, VertexId(1));
@@ -1307,7 +1654,7 @@ pub(super) mod tests {
     fn purge_reclaims_expired_state() {
         for mut op in two_way(true) {
             feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(5, 6, 1, 0, 10), 0)],
             );
             assert_eq!(op.state_size(), 2, "{}", op.name());
@@ -1321,7 +1668,7 @@ pub(super) mod tests {
         // d(y, x) ← a(x, y): swap endpoints via a 1-input pattern.
         let spec = CompiledPattern::compile(1, &[], (Pos::trg(0), Pos::src(0)), Label(9));
         for mut op in both(spec, true) {
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 0, 10), 0)]);
             assert_eq!(inserts(&out), vec![(2, 1, Interval::new(0, 10))]);
         }
     }
@@ -1336,9 +1683,9 @@ pub(super) mod tests {
             Label(9),
         );
         for mut op in both(spec, true) {
-            let out = feed(op.as_mut(), vec![(0, ins(1, 2, 0, 0, 10), 0)]);
+            let out = feed(&mut op, vec![(0, ins(1, 2, 0, 0, 10), 0)]);
             assert!(out.is_empty(), "{}", op.name());
-            let out = feed(op.as_mut(), vec![(0, ins(3, 3, 0, 0, 10), 0)]);
+            let out = feed(&mut op, vec![(0, ins(3, 3, 0, 0, 10), 0)]);
             assert_eq!(inserts(&out), vec![(3, 3, Interval::new(0, 10))]);
         }
     }
@@ -1349,7 +1696,7 @@ pub(super) mod tests {
         let spec = CompiledPattern::compile(2, &[], (Pos::src(0), Pos::trg(1)), Label(9));
         for mut op in both(spec, true) {
             let out = feed(
-                op.as_mut(),
+                &mut op,
                 vec![(0, ins(1, 2, 0, 0, 10), 0), (1, ins(7, 8, 1, 0, 10), 0)],
             );
             assert_eq!(inserts(&out), vec![(1, 8, Interval::new(0, 10))]);
@@ -1371,13 +1718,11 @@ pub(super) mod tests {
             (Pos::src(0), Pos::trg(0)),
             Label(9),
         );
-        Solo::new(spec, suppress)
+        Solo::new(spec, suppress, PatternImpl::HashTree)
     }
 
     fn census(op: &Solo) -> PatternCensus {
-        op.op
-            .pattern_census()
-            .expect("hash-join PATTERN has a census")
+        op.op.pattern_census().expect("a PATTERN has a census")
     }
 
     fn pairs(out: &[Delta]) -> Vec<(bool, u64, u64, Interval)> {
@@ -1451,6 +1796,12 @@ pub(super) mod tests {
 
     #[test]
     fn equal_live_content_emits_equal_sequences_whatever_the_slot_history() {
+        for order in [PatternImpl::HashTree, PatternImpl::Wcoj] {
+            equal_live_content_emits_equal_sequences(order);
+        }
+    }
+
+    fn equal_live_content_emits_equal_sequences(order: PatternImpl) {
         // `fresh` has only ever held the live rows; `recycled` held and
         // purged others first, so the same rows sit in other slots.
         let [mut fresh, mut recycled] = [0, 1].map(|_| {
@@ -1460,7 +1811,7 @@ pub(super) mod tests {
                 (Pos::src(0), Pos::trg(1)),
                 Label(9),
             );
-            Solo::new(spec, true)
+            Solo::new(spec, true, order)
         });
         for (i, x) in [7u64, 1, 4, 9, 2].into_iter().enumerate() {
             let exp = 10 + 10 * (i as u64 % 2);
@@ -1492,7 +1843,7 @@ pub(super) mod tests {
     /// retract their join with the partner) and ten never stored on the
     /// right (which meet nothing): ten retractions, five of pairs never
     /// emitted. Suppression off, as in deletion pipelines.
-    pub(crate) fn retractions() -> [Vec<(usize, Delta, u64)>; 2] {
+    fn retractions() -> [Vec<(usize, Delta, u64)>; 2] {
         let inserts = (0..5u64)
             .map(|k| (0, ins(k, 100, 0, 0, 30), 0))
             .chain([(1, ins(100, 7, 1, 0, 30), 0)])
@@ -1516,18 +1867,52 @@ pub(super) mod tests {
             (Pos::src(0), Pos::trg(1)),
             Label(9),
         );
-        let mut op = Solo::new(spec, false);
-        let [inserts, deletes] = retractions();
-        assert_eq!(feed(&mut op, inserts).len(), 5);
-        let out = feed(&mut op, deletes);
-        assert!(out.iter().all(Delta::is_delete));
-        assert_eq!(out.len(), 10);
-        // Before any purge: no retraction left a slot behind.
-        let c = census(&op);
-        assert_eq!(
-            (c.dedup_pairs, c.rows, op.stores[1].size()),
-            (0, 0, 1),
-            "{c:?}"
+        for mut op in both(spec, false) {
+            let [inserts, deletes] = retractions();
+            assert_eq!(feed(&mut op, inserts).len(), 5, "{}", op.name());
+            let out = feed(&mut op, deletes);
+            assert!(out.iter().all(Delta::is_delete));
+            assert_eq!(out.len(), 10, "{}", op.name());
+            // Before any purge: no retraction left a slot behind.
+            let c = census(&op);
+            assert_eq!(
+                (c.dedup_pairs, c.rows, op.stores[1].size()),
+                (0, 0, 1),
+                "{}: {c:?}",
+                op.name()
+            );
+        }
+    }
+
+    #[test]
+    fn four_clique_path_pattern() {
+        // d(x, w) ← a(x, y), a(y, z), a(z, w), a(w, x): a 4-cycle; the
+        // generic join binds intermediate variables in both directions.
+        let spec = CompiledPattern::compile(
+            4,
+            &[
+                (Pos::trg(0), Pos::src(1)),
+                (Pos::trg(1), Pos::src(2)),
+                (Pos::trg(2), Pos::src(3)),
+                (Pos::trg(3), Pos::src(0)),
+            ],
+            (Pos::src(0), Pos::trg(2)),
+            Label(9),
         );
+        for mut op in both(spec, true) {
+            // Cycle 1 → 2 → 3 → 4 → 1, closing edge last.
+            let out = feed(
+                &mut op,
+                vec![
+                    (0, ins(1, 2, 0, 0, 10), 0),
+                    (1, ins(2, 3, 1, 0, 10), 0),
+                    (2, ins(3, 4, 2, 0, 10), 0),
+                ],
+            );
+            assert!(out.is_empty(), "{}", op.name());
+            let out = feed(&mut op, vec![(3, ins(4, 1, 3, 0, 10), 0)]);
+            // One edge per port, so exactly one result.
+            assert_eq!(inserts(&out), vec![(1, 4, Interval::new(0, 10))]);
+        }
     }
 }

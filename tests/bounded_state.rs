@@ -11,10 +11,10 @@
 //! Sections (d)–(f) hold **operator state** to the same standard: the
 //! Δ-PATH forest of a PATH operator and the edge store of its input —
 //! tree, node and edge slots, index keys, pending expiry handles, bytes —
-//! and a hash-join PATTERN's join tables and output
-//! dedup — row slots, keys, dedup pairs, pending expiry handles, bytes —
-//! are bounded by the window's content after every purge, on a stream
-//! that mints vertex ids without end.
+//! and a PATTERN's join tables and output dedup — row slots, keys, dedup
+//! pairs, pending expiry handles, bytes — are bounded by the window's
+//! content after every purge, on a stream that mints vertex ids without
+//! end.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -1229,19 +1229,21 @@ fn assert_pattern_bounded(at: &str, c: &PatternCensus, peak: (usize, usize), wri
 }
 
 /// Drives `shape` through a dataflow for `OP_WINDOWS` windows of inputs
-/// that mint vertex ids without end, in two epochs per slide; with
-/// `deletions` (suppression off, as in deletion pipelines) two of the
-/// window's edges per input are deleted per slide. The PATTERN's tables
-/// hold the intermediate bindings and the edge stores its leaves read
-/// hold the inputs' edges. After **every** purge the PATTERN census is
+/// that mint vertex ids without end, in two epochs per slide, with the
+/// PATTERN in join order `order`; with `deletions` (suppression off, as
+/// in deletion pipelines) two of the window's edges per input are deleted
+/// per slide. The hash-join tree's tables hold the intermediate bindings
+/// (the generic join holds none) and the edge stores its leaves read hold
+/// the inputs' edges. After **every** purge the PATTERN census is
 /// held against the most the operator has held and each store's against
 /// the most edges it has held, and no size at the end exceeds what the
 /// first ten windows reached by more than half (the joins are bursty:
 /// their content settles later than a PATH operator's).
-fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
+fn drive_pattern_and_hold_the_bound(shape: Shape, order: PatternImpl, deletions: bool) {
     let (expr, inputs) = pattern_expr(shape);
     let mut flow = Dataflow::new(EngineOptions {
         suppress_duplicates: !deletions,
+        pattern_impl: order,
         ..Default::default()
     });
     flow.lower(&expr);
@@ -1353,7 +1355,7 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
             }
         }
         let (_, c) = flow.pattern_censuses()[0];
-        let at = format!("{shape:?} deletions={deletions} purge({watermark})");
+        let at = format!("{shape:?} {order:?} deletions={deletions} purge({watermark})");
         assert_pattern_bounded(&at, &c, peak, writes);
         let stores = flow.store_censuses();
         assert_eq!(stores.len(), inputs, "{at}: one store per input");
@@ -1385,16 +1387,16 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
             }
         }
     }
-    let intermediate = matches!(shape, Shape::Q5);
+    let intermediate = matches!((shape, order), (Shape::Q5, PatternImpl::HashTree));
     assert!(
         (peak.0 > 0) == intermediate && (deletions || peak.1 > 0),
-        "{shape:?}: {peak:?}"
+        "{shape:?} {order:?}: {peak:?}"
     );
     assert!(peak_edges.iter().all(|&p| p > 0), "{peak_edges:?}");
     for (i, (then, now)) in first_windows.iter().zip(last).enumerate() {
         assert!(
             2 * now <= 3 * then,
-            "{shape:?} deletions={deletions}: size #{i} was at most {then} in the first ten \
+            "{shape:?} {order:?} deletions={deletions}: size #{i} was at most {then} in the first ten \
              windows and is {now} after window {OP_WINDOWS}: {first_windows:?} -> {last:?}"
         );
     }
@@ -1402,14 +1404,18 @@ fn drive_pattern_and_hold_the_bound(shape: Shape, deletions: bool) {
 
 #[test]
 fn pattern_state_is_bounded_by_the_window_q5_shape() {
-    drive_pattern_and_hold_the_bound(Shape::Q5, false);
-    drive_pattern_and_hold_the_bound(Shape::Q5, true);
+    for order in [PatternImpl::HashTree, PatternImpl::Wcoj] {
+        drive_pattern_and_hold_the_bound(Shape::Q5, order, false);
+        drive_pattern_and_hold_the_bound(Shape::Q5, order, true);
+    }
 }
 
 #[test]
 fn pattern_state_is_bounded_by_the_window_high_fanout_key() {
-    drive_pattern_and_hold_the_bound(Shape::HighFanout, false);
-    drive_pattern_and_hold_the_bound(Shape::HighFanout, true);
+    for order in [PatternImpl::HashTree, PatternImpl::Wcoj] {
+        drive_pattern_and_hold_the_bound(Shape::HighFanout, order, false);
+        drive_pattern_and_hold_the_bound(Shape::HighFanout, order, true);
+    }
 }
 
 // ---------------------------------------------------------------------

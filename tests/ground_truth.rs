@@ -1,11 +1,12 @@
 //! Ground truth for a fleet: one host runs Q1–Q7 of a dataset under three
 //! windows at once — W, W/2 and W/4, each sliding by a twentieth of
 //! itself, the shape of the benchmark's `fleet-snb` — append-only, so
-//! S-PATHs share edge stores, PATTERNs share subplans and sinks share
-//! nothing. At **every** slide boundary of every query, its `answer_at`
-//! equals the one-time oracle on the snapshot of its windowed input
-//! (Def. 14). Results are forwarded and released as the serve loop does,
-//! so the logs stay window-sized on long streams.
+//! S-PATHs and PATTERN leaves share edge stores, PATTERNs share subplans
+//! and sinks share nothing. At **every** slide boundary of every query,
+//! its `answer_at` equals the one-time oracle on the snapshot of its
+//! windowed input (Def. 14). The short forms hold a host per PATTERN join
+//! order to one oracle pass. Results are forwarded and released as the
+//! serve loop does, so the logs stay window-sized on long streams.
 
 mod common;
 
@@ -22,7 +23,8 @@ struct Member {
     program: RqProgram,
     window: u64,
     slide: u64,
-    id: QueryId,
+    /// The query's id on each host.
+    ids: Vec<QueryId>,
     /// The query's input, windowed as its WSCANs window it (in
     /// timestamp order).
     windowed: Vec<Sgt>,
@@ -30,17 +32,22 @@ struct Member {
     answered: usize,
 }
 
-/// Runs the fleet over `raw` with largest window `window` and checks
-/// every query at each of its slide boundaries. Returns the number of
-/// checks made.
-fn check_fleet(dataset: Dataset, raw: &RawStream, window: u64) -> usize {
+/// Runs the fleet over `raw` with largest window `window` on one host per
+/// entry of `hosts`, fed alike, and checks every query on every host
+/// against one oracle answer at each of its slide boundaries. Returns the
+/// number of checks made per host.
+fn check_fleet(dataset: Dataset, raw: &RawStream, window: u64, hosts: &[EngineOptions]) -> usize {
     assert_eq!(window % 80, 0, "W/4 slides by a whole W/80");
-    let mut host = MultiQueryEngine::new();
+    let orders: Vec<PatternImpl> = hosts.iter().map(|opts| opts.pattern_impl).collect();
+    let mut hosts: Vec<MultiQueryEngine> = (hosts.iter())
+        .map(|&opts| MultiQueryEngine::with_options(opts))
+        .collect();
     let mut fleet = Vec::new();
     for w in [window, window / 2, window / 4] {
         let spec = WindowSpec::new(w, w / 20);
         for (name, program) in workloads::all_queries(dataset) {
-            let id = host.register(&SgqQuery::new(program.clone(), spec));
+            let query = SgqQuery::new(program.clone(), spec);
+            let ids = hosts.iter_mut().map(|host| host.register(&query)).collect();
             let windowed = resolve(raw, program.labels())
                 .sges()
                 .iter()
@@ -51,33 +58,41 @@ fn check_fleet(dataset: Dataset, raw: &RawStream, window: u64) -> usize {
                 program,
                 window: w,
                 slide: w / 20,
-                id,
+                ids,
                 windowed,
                 answered: 0,
             });
         }
     }
-    let stream = resolve(raw, host.labels());
-    let sges = stream.sges();
+    let streams: Vec<_> = (hosts.iter())
+        .map(|host| resolve(raw, host.labels()))
+        .collect();
+    let mut from = vec![0; hosts.len()];
     let tick = window / 80;
-    let (mut from, mut boundary, mut checks) = (0, tick, 0);
-    while from < sges.len() {
+    let (mut boundary, mut checks) = (tick, 0);
+    while (from.iter().zip(&streams)).any(|(&from, stream)| from < stream.sges().len()) {
         // Everything before the boundary is in; every answer valid before
         // it is final.
-        let to = from + sges[from..].partition_point(|s| s.t < boundary);
-        host.process_batch(&sges[from..to]);
-        from = to;
-        let t = boundary - 1;
-        for m in &fleet {
-            host.for_each_undelivered(m.id, |_, _| {});
+        for (h, host) in hosts.iter_mut().enumerate() {
+            let sges = &streams[h].sges()[from[h]..];
+            let to = sges.partition_point(|s| s.t < boundary);
+            host.process_batch(&sges[..to]);
+            from[h] += to;
+            for m in &fleet {
+                host.for_each_undelivered(m.ids[h], |_, _| {});
+            }
+            host.release_delivered();
         }
-        host.release_delivered();
+        let t = boundary - 1;
         for m in fleet.iter_mut().filter(|m| boundary % m.slide == 0) {
             // Only tuples from the last W + β ticks can be live at `t`.
             let live = |s: &Sgt| s.interval.ts + m.window + m.slide <= t;
             let recent = &m.windowed[m.windowed.partition_point(live)..];
             let expect = oracle_answer_at(&m.program, recent, t);
-            assert_eq!(host.answer_at(m.id, t), expect, "{} at t={t}", m.name);
+            for ((host, &id), order) in hosts.iter().zip(&m.ids).zip(&orders) {
+                let got = host.answer_at(id, t);
+                assert_eq!(got, expect, "{} ({order:?}) at t={t}", m.name);
+            }
             m.answered += usize::from(!expect.is_empty());
             checks += 1;
         }
@@ -90,17 +105,28 @@ fn check_fleet(dataset: Dataset, raw: &RawStream, window: u64) -> usize {
     checks
 }
 
+/// Both PATTERN join orders: the hash-join tree, and the generic join
+/// (WCOJ), whose leaves read the edge stores that every S-PATH and
+/// PATTERN of the fleet over the same input reads, across the three
+/// windows.
+fn join_orders() -> [EngineOptions; 2] {
+    [PatternImpl::HashTree, PatternImpl::Wcoj].map(|pattern_impl| EngineOptions {
+        pattern_impl,
+        ..Default::default()
+    })
+}
+
 #[test]
 fn so_fleet_answers_match_the_oracle_at_every_slide() {
     let raw = so_stream(&SoConfig::new(30, 1_000).with_span(480));
-    let checks = check_fleet(Dataset::So, &raw, 160);
+    let checks = check_fleet(Dataset::So, &raw, 160, &join_orders());
     assert!(checks >= 1_100, "{checks} checks");
 }
 
 #[test]
 fn snb_fleet_answers_match_the_oracle_at_every_slide() {
     let raw = snb_stream(&SnbConfig::new(25, 1_000).with_span(480));
-    let checks = check_fleet(Dataset::Snb, &raw, 160);
+    let checks = check_fleet(Dataset::Snb, &raw, 160, &join_orders());
     assert!(checks >= 1_100, "{checks} checks");
 }
 
@@ -113,10 +139,10 @@ fn snb_fleet_answers_match_the_oracle_at_every_slide() {
 #[ignore = "long; CI's check job runs it in release"]
 fn fleets_match_the_oracle_at_every_slide_on_long_streams() {
     let so = so_stream(&SoConfig::new(6_000, LONG_EDGES).with_span(LONG_SPAN));
-    let checks = check_fleet(Dataset::So, &so, LONG_WINDOW);
+    let checks = check_fleet(Dataset::So, &so, LONG_WINDOW, &[EngineOptions::default()]);
     assert!(checks >= 35_000, "{checks} checks");
     let snb = snb_stream(&SnbConfig::new(1_000, LONG_EDGES).with_span(LONG_SPAN));
-    let checks = check_fleet(Dataset::Snb, &snb, LONG_WINDOW);
+    let checks = check_fleet(Dataset::Snb, &snb, LONG_WINDOW, &[EngineOptions::default()]);
     assert!(checks >= 35_000, "{checks} checks");
 }
 
@@ -131,7 +157,7 @@ const LONG_WINDOW: u64 = 2_400;
 /// Kept inserts between two DELETEs.
 const DELETE_EVERY: usize = 5;
 
-/// The deletion form of [`check_fleet`]: one host with
+/// The deletion form of [`check_fleet`]: one host with `opts` and
 /// `suppress_duplicates: false` runs the queries `queries` of `dataset`
 /// — closures over the input (S-PATH) and joins (PATTERN) — under W, W/2
 /// and W/4 (slide a twentieth of each). The
@@ -147,11 +173,12 @@ fn check_deletions(
     queries: &[usize],
     raw: &RawStream,
     window: u64,
+    opts: EngineOptions,
 ) -> (usize, usize) {
     assert_eq!(window % 80, 0, "W/4 slides by a whole W/80");
     let mut host = MultiQueryEngine::with_options(EngineOptions {
         suppress_duplicates: false,
-        ..Default::default()
+        ..opts
     });
     let mut fleet = Vec::new();
     for w in [window, window / 2, window / 4] {
@@ -164,7 +191,7 @@ fn check_deletions(
                 program,
                 window: w,
                 slide: w / 20,
-                id,
+                ids: vec![id],
                 windowed: Vec::new(),
                 answered: 0,
             });
@@ -227,7 +254,7 @@ fn check_deletions(
         batch.clear();
         let t = boundary - 1;
         for m in &fleet {
-            host.for_each_undelivered(m.id, |_, _| {});
+            host.for_each_undelivered(m.ids[0], |_, _| {});
         }
         host.release_delivered();
         for m in fleet.iter_mut().filter(|m| boundary % m.slide == 0) {
@@ -241,7 +268,7 @@ fn check_deletions(
                 .map(|sge| windowed_sgt(&sge, spec))
                 .collect();
             let expect = oracle_answer_at(&m.program, &surviving, t);
-            assert_eq!(host.answer_at(m.id, t), expect, "{} at t={t}", m.name);
+            assert_eq!(host.answer_at(m.ids[0], t), expect, "{} at t={t}", m.name);
             m.answered += usize::from(!expect.is_empty());
             checks += 1;
         }
@@ -253,22 +280,27 @@ fn check_deletions(
     (checks, deletions)
 }
 
+/// Q1–Q6 under the hash-join tree, and the PATTERN queries (Q5 and Q6;
+/// Q7 is the known defect below) again under the generic join.
 #[test]
 fn fleets_under_deletions_match_the_oracle_at_every_slide() {
     let so = so_stream(&SoConfig::new(30, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::So, &[1, 2, 3, 4, 5, 6], &so, 160);
-    eprintln!("SO: {checks} checks, {deletions} deletions");
-    assert!(
-        checks >= 400 && deletions >= 100,
-        "{checks} checks, {deletions} deletions"
-    );
     let snb = snb_stream(&SnbConfig::new(25, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::Snb, &[1, 2, 3, 4, 5, 6], &snb, 160);
-    eprintln!("SNB: {checks} checks, {deletions} deletions");
-    assert!(
-        checks >= 600 && deletions >= 100,
-        "{checks} checks, {deletions} deletions"
-    );
+    let [tree, generic] = join_orders();
+    for (queries, opts) in [(&[1, 2, 3, 4, 5, 6][..], tree), (&[5, 6], generic)] {
+        let (checks, deletions) = check_deletions(Dataset::So, queries, &so, 160, opts);
+        eprintln!("SO {queries:?}: {checks} checks, {deletions} deletions");
+        assert!(
+            checks >= 400 && deletions >= 100,
+            "{checks} checks, {deletions} deletions"
+        );
+        let (checks, deletions) = check_deletions(Dataset::Snb, queries, &snb, 160, opts);
+        eprintln!("SNB {queries:?}: {checks} checks, {deletions} deletions");
+        assert!(
+            checks >= 600 && deletions >= 100,
+            "{checks} checks, {deletions} deletions"
+        );
+    }
 }
 
 /// The long deletion form: 2·10⁴ edges per dataset, twenty-five turnovers
@@ -278,14 +310,26 @@ fn fleets_under_deletions_match_the_oracle_at_every_slide() {
 #[ignore = "long; CI's check job runs it in release"]
 fn fleets_under_deletions_match_the_oracle_on_long_streams() {
     let so = so_stream(&SoConfig::new(300, 20_000).with_span(20_000));
-    let (checks, deletions) = check_deletions(Dataset::So, &[1, 2, 3, 4, 5, 6], &so, 800);
+    let (checks, deletions) = check_deletions(
+        Dataset::So,
+        &[1, 2, 3, 4, 5, 6],
+        &so,
+        800,
+        EngineOptions::default(),
+    );
     eprintln!("SO: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 3_000 && deletions >= 3_000,
         "{checks} checks, {deletions} deletions"
     );
     let snb = snb_stream(&SnbConfig::new(200, 20_000).with_span(20_000));
-    let (checks, deletions) = check_deletions(Dataset::Snb, &[1, 2, 3, 4, 5, 6], &snb, 800);
+    let (checks, deletions) = check_deletions(
+        Dataset::Snb,
+        &[1, 2, 3, 4, 5, 6],
+        &snb,
+        800,
+        EngineOptions::default(),
+    );
     eprintln!("SNB: {checks} checks, {deletions} deletions");
     assert!(
         checks >= 5_000 && deletions >= 3_000,
@@ -305,13 +349,15 @@ fn fleets_under_deletions_match_the_oracle_on_long_streams() {
 #[ignore = "known defect: a deleted PATTERN binding drops an RL edge that another binding still derives"]
 fn q7_under_deletions_matches_the_oracle_at_every_slide() {
     let so = so_stream(&SoConfig::new(30, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::So, &[7], &so, 160);
+    let (checks, deletions) =
+        check_deletions(Dataset::So, &[7], &so, 160, EngineOptions::default());
     assert!(
         checks >= 60 && deletions >= 100,
         "{checks} checks, {deletions} deletions"
     );
     let snb = snb_stream(&SnbConfig::new(25, 1_000).with_span(480));
-    let (checks, deletions) = check_deletions(Dataset::Snb, &[7], &snb, 160);
+    let (checks, deletions) =
+        check_deletions(Dataset::Snb, &[7], &snb, 160, EngineOptions::default());
     assert!(
         checks >= 60 && deletions >= 100,
         "{checks} checks, {deletions} deletions"
