@@ -21,7 +21,7 @@ use sgq_bench::{latency_fields, row, run_plan, run_query, run_sga, Scale, System
 use sgq_core::engine::{Engine, EngineOptions, PatternImpl};
 use sgq_core::obs::ObsLevel;
 use sgq_core::planner::plan_canonical;
-use sgq_core::rewrite;
+use sgq_core::{optimizer, rewrite};
 use sgq_datagen::{resolve, workloads, workloads::Dataset, RawStream};
 use sgq_multiquery::MultiQueryEngine;
 use sgq_query::SgqQuery;
@@ -218,7 +218,9 @@ fn slide_sweep(scale: Scale, system: System) {
 
 /// Figures 12/13/14: the plan space of Q4/Q2/Q3 via the §5.4 rules, on
 /// both datasets. Plan 0 is the canonical SGA plan; the rest are rewrites
-/// (for Q4 these are the paper's P1/P2/P3).
+/// (for Q4 these are the paper's P1/P2/P3). Each row shows the plan's
+/// counted work on the stream; `*` marks the least, the plan
+/// `optimizer::choose_plan` picks with this stream as its prefix.
 fn plan_figure(scale: Scale, qn: usize, title: &str) {
     println!("## {title}\n");
     for ds in [Dataset::So, Dataset::Snb] {
@@ -227,17 +229,26 @@ fn plan_figure(scale: Scale, qn: usize, title: &str) {
         let query = SgqQuery::new(program, scale.default_window());
         let canonical = plan_canonical(&query);
         let plans = rewrite::enumerate_plans(&canonical, 6);
+        let rows: Vec<_> = plans
+            .iter()
+            .map(|plan| {
+                let (stats, engine) = run_plan(plan, &raw);
+                (stats, optimizer::counted_work(&engine))
+            })
+            .collect();
+        let work: Vec<u64> = rows.iter().map(|(_, w)| *w).collect();
+        let chosen = optimizer::least_work(&work);
         println!("{} (Q{qn}):", ds.name());
-        for (i, plan) in plans.iter().enumerate() {
-            let stats = run_plan(plan, &raw);
+        for (i, (plan, (stats, work))) in plans.iter().zip(&rows).enumerate() {
             let tag = if i == 0 {
                 "SGA".to_string()
             } else {
                 format!("P{i}")
             };
             println!(
-                "  {tag:<5} {:<32} ({} ops, {} stateful)",
-                row(&stats),
+                "{} {tag:<5} {:<32} {work:>10} work  ({} ops, {} stateful)",
+                if i == chosen { "*" } else { " " },
+                row(stats),
                 plan.expr.size(),
                 plan.expr.stateful_ops()
             );

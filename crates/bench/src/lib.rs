@@ -186,11 +186,13 @@ pub fn latency_fields(stats: &RunStats) -> String {
     )
 }
 
-/// Runs an explicit (rewritten) plan over a raw stream.
-pub fn run_plan(plan: &Plan, raw: &RawStream) -> RunStats {
+/// Runs an explicit (rewritten) plan over a raw stream; returns the run
+/// stats and the engine, for its counted work.
+pub fn run_plan(plan: &Plan, raw: &RawStream) -> (RunStats, Engine) {
     let stream = resolve(raw, &plan.labels);
     let mut engine = Engine::from_plan(plan);
-    engine.run(&stream)
+    let stats = engine.run(&stream);
+    (stats, engine)
 }
 
 /// Formats a stats row like the paper's tables: throughput (edges/s) and

@@ -10,8 +10,8 @@
 //!   validated SGQ into an SGA expression.
 //! * [`rewrite`] — the transformation rules of §5.4 and plan-space
 //!   enumeration used by the §7.4 experiments.
-//! * [`optimizer`] — static cost pre-ranking + empirical calibration over
-//!   the plan space (the §8 future-work optimizer's first step).
+//! * [`optimizer`] — picks the plan with the least counted work on a
+//!   stream prefix (the §8 future-work optimizer's first step).
 //! * [`physical`] — non-blocking physical operators (§6.2): PATTERN as a
 //!   symmetric hash-join tree or a generic join, the S-PATH
 //!   direct-approach Δ-PATH operator, and the negative-tuple PATH baseline

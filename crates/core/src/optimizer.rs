@@ -1,159 +1,71 @@
-//! Plan selection over the §5.4 plan space — a first step towards the
+//! Plan choice over the §5.4 plan space — a first step towards the
 //! SGA-based query optimizer the paper names as ongoing work (§8: "(i)
 //! designing an SGA-based query optimizer for the systematic exploration
 //! of the rich plan space using SGA's transformation rules").
 //!
-//! Two mechanisms, composable:
-//!
-//! * [`estimate_cost`] — a static, interpretable cost heuristic over plan
-//!   shape and per-label input rates (the §7.4 observation: plan cost is
-//!   driven by how much recursion runs over how much input, and how many
-//!   stateful operators sit on the hot path). Used for pre-ranking.
-//! * [`choose_plan`] — empirical calibration: run every candidate on a
-//!   short stream prefix and keep the fastest. This mirrors how the
-//!   paper's micro-benchmark compares plans, and is robust to everything
-//!   the static model cannot see (selectivity, cyclicity, coalescing).
+//! [`choose_plan`] replays every candidate on a stream prefix and keeps
+//! the one that did the least [`counted_work`]. The work is made of exact
+//! counts that every engine keeps at every [`crate::obs::ObsLevel`], so
+//! one query and prefix get the same plan across runs, obs levels and
+//! builds. Each count weighs 1.
 
-use crate::algebra::SgaExpr;
 use crate::engine::{Engine, EngineOptions};
 use crate::planner::Plan;
-use crate::rewrite::enumerate_plans;
-use sgq_types::{FxHashMap, InputStream, Label};
-use std::time::{Duration, Instant};
+use sgq_types::InputStream;
 
-/// Per-label input rates (tuples per window, or any proportional unit).
-pub type LabelRates = FxHashMap<Label, f64>;
-
-/// Measures per-label frequencies of a stream (the calibration statistic).
-pub fn measure_rates(stream: &InputStream) -> LabelRates {
-    let mut rates: LabelRates = FxHashMap::default();
-    for sge in stream {
-        *rates.entry(sge.label).or_insert(0.0) += 1.0;
-    }
-    rates
+/// The work `engine` has done since it was built: deltas handed to
+/// operators, deltas they emitted, and adjacency entries its PATH
+/// operators scanned.
+pub fn counted_work(engine: &Engine) -> u64 {
+    let exec = engine.exec_stats();
+    exec.deltas_dispatched + exec.deltas_emitted + engine.frontier_totals().edges_scanned
 }
 
-/// Estimated output rate of an expression (tuples per window).
-fn est_rate(expr: &SgaExpr, rates: &LabelRates) -> f64 {
-    match expr {
-        SgaExpr::WScan { label, .. } => rates.get(label).copied().unwrap_or(1.0),
-        SgaExpr::Filter { input, .. } => 0.5 * est_rate(input, rates),
-        SgaExpr::Union { inputs, .. } => inputs.iter().map(|i| est_rate(i, rates)).sum(),
-        SgaExpr::Pattern { inputs, .. } => {
-            // An equi-join chain keeps roughly the scale of its largest
-            // input on graph workloads (fk-style joins), damped per stage.
-            let mut rs: Vec<f64> = inputs.iter().map(|i| est_rate(i, rates)).collect();
-            rs.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            let base = rs.first().copied().unwrap_or(1.0);
-            base * 1.5f64.powi(rs.len().saturating_sub(1) as i32)
-        }
-        SgaExpr::Path { inputs, .. } => {
-            // Recursion amplifies: transitive results grow super-linearly
-            // in the input rate; 2× is a deliberately blunt, monotone proxy.
-            2.0 * inputs.iter().map(|i| est_rate(i, rates)).sum::<f64>()
-        }
-    }
+/// The index of the least work. Ties go to the lower index, so the
+/// canonical plan (index 0 of `enumerate_plans`) wins them.
+pub fn least_work(work: &[u64]) -> usize {
+    (0..work.len())
+        .min_by_key(|&i| work[i])
+        .expect("need at least one candidate plan")
 }
 
-/// Static cost: the work every operator performs per window, summed over
-/// the plan. Stateful operators pay proportional to the rates they index.
-pub fn estimate_cost(expr: &SgaExpr, rates: &LabelRates) -> f64 {
-    let own = match expr {
-        SgaExpr::WScan { .. } | SgaExpr::Filter { .. } | SgaExpr::Union { .. } => {
-            est_rate(expr, rates) // stateless: touch each tuple once
-        }
-        SgaExpr::Pattern { inputs, .. } => {
-            // Each symmetric-hash-join stage inserts + probes.
-            let sum: f64 = inputs.iter().map(|i| est_rate(i, rates)).sum();
-            2.0 * sum + est_rate(expr, rates)
-        }
-        SgaExpr::Path { inputs, .. } => {
-            // Δ-PATH expansions scale with input × produced segments.
-            let sum: f64 = inputs.iter().map(|i| est_rate(i, rates)).sum();
-            sum + 2.0 * est_rate(expr, rates)
-        }
-    };
-    own + expr
-        .children()
-        .iter()
-        .map(|c| estimate_cost(c, rates))
-        .sum::<f64>()
-}
-
-/// Ranks `plans` by static cost (ascending). Ties keep enumeration order.
-pub fn rank_by_cost(plans: &[Plan], rates: &LabelRates) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..plans.len()).collect();
-    idx.sort_by(|&a, &b| {
-        estimate_cost(&plans[a].expr, rates)
-            .partial_cmp(&estimate_cost(&plans[b].expr, rates))
-            .unwrap()
-    });
-    idx
-}
-
-/// The outcome of empirical calibration.
-#[derive(Debug)]
-pub struct Calibration {
-    /// Index of the fastest plan.
+/// The outcome of [`choose_plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Choice {
+    /// Index of the plan with the least counted work.
     pub best: usize,
-    /// Measured time per candidate on the calibration prefix.
-    pub timings: Vec<Duration>,
+    /// That plan's counted work on the prefix.
+    pub work: u64,
 }
 
-/// Runs every candidate on `calibration` (a short stream prefix) and
-/// returns the fastest. All candidates are result-equivalent by rule
+/// Replays every candidate on `prefix`, one `process` call per edge as
+/// `sgq run` ingests a stream, and returns the one with the least
+/// [`counted_work`]. All candidates are result-equivalent by rule
 /// soundness (checked by the `plan_equivalence` integration suite).
-pub fn choose_plan(plans: &[Plan], calibration: &InputStream, opts: EngineOptions) -> Calibration {
-    assert!(!plans.is_empty(), "need at least one candidate plan");
-    let mut timings = Vec::with_capacity(plans.len());
-    let mut best = 0usize;
-    for (i, plan) in plans.iter().enumerate() {
-        let mut engine = Engine::from_plan_with(plan, opts);
-        let started = Instant::now();
-        engine.run(calibration);
-        let took = started.elapsed();
-        if took < timings.get(best).copied().unwrap_or(Duration::MAX) || timings.is_empty() {
-            best = i;
-        }
-        timings.push(took);
-    }
-    // Recompute best strictly from the table (the loop's shortcut above
-    // compares against the running best only).
-    let best = timings
+pub fn choose_plan(plans: &[Plan], prefix: &InputStream, opts: EngineOptions) -> Choice {
+    let work: Vec<u64> = plans
         .iter()
-        .enumerate()
-        .min_by_key(|(_, d)| **d)
-        .map(|(i, _)| i)
-        .unwrap();
-    Calibration { best, timings }
-}
-
-/// End-to-end: enumerate the plan space of `plan` (bounded), pre-rank by
-/// static cost, calibrate the `keep` cheapest on the prefix, return the
-/// winner.
-pub fn optimize(
-    plan: &Plan,
-    calibration: &InputStream,
-    limit: usize,
-    keep: usize,
-    opts: EngineOptions,
-) -> Plan {
-    let plans = enumerate_plans(plan, limit);
-    let rates = measure_rates(calibration);
-    let ranked = rank_by_cost(&plans, &rates);
-    let shortlist: Vec<Plan> = ranked
-        .into_iter()
-        .take(keep.max(1))
-        .map(|i| plans[i].clone())
+        .map(|plan| {
+            let mut engine = Engine::from_plan_with(plan, opts);
+            for &sge in prefix.sges() {
+                engine.process(sge);
+            }
+            counted_work(&engine)
+        })
         .collect();
-    let cal = choose_plan(&shortlist, calibration, opts);
-    shortlist[cal.best].clone()
+    let best = least_work(&work);
+    Choice {
+        best,
+        work: work[best],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsLevel;
     use crate::planner::plan_canonical;
+    use crate::rewrite::enumerate_plans;
     use sgq_query::{parse_program, SgqQuery, WindowSpec};
     use sgq_types::{Sge, VertexId};
 
@@ -175,58 +87,35 @@ mod tests {
     }
 
     #[test]
-    fn rates_measure_label_frequencies() {
-        let plan = q4_plan();
-        let s = small_stream(&plan);
-        let rates = measure_rates(&s);
-        let a = plan.labels.get("a").unwrap();
-        assert_eq!(rates[&a], 20.0);
-    }
-
-    #[test]
-    fn cost_is_monotone_in_rates() {
-        let plan = q4_plan();
-        let mut lo: LabelRates = FxHashMap::default();
-        let mut hi: LabelRates = FxHashMap::default();
-        for (l, _) in plan.labels.iter() {
-            lo.insert(l, 10.0);
-            hi.insert(l, 1000.0);
-        }
-        assert!(estimate_cost(&plan.expr, &lo) < estimate_cost(&plan.expr, &hi));
-    }
-
-    #[test]
-    fn ranking_orders_all_plans() {
-        let plan = q4_plan();
-        let plans = enumerate_plans(&plan, 6);
-        let rates = measure_rates(&small_stream(&plan));
-        let ranked = rank_by_cost(&plans, &rates);
-        assert_eq!(ranked.len(), plans.len());
-        let mut sorted = ranked.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..plans.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn calibration_picks_a_valid_winner() {
-        let plan = q4_plan();
-        let plans = enumerate_plans(&plan, 4);
-        let s = small_stream(&plan);
-        let cal = choose_plan(&plans, &s, EngineOptions::default());
-        assert!(cal.best < plans.len());
-        assert_eq!(cal.timings.len(), plans.len());
-    }
-
-    #[test]
     fn optimize_returns_an_equivalent_plan() {
         let plan = q4_plan();
+        let plans = enumerate_plans(&plan, 8);
         let s = small_stream(&plan);
-        let chosen = optimize(&plan, &s, 6, 3, EngineOptions::default());
-        // Execute both to the end; answers must match.
+        let chosen = &plans[choose_plan(&plans, &s, EngineOptions::default()).best];
         let mut e1 = Engine::from_plan(&plan);
-        let mut e2 = Engine::from_plan(&chosen);
+        let mut e2 = Engine::from_plan(chosen);
         e1.run(&s);
         e2.run(&s);
-        assert_eq!(e1.answer_at(59), e2.answer_at(59));
+        // The window slides every tick: compare the answer at each.
+        for t in 0..60 {
+            assert_eq!(e1.answer_at(t), e2.answer_at(t), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn choice_is_pinned_across_obs_levels() {
+        let plan = q4_plan();
+        let plans = enumerate_plans(&plan, 8);
+        let s = small_stream(&plan);
+        for obs in [ObsLevel::Off, ObsLevel::Counters, ObsLevel::Timing] {
+            for _ in 0..2 {
+                let opts = EngineOptions {
+                    obs,
+                    ..Default::default()
+                };
+                let choice = choose_plan(&plans, &s, opts);
+                assert_eq!((choice.best, choice.work), (2, 2599), "{obs:?}");
+            }
+        }
     }
 }

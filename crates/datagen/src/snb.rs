@@ -30,10 +30,6 @@ pub struct SnbConfig {
     pub seed: u64,
     /// Probability that a new message is a reply to an earlier message.
     pub reply_prob: f64,
-    /// Zipf exponent over the three event classes (`knows`, `likes`,
-    /// new-message). `0.0` (default) keeps the measured SNB mix; `> 0.0`
-    /// replaces it with normalized Zipf weights in that class order.
-    pub skew: f64,
 }
 
 impl SnbConfig {
@@ -46,7 +42,6 @@ impl SnbConfig {
             span: edges as u64,
             seed: 0x5eed_051b,
             reply_prob: 0.6,
-            skew: 0.0,
         }
     }
 
@@ -61,13 +56,6 @@ impl SnbConfig {
         self.seed = seed;
         self
     }
-
-    /// Replaces the measured event-class mix with Zipf weights of
-    /// exponent `skew`.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.skew = skew;
-        self
-    }
 }
 
 /// Event-class mix measured on the SNB update stream: `knows`, `likes`,
@@ -77,13 +65,7 @@ const CLASSES: [f64; 3] = [0.20, 0.35, 0.45];
 /// Generates an SNB-like ordered raw stream.
 pub fn snb_stream(cfg: &SnbConfig) -> RawStream {
     assert!(cfg.persons >= 2, "need at least two persons");
-    // One threshold draw per event regardless of skew, so the
-    // default configuration stays byte-identical to earlier releases.
-    let cum = if cfg.skew > 0.0 {
-        crate::zipf::cumulative(&crate::zipf::zipf_weights(CLASSES.len(), cfg.skew))
-    } else {
-        crate::zipf::cumulative(&CLASSES)
-    };
+    let cum = crate::mix::cumulative(&CLASSES);
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut events: Vec<RawEvent> = Vec::with_capacity(cfg.edges + cfg.edges / 2);
     // Messages created so far: (message id, creator).
@@ -100,7 +82,7 @@ pub fn snb_stream(cfg: &SnbConfig) -> RawStream {
     while events.len() < cfg.edges {
         let ts = (i as u64) * cfg.span / cfg.edges.max(1) as u64;
         i += 1;
-        let class = crate::zipf::pick_index(rng.gen(), &cum);
+        let class = crate::mix::pick_index(rng.gen(), &cum);
         if class == 0 {
             // knows: person-person, 85% intra-community (cyclic cluster).
             let c = rng.gen_range(0..cfg.communities);
@@ -227,24 +209,6 @@ mod tests {
             intra as f64 / total as f64 > 0.7,
             "knows edges cluster within communities"
         );
-    }
-
-    #[test]
-    fn skew_zero_is_the_measured_mix() {
-        // The skew knob draws the same RNG sequence, so the default
-        // configuration must keep producing the exact historical stream.
-        let a = snb_stream(&cfg());
-        let b = snb_stream(&cfg().with_skew(0.0));
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn skew_concentrates_event_classes() {
-        // Zipf(2) over [knows, likes, message] puts ~73% of events on
-        // knows — far above the measured 20%.
-        let s = snb_stream(&SnbConfig::new(200, 10_000).with_skew(2.0));
-        let knows = s.events.iter().filter(|e| e.2 == "knows").count();
-        assert!(knows as f64 > 0.5 * s.len() as f64, "knows {knows}");
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub struct SoConfig {
     pub seed: u64,
     /// Probability of preferential (vs. uniform) endpoint choice.
     pub preferential: f64,
-    /// Zipf exponent over the three labels. `0.0` (default) keeps the
-    /// measured SO mix; `> 0.0` replaces it with normalized Zipf weights
-    /// `w_i ∝ 1/(i+1)^skew` in declaration order (`a2q` heaviest).
-    pub skew: f64,
 }
 
 impl SoConfig {
@@ -43,7 +39,6 @@ impl SoConfig {
             span: edges as u64,
             seed: 0x005e_ed50,
             preferential: 0.6,
-            skew: 0.0,
         }
     }
 
@@ -58,13 +53,6 @@ impl SoConfig {
         self.seed = seed;
         self
     }
-
-    /// Replaces the measured label mix with Zipf weights of exponent
-    /// `skew`.
-    pub fn with_skew(mut self, skew: f64) -> Self {
-        self.skew = skew;
-        self
-    }
 }
 
 /// Label mix measured on the real SO graph: answers dominate, comments on
@@ -74,13 +62,7 @@ const LABELS: [(&str, f64); 3] = [("a2q", 0.45), ("c2q", 0.30), ("c2a", 0.25)];
 /// Generates an SO-like ordered raw stream.
 pub fn so_stream(cfg: &SoConfig) -> RawStream {
     assert!(cfg.users >= 2, "need at least two users");
-    // One threshold draw per event regardless of skew, so the
-    // default configuration stays byte-identical to earlier releases.
-    let cum = if cfg.skew > 0.0 {
-        crate::zipf::cumulative(&crate::zipf::zipf_weights(LABELS.len(), cfg.skew))
-    } else {
-        crate::zipf::cumulative(&LABELS.map(|(_, w)| w))
-    };
+    let cum = crate::mix::cumulative(&LABELS.map(|(_, w)| w));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     // Pool of past endpoints for preferential attachment: every
     // participation appends, so sampling uniformly from the pool is
@@ -102,7 +84,7 @@ pub fn so_stream(cfg: &SoConfig) -> RawStream {
         if trg == src {
             trg = (src + 1 + rng.gen_range(0..cfg.users - 1)) % cfg.users;
         }
-        let label = LABELS[crate::zipf::pick_index(rng.gen(), &cum)].0;
+        let label = LABELS[crate::mix::pick_index(rng.gen(), &cum)].0;
         let ts = (i as u64) * cfg.span / cfg.edges.max(1) as u64;
         events.push((src, trg, label, ts));
         pool.push(src);
@@ -153,26 +135,6 @@ mod tests {
         assert!((frac("a2q") - 0.45).abs() < 0.05);
         assert!((frac("c2q") - 0.30).abs() < 0.05);
         assert!((frac("c2a") - 0.25).abs() < 0.05);
-    }
-
-    #[test]
-    fn skew_zero_is_the_measured_mix() {
-        // The skew knob draws the same RNG sequence, so the default
-        // configuration must keep producing the exact historical stream.
-        let a = so_stream(&SoConfig::new(100, 1000));
-        let b = so_stream(&SoConfig::new(100, 1000).with_skew(0.0));
-        assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn skew_concentrates_label_mass() {
-        let s = so_stream(&SoConfig::new(200, 10_000).with_skew(2.0));
-        let mut counts: FxHashMap<&str, usize> = FxHashMap::default();
-        for &(_, _, l, _) in &s.events {
-            *counts.entry(l).or_default() += 1;
-        }
-        // Zipf(2) over three ranks puts ~73% of mass on the head label.
-        assert!(counts["a2q"] > 2 * (counts["c2q"] + counts["c2a"]));
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   regex product graph. Window expirations are ordinary retractions —
 //!   the general-purpose IVM cost that S-PATH's direct approach avoids.
 //!
-//! See `DESIGN.md` §5 for why this substitution preserves the baseline's
-//! experimental behaviour.
+//! The substitution keeps what the paper's comparison turns on: slide-sized
+//! epochs, counted incremental view maintenance, and window expiry paid
+//! as retraction. README's crate map (the `sgq_dd` row) and
+//! docs/ARCHITECTURE.md §1 place it among the crates.
 
 #![warn(missing_docs)]
 

@@ -73,7 +73,7 @@ struct RunArgs {
     pattern_impl: PatternImpl,
     /// Plan index into the enumerated plan space (0 = canonical).
     plan: Option<usize>,
-    /// Choose the plan by calibration on a stream prefix.
+    /// Choose the plan with the least counted work on a stream prefix.
     optimize: bool,
     /// Materialize and print witness paths.
     paths: bool,
@@ -389,27 +389,31 @@ fn execute(a: RunArgs) -> Result<(), String> {
         ..Default::default()
     };
 
-    let plan: Plan = match (a.plan, a.optimize) {
-        (Some(n), _) => {
-            let canonical = plan_canonical(&query);
-            let plans = rewrite::enumerate_plans(&canonical, n.max(1) + 1);
-            plans.into_iter().nth(n).ok_or(format!(
+    let mut plans = rewrite::enumerate_plans(&plan_canonical(&query), 8);
+    let index = match a.plan {
+        Some(n) if n >= plans.len() => {
+            return Err(format!(
                 "plan index {n} out of range (see `sgq explain --plans`)"
-            ))?
+            ))
         }
-        (None, true) => {
-            let canonical = plan_canonical(&query);
-            let plans = rewrite::enumerate_plans(&canonical, 8);
-            // Calibrate on a prefix of the stream (up to 2000 events).
+        Some(n) => n,
+        None if a.optimize => {
+            // Price every plan on a prefix of the stream (up to 2000 events).
             let prefix = s_graffito::types::InputStream::from_ordered(
                 stream.sges().iter().take(2000).copied().collect(),
             );
-            let cal = optimizer::choose_plan(&plans, &prefix, opts);
-            eprintln!("# calibration chose plan {} of {}", cal.best, plans.len());
-            plans.into_iter().nth(cal.best).expect("best in range")
+            let choice = optimizer::choose_plan(&plans, &prefix, opts);
+            eprintln!(
+                "# chose plan {} of {}: counted work {}",
+                choice.best,
+                plans.len(),
+                choice.work
+            );
+            choice.best
         }
-        (None, false) => plan_canonical(&query),
+        None => 0,
     };
+    let plan: Plan = plans.swap_remove(index);
 
     let mut engine = Engine::from_plan_with(&plan, opts);
     let labels = engine.labels().clone();
@@ -582,6 +586,16 @@ mod tests {
         ))
         .unwrap())
         .unwrap();
+
+        // run the least-work plan, an explicit plan, and one out of range
+        let base = format!(
+            "run --query {} --stream {} --window 100 --quiet",
+            qfile.display(),
+            stream.display()
+        );
+        run(parse(&format!("{base} --optimize")).unwrap()).unwrap();
+        run(parse(&format!("{base} --plan 1")).unwrap()).unwrap();
+        assert!(run(parse(&format!("{base} --plan 99")).unwrap()).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
     }
