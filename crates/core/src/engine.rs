@@ -20,7 +20,7 @@
 
 use crate::metrics::{ExecStats, RunStats};
 use crate::multiquery::{MultiQueryEngine, QueryId};
-use crate::obs::{FrontierStats, MetricsSnapshot, ObsLevel, TraceSink};
+use crate::obs::{MetricsSnapshot, ObsLevel, TraceSink};
 use crate::planner::{plan_canonical, Plan};
 use sgq_query::SgqQuery;
 use sgq_types::{FxHashSet, Label, LabelInterner, Sge, Sgt, Timestamp, VertexId};
@@ -352,11 +352,10 @@ impl Engine {
         }
     }
 
-    /// Aggregated frontier traversal counters of the flow's PATH
-    /// operators (nodes settled / improved, heap pushes, edges scanned).
-    /// Always-on deterministic counters — available at every obs level.
-    pub fn frontier_totals(&self) -> FrontierStats {
-        self.host.frontier_totals()
+    /// The work the engine has done since it was built (see
+    /// [`MultiQueryEngine::counted_work`]).
+    pub fn counted_work(&self) -> u64 {
+        self.host.counted_work()
     }
 
     /// Drives the engine over an entire ordered stream, collecting the

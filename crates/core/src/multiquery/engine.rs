@@ -7,9 +7,7 @@ use super::sink::{answer_at, ResultRow, SinkCensus};
 use crate::algebra::SgaExpr;
 use crate::dataflow::Dataflow;
 use crate::engine::EngineOptions;
-use crate::obs::{
-    fmt_nanos, FrontierStats, MetricsSnapshot, ObsLevel, QuerySnapshot, TraceEvent, TraceSink,
-};
+use crate::obs::{fmt_nanos, MetricsSnapshot, ObsLevel, QuerySnapshot, TraceEvent, TraceSink};
 use crate::physical::Delta;
 use crate::planner::{plan_canonical, Plan};
 use sgq_query::SgqQuery;
@@ -411,11 +409,14 @@ impl MultiQueryEngine {
         self.registry.sink_censuses(self.now)
     }
 
-    /// Aggregated frontier traversal counters of the live PATH operators
-    /// (nodes settled / improved, heap pushes, edges scanned). Always-on
-    /// deterministic counters, available at every obs level.
-    pub(crate) fn frontier_totals(&self) -> FrontierStats {
-        self.flow.frontier_totals()
+    /// The work the host has done since it was built: deltas handed to
+    /// operators, deltas they emitted, and adjacency entries its PATH
+    /// operators scanned, each weighing 1. Exact counts kept at every obs
+    /// level, so the same stream and registrations give the same work
+    /// (the price [`crate::optimizer`] chooses plans by).
+    pub fn counted_work(&self) -> u64 {
+        let exec = self.exec_stats();
+        exec.deltas_dispatched + exec.deltas_emitted + self.flow.frontier_totals().edges_scanned
     }
 
     /// Row, key and dedup occupancy of every live PATTERN operator, by

@@ -4,7 +4,7 @@
 //! of the rich plan space using SGA's transformation rules").
 //!
 //! [`choose_plan`] replays every candidate on a stream prefix and keeps
-//! the one that did the least [`counted_work`]. The work is made of exact
+//! the one that did the least [`Engine::counted_work`]. The work is made of exact
 //! counts that every engine keeps at every [`crate::obs::ObsLevel`], so
 //! one query and prefix get the same plan across runs, obs levels and
 //! builds. Each count weighs 1.
@@ -12,14 +12,6 @@
 use crate::engine::{Engine, EngineOptions};
 use crate::planner::Plan;
 use sgq_types::InputStream;
-
-/// The work `engine` has done since it was built: deltas handed to
-/// operators, deltas they emitted, and adjacency entries its PATH
-/// operators scanned.
-pub fn counted_work(engine: &Engine) -> u64 {
-    let exec = engine.exec_stats();
-    exec.deltas_dispatched + exec.deltas_emitted + engine.frontier_totals().edges_scanned
-}
 
 /// The index of the least work. Ties go to the lower index, so the
 /// canonical plan (index 0 of `enumerate_plans`) wins them.
@@ -40,7 +32,7 @@ pub struct Choice {
 
 /// Replays every candidate on `prefix`, one `process` call per edge as
 /// `sgq run` ingests a stream, and returns the one with the least
-/// [`counted_work`]. All candidates are result-equivalent by rule
+/// [`Engine::counted_work`]. All candidates are result-equivalent by rule
 /// soundness (checked by the `plan_equivalence` integration suite).
 pub fn choose_plan(plans: &[Plan], prefix: &InputStream, opts: EngineOptions) -> Choice {
     let work: Vec<u64> = plans
@@ -50,7 +42,7 @@ pub fn choose_plan(plans: &[Plan], prefix: &InputStream, opts: EngineOptions) ->
             for &sge in prefix.sges() {
                 engine.process(sge);
             }
-            counted_work(&engine)
+            engine.counted_work()
         })
         .collect();
     let best = least_work(&work);

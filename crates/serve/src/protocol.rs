@@ -16,6 +16,7 @@
 //! [`PROTOCOL_VERSION`] is 1; a server receiving any other version byte
 //! answers [`ERR_BAD_VERSION`] and closes the connection.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
 /// The protocol version this implementation speaks (the frame's third
@@ -99,6 +100,100 @@ pub struct WireEdge {
     pub t: u64,
     /// Edge label name, resolved against the host's label namespace.
     pub label: String,
+}
+
+/// [`EdgeRow`]'s label word: this bit set marks an explicit deletion.
+const DELETE_BIT: u32 = 1 << 31;
+
+/// How many of a frame's labels the decoder finds by a linear scan
+/// before it keeps a map of the rest.
+const SCAN_LABELS: usize = 8;
+
+/// One decoded edge in 32 bytes: its label is an index into its frame's
+/// [`EdgeBatch::labels`], with the delete flag in the index's top bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeRow {
+    /// Source vertex id.
+    pub src: u64,
+    /// Target vertex id.
+    pub trg: u64,
+    /// Event timestamp.
+    pub t: u64,
+    label: u32,
+}
+
+impl EdgeRow {
+    /// `true` for an explicit deletion.
+    pub fn delete(&self) -> bool {
+        self.label & DELETE_BIT != 0
+    }
+
+    /// The row's index into its frame's label table.
+    pub fn label_idx(&self) -> usize {
+        (self.label & !DELETE_BIT) as usize
+    }
+}
+
+/// The edges of one INSERT, DELETE or BATCH frame: a row per edge and
+/// the frame's distinct labels in order of first use. Each label is
+/// validated and copied once per frame, not once per edge.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct EdgeBatch {
+    /// The edges, in frame order.
+    pub rows: Vec<EdgeRow>,
+    /// The label names the rows index.
+    pub labels: Vec<String>,
+}
+
+impl EdgeBatch {
+    /// The rows as [`WireEdge`]s, a label `String` each: what
+    /// [`Message::Batch`] carries.
+    pub fn to_wire_edges(&self) -> Vec<WireEdge> {
+        (self.rows.iter())
+            .map(|r| WireEdge {
+                delete: r.delete(),
+                src: r.src,
+                trg: r.trg,
+                t: r.t,
+                label: self.labels[r.label_idx()].clone(),
+            })
+            .collect()
+    }
+}
+
+/// A client frame as the host's reader passes it on: the edge-carrying
+/// types (INSERT, DELETE, BATCH) as an [`EdgeBatch`], every other type as
+/// its [`Message`]. The bytes on the wire are the same either way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// An INSERT or DELETE as a one-row batch (the frame type sets the
+    /// row's delete flag), or a BATCH.
+    Edges(EdgeBatch),
+    /// Any other message.
+    Message(Message),
+}
+
+impl Request {
+    /// Decodes a frame payload as [`Message::decode`] does, with the same
+    /// errors, but keeps an edge frame's edges as rows.
+    pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
+        let [PROTOCOL_VERSION, ty @ 0x04..=0x06, ..] = *payload else {
+            return Message::decode(payload).map(Request::Message);
+        };
+        let mut cur = Cursor::new(payload);
+        cur.take(2)?;
+        let batch = if ty == 0x06 {
+            cur.batch()?
+        } else {
+            // The type, not the edge's flag byte, says insert or delete;
+            // the one row indexes label 0.
+            let mut one = cur.edges(1)?;
+            one.rows[0].label = if ty == 0x05 { DELETE_BIT } else { 0 };
+            one
+        };
+        cur.finish()?;
+        Ok(Request::Edges(batch))
+    }
 }
 
 /// A decoded protocol message. Types `0x01`–`0x7F` flow client → server,
@@ -502,22 +597,9 @@ impl Message {
             0x03 => Message::Deregister { query: cur.u64()? },
             0x04 => Message::Insert(cur.edge()?),
             0x05 => Message::Delete(cur.edge()?),
-            0x06 => {
-                let n = cur.u32()? as usize;
-                // Bound allocation by what the payload could possibly
-                // hold (an edge is ≥ 27 bytes on the wire).
-                if n > payload.len() / 27 + 1 {
-                    return Err(ProtoError::fatal(
-                        ERR_MALFORMED,
-                        format!("batch count {n} exceeds frame capacity"),
-                    ));
-                }
-                let mut edges = Vec::with_capacity(n);
-                for _ in 0..n {
-                    edges.push(cur.edge()?);
-                }
-                Message::Batch { edges }
-            }
+            0x06 => Message::Batch {
+                edges: cur.batch()?.to_wire_edges(),
+            },
             0x07 => Message::Advance { t: cur.u64()? },
             0x08 => Message::Flush,
             0x09 => Message::Metrics,
@@ -619,13 +701,73 @@ impl<'a> Cursor<'a> {
     }
 
     fn edge(&mut self) -> Result<WireEdge, ProtoError> {
-        Ok(WireEdge {
-            delete: self.u8()? != 0,
-            src: self.u64()?,
-            trg: self.u64()?,
-            t: self.u64()?,
-            label: self.str()?,
-        })
+        Ok(self.edges(1)?.to_wire_edges().remove(0))
+    }
+
+    /// A BATCH body: the edge count, then that many edges.
+    fn batch(&mut self) -> Result<EdgeBatch, ProtoError> {
+        let n = self.u32()? as usize;
+        // Bound allocation by what the payload could possibly hold.
+        if n > self.buf.len() / EDGE_HEAD_LEN + 1 {
+            return Err(ProtoError::fatal(
+                ERR_MALFORMED,
+                format!("batch count {n} exceeds frame capacity"),
+            ));
+        }
+        self.edges(n)
+    }
+
+    /// `n` edges as rows. A label's bytes are looked up among the frame's
+    /// labels so far, and only a new one is validated and copied: a frame
+    /// of `n` edges over `k` labels allocates O(k) times, and stays
+    /// linear when every label is distinct.
+    fn edges(&mut self, n: usize) -> Result<EdgeBatch, ProtoError> {
+        let mut batch = EdgeBatch {
+            rows: Vec::with_capacity(n),
+            labels: Vec::new(),
+        };
+        // The first `SCAN_LABELS` labels are found by comparing bytes,
+        // later ones through a map, so a frame with few labels (a
+        // one-edge INSERT or DELETE, say) builds no map. The std hasher:
+        // the keys are client bytes, so a frame must not be able to pick
+        // labels that collide.
+        let mut seen: HashMap<&'a [u8], u32> = HashMap::new();
+        for _ in 0..n {
+            let head = self.take(EDGE_HEAD_LEN)?;
+            let word = |at: usize| u64::from_be_bytes(head[at..at + 8].try_into().unwrap());
+            let name = self.take(u16::from_be_bytes([head[25], head[26]]) as usize)?;
+            let scanned = &batch.labels[..batch.labels.len().min(SCAN_LABELS)];
+            let found = match scanned.iter().position(|l| l.as_bytes() == name) {
+                Some(idx) => Some(idx as u32),
+                None => seen.get(name).copied(),
+            };
+            let label = match found {
+                Some(idx) => idx,
+                None => {
+                    let text = std::str::from_utf8(name)
+                        .map_err(|_| ProtoError::soft(ERR_MALFORMED, "string is not UTF-8"))?;
+                    // A frame holds under 2^20 edges, so an index never
+                    // reaches DELETE_BIT.
+                    let idx = batch.labels.len() as u32;
+                    batch.labels.push(text.to_owned());
+                    if idx as usize >= SCAN_LABELS {
+                        seen.insert(name, idx);
+                    }
+                    idx
+                }
+            };
+            batch.rows.push(EdgeRow {
+                src: word(1),
+                trg: word(9),
+                t: word(17),
+                label: if head[0] != 0 {
+                    label | DELETE_BIT
+                } else {
+                    label
+                },
+            });
+        }
+        Ok(batch)
     }
 
     fn finish(self) -> Result<(), ProtoError> {
@@ -1034,6 +1176,89 @@ mod tests {
                 label: self.text(40),
             }
         }
+    }
+
+    /// Random BATCH frames — labels drawn from pools of 1 to 40 names, so
+    /// frames repeat labels or use each once, and a random mix of
+    /// deletes — decode through `read_message` to exactly the edges that
+    /// were encoded, and to 32-byte rows whose expansion is those edges,
+    /// over a table holding each label once in order of first use.
+    #[test]
+    fn batch_rows_expand_to_what_read_message_decodes() {
+        assert_eq!(std::mem::size_of::<EdgeRow>(), 32);
+        let mut rng = Rng(0xD1B5_4A32_D192_ED03);
+        for round in 0..200 {
+            let pool: Vec<String> = (0..1 + rng.below(40)).map(|_| rng.text(12)).collect();
+            let n = match round % 4 {
+                0 => rng.below(4),
+                _ => rng.below(300),
+            };
+            let edges: Vec<WireEdge> = (0..n)
+                .map(|_| WireEdge {
+                    label: pool[rng.below(pool.len() as u64) as usize].clone(),
+                    ..rng.edge()
+                })
+                .collect();
+            let frame = Message::Batch {
+                edges: edges.clone(),
+            }
+            .encode();
+            let read = read_message(&mut &frame[..]).unwrap().unwrap().unwrap();
+            assert_eq!(
+                read,
+                Message::Batch {
+                    edges: edges.clone()
+                }
+            );
+            let Request::Edges(batch) = Request::decode(&frame[4..]).unwrap() else {
+                panic!("a BATCH decodes to rows");
+            };
+            assert_eq!(batch.to_wire_edges(), edges);
+            let mut first_use: Vec<&str> = Vec::new();
+            for e in &edges {
+                if !first_use.contains(&e.label.as_str()) {
+                    first_use.push(&e.label);
+                }
+            }
+            assert_eq!(batch.labels, first_use);
+        }
+    }
+
+    /// INSERT and DELETE decode to one-row batches whose delete flag is
+    /// the frame type's, whatever the edge's flag byte says, as the
+    /// host has always treated them; other types stay messages.
+    #[test]
+    fn edge_frames_decode_to_rows_and_others_to_messages() {
+        for (msg, delete) in [
+            (Message::Insert(edge(true)), false),
+            (Message::Delete(edge(false)), true),
+        ] {
+            let Request::Edges(batch) = Request::decode(&msg.encode()[4..]).unwrap() else {
+                panic!("{msg:?} decodes to rows");
+            };
+            assert_eq!(
+                batch.to_wire_edges(),
+                vec![WireEdge {
+                    delete,
+                    ..edge(delete)
+                }]
+            );
+        }
+        let ping = Message::Ping { token: 3 };
+        assert_eq!(
+            Request::decode(&ping.encode()[4..]),
+            Ok(Request::Message(ping))
+        );
+        // A bad label anywhere fails the whole frame, as `Message::decode`.
+        let mut frame = Message::Batch {
+            edges: vec![edge(false), edge(false)],
+        }
+        .encode();
+        *frame.last_mut().unwrap() = 0xFF;
+        assert_eq!(
+            Request::decode(&frame[4..]).unwrap_err(),
+            Message::decode(&frame[4..]).unwrap_err()
+        );
     }
 
     /// `encode` writes the same bytes as the two-pass layout for every

@@ -10,6 +10,7 @@
 //!        ┌───────────┴───────────┐
 //!   reader thread           writer thread
 //!   frames → Command        Outbox → socket
+//!   (edges → EdgeBatch)
 //!        │                       ▲
 //!        ▼                       │ bounded per-subscription
 //!   mpsc::Sender ───────► engine thread (owns MultiQueryEngine,
@@ -35,7 +36,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, IoSlice, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -45,10 +46,10 @@ use sgq_core::engine::EngineOptions;
 use sgq_core::obs::{TraceEvent, TraceSink};
 use sgq_multiquery::{MultiQueryEngine, QueryId};
 use sgq_query::{parse_program, SgqQuery, WindowSpec};
-use sgq_types::Sge;
+use sgq_types::{Label, Sge};
 
 use crate::protocol::{
-    encode_result_into, read_message, Backpressure, Message, WireEdge, ERR_BAD_QUERY,
+    encode_result_into, read_frame, Backpressure, EdgeBatch, Message, Request, ERR_BAD_QUERY,
     ERR_MALFORMED, ERR_NOT_SUPPORTED, ERR_OUT_OF_ORDER, ERR_SLOW_CONSUMER, ERR_UNKNOWN_QUERY,
     RESULT_FRAME_LEN,
 };
@@ -113,9 +114,39 @@ type ConnId = u64;
 enum Command {
     Connect(ConnId, Arc<Outbox>),
     Disconnect(ConnId),
+    /// A frame other than INSERT, DELETE or BATCH.
     Frame(ConnId, Message),
+    /// The edges of one INSERT, DELETE or BATCH frame.
+    Edges(ConnId, EdgeBatch),
     /// A recoverable decode failure: report and keep the connection.
     SoftError(ConnId, u16, String),
+}
+
+/// The frames and edges readers have put on the command channel that the
+/// engine thread has not taken yet, and the most of each seen at once.
+/// A reader counts a frame in before it sends it, so the engine thread
+/// never counts one out first.
+#[derive(Default)]
+struct QueueDepth {
+    frames: AtomicU64,
+    edges: AtomicU64,
+    peak_frames: AtomicU64,
+    peak_edges: AtomicU64,
+}
+
+impl QueueDepth {
+    fn push(&self, edges: usize) {
+        let frames = self.frames.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak_frames.fetch_max(frames, Ordering::Relaxed);
+        let edges = edges as u64;
+        let queued = self.edges.fetch_add(edges, Ordering::Relaxed) + edges;
+        self.peak_edges.fetch_max(queued, Ordering::Relaxed);
+    }
+
+    fn pop(&self, edges: usize) {
+        self.frames.fetch_sub(1, Ordering::Relaxed);
+        self.edges.fetch_sub(edges as u64, Ordering::Relaxed);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -273,6 +304,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Command>();
+        let depth = Arc::new(QueueDepth::default());
         // Opened here so an unwritable trace path fails the spawn, not the
         // shutdown of a host that has been tracing into the void.
         let trace = cfg
@@ -284,6 +316,7 @@ impl Server {
         let engine = {
             let cfg = cfg.clone();
             let shutdown = Arc::clone(&shutdown);
+            let depth = Arc::clone(&depth);
             let wake = WakeAcceptOnExit {
                 shutdown: Arc::clone(&shutdown),
                 addr,
@@ -292,7 +325,7 @@ impl Server {
                 .name("sgq-serve-engine".into())
                 .spawn(move || {
                     let _wake = wake;
-                    EngineLoop::new(cfg, shutdown, trace).run(rx)
+                    EngineLoop::new(cfg, shutdown, trace, depth).run(rx)
                 })?
         };
 
@@ -300,7 +333,7 @@ impl Server {
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
                 .name("sgq-serve-accept".into())
-                .spawn(move || accept_loop(listener, tx, shutdown))?
+                .spawn(move || accept_loop(listener, tx, depth, shutdown))?
         };
 
         Ok(Server {
@@ -362,7 +395,12 @@ impl Drop for WakeAcceptOnExit {
     }
 }
 
-fn accept_loop(listener: TcpListener, tx: mpsc::Sender<Command>, shutdown: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    tx: mpsc::Sender<Command>,
+    depth: Arc<QueueDepth>,
+    shutdown: Arc<AtomicBool>,
+) {
     let mut next_conn: ConnId = 1;
     loop {
         let accepted = listener.accept();
@@ -373,7 +411,7 @@ fn accept_loop(listener: TcpListener, tx: mpsc::Sender<Command>, shutdown: Arc<A
             Ok((stream, _peer)) => {
                 let conn = next_conn;
                 next_conn += 1;
-                if spawn_connection(conn, stream, tx.clone()).is_err() {
+                if spawn_connection(conn, stream, tx.clone(), Arc::clone(&depth)).is_err() {
                     // Thread spawn failure: drop the connection.
                 }
             }
@@ -383,7 +421,12 @@ fn accept_loop(listener: TcpListener, tx: mpsc::Sender<Command>, shutdown: Arc<A
     }
 }
 
-fn spawn_connection(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>) -> io::Result<()> {
+fn spawn_connection(
+    conn: ConnId,
+    stream: TcpStream,
+    tx: mpsc::Sender<Command>,
+    depth: Arc<QueueDepth>,
+) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let outbox = Outbox::new();
     let _ = tx.send(Command::Connect(conn, Arc::clone(&outbox)));
@@ -396,7 +439,7 @@ fn spawn_connection(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>) 
 
     thread::Builder::new()
         .name(format!("sgq-serve-r{conn}"))
-        .spawn(move || reader_loop(conn, stream, tx, outbox))?;
+        .spawn(move || reader_loop(conn, stream, tx, depth, outbox))?;
     Ok(())
 }
 
@@ -435,20 +478,38 @@ fn write_entries(w: &mut impl Write, entries: &VecDeque<Entry>) -> io::Result<()
     Ok(())
 }
 
-fn reader_loop(conn: ConnId, stream: TcpStream, tx: mpsc::Sender<Command>, outbox: Arc<Outbox>) {
+fn reader_loop(
+    conn: ConnId,
+    stream: TcpStream,
+    tx: mpsc::Sender<Command>,
+    depth: Arc<QueueDepth>,
+    outbox: Arc<Outbox>,
+) {
     // A frame's length prefix and payload come out of one `recv`, and
     // small frames several to a `recv`.
     let mut stream = BufReader::new(stream);
     loop {
-        match read_message(&mut stream) {
+        let request = read_frame(&mut stream).map(|frame| frame.map(|p| Request::decode(&p)));
+        match request {
             // Clean EOF at a frame boundary: the client hung up.
             Ok(None) => break,
-            Ok(Some(Ok(msg))) => {
-                if tx.send(Command::Frame(conn, msg)).is_err() {
+            Ok(Some(Ok(req))) => {
+                let cmd = match req {
+                    Request::Edges(batch) => {
+                        depth.push(batch.rows.len());
+                        Command::Edges(conn, batch)
+                    }
+                    Request::Message(msg) => {
+                        depth.push(0);
+                        Command::Frame(conn, msg)
+                    }
+                };
+                if tx.send(cmd).is_err() {
                     break;
                 }
             }
             Ok(Some(Err(err))) if err.recoverable => {
+                depth.push(0);
                 let _ = tx.send(Command::SoftError(conn, err.code, err.message));
             }
             Ok(Some(Err(err))) => {
@@ -553,19 +614,22 @@ struct EngineLoop {
     shutdown: Arc<AtomicBool>,
     engine: MultiQueryEngine,
     trace: Option<TraceFile>,
+    depth: Arc<QueueDepth>,
     conns: HashMap<ConnId, Arc<Outbox>>,
     /// Ordered so result routing visits queries deterministically.
     subs: BTreeMap<QueryId, Subscription>,
     pending: Vec<Sge>,
     /// Host watermark: the largest timestamp accepted so far.
     watermark: u64,
-    /// Edges discarded because no registered query references their
-    /// label (§7.2.1 semantics) or because they predate the watermark.
-    discarded_edges: u64,
 }
 
 impl EngineLoop {
-    fn new(cfg: ServeConfig, shutdown: Arc<AtomicBool>, trace: Option<TraceFile>) -> EngineLoop {
+    fn new(
+        cfg: ServeConfig,
+        shutdown: Arc<AtomicBool>,
+        trace: Option<TraceFile>,
+        depth: Arc<QueueDepth>,
+    ) -> EngineLoop {
         // A RESULT frame carries `(src, trg, ts, exp)` only, so S-PATH
         // results need no materialised path payload: walking the tree and
         // allocating the edge list for every result would be thrown away.
@@ -588,11 +652,11 @@ impl EngineLoop {
             shutdown,
             engine,
             trace,
+            depth,
             conns: HashMap::new(),
             subs: BTreeMap::new(),
             pending: Vec::new(),
             watermark: 0,
-            discarded_edges: 0,
         }
     }
 
@@ -653,9 +717,17 @@ impl EngineLoop {
             }
             Command::Disconnect(conn) => self.drop_connection(conn, None),
             Command::SoftError(conn, code, message) => {
+                self.depth.pop(0);
                 self.send(conn, Message::Error { code, message });
             }
-            Command::Frame(conn, msg) => self.handle_frame(conn, msg),
+            Command::Frame(conn, msg) => {
+                self.depth.pop(0);
+                self.handle_frame(conn, msg);
+            }
+            Command::Edges(conn, batch) => {
+                self.depth.pop(batch.rows.len());
+                self.accept_edges(conn, &batch);
+            }
         }
     }
 
@@ -677,16 +749,8 @@ impl EngineLoop {
                 query,
             } => self.register(conn, policy, buffer, window, slide, &query),
             Message::Deregister { query } => self.deregister(conn, query),
-            Message::Insert(e) => self.insert(conn, e),
-            Message::Delete(e) => self.delete(conn, e),
-            Message::Batch { edges } => {
-                for e in edges {
-                    if e.delete {
-                        self.delete(conn, e);
-                    } else {
-                        self.insert(conn, e);
-                    }
-                }
+            Message::Insert(_) | Message::Delete(_) | Message::Batch { .. } => {
+                unreachable!("the reader passes edge frames on as Command::Edges")
             }
             Message::Advance { t } => {
                 if t < self.watermark {
@@ -711,7 +775,7 @@ impl EngineLoop {
             Message::Metrics => {
                 self.flush_epoch();
                 let mut jsonl = self.engine.metrics_snapshot().to_jsonl();
-                jsonl.push_str(&memory_record(&self.engine));
+                jsonl.push_str(&memory_record(&self.engine, &self.depth));
                 self.send(conn, Message::MetricsSnapshot { jsonl });
             }
             Message::Shutdown => {
@@ -828,57 +892,54 @@ impl EngineLoop {
         self.send(conn, Message::Deregistered { query: raw, ok });
     }
 
-    fn accept_edge(&mut self, conn: ConnId, e: &WireEdge) -> Option<Sge> {
-        if e.t < self.watermark {
-            self.discarded_edges += 1;
-            self.send(
-                conn,
-                Message::Error {
-                    code: ERR_OUT_OF_ORDER,
-                    message: format!("edge at t={} behind watermark {}", e.t, self.watermark),
-                },
-            );
-            return None;
-        }
-        // Labels no registered query references are discarded, mirroring
-        // the §7.2.1 resolve step (the engine's interner only knows
-        // labels that appear in some registered query).
-        let label = match self.engine.labels().get(&e.label) {
-            Some(l) => l,
-            None => {
-                self.discarded_edges += 1;
-                return None;
+    /// Accepts one frame's edges, in order: the frame's labels resolve
+    /// once, then each row is checked against the mode and the watermark
+    /// and buffered into the open epoch (an insert) or applied at once
+    /// behind a flush of the buffered inserts (a delete). Labels no
+    /// registered query references are discarded, mirroring the §7.2.1
+    /// resolve step (the engine's interner only knows labels that appear
+    /// in some registered query).
+    fn accept_edges(&mut self, conn: ConnId, batch: &EdgeBatch) {
+        let labels: Vec<Option<Label>> = (batch.labels.iter())
+            .map(|name| self.engine.labels().get(name))
+            .collect();
+        for row in &batch.rows {
+            if row.delete() && !self.cfg.explicit_deletes {
+                self.send(
+                    conn,
+                    Message::Error {
+                        code: ERR_NOT_SUPPORTED,
+                        message: "host runs in append-only mode (start with --explicit-deletes)"
+                            .into(),
+                    },
+                );
+                continue;
             }
-        };
-        self.watermark = e.t;
-        Some(Sge::raw(e.src, e.trg, label, e.t))
-    }
-
-    fn insert(&mut self, conn: ConnId, e: WireEdge) {
-        if let Some(sge) = self.accept_edge(conn, &e) {
-            self.pending.push(sge);
-            if self.pending.len() >= self.cfg.batch_size {
+            if row.t < self.watermark {
+                self.send(
+                    conn,
+                    Message::Error {
+                        code: ERR_OUT_OF_ORDER,
+                        message: format!("edge at t={} behind watermark {}", row.t, self.watermark),
+                    },
+                );
+                continue;
+            }
+            let Some(label) = labels[row.label_idx()] else {
+                continue;
+            };
+            self.watermark = row.t;
+            let sge = Sge::raw(row.src, row.trg, label, row.t);
+            if row.delete() {
                 self.flush_epoch();
+                self.engine.delete(sge);
+                self.route_results();
+            } else {
+                self.pending.push(sge);
+                if self.pending.len() >= self.cfg.batch_size {
+                    self.flush_epoch();
+                }
             }
-        }
-    }
-
-    fn delete(&mut self, conn: ConnId, e: WireEdge) {
-        if !self.cfg.explicit_deletes {
-            self.send(
-                conn,
-                Message::Error {
-                    code: ERR_NOT_SUPPORTED,
-                    message: "host runs in append-only mode (start with --explicit-deletes)".into(),
-                },
-            );
-            return;
-        }
-        if let Some(sge) = self.accept_edge(conn, &e) {
-            // Deletions are ordered against buffered inserts.
-            self.flush_epoch();
-            self.engine.delete(sge);
-            self.route_results();
         }
     }
 
@@ -1025,17 +1086,18 @@ impl EngineLoop {
             }
             self.drop_connection(conn, None);
         }
-        let _ = self.discarded_edges;
     }
 }
 
 /// The `"record":"memory"` line of a METRICS reply: the bytes the
 /// engine's S-PATH forests, edge stores, PATTERN tables and root sinks
-/// reserve, summed from their censuses, then the process's `VmHWM`,
-/// `RssAnon` and `RssFile` in bytes, each left out where
-/// `/proc/self/status` does not have it. The censuses are full scans, so
-/// this runs per METRICS frame, never per epoch.
-fn memory_record(engine: &MultiQueryEngine) -> String {
+/// reserve, summed from their censuses; the frames and edges queued on
+/// the command channel behind this METRICS frame, and the most of each
+/// queued at once so far; then the process's `VmHWM`, `RssAnon` and
+/// `RssFile` in bytes, each left out where `/proc/self/status` does not
+/// have it. The censuses are full scans, so this runs per METRICS frame,
+/// never per epoch.
+fn memory_record(engine: &MultiQueryEngine, depth: &QueueDepth) -> String {
     use std::fmt::Write as _;
     let path: usize = (engine.path_censuses().iter())
         .map(|(_, c)| c.reserved_bytes())
@@ -1049,9 +1111,15 @@ fn memory_record(engine: &MultiQueryEngine) -> String {
     let sink: usize = (engine.sink_censuses().iter())
         .map(|(_, c)| c.reserved_bytes)
         .sum();
+    let queued = |n: &AtomicU64| n.load(Ordering::Relaxed);
     let mut line = format!(
         "{{\"record\":\"memory\",\"path_bytes\":{path},\"store_bytes\":{store},\
-         \"pattern_bytes\":{pattern},\"sink_bytes\":{sink}"
+         \"pattern_bytes\":{pattern},\"sink_bytes\":{sink},\"queued_frames\":{},\
+         \"queued_edges\":{},\"peak_queued_frames\":{},\"peak_queued_edges\":{}",
+        queued(&depth.frames),
+        queued(&depth.edges),
+        queued(&depth.peak_frames),
+        queued(&depth.peak_edges),
     );
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     for (field, key) in [
@@ -1074,6 +1142,7 @@ fn memory_record(engine: &MultiQueryEngine) -> String {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::protocol::WireEdge;
 
     /// `n` result rows with distinguishable fields.
     fn rows(n: u64) -> Vec<(bool, u64, u64, u64, u64)> {
@@ -1321,8 +1390,10 @@ mod tests {
     }
 
     /// A METRICS reply ends with one memory line: the state bytes by kind
-    /// (a Q5 host that has joined some edges holds PATTERN bytes) and, on
-    /// Linux, the process's resident-set fields.
+    /// (a Q5 host that has joined some edges holds PATTERN bytes), the
+    /// command-channel depth (nothing queued behind the METRICS frame of a
+    /// client that waits for its reply; at least the four-edge BATCH at
+    /// the peak) and, on Linux, the process's resident-set fields.
     #[test]
     fn metrics_reply_carries_a_memory_record() {
         let server = Server::spawn(ServeConfig::default()).unwrap();
@@ -1356,6 +1427,16 @@ mod tests {
         assert!(json_field(line, "store_bytes").unwrap() > 0, "{line}");
         assert!(json_field(line, "sink_bytes").is_some(), "{line}");
         assert_eq!(json_field(line, "path_bytes"), Some(0), "{line}");
+        assert_eq!(json_field(line, "queued_frames"), Some(0), "{line}");
+        assert_eq!(json_field(line, "queued_edges"), Some(0), "{line}");
+        assert!(
+            json_field(line, "peak_queued_frames").unwrap() >= 1,
+            "{line}"
+        );
+        assert!(
+            json_field(line, "peak_queued_edges").unwrap() >= 4,
+            "{line}"
+        );
         if std::path::Path::new("/proc/self/status").exists() {
             for key in ["vm_hwm_bytes", "rss_anon_bytes", "rss_file_bytes"] {
                 assert!(json_field(line, key).unwrap() > 0, "{key}: {line}");

@@ -11,7 +11,8 @@ use s_graffito::multiquery::MultiQueryEngine;
 use s_graffito::prelude::*;
 use s_graffito::serve::client::{Client, ResultRow};
 use s_graffito::serve::protocol::{
-    Backpressure, Message, ERR_BAD_QUERY, ERR_NOT_SUPPORTED, PROTOCOL_VERSION,
+    Backpressure, Message, WireEdge, ERR_BAD_QUERY, ERR_MALFORMED, ERR_NOT_SUPPORTED,
+    ERR_OUT_OF_ORDER, PROTOCOL_VERSION,
 };
 use s_graffito::serve::server::{ServeConfig, Server};
 
@@ -153,6 +154,128 @@ fn unreferenced_labels_are_discarded_like_resolve() {
     // a2q+ over 1→2→3: (1,2), (2,3), (1,3).
     assert_eq!(rows.len(), 3);
     assert!(rows.iter().all(|r| r.query == q && !r.delete));
+    server.shutdown();
+    server.join();
+}
+
+fn edge(src: u64, trg: u64, label: &str, t: u64) -> WireEdge {
+    WireEdge {
+        delete: false,
+        src,
+        trg,
+        t,
+        label: label.to_string(),
+    }
+}
+
+/// The next frame is an ERROR with `code`.
+fn expect_error(c: &mut Client, code: u16) {
+    match c.recv_message().unwrap() {
+        Message::Error { code: got, .. } => assert_eq!(got, code),
+        other => panic!("expected ERROR {code}, got {other:?}"),
+    }
+}
+
+/// `input_deltas` of the exec record of a METRICS reply: the edges the
+/// host has ingested.
+fn ingested(c: &mut Client) -> u64 {
+    let jsonl = c.metrics().unwrap();
+    let exec = (jsonl.lines())
+        .find(|l| l.contains("\"record\":\"exec\""))
+        .expect("an exec record");
+    let rest = &exec[exec.find("\"input_deltas\":").unwrap() + 15..];
+    rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+}
+
+/// A BATCH whose last label is not UTF-8 is refused whole: one ERROR,
+/// none of its edges applied (not even the watermark moves), and the
+/// connection carries the same edges in a well-formed frame afterwards.
+#[test]
+fn batch_with_a_bad_label_applies_none_of_its_edges() {
+    let server = Server::spawn(deterministic_epochs()).expect("spawn");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.hello("t").unwrap();
+    c.register("Ans(x, y) <- e(x, y).", WINDOW, SLIDE).unwrap();
+    let edges = vec![edge(1, 2, "e", 5), edge(2, 3, "e", 6), edge(3, 4, "e", 7)];
+    let mut frame = Message::Batch {
+        edges: edges.clone(),
+    }
+    .encode();
+    *frame.last_mut().unwrap() = 0xFF; // the last edge's label byte
+    c.send_raw(&frame).unwrap();
+    expect_error(&mut c, ERR_MALFORMED);
+    c.barrier().unwrap(); // a second ERROR would fail the barrier
+    assert!(c.take_results().is_empty());
+    assert_eq!(ingested(&mut c), 0);
+
+    c.batch(edges).unwrap();
+    c.barrier().unwrap();
+    assert_eq!(c.take_results().len(), 3);
+    server.shutdown();
+    server.join();
+}
+
+/// A REGISTER between two BATCHes on one connection: the second BATCH
+/// resolves the label the new query names, while a label no query names
+/// is still discarded, in both frames.
+#[test]
+fn register_between_batches_resolves_the_new_label() {
+    let server = Server::spawn(deterministic_epochs()).expect("spawn");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.hello("t").unwrap();
+    let qa = c.register("Ans(x, y) <- a(x, y).", WINDOW, SLIDE).unwrap();
+    c.batch(vec![
+        edge(1, 2, "a", 1),
+        edge(2, 3, "b", 2),
+        edge(3, 4, "zz", 3),
+    ])
+    .unwrap();
+    let qb = c.register("Ans(x, y) <- b(x, y).", WINDOW, SLIDE).unwrap();
+    c.batch(vec![
+        edge(4, 5, "a", 4),
+        edge(5, 6, "b", 5),
+        edge(6, 7, "zz", 6),
+    ])
+    .unwrap();
+    c.barrier().unwrap();
+    let rows = c.take_results();
+    let of = |q| -> Vec<(u64, u64)> {
+        (rows.iter())
+            .filter(|r| r.query == q)
+            .map(|r| (r.src, r.trg))
+            .collect()
+    };
+    assert_eq!(of(qa), [(1, 2), (4, 5)]);
+    assert_eq!(of(qb), [(5, 6)]);
+    // Six edges sent, three ingested: the first frame's `b` and both `zz`
+    // were discarded.
+    assert_eq!(ingested(&mut c), 3);
+    server.shutdown();
+    server.join();
+}
+
+/// An edge behind the watermark in the middle of a BATCH gets ERROR(6)
+/// and is the only one dropped: the edges before and after it apply.
+#[test]
+fn late_edge_mid_batch_is_dropped_alone() {
+    let server = Server::spawn(deterministic_epochs()).expect("spawn");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.hello("t").unwrap();
+    let q = c.register("Ans(x, y) <- e(x, y).", WINDOW, SLIDE).unwrap();
+    c.batch(vec![
+        edge(1, 2, "e", 5),
+        edge(2, 3, "e", 3),
+        edge(3, 4, "e", 6),
+    ])
+    .unwrap();
+    c.flush().unwrap(); // puts the buffered BATCH on the wire
+    expect_error(&mut c, ERR_OUT_OF_ORDER);
+    c.barrier().unwrap();
+    let rows = c.take_results();
+    assert!(rows.iter().all(|r| r.query == q));
+    let pairs: Vec<_> = rows.iter().map(|r| (r.src, r.trg, r.ts)).collect();
+    assert_eq!(pairs, [(1, 2, 5), (3, 4, 6)]);
+    assert_eq!(ingested(&mut c), 2);
     server.shutdown();
     server.join();
 }
