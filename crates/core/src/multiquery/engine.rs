@@ -1,6 +1,7 @@
 //! The multi-query host: N persistent queries, one shared dataflow.
 
 use super::canon::Canonicalizer;
+use super::history::History;
 pub use super::registry::QueryId;
 use super::registry::{input_sgt, Emissions, Registration, Registry};
 use super::sink::{answer_at, ResultRow, SinkCensus};
@@ -15,7 +16,6 @@ use sgq_types::{
     time::gcd, FxHashMap, FxHashSet, Label, LabelInterner, Sge, Sgt, SharedProps, Timestamp,
     VertexId,
 };
-use std::collections::VecDeque;
 
 /// A host executing many persistent [`SgqQuery`]s over one shared input
 /// stream, instantiating structurally-equal subplans once across query
@@ -43,7 +43,7 @@ pub struct MultiQueryEngine {
     /// Input history inside the retention horizon, for register-time
     /// catch-up (newly created operators replay it so a late-registered
     /// query answers from the full current window).
-    retained: VecDeque<(Sge, Option<SharedProps>)>,
+    retained: History,
     /// Whether input history is kept at all: `false` for the host behind
     /// a single-query [`Engine`](crate::engine::Engine), which never sees
     /// a late registration to catch up.
@@ -110,7 +110,7 @@ impl MultiQueryEngine {
             next_boundary: None,
             purge_period: 1,
             last_physical_purge: None,
-            retained: VecDeque::new(),
+            retained: History::default(),
             keeps_history: true,
             retention_horizon: 0,
             profile: Vec::new(),
@@ -407,6 +407,14 @@ impl MultiQueryEngine {
     /// [`SinkCensus`]).
     pub fn sink_censuses(&self) -> Vec<(usize, SinkCensus)> {
         self.registry.sink_censuses(self.now)
+    }
+
+    /// `(rows, reserved bytes)` of the input history kept for
+    /// register-time catch-up: one 32-byte row per arrival inside the
+    /// [retention horizon](MultiQueryEngine::retention_horizon), plus a
+    /// side column for arrivals that carry properties.
+    pub fn history_census(&self) -> (usize, usize) {
+        self.retained.census()
     }
 
     /// The work the host has done since it was built: deltas handed to
@@ -837,19 +845,16 @@ impl MultiQueryEngine {
         // for unsuppressed (explicit-deletion) pipelines, so don't pay for
         // retention there.
         if self.keeps_history && self.retention_horizon > 0 && self.opts.suppress_duplicates {
-            self.retained.push_back((sge, props));
-            self.prune_retained();
+            // Pruned against the arrival, not `now`, which lags it inside a
+            // batch: registration falls between batches, where `now` is
+            // the newest arrival, so catch-up reads the same history.
+            self.retained.prune(self.retention_horizon, sge.t);
+            self.retained.push(sge, props);
         }
     }
 
     fn prune_retained(&mut self) {
-        while let Some((front, _)) = self.retained.front() {
-            if front.t.saturating_add(self.retention_horizon) <= self.now {
-                self.retained.pop_front();
-            } else {
-                break;
-            }
-        }
+        self.retained.prune(self.retention_horizon, self.now);
     }
 
     /// Recomputes host-wide schedule parameters after a registry change:
@@ -922,7 +927,7 @@ impl MultiQueryEngine {
             } = self;
             let epoch = retained
                 .iter()
-                .map(|(sge, props)| (sge.label, Delta::Insert(input_sgt(*sge, props.clone()))));
+                .map(|(sge, props)| (sge.label, Delta::Insert(input_sgt(sge, props))));
             replay.ingest_epoch(epoch, now, |n, batch| {
                 if n == replay_root {
                     for d in batch.iter() {

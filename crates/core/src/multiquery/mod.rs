@@ -40,6 +40,7 @@
 
 pub mod canon;
 pub mod engine;
+mod history;
 mod registry;
 mod sink;
 

@@ -800,12 +800,21 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// (or below the 2-byte minimum) is `InvalidData` — both mean the byte
 /// stream can no longer be trusted.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a buffer the caller keeps: `payload` becomes the
+/// next frame's payload, reusing its capacity, and `Ok(false)` means a
+/// clean EOF. A reader that calls this per frame allocates only when a
+/// frame is longer than every one before it.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
     let mut len = [0u8; 4];
     // Distinguish clean EOF (no bytes) from a truncated length prefix.
     let mut got = 0;
     while got < 4 {
         match r.read(&mut len[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) if got == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -824,9 +833,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} outside [2, {MAX_FRAME_LEN}]"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    // Only bytes past the previous frame's length are zeroed; every byte
+    // is then overwritten.
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 /// Reads and decodes one message. `Ok(None)` on clean EOF;
@@ -941,6 +952,28 @@ mod tests {
         // Below the 2-byte (version + type) minimum.
         let mut tiny: &[u8] = &[0, 0, 0, 1, 9];
         assert!(read_frame(&mut tiny).is_err());
+    }
+
+    #[test]
+    fn a_reused_frame_buffer_holds_exactly_each_frame() {
+        let msgs = [
+            Message::Hello {
+                client: "a longer first frame".into(),
+            },
+            Message::Ping { token: 7 },
+            Message::Advance { t: 3 },
+            Message::Hello {
+                client: "x".repeat(300),
+            },
+        ];
+        let bytes: Vec<u8> = msgs.iter().flat_map(Message::encode).collect();
+        let mut r: &[u8] = &bytes;
+        let mut payload = Vec::new();
+        for m in &msgs {
+            assert!(read_frame_into(&mut r, &mut payload).unwrap());
+            assert_eq!(&payload[..], &m.encode()[4..]);
+        }
+        assert!(!read_frame_into(&mut r, &mut payload).unwrap());
     }
 
     #[test]

@@ -11,11 +11,18 @@
 //!   reader thread           writer thread
 //!   frames → Command        Outbox → socket
 //!   (edges → EdgeBatch)
-//!        │                       ▲
-//!        ▼                       │ bounded per-subscription
+//!        │ edge frames wait      ▲
+//!        │ on the budget         │ bounded per-subscription
+//!        ▼                       │
 //!   mpsc::Sender ───────► engine thread (owns MultiQueryEngine,
 //!                          epoch buffer, subscriptions, timers)
 //! ```
+//!
+//! The command channel holds at most about two epochs of edges: a reader
+//! queues an edge frame only while fewer than `2 × batch_size` edges are
+//! queued (see `QueueDepth`), and otherwise stops reading its socket until
+//! the engine thread takes some. Only readers wait; the engine thread
+//! never blocks on a client.
 //!
 //! The accept thread sleeps in `accept()` and takes a connection the
 //! moment it arrives. When the engine thread exits — graceful shutdown or
@@ -49,7 +56,7 @@ use sgq_query::{parse_program, SgqQuery, WindowSpec};
 use sgq_types::{Label, Sge};
 
 use crate::protocol::{
-    encode_result_into, read_frame, Backpressure, EdgeBatch, Message, Request, ERR_BAD_QUERY,
+    encode_result_into, read_frame_into, Backpressure, EdgeBatch, Message, Request, ERR_BAD_QUERY,
     ERR_MALFORMED, ERR_NOT_SUPPORTED, ERR_OUT_OF_ORDER, ERR_SLOW_CONSUMER, ERR_UNKNOWN_QUERY,
     RESULT_FRAME_LEN,
 };
@@ -61,7 +68,9 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7687` (port 0 picks a free port).
     pub addr: String,
     /// Epoch flush threshold: buffered edges are ingested as one batch
-    /// once this many are pending.
+    /// once this many are pending. Twice this many queued edges is the
+    /// inbound budget: a connection's reader queues no further edge frame
+    /// until the engine thread has taken the queue below it.
     pub batch_size: usize,
     /// Wall-clock epoch tick: pending edges are flushed at least this
     /// often even when the batch never fills.
@@ -126,15 +135,62 @@ enum Command {
 /// engine thread has not taken yet, and the most of each seen at once.
 /// A reader counts a frame in before it sends it, so the engine thread
 /// never counts one out first.
-#[derive(Default)]
+///
+/// It is also the **inbound edge budget**: a reader queues an edge frame
+/// only while fewer than `budget` edges are queued — two epochs, one
+/// being cut and one ready — and otherwise waits here, so TCP flow
+/// control holds the rest of a fast client's stream. The engine thread
+/// wakes waiting readers when it takes edges below the budget, and when
+/// it exits. Other commands never wait, and neither does the engine.
 struct QueueDepth {
     frames: AtomicU64,
     edges: AtomicU64,
     peak_frames: AtomicU64,
     peak_edges: AtomicU64,
+    /// Queued edges at which readers stop queueing edge frames
+    /// (`u64::MAX`: never).
+    budget: u64,
+    /// Set once the engine thread has exited, guarded for the condvar.
+    engine_gone: Mutex<bool>,
+    room: Condvar,
 }
 
 impl QueueDepth {
+    /// The counters of a host cutting epochs of `batch_size` edges.
+    fn new(batch_size: usize) -> QueueDepth {
+        QueueDepth {
+            frames: AtomicU64::new(0),
+            edges: AtomicU64::new(0),
+            peak_frames: AtomicU64::new(0),
+            peak_edges: AtomicU64::new(0),
+            budget: (batch_size as u64).saturating_mul(2).max(1),
+            engine_gone: Mutex::new(false),
+            room: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, bool> {
+        self.engine_gone
+            .lock()
+            .expect("no thread panics while holding the budget lock")
+    }
+
+    /// Waits until fewer edges than the budget are queued. `false` if the
+    /// engine thread has exited, so nothing will take them.
+    fn wait_for_room(&self) -> bool {
+        if self.edges.load(Ordering::Relaxed) < self.budget {
+            return true;
+        }
+        let mut gone = self.lock();
+        while !*gone && self.edges.load(Ordering::Relaxed) >= self.budget {
+            gone = self
+                .room
+                .wait(gone)
+                .expect("no thread panics while holding the budget lock");
+        }
+        !*gone
+    }
+
     fn push(&self, edges: usize) {
         let frames = self.frames.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_frames.fetch_max(frames, Ordering::Relaxed);
@@ -145,7 +201,21 @@ impl QueueDepth {
 
     fn pop(&self, edges: usize) {
         self.frames.fetch_sub(1, Ordering::Relaxed);
-        self.edges.fetch_sub(edges as u64, Ordering::Relaxed);
+        let edges = edges as u64;
+        let before = self.edges.fetch_sub(edges, Ordering::Relaxed);
+        if before >= self.budget && before - edges < self.budget {
+            // A reader that saw the queue full checked under this lock, so
+            // taking it after the decrement orders the wake after its
+            // check, or the decrement before it.
+            drop(self.lock());
+            self.room.notify_all();
+        }
+    }
+
+    /// Marks the engine thread gone and wakes every waiting reader.
+    fn close(&self) {
+        *self.lock() = true;
+        self.room.notify_all();
     }
 }
 
@@ -304,7 +374,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Command>();
-        let depth = Arc::new(QueueDepth::default());
+        let depth = Arc::new(QueueDepth::new(cfg.batch_size));
         // Opened here so an unwritable trace path fails the spawn, not the
         // shutdown of a host that has been tracing into the void.
         let trace = cfg
@@ -317,9 +387,10 @@ impl Server {
             let cfg = cfg.clone();
             let shutdown = Arc::clone(&shutdown);
             let depth = Arc::clone(&depth);
-            let wake = WakeAcceptOnExit {
+            let wake = WakeOnEngineExit {
                 shutdown: Arc::clone(&shutdown),
                 addr,
+                depth: Arc::clone(&depth),
             };
             thread::Builder::new()
                 .name("sgq-serve-engine".into())
@@ -372,16 +443,19 @@ impl Server {
 }
 
 /// Held by the engine thread: however it exits, the host is shutting down,
-/// and the accept thread blocked in `accept()` must hear of it.
-struct WakeAcceptOnExit {
+/// and the accept thread blocked in `accept()` and the readers waiting on
+/// the inbound budget must hear of it.
+struct WakeOnEngineExit {
     shutdown: Arc<AtomicBool>,
     /// The listener's bound address.
     addr: SocketAddr,
+    depth: Arc<QueueDepth>,
 }
 
-impl Drop for WakeAcceptOnExit {
+impl Drop for WakeOnEngineExit {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.depth.close();
         let mut addr = self.addr;
         // A wildcard bind is reachable through loopback.
         if addr.ip().is_unspecified() {
@@ -478,6 +552,9 @@ fn write_entries(w: &mut impl Write, entries: &VecDeque<Entry>) -> io::Result<()
     Ok(())
 }
 
+/// The capacity a connection's frame buffer may keep between frames.
+const FRAME_BUF_KEPT: usize = 1 << 16;
+
 fn reader_loop(
     conn: ConnId,
     stream: TcpStream,
@@ -488,14 +565,25 @@ fn reader_loop(
     // A frame's length prefix and payload come out of one `recv`, and
     // small frames several to a `recv`.
     let mut stream = BufReader::new(stream);
+    // Every frame is read into this one buffer.
+    let mut payload = Vec::new();
     loop {
-        let request = read_frame(&mut stream).map(|frame| frame.map(|p| Request::decode(&p)));
+        let request = read_frame_into(&mut stream, &mut payload)
+            .map(|read| read.then(|| Request::decode(&payload)));
+        if payload.capacity() > FRAME_BUF_KEPT {
+            // One outsized frame does not pin its buffer for the
+            // connection's life.
+            payload = Vec::new();
+        }
         match request {
             // Clean EOF at a frame boundary: the client hung up.
             Ok(None) => break,
             Ok(Some(Ok(req))) => {
                 let cmd = match req {
                     Request::Edges(batch) => {
+                        if !depth.wait_for_room() {
+                            break; // the engine thread is gone
+                        }
                         depth.push(batch.rows.len());
                         Command::Edges(conn, batch)
                     }
@@ -1091,12 +1179,13 @@ impl EngineLoop {
 
 /// The `"record":"memory"` line of a METRICS reply: the bytes the
 /// engine's S-PATH forests, edge stores, PATTERN tables and root sinks
-/// reserve, summed from their censuses; the frames and edges queued on
-/// the command channel behind this METRICS frame, and the most of each
-/// queued at once so far; then the process's `VmHWM`, `RssAnon` and
-/// `RssFile` in bytes, each left out where `/proc/self/status` does not
-/// have it. The censuses are full scans, so this runs per METRICS frame,
-/// never per epoch.
+/// reserve, summed from their censuses, and its catch-up input history;
+/// the frames and edges queued on the command channel behind this
+/// METRICS frame, and the most of each queued at once so far (held to the
+/// inbound budget plus a frame per reader); then the process's `VmHWM`,
+/// `RssAnon` and `RssFile` in bytes, each left out where
+/// `/proc/self/status` does not have it. The censuses are full scans, so
+/// this runs per METRICS frame, never per epoch.
 fn memory_record(engine: &MultiQueryEngine, depth: &QueueDepth) -> String {
     use std::fmt::Write as _;
     let path: usize = (engine.path_censuses().iter())
@@ -1111,11 +1200,13 @@ fn memory_record(engine: &MultiQueryEngine, depth: &QueueDepth) -> String {
     let sink: usize = (engine.sink_censuses().iter())
         .map(|(_, c)| c.reserved_bytes)
         .sum();
+    let (_, history) = engine.history_census();
     let queued = |n: &AtomicU64| n.load(Ordering::Relaxed);
     let mut line = format!(
         "{{\"record\":\"memory\",\"path_bytes\":{path},\"store_bytes\":{store},\
-         \"pattern_bytes\":{pattern},\"sink_bytes\":{sink},\"queued_frames\":{},\
-         \"queued_edges\":{},\"peak_queued_frames\":{},\"peak_queued_edges\":{}",
+         \"pattern_bytes\":{pattern},\"sink_bytes\":{sink},\"history_bytes\":{history},\
+         \"queued_frames\":{},\"queued_edges\":{},\"peak_queued_frames\":{},\
+         \"peak_queued_edges\":{}",
         queued(&depth.frames),
         queued(&depth.edges),
         queued(&depth.peak_frames),
@@ -1426,6 +1517,7 @@ mod tests {
         assert!(json_field(line, "pattern_bytes").unwrap() > 0, "{line}");
         assert!(json_field(line, "store_bytes").unwrap() > 0, "{line}");
         assert!(json_field(line, "sink_bytes").is_some(), "{line}");
+        assert!(json_field(line, "history_bytes").unwrap() > 0, "{line}");
         assert_eq!(json_field(line, "path_bytes"), Some(0), "{line}");
         assert_eq!(json_field(line, "queued_frames"), Some(0), "{line}");
         assert_eq!(json_field(line, "queued_edges"), Some(0), "{line}");
@@ -1444,6 +1536,55 @@ mod tests {
         }
         server.shutdown();
         server.join();
+    }
+
+    /// A reader at the budget waits until the engine thread takes edges
+    /// below it, or exits (its drop guard goes); a host that never cuts by
+    /// size never waits.
+    #[test]
+    fn readers_wait_on_the_budget_until_edges_are_taken_or_the_engine_exits() {
+        let depth = Arc::new(QueueDepth::new(4));
+        let waiter = || {
+            let (tx, rx) = mpsc::channel();
+            let depth = Arc::clone(&depth);
+            thread::spawn(move || tx.send(depth.wait_for_room()).unwrap());
+            rx
+        };
+        let (held, released) = (Duration::from_millis(50), Duration::from_secs(2));
+        depth.push(0);
+        depth.push(4);
+        depth.push(4);
+        let reader = waiter();
+        assert!(
+            reader.recv_timeout(held).is_err(),
+            "8 edges fill a budget of 8"
+        );
+        depth.pop(0);
+        assert!(
+            reader.recv_timeout(held).is_err(),
+            "a frame without edges frees nothing"
+        );
+        depth.pop(4);
+        assert_eq!(reader.recv_timeout(released), Ok(true));
+
+        depth.push(4);
+        let reader = waiter();
+        assert!(reader.recv_timeout(held).is_err());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        drop(WakeOnEngineExit {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            addr: listener.local_addr().unwrap(),
+            depth: Arc::clone(&depth),
+        });
+        assert_eq!(
+            reader.recv_timeout(released),
+            Ok(false),
+            "the engine is gone"
+        );
+
+        let unbounded = QueueDepth::new(usize::MAX);
+        unbounded.push(1 << 40);
+        assert!(unbounded.wait_for_room());
     }
 
     /// `true` if `server.join()` returns within `limit`.

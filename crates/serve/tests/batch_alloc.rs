@@ -1,12 +1,14 @@
 //! Decoding a BATCH frame allocates per distinct label, not per edge: a
 //! counting global allocator holds `Request::decode` of an n-edge frame
 //! over k labels to O(k) allocations, where
-//! `Message::decode` makes a label `String` for every edge.
+//! `Message::decode` makes a label `String` for every edge; and reading a
+//! frame into a reused buffer allocates nothing once the buffer has held
+//! a frame as long.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sgq_serve::protocol::{Message, Request, WireEdge};
+use sgq_serve::protocol::{read_frame_into, Message, Request, WireEdge};
 
 /// Counts the allocations the current thread makes while `COUNTING` is
 /// set; other threads (the test harness) are not counted.
@@ -88,6 +90,35 @@ fn batch_decode_allocates_per_label_not_per_edge() {
         assert!(
             message_allocs >= N as usize,
             "k = {k}: Message::decode made {message_allocs} allocations"
+        );
+    }
+}
+
+#[test]
+fn reading_a_later_batch_into_the_reused_buffer_allocates_only_its_rows_and_labels() {
+    const N: u64 = 4096;
+    for k in [1, 3] {
+        // A longer frame first, then the one measured, as a connection's
+        // reader sees them.
+        let mut stream = Vec::new();
+        for payload in [batch_payload(N + 64, 1), batch_payload(N, k)] {
+            stream.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            stream.extend_from_slice(&payload);
+        }
+        let mut r: &[u8] = &stream;
+        let mut buf = Vec::new();
+        assert!(read_frame_into(&mut r, &mut buf).unwrap());
+        let (allocs, req) = allocations(|| {
+            assert!(read_frame_into(&mut r, &mut buf).unwrap());
+            Request::decode(&buf).unwrap()
+        });
+        let Request::Edges(batch) = req else {
+            panic!("a BATCH decodes to rows");
+        };
+        assert_eq!(batch.rows.len(), N as usize);
+        assert!(
+            allocs <= 2 + k as usize,
+            "k = {k}: reading and decoding made {allocs} allocations"
         );
     }
 }

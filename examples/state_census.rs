@@ -2,9 +2,10 @@
 //! serve loop drives its engine — an epoch cut every 256 accepted edges,
 //! each subscription's undelivered results forwarded after every cut,
 //! then `release_delivered` — and prints the peak `reserved_bytes` of the
-//! four kinds of engine state: S-PATH forests (`PATH`), edge stores
-//! (`STORE`), PATTERN join state (`PATTERN`) and root sinks (`SINK`),
-//! with the sinks' coverage pairs and log slots at their peak.
+//! five kinds of engine state: S-PATH forests (`PATH`), edge stores
+//! (`STORE`), PATTERN join state (`PATTERN`), root sinks (`SINK`) and the
+//! input rows kept for register-time catch-up (`HISTORY`), with the sinks'
+//! coverage pairs and log slots at their peak.
 //!
 //! ```text
 //! cargo run --release --example state_census -- \
@@ -140,8 +141,8 @@ fn main() {
         peak.samples
     );
     println!(
-        "peak reserved_bytes: PATH {} STORE {} PATTERN {} SINK {}",
-        peak.path, peak.store, peak.pattern, peak.sink
+        "peak reserved_bytes: PATH {} STORE {} PATTERN {} SINK {} HISTORY {}",
+        peak.path, peak.store, peak.pattern, peak.sink, peak.history
     );
     println!(
         "sinks at their peak: {} coverage pairs, {} log slots, {} rows retained, {} expired",
@@ -157,6 +158,7 @@ struct Peak {
     store: usize,
     pattern: usize,
     sink: usize,
+    history: usize,
     /// `(coverage pairs, log slots, retained, expired)` summed over the
     /// root sinks at the sink peak.
     sink_at: (usize, usize, usize, usize),
@@ -183,6 +185,7 @@ impl Peak {
         self.path = self.path.max(path);
         self.store = self.store.max(store);
         self.pattern = self.pattern.max(pattern);
+        self.history = self.history.max(host.history_census().1);
         let sinks = host.sink_censuses();
         let sink: usize = sinks.iter().map(|(_, c)| c.reserved_bytes).sum();
         if sink > self.sink {

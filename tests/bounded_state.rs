@@ -945,13 +945,14 @@ fn rss_mb() -> f64 {
 }
 
 /// A fleet's reserved bytes by kind of state: S-PATH forests, edge
-/// stores, PATTERN tables and root sinks.
+/// stores, PATTERN tables, root sinks and the catch-up input history.
 #[derive(Default, Clone, Copy)]
 struct FleetBytes {
     path: usize,
     store: usize,
     pattern: usize,
     sink: usize,
+    history: usize,
 }
 
 impl FleetBytes {
@@ -973,16 +974,18 @@ impl FleetBytes {
                 .map(|(_, c)| c.reserved_bytes)
                 .sum(),
             sink: sink_bytes(host),
+            history: host.history_census().1,
         }
     }
 
     /// `(name, bytes)` per kind, in print order.
-    fn kinds(&self) -> [(&'static str, usize); 4] {
+    fn kinds(&self) -> [(&'static str, usize); 5] {
         [
             ("PATH", self.path),
             ("STORE", self.store),
             ("PATTERN", self.pattern),
             ("SINK", self.sink),
+            ("HISTORY", self.history),
         ]
     }
 
@@ -999,9 +1002,10 @@ impl FleetBytes {
 /// `FLEET_CHECK_EVERY` slides each PATH operator's forest and each edge
 /// store is held against its own window content, and against what it
 /// held during the first ten windows; the fleet's reserved PATH, STORE,
-/// PATTERN and root-sink bytes must each stay within half again of what
-/// they were at window 10, and the process's resident set must not follow
-/// the stream either. Prints all of them at window 10 and at the end.
+/// PATTERN, root-sink and catch-up history bytes must each stay within
+/// half again of what they were at window 10, and the process's resident
+/// set must not follow the stream either. Prints all of them at window 10
+/// and at the end.
 /// Release build: `cargo test --release --test bounded_state -- --ignored
 /// --nocapture`.
 #[test]
@@ -1669,5 +1673,73 @@ fn a_purged_burst_of_pairs_gives_coverage_back() {
         "the sink reserves {} B after the burst expired, {} B at its peak",
         end.reserved_bytes,
         peak.reserved_bytes
+    );
+}
+
+// ---------------------------------------------------------------------
+// (h) Catch-up history: the input rows a host keeps so that a query
+// registered mid-stream can replay the window.
+// ---------------------------------------------------------------------
+
+/// Bytes of one history row (an [`Sge`]).
+const HISTORY_ROW_BYTES: usize = 32;
+/// The fewest rows a full history ring grows by.
+const HISTORY_MIN_GROWTH: usize = 64;
+
+/// The SO stream through a serve-like host, in 64-edge batches, its rate
+/// dropping to an eighth for a stretch and coming back: after every batch
+/// the history holds no more rows than arrived inside the retention
+/// horizon, and reserves at most a quarter over the most rows it has held
+/// plus a fixed step; once time passes the horizon with no arrivals it is
+/// empty and gives its ring back.
+#[test]
+fn catch_up_history_is_held_to_the_horizon() {
+    let mut host = serve_host();
+    // A one-hop query: the history is the same whatever reads the input.
+    host.register(&SgqQuery::new(
+        parse_program("Ans(x, y) <- a2q(x, y).").unwrap(),
+        WindowSpec::new(8 * SOAK_WINDOW, SOAK_SLIDE),
+    ));
+    let horizon = host.retention_horizon();
+    assert_eq!(horizon, 8 * SOAK_WINDOW);
+    let a2q = host.labels().get("a2q").unwrap();
+    let slides = soak_slides();
+    let third = slides.len() / 3;
+    let mut fed: Vec<Sge> = Vec::new();
+    let mut peak_rows = 0;
+    for (n, slide) in slides.iter().enumerate() {
+        let mut batch = a2q_batch(slide, a2q);
+        if (third..2 * third).contains(&n) {
+            batch = batch.into_iter().step_by(8).collect();
+        }
+        for chunk in batch.chunks(64) {
+            host.ingest_batch(chunk);
+            fed.extend_from_slice(chunk);
+            let now = host.now();
+            let inside = (fed.iter().rev())
+                .take_while(|s| s.t + horizon > now)
+                .count();
+            let (rows, bytes) = host.history_census();
+            assert!(
+                rows <= inside,
+                "t={now}: {rows} history rows, {inside} arrivals inside the horizon"
+            );
+            peak_rows = peak_rows.max(rows);
+            let allowed = (peak_rows + (peak_rows / 4).max(HISTORY_MIN_GROWTH)) * HISTORY_ROW_BYTES;
+            assert!(
+                bytes <= allowed,
+                "t={now}: history reserves {bytes} B for {rows} rows, {allowed} B allowed at a peak of {peak_rows} rows"
+            );
+        }
+    }
+    assert!(peak_rows > 0);
+    host.advance_time(host.now() + horizon);
+    let (rows, bytes) = host.history_census();
+    assert_eq!(rows, 0, "nothing arrived inside the horizon");
+    // A ring is given back once it is a quarter full or less, unless it
+    // is within four growth steps.
+    assert!(
+        bytes <= 4 * HISTORY_MIN_GROWTH * HISTORY_ROW_BYTES,
+        "{bytes} B kept for no rows"
     );
 }

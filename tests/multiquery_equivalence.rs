@@ -586,6 +586,66 @@ fn retention_horizon_bounds_large_window_late_registration() {
     );
 }
 
+/// Catch-up replays edge properties with their edges: a query with an
+/// attribute filter, registered mid-stream on a host fed through
+/// `process_with_props`, answers like a dedicated engine that saw the
+/// whole stream at every slide from its registration on.
+#[test]
+fn late_registration_replays_edge_properties() {
+    use s_graffito::types::PropMap;
+    let (window, slide) = (40, 4);
+    let query =
+        |text: &str| SgqQuery::new(parse_program(text).unwrap(), WindowSpec::new(window, slide));
+    let filtered = || query("Ans(x, y) <- a(x, z)[w >= 2], b(z, y).");
+    // The unfiltered join names `a` and `b`, so the host keeps their
+    // edges from the start; the filtered query's root is its own.
+    let mut host = MultiQueryEngine::new();
+    let plain = host.register(&query("Ans(x, y) <- a(x, z), b(z, y)."));
+    let mut dedicated = Engine::from_query(&filtered());
+    // `(src, trg, label, t, w)`: an edge a tick over 31 vertices, the
+    // weight cycling through 0..4 out of step with both.
+    let events: Vec<(u64, u64, &str, u64, i64)> = (0..600u64)
+        .map(|i| {
+            let label = if i % 2 == 0 { "a" } else { "b" };
+            (
+                (i * 7) % 31,
+                (i * 11 + 3) % 31,
+                label,
+                i,
+                ((i * 5 + i / 3) % 4) as i64,
+            )
+        })
+        .collect();
+    let feed = |host: &mut MultiQueryEngine,
+                dedicated: &mut Engine,
+                evs: &[(u64, u64, &str, u64, i64)]| {
+        for &(src, trg, label, t, w) in evs {
+            let props = || PropMap::from_pairs([("w", w)]);
+            let l = host.labels().get(label).unwrap();
+            host.process_with_props(Sge::raw(src, trg, l, t), props());
+            let l = dedicated.labels().get(label).unwrap();
+            dedicated.process_with_props(Sge::raw(src, trg, l, t), props());
+        }
+    };
+    let half = events.len() / 2;
+    feed(&mut host, &mut dedicated, &events[..half]);
+    let id = host.register(&filtered());
+    let registered_at = host.now();
+    let (caught_up, unfiltered) = (
+        host.answer_at(id, registered_at),
+        host.answer_at(plain, registered_at),
+    );
+    assert!(
+        !caught_up.is_empty() && caught_up != unfiltered,
+        "the replayed window has answers, and the filter removes some: {caught_up:?}"
+    );
+    feed(&mut host, &mut dedicated, &events[half..]);
+    let end = events.last().unwrap().3 + window;
+    for t in (registered_at.div_ceil(slide) * slide..=end).step_by(slide as usize) {
+        assert_eq!(host.answer_at(id, t), dedicated.answer_at(t), "t={t}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Window-variant survivors (property-based): window variants of one plan
 // share every operator below their window scans' fan-out but each has its

@@ -176,15 +176,20 @@ fn expect_error(c: &mut Client, code: u16) {
     }
 }
 
+/// A numeric field of the first `record` line of a METRICS reply.
+fn record_field(jsonl: &str, record: &str, key: &str) -> u64 {
+    let line = (jsonl.lines())
+        .find(|l| l.contains(&format!("\"record\":\"{record}\"")))
+        .unwrap_or_else(|| panic!("a {record} record"));
+    let at = line.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let rest = &line[at..];
+    rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+}
+
 /// `input_deltas` of the exec record of a METRICS reply: the edges the
 /// host has ingested.
 fn ingested(c: &mut Client) -> u64 {
-    let jsonl = c.metrics().unwrap();
-    let exec = (jsonl.lines())
-        .find(|l| l.contains("\"record\":\"exec\""))
-        .expect("an exec record");
-    let rest = &exec[exec.find("\"input_deltas\":").unwrap() + 15..];
-    rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+    record_field(&c.metrics().unwrap(), "exec", "input_deltas")
 }
 
 /// A BATCH whose last label is not UTF-8 is refused whole: one ERROR,
@@ -561,4 +566,96 @@ fn feed_helper_drives_wire_and_in_process_identically() {
     assert_eq!(live, mirrored);
     server.shutdown();
     server.join();
+}
+
+/// The inbound edge budget: a client that writes far more than two
+/// epochs of edges in one burst, reading nothing, has every edge applied
+/// and every result delivered, while the host never queues more than
+/// `2 × batch_size` edges plus the frame being queued. Then SHUTDOWN
+/// arrives while a second client floods on, whose reader is held at the
+/// budget once the engine stops taking edges: the host still joins within
+/// the bound `shutdown_joins_promptly` uses, and the flooding client sees
+/// its connection close. (That the engine's exit wakes a waiting reader
+/// is pinned by a unit test in `server.rs`.)
+#[test]
+fn a_flood_is_held_to_two_epochs_and_shutdown_releases_waiting_readers() {
+    const BATCH: usize = 16;
+    const FRAME: u64 = 8;
+    const FRAMES: u64 = 512; // 4 096 edges: 128 times the budget
+    let server = Server::spawn(ServeConfig {
+        batch_size: BATCH,
+        ..ServeConfig::default()
+    })
+    .expect("spawn");
+    let addr = server.addr();
+    let mut c = Client::connect(addr).expect("connect");
+    c.hello("flood").unwrap();
+    let q = c.register("Ans(x, y) <- e(x, y).", WINDOW, SLIDE).unwrap();
+    for f in 0..FRAMES {
+        let edges = (f * FRAME..(f + 1) * FRAME)
+            .map(|i| edge(i, i + 1, "e", i))
+            .collect();
+        c.batch(edges).unwrap();
+    }
+    // The first read: an ERROR would fail the barrier.
+    c.barrier().unwrap();
+    let mut got: Vec<(u64, u64)> = (c.take_results().iter())
+        .map(|r| {
+            assert_eq!((r.query, r.delete), (q, false));
+            (r.src, r.trg)
+        })
+        .collect();
+    got.sort_unstable();
+    let want: Vec<(u64, u64)> = (0..FRAMES * FRAME).map(|i| (i, i + 1)).collect();
+    assert_eq!(got, want, "every edge's result arrives once");
+    let peak = record_field(&c.metrics().unwrap(), "memory", "peak_queued_edges");
+    assert!(
+        peak <= 2 * BATCH as u64 + FRAME,
+        "{peak} edges queued at once; the budget is {} plus one frame of {FRAME}",
+        2 * BATCH
+    );
+
+    // A second client floods without end; SHUTDOWN goes out once it is
+    // under way.
+    let (started, flooding) = std::sync::mpsc::channel();
+    let (done, flood_done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut f = Client::connect(addr).expect("connect");
+        f.hello("flood 2").unwrap();
+        let first = FRAMES * FRAME;
+        let mut frames = 0u64;
+        let closed = loop {
+            let t = first + frames * FRAME;
+            let edges = (t..t + FRAME).map(|i| edge(i, i + 1, "e", i)).collect();
+            if let Err(e) = f.batch(edges) {
+                break e;
+            }
+            frames += 1;
+            if frames == 64 {
+                let _ = started.send(());
+            }
+        };
+        let _ = done.send(closed.kind());
+    });
+    flooding
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the flood got under way");
+    assert_eq!(c.shutdown().unwrap(), "shutdown");
+    let limit = std::time::Duration::from_secs(2);
+    let (joined, join) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = joined.send(());
+    });
+    assert!(join.recv_timeout(limit).is_ok(), "join hung");
+    let kind = flood_done
+        .recv_timeout(limit)
+        .expect("the flooding client is released when the host exits");
+    assert!(
+        matches!(
+            kind,
+            std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset
+        ),
+        "{kind:?}"
+    );
 }
